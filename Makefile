@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify verify-race race fuzz-smoke cover-xenstore cover-html bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
+.PHONY: build test bench-check verify verify-race race fuzz-smoke cover-xenstore cover-html bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
 
 # Newest checked-in benchmark report; bench-compare reruns its figures
 # and fails on regression. Override with BASELINE=path to pin another.
@@ -12,14 +12,23 @@ build:
 test:
 	$(GO) test ./...
 
+# The repository benchmark (bench/) is a separate Go module, so
+# `go test ./...` never builds it: vet it, then run its unit tests and
+# tiny-scale smoke (~12 s).
+bench-check:
+	$(GO) -C bench vet .
+	$(GO) -C bench test .
+
 # Tier-1 gate: build + vet + full tests (including the xenstore alloc
 # budgets in internal/xenstore/alloc_test.go), then the race detector
 # over the packages the parallel engine touches, then the benchmark
-# regression gate against the checked-in baseline report.
+# module check and the regression gate against the checked-in
+# baseline report.
 verify: build
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/experiments ./internal/xenstore ./internal/sim ./internal/profiling ./internal/cluster ./internal/toolstack ./internal/traffic ./cmd/lightvm-bench
+	$(MAKE) bench-check
 	$(MAKE) bench-compare
 
 # Full gate with the race detector over every package (slower than

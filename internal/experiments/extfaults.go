@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -11,6 +12,8 @@ import (
 	"lightvm/internal/sched"
 	"lightvm/internal/sim"
 	"lightvm/internal/toolstack"
+	"lightvm/internal/xenbus"
+	"lightvm/internal/xenstore"
 )
 
 func init() {
@@ -221,7 +224,9 @@ func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (fault
 				d, _, foErr := cl.Failover(lost)
 				recoveries++
 				recoveryTotal += d
-				if foErr != nil {
+				// A re-placement that a fault defeated leaves the rest of
+				// the lost VMs down; they are already counted as failed.
+				if foErr != nil && !isFaultErr(foErr) {
 					return faultCell{}, foErr
 				}
 			}
@@ -242,4 +247,10 @@ func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (fault
 		cell.injected = inj.TotalInjected()
 	}
 	return cell, nil
+}
+
+// isFaultErr reports whether err is a typed fault-plane outcome: a
+// device handshake or store transaction that exhausted its recovery.
+func isFaultErr(err error) bool {
+	return errors.Is(err, xenbus.ErrDeviceTimeout) || errors.Is(err, xenstore.ErrTxnRetriesExhausted)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lightvm/internal/metrics"
+	"lightvm/internal/toolstack"
 )
 
 // marshalFaults runs ext-faults and returns the table as JSON bytes.
@@ -88,5 +89,30 @@ func TestExtFaultsShowsDegradationUnderFaults(t *testing.T) {
 	if last[colXLCreateP99] <= row0[colXLCreateP99] {
 		t.Fatalf("xl create p99 at max rate (%v ms) not above rate-0 (%v ms)",
 			last[colXLCreateP99], row0[colXLCreateP99])
+	}
+}
+
+// TestExtFaultsSurvivesFailoverFault replays the paper-scale seed-3
+// cell (xl at rate 0.16) in which a failover re-placement hits a device
+// handshake timeout. That typed fault must not abort the figure: the
+// lost VMs are already counted as failed ops, the sweep goes on, and
+// every surviving host still audits clean.
+func TestExtFaultsSurvivesFailoverFault(t *testing.T) {
+	const seed, ri = 3, 4 // cell j = ri for xl, the first mode
+	if faultRates[ri] != 0.16 {
+		t.Fatalf("faultRates[%d] = %v, want 0.16", ri, faultRates[ri])
+	}
+	toolstack.SetEnvTracking(true)
+	defer toolstack.SetEnvTracking(false)
+	cell, err := runFaultChurn(toolstack.ModeXL, faultRates[ri], seed+uint64(ri)*7919, 40)
+	if err != nil {
+		t.Fatalf("ext-faults seed %d xl rate %v: %v", seed, faultRates[ri], err)
+	}
+	if cell.recoveries == 0 || cell.avail >= 100 {
+		t.Fatalf("cell saw %d failovers at %.1f%% availability, want a failover and lost VMs",
+			cell.recoveries, cell.avail)
+	}
+	if _, violations := toolstack.FsckTracked(); len(violations) != 0 {
+		t.Fatalf("fsck: %v", violations)
 	}
 }

@@ -273,22 +273,9 @@ func Save(e *toolstack.Env, vm *toolstack.VM) (*Checkpoint, time.Duration, error
 	// window (it is asynchronous on real hosts, but still charged to
 	// the clock).
 	saveTime := time.Duration(e.Clock.Now().Sub(start))
-	e.RunDom0(func() {
-		e.UnregisterRunning(vm)
-		if vm.Mode.UsesStore() {
-			for i, dev := range vm.Image.Devices {
-				xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i)
-			}
-			_ = e.Store.Rm(xenbus.DomainPath(vm.Dom.ID))
-		} else {
-			e.Noxs.DestroyAll(vm.Dom.ID)
-		}
-		retErr = e.HV.DestroyDomain(vm.Dom.ID)
-	})
-	if retErr != nil {
-		return nil, 0, retErr
+	if err := teardownSource(e, vm); err != nil {
+		return nil, 0, err
 	}
-	e.Forget(vm)
 	e.Trace.Emit("migrate", "save", vm.Name, "mode="+vm.Mode.String(), saveTime)
 	return cp, saveTime, nil
 }
@@ -331,47 +318,32 @@ func Restore(e *toolstack.Env, cp *Checkpoint) (*toolstack.VM, time.Duration, er
 		} else {
 			e.Clock.Sleep(costs.ToolstackInternalChaos)
 		}
-		dom, err := e.HV.CreateDomain(hv.Config{
-			MaxMem: cp.MemBytes, VCPUs: 1, Cores: []int{vm.Core},
-		})
-		if err != nil {
-			retErr = err
-			return
-		}
-		vm.Dom = dom
-		if err := e.PopulateGuest(dom.ID, cp.Image); err != nil {
-			retErr = err
-			return
-		}
-		loadCost(e, cp.MemBytes)
-		if storeSnap != nil {
+		retErr = precreateTarget(e, vm, cp.MemBytes, func(dom *hv.Domain) error {
+			loadCost(e, cp.MemBytes)
+			if storeSnap == nil {
+				return nil
+			}
 			// Graft the frozen registry under the new domain id: one
 			// store op, structural sharing — the restored guest's
 			// name/memory/control entries come back without a write per
-			// node. Device entries are re-negotiated below (fresh event
+			// node. Device entries are then re-negotiated (fresh event
 			// channels and grants), overwriting the captured handshake
 			// state in place.
-			retErr = e.Store.GraftSnapshot(storeSnap, "/", xenbus.DomainPath(dom.ID))
-			if retErr != nil {
-				return
-			}
-		}
-		retErr = recreateDevices(e, vm)
+			return e.Store.GraftSnapshot(storeSnap, "/", xenbus.DomainPath(dom.ID))
+		})
 		if retErr != nil {
 			return
 		}
-		dom.State = hv.StateSuspended // restored image resumes, not boots
-		retErr = e.HV.Unpause(dom.ID)
+		vm.Dom.State = hv.StateSuspended // restored image resumes, not boots
+		retErr = e.HV.Unpause(vm.Dom.ID)
 	})
 	if retErr != nil {
-		e.Forget(vm)
-		if vm.Dom != nil {
-			_ = e.HV.DestroyDomain(vm.Dom.ID)
-		}
+		discardTarget(e, vm)
 		return nil, 0, retErr
 	}
-	// Guest side: reconnect frontends (no OS boot — state is resumed).
-	if err := reconnect(e, vm); err != nil {
+	// Guest side: reconnect frontends and re-register the guest's load
+	// (no OS boot — state is resumed).
+	if err := e.BootResumed(vm); err != nil {
 		return nil, 0, err
 	}
 	restoreTime := time.Duration(e.Clock.Now().Sub(start))
@@ -379,33 +351,62 @@ func Restore(e *toolstack.Env, cp *Checkpoint) (*toolstack.VM, time.Duration, er
 	return vm, restoreTime, nil
 }
 
-// recreateDevices rebuilds the devices on the restore/migration target.
-func recreateDevices(e *toolstack.Env, vm *toolstack.VM) error {
-	if vm.Mode.UsesStore() {
-		for i, dev := range vm.Image.Devices {
-			req := struct {
-				Kind hv.DevKind
-				MAC  string
-			}{dev.Kind, dev.MAC}
-			if err := writeStoreDevice(e, vm, i, req.Kind, req.MAC); err != nil {
-				return err
-			}
-		}
-		return nil
+// precreateTarget builds vm's domain on a restore or migration target:
+// the reservation and memory, then load (when non-nil), then the
+// guest's devices on its device path. On failure vm.Dom holds whatever
+// domain was built, for discardTarget.
+func precreateTarget(e *toolstack.Env, vm *toolstack.VM, memBytes uint64, load func(*hv.Domain) error) error {
+	dom, err := e.HV.CreateDomain(hv.Config{MaxMem: memBytes, VCPUs: 1, Cores: []int{vm.Core}})
+	if err != nil {
+		return err
 	}
-	for i, dev := range vm.Image.Devices {
-		if _, err := e.Noxs.CreateDevice(vm.Dom.ID, dev.Kind, i, dev.MAC); err != nil {
+	vm.Dom = dom
+	if err := e.PopulateGuest(dom.ID, vm.Image); err != nil {
+		return err
+	}
+	if load != nil {
+		if err := load(dom); err != nil {
 			return err
 		}
 	}
-	_, err := e.Noxs.CreateDevice(vm.Dom.ID, hv.DevSysctl, 0, "")
-	return err
+	return e.CreateDevices(dom.ID, vm.Image.Devices, vm.Mode.UsesStore())
 }
 
-// reconnect performs the guest-side frontend reattach after resume and
-// re-registers the guest's load.
-func reconnect(e *toolstack.Env, vm *toolstack.VM) error {
-	return e.BootResumed(vm)
+// discardTarget drops a restore or migration target whose creation
+// failed: the VM leaves the name table and its domain is destroyed.
+// Device and registry state already built is not reaped (DESIGN.md
+// §15 records why this leak is kept).
+func discardTarget(e *toolstack.Env, vm *toolstack.VM) {
+	e.Forget(vm)
+	if vm.Dom != nil {
+		_ = e.HV.DestroyDomain(vm.Dom.ID)
+	}
+}
+
+// teardownSource destroys the instance a save or migration leaves
+// behind: its scheduler load, its device state — the registry entries
+// on the store path (without the backend hotplug teardown), the device
+// page on noxs, whose destruction pays the unoptimized-teardown
+// penalty of §6.2 — and then its domain.
+func teardownSource(e *toolstack.Env, vm *toolstack.VM) error {
+	var err error
+	e.RunDom0(func() {
+		e.UnregisterRunning(vm)
+		if vm.Mode.UsesStore() {
+			for i, dev := range vm.Image.Devices {
+				xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i)
+			}
+			_ = e.Store.Rm(xenbus.DomainPath(vm.Dom.ID))
+		} else {
+			e.Noxs.DestroyAll(vm.Dom.ID)
+		}
+		err = e.HV.DestroyDomain(vm.Dom.ID)
+	})
+	if err != nil {
+		return err
+	}
+	e.Forget(vm)
+	return nil
 }
 
 // StreamCost is the control-network time to ship a checkpoint between
@@ -455,26 +456,9 @@ func Migrate(src, dst *toolstack.Env, vm *toolstack.VM) (*toolstack.VM, time.Dur
 		return nil, 0, err
 	}
 	var preErr error
-	dst.RunDom0(func() {
-		dom, err := dst.HV.CreateDomain(hv.Config{
-			MaxMem: desc.MemBytes, VCPUs: 1, Cores: []int{newVM.Core},
-		})
-		if err != nil {
-			preErr = err
-			return
-		}
-		newVM.Dom = dom
-		if err := dst.PopulateGuest(dom.ID, vm.Image); err != nil {
-			preErr = err
-			return
-		}
-		preErr = recreateDevices(dst, newVM)
-	})
+	dst.RunDom0(func() { preErr = precreateTarget(dst, newVM, desc.MemBytes, nil) })
 	if preErr != nil {
-		dst.Forget(newVM)
-		if newVM.Dom != nil {
-			_ = dst.HV.DestroyDomain(newVM.Dom.ID)
-		}
+		discardTarget(dst, newVM)
 		return nil, 0, preErr
 	}
 
@@ -520,25 +504,10 @@ func Migrate(src, dst *toolstack.Env, vm *toolstack.VM) (*toolstack.VM, time.Dur
 		return nil, 0, err
 	}
 
-	// 5. Tear down the source instance (device destruction is where
-	// noxs pays its unoptimized-teardown penalty, §6.2).
-	var downErr error
-	src.RunDom0(func() {
-		src.UnregisterRunning(vm)
-		if vm.Mode.UsesStore() {
-			for i, dev := range vm.Image.Devices {
-				xenbus.RemoveDeviceEntries(src.Store, vm.Dom.ID, dev.Kind, i)
-			}
-			_ = src.Store.Rm(xenbus.DomainPath(vm.Dom.ID))
-		} else {
-			src.Noxs.DestroyAll(vm.Dom.ID)
-		}
-		downErr = src.HV.DestroyDomain(vm.Dom.ID)
-	})
-	if downErr != nil {
-		return nil, 0, downErr
+	// 5. Tear down the source instance.
+	if err := teardownSource(src, vm); err != nil {
+		return nil, 0, err
 	}
-	src.Forget(vm)
 	migTime := time.Duration(src.Clock.Now().Sub(start))
 	src.Trace.Emit("migrate", "migrate", vm.Name, "mode="+vm.Mode.String(), migTime)
 	return newVM, migTime, nil
@@ -552,17 +521,7 @@ func Migrate(src, dst *toolstack.Env, vm *toolstack.VM) (*toolstack.VM, time.Dur
 func rollback(src, dst *toolstack.Env, vm, newVM *toolstack.VM) {
 	dst.RunDom0(func() {
 		if newVM.Mode.UsesStore() {
-			for i, dev := range newVM.Image.Devices {
-				switch dev.Kind {
-				case hv.DevVif:
-					dst.BackVif.Teardown(newVM.Dom.ID, i)
-				case hv.DevVbd:
-					dst.BackVbd.Teardown(newVM.Dom.ID, i)
-				case hv.DevConsole:
-					dst.BackConsole.Teardown(newVM.Dom.ID, i)
-				}
-				xenbus.RemoveDeviceEntries(dst.Store, newVM.Dom.ID, dev.Kind, i)
-			}
+			dst.RemoveStoreDevices(newVM.Dom.ID, newVM.Image.Devices)
 			// Also reap the per-domain backend parents, so the store is
 			// exactly as it was before the aborted pre-creation.
 			for i, dev := range newVM.Image.Devices {
@@ -580,12 +539,6 @@ func rollback(src, dst *toolstack.Env, vm, newVM *toolstack.VM) {
 		_ = src.HV.Unpause(vm.Dom.ID)
 	})
 	src.Trace.Emit("migrate", "rollback", vm.Name, "mode="+vm.Mode.String(), 0)
-}
-
-// writeStoreDevice writes the device's store entries and completes the
-// backend handshake on the restore path.
-func writeStoreDevice(e *toolstack.Env, vm *toolstack.VM, idx int, kind hv.DevKind, mac string) error {
-	return e.StoreDeviceCreate(vm, idx, kind, mac)
 }
 
 // Marshal serializes the whole checkpoint (descriptor blob plus

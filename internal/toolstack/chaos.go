@@ -1,15 +1,12 @@
 package toolstack
 
 import (
-	"errors"
 	"strconv"
-	"time"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/guest"
 	"lightvm/internal/hv"
 	"lightvm/internal/xenbus"
-	"lightvm/internal/xenstore"
 )
 
 // Chaos is LightVM's lean toolstack (libchaos + chaos command, §5.1):
@@ -54,73 +51,59 @@ func (c *Chaos) Create(name string, img guest.Image) (*VM, error) {
 	var retErr error
 	start := e.Clock.Now()
 
-	e.RunDom0(func() {
-		mark := func(dst *time.Duration, fn func()) {
-			t0 := e.Clock.Now()
-			fn()
-			*dst += e.Clock.Now().Sub(t0)
-		}
+	// The intent journal goes where this mode keeps its truth: a store
+	// node on the XS paths, the noxs module's kernel-side table
+	// otherwise. Written before any durable state, updated once the
+	// domain ID is known.
+	us := c.mode.UsesStore()
 
-		mark(&bd.Config, func() { e.Clock.Sleep(costs.ConfigParseChaos) })
-		// The intent journal goes where this mode keeps its truth: a
-		// store node on the XS paths, the noxs module's kernel-side
-		// table otherwise. Written before any durable state, updated
-		// once the domain ID is known.
-		us := c.mode.UsesStore()
-		mark(&bd.Toolstack, func() { e.journalSet(us, name, journalOpCreate, "hv", 0) })
+	e.RunDom0(func() {
+		e.charge(&bd.Config, func() { e.Clock.Sleep(costs.ConfigParseChaos) })
+		e.charge(&bd.Toolstack, func() { e.journalSet(us, name, journalOpCreate, "hv", 0) })
 		if retErr = e.crashPoint("chaos.create.begin"); retErr != nil {
 			return
 		}
-		mark(&bd.Toolstack, func() { e.Clock.Sleep(costs.ToolstackInternalChaos) })
+		e.charge(&bd.Toolstack, func() { e.Clock.Sleep(costs.ToolstackInternalChaos) })
 
 		flavor := FlavorFor(img, us)
 		if c.mode.UsesSplit() {
 			// Execute phase on a pre-created shell.
 			var shell *Shell
-			mark(&bd.Toolstack, func() {
+			e.charge(&bd.Toolstack, func() {
 				shell = e.Pool.Take(flavor)
 			})
 			if shell == nil {
 				// Pool miss: prepare inline, paying full price. Prepare
 				// has its own crash points journaled under shell:<id>.
-				mark(&bd.Hypervisor, func() {
-					var err error
-					shell, err = e.Pool.Prepare(flavor)
-					if err != nil {
-						retErr = err
-					}
-				})
+				e.charge(&bd.Hypervisor, func() { shell, retErr = e.Pool.Prepare(flavor) })
 				if retErr != nil {
 					return
 				}
 			}
 			vm.Dom, vm.Core = shell.Dom, shell.Core
-			mark(&bd.Toolstack, func() { e.journalSet(us, name, journalOpCreate, "finalize", vm.Dom.ID) })
-			mark(&bd.Devices, func() { retErr = e.Pool.finalizeDevices(shell, img) })
+			e.charge(&bd.Toolstack, func() { e.journalSet(us, name, journalOpCreate, "finalize", vm.Dom.ID) })
+			e.charge(&bd.Devices, func() { retErr = e.Pool.finalizeDevices(shell, img) })
 			if retErr != nil {
 				return
 			}
 		} else {
 			vm.Core = e.Sched.Place()
-			mark(&bd.Hypervisor, func() {
-				dom, err := e.HV.CreateDomain(hv.Config{
+			e.charge(&bd.Hypervisor, func() {
+				if vm.Dom, retErr = e.HV.CreateDomain(hv.Config{
 					MaxMem: img.MemBytes, VCPUs: 1, Cores: []int{vm.Core},
-				})
-				if err != nil {
-					retErr = err
+				}); retErr != nil {
 					return
 				}
-				vm.Dom = dom
-				retErr = e.PopulateGuest(dom.ID, img)
+				retErr = e.PopulateGuest(vm.Dom.ID, img)
 			})
 			if retErr != nil {
 				return
 			}
-			mark(&bd.Toolstack, func() { e.journalSet(us, name, journalOpCreate, "devices", vm.Dom.ID) })
+			e.charge(&bd.Toolstack, func() { e.journalSet(us, name, journalOpCreate, "devices", vm.Dom.ID) })
 			if retErr = e.crashPoint("chaos.create.hv"); retErr != nil {
 				return
 			}
-			mark(&bd.Devices, func() { retErr = c.createDevices(vm) })
+			e.charge(&bd.Devices, func() { retErr = e.CreateDevices(vm.Dom.ID, img.Devices, us) })
 			if retErr != nil {
 				return
 			}
@@ -131,11 +114,11 @@ func (c *Chaos) Create(name string, img guest.Image) (*VM, error) {
 
 		if us {
 			// chaos keeps only the handful of entries guests need.
-			mark(&bd.XenStore, func() { retErr = e.storeQuotaGate(vm.Dom.ID, "chaos.create.store") })
+			e.charge(&bd.XenStore, func() { retErr = e.storeQuotaGate(vm.Dom.ID, "chaos.create.store") })
 			if retErr != nil {
 				return
 			}
-			mark(&bd.XenStore, func() {
+			e.charge(&bd.XenStore, func() {
 				domPath := xenbus.DomainPath(vm.Dom.ID)
 				e.Store.Write(domPath+"/name", name)
 				e.Store.Write(domPath+"/memory/target", strconv.FormatUint(img.MemBytes/1024, 10))
@@ -146,70 +129,22 @@ func (c *Chaos) Create(name string, img guest.Image) (*VM, error) {
 			}
 		}
 
-		mark(&bd.Load, func() {
+		e.charge(&bd.Load, func() {
 			retErr = e.HV.LoadImage(vm.Dom.ID, img.Name, img.TotalSize())
 		})
 		if retErr != nil {
 			return
 		}
-		mark(&bd.Hypervisor, func() { retErr = e.HV.Unpause(vm.Dom.ID) })
+		e.charge(&bd.Hypervisor, func() { retErr = e.HV.Unpause(vm.Dom.ID) })
 		if retErr != nil {
 			return
 		}
 		retErr = e.crashPoint("chaos.create.finalize")
 	})
 	if retErr != nil {
-		e.forget(vm)
-		if errors.Is(retErr, ErrToolstackCrash) {
-			// Process died mid-creation: partial state stays for recovery.
-			return nil, retErr
-		}
-		if vm.Dom != nil {
-			retErr = e.rollbackDomain(retErr, c.mode.UsesStore(), name, vm.Dom.ID)
-		}
-		e.journalClear(c.mode.UsesStore(), name)
-		return nil, retErr
+		return nil, e.abandon(vm, us, retErr)
 	}
-	e.journalClear(c.mode.UsesStore(), name)
-	vm.LastBreakdown = bd
-	vm.CreateTime = e.Clock.Now().Sub(start)
-
-	bootStart := e.Clock.Now()
-	if err := e.BootGuest(vm); err != nil {
-		_ = c.Destroy(vm)
-		return nil, err
-	}
-	vm.BootTime = e.Clock.Now().Sub(bootStart)
-	e.Trace.Emit("toolstack", "create", name, "mode="+c.mode.String(), vm.CreateTime+vm.BootTime)
-	return vm, nil
-}
-
-// createDevices builds devices inline (non-split path).
-func (c *Chaos) createDevices(vm *VM) error {
-	e := c.env
-	if c.mode.UsesStore() {
-		for i, dev := range vm.Image.Devices {
-			req := xenbus.DeviceReq{Kind: dev.Kind, Dom: vm.Dom.ID, Idx: i, MAC: dev.MAC}
-			if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-				xenbus.WriteDeviceEntries(tx, req)
-				return nil
-			}); err != nil {
-				return err
-			}
-			if err := xenbus.WaitBackendReady(e.Store, e.Clock, vm.Dom.ID, dev.Kind, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i, dev := range vm.Image.Devices {
-		if _, err := e.Noxs.CreateDevice(vm.Dom.ID, dev.Kind, i, dev.MAC); err != nil {
-			return err
-		}
-	}
-	// The sysctl power device replaces XenStore-based control.
-	_, err := e.Noxs.CreateDevice(vm.Dom.ID, hv.DevSysctl, 0, "")
-	return err
+	return e.bootCreated(c, vm, bd, start)
 }
 
 // Destroy implements Driver. As in xl, crash points sit after the
@@ -230,26 +165,15 @@ func (c *Chaos) Destroy(vm *VM) error {
 			return
 		}
 		if us {
-			for i, dev := range vm.Image.Devices {
-				switch dev.Kind {
-				case hv.DevVif:
-					e.BackVif.Teardown(vm.Dom.ID, i)
-				case hv.DevVbd:
-					e.BackVbd.Teardown(vm.Dom.ID, i)
-				case hv.DevConsole:
-					e.BackConsole.Teardown(vm.Dom.ID, i)
-				}
-				xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i)
-			}
-			if crashErr = e.crashPoint("chaos.destroy.devices"); crashErr != nil {
-				return
-			}
-			_ = e.Store.Rm(xenbus.DomainPath(vm.Dom.ID))
+			e.RemoveStoreDevices(vm.Dom.ID, vm.Image.Devices)
 		} else {
 			e.Noxs.DestroyAll(vm.Dom.ID)
-			if crashErr = e.crashPoint("chaos.destroy.devices"); crashErr != nil {
-				return
-			}
+		}
+		if crashErr = e.crashPoint("chaos.destroy.devices"); crashErr != nil {
+			return
+		}
+		if us {
+			_ = e.Store.Rm(xenbus.DomainPath(vm.Dom.ID))
 		}
 		e.Clock.Sleep(costs.ToolstackInternalChaos)
 	})

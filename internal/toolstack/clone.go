@@ -1,14 +1,12 @@
 package toolstack
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/hv"
 	"lightvm/internal/xenbus"
-	"lightvm/internal/xenstore"
 )
 
 // CloneVM forks a running guest Potemkin/SnowFlock-style (related work
@@ -58,18 +56,16 @@ func (e *Env) CloneVM(parent *VM, name string) (*VM, error) {
 		}
 		private := uint64(float64(img.MemBytes) * costs.CloneWorkingSetFraction)
 		shared := img.MemBytes - private
-		if err := e.HV.PopulateShared(dom.ID, key, shared); err != nil {
-			retErr = err
+		if retErr = e.HV.PopulateShared(dom.ID, key, shared); retErr != nil {
 			return
 		}
 		if private > 0 {
-			if err := e.HV.PopulatePhysmap(dom.ID, private); err != nil {
-				retErr = err
+			if retErr = e.HV.PopulatePhysmap(dom.ID, private); retErr != nil {
 				return
 			}
 		}
 		// Fresh devices: a clone must not share its parent's rings.
-		if vm.Mode.UsesStore() {
+		if us {
 			// The child inherits the parent's registry in one graft: an
 			// O(1) snapshot capture plus a single store op, instead of
 			// re-writing every entry. Device handshake state is then
@@ -81,36 +77,13 @@ func (e *Env) CloneVM(parent *VM, name string) (*VM, error) {
 				retErr = err
 				return
 			}
-			if err := e.Store.GraftSnapshot(sub, "/", xenbus.DomainPath(dom.ID)); err != nil {
-				retErr = err
+			if retErr = e.Store.GraftSnapshot(sub, "/", xenbus.DomainPath(dom.ID)); retErr != nil {
 				return
 			}
 			e.Store.Write(fmt.Sprintf("/local/domain/%d/name", dom.ID), name)
-			for i, dev := range img.Devices {
-				req := xenbus.DeviceReq{Kind: dev.Kind, Dom: dom.ID, Idx: i, MAC: dev.MAC}
-				if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-					xenbus.WriteDeviceEntries(tx, req)
-					return nil
-				}); err != nil {
-					retErr = err
-					return
-				}
-				if err := xenbus.WaitBackendReady(e.Store, e.Clock, dom.ID, dev.Kind, i); err != nil {
-					retErr = err
-					return
-				}
-			}
-		} else {
-			for i, dev := range img.Devices {
-				if _, err := e.Noxs.CreateDevice(dom.ID, dev.Kind, i, dev.MAC); err != nil {
-					retErr = err
-					return
-				}
-			}
-			if _, err := e.Noxs.CreateDevice(dom.ID, hv.DevSysctl, 0, ""); err != nil {
-				retErr = err
-				return
-			}
+		}
+		if retErr = e.CreateDevices(dom.ID, img.Devices, us); retErr != nil {
+			return
 		}
 		if retErr = e.crashPoint("clone.devices"); retErr != nil {
 			return
@@ -122,16 +95,7 @@ func (e *Env) CloneVM(parent *VM, name string) (*VM, error) {
 		retErr = e.crashPoint("clone.finalize")
 	})
 	if retErr != nil {
-		e.forget(vm)
-		if errors.Is(retErr, ErrToolstackCrash) {
-			// Process died mid-clone: partial state stays for recovery.
-			return nil, retErr
-		}
-		if vm.Dom != nil {
-			retErr = e.rollbackDomain(retErr, us, name, vm.Dom.ID)
-		}
-		e.journalClear(us, name)
-		return nil, retErr
+		return nil, e.abandon(vm, us, retErr)
 	}
 	e.journalClear(us, name)
 	if err := e.BootResumed(vm); err != nil {

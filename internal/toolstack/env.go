@@ -267,6 +267,49 @@ func (e *Env) RunDom0(fn func()) time.Duration {
 	return raw + extra
 }
 
+// charge runs fn and adds the virtual time it took to *dst: the
+// per-category attribution behind Breakdown.
+func (e *Env) charge(dst *time.Duration, fn func()) {
+	t0 := e.Clock.Now()
+	fn()
+	*dst += e.Clock.Now().Sub(t0)
+}
+
+// abandon is the failed create/clone epilogue: vm leaves the name
+// table. After a toolstack crash nothing else runs — the process is
+// gone, and its partial state stays for the scrubber. Any other
+// failure reaps whatever was built and clears the intent journal. It
+// returns err, joined with any rollback failure.
+func (e *Env) abandon(vm *VM, useStore bool, err error) error {
+	e.forget(vm)
+	if errors.Is(err, ErrToolstackCrash) {
+		return err
+	}
+	if vm.Dom != nil {
+		err = e.rollbackDomain(err, useStore, vm.Name, vm.Dom.ID)
+	}
+	e.journalClear(useStore, vm.Name)
+	return err
+}
+
+// bootCreated is the successful-create tail the drivers share: clear
+// the intent journal, record the create-phase timings, then boot the
+// guest. A guest that fails to boot is destroyed through d.
+func (e *Env) bootCreated(d Driver, vm *VM, bd Breakdown, start sim.Time) (*VM, error) {
+	e.journalClear(vm.Mode.UsesStore(), vm.Name)
+	vm.LastBreakdown = bd
+	vm.CreateTime = e.Clock.Now().Sub(start)
+
+	bootStart := e.Clock.Now()
+	if err := e.BootGuest(vm); err != nil {
+		_ = d.Destroy(vm)
+		return nil, err
+	}
+	vm.BootTime = e.Clock.Now().Sub(bootStart)
+	e.Trace.Emit("toolstack", "create", vm.Name, "mode="+vm.Mode.String(), vm.CreateTime+vm.BootTime)
+	return vm, nil
+}
+
 // bootGuest performs the guest side of bringing a VM up: frontend
 // negotiation (store or noxs), then the OS boot work on the VM's core
 // (dilated by its neighbours), then idle-load registration.
@@ -405,19 +448,6 @@ func (e *Env) BootResumed(vm *VM) error {
 	e.Console.Attach(vm.Dom.ID)
 	_ = e.Console.Writef(vm.Dom.ID, "%s: resumed from saved state at %v\n", vm.Name, e.Clock.Now())
 	return nil
-}
-
-// StoreDeviceCreate performs the XenStore device handshake for one
-// device (used by restore and migration pre-creation).
-func (e *Env) StoreDeviceCreate(vm *VM, idx int, kind hv.DevKind, mac string) error {
-	req := xenbus.DeviceReq{Kind: kind, Dom: vm.Dom.ID, Idx: idx, MAC: mac}
-	if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-		xenbus.WriteDeviceEntries(tx, req)
-		return nil
-	}); err != nil {
-		return err
-	}
-	return xenbus.WaitBackendReady(e.Store, e.Clock, vm.Dom.ID, kind, idx)
 }
 
 // Register adds an externally constructed VM (restore/migration) to

@@ -184,17 +184,7 @@ func (p *Pool) crash() {
 func (p *Pool) reap(s *Shell) {
 	e := p.env
 	if s.Flavor.Store {
-		for i, dev := range s.Flavor.Devices {
-			switch dev.Kind {
-			case hv.DevVif:
-				e.BackVif.Teardown(s.Dom.ID, i)
-			case hv.DevVbd:
-				e.BackVbd.Teardown(s.Dom.ID, i)
-			case hv.DevConsole:
-				e.BackConsole.Teardown(s.Dom.ID, i)
-			}
-			xenbus.RemoveDeviceEntries(e.Store, s.Dom.ID, dev.Kind, i)
-		}
+		e.RemoveStoreDevices(s.Dom.ID, s.Flavor.Devices)
 	} else {
 		e.Noxs.DestroyAll(s.Dom.ID)
 	}
@@ -305,24 +295,17 @@ func (p *Pool) prepare(f Flavor) (*Shell, error) {
 	if err := e.PopulateGuest(dom.ID, f.Img); err != nil {
 		return nil, rollback(err)
 	}
-	if f.Store {
-		for i, dev := range f.Devices {
-			req := xenbus.DeviceReq{Kind: dev.Kind, Dom: dom.ID, Idx: i, MAC: ""}
-			if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-				xenbus.WriteDeviceEntries(tx, req)
-				return nil
-			}); err != nil {
-				return nil, rollback(err)
-			}
-			if err := xenbus.WaitBackendReady(e.Store, e.Clock, dom.ID, dev.Kind, i); err != nil {
-				return nil, rollback(err)
-			}
+	// Shells are built before any guest claims them: devices get blank
+	// MACs (finalizeDevices sets the real ones), and a noxs flavor's
+	// sysctl device sits at its index in the flavor, after the rest.
+	for i, dev := range f.Devices {
+		if f.Store {
+			err = e.StoreDeviceCreate(dom.ID, i, dev.Kind, "")
+		} else {
+			_, err = e.Noxs.CreateDevice(dom.ID, dev.Kind, i, "")
 		}
-	} else {
-		for i, dev := range f.Devices {
-			if _, err := e.Noxs.CreateDevice(dom.ID, dev.Kind, i, ""); err != nil {
-				return nil, rollback(err)
-			}
+		if err != nil {
+			return nil, rollback(err)
 		}
 	}
 	if cerr := e.crashPoint("pool.prepare.devices"); cerr != nil {

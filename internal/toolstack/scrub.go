@@ -89,18 +89,6 @@ func (e *Env) replayJournal(rec journalRecord, useStore bool, r *ScrubReport) {
 	e.Trace.Emit("toolstack", "recover", rec.Key, "op="+rec.Op+" step="+rec.Step, 0)
 }
 
-// backendFor maps a device kind to its Dom0 backend.
-func (e *Env) backendFor(kind hv.DevKind) *xenbus.Backend {
-	switch kind {
-	case hv.DevVif:
-		return e.BackVif
-	case hv.DevVbd:
-		return e.BackVbd
-	default:
-		return e.BackConsole
-	}
-}
-
 // scrubKinds is the fixed walk order over device kinds.
 var scrubKinds = []hv.DevKind{hv.DevVif, hv.DevVbd, hv.DevConsole}
 

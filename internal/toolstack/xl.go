@@ -1,10 +1,8 @@
 package toolstack
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
-	"time"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/guest"
@@ -54,56 +52,45 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 	start := e.Clock.Now()
 
 	e.RunDom0(func() {
-		mark := func(dst *time.Duration, fn func()) {
-			t0 := e.Clock.Now()
-			fn()
-			*dst += e.Clock.Now().Sub(t0)
-		}
-
 		// 1. Configuration parsing.
-		mark(&bd.Config, func() { e.Clock.Sleep(costs.ConfigParse) })
+		e.charge(&bd.Config, func() { e.Clock.Sleep(costs.ConfigParse) })
 
 		// 2. Toolstack-internal bookkeeping. The intent journal is
 		// written before any durable state exists, and updated once the
 		// domain ID is known, so a restarted xl can always find what
 		// this creation left behind.
-		mark(&bd.Toolstack, func() { e.journalSet(true, name, journalOpCreate, "hv", 0) })
+		e.charge(&bd.Toolstack, func() { e.journalSet(true, name, journalOpCreate, "hv", 0) })
 		if retErr = e.crashPoint("xl.create.begin"); retErr != nil {
 			return
 		}
-		mark(&bd.Toolstack, func() { e.Clock.Sleep(costs.ToolstackInternalXL) })
+		e.charge(&bd.Toolstack, func() { e.Clock.Sleep(costs.ToolstackInternalXL) })
 
 		// 3. Hypervisor reservation + memory.
 		var dom *hv.Domain
-		mark(&bd.Hypervisor, func() {
-			var err error
-			dom, err = e.HV.CreateDomain(hv.Config{
+		e.charge(&bd.Hypervisor, func() {
+			if dom, retErr = e.HV.CreateDomain(hv.Config{
 				MaxMem: img.MemBytes, VCPUs: 1, Cores: []int{vm.Core},
-			})
-			if err != nil {
-				retErr = err
+			}); retErr != nil {
 				return
 			}
 			vm.Dom = dom // recorded immediately so error paths tear it down
-			if err := e.HV.PopulatePhysmap(dom.ID, img.MemBytes); err != nil {
-				retErr = err
-			}
+			retErr = e.HV.PopulatePhysmap(dom.ID, img.MemBytes)
 		})
 		if retErr != nil {
 			return
 		}
-		mark(&bd.Toolstack, func() { e.journalSet(true, name, journalOpCreate, "store", dom.ID) })
+		e.charge(&bd.Toolstack, func() { e.journalSet(true, name, journalOpCreate, "store", dom.ID) })
 		if retErr = e.crashPoint("xl.create.hv"); retErr != nil {
 			return
 		}
 
 		// 4. XenStore preamble: the domain's registry entries, the
 		// unique-name check, and libxl's many state re-reads.
-		mark(&bd.XenStore, func() { retErr = e.storeQuotaGate(dom.ID, "xl.create.store") })
+		e.charge(&bd.XenStore, func() { retErr = e.storeQuotaGate(dom.ID, "xl.create.store") })
 		if retErr != nil {
 			return
 		}
-		mark(&bd.XenStore, func() {
+		e.charge(&bd.XenStore, func() {
 			domPath := xenbus.DomainPath(dom.ID)
 			retErr = e.Store.Txn(8, func(tx *xenstore.Tx) error {
 				tx.Write(domPath+"/name", name)
@@ -143,7 +130,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 
 		// 5–7. Device pre-creation + initialization (split-driver
 		// handshake, bash hotplug).
-		mark(&bd.Devices, func() { retErr = x.createDevices(vm) })
+		e.charge(&bd.Devices, func() { retErr = x.createDevices(vm) })
 		if retErr != nil {
 			return
 		}
@@ -152,7 +139,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 		}
 
 		// 8. Image build: parse the kernel and lay it out in memory.
-		mark(&bd.Load, func() {
+		e.charge(&bd.Load, func() {
 			retErr = e.HV.LoadImage(dom.ID, img.Name, img.TotalSize())
 		})
 		if retErr != nil {
@@ -160,7 +147,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 		}
 
 		// Finalize: console ring info etc.
-		mark(&bd.XenStore, func() {
+		e.charge(&bd.XenStore, func() {
 			domPath := xenbus.DomainPath(dom.ID)
 			e.Store.Write(domPath+"/console/ring-ref", "1")
 			e.Store.Write(domPath+"/console/port", "2")
@@ -169,37 +156,16 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 		})
 
 		// 9. Boot kick.
-		mark(&bd.Hypervisor, func() { retErr = e.HV.Unpause(dom.ID) })
+		e.charge(&bd.Hypervisor, func() { retErr = e.HV.Unpause(dom.ID) })
 		if retErr != nil {
 			return
 		}
 		retErr = e.crashPoint("xl.create.finalize")
 	})
 	if retErr != nil {
-		e.forget(vm)
-		if errors.Is(retErr, ErrToolstackCrash) {
-			// The toolstack process died mid-creation: no rollback runs,
-			// and whatever was built so far stays for scrub/recovery.
-			return nil, retErr
-		}
-		if vm.Dom != nil {
-			retErr = e.rollbackDomain(retErr, true, name, vm.Dom.ID)
-		}
-		e.journalClear(true, name)
-		return nil, retErr
+		return nil, e.abandon(vm, true, retErr)
 	}
-	e.journalClear(true, name)
-	vm.LastBreakdown = bd
-	vm.CreateTime = e.Clock.Now().Sub(start)
-
-	bootStart := e.Clock.Now()
-	if err := e.BootGuest(vm); err != nil {
-		_ = x.Destroy(vm)
-		return nil, err
-	}
-	vm.BootTime = e.Clock.Now().Sub(bootStart)
-	e.Trace.Emit("toolstack", "create", name, "mode="+ModeXL.String(), vm.CreateTime+vm.BootTime)
-	return vm, nil
+	return e.bootCreated(x, vm, bd, start)
 }
 
 // createDevices runs the Fig. 7a handshake for every device the image
@@ -207,14 +173,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 func (x *XL) createDevices(vm *VM) error {
 	e := x.env
 	for i, dev := range vm.Image.Devices {
-		req := xenbus.DeviceReq{Kind: dev.Kind, Dom: vm.Dom.ID, Idx: i, MAC: dev.MAC}
-		if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-			xenbus.WriteDeviceEntries(tx, req)
-			return nil
-		}); err != nil {
-			return err
-		}
-		if err := xenbus.WaitBackendReady(e.Store, e.Clock, vm.Dom.ID, dev.Kind, i); err != nil {
+		if err := e.StoreDeviceCreate(vm.Dom.ID, i, dev.Kind, dev.MAC); err != nil {
 			return err
 		}
 		// libxl re-reads the device's backend nodes to verify.
@@ -245,17 +204,7 @@ func (x *XL) Destroy(vm *VM) error {
 		if crashErr = e.crashPoint("xl.destroy.begin"); crashErr != nil {
 			return
 		}
-		for i, dev := range vm.Image.Devices {
-			switch dev.Kind {
-			case hv.DevVif:
-				e.BackVif.Teardown(vm.Dom.ID, i)
-			case hv.DevVbd:
-				e.BackVbd.Teardown(vm.Dom.ID, i)
-			case hv.DevConsole:
-				e.BackConsole.Teardown(vm.Dom.ID, i)
-			}
-			xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i)
-		}
+		e.RemoveStoreDevices(vm.Dom.ID, vm.Image.Devices)
 		if crashErr = e.crashPoint("xl.destroy.devices"); crashErr != nil {
 			return
 		}
