@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-check verify verify-race race fuzz-smoke cover-xenstore cover-html bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
+.PHONY: build test bench-check bench-digests verify verify-race race fuzz-smoke cover-xenstore cover-html bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
 
 # Newest checked-in benchmark report; bench-compare reruns its figures
 # and fails on regression. Override with BASELINE=path to pin another.
@@ -18,6 +18,25 @@ test:
 bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test .
+
+# Digest gate for the repository benchmark: every workload at each
+# benchmark seed 1..13 for one second. A run must exit 0 and print one
+# result line per workload, and every result line must say
+# "correct":true (each cell's output SHA-256 matched its recorded
+# digest) and "failed":0 — all lines, not only the last one, which for
+# --workload all is just the final workload's. ~7 min.
+bench-digests:
+	@for n in $$(seq 1 13); do \
+		out=$$(bash bench/run.sh --workload all --seed $$n --seconds 1) \
+			|| { echo "bench-digests: seed $$n: bench/run.sh failed"; exit 1; }; \
+		runs=$$(printf '%s\n' "$$out" | grep -c '^workload '); \
+		good=$$(printf '%s\n' "$$out" | grep '^{"correct":true,' | grep -c '"failed":0,'); \
+		bad=$$(printf '%s\n' "$$out" | grep -E '"correct":false|"failed":[1-9]' || true); \
+		echo "bench-digests: seed $$n: $$good of $$runs workloads correct with 0 failed"; \
+		[ -z "$$bad" ] && [ "$$runs" -gt 0 ] && [ "$$good" = "$$runs" ] \
+			|| { printf '%s\n' "$$bad"; echo "bench-digests: seed $$n: FAIL"; exit 1; }; \
+	done
+	@echo "bench-digests: every workload matched its digests at every seed"
 
 # Tier-1 gate: build + vet + full tests (including the xenstore alloc
 # budgets in internal/xenstore/alloc_test.go), then the race detector

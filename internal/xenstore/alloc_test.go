@@ -2,6 +2,9 @@ package xenstore
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"strconv"
 	"testing"
 )
 
@@ -180,5 +183,72 @@ func TestUnwatchRemovesFromIndex(t *testing.T) {
 	s.Write("/a/b/c", "2")
 	if count != 1 {
 		t.Fatalf("fired %d times after UnwatchByToken, want 1", count)
+	}
+}
+
+// churnTxn is one serving-churn step: a transaction writing 12 nodes
+// under domain id (never reused), then the domain's teardown, so the
+// tree itself stays the same size however long the churn runs.
+func churnTxn(tb testing.TB, s *Store, id int) {
+	dom := "/local/domain/" + strconv.Itoa(id)
+	err := s.Txn(0, func(tx *Tx) error {
+		tx.Write(dom+"/name", "guest")
+		tx.Write(dom+"/domid", "1")
+		tx.Write(dom+"/memory/target", "4096")
+		tx.Write(dom+"/control/shutdown", "")
+		for _, dev := range []string{"/device/vif/0", "/device/vbd/0", "/device/console/0"} {
+			tx.Write(dom+dev+"/state", "1")
+			tx.Write(dom+dev+"/backend-id", "0")
+		}
+		tx.Write(dom+"/console/ring-ref", "8")
+		tx.Write(dom+"/store/port", "1")
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.Rm(dom); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestTxnChurnAllocsHistoryIndependent guards against transaction
+// state that outlives the transaction: serving churn never reuses a VM
+// name, so anything the store keeps per distinct path grows for the
+// whole run. The bytes allocated by the last 1,000 of 40,000 churn
+// transactions must be within 5% of the first 1,000's, and one
+// transaction on the churned store must allocate exactly as many
+// objects as on a fresh one.
+func TestTxnChurnAllocsHistoryIndependent(t *testing.T) {
+	const total, window = 40000, 1000
+	s, _ := newStore()
+	id := 100000 // six digits throughout, so every path has the same length
+	churn := func(n int) {
+		for i := 0; i < n; i++ {
+			churnTxn(t, s, id)
+			id++
+		}
+	}
+	allocated := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		churn(n)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := allocated(window)
+	churn(total - 2*window)
+	last := allocated(window)
+	if d := float64(last) - float64(first); math.Abs(d) > 0.05*float64(first) {
+		t.Fatalf("last %d churn txns allocated %d bytes vs %d for the first %d (%+.1f%%), want within 5%%",
+			window, last, first, window, 100*d/float64(first))
+	}
+
+	churned := testing.AllocsPerRun(100, func() { churn(1) })
+	fresh, _ := newStore()
+	freshID := 100000
+	want := testing.AllocsPerRun(100, func() { churnTxn(t, fresh, freshID); freshID++ })
+	if churned != want {
+		t.Fatalf("churn txn allocates %.1f objects after %d txns vs %.1f on a fresh store", churned, total, want)
 	}
 }

@@ -76,6 +76,34 @@ func BenchmarkTxnCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkTxnChurn is BenchmarkTxnCommit on a fresh domain id per
+// iteration, the shape of serving churn: no written path repeats, so
+// any store-side state kept per distinct path shows up here (and never
+// in BenchmarkTxnCommit, which reuses its paths). Each domain is
+// removed after its commit, as churn tears guests down, so the tree
+// stays the same size at any b.N.
+func BenchmarkTxnChurn(b *testing.B) {
+	s := benchStore(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		dom := "/local/domain/" + strconv.Itoa(100+i)
+		err := s.Txn(8, func(tx *Tx) error {
+			tx.Write(dom+"/device/vif/0/state", "4")
+			tx.Write(dom+"/device/vif/0/event-channel", "17")
+			if _, err := tx.Read("/local/domain/3/name"); err != nil {
+				return err
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Rm(dom); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkWatchFire(b *testing.B) {
 	s := benchStore(b)
 	fired := 0

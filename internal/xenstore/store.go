@@ -153,13 +153,10 @@ type Store struct {
 	batchValid bool
 	batchCands []*watch
 
-	// Transactions: open set, recycled txn structs, and the path symbol
-	// table interning txn-observed paths to dense ids (txn.go).
+	// Transactions: open set and recycled txn structs (txn.go).
 	openTxns []*txn
 	freeTxns []*txn
 	nextTxn  TxnID
-	pathIDs  map[string]uint32
-	paths    []string
 
 	// Logging: one logical line counter stands in for the 20 files
 	// (they rotate together).

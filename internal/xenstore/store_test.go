@@ -231,6 +231,42 @@ func TestTxnConflictOnRead(t *testing.T) {
 	}
 }
 
+// TestTxnValidationFirstObservedOrder pins the order Commit validates
+// reads in: the transaction's own first-observed order, whatever other
+// transactions observed before. A conflict on the second of three
+// reads stops validation there, so the commit charges exactly 2 read
+// touches plus its own round trip.
+func TestTxnValidationFirstObservedOrder(t *testing.T) {
+	s, _ := newStore()
+	for _, p := range []string{"/a", "/b", "/c"} {
+		s.Write(p, "v")
+	}
+	// An earlier transaction observes the same nodes in another order.
+	prior := s.TxnStart()
+	for _, p := range []string{"/c", "/a", "/b"} {
+		if _, err := prior.Read(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := prior.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx := s.TxnStart()
+	for _, p := range []string{"/a", "/b", "/c"} {
+		if _, err := tx.Read(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Write("/b", "interloper")
+	before := s.Count.NodesTouched
+	if err := tx.Commit(); !errors.Is(err, ErrAgain) {
+		t.Fatalf("conflicting commit: %v", err)
+	}
+	if got := s.Count.NodesTouched - before; got != 3 {
+		t.Fatalf("commit touched %d nodes, want 3 (reads /a and /b, then the round trip)", got)
+	}
+}
+
 func TestTxnConflictOnWrittenNode(t *testing.T) {
 	s, _ := newStore()
 	tx := s.TxnStart()

@@ -15,28 +15,26 @@ import (
 type TxnID uint64
 
 // Transactions are the second-hottest xenstore path after plain writes
-// (every toolstack create commits two, every device another). The
-// original implementation allocated two maps per TxnStart and boxed
-// every buffered value in a *string; this one keeps read and write
-// sets in small reusable slices keyed by interned path ids, and the
-// txn structs themselves recycle through a per-store free list — a
-// warm transaction start/observe/write/commit cycle allocates only
-// its handle.
+// (every toolstack create commits two, every device another). Read
+// and write sets are small reusable slices keyed by the normalized
+// path, and the txn structs recycle through a per-store free list, so
+// a warm transaction start/observe/write/commit cycle allocates only
+// its handle. Nothing outlives the transaction: the store keeps no
+// per-path state for transactions, so their cost does not grow with
+// the number of distinct paths (serving churn never reuses a VM name).
 //
-// Paths are interned into the store's symbol table (pathID): dense
-// uint32 ids assigned in first-seen order, so they are deterministic
-// for a deterministic op sequence and cheap to compare and sort.
-// Conflict detection semantics are identical to the map-based
-// implementation; the only observable refinement is that validation
-// now walks the read set in sorted-id order (the map version walked it
-// in Go's randomized map order), which makes the touched-node count of
-// a genuinely conflicting commit deterministic — a property the
-// model-check harness and the byte-identical golden figures rely on.
+// The sets are searched linearly. Every transaction the toolstacks
+// issue observes at most 1 node and writes at most 13, far below the
+// size where an index pays for itself. Validation walks the read set
+// in first-observed order and stops at the first conflict, so the
+// touched-node count of a conflicting commit is a pure function of the
+// op sequence — a property the model-check harness and the
+// byte-identical golden figures rely on.
 
 // readEnt records the generation a transaction observed for a path
-// (0 = absent). The read set is kept sorted by path id.
+// (0 = absent). The read set preserves first-observed order.
 type readEnt struct {
-	path uint32
+	path string
 	gen  uint64
 }
 
@@ -44,7 +42,7 @@ type readEnt struct {
 // preserves first-write order — commits apply in that order, with
 // later writes to the same path updated in place.
 type writeEnt struct {
-	path uint32
+	path string
 	val  string
 	del  bool
 }
@@ -76,32 +74,6 @@ func (tx *Tx) valid() bool {
 	return tx.t != nil && tx.t.live && tx.t.id == tx.id
 }
 
-// pathID interns p into the store's symbol table.
-func (s *Store) pathID(p string) uint32 {
-	if id, ok := s.pathIDs[p]; ok {
-		return id
-	}
-	if s.pathIDs == nil {
-		s.pathIDs = make(map[string]uint32)
-	}
-	id := uint32(len(s.paths))
-	s.paths = append(s.paths, p)
-	s.pathIDs[p] = id
-	return id
-}
-
-// pathTabMax bounds the symbol table: when no transaction is open and
-// the table has grown past this, it is rebuilt empty (ids are only
-// meaningful within a transaction's lifetime).
-const pathTabMax = 1 << 15
-
-func (s *Store) maybeResetPaths() {
-	if len(s.openTxns) == 0 && len(s.paths) > pathTabMax {
-		s.pathIDs = nil
-		s.paths = s.paths[:0]
-	}
-}
-
 // getTxn draws a recycled txn struct or makes a fresh one.
 func (s *Store) getTxn() *txn {
 	if n := len(s.freeTxns); n > 0 {
@@ -123,9 +95,12 @@ func (s *Store) recycleTxn(t *txn) {
 		}
 	}
 	t.live = false
+	for i := range t.reads {
+		t.reads[i] = readEnt{} // unpin observed path strings
+	}
 	t.reads = t.reads[:0]
 	for i := range t.writes {
-		t.writes[i] = writeEnt{} // unpin buffered value strings
+		t.writes[i] = writeEnt{} // unpin buffered path and value strings
 	}
 	t.writes = t.writes[:0]
 	if len(s.freeTxns) < 64 {
@@ -135,7 +110,6 @@ func (s *Store) recycleTxn(t *txn) {
 
 // TxnStart opens a transaction.
 func (s *Store) TxnStart() *Tx {
-	s.maybeResetPaths()
 	s.nextTxn++
 	t := s.getTxn()
 	t.id = s.nextTxn
@@ -147,53 +121,35 @@ func (s *Store) TxnStart() *Tx {
 	return &Tx{s: s, t: t, id: t.id}
 }
 
-// findRead returns the index of id in t.reads, or the insertion point
-// with found=false. Hand-rolled binary search: no func value, no
-// bounds surprises.
-func (t *txn) findRead(id uint32) (int, bool) {
-	lo, hi := 0, len(t.reads)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.reads[mid].path < id {
-			lo = mid + 1
-		} else {
-			hi = mid
+// findRead reports whether p is already in t.reads.
+func (t *txn) findRead(p string) bool {
+	for i := range t.reads {
+		if t.reads[i].path == p {
+			return true
 		}
 	}
-	return lo, lo < len(t.reads) && t.reads[lo].path == id
+	return false
 }
 
 // observe records the generation of path at read time.
 func (tx *Tx) observe(p string) {
-	if !tx.valid() {
-		return
-	}
-	id := tx.s.pathID(p)
-	t := tx.t
-	i, found := t.findRead(id)
-	if found {
+	if !tx.valid() || tx.t.findRead(p) {
 		return
 	}
 	var g uint64
 	if n, _ := tx.s.resolve(p); n != nil {
 		g = n.gen
 	}
-	t.reads = append(t.reads, readEnt{})
-	copy(t.reads[i+1:], t.reads[i:])
-	t.reads[i] = readEnt{path: id, gen: g}
+	tx.t.reads = append(tx.t.reads, readEnt{path: p, gen: g})
 }
 
 // findWrite returns the buffered write for p, or nil.
 func (tx *Tx) findWrite(p string) *writeEnt {
-	if !tx.valid() || len(tx.t.writes) == 0 {
-		return nil
-	}
-	id, ok := tx.s.pathIDs[p]
-	if !ok {
+	if !tx.valid() {
 		return nil
 	}
 	for i := range tx.t.writes {
-		if tx.t.writes[i].path == id {
+		if tx.t.writes[i].path == p {
 			return &tx.t.writes[i]
 		}
 	}
@@ -240,11 +196,10 @@ func (tx *Tx) Directory(path string) ([]string, error) {
 	prefix := p + "/"
 	out := names
 	for _, w := range tx.t.writes {
-		wp := tx.s.paths[w.path]
-		if !strings.HasPrefix(wp, prefix) {
+		if !strings.HasPrefix(w.path, prefix) {
 			continue
 		}
-		rest := wp[len(prefix):]
+		rest := w.path[len(prefix):]
 		first := rest
 		if i := strings.IndexByte(rest, '/'); i >= 0 {
 			first = rest[:i]
@@ -278,15 +233,11 @@ func (tx *Tx) put(p, val string, del bool) {
 	if !tx.valid() {
 		return
 	}
-	id := tx.s.pathID(p)
-	t := tx.t
-	for i := range t.writes {
-		if t.writes[i].path == id {
-			t.writes[i].val, t.writes[i].del = val, del
-			return
-		}
+	if w := tx.findWrite(p); w != nil {
+		w.val, w.del = val, del
+		return
 	}
-	t.writes = append(t.writes, writeEnt{path: id, val: val, del: del})
+	tx.t.writes = append(tx.t.writes, writeEnt{path: p, val: val, del: del})
 }
 
 // Write buffers a write.
@@ -334,7 +285,7 @@ func (tx *Tx) Commit() error {
 	conflict := false
 	for _, r := range t.reads {
 		touched++
-		n, _ := s.resolve(s.paths[r.path])
+		n, _ := s.resolve(r.path)
 		switch {
 		case n == nil && r.gen != 0:
 			conflict = true // node vanished
@@ -348,7 +299,7 @@ func (tx *Tx) Commit() error {
 	if !conflict {
 		for i := range t.writes {
 			touched++
-			if n, _ := s.resolve(s.paths[t.writes[i].path]); n != nil && n.gen > t.startGen {
+			if n, _ := s.resolve(t.writes[i].path); n != nil && n.gen > t.startGen {
 				conflict = true
 				break
 			}
@@ -364,9 +315,9 @@ func (tx *Tx) Commit() error {
 	for i := range t.writes {
 		w := &t.writes[i]
 		if w.del {
-			_ = s.Rm(s.paths[w.path])
+			_ = s.Rm(w.path)
 		} else {
-			s.WriteAs(0, s.paths[w.path], w.val)
+			s.WriteAs(0, w.path, w.val)
 		}
 	}
 	s.Count.TxnCommits++
