@@ -38,12 +38,13 @@ bench-digests:
 	done
 	@echo "bench-digests: every workload matched its digests at every seed"
 
-# Tier-1 gate: build + vet + full tests (including the xenstore alloc
-# budgets in internal/xenstore/alloc_test.go), then the race detector
+# Tier-1 gate: build + gofmt + vet + full tests (including the xenstore
+# alloc budgets in internal/xenstore/alloc_test.go), then the race detector
 # over the packages the parallel engine touches, then the benchmark
 # module check and the regression gate against the checked-in
 # baseline report.
 verify: build
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race ./internal/experiments ./internal/xenstore ./internal/sim ./internal/profiling ./internal/cluster ./internal/toolstack ./internal/traffic ./cmd/lightvm-bench
@@ -165,8 +166,8 @@ bench-smoke:
 
 # Regression gate: replay every figure at smoke scale with the same
 # seed as the checked-in baseline and diff the two reports with
-# cmd/benchdiff. Sequential (-parallel 1) so allocation counts are
-# exact rather than sampled; the wall threshold is generous because CI
+# cmd/benchdiff. Sequential (-parallel 1) because allocation counts
+# are recorded only on sequential runs; the wall threshold is generous because CI
 # runners jitter, while allocation counts are deterministic and gated
 # tightly.
 # -shards 2 pins the sharded-cluster figures to one engine worker

@@ -10,7 +10,9 @@
 // whose wall time is below -min-wall-ms on both sides are exempt from
 // the wall gate entirely — a 1ms figure can double from scheduler
 // noise alone. Allocation counts are deterministic on sequential runs
-// and get a tight threshold with no floor.
+// and get a tight threshold with no floor; lightvm-bench records them
+// only on sequential runs, so a figure present in both reports without
+// an allocation count on either side is an input error, not a pass.
 // Exit codes: 0 comparison passed, 1 regression found, 2 usage or
 // input error.
 package main
@@ -148,6 +150,33 @@ func diff(oldR, newR *report, g gates) (lines []diffLine, regressed bool) {
 	return lines, regressed
 }
 
+// checkAllocs rejects reports the alloc gate cannot read: every figure
+// present in both must carry an allocation count on both sides. A
+// parallel lightvm-bench run omits the counts, and comparing 0 against
+// 0 would pass the gate without measuring anything.
+func checkAllocs(oldR, newR *report, oldPath, newPath string) error {
+	newByID := make(map[string]figure, len(newR.Figures))
+	for _, f := range newR.Figures {
+		newByID[f.ID] = f
+	}
+	for _, of := range oldR.Figures {
+		nf, ok := newByID[of.ID]
+		var path string
+		switch {
+		case !ok:
+			continue
+		case of.Allocs == 0:
+			path = oldPath
+		case nf.Allocs == 0:
+			path = newPath
+		default:
+			continue
+		}
+		return fmt.Errorf("figure %s has no allocs in %s; record the report with lightvm-bench -parallel 1", of.ID, path)
+	}
+	return nil
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -182,6 +211,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		fmt.Fprintln(stderr, msg, "(continuing under -force)")
+	}
+	if err := checkAllocs(oldR, newR, fs.Arg(0), fs.Arg(1)); err != nil {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
 	}
 
 	lines, regressed := diff(oldR, newR, gates{

@@ -76,6 +76,29 @@ func TestDiffFailsOnAllocRegression(t *testing.T) {
 	}
 }
 
+// TestDiffRejectsUnmeasuredAllocs: lightvm-bench omits allocs on
+// parallel runs, so a shared figure without them on either side must be
+// an input error rather than a silent 0-vs-0 pass.
+func TestDiffRejectsUnmeasuredAllocs(t *testing.T) {
+	dir := t.TempDir()
+	measured := writeReport(t, dir, "measured.json", oldReport)
+	parallel := writeReport(t, dir, "parallel.json", `{"date":"2026-08-08","scale":0.05,"seed":1,"parallel":0,
+"figures":[{"id":"fig12a","wall_ms":100},{"id":"fig12b","wall_ms":50}]}`)
+	for _, c := range []struct{ oldP, newP string }{
+		{parallel, parallel},
+		{measured, parallel},
+		{parallel, measured},
+	} {
+		var out, errb bytes.Buffer
+		if code := run([]string{c.oldP, c.newP}, &out, &errb); code != 2 {
+			t.Fatalf("%s vs %s: exit %d, want 2; stderr: %s", c.oldP, c.newP, code, errb.String())
+		}
+		if msg := errb.String(); !strings.Contains(msg, "fig12a") || !strings.Contains(msg, "-parallel 1") {
+			t.Fatalf("error does not name the figure and the fix: %q", msg)
+		}
+	}
+}
+
 func TestDiffRejectsMismatchedRuns(t *testing.T) {
 	dir := t.TempDir()
 	oldP := writeReport(t, dir, "old.json", oldReport)

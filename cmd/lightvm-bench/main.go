@@ -20,10 +20,13 @@
 // -profile captures a pprof CPU and/or heap profile per figure
 // (<id>.cpu.pb.gz / <id>.heap.pb.gz under -profile-dir; open them with
 // `go tool pprof`) and adds a per-figure subsystem attribution summary
-// to the output and the -json report. CPU profiling is process-global,
-// so on parallel runs profiled figures take turns on a profiling token
-// while unprofiled figures keep the pool busy; use -profile-figs to
-// profile a subset, or -parallel 1 for fully clean profiles.
+// to the output and the -json report. Every figure in the run is
+// profiled, and a profiled run is sequential whatever -parallel says
+// (CPU profiling is process-global); pick the figures with -exp.
+//
+// Per-figure allocation counts (the -json "allocs" field) are recorded
+// only on sequential runs; a parallel run omits them, so a report meant
+// as a benchdiff baseline must be recorded with -parallel 1.
 package main
 
 import (
@@ -44,7 +47,7 @@ import (
 type benchFigure struct {
 	ID         string                     `json:"id"`
 	WallMS     float64                    `json:"wall_ms"`
-	Allocs     uint64                     `json:"allocs"`
+	Allocs     uint64                     `json:"allocs,omitempty"`
 	VirtualMS  float64                    `json:"virtual_ms"`
 	Profile    *lightvm.ExperimentProfile `json:"profile,omitempty"`
 	CrashSites []lightvm.CrashSiteStat    `json:"crash_sites,omitempty"`
@@ -113,9 +116,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	plot := fs.Bool("plot", false, "render each figure as an ASCII chart too")
 	jsonOut := fs.Bool("json", false, "write per-figure timings to BENCH_<date>.json (see -out)")
 	out := fs.String("out", "", "path for the -json report (default BENCH_<date>.json in the current directory)")
-	profile := fs.String("profile", "", "comma-separated pprof captures per figure: cpu, heap")
+	profile := fs.String("profile", "", "comma-separated pprof captures per figure: cpu, heap (forces a sequential run)")
 	profileDir := fs.String("profile-dir", "profiles", "directory for <id>.cpu.pb.gz / <id>.heap.pb.gz files")
-	profileFigs := fs.String("profile-figs", "", "comma-separated figure ids to profile (default: all figures in the run)")
 	fsck := fs.Bool("fsck", false, "audit every environment's cross-layer invariants after the run; any violation fails the command")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -143,13 +145,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			default:
 				fmt.Fprintf(stderr, "lightvm-bench: unknown -profile mode %q (want cpu, heap)\n", mode)
 				return 2
-			}
-		}
-	}
-	if *profileFigs != "" {
-		for _, id := range strings.Split(*profileFigs, ",") {
-			if id = strings.TrimSpace(id); id != "" {
-				opts.ProfileFigures = append(opts.ProfileFigures, id)
 			}
 		}
 	}

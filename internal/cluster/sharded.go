@@ -156,7 +156,7 @@ type poolState struct {
 	HostPool
 	firstHost int // global host index of the pool's first member
 	firstVM   uint32
-	nextVM    uint32 // next id to assign in the initial waves
+	nextVM    uint32   // next id to assign in the initial waves
 	heap      []uint64 // packed (count<<32 | gidx) min-heap, lazy entries
 	report    PoolChurn
 }

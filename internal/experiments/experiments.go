@@ -44,19 +44,9 @@ type Options struct {
 	Shards int
 	// Profile selects per-figure pprof capture (CPU/heap profiles per
 	// generator plus a subsystem attribution summary on Result.Profile;
-	// see profile.go). Zero value = no profiling.
+	// see profile.go). Zero value = no profiling. Any profiling makes
+	// RunMany run sequentially, whatever Parallel says.
 	Profile ProfileOptions
-
-	// sampler attributes a parallel run's allocations to figures.
-	// RunMany sets it (with samplerJob) on the per-figure Options it
-	// passes down, and nested runSeries pools meter their workers
-	// against it. Never set by callers.
-	sampler    *allocSampler
-	samplerJob int
-	// profGate serializes profiled figures on parallel runs (CPU
-	// profiling is process-global). RunMany creates it; never set by
-	// callers.
-	profGate chan struct{}
 }
 
 // normalize applies defaults.
@@ -137,13 +127,14 @@ type Result struct {
 	VirtualMS float64
 	// Wall is the real time the generator took (set by RunMany/RunAll).
 	Wall time.Duration
-	// Allocs is the number of heap allocations the generator performed:
-	// exact on sequential runs (Parallel == 1), a sampling-based
-	// estimate on parallel runs (Go exposes no per-goroutine allocation
-	// counter — see allocSampler in runner.go).
+	// Allocs is the number of heap allocations the generator performed
+	// (the MemStats.Mallocs delta across the figure). RunMany records
+	// it only on sequential runs (Parallel == 1, or any profiled run)
+	// and leaves it 0 on parallel runs, where Go's process-wide counter
+	// cannot be attributed to one figure.
 	Allocs uint64
 	// Profile is the per-figure pprof attribution report (nil unless
-	// the run had Options.Profile enabled for this figure).
+	// the run had Options.Profile enabled).
 	Profile *ProfileSummary
 	// CrashSites is the per-crash-point opportunity/injection tally,
 	// aggregated across the figure's cells (nil unless the generator

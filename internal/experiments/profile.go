@@ -13,64 +13,31 @@ import (
 	"lightvm/internal/profiling"
 )
 
-// Per-figure profiling. With Options.Profile set, RunMany wraps each
-// selected generator in a pprof capture: a CPU profile and/or a heap
+// Per-figure profiling. With Options.Profile set, RunMany wraps every
+// generator in the run in a pprof capture: a CPU profile and/or a heap
 // (allocs) profile written to <Dir>/<id>.cpu.pb.gz / <id>.heap.pb.gz,
 // plus a symbol-bucket summary (top subsystems by flat CPU time and
 // heap bytes) attached to the figure's Result.Profile.
 //
+// A profiled run is always sequential (RunMany forces Parallel = 1).
 // CPU profiling is process-global — the runtime supports one profile
-// at a time and it samples every thread — so parallel runs serialize
-// *profiled* figures through a one-token gate (profGate) while
-// unprofiled figures keep the worker pool busy. Two consequences,
-// both deliberate:
-//
-//   - A profiled figure's raw .pb.gz still contains samples from
-//     whatever unprofiled figures ran concurrently. The summary
-//     corrects for this: every profiled run executes under a pprof
-//     goroutine label (figure=<id>, inherited by the figure's nested
-//     series workers), and the report only counts samples carrying
-//     that label. The foreign remainder is reported separately
-//     (CPUForeignNanos) so pollution is visible, not silent.
-//   - Heap attribution subtracts a pre-run alloc_space baseline from
-//     the post-run profile. Memory profiles carry no goroutine
-//     labels, so in parallel mode the delta also includes whatever
-//     concurrent figures allocated during the run. For exact heap
-//     attribution, run with Parallel=1 (the gate then costs nothing —
-//     everything is already serial).
+// at a time and it samples every thread — and heap attribution
+// subtracts a pre-run alloc_space baseline from the post-run profile,
+// which is exact only when nothing else allocates meanwhile. To
+// profile one figure, run just that figure.
 
 // ProfileOptions selects per-figure pprof capture.
 type ProfileOptions struct {
-	// CPU captures a CPU profile per selected figure.
+	// CPU captures a CPU profile per figure.
 	CPU bool
-	// Heap captures a heap (allocs) profile per selected figure.
+	// Heap captures a heap (allocs) profile per figure.
 	Heap bool
 	// Dir is where <id>.cpu.pb.gz / <id>.heap.pb.gz land ("." when
 	// empty); it is created if missing.
 	Dir string
-	// Only restricts profiling to these figure ids (empty = every
-	// figure in the run). Unlisted figures run unprofiled — in
-	// parallel mode, concurrently with the profiled ones.
-	Only []string
 }
 
 func (p ProfileOptions) enabled() bool { return p.CPU || p.Heap }
-
-// wants reports whether figure id is selected for profiling.
-func (p ProfileOptions) wants(id string) bool {
-	if !p.enabled() {
-		return false
-	}
-	if len(p.Only) == 0 {
-		return true
-	}
-	for _, only := range p.Only {
-		if only == id {
-			return true
-		}
-	}
-	return false
-}
 
 func (p ProfileOptions) dir() string {
 	if p.Dir == "" {
@@ -105,8 +72,8 @@ type ProfileSummary struct {
 	// report without opening the .pb.gz in pprof.
 	HeapTopFuncs []profiling.FuncCost `json:"heap_top_funcs,omitempty"`
 	// CPUTotalNanos is the figure's own (labeled) sampled CPU time;
-	// CPUForeignNanos is what else landed in the raw profile —
-	// concurrent unprofiled figures, unlabeled runtime workers.
+	// CPUForeignNanos is what else landed in the raw profile: runtime
+	// work that carries no figure label, such as GC background workers.
 	CPUTotalNanos   int64 `json:"cpu_total_nanos,omitempty"`
 	CPUForeignNanos int64 `json:"cpu_foreign_nanos,omitempty"`
 	// HeapDeltaBytes is the (sampled) alloc_space growth across the
@@ -157,21 +124,19 @@ func (ps *ProfileSummary) String() string {
 }
 
 // runProfiled executes one figure, wrapping it in pprof capture when
-// selected. It is the single entry point RunMany uses for every job.
+// profiling is on. It is the single entry point RunMany uses for every
+// job.
 func runProfiled(id string, o Options) (Result, error) {
-	if !o.Profile.wants(id) {
+	if !o.Profile.enabled() {
 		return Run(id, o)
-	}
-	if o.profGate != nil {
-		o.profGate <- struct{}{}
-		defer func() { <-o.profGate }()
 	}
 	return captureProfiles(id, o)
 }
 
 // captureProfiles is runProfiled's slow path: profiles are armed, the
 // generator runs under a figure label, and the attribution summary is
-// computed from the captured data. Caller holds the profiling gate.
+// computed from the captured data. The run must be sequential (see
+// RunMany).
 func captureProfiles(id string, o Options) (Result, error) {
 	dir := o.Profile.dir()
 	if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -114,65 +114,62 @@ func TestProfileOutputUnchanged(t *testing.T) {
 	}
 }
 
-// TestProfileParallelGate exercises the parallel path: profiled
-// figures serialize through the token while unprofiled ones share the
-// pool, outputs stay byte-identical, and only the selected figures get
-// summaries.
-func TestProfileParallelGate(t *testing.T) {
+// TestProfileRunsSequential pins the profiling contract: asking for a
+// parallel profiled run still profiles every figure, runs them one at
+// a time (only sequential runs record Allocs) and leaves every table
+// byte-identical to an unprofiled sequential run.
+func TestProfileRunsSequential(t *testing.T) {
 	ids := []string{"fig01", "fig02", "fig12a", "fig15"}
 	dir := t.TempDir()
 	o := Options{
 		Scale: 0.05, Seed: 1, Samples: 8, Parallel: 4,
-		Profile: ProfileOptions{CPU: true, Heap: true, Dir: dir, Only: []string{"fig12a", "fig15"}},
+		Profile: ProfileOptions{CPU: true, Heap: true, Dir: dir},
 	}
-	par, err := RunMany(ids, o)
+	prof, err := RunMany(ids, o)
 	if err != nil {
-		t.Fatalf("parallel profiled run: %v", err)
+		t.Fatalf("profiled run: %v", err)
 	}
 	seq, err := RunMany(ids, Options{Scale: 0.05, Seed: 1, Samples: 8, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
-		if par[i].ID != seq[i].ID {
-			t.Fatalf("result order diverged: %s != %s", par[i].ID, seq[i].ID)
+		if prof[i].ID != seq[i].ID {
+			t.Fatalf("result order diverged: %s != %s", prof[i].ID, seq[i].ID)
 		}
-		if got, want := par[i].Table.String(), seq[i].Table.String(); got != want {
-			t.Fatalf("%s: parallel profiled output diverged:\n%s\n---\n%s", id, got, want)
+		if got, want := prof[i].Table.String(), seq[i].Table.String(); got != want {
+			t.Fatalf("%s: profiled output diverged:\n%s\n---\n%s", id, got, want)
 		}
-		profiled := id == "fig12a" || id == "fig15"
-		if (par[i].Profile != nil) != profiled {
-			t.Fatalf("%s: Profile presence = %v, want %v", id, par[i].Profile != nil, profiled)
+		if prof[i].Profile == nil {
+			t.Fatalf("%s: no Profile summary", id)
 		}
-	}
-	for _, id := range []string{"fig12a", "fig15"} {
+		if prof[i].Allocs == 0 {
+			t.Fatalf("%s: Allocs = 0, want > 0 (a profiled run must be sequential)", id)
+		}
 		for _, ext := range []string{".cpu.pb.gz", ".heap.pb.gz"} {
 			if _, err := os.Stat(filepath.Join(dir, id+ext)); err != nil {
 				t.Fatalf("missing profile: %v", err)
 			}
 		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "fig01.cpu.pb.gz")); !os.IsNotExist(err) {
-		t.Fatalf("unselected figure was profiled: %v", err)
-	}
 }
 
+// TestProfileWants: a run is profiled exactly when a capture mode is
+// selected; a directory alone selects nothing.
 func TestProfileWants(t *testing.T) {
 	cases := []struct {
 		p    ProfileOptions
-		id   string
 		want bool
 	}{
-		{ProfileOptions{}, "fig01", false},
-		{ProfileOptions{CPU: true}, "fig01", true},
-		{ProfileOptions{Heap: true}, "fig01", true},
-		{ProfileOptions{CPU: true, Only: []string{"fig02"}}, "fig01", false},
-		{ProfileOptions{CPU: true, Only: []string{"fig02", "fig01"}}, "fig01", true},
-		{ProfileOptions{Only: []string{"fig01"}}, "fig01", false}, // no mode selected
+		{ProfileOptions{}, false},
+		{ProfileOptions{Dir: "profiles"}, false},
+		{ProfileOptions{CPU: true}, true},
+		{ProfileOptions{Heap: true}, true},
+		{ProfileOptions{CPU: true, Heap: true}, true},
 	}
 	for i, c := range cases {
-		if got := c.p.wants(c.id); got != c.want {
-			t.Errorf("case %d: wants(%q) = %v, want %v (%+v)", i, c.id, got, c.want, c.p)
+		if got := c.p.enabled(); got != c.want {
+			t.Errorf("case %d: enabled() = %v, want %v (%+v)", i, got, c.want, c.p)
 		}
 	}
 }

@@ -57,41 +57,18 @@ func TestRunManyRecordsWall(t *testing.T) {
 	}
 }
 
-// TestSampledAllocsMatchSequential holds the parallel-run allocation
-// estimate to the sequential measurement. The workload is a fixed
-// homogeneous fan-out (four copies of the same figure), where the
-// sampler's CPU-weighted attribution has no cross-figure
-// allocation-density skew to absorb; per-figure estimates must land
-// within 10% of the exact sequential count even when the host
-// time-slices all four figures over a single core. The scale keeps
-// each figure around 300k+ allocated objects: attribution noise from
-// intervals spanning a scheduler switch is roughly constant in
-// absolute objects, so the tolerance is only meaningful against
-// enough mass (the xenstore node pool, snapshot-codec and resolve
-// -cache work cut per-op allocations several fold, which is what
-// pushed the scale up from 0.25 and then again from 0.8).
-func TestSampledAllocsMatchSequential(t *testing.T) {
-	ids := []string{"fig05", "fig05", "fig05", "fig05"}
-	seq := Options{Scale: 1.6, Seed: 5, Samples: 6, Parallel: 1}
-	par := seq
-	par.Parallel = 4
-
-	want, err := RunMany(ids, seq)
+// TestParallelRunRecordsNoAllocs: Go's allocation counter is
+// process-wide, so a parallel run cannot attribute allocations to a
+// figure and must report none rather than a guess.
+func TestParallelRunRecordsNoAllocs(t *testing.T) {
+	ids := []string{"fig01", "fig02"}
+	res, err := RunMany(ids, Options{Scale: 0.05, Seed: 3, Parallel: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunMany(ids, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		exact, sampled := float64(want[i].Allocs), float64(got[i].Allocs)
-		if exact == 0 {
-			t.Fatalf("figure %d: sequential run recorded 0 allocations", i)
-		}
-		if diff := (sampled - exact) / exact; diff > 0.10 || diff < -0.10 {
-			t.Errorf("figure %d: sampled allocs %.0f vs sequential %.0f (%.1f%% off, budget ±10%%)",
-				i, sampled, exact, diff*100)
+	for _, r := range res {
+		if r.Allocs != 0 {
+			t.Errorf("%s: Allocs = %d on a parallel run, want 0", r.ID, r.Allocs)
 		}
 	}
 }

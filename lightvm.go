@@ -169,9 +169,10 @@ type ExperimentResult struct {
 	// VirtualMS is the figure's simulated makespan in milliseconds
 	// (0 = not instrumented by the generator).
 	VirtualMS float64
-	// Allocs is the generator's heap-allocation count: exact on
-	// sequential runs (parallel == 1), a sampling-based estimate on
-	// parallel runs.
+	// Allocs is the generator's heap-allocation count, recorded only
+	// on sequential runs (Parallel == 1, or any profiled run); 0 on
+	// parallel runs, where Go's process-wide allocation counter cannot
+	// be attributed to one figure.
 	Allocs uint64
 	// Profile is the per-figure pprof attribution report; nil unless
 	// the run requested profiling (see ExperimentOptions).
@@ -241,8 +242,8 @@ type ExperimentProfile struct {
 	// allocation sites (function-level).
 	HeapTopFuncs []FunctionCost `json:"heap_top_funcs,omitempty"`
 	// CPUTotalNanos is the figure's own sampled CPU time;
-	// CPUForeignNanos is what else landed in the raw profile (on
-	// parallel runs, concurrent unprofiled figures).
+	// CPUForeignNanos is what else landed in the raw profile: runtime
+	// work that carries no figure label, such as GC background workers.
 	CPUTotalNanos   int64 `json:"cpu_total_nanos,omitempty"`
 	CPUForeignNanos int64 `json:"cpu_foreign_nanos,omitempty"`
 	// HeapDeltaBytes is the sampled alloc_space growth across the run.
@@ -253,9 +254,9 @@ type ExperimentProfile struct {
 
 func toExperimentResult(res experiments.Result) ExperimentResult {
 	out := ExperimentResult{
-		ID:        res.ID,
-		Paper:     res.Paper,
-		Output:    res.Table.String(),
+		ID:         res.ID,
+		Paper:      res.Paper,
+		Output:     res.Table.String(),
 		WallMS:     float64(res.Wall) / 1e6,
 		VirtualMS:  res.VirtualMS,
 		Allocs:     res.Allocs,
@@ -353,17 +354,13 @@ type ExperimentOptions struct {
 	// ProfileCPU/ProfileHeap capture a pprof CPU/heap profile per
 	// figure into ProfileDir ("." when empty) as <id>.cpu.pb.gz /
 	// <id>.heap.pb.gz and attach a subsystem attribution summary to
-	// each ExperimentResult.Profile. CPU profiling is process-global,
-	// so on parallel runs profiled figures serialize through a token
-	// while unprofiled work proceeds; the raw CPU profile may carry
-	// foreign samples (reported, not hidden — see
-	// ExperimentProfile.CPUForeignNanos).
+	// each ExperimentResult.Profile. Every figure in the run is
+	// profiled, and a profiled run is sequential whatever Parallel
+	// says: CPU profiling is process-global, and heap deltas are exact
+	// only when one figure runs at a time.
 	ProfileCPU  bool
 	ProfileHeap bool
 	ProfileDir  string
-	// ProfileFigures restricts profiling to these figure ids (empty =
-	// every figure in the run).
-	ProfileFigures []string
 }
 
 // RunExperimentsOpts is RunExperiments with the full option set,
@@ -375,7 +372,7 @@ func RunExperimentsOpts(ids []string, o ExperimentOptions) ([]ExperimentResult, 
 	res, err := experiments.RunMany(ids, experiments.Options{
 		Scale: o.Scale, Seed: o.Seed, Parallel: o.Parallel, Shards: o.Shards,
 		Profile: experiments.ProfileOptions{
-			CPU: o.ProfileCPU, Heap: o.ProfileHeap, Dir: o.ProfileDir, Only: o.ProfileFigures,
+			CPU: o.ProfileCPU, Heap: o.ProfileHeap, Dir: o.ProfileDir,
 		},
 	})
 	if err != nil {
