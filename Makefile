@@ -60,12 +60,15 @@ verify-race: build
 race:
 	$(GO) test -race ./...
 
-# 20-second smoke of each xenstore fuzz target (native Go fuzzing,
-# seeded by the checked-in corpora under
-# internal/xenstore/testdata/fuzz plus the f.Add seeds).
+# 20-second smoke of each xenstore and mm fuzz target (native Go
+# fuzzing, seeded by the checked-in corpora under
+# internal/*/testdata/fuzz plus the f.Add seeds). The allocator target
+# caps minimization at 1 s per new input: its inputs are operation
+# sequences whose quadratic minimization otherwise eats the whole run.
 fuzz-smoke:
 	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzPath$$' -fuzztime 20s
 	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime 20s
+	$(GO) test ./internal/mm -run '^$$' -fuzz '^FuzzAllocFree$$' -fuzztime 20s -fuzzminimizetime 1s
 
 # Line-coverage gate for the store: the unit suite plus the
 # model-checking harness must keep internal/xenstore at or above 80%.

@@ -83,8 +83,8 @@ type Engine struct {
 	Mem   *mm.Allocator
 
 	images     map[string]Image
-	layerRefs  map[string]int // layer → refcount (shared pages)
-	layerMem   map[string][]mm.Extent
+	layerRefs  map[string]int      // layer → refcount (shared pages)
+	layerOwner map[string]mm.Owner // layer → owner of its shared pages
 	containers map[string]*Container
 	nextID     int
 	nextOwner  mm.Owner
@@ -107,12 +107,12 @@ func NewEngine(clock *sim.Clock, mem *mm.Allocator) (*Engine, error) {
 		Clock: clock, Mem: mem,
 		images:     make(map[string]Image),
 		layerRefs:  make(map[string]int),
-		layerMem:   make(map[string][]mm.Extent),
+		layerOwner: make(map[string]mm.Owner),
 		containers: make(map[string]*Container),
 		nextOwner:  1 << 20, // keep clear of domain IDs
 	}
 	base := mbBytes(costs.DockerEngineBaseMB)
-	if _, err := mem.AllocBytes(base, e.nextOwner); err != nil {
+	if err := mem.AllocBytes(base, e.nextOwner); err != nil {
 		return nil, fmt.Errorf("container: engine base memory: %w", err)
 	}
 	e.nextOwner++
@@ -147,7 +147,7 @@ func (e *Engine) Run(imageName string) (*Container, error) {
 		overhead += costs.DockerMemSpikeCost
 		// The daemon's bookkeeping tables double each time.
 		table := uint64(1<<30) << uint(e.spikes)
-		if _, err := e.Mem.AllocBytes(table, e.nextOwner); err != nil {
+		if err := e.Mem.AllocBytes(table, e.nextOwner); err != nil {
 			return nil, fmt.Errorf("container: daemon table growth to %d MB: %w", table>>20, err)
 		}
 		e.spikes++
@@ -158,11 +158,10 @@ func (e *Engine) Run(imageName string) (*Container, error) {
 	// Materialize (share) layers.
 	for _, l := range img.Layers {
 		if e.layerRefs[l.ID] == 0 {
-			exts, err := e.Mem.AllocBytes(l.Bytes, e.nextOwner)
-			if err != nil {
+			if err := e.Mem.AllocBytes(l.Bytes, e.nextOwner); err != nil {
 				return nil, fmt.Errorf("container: layer %s: %w", l.ID, err)
 			}
-			e.layerMem[l.ID] = exts
+			e.layerOwner[l.ID] = e.nextOwner
 			e.nextOwner++
 		}
 		e.layerRefs[l.ID]++
@@ -171,7 +170,7 @@ func (e *Engine) Run(imageName string) (*Container, error) {
 	// Private app memory.
 	owner := e.nextOwner
 	e.nextOwner++
-	if _, err := e.Mem.AllocBytes(img.AppMemBytes, owner); err != nil {
+	if err := e.Mem.AllocBytes(img.AppMemBytes, owner); err != nil {
 		// Roll back layer refs.
 		for _, l := range img.Layers {
 			e.layerRefs[l.ID]--
@@ -205,12 +204,8 @@ func (e *Engine) Stop(id string) error {
 	for _, l := range img.Layers {
 		e.layerRefs[l.ID]--
 		if e.layerRefs[l.ID] == 0 {
-			for _, ext := range e.layerMem[l.ID] {
-				if err := e.Mem.Free(ext); err != nil {
-					return err
-				}
-			}
-			delete(e.layerMem, l.ID)
+			e.Mem.FreeOwner(e.layerOwner[l.ID])
+			delete(e.layerOwner, l.ID)
 		}
 	}
 	delete(e.containers, id)
@@ -248,7 +243,7 @@ func (p *ProcessRunner) Spawn(memBytes uint64) (time.Duration, error) {
 	}
 	p.Clock.Sleep(lat)
 	if memBytes > 0 {
-		if _, err := p.Mem.AllocBytes(memBytes, p.nextOwner); err != nil {
+		if err := p.Mem.AllocBytes(memBytes, p.nextOwner); err != nil {
 			return 0, err
 		}
 		p.nextOwner++

@@ -85,7 +85,7 @@ func TestLayersSharedBetweenContainers(t *testing.T) {
 		t.Fatalf("layer refcount = %d", e.layerRefs["base-alpine"])
 	}
 	_ = e.Stop(c2.ID)
-	if len(e.layerMem) != 0 {
+	if len(e.layerOwner) != 0 {
 		t.Fatal("layer memory survived last stop")
 	}
 }
@@ -266,7 +266,7 @@ func TestRunStopAccountingQuick(t *testing.T) {
 		}
 		// All container and layer memory returned; only the daemon's
 		// base (and any table growth) remains.
-		return mem.UsedBytes() >= base && e.Containers() == 0 && len(e.layerMem) == 0
+		return mem.UsedBytes() >= base && e.Containers() == 0 && len(e.layerOwner) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

@@ -65,7 +65,6 @@ type Domain struct {
 	State    State
 	VCPUs    []VCPU
 	MaxMem   uint64 // bytes
-	Mem      []mm.Extent
 	MemBytes uint64
 
 	// Kernel image descriptor: the bytes are charged, not copied, so
@@ -140,11 +139,9 @@ func New(clock *sim.Clock, hostMemBytes uint64) *Hypervisor {
 	h.Share = mm.NewSharePool(h.Mem)
 	dom0 := &Domain{ID: 0, State: StateRunning, CreatedAt: clock.Now()}
 	dom0Bytes := uint64(costs.Dom0BaseMB * 1024 * 1024)
-	exts, err := h.Mem.AllocBytes(dom0Bytes, mm.Owner(0))
-	if err != nil {
+	if err := h.Mem.AllocBytes(dom0Bytes, mm.Owner(0)); err != nil {
 		panic("hv: host too small for Dom0")
 	}
-	dom0.Mem = exts
 	dom0.MemBytes = dom0Bytes
 	h.domains[0] = dom0
 	return h
@@ -218,11 +215,9 @@ func (h *Hypervisor) PopulatePhysmap(id DomID, bytes uint64) error {
 	if d.State == StateDying {
 		return ErrBadState
 	}
-	exts, err := h.Mem.AllocBytes(bytes, mm.Owner(id))
-	if err != nil {
+	if err := h.Mem.AllocBytes(bytes, mm.Owner(id)); err != nil {
 		return err
 	}
-	d.Mem = append(d.Mem, exts...)
 	d.MemBytes += bytes
 	mb := float64(bytes) / (1024 * 1024)
 	h.charge(sim.Duration(mb * float64(costs.MemReservePerMB)))

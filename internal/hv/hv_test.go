@@ -2,8 +2,10 @@ package hv
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
+	"lightvm/internal/mm"
 	"lightvm/internal/sim"
 )
 
@@ -444,5 +446,67 @@ func TestEndpointIntrospectionIsClockFree(t *testing.T) {
 	}
 	if len(ge) != 1 || ge[0] != (Endpoint{Owner: 0, Peer: d.ID}) {
 		t.Fatalf("GrantEndpoints = %+v", ge)
+	}
+}
+
+// TestDestroyReleasesAllGuestMemory: the allocator's per-owner record
+// is the only record of a domain's pages, so DestroyDomain must leave
+// the domain owning nothing — after repeated populates and after a
+// populate that failed and rolled back.
+func TestDestroyReleasesAllGuestMemory(t *testing.T) {
+	h := New(sim.NewClock(), 1024*mib)
+	used0 := h.UsedMemBytes()
+	holds := func(id DomID) bool { return slices.Contains(h.Mem.Owners(), mm.Owner(id)) }
+	d, err := h.CreateDomain(Config{MaxMem: 64 * mib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bytes := range []uint64{8 * mib, 24*mib + 4096} {
+		if err := h.PopulatePhysmap(d.ID, bytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := h.Mem.OwnerBytes(mm.Owner(d.ID)); got != 32*mib+4096 {
+		t.Fatalf("two populates charged %d bytes", got)
+	}
+	// More than the host has left: the populate fails and rolls back
+	// to the two populates before it.
+	if err := h.PopulatePhysmap(d.ID, 2048*mib); !errors.Is(err, mm.ErrOutOfMemory) {
+		t.Fatalf("oversized populate: err = %v, want ErrOutOfMemory", err)
+	}
+	if got := h.Mem.OwnerBytes(mm.Owner(d.ID)); got != 32*mib+4096 {
+		t.Fatalf("failed populate left %d bytes charged", got)
+	}
+	if d.MemBytes != 32*mib+4096 {
+		t.Fatalf("failed populate changed MemBytes to %d", d.MemBytes)
+	}
+	if err := h.DestroyDomain(d.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Mem.OwnerBytes(mm.Owner(d.ID)); got != 0 {
+		t.Fatalf("destroyed domain still owns %d bytes", got)
+	}
+	if holds(d.ID) {
+		t.Fatal("destroyed domain still listed among memory owners")
+	}
+	// A domain whose only populate failed owns nothing either.
+	d2, err := h.CreateDomain(Config{MaxMem: 64 * mib})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.PopulatePhysmap(d2.ID, 2048*mib); !errors.Is(err, mm.ErrOutOfMemory) {
+		t.Fatalf("oversized populate: err = %v, want ErrOutOfMemory", err)
+	}
+	if holds(d2.ID) {
+		t.Fatal("failed populate left the domain listed among memory owners")
+	}
+	if err := h.DestroyDomain(d2.ID); err != nil {
+		t.Fatal(err)
+	}
+	if holds(d2.ID) || h.Mem.OwnerBytes(mm.Owner(d2.ID)) != 0 {
+		t.Fatal("destroyed domain still owns memory")
+	}
+	if h.UsedMemBytes() != used0 {
+		t.Fatalf("host memory %d after destroy, %d before create", h.UsedMemBytes(), used0)
 	}
 }

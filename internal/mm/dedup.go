@@ -18,12 +18,13 @@ type SharePool struct {
 	nextOwner Owner
 }
 
+// sharedRegion is one shared region; its pages are all held by its
+// own owner, so releasing it is one FreeOwner.
 type sharedRegion struct {
-	key     string
-	extents []Extent
-	bytes   uint64
-	refs    int
-	owner   Owner
+	key   string
+	bytes uint64
+	refs  int
+	owner Owner
 }
 
 // ErrNoShare is returned when releasing or breaking an unknown key.
@@ -50,11 +51,10 @@ func (p *SharePool) Acquire(key string, bytes uint64) (uint64, error) {
 		r.refs++
 		return 0, nil
 	}
-	exts, err := p.alloc.AllocBytes(bytes, p.nextOwner)
-	if err != nil {
+	if err := p.alloc.AllocBytes(bytes, p.nextOwner); err != nil {
 		return 0, err
 	}
-	p.pages[key] = &sharedRegion{key: key, extents: exts, bytes: bytes, refs: 1, owner: p.nextOwner}
+	p.pages[key] = &sharedRegion{key: key, bytes: bytes, refs: 1, owner: p.nextOwner}
 	p.nextOwner++
 	return bytes, nil
 }
@@ -70,11 +70,7 @@ func (p *SharePool) Release(key string) error {
 	if r.refs > 0 {
 		return nil
 	}
-	for _, e := range r.extents {
-		if err := p.alloc.Free(e); err != nil {
-			return err
-		}
-	}
+	p.alloc.FreeOwner(r.owner)
 	delete(p.pages, key)
 	return nil
 }
@@ -82,14 +78,14 @@ func (p *SharePool) Release(key string) error {
 // BreakCOW gives one sharer a private copy of breakBytes of the
 // region (a guest wrote to shared pages): the private pages are
 // allocated for owner and the share reference is retained for the
-// remainder. It returns the extents of the private copy.
-func (p *SharePool) BreakCOW(key string, breakBytes uint64, owner Owner) ([]Extent, error) {
+// remainder.
+func (p *SharePool) BreakCOW(key string, breakBytes uint64, owner Owner) error {
 	r, ok := p.pages[key]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoShare, key)
+		return fmt.Errorf("%w: %q", ErrNoShare, key)
 	}
 	if breakBytes > r.bytes {
-		return nil, fmt.Errorf("mm: COW break of %d bytes exceeds region %q (%d bytes)", breakBytes, key, r.bytes)
+		return fmt.Errorf("mm: COW break of %d bytes exceeds region %q (%d bytes)", breakBytes, key, r.bytes)
 	}
 	return p.alloc.AllocBytes(breakBytes, owner)
 }

@@ -79,8 +79,7 @@ func TestBreakCOW(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := a.UsedBytes()
-	exts, err := p.BreakCOW("k", 256<<10, Owner(42))
-	if err != nil {
+	if err := p.BreakCOW("k", 256<<10, Owner(42)); err != nil {
 		t.Fatal(err)
 	}
 	if a.UsedBytes()-before != 256<<10 {
@@ -89,14 +88,14 @@ func TestBreakCOW(t *testing.T) {
 	if a.OwnerBytes(42) != 256<<10 {
 		t.Fatal("COW pages not charged to the writer")
 	}
-	if len(exts) == 0 {
-		t.Fatal("no extents returned")
+	if a.OwnerBytes(p.pages["k"].owner) != 1<<20 {
+		t.Fatal("COW break changed the shared region's pages")
 	}
 	// Break beyond the region is rejected.
-	if _, err := p.BreakCOW("k", 2<<20, Owner(42)); err == nil {
+	if err := p.BreakCOW("k", 2<<20, Owner(42)); err == nil {
 		t.Fatal("oversized COW break accepted")
 	}
-	if _, err := p.BreakCOW("ghost", 1, Owner(42)); !errors.Is(err, ErrNoShare) {
+	if err := p.BreakCOW("ghost", 1, Owner(42)); !errors.Is(err, ErrNoShare) {
 		t.Fatalf("COW on unknown region: %v", err)
 	}
 }

@@ -8,9 +8,11 @@
 package mm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // PageSize is the size of one machine page in bytes.
@@ -43,18 +45,21 @@ func (e Extent) Bytes() uint64 { return e.Pages() * PageSize }
 
 // Allocator is a binary buddy allocator. It is not safe for concurrent
 // use; the simulation is single-threaded by design.
+//
+// Allocation is deterministic: every request takes the lowest-addressed
+// block of the smallest order that fits, so the same sequence of calls
+// always hands out the same page frames.
 type Allocator struct {
 	totalPages uint64
 	freePages  uint64
-	free       [MaxOrder + 1]map[PFN]struct{}
-	allocated  map[PFN]uint // base → order, for Free validation
-	owners     map[PFN]Owner
-	usage      map[Owner]uint64 // pages held per owner
-	// byOwner indexes each owner's extent bases so FreeOwner (domain
-	// teardown) releases them without scanning every live allocation
-	// on the host. Extent counts per owner are small, so the linear
-	// removal in Free stays cheap.
-	byOwner map[Owner][]PFN
+	// free[k] holds the bases of the free 2^k-page blocks, sorted by
+	// descending base: the lowest-addressed block sits at the tail,
+	// where AllocPages pops it.
+	free [MaxOrder + 1][]PFN
+	// owners holds each owner's page count and extents, in allocation
+	// order. It is the only record of what is allocated: Free validates
+	// against it and FreeOwner releases from it.
+	owners map[Owner]ownerRec
 	// pressure withholds pages from the allocator's headroom without
 	// touching the free lists: an allocation that would leave fewer
 	// than this many pages free fails with ErrOutOfMemory. It models
@@ -64,20 +69,22 @@ type Allocator struct {
 	pressure uint64
 }
 
+// ownerRec is one owner's allocations: pages is the sum of its
+// extents' pages.
+type ownerRec struct {
+	pages uint64
+	exts  []Extent
+}
+
 // New creates an allocator managing totalBytes of host memory, rounded
 // down to a whole number of pages.
 func New(totalBytes uint64) *Allocator {
 	a := &Allocator{
 		totalPages: totalBytes / PageSize,
-		allocated:  make(map[PFN]uint),
-		owners:     make(map[PFN]Owner),
-		usage:      make(map[Owner]uint64),
-		byOwner:    make(map[Owner][]PFN),
+		owners:     make(map[Owner]ownerRec),
 	}
-	for i := range a.free {
-		a.free[i] = make(map[PFN]struct{})
-	}
-	// Seed the free lists with maximal aligned blocks.
+	// Seed the free lists with maximal aligned blocks, highest first
+	// within each order so every list starts sorted.
 	var pfn PFN
 	remaining := a.totalPages
 	for remaining > 0 {
@@ -85,7 +92,7 @@ func New(totalBytes uint64) *Allocator {
 		for order > 0 && (uint64(1)<<order > remaining || uint64(pfn)%(1<<order) != 0) {
 			order--
 		}
-		a.free[order][pfn] = struct{}{}
+		a.free[order] = slices.Insert(a.free[order], 0, pfn)
 		pfn += PFN(uint64(1) << order)
 		remaining -= 1 << order
 	}
@@ -105,7 +112,7 @@ func (a *Allocator) UsedBytes() uint64 {
 }
 
 // OwnerBytes reports bytes currently held by owner.
-func (a *Allocator) OwnerBytes(o Owner) uint64 { return a.usage[o] * PageSize }
+func (a *Allocator) OwnerBytes(o Owner) uint64 { return a.owners[o].pages * PageSize }
 
 // SetPressurePages withholds n pages from the allocation headroom:
 // while set, any allocation that would leave fewer than n pages free
@@ -124,21 +131,12 @@ func (a *Allocator) PressurePages() uint64 { return a.pressure }
 
 // Owners returns all owners with live allocations, sorted.
 func (a *Allocator) Owners() []Owner {
-	out := make([]Owner, 0, len(a.usage))
-	for o, pages := range a.usage {
-		if pages > 0 {
-			out = append(out, o)
-		}
+	out := make([]Owner, 0, len(a.owners))
+	for o := range a.owners {
+		out = append(out, o)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // orderFor returns the smallest order whose block covers pages.
@@ -146,12 +144,9 @@ func orderFor(pages uint64) (uint, error) {
 	if pages == 0 {
 		return 0, errors.New("mm: zero-page allocation")
 	}
-	order := uint(0)
-	for uint64(1)<<order < pages {
-		order++
-		if order > MaxOrder {
-			return 0, fmt.Errorf("mm: allocation of %d pages exceeds max block", pages)
-		}
+	order := uint(bits.Len64(pages - 1))
+	if order > MaxOrder {
+		return 0, fmt.Errorf("mm: allocation of %d pages exceeds max block", pages)
 	}
 	return order, nil
 }
@@ -164,10 +159,25 @@ func (a *Allocator) AllocPages(pages uint64, o Owner) (Extent, error) {
 	if err != nil {
 		return Extent{}, err
 	}
-	if a.pressure > 0 && uint64(1)<<order > a.freePages-minU64(a.pressure, a.freePages) {
+	e, err := a.take(order)
+	if err != nil {
+		return Extent{}, err
+	}
+	rec := a.owners[o]
+	rec.pages += e.Pages()
+	rec.exts = append(rec.exts, e)
+	a.owners[o] = rec
+	return e, nil
+}
+
+// take removes the lowest-addressed block of the smallest free order
+// at or above order from the free lists, splits it down to order and
+// returns the low end. The upper halves go to the lower orders' lists,
+// which are empty whenever a split reaches them, so they stay sorted.
+func (a *Allocator) take(order uint) (Extent, error) {
+	if a.pressure > 0 && uint64(1)<<order > a.freePages-min(a.pressure, a.freePages) {
 		return Extent{}, ErrOutOfMemory
 	}
-	// Find the smallest order with a free block.
 	from := order
 	for from <= MaxOrder && len(a.free[from]) == 0 {
 		from++
@@ -175,129 +185,137 @@ func (a *Allocator) AllocPages(pages uint64, o Owner) (Extent, error) {
 	if from > MaxOrder {
 		return Extent{}, ErrOutOfMemory
 	}
-	var base PFN
-	for b := range a.free[from] { // take any block at this order
-		base = b
-		break
-	}
-	delete(a.free[from], base)
-	// Split down to the requested order, returning the upper halves.
+	list := a.free[from]
+	base := list[len(list)-1]
+	a.free[from] = list[:len(list)-1]
 	for from > order {
 		from--
-		buddy := base + PFN(uint64(1)<<from)
-		a.free[from][buddy] = struct{}{}
+		a.free[from] = append(a.free[from], base+PFN(uint64(1)<<from))
 	}
-	ext := Extent{Base: base, Order: order}
-	a.allocated[base] = order
-	a.owners[base] = o
-	a.byOwner[o] = append(a.byOwner[o], base)
-	a.usage[o] += ext.Pages()
-	a.freePages -= ext.Pages()
-	return ext, nil
+	e := Extent{Base: base, Order: order}
+	a.freePages -= e.Pages()
+	return e, nil
 }
 
 // AllocBytes allocates enough extents to cover size bytes for owner,
-// preferring large blocks; returns the extents.
-func (a *Allocator) AllocBytes(size uint64, o Owner) ([]Extent, error) {
+// preferring large blocks. On failure nothing stays allocated.
+func (a *Allocator) AllocBytes(size uint64, o Owner) error {
 	pages := (size + PageSize - 1) / PageSize
 	if pages == 0 {
 		pages = 1
 	}
 	// Decompose the request into power-of-two extents (largest first),
 	// covering it exactly at page granularity — no rounding waste, so
-	// footprint accounting stays faithful.
-	var out []Extent
-	for pages > 0 {
-		order := uint(0)
-		for order < MaxOrder && uint64(1)<<(order+1) <= pages {
-			order++
-		}
-		ext, err := a.AllocPages(uint64(1)<<order, o)
+	// footprint accounting stays faithful. That is one MaxOrder block
+	// per 2^MaxOrder pages plus one block per set bit of the rest.
+	rec := a.owners[o]
+	n := len(rec.exts)
+	rec.exts = slices.Grow(rec.exts, int(pages>>MaxOrder)+bits.OnesCount64(pages&(1<<MaxOrder-1)))
+	for left := pages; left > 0; {
+		order := uint(min(bits.Len64(left)-1, MaxOrder))
+		e, err := a.take(order)
 		if err != nil {
-			// Roll back partial allocation.
-			for _, e := range out {
-				_ = a.Free(e)
+			// Roll back this call's blocks; the stored record is
+			// untouched.
+			for _, e := range rec.exts[n:] {
+				a.release(e)
 			}
-			return nil, err
+			return err
 		}
-		out = append(out, ext)
-		pages -= ext.Pages()
+		rec.exts = append(rec.exts, e)
+		left -= e.Pages()
 	}
-	return out, nil
+	rec.pages += pages
+	a.owners[o] = rec
+	return nil
 }
 
-// Free returns an extent to the allocator, coalescing buddies.
-func (a *Allocator) Free(e Extent) error {
-	order, ok := a.allocated[e.Base]
-	if !ok || order != e.Order {
-		return fmt.Errorf("mm: free of unallocated extent base=%d order=%d", e.Base, e.Order)
+// Free returns an extent owner o holds to the allocator, coalescing
+// buddies. An extent o does not hold — already freed, held by another
+// owner, or named with the wrong order — is rejected.
+func (a *Allocator) Free(o Owner, e Extent) error {
+	rec := a.owners[o]
+	i := slices.Index(rec.exts, e)
+	if i < 0 {
+		return fmt.Errorf("mm: free of extent base=%d order=%d not held by owner %d", e.Base, e.Order, o)
 	}
-	o := a.owners[e.Base]
-	delete(a.allocated, e.Base)
-	delete(a.owners, e.Base)
-	if bases, ok := a.byOwner[o]; ok {
-		for i, b := range bases {
-			if b == e.Base {
-				bases[i] = bases[len(bases)-1]
-				a.byOwner[o] = bases[:len(bases)-1]
-				break
-			}
-		}
-		if len(a.byOwner[o]) == 0 {
-			delete(a.byOwner, o)
-		}
+	rec.exts = slices.Delete(rec.exts, i, i+1)
+	rec.pages -= e.Pages()
+	if rec.pages == 0 {
+		delete(a.owners, o)
+	} else {
+		a.owners[o] = rec
 	}
-	if a.usage[o] < e.Pages() {
-		return fmt.Errorf("mm: owner %d accounting underflow", o)
-	}
-	a.usage[o] -= e.Pages()
-	if a.usage[o] == 0 {
-		delete(a.usage, o)
-	}
-	a.freePages += e.Pages()
-
-	base, ord := e.Base, e.Order
-	for ord < MaxOrder {
-		buddy := base ^ PFN(uint64(1)<<ord)
-		if _, free := a.free[ord][buddy]; !free {
-			break
-		}
-		delete(a.free[ord], buddy)
-		if buddy < base {
-			base = buddy
-		}
-		ord++
-	}
-	a.free[ord][base] = struct{}{}
+	a.release(e)
 	return nil
 }
 
 // FreeOwner releases every extent held by owner and reports how many
 // bytes were returned.
 func (a *Allocator) FreeOwner(o Owner) uint64 {
-	// Detach the owner's index first: Free's per-extent removal then
-	// finds nothing to maintain, keeping this loop linear.
-	bases := a.byOwner[o]
-	delete(a.byOwner, o)
-	var freed uint64
-	for _, base := range bases {
-		e := Extent{Base: base, Order: a.allocated[base]}
-		freed += e.Bytes()
-		if err := a.Free(e); err != nil {
-			panic(err) // internal inconsistency
-		}
+	rec, ok := a.owners[o]
+	if !ok {
+		return 0
 	}
-	return freed
+	delete(a.owners, o)
+	for i := len(rec.exts) - 1; i >= 0; i-- {
+		a.release(rec.exts[i])
+	}
+	return rec.pages * PageSize
 }
 
-// checkInvariant verifies free-list/accounting consistency (test hook).
+// release puts e back on the free lists, merging it with its buddy for
+// as long as the buddy is free.
+func (a *Allocator) release(e Extent) {
+	a.freePages += e.Pages()
+	base, ord := e.Base, e.Order
+	for ; ord < MaxOrder; ord++ {
+		buddy := base ^ PFN(uint64(1)<<ord)
+		i, ok := findFree(a.free[ord], buddy)
+		if !ok {
+			break
+		}
+		a.free[ord] = slices.Delete(a.free[ord], i, i+1)
+		base = min(base, buddy)
+	}
+	i, _ := findFree(a.free[ord], base)
+	a.free[ord] = slices.Insert(a.free[ord], i, base)
+}
+
+// findFree binary-searches a descending free list for base, returning
+// its index, or the index it would be inserted at and false.
+func findFree(list []PFN, base PFN) (int, bool) {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); list[m] > base {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(list) && list[lo] == base
+}
+
+// checkInvariant verifies free-list/accounting consistency (test hook):
+// every free list is strictly descending and aligned, free blocks and
+// owner extents tile host memory without overlap, and the page counts
+// add up.
 func (a *Allocator) checkInvariant() error {
+	type span struct {
+		base, end PFN
+		owner     Owner // -1 for a free block
+	}
+	var spans []span
 	var free uint64
-	for order, blocks := range a.free {
-		for base := range blocks {
+	for order, list := range a.free {
+		for i, base := range list {
 			if uint64(base)%(1<<uint(order)) != 0 {
 				return fmt.Errorf("mm: misaligned free block base=%d order=%d", base, order)
 			}
+			if i > 0 && list[i-1] <= base {
+				return fmt.Errorf("mm: order-%d free list not strictly descending at %d", order, i)
+			}
+			spans = append(spans, span{base, base + PFN(uint64(1)<<order), -1})
 			free += 1 << uint(order)
 		}
 	}
@@ -305,11 +323,33 @@ func (a *Allocator) checkInvariant() error {
 		return fmt.Errorf("mm: free accounting %d != free lists %d", a.freePages, free)
 	}
 	var used uint64
-	for _, pages := range a.usage {
+	for o, rec := range a.owners {
+		var pages uint64
+		for _, e := range rec.exts {
+			if uint64(e.Base)%e.Pages() != 0 || e.Order > MaxOrder {
+				return fmt.Errorf("mm: owner %d holds misaligned extent base=%d order=%d", o, e.Base, e.Order)
+			}
+			spans = append(spans, span{e.Base, e.Base + PFN(e.Pages()), o})
+			pages += e.Pages()
+		}
+		if pages == 0 || pages != rec.pages {
+			return fmt.Errorf("mm: owner %d accounts %d pages, holds %d", o, rec.pages, pages)
+		}
 		used += pages
 	}
 	if used != a.totalPages-a.freePages {
 		return fmt.Errorf("mm: owner accounting %d != used %d", used, a.totalPages-a.freePages)
+	}
+	slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.base, y.base) })
+	var next PFN
+	for _, s := range spans {
+		if s.base != next {
+			return fmt.Errorf("mm: page %d covered by owner %d overlaps or leaves a gap before it (next expected %d)", s.base, s.owner, next)
+		}
+		next = s.end
+	}
+	if uint64(next) != a.totalPages {
+		return fmt.Errorf("mm: free blocks and extents end at page %d, host has %d", next, a.totalPages)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package mm
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -32,7 +33,7 @@ func TestAllocFreeRoundTrip(t *testing.T) {
 	if a.OwnerBytes(1) != 128*PageSize {
 		t.Fatalf("OwnerBytes = %d", a.OwnerBytes(1))
 	}
-	if err := a.Free(e); err != nil {
+	if err := a.Free(1, e); err != nil {
 		t.Fatal(err)
 	}
 	if a.FreePages() != a.TotalPages() {
@@ -52,10 +53,10 @@ func TestDoubleFreeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Free(e); err != nil {
+	if err := a.Free(1, e); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Free(e); err == nil {
+	if err := a.Free(1, e); err == nil {
 		t.Fatal("double free accepted")
 	}
 }
@@ -67,8 +68,34 @@ func TestFreeWrongOrderRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := Extent{Base: e.Base, Order: e.Order + 1}
-	if err := a.Free(bad); err == nil {
+	if err := a.Free(1, bad); err == nil {
 		t.Fatal("free with wrong order accepted")
+	}
+}
+
+func TestFreeWrongOwnerRejected(t *testing.T) {
+	a := newTest(16)
+	e, err := a.AllocPages(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.AllocPages(4, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Free(2, e); err == nil {
+		t.Fatal("free under the wrong owner accepted")
+	}
+	if err := a.Free(3, e); err == nil {
+		t.Fatal("free under an owner with no memory accepted")
+	}
+	if a.OwnerBytes(1) != 4*PageSize || a.OwnerBytes(2) != 4*PageSize {
+		t.Fatalf("rejected frees moved accounting: %d, %d", a.OwnerBytes(1), a.OwnerBytes(2))
+	}
+	if err := a.checkInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Free(1, e); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -111,8 +138,8 @@ func TestCoalescingRestoresLargeBlocks(t *testing.T) {
 		}
 		exts = append(exts, e)
 	}
-	for _, e := range exts {
-		if err := a.Free(e); err != nil {
+	for i, e := range exts {
+		if err := a.Free(Owner(i), e); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,25 +154,52 @@ func TestCoalescingRestoresLargeBlocks(t *testing.T) {
 
 func TestAllocBytes(t *testing.T) {
 	a := newTest(64)
-	exts, err := a.AllocBytes(10*1024*1024, 7) // 10 MiB = 2560 pages
-	if err != nil {
+	if err := a.AllocBytes(10*1024*1024, 7); err != nil { // 10 MiB = 2560 pages
 		t.Fatal(err)
 	}
 	var pages uint64
-	for _, e := range exts {
+	for _, e := range a.owners[7].exts {
 		pages += e.Pages()
 	}
 	if pages != 2560 {
 		t.Fatalf("AllocBytes covered %d pages, want exactly 2560", pages)
+	}
+	// 2560 = 2^11 + 2^9: one extent per set bit, largest first.
+	if exts := a.owners[7].exts; len(exts) != 2 || exts[0].Order != 11 || exts[1].Order != 9 {
+		t.Fatalf("AllocBytes extents = %+v, want orders 11 then 9", exts)
 	}
 	if a.OwnerBytes(7) != pages*PageSize {
 		t.Fatalf("owner accounting %d != %d", a.OwnerBytes(7), pages*PageSize)
 	}
 }
 
+// TestAllocBytesBeyondMaxOrder: a request larger than the largest
+// block takes one MaxOrder extent per 2^MaxOrder pages, then one per
+// set bit of the remainder.
+func TestAllocBytesBeyondMaxOrder(t *testing.T) {
+	a := New(12 << 30) // 3 MaxOrder blocks
+	const size = 8<<30 + 3*PageSize
+	if err := a.AllocBytes(size, 1); err != nil {
+		t.Fatal(err)
+	}
+	var orders []uint
+	for _, e := range a.owners[1].exts {
+		orders = append(orders, e.Order)
+	}
+	if want := []uint{MaxOrder, MaxOrder, 1, 0}; !slices.Equal(orders, want) {
+		t.Fatalf("extent orders = %v, want %v", orders, want)
+	}
+	if a.OwnerBytes(1) != size {
+		t.Fatalf("OwnerBytes = %d, want %d", a.OwnerBytes(1), uint64(size))
+	}
+	if err := a.checkInvariant(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAllocBytesRollbackOnFailure(t *testing.T) {
 	a := newTest(1) // 256 pages = 1 MiB
-	if _, err := a.AllocBytes(2*1024*1024, 1); err == nil {
+	if err := a.AllocBytes(2*1024*1024, 1); err == nil {
 		t.Fatal("oversized AllocBytes succeeded")
 	}
 	if a.FreePages() != a.TotalPages() {
@@ -154,16 +208,37 @@ func TestAllocBytesRollbackOnFailure(t *testing.T) {
 	if a.OwnerBytes(1) != 0 {
 		t.Fatal("failed AllocBytes left owner accounting")
 	}
+	// A failure after some extents were taken returns them, and leaves
+	// an owner that already held memory as it was: with pages 0 and 1
+	// held, 255 pages take 128+64+...+2 and then find no single page.
+	for _, o := range []Owner{2, 1} {
+		if _, err := a.AllocPages(1, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.AllocBytes(255*PageSize, 1); err != ErrOutOfMemory {
+		t.Fatalf("AllocBytes of 255 pages with 254 free: err = %v, want ErrOutOfMemory", err)
+	}
+	if a.FreePages() != 254 || a.OwnerBytes(1) != PageSize || len(a.owners[1].exts) != 1 {
+		t.Fatalf("partial rollback: %d pages free, owner 1 holds %d bytes in %d extents",
+			a.FreePages(), a.OwnerBytes(1), len(a.owners[1].exts))
+	}
+	if err := a.checkInvariant(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AllocBytes(254*PageSize, 1); err != nil {
+		t.Fatalf("rolled-back blocks not reusable: %v", err)
+	}
 }
 
 func TestFreeOwner(t *testing.T) {
 	a := newTest(32)
 	for i := 0; i < 10; i++ {
-		if _, err := a.AllocBytes(1024*1024, 5); err != nil {
+		if err := a.AllocBytes(1024*1024, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := a.AllocBytes(1024*1024, 6); err != nil {
+	if err := a.AllocBytes(1024*1024, 6); err != nil {
 		t.Fatal(err)
 	}
 	freed := a.FreeOwner(5)
@@ -211,7 +286,7 @@ func TestUsedBytes(t *testing.T) {
 	if a.UsedBytes() != 16*PageSize {
 		t.Fatalf("UsedBytes = %d", a.UsedBytes())
 	}
-	_ = a.Free(e)
+	_ = a.Free(1, e)
 	if a.UsedBytes() != 0 {
 		t.Fatal("UsedBytes nonzero after free")
 	}
@@ -222,17 +297,22 @@ func TestUsedBytes(t *testing.T) {
 func TestAllocFreePropertyQuick(t *testing.T) {
 	f := func(ops []uint16) bool {
 		a := newTest(16) // 4096 pages
-		var live []Extent
+		type held struct {
+			o Owner
+			e Extent
+		}
+		var live []held
 		for _, op := range ops {
 			if op%3 != 0 || len(live) == 0 { // alloc-biased
 				pages := uint64(op%64) + 1
-				e, err := a.AllocPages(pages, Owner(op%8)+1)
+				o := Owner(op%8) + 1
+				e, err := a.AllocPages(pages, o)
 				if err == nil {
-					live = append(live, e)
+					live = append(live, held{o, e})
 				}
 			} else {
 				i := int(op/3) % len(live)
-				if err := a.Free(live[i]); err != nil {
+				if err := a.Free(live[i].o, live[i].e); err != nil {
 					return false
 				}
 				live = append(live[:i], live[i+1:]...)
@@ -241,8 +321,8 @@ func TestAllocFreePropertyQuick(t *testing.T) {
 				return false
 			}
 		}
-		for _, e := range live {
-			if err := a.Free(e); err != nil {
+		for _, h := range live {
+			if err := a.Free(h.o, h.e); err != nil {
 				return false
 			}
 		}
@@ -261,7 +341,7 @@ func BenchmarkAllocFree8MB(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := a.Free(e); err != nil {
+		if err := a.Free(1, e); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,10 +372,10 @@ func TestPressureWithholdsHeadroom(t *testing.T) {
 	if err != nil {
 		t.Fatalf("alloc after release failed: %v", err)
 	}
-	if err := a.Free(e); err != nil {
+	if err := a.Free(1, e); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Free(e2); err != nil {
+	if err := a.Free(1, e2); err != nil {
 		t.Fatal(err)
 	}
 	if a.FreePages() != total {
