@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-check bench-digests verify verify-race race fuzz-smoke cover-xenstore cover-html bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
+.PHONY: build test bench-check bench-digests verify verify-race race fuzz-smoke cover-xenstore cover-traffic cover-html bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
 
 # Newest checked-in benchmark report; bench-compare reruns its figures
 # and fails on regression. Override with BASELINE=path to pin another.
@@ -76,6 +76,14 @@ cover-xenstore:
 	$(GO) test ./internal/xenstore -coverprofile=xenstore.cover > /dev/null
 	@$(GO) tool cover -func=xenstore.cover | awk '/^total:/ { print "xenstore line coverage: " $$3; if ($$3 + 0 < 80) { print "FAIL: below the 80% gate"; exit 1 } }'
 	@rm -f xenstore.cover
+
+# Line-coverage gate for the serving plane: the unit suite (with its
+# mode x fault-plan x defense conservation table) must keep
+# internal/traffic at or above 90%.
+cover-traffic:
+	$(GO) test ./internal/traffic -coverprofile=traffic.cover > /dev/null
+	@$(GO) tool cover -func=traffic.cover | awk '/^total:/ { print "traffic line coverage: " $$3; if ($$3 + 0 < 90) { print "FAIL: below the 90% gate"; exit 1 } }'
+	@rm -f traffic.cover
 
 # Coverage HTML for the xenstore suite (uploaded as a CI artifact).
 cover-html:

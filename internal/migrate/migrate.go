@@ -276,7 +276,9 @@ func Save(e *toolstack.Env, vm *toolstack.VM) (*Checkpoint, time.Duration, error
 	if err := teardownSource(e, vm); err != nil {
 		return nil, 0, err
 	}
-	e.Trace.Emit("migrate", "save", vm.Name, "mode="+vm.Mode.String(), saveTime)
+	if e.Trace != nil {
+		e.Trace.Emit("migrate", "save", vm.Name, "mode="+vm.Mode.String(), saveTime)
+	}
 	return cp, saveTime, nil
 }
 
@@ -347,7 +349,9 @@ func Restore(e *toolstack.Env, cp *Checkpoint) (*toolstack.VM, time.Duration, er
 		return nil, 0, err
 	}
 	restoreTime := time.Duration(e.Clock.Now().Sub(start))
-	e.Trace.Emit("migrate", "restore", vm.Name, "mode="+vm.Mode.String(), restoreTime)
+	if e.Trace != nil {
+		e.Trace.Emit("migrate", "restore", vm.Name, "mode="+vm.Mode.String(), restoreTime)
+	}
 	return vm, restoreTime, nil
 }
 
@@ -509,7 +513,9 @@ func Migrate(src, dst *toolstack.Env, vm *toolstack.VM) (*toolstack.VM, time.Dur
 		return nil, 0, err
 	}
 	migTime := time.Duration(src.Clock.Now().Sub(start))
-	src.Trace.Emit("migrate", "migrate", vm.Name, "mode="+vm.Mode.String(), migTime)
+	if src.Trace != nil {
+		src.Trace.Emit("migrate", "migrate", vm.Name, "mode="+vm.Mode.String(), migTime)
+	}
 	return newVM, migTime, nil
 }
 
@@ -538,7 +544,9 @@ func rollback(src, dst *toolstack.Env, vm, newVM *toolstack.VM) {
 		src.Clock.Sleep(costs.MigrationRollback)
 		_ = src.HV.Unpause(vm.Dom.ID)
 	})
-	src.Trace.Emit("migrate", "rollback", vm.Name, "mode="+vm.Mode.String(), 0)
+	if src.Trace != nil {
+		src.Trace.Emit("migrate", "rollback", vm.Name, "mode="+vm.Mode.String(), 0)
+	}
 }
 
 // Marshal serializes the whole checkpoint (descriptor blob plus

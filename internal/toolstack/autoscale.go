@@ -21,7 +21,7 @@ const (
 
 	// ScalePredictive estimates the arrival rate with an EWMA over the
 	// tick stream and pre-warms enough shells to cover the next Horizon
-	// of arrivals plus Headroom, clamped to [Min, Max]. Under a steady
+	// of arrivals plus a 25% headroom, clamped to [Min, Max]. Under a steady
 	// rate the estimate — and with it the target — converges; under a
 	// burst the target grows within a few ticks instead of after the
 	// queue has already formed.
@@ -38,13 +38,15 @@ func (p AutoscalePolicy) String() string {
 // AutoscalerConfig parameterizes an Autoscaler. The zero value is
 // usable: it becomes a reactive policy at the defaults below.
 type AutoscalerConfig struct {
-	Policy   AutoscalePolicy
-	Min      int           // floor on the target depth (negative clamps to 0)
-	Max      int           // ceiling on the target depth (default 64)
-	Horizon  time.Duration // predictive: arrivals to cover per beat (default 20ms)
-	Headroom float64       // predictive: safety fraction above the estimate (default 0.25)
-	Alpha    float64       // EWMA weight of the newest rate sample (default 0.3)
+	Policy  AutoscalePolicy
+	Min     int           // floor on the target depth (negative clamps to 0)
+	Max     int           // ceiling on the target depth (default 64)
+	Horizon time.Duration // predictive: arrivals to cover per beat (default 20ms)
 }
+
+// The predictive policy's safety fraction above the rate estimate, and
+// the EWMA weight of the newest rate sample.
+const scaleHeadroom, scaleAlpha = 0.25, 0.3
 
 func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	if c.Min < 0 {
@@ -58,12 +60,6 @@ func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 20 * time.Millisecond
-	}
-	if c.Headroom <= 0 {
-		c.Headroom = 0.25
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
 	}
 	return c
 }
@@ -141,9 +137,9 @@ func (a *Autoscaler) retarget(now sim.Time, arrivals int) int {
 		inst := float64(arrivals+a.pending) / elapsed.Seconds()
 		a.pending = 0
 		a.last = now
-		a.rate = a.cfg.Alpha*inst + (1-a.cfg.Alpha)*a.rate
+		a.rate = scaleAlpha*inst + (1-scaleAlpha)*a.rate
 	}
-	need := int(math.Ceil(a.rate * a.cfg.Horizon.Seconds() * (1 + a.cfg.Headroom)))
+	need := int(math.Ceil(a.rate * a.cfg.Horizon.Seconds() * (1 + scaleHeadroom)))
 	if need < a.cfg.Min {
 		need = a.cfg.Min
 	}

@@ -39,7 +39,7 @@ func TestAutoscalerTargetNeverNegative(t *testing.T) {
 	for _, policy := range []AutoscalePolicy{ScaleReactive, ScalePredictive} {
 		e, _ := newAutoscaleEnv(t)
 		a := NewAutoscaler(e.Pool, AutoscalerConfig{
-			Policy: policy, Min: -3, Max: -1, Headroom: -2, Alpha: -0.5,
+			Policy: policy, Min: -3, Max: -1,
 		})
 		now := sim.Time(0)
 		for i, arrivals := range []int{0, 5, 0, 1000, 0, 0, 7, 0} {
@@ -65,7 +65,7 @@ func TestAutoscalerPredictiveConverges(t *testing.T) {
 	e, f := newAutoscaleEnv(t)
 	a := NewAutoscaler(e.Pool, AutoscalerConfig{
 		Policy: ScalePredictive, Min: 2, Max: 64,
-		Horizon: 20 * time.Millisecond, Headroom: 0.25, Alpha: 0.3,
+		Horizon: 20 * time.Millisecond,
 	})
 	// 1000 req/s: 10 arrivals per 10ms tick → steady-state target
 	// ceil(1000 · 0.020 · 1.25) = 25.

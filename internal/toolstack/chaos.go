@@ -186,6 +186,8 @@ func (c *Chaos) Destroy(vm *VM) error {
 	}
 	err := e.HV.DestroyDomain(vm.Dom.ID)
 	e.journalClear(us, vm.Name)
-	e.Trace.Emit("toolstack", "destroy", vm.Name, "mode="+c.mode.String(), 0)
+	if e.Trace != nil {
+		e.Trace.Emit("toolstack", "destroy", vm.Name, "mode="+c.mode.String(), 0)
+	}
 	return err
 }

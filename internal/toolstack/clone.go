@@ -103,6 +103,8 @@ func (e *Env) CloneVM(parent *VM, name string) (*VM, error) {
 	}
 	vm.CreateTime = e.Clock.Now().Sub(start)
 	vm.BootTime = 0 // resumed, not booted
-	e.Trace.Emit("toolstack", "clone", name, "parent="+parent.Name, vm.CreateTime)
+	if e.Trace != nil {
+		e.Trace.Emit("toolstack", "clone", name, "parent="+parent.Name, vm.CreateTime)
+	}
 	return vm, nil
 }

@@ -306,7 +306,9 @@ func (e *Env) bootCreated(d Driver, vm *VM, bd Breakdown, start sim.Time) (*VM, 
 		return nil, err
 	}
 	vm.BootTime = e.Clock.Now().Sub(bootStart)
-	e.Trace.Emit("toolstack", "create", vm.Name, "mode="+vm.Mode.String(), vm.CreateTime+vm.BootTime)
+	if e.Trace != nil {
+		e.Trace.Emit("toolstack", "create", vm.Name, "mode="+vm.Mode.String(), vm.CreateTime+vm.BootTime)
+	}
 	return vm, nil
 }
 

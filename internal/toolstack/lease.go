@@ -107,7 +107,9 @@ func (e *Env) CheckLease(name string) error {
 		return nil
 	}
 	e.staleRejected++
-	e.Trace.Emit("toolstack", "fence", name, fmt.Sprintf("epoch=%d", epoch), 0)
+	if e.Trace != nil {
+		e.Trace.Emit("toolstack", "fence", name, fmt.Sprintf("epoch=%d", epoch), 0)
+	}
 	return fmt.Errorf("%w: %q epoch %d", ErrStaleLease, name, epoch)
 }
 
@@ -147,5 +149,7 @@ func (e *Env) scrubLease(rec journalRecord, useStore bool, r *ScrubReport) {
 		e.Noxs.JournalClear(rec.Key)
 	}
 	r.Journals++
-	e.Trace.Emit("toolstack", "fence-scrub", name, fmt.Sprintf("epoch=%d", rec.Epoch), 0)
+	if e.Trace != nil {
+		e.Trace.Emit("toolstack", "fence-scrub", name, fmt.Sprintf("epoch=%d", rec.Epoch), 0)
+	}
 }

@@ -62,8 +62,10 @@ func (e *Env) Scrub(mode Mode) ScrubReport {
 		}
 	})
 	r.Duration = e.Clock.Now().Sub(start)
-	e.Trace.Emit("toolstack", "scrub", mode.String(),
-		fmt.Sprintf("journals=%d orphans=%d residue=%d", r.Journals, r.Orphans, r.Residue), r.Duration)
+	if e.Trace != nil {
+		e.Trace.Emit("toolstack", "scrub", mode.String(),
+			fmt.Sprintf("journals=%d orphans=%d residue=%d", r.Journals, r.Orphans, r.Residue), r.Duration)
+	}
 	return r
 }
 
@@ -86,7 +88,9 @@ func (e *Env) replayJournal(rec journalRecord, useStore bool, r *ScrubReport) {
 		e.Noxs.JournalClear(rec.Key)
 	}
 	r.Journals++
-	e.Trace.Emit("toolstack", "recover", rec.Key, "op="+rec.Op+" step="+rec.Step, 0)
+	if e.Trace != nil {
+		e.Trace.Emit("toolstack", "recover", rec.Key, "op="+rec.Op+" step="+rec.Step, 0)
+	}
 }
 
 // scrubKinds is the fixed walk order over device kinds.

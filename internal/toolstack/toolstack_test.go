@@ -10,6 +10,7 @@ import (
 	"lightvm/internal/guest"
 	"lightvm/internal/sched"
 	"lightvm/internal/sim"
+	"lightvm/internal/trace"
 )
 
 func newEnv() *Env {
@@ -589,5 +590,36 @@ func TestCloneFasterThanBootForHeavyGuests(t *testing.T) {
 	// faster (Potemkin's whole point).
 	if clone.CreateTime*20 >= bootTotal {
 		t.Fatalf("clone %v vs boot %v — not a big enough win", clone.CreateTime, bootTotal)
+	}
+}
+
+// TestTraceOffSkipsDetails: a disabled trace log costs nothing on the
+// hot path — a create/destroy cycle does not even build the event
+// details (mode strings) it would have recorded.
+func TestTraceOffSkipsDetails(t *testing.T) {
+	for _, mode := range []Mode{ModeChaosNoXS, ModeXL} {
+		cycle := func(e *Env) float64 {
+			drv := e.ForMode(mode)
+			return testing.AllocsPerRun(50, func() {
+				vm, err := drv.Create("g", guest.Daytime())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := drv.Destroy(vm); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		off := newEnv()
+		on := newEnv()
+		// A one-event cap: past it the log drops without growing, so
+		// the only extra work tracing does is building the details.
+		on.Trace = trace.New(on.Clock, 1)
+		offAllocs, onAllocs := cycle(off), cycle(on)
+		t.Logf("%v: %v allocs/cycle traced, %v untraced", mode, onAllocs, offAllocs)
+		if onAllocs-offAllocs < 2 {
+			t.Fatalf("%v: tracing off saves %v allocs per create/destroy cycle, want the 2 event details",
+				mode, onAllocs-offAllocs)
+		}
 	}
 }

@@ -222,6 +222,8 @@ func (x *XL) Destroy(vm *VM) error {
 	}
 	err := e.HV.DestroyDomain(vm.Dom.ID)
 	e.journalClear(true, vm.Name)
-	e.Trace.Emit("toolstack", "destroy", vm.Name, "mode="+ModeXL.String(), 0)
+	if e.Trace != nil {
+		e.Trace.Emit("toolstack", "destroy", vm.Name, "mode="+ModeXL.String(), 0)
+	}
 	return err
 }

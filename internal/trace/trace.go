@@ -52,8 +52,9 @@ func New(clock *sim.Clock, max int) *Log {
 	return &Log{clock: clock, max: max}
 }
 
-// Emit records an event. A nil log is a no-op, so callers never need
-// to guard.
+// Emit records an event. A nil log is a no-op; a caller that builds
+// the detail string (concatenation, Sprintf) checks for a nil log
+// first, so a disabled log allocates nothing.
 func (l *Log) Emit(category, op, subject, detail string, elapsed time.Duration) {
 	if l == nil {
 		return

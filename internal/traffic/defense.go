@@ -90,11 +90,6 @@ type Defense struct {
 	Brownout bool
 }
 
-// Any reports whether any defense is enabled.
-func (d Defense) Any() bool {
-	return d.AdaptiveAdmit || d.RetryBudget > 0 || d.PriorityShed || d.Brownout
-}
-
 // aimdLimiter adapts the admission limit on control-plane lag.
 // Classic AIMD keeps the operating point near the cliff without
 // camping on it: every response later than target multiplies the

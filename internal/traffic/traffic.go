@@ -6,14 +6,12 @@ import (
 	"time"
 
 	"lightvm/internal/apps"
-	"lightvm/internal/container"
 	"lightvm/internal/core"
 	"lightvm/internal/costs"
 	"lightvm/internal/faults"
 	"lightvm/internal/guest"
 	"lightvm/internal/metrics"
 	"lightvm/internal/mm"
-	"lightvm/internal/sched"
 	"lightvm/internal/sim"
 	"lightvm/internal/toolstack"
 	"lightvm/internal/xenstore"
@@ -57,6 +55,9 @@ func (m Mode) String() string {
 // UsesPool reports whether the mode serves from warm shells.
 func (m Mode) UsesPool() bool { return m == PoolReactive || m == PoolPredictive }
 
+// isVM reports whether the mode serves from a unikernel guest.
+func (m Mode) isVM() bool { return m != Container && m != Process }
+
 // RejectReason classifies admission backpressure.
 type RejectReason int
 
@@ -89,37 +90,14 @@ func (r RejectReason) String() string {
 	return "unknown"
 }
 
-// Reject is the typed admission-backpressure error: the request was
-// shed, not failed. The serving loop counts it and moves on; anything
-// that is not a *Reject aborts the run.
-type Reject struct {
-	Reason  RejectReason
-	Backlog time.Duration // control-plane lag at the admission decision
-	Cause   error         // backend error for RejectCapacity
-}
-
-func (r *Reject) Error() string {
-	if r.Cause != nil {
-		return fmt.Sprintf("traffic: rejected (%s, backlog %v): %v", r.Reason, r.Backlog, r.Cause)
-	}
-	return fmt.Sprintf("traffic: rejected (%s, backlog %v)", r.Reason, r.Backlog)
-}
-
-func (r *Reject) Unwrap() error { return r.Cause }
-
-// Config parameterizes one open-loop serving run on one host.
+// Config parameterizes one open-loop serving run. The host (an
+// 8-core/32GB serving machine) and the guest image (Daytime) are
+// fixed.
 type Config struct {
-	Machine  sched.Machine // zero value: 8-core/32GB serving host
 	Mode     Mode
-	Image    guest.Image // guest app image for the VM modes (default Daytime)
 	Seed     uint64
 	Arrivals Arrivals // required
 	Requests int      // number of arrivals to generate (required)
-
-	// RequestsPerSession batches requests onto one instance: the
-	// first request of a session pays the boot, the rest ride the
-	// already-running guest. Default 1 (pure per-request).
-	RequestsPerSession int
 
 	// MaxBacklog is the admission limit on control-plane lag; arrivals
 	// finding a deeper queue are shed with RejectBacklog. Default 500ms.
@@ -131,19 +109,6 @@ type Config struct {
 	// Scaler tunes the pool autoscaler (pool modes only; Policy is
 	// overridden to match Mode).
 	Scaler toolstack.AutoscalerConfig
-	// WarmEvery samples the warm-shell count every N arrivals into
-	// Stats.Warm. Default Requests/16.
-	WarmEvery int
-
-	// Program is the minipython source executed per request when the
-	// image app is "minipython". Default computes a small sum.
-	Program string
-
-	// KeepStoreLogs leaves XenStore access logging on. By default the
-	// serving host disables it: §4.2 calls out oxenstored logging 20
-	// files per access (with a 90ms rotation pause) as a toolstack
-	// pathology, and no production serving path would run with it.
-	KeepStoreLogs bool
 
 	// FaultPlan, when its Rate is non-zero, arms the host's fault
 	// plane for this run. The overload kinds are opt-in: name
@@ -156,11 +121,9 @@ type Config struct {
 	// value reproduces the undefended plane bit for bit.
 	Defense Defense
 
-	// MaxAttempts bounds a request's total attempts (first try +
-	// storm retries). Default 4.
-	MaxAttempts int
 	// RetryBackoff is the client's base backoff before a storm retry;
-	// doubled per attempt, plus seeded jitter. Default Timeout/4.
+	// doubled per attempt, plus seeded jitter. Default Timeout/4. A
+	// request makes at most maxAttempts (4) attempts in all.
 	RetryBackoff time.Duration
 
 	// PhaseBounds carves the run into accounting phases at these
@@ -168,10 +131,11 @@ type Config struct {
 	// boundaries); Stats.Phases gets len(PhaseBounds)+1 buckets keyed
 	// by each request's arrival time. Empty leaves Phases nil.
 	PhaseBounds []time.Duration
-
-	// hook observes each served request's latency (tests only).
-	hook func(k int, lat time.Duration)
 }
+
+// maxAttempts bounds a request's total attempts (first try + storm
+// retries).
+const maxAttempts = 4
 
 // PhaseStats is one accounting phase's slice of the run (see
 // Config.PhaseBounds). Goodput is Good over the phase's wall time.
@@ -220,7 +184,7 @@ type Stats struct {
 	Phases []PhaseStats
 
 	Latency  metrics.Histogram
-	Warm     []int // shells-warm samples over time (every WarmEvery arrivals)
+	Warm     []int // shells-warm samples over time (every Requests/16 fresh arrivals)
 	AppCalls uint64
 	Elapsed  time.Duration // virtual time consumed
 }
@@ -290,8 +254,6 @@ func (s *Stats) Merge(o *Stats) {
 	}
 }
 
-const defaultProgram = "total = 0\nfor i in range(10):\n    total = total + i\nprint(total)\n"
-
 // Serve runs one open-loop serving timeline on a fresh host and
 // returns its stats plus the host (for fsck and inspection).
 //
@@ -309,18 +271,6 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 	if cfg.Requests <= 0 {
 		return nil, nil, errors.New("traffic: Config.Requests must be positive")
 	}
-	machine := cfg.Machine
-	if machine.Cores == 0 {
-		machine = sched.Machine{Name: "serve", Cores: 8, Dom0Cores: 1, MemoryGB: 32}
-	}
-	img := cfg.Image
-	if img.Name == "" {
-		img = guest.Daytime()
-	}
-	perSession := cfg.RequestsPerSession
-	if perSession < 1 {
-		perSession = 1
-	}
 	maxBacklog := cfg.MaxBacklog
 	if maxBacklog <= 0 {
 		maxBacklog = 500 * time.Millisecond
@@ -329,21 +279,7 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	warmEvery := cfg.WarmEvery
-	if warmEvery <= 0 {
-		warmEvery = cfg.Requests / 16
-		if warmEvery == 0 {
-			warmEvery = 1
-		}
-	}
-	program := cfg.Program
-	if program == "" {
-		program = defaultProgram
-	}
-	maxAttempts := cfg.MaxAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = 4
-	}
+	warmEvery := max(cfg.Requests/16, 1)
 	retryBackoff := cfg.RetryBackoff
 	if retryBackoff <= 0 {
 		retryBackoff = timeout / 4
@@ -357,27 +293,28 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		batchFrac = 0.25
 	}
 
-	h, err := core.NewHost(machine, cfg.Seed)
+	h, err := newServeHost(cfg.Seed)
 	if err != nil {
 		return nil, nil, err
-	}
-	if !cfg.KeepStoreLogs {
-		h.Env.Store.LoggingEnabled = false
 	}
 	if cfg.FaultPlan.Rate > 0 {
 		h.Env.SetFaults(faults.New(h.Clock, cfg.Seed, cfg.FaultPlan))
 	}
 	in := h.Env.Faults // nil without a plan; nil injectors never fire
 
-	tsMode := modeToolstack(cfg.Mode)
-	bootWork := img.BootWork
+	isVM := cfg.Mode.isVM()
+	img := guest.Daytime()
+	var bootWork time.Duration // guest boot, off the Dom0 timeline; none outside the VM modes
+	if isVM {
+		bootWork = img.BootWork
+	}
 	img.BootWork = time.Microsecond
 	degImg := brownoutImage(img)
 
 	var scaler *toolstack.Autoscaler
 	var flavor toolstack.Flavor
 	if cfg.Mode.UsesPool() {
-		flavor = toolstack.FlavorFor(img, tsMode.UsesStore())
+		flavor = toolstack.FlavorFor(img, modeToolstack(cfg.Mode).UsesStore())
 		h.Env.Pool.Register(flavor)
 		pol := cfg.Scaler
 		if pol.Min <= 0 {
@@ -391,11 +328,9 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		scaler = toolstack.NewAutoscaler(h.Env.Pool, pol)
 		// Prime the pool before traffic starts, as the daemon does on
 		// configuration.
-		if err := scaler.Tick(h.Clock.Now(), 0); err != nil {
+		if err := scaler.Tick(h.Clock.Now(), 0); err != nil && !errors.Is(err, mm.ErrOutOfMemory) {
 			return nil, nil, err
 		}
-	} else {
-		h.Env.Pool.SetTarget(0)
 	}
 
 	// Per-response floor: switch forwarding both ways plus the guest
@@ -440,8 +375,30 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		return &st.Phases[i]
 	}
 
-	reqIdx := 0
-	observe := func(ph *PhaseStats, lat time.Duration) {
+	// The request in flight: its accounting phase, class, fresh index
+	// and 1-based attempt number.
+	var (
+		ph            *PhaseStats
+		class         Class
+		orig, attempt int
+	)
+
+	// The retry storm's client backoff queue: re-arrivals merge with
+	// fresh traffic in virtual-time order. Heap order is (time, seq),
+	// both deterministic, so per-shard replay is byte-identical.
+	var retries retryHeap
+	retrySeq := 0
+	scheduleRetry := func(from sim.Time) {
+		if attempt >= maxAttempts || !in.Fire(faults.KindRetryStorm) {
+			return
+		}
+		backoff := retryBackoff << uint(attempt-1)
+		backoff += in.Jitter(faults.KindRetryStorm, retryBackoff)
+		retries.push(retryReq{at: from.Add(backoff), seq: retrySeq, orig: orig, attempt: attempt + 1, class: class})
+		retrySeq++
+		st.RetryScheduled++
+	}
+	observe := func(lat time.Duration) {
 		st.Latency.Observe(lat)
 		st.Served++
 		if lat > timeout {
@@ -458,13 +415,13 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		if lim != nil {
 			lim.observe(lat)
 		}
-		if cfg.hook != nil {
-			cfg.hook(reqIdx, lat)
-		}
 	}
-	reject := func(ph *PhaseStats, class Class, r *Reject) {
+	// shed rejects the request in flight and lets the storm re-arrive
+	// it — except a retry refused by a dry budget, which is exactly how
+	// the budget breaks the feedback loop.
+	shed := func(reason RejectReason) {
 		st.Rejected++
-		switch r.Reason {
+		switch reason {
 		case RejectCapacity:
 			st.RejectedCapacity++
 		case RejectOverload:
@@ -486,22 +443,9 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		if ph != nil {
 			ph.Rejected++
 		}
-	}
-
-	// The retry storm's client backoff queue: re-arrivals merge with
-	// fresh traffic in virtual-time order. Heap order is (time, seq),
-	// both deterministic, so per-shard replay is byte-identical.
-	var retries retryHeap
-	retrySeq := 0
-	scheduleRetry := func(from sim.Time, orig, attempt int, class Class) {
-		if attempt >= maxAttempts || !in.Fire(faults.KindRetryStorm) {
-			return
+		if reason != RejectBudget {
+			scheduleRetry(h.Clock.Now())
 		}
-		backoff := retryBackoff << uint(attempt-1)
-		backoff += in.Jitter(faults.KindRetryStorm, retryBackoff)
-		retries.push(retryReq{at: from.Add(backoff), seq: retrySeq, orig: orig, attempt: attempt + 1, class: class})
-		retrySeq++
-		st.RetryScheduled++
 	}
 
 	sinceTick := 0
@@ -510,15 +454,14 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 	freshAt := start.Add(cfg.Arrivals.Next())
 	for freshLeft > 0 || len(retries) > 0 {
 		var arrive sim.Time
-		var class Class
-		attempt, orig, isRetry := 1, 0, false
-		if len(retries) > 0 && (freshLeft == 0 || retries[0].at <= freshAt) {
+		isRetry := len(retries) > 0 && (freshLeft == 0 || retries[0].at <= freshAt)
+		if isRetry {
 			rr := retries.pop()
-			arrive, orig, attempt, class, isRetry = rr.at, rr.orig, rr.attempt, rr.class, true
+			arrive, orig, attempt, class = rr.at, rr.orig, rr.attempt, rr.class
 		} else {
 			k++
 			freshLeft--
-			arrive, orig = freshAt, k
+			arrive, orig, attempt, class = freshAt, k, 1, ClassPaid
 			if freshLeft > 0 {
 				freshAt = freshAt.Add(cfg.Arrivals.Next())
 			}
@@ -529,10 +472,9 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 				budget.earn()
 			}
 		}
-		reqIdx = k
 		st.Arrived++
 		sinceTick++
-		ph := phaseOf(arrive)
+		ph = phaseOf(arrive)
 		if ph != nil {
 			ph.Arrived++
 			if isRetry {
@@ -547,9 +489,12 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		if h.Clock.Now() < arrive {
 			// Idle gap: the daemon gets the CPU until the next arrival
 			// (the replenish beat yields to foreground work at the
-			// deadline rather than batching an unbounded top-up).
+			// deadline rather than batching an unbounded top-up). A
+			// prepare starved by a memory-pressure episode rolls back
+			// and ends the beat; the daemon retries at the next gap and
+			// a pool miss meanwhile takes the cold path.
 			if scaler != nil {
-				if err := scaler.TickUntil(h.Clock.Now(), sinceTick, arrive); err != nil {
+				if err := scaler.TickUntil(h.Clock.Now(), sinceTick, arrive); err != nil && !errors.Is(err, mm.ErrOutOfMemory) {
 					return nil, nil, err
 				}
 				sinceTick = 0
@@ -558,7 +503,7 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		}
 		if !isRetry && k%warmEvery == 0 {
 			w := 0
-			if cfg.Mode.UsesPool() {
+			if scaler != nil {
 				w = h.Env.Pool.Available(flavor)
 			}
 			st.Warm = append(st.Warm, w)
@@ -572,136 +517,67 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		if gauge != nil {
 			state = gauge.observe(h.Clock.Now(), backlog, limit)
 		}
-		if isRetry && budget != nil && !budget.spend() {
-			// Budget dry: the retry is refused at the front door and —
-			// unlike every other rejection — not retried again, which
-			// is exactly how the budget breaks the feedback loop.
-			reject(ph, class, &Reject{Reason: RejectBudget, Backlog: backlog})
+		switch {
+		case isRetry && budget != nil && !budget.spend():
+			shed(RejectBudget)
 			continue
-		}
-		if d.PriorityShed && class == ClassBatch && state != StateNormal {
-			reject(ph, class, &Reject{Reason: RejectOverload, Backlog: backlog})
-			scheduleRetry(h.Clock.Now(), orig, attempt, class)
+		case d.PriorityShed && class == ClassBatch && state != StateNormal,
+			backlog > limit && lim != nil:
+			shed(RejectOverload)
 			continue
-		}
-		if backlog > limit {
-			reason := RejectBacklog
-			if lim != nil {
-				reason = RejectOverload
-			}
-			reject(ph, class, &Reject{Reason: reason, Backlog: backlog})
-			scheduleRetry(h.Clock.Now(), orig, attempt, class)
+		case backlog > limit:
+			shed(RejectBacklog)
 			continue
 		}
 
-		switch cfg.Mode {
-		case Container:
-			c, err := h.Docker.Run(container.MicropythonImage().Name)
-			if err != nil {
-				// The engine saying no (memory wall, daemon-table
-				// growth) is backpressure, not a simulation bug.
-				reject(ph, class, &Reject{Reason: RejectCapacity, Backlog: backlog, Cause: err})
-				scheduleRetry(h.Clock.Now(), orig, attempt, class)
-				continue
-			}
-			lat := h.Clock.Now().Sub(arrive) + appWork
-			observe(ph, lat)
-			if lat > timeout {
-				scheduleRetry(arrive.Add(timeout), orig, attempt, class)
-			}
-			for r := 1; r < perSession; r++ {
-				observe(ph, appWork)
-				st.Arrived++
-			}
-			if err := h.Docker.Stop(c.ID); err != nil {
-				return nil, nil, err
-			}
-		case Process:
-			if _, err := h.Procs.Spawn(0); err != nil {
-				reject(ph, class, &Reject{Reason: RejectCapacity, Backlog: backlog, Cause: err})
-				scheduleRetry(h.Clock.Now(), orig, attempt, class)
-				continue
-			}
-			lat := h.Clock.Now().Sub(arrive) + appWork
-			observe(ph, lat)
-			if lat > timeout {
-				scheduleRetry(arrive.Add(timeout), orig, attempt, class)
-			}
-			for r := 1; r < perSession; r++ {
-				observe(ph, appWork)
-				st.Arrived++
-			}
-		default: // the unikernel modes
-			useImg, degraded := img, false
-			if d.Brownout && state != StateNormal {
-				useImg, degraded = degImg, true
-			}
-			name := fmt.Sprintf("req%d", orig)
+		useImg, degraded := img, isVM && d.Brownout && state != StateNormal
+		if degraded {
+			useImg = degImg
+		}
+		var name string
+		if isVM {
+			name = fmt.Sprintf("req%d", orig)
 			if isRetry {
 				name = fmt.Sprintf("req%d.%d", orig, attempt)
 			}
-			vm, err := h.CreateVM(tsMode, name, useImg)
-			if err != nil {
-				var qe *xenstore.ErrQuotaExceeded
-				switch {
-				case errors.Is(err, mm.ErrOutOfMemory):
-					// A pressure episode ate the headroom: typed
-					// capacity backpressure, the driver already rolled
-					// the half-built domain back.
-					reject(ph, class, &Reject{Reason: RejectCapacity, Backlog: backlog, Cause: err})
-					scheduleRetry(h.Clock.Now(), orig, attempt, class)
-					continue
-				case errors.As(err, &qe):
-					reject(ph, class, &Reject{Reason: RejectQuota, Backlog: backlog, Cause: err})
-					scheduleRetry(h.Clock.Now(), orig, attempt, class)
-					continue
-				default:
-					return nil, nil, fmt.Errorf("traffic: create %s: %w", name, err)
-				}
+		}
+		inst, err := launch(h, cfg.Mode, name, useImg)
+		if err != nil {
+			var qe *xenstore.ErrQuotaExceeded
+			switch {
+			case !isVM || errors.Is(err, mm.ErrOutOfMemory):
+				// The backend saying no — the container engine's memory
+				// wall, or a pressure episode eating a guest's headroom
+				// (the driver already rolled the half-built domain
+				// back) — is backpressure, not a simulation bug.
+				shed(RejectCapacity)
+			case errors.As(err, &qe):
+				shed(RejectQuota)
+			default:
+				return nil, nil, fmt.Errorf("traffic: create %s: %w", name, err)
 			}
-			// The guest finishes booting bootWork later, on its own core.
-			ready := h.Clock.Now().Add(bootWork)
-			call := func() error {
-				switch app := h.AppOf(name).(type) {
-				case *apps.Daytime:
-					if app.Serve() == "" {
-						return fmt.Errorf("traffic: %s served empty daytime", name)
-					}
-				case *apps.PyFunc:
-					if _, err := app.Run(program); err != nil {
-						return fmt.Errorf("traffic: %s: %w", name, err)
-					}
-				default:
-					if !h.Ping(vm) {
-						return fmt.Errorf("traffic: %s did not answer", name)
-					}
-				}
-				st.AppCalls++
-				return nil
+			continue
+		}
+		// A guest finishes booting bootWork later, on its own core, and
+		// then answers.
+		lat := h.Clock.Now().Add(bootWork).Sub(arrive) + appWork
+		if isVM {
+			if app, ok := h.AppOf(name).(*apps.Daytime); !ok || app.Serve() == "" {
+				return nil, nil, fmt.Errorf("traffic: %s did not answer", name)
 			}
-			if err := call(); err != nil {
-				return nil, nil, err
-			}
-			if degraded {
-				st.DegradedServed++
-			}
-			lat := ready.Sub(arrive) + appWork
-			observe(ph, lat)
-			if lat > timeout {
-				scheduleRetry(arrive.Add(timeout), orig, attempt, class)
-			}
-			for r := 1; r < perSession; r++ {
-				if err := call(); err != nil {
-					return nil, nil, err
-				}
-				observe(ph, appWork)
-				st.Arrived++
-			}
-			// Teardown rides the control plane after the response — it
-			// is off this request's latency but delays the next one.
-			if err := h.DestroyVM(vm); err != nil {
-				return nil, nil, fmt.Errorf("traffic: destroy %s: %w", name, err)
-			}
+			st.AppCalls++
+		}
+		if degraded {
+			st.DegradedServed++
+		}
+		observe(lat)
+		if lat > timeout {
+			scheduleRetry(arrive.Add(timeout))
+		}
+		// Teardown rides the control plane after the response — it is
+		// off this request's latency but delays the next one.
+		if err := stop(h, inst); err != nil {
+			return nil, nil, err
 		}
 	}
 	if gauge != nil {

@@ -1,11 +1,13 @@
 package traffic
 
 import (
-	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
+	"lightvm/internal/faults"
+	"lightvm/internal/guest"
 	"lightvm/internal/toolstack"
 )
 
@@ -98,48 +100,101 @@ func TestServeTimeouts(t *testing.T) {
 	}
 }
 
-// TestServeSessions: with N requests per session only the first pays
-// the boot; the rest ride the running guest and the accounting scales.
-func TestServeSessions(t *testing.T) {
-	const sessions, per = 40, 4
-	st, _, err := Serve(Config{
-		Mode:               VMPerRequest,
-		Seed:               1,
-		Arrivals:           NewPoisson(2, 20),
-		Requests:           sessions,
-		RequestsPerSession: per,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestServeRejectTyped: the reject reasons print their stable names
+// (the keys the serving figures report).
+func TestServeRejectTyped(t *testing.T) {
+	want := []string{"backlog", "capacity", "overload", "quota", "retry-budget"}
+	for r, name := range want {
+		if got := RejectReason(r).String(); got != name {
+			t.Fatalf("reason %d prints %q, want %q", r, got, name)
+		}
 	}
-	if st.Arrived != sessions*per || st.Served != sessions*per {
-		t.Fatalf("arrived %d served %d, want %d both", st.Arrived, st.Served, sessions*per)
-	}
-	if st.AppCalls != sessions*per {
-		t.Fatalf("app answered %d calls, want %d", st.AppCalls, sessions*per)
-	}
-	// Follow-ups skip the boot: the p50 is the cheap in-session path,
-	// far below the session-opening boot latency.
-	if st.Latency.P50() >= st.Latency.Quantile(90) {
-		t.Fatalf("p50 %v not below p90 %v: session follow-ups should dominate the cheap side",
-			st.Latency.P50(), st.Latency.Quantile(90))
+	if got := RejectReason(len(want)).String(); got != "unknown" {
+		t.Fatalf("out-of-range reason prints %q", got)
 	}
 }
 
-// TestServeRejectTyped: the Reject error is typed, unwraps its cause,
-// and prints both reasons.
-func TestServeRejectTyped(t *testing.T) {
-	cause := errors.New("engine full")
-	r := &Reject{Reason: RejectCapacity, Backlog: 30 * time.Millisecond, Cause: cause}
-	if !errors.Is(r, cause) {
-		t.Fatal("Reject does not unwrap its cause")
+// TestServeConservation: every mode, under every overload fault plan,
+// with the defenses off and all on, conserves requests through a
+// calm/burst/calm arrival process — each arrival is served or shed
+// exactly once, in the run totals and in every phase — and leaves the
+// host fsck-clean.
+func TestServeConservation(t *testing.T) {
+	const requests = 160
+	storm := faults.KindRetryStorm
+	plans := []struct {
+		name string
+		plan faults.Plan
+	}{
+		{"none", faults.Plan{}},
+		{"storm", faults.Plan{Rate: 0.5, Kinds: []faults.Kind{storm}}},
+		{"mem+storm", faults.Plan{Rate: 0.05, Kinds: []faults.Kind{faults.KindMemPressure, storm}}},
+		{"quota+storm", faults.Plan{Rate: 0.1, Kinds: []faults.Kind{faults.KindStoreQuota, storm}}},
 	}
-	if r.Reason.String() != "capacity" || (&Reject{}).Reason.String() != "backlog" {
-		t.Fatalf("reason strings: %q / %q", r.Reason, (&Reject{}).Reason)
+	defenses := []Defense{{}, {AdaptiveAdmit: true, RetryBudget: 0.2, PriorityShed: true, Brownout: true}}
+	seed := uint64(0)
+	for _, mode := range []Mode{VMPerRequest, PoolReactive, PoolPredictive, Container, Process, VMPerRequestXL} {
+		capacity, err := EstimateCapacity(mode, guest.Daytime())
+		if err != nil {
+			t.Fatal(err)
+		}
+		perReq := time.Duration(float64(time.Second) / capacity)
+		t1, t2 := 50*perReq, 80*perReq
+		for _, p := range plans {
+			for di, d := range defenses {
+				seed++
+				name := fmt.Sprintf("%v/%s/def%d", mode, p.name, di)
+				st, h, err := Serve(Config{
+					Mode: mode,
+					Seed: seed,
+					Arrivals: NewPhased(seed, []PhaseRate{
+						{Rate: 0.7 * capacity, Until: t1},
+						{Rate: 3 * capacity, Until: t2},
+						{Rate: 0.7 * capacity},
+					}),
+					Requests:    requests,
+					MaxBacklog:  90 * perReq,
+					Timeout:     30 * perReq,
+					FaultPlan:   p.plan,
+					Defense:     d,
+					PhaseBounds: []time.Duration{t1, t2},
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				checkConservation(t, name, mode, requests, st)
+				if v := toolstack.Fsck(h.Env); len(v) > 0 {
+					t.Fatalf("%s: fsck: %v", name, v)
+				}
+			}
+		}
 	}
-	var rj *Reject
-	if !errors.As(error(r), &rj) {
-		t.Fatal("errors.As failed on *Reject")
+}
+
+func checkConservation(t *testing.T, name string, mode Mode, requests int, st *Stats) {
+	t.Helper()
+	if st.Arrived != st.Served+st.Rejected {
+		t.Fatalf("%s: arrived %d != served %d + rejected %d", name, st.Arrived, st.Served, st.Rejected)
+	}
+	if sum := st.RejectedBacklog + st.RejectedCapacity + st.RejectedOverload + st.RejectedQuota + st.RejectedBudget; sum != st.Rejected {
+		t.Fatalf("%s: reject reasons sum to %d, rejected %d", name, sum, st.Rejected)
+	}
+	if st.TimedOut > st.Served || st.Retries > st.RetryScheduled {
+		t.Fatalf("%s: timed out %d of %d served, %d retries of %d scheduled",
+			name, st.TimedOut, st.Served, st.Retries, st.RetryScheduled)
+	}
+	fresh := 0
+	for i, ph := range st.Phases {
+		if ph.Arrived != ph.Fresh+ph.Retried || ph.Arrived != ph.Served+ph.Rejected || ph.Served != ph.Good+ph.TimedOut {
+			t.Fatalf("%s: phase %d does not conserve requests: %+v", name, i, ph)
+		}
+		fresh += ph.Fresh
+	}
+	if fresh != requests {
+		t.Fatalf("%s: phases saw %d fresh arrivals, want %d", name, fresh, requests)
+	}
+	if mode.isVM() && st.AppCalls != uint64(st.Served) {
+		t.Fatalf("%s: %d app calls for %d served", name, st.AppCalls, st.Served)
 	}
 }
 

@@ -398,8 +398,6 @@ type (
 	// TrafficMode selects the serving backend (VM per request, warm
 	// pools, container, process).
 	TrafficMode = traffic.Mode
-	// TrafficReject is the typed admission-backpressure error.
-	TrafficReject = traffic.Reject
 	// RejectReason classifies admission backpressure (backlog,
 	// capacity, overload, quota, retry-budget).
 	RejectReason = traffic.RejectReason
@@ -440,7 +438,7 @@ const (
 	ScalePredictive = toolstack.ScalePredictive
 )
 
-// Admission reject reasons (TrafficReject.Reason).
+// Admission reject reasons (counted per reason in TrafficStats).
 const (
 	RejectBacklog  = traffic.RejectBacklog
 	RejectCapacity = traffic.RejectCapacity
