@@ -156,9 +156,10 @@ func (e *Engine) Run(imageName string) (*Container, error) {
 	e.Clock.Sleep(overhead)
 
 	// Materialize (share) layers.
-	for _, l := range img.Layers {
+	for i, l := range img.Layers {
 		if e.layerRefs[l.ID] == 0 {
 			if err := e.Mem.AllocBytes(l.Bytes, e.nextOwner); err != nil {
+				e.releaseLayers(img.Layers[:i])
 				return nil, fmt.Errorf("container: layer %s: %w", l.ID, err)
 			}
 			e.layerOwner[l.ID] = e.nextOwner
@@ -171,10 +172,7 @@ func (e *Engine) Run(imageName string) (*Container, error) {
 	owner := e.nextOwner
 	e.nextOwner++
 	if err := e.Mem.AllocBytes(img.AppMemBytes, owner); err != nil {
-		// Roll back layer refs.
-		for _, l := range img.Layers {
-			e.layerRefs[l.ID]--
-		}
+		e.releaseLayers(img.Layers)
 		return nil, fmt.Errorf("container: app memory: %w", err)
 	}
 
@@ -201,16 +199,22 @@ func (e *Engine) Stop(id string) error {
 	}
 	img := e.images[c.Image]
 	e.Mem.FreeOwner(c.memOwner)
-	for _, l := range img.Layers {
+	e.releaseLayers(img.Layers)
+	delete(e.containers, id)
+	e.Clock.Sleep(costs.ForkExec / 2) // SIGKILL + teardown
+	return nil
+}
+
+// releaseLayers drops one reference to each layer, freeing a layer's
+// shared pages when its last reference goes.
+func (e *Engine) releaseLayers(layers []Layer) {
+	for _, l := range layers {
 		e.layerRefs[l.ID]--
 		if e.layerRefs[l.ID] == 0 {
 			e.Mem.FreeOwner(e.layerOwner[l.ID])
 			delete(e.layerOwner, l.ID)
 		}
 	}
-	delete(e.containers, id)
-	e.Clock.Sleep(costs.ForkExec / 2) // SIGKILL + teardown
-	return nil
 }
 
 // ProcessRunner is the fork/exec baseline ("a process is created and

@@ -90,6 +90,52 @@ func TestLayersSharedBetweenContainers(t *testing.T) {
 	}
 }
 
+// TestFailedRunLeavesMemoryUnchanged: a Run that fails on a layer or on
+// app memory rolls back everything it took, so a layer it was first to
+// materialize is freed again, while one a running container still
+// shares stays put.
+func TestFailedRunLeavesMemoryUnchanged(t *testing.T) {
+	e, _, mem := newEngine(t, 1)
+	e.Pull(Image{Name: "app-too-big",
+		Layers:      []Layer{{ID: "base-alpine", Bytes: 5 << 20}, {ID: "fits", Bytes: 8 << 20}},
+		AppMemBytes: 4 << 30})
+	e.Pull(Image{Name: "layer-too-big",
+		Layers:      []Layer{{ID: "fits", Bytes: 8 << 20}, {ID: "huge", Bytes: 4 << 30}},
+		AppMemBytes: 1 << 20})
+	base := mem.UsedBytes()
+	failRun := func(image string) {
+		t.Helper()
+		before := mem.UsedBytes()
+		if _, err := e.Run(image); !errors.Is(err, mm.ErrOutOfMemory) {
+			t.Fatalf("run %s: %v, want out of memory", image, err)
+		}
+		if mem.UsedBytes() != before {
+			t.Fatalf("failed run %s: memory used %d, was %d", image, mem.UsedBytes(), before)
+		}
+	}
+	failRun("app-too-big")
+	failRun("layer-too-big")
+	if len(e.layerOwner) != 0 {
+		t.Fatalf("failed runs left layers %v materialized", e.layerOwner)
+	}
+
+	// A failure sharing a running container's layer leaves it in place.
+	c, err := e.Run("noop")
+	if err != nil {
+		t.Fatal(err)
+	}
+	failRun("app-too-big")
+	if e.layerRefs["base-alpine"] != 1 {
+		t.Fatalf("base-alpine refcount = %d after the failed run, want 1", e.layerRefs["base-alpine"])
+	}
+	if err := e.Stop(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	if mem.UsedBytes() != base {
+		t.Fatalf("memory used %d after stop, want the engine's %d", mem.UsedBytes(), base)
+	}
+}
+
 func TestStartTimeGrowsWithPopulation(t *testing.T) {
 	e, _, _ := newEngine(t, 64)
 	first, err := e.Run("noop")

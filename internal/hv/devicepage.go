@@ -80,6 +80,10 @@ func (h *Hypervisor) DevicePageWrite(caller, id DomID, e DevEntry) error {
 	if len(d.DevPage.Entries) >= DevicePageSlots {
 		return ErrDevPageFull
 	}
+	if d.DevPage.Entries == nil {
+		// Room for what every noxs guest carries: a vif and sysctl.
+		d.DevPage.Entries = make([]DevEntry, 0, 2)
+	}
 	d.DevPage.Entries = append(d.DevPage.Entries, e)
 	h.charge(costs.NoxsDevicePageWrite)
 	return nil

@@ -2,7 +2,6 @@ package hv
 
 import (
 	"fmt"
-	"sort"
 
 	"lightvm/internal/costs"
 )
@@ -31,17 +30,15 @@ func (h *Hypervisor) AllocUnboundPort(owner, peer DomID) (Port, error) {
 	if _, err := h.Domain(owner); err != nil {
 		return 0, err
 	}
-	h.nextPort++
-	p := h.nextPort
-	h.ports[p] = &channel{owner: owner, peer: peer}
+	p := h.ports.put(channel{owner: owner, peer: peer})
 	h.charge(costs.EventChannelAlloc)
 	return p, nil
 }
 
 // BindPort attaches the peer's upcall handler to the channel.
 func (h *Hypervisor) BindPort(p Port, peer DomID, fn Handler) error {
-	ch, ok := h.ports[p]
-	if !ok {
+	ch := h.ports.get(p)
+	if ch == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchPort, p)
 	}
 	if ch.peer != peer {
@@ -56,8 +53,8 @@ func (h *Hypervisor) BindPort(p Port, peer DomID, fn Handler) error {
 // Send notifies the remote end of the channel. The upcall (software
 // interrupt) is charged and the handler runs inline.
 func (h *Hypervisor) Send(p Port) error {
-	ch, ok := h.ports[p]
-	if !ok {
+	ch := h.ports.get(p)
+	if ch == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchPort, p)
 	}
 	h.Count.EvtchnSends++
@@ -71,10 +68,9 @@ func (h *Hypervisor) Send(p Port) error {
 
 // ClosePort tears down an event channel.
 func (h *Hypervisor) ClosePort(p Port) error {
-	if _, ok := h.ports[p]; !ok {
+	if !h.ports.del(p) {
 		return fmt.Errorf("%w: %d", ErrNoSuchPort, p)
 	}
-	delete(h.ports, p)
 	h.charge(0)
 	return nil
 }
@@ -82,14 +78,14 @@ func (h *Hypervisor) ClosePort(p Port) error {
 // PortPending reports the number of undelivered-or-delivered sends on
 // a port (diagnostic).
 func (h *Hypervisor) PortPending(p Port) uint64 {
-	if ch, ok := h.ports[p]; ok {
+	if ch := h.ports.get(p); ch != nil {
 		return ch.pending
 	}
 	return 0
 }
 
 // NumPorts reports live event channels (diagnostic).
-func (h *Hypervisor) NumPorts() int { return len(h.ports) }
+func (h *Hypervisor) NumPorts() int { return h.ports.n }
 
 // GrantRef names an entry in a domain's grant table.
 type GrantRef uint32
@@ -108,17 +104,15 @@ func (h *Hypervisor) GrantAccess(owner, peer DomID, frame uint64, readonly bool)
 	if _, err := h.Domain(owner); err != nil {
 		return 0, err
 	}
-	h.nextGrant++
-	r := h.nextGrant
-	h.grants[r] = &grant{owner: owner, peer: peer, frame: frame, readonly: readonly}
+	r := h.grants.put(grant{owner: owner, peer: peer, frame: frame, readonly: readonly})
 	h.charge(costs.GrantRefSetup)
 	return r, nil
 }
 
 // MapGrant maps a granted page into peer's address space.
 func (h *Hypervisor) MapGrant(r GrantRef, peer DomID) (uint64, error) {
-	g, ok := h.grants[r]
-	if !ok {
+	g := h.grants.get(r)
+	if g == nil {
 		return 0, fmt.Errorf("%w: %d", ErrNoSuchGrant, r)
 	}
 	if g.peer != peer {
@@ -132,16 +126,15 @@ func (h *Hypervisor) MapGrant(r GrantRef, peer DomID) (uint64, error) {
 
 // EndGrant revokes a grant.
 func (h *Hypervisor) EndGrant(r GrantRef) error {
-	if _, ok := h.grants[r]; !ok {
+	if !h.grants.del(r) {
 		return fmt.Errorf("%w: %d", ErrNoSuchGrant, r)
 	}
-	delete(h.grants, r)
 	h.charge(0)
 	return nil
 }
 
 // NumGrants reports live grant entries (diagnostic).
-func (h *Hypervisor) NumGrants() int { return len(h.grants) }
+func (h *Hypervisor) NumGrants() int { return h.grants.n }
 
 // Endpoint names one side of an event channel or grant as seen by an
 // auditor: which domains the entry ties together.
@@ -154,43 +147,29 @@ type Endpoint struct {
 // sorted by port number. It is a pure inspection: no virtual time is
 // charged, so invariant checkers can call it without perturbing runs.
 func (h *Hypervisor) PortEndpoints() []Endpoint {
-	ports := make([]Port, 0, len(h.ports))
-	for p := range h.ports {
-		ports = append(ports, p)
-	}
-	sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-	out := make([]Endpoint, len(ports))
-	for i, p := range ports {
-		ch := h.ports[p]
-		out[i] = Endpoint{Owner: ch.owner, Peer: ch.peer}
-	}
+	out := make([]Endpoint, 0, h.ports.n)
+	h.ports.each(func(_ Port, ch *channel) {
+		out = append(out, Endpoint{Owner: ch.owner, Peer: ch.peer})
+	})
 	return out
 }
 
 // GrantEndpoints lists every live grant's (owner, peer) pair, sorted
 // by grant ref. Clock-free, like PortEndpoints.
 func (h *Hypervisor) GrantEndpoints() []Endpoint {
-	refs := make([]GrantRef, 0, len(h.grants))
-	for r := range h.grants {
-		refs = append(refs, r)
-	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i] < refs[j] })
-	out := make([]Endpoint, len(refs))
-	for i, r := range refs {
-		g := h.grants[r]
-		out[i] = Endpoint{Owner: g.owner, Peer: g.peer}
-	}
+	out := make([]Endpoint, 0, h.grants.n)
+	h.grants.each(func(_ GrantRef, g *grant) {
+		out = append(out, Endpoint{Owner: g.owner, Peer: g.peer})
+	})
 	return out
 }
 
 // HasPort reports whether a port exists, without charging time.
 func (h *Hypervisor) HasPort(p Port) bool {
-	_, ok := h.ports[p]
-	return ok
+	return h.ports.get(p) != nil
 }
 
 // HasGrant reports whether a grant ref exists, without charging time.
 func (h *Hypervisor) HasGrant(r GrantRef) bool {
-	_, ok := h.grants[r]
-	return ok
+	return h.grants.get(r) != nil
 }

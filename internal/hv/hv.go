@@ -11,7 +11,6 @@ package hv
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/mm"
@@ -114,13 +113,12 @@ type Hypervisor struct {
 	// memory-deduplication extension.
 	Share *mm.SharePool
 
-	domains map[DomID]*Domain
-	nextID  DomID
-
-	ports     map[Port]*channel
-	nextPort  Port
-	grants    map[GrantRef]*grant
-	nextGrant GrantRef
+	// Domains, event channels and grants by id. Each table issues its
+	// own ids, monotonic and never reused: Dom0 is 0, and ports and
+	// grant refs start at 1.
+	domains table[DomID, *Domain]
+	ports   table[Port, channel]
+	grants  table[GrantRef, grant]
 
 	Count Counters
 }
@@ -129,12 +127,10 @@ type Hypervisor struct {
 // Dom0's base memory is reserved immediately.
 func New(clock *sim.Clock, hostMemBytes uint64) *Hypervisor {
 	h := &Hypervisor{
-		Clock:   clock,
-		Mem:     mm.New(hostMemBytes),
-		domains: make(map[DomID]*Domain),
-		nextID:  1,
-		ports:   make(map[Port]*channel),
-		grants:  make(map[GrantRef]*grant),
+		Clock:  clock,
+		Mem:    mm.New(hostMemBytes),
+		ports:  table[Port, channel]{next: 1},
+		grants: table[GrantRef, grant]{next: 1},
 	}
 	h.Share = mm.NewSharePool(h.Mem)
 	dom0 := &Domain{ID: 0, State: StateRunning, CreatedAt: clock.Now()}
@@ -143,7 +139,7 @@ func New(clock *sim.Clock, hostMemBytes uint64) *Hypervisor {
 		panic("hv: host too small for Dom0")
 	}
 	dom0.MemBytes = dom0Bytes
-	h.domains[0] = dom0
+	h.domains.put(dom0)
 	return h
 }
 
@@ -155,25 +151,24 @@ func (h *Hypervisor) charge(extra sim.Duration) {
 
 // Domain returns the domain with the given ID.
 func (h *Hypervisor) Domain(id DomID) (*Domain, error) {
-	d, ok := h.domains[id]
-	if !ok {
+	d := h.domains.get(id)
+	if d == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchDomain, id)
 	}
-	return d, nil
+	return *d, nil
 }
 
 // NumDomains reports the number of live guest domains (excluding Dom0).
-func (h *Hypervisor) NumDomains() int { return len(h.domains) - 1 }
+func (h *Hypervisor) NumDomains() int { return h.domains.n - 1 }
 
 // DomainIDs returns all guest domain IDs in ascending order.
 func (h *Hypervisor) DomainIDs() []DomID {
-	out := make([]DomID, 0, len(h.domains))
-	for id := range h.domains {
+	out := make([]DomID, 0, h.domains.n-1)
+	h.domains.each(func(id DomID, _ **Domain) {
 		if id != 0 {
 			out = append(out, id)
 		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	})
 	return out
 }
 
@@ -186,12 +181,11 @@ func (h *Hypervisor) CreateDomain(cfg Config) (*Domain, error) {
 		cfg.VCPUs = 1
 	}
 	d := &Domain{
-		ID:        h.nextID,
 		State:     StateCreated,
 		MaxMem:    cfg.MaxMem,
 		CreatedAt: h.Clock.Now(),
 	}
-	h.nextID++
+	d.ID = h.domains.put(d)
 	for i := 0; i < cfg.VCPUs; i++ {
 		core := i
 		if len(cfg.Cores) > 0 {
@@ -199,7 +193,6 @@ func (h *Hypervisor) CreateDomain(cfg Config) (*Domain, error) {
 		}
 		d.VCPUs = append(d.VCPUs, VCPU{ID: i, Core: core})
 	}
-	h.domains[d.ID] = d
 	h.Count.DomainsMade++
 	h.charge(costs.HypervisorReserve)
 	return d, nil
@@ -326,26 +319,26 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 		return err
 	}
 	d.State = StateDying
-	for port, ch := range h.ports {
+	h.ports.each(func(p Port, ch *channel) {
 		if ch.owner == id || ch.peer == id {
-			delete(h.ports, port)
+			h.ports.del(p)
 		}
-	}
-	for ref, g := range h.grants {
+	})
+	h.grants.each(func(r GrantRef, g *grant) {
 		// Both endpoints release: a dying guest's mappings of Dom0
 		// backend grants (owner=0, peer=guest) must not outlive it, or
 		// the grant table fills with entries no one can ever end.
 		if g.owner == id || g.peer == id {
-			delete(h.grants, ref)
+			h.grants.del(r)
 		}
-	}
+	})
 	h.Mem.FreeOwner(mm.Owner(id))
 	for _, key := range d.SharedKeys {
 		if err := h.Share.Release(key); err != nil {
 			return fmt.Errorf("hv: destroy %d: %w", id, err)
 		}
 	}
-	delete(h.domains, id)
+	h.domains.del(id)
 	h.Count.DomainsGone++
 	// Teardown walks the page lists; charge proportional to memory.
 	mb := float64(d.MemBytes) / (1024 * 1024)

@@ -314,7 +314,9 @@ func (p *Pool) prepare(f Flavor) (*Shell, error) {
 	e.Clock.Sleep(costs.ShellPrepare)
 	p.Stats.Prepared++
 	e.journalClear(f.Store, key)
-	e.Trace.Emit("pool", "prepare", f.key(), "", 0)
+	if e.Trace != nil {
+		e.Trace.Emit("pool", "prepare", f.key(), "", 0)
+	}
 	return &Shell{Dom: dom, Core: core, Flavor: f}, nil
 }
 
