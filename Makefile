@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-check bench-digests verify verify-race race fuzz-smoke cover-xenstore cover-traffic cover-html bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
+.PHONY: build test bench-check bench-digests verify verify-race race fuzz-smoke cover-xenstore cover-traffic bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
 
 # Newest checked-in benchmark report; bench-compare reruns its figures
 # and fails on regression. Override with BASELINE=path to pin another.
@@ -74,8 +74,11 @@ fuzz-smoke:
 
 # Line-coverage gate for the store: the unit suite plus the
 # model-checking harness must keep internal/xenstore at or above 80%.
+# The same run writes coverage-xenstore.html first, so CI uploads it
+# as an artifact even when the gate fails.
 cover-xenstore:
 	$(GO) test ./internal/xenstore -coverprofile=xenstore.cover > /dev/null
+	$(GO) tool cover -html=xenstore.cover -o coverage-xenstore.html
 	@$(GO) tool cover -func=xenstore.cover | awk '/^total:/ { print "xenstore line coverage: " $$3; if ($$3 + 0 < 80) { print "FAIL: below the 80% gate"; exit 1 } }'
 	@rm -f xenstore.cover
 
@@ -86,12 +89,6 @@ cover-traffic:
 	$(GO) test ./internal/traffic -coverprofile=traffic.cover > /dev/null
 	@$(GO) tool cover -func=traffic.cover | awk '/^total:/ { print "traffic line coverage: " $$3; if ($$3 + 0 < 90) { print "FAIL: below the 90% gate"; exit 1 } }'
 	@rm -f traffic.cover
-
-# Coverage HTML for the xenstore suite (uploaded as a CI artifact).
-cover-html:
-	$(GO) test ./internal/xenstore -coverprofile=xenstore.cover > /dev/null
-	$(GO) tool cover -html=xenstore.cover -o coverage-xenstore.html
-	@rm -f xenstore.cover
 
 # Profiling smoke: one store-heavy figure at small scale with CPU+heap
 # capture. Asserts both pprof files were written non-empty and that the

@@ -171,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "paper: %s\n", res.Paper)
 		if res.Profile != nil {
-			fmt.Fprint(stdout, res.Profile.Text)
+			fmt.Fprint(stdout, res.Profile.String())
 		}
 		if s := res.Serving; s != nil {
 			fmt.Fprintf(stdout, "serving: p50 %.1fms p99 %.1fms p999 %.1fms, %d arrived, reject %.2f%%%s",

@@ -103,10 +103,10 @@ const (
 	// aborting. Opt-in like KindToolstackCrash: it changes workload
 	// outcomes, so only pressure-aware drivers name it.
 	KindMemPressure
-	// KindStoreQuota exhausts a domain's XenStore node/watch quota at
-	// the daemon: the next quota-charged operation is refused with the
-	// typed *xenstore.ErrQuotaExceeded (sites: xl/chaos create store
-	// sections, xenstore WriteAsGuest/WatchAsGuest). Recovery: the
+	// KindStoreQuota exhausts a domain's XenStore node quota at the
+	// daemon: the domain's registry writes are refused with the typed
+	// *xenstore.ErrQuotaExceeded (sites: xl/chaos create store
+	// sections). Recovery: the
 	// create path rolls the half-built domain back; the serving plane
 	// sheds the request with RejectQuota. Opt-in.
 	KindStoreQuota

@@ -14,21 +14,15 @@ import (
 // Checks:
 //   - cached subtree sizes match a recount (Rm charges by size, so a
 //     stale size silently misprices operations);
-//   - cached child counts (nkids) match the trie;
-//   - the per-domain quota ledger matches the number of nodes each
-//     domain actually owns in the tree, in both directions.
+//   - cached child counts (nkids) match the trie.
 //
 // Like Snapshot, it only reads the published root and charges no
 // virtual time, so experiments can audit themselves without
 // perturbing their own figures.
 func (s *Store) CheckConsistency() []string {
 	var out []string
-	owned := make(map[int]int)
 	var walk func(path string, n *node) int
 	walk = func(path string, n *node) int {
-		if n.owner != 0 {
-			owned[n.owner]++
-		}
 		size, kids := 1, 0
 		n.eachChild(func(c *node) bool {
 			kids++
@@ -43,22 +37,7 @@ func (s *Store) CheckConsistency() []string {
 		}
 		return size
 	}
-	root := s.loaded().root
-	walk("", root)
-	for owner, n := range owned {
-		if got := s.ownerNodes[owner]; got != n {
-			out = append(out, fmt.Sprintf("quota ledger: domain %d charged %d nodes, owns %d", owner, got, n))
-		}
-	}
-	for owner, n := range s.ownerNodes {
-		if owner == 0 {
-			out = append(out, fmt.Sprintf("quota ledger: dom0 charged %d nodes (never recorded)", n))
-			continue
-		}
-		if owned[owner] == 0 {
-			out = append(out, fmt.Sprintf("quota ledger: domain %d charged %d nodes, owns none", owner, n))
-		}
-	}
+	walk("", s.loaded().root)
 	sort.Strings(out)
 	return out
 }

@@ -86,7 +86,6 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(empty.Snapshot().Serialize())
 	populated, _ := newStore()
 	populateGuests(populated, 3)
-	populated.SetPerm("/local/domain/2/name", 2, PermBoth)
 	f.Add(populated.Snapshot().Serialize())
 	sub, _ := populated.Snapshot().Subtree("/local/domain/1")
 	f.Add(sub.Serialize())

@@ -3,15 +3,15 @@ package xenstore
 // Model-checking harness: seeded random operation sequences run
 // against the copy-on-write store AND a deliberately dumb reference
 // model (a flat map of paths). Any divergence — values, listings,
-// errors, watch firings, quota accounting, transaction conflicts, or a
-// mid-sequence snapshot that fails to stay frozen — fails with the
-// seed and operation index, so a failure reproduces by seed alone.
+// errors, watch firings, transaction conflicts, or a mid-sequence
+// snapshot that fails to stay frozen — fails with the seed and
+// operation index, so a failure reproduces by seed alone.
 //
 // The reference model mirrors the store's *semantics*, including its
 // generation-bump discipline (parents bump when a child is created
-// beneath them, leaves bump on value writes, Rm bumps the parent,
-// SetPerm bumps nothing), so transaction conflict detection is
-// predicted exactly rather than approximated.
+// beneath them, leaves bump on value writes, Rm bumps the parent), so
+// transaction conflict detection is predicted exactly rather than
+// approximated.
 
 import (
 	"errors"
@@ -29,8 +29,6 @@ import (
 
 type refNode struct {
 	value string
-	owner int
-	perm  Perm
 	gen   uint64
 }
 
@@ -48,18 +46,12 @@ type watchEvent struct {
 type refStore struct {
 	nodes   map[string]*refNode // normalized path → node; "/" always present
 	gen     uint64
-	quota   int
-	owned   map[int]int
 	watches []*refWatch // registration order (matches store delivery order)
 	events  []watchEvent
 }
 
-func newRefStore(quota int) *refStore {
-	return &refStore{
-		nodes: map[string]*refNode{"/": {}},
-		quota: quota,
-		owned: map[int]int{},
-	}
+func newRefStore() *refStore {
+	return &refStore{nodes: map[string]*refNode{"/": {}}}
 }
 
 func refParent(p string) string {
@@ -78,17 +70,17 @@ func (m *refStore) fire(path string) {
 	}
 }
 
-// ensure creates missing components of p, owned by owner, bumping each
-// parent's generation at the moment of creation (the store's top-down
-// order). Reports how many components it created.
-func (m *refStore) ensure(owner int, p string) int {
+// ensure creates missing components of p, bumping each parent's
+// generation at the moment of creation (the store's top-down order).
+// Reports how many components it created.
+func (m *refStore) ensure(p string) int {
 	segs := strings.Split(strings.Trim(p, "/"), "/")
 	cur, parent := "", "/"
 	created := 0
 	for _, seg := range segs {
 		cur += "/" + seg
 		if _, ok := m.nodes[cur]; !ok {
-			m.nodes[cur] = &refNode{owner: owner}
+			m.nodes[cur] = &refNode{}
 			m.gen++
 			m.nodes[parent].gen = m.gen
 			created++
@@ -98,51 +90,13 @@ func (m *refStore) ensure(owner int, p string) int {
 	return created
 }
 
-func (m *refStore) missing(p string) int {
-	segs := strings.Split(strings.Trim(p, "/"), "/")
-	cur, missing := "", 0
-	for _, seg := range segs {
-		cur += "/" + seg
-		if missing > 0 {
-			missing++
-			continue
-		}
-		if _, ok := m.nodes[cur]; !ok {
-			missing = 1
-		}
-	}
-	return missing
-}
-
-func (m *refStore) writeAs(owner int, p, value string) {
-	m.ensure(owner, p)
+func (m *refStore) write(p, value string) {
+	m.ensure(p)
 	m.gen++
 	n := m.nodes[p]
 	n.gen = m.gen
 	n.value = value
 	m.fire(p)
-}
-
-func (m *refStore) writeAsGuest(owner int, p, value string) error {
-	if created := m.missing(p); created > 0 && owner != 0 {
-		next := m.owned[owner] + created
-		if m.quota > 0 && next > m.quota {
-			return ErrQuota
-		}
-		m.owned[owner] = next
-	}
-	m.writeAs(owner, p, value)
-	return nil
-}
-
-// debitOwner mirrors the store's per-node quota return.
-func (m *refStore) debitOwner(owner int) {
-	if owner == 0 {
-		return
-	}
-	if m.owned[owner]--; m.owned[owner] <= 0 {
-		delete(m.owned, owner)
-	}
 }
 
 func (m *refStore) read(p string) (string, error) {
@@ -184,16 +138,6 @@ func (m *refStore) directory(p string) ([]string, error) {
 	return m.children(p), nil
 }
 
-func (m *refStore) subtreeSize(p string) int {
-	count := 0
-	for q := range m.nodes {
-		if q == p || strings.HasPrefix(q, p+"/") {
-			count++
-		}
-	}
-	return count
-}
-
 func (m *refStore) rm(p string) error {
 	if p == "/" {
 		return errors.New("cannot remove root")
@@ -203,7 +147,6 @@ func (m *refStore) rm(p string) error {
 	}
 	for q := range m.nodes {
 		if q == p || strings.HasPrefix(q, p+"/") {
-			m.debitOwner(m.nodes[q].owner)
 			delete(m.nodes, q)
 		}
 	}
@@ -213,75 +156,10 @@ func (m *refStore) rm(p string) error {
 	return nil
 }
 
-func (m *refStore) rmOwned(owner int, p string) error {
-	if !m.exists(p) {
-		return ErrNoEnt
-	}
-	// Quota returns to each node's actual owner inside rm.
-	return m.rm(p)
-}
-
 func (m *refStore) mkdir(p string) {
-	if m.ensure(0, p) > 0 {
+	if m.ensure(p) > 0 {
 		m.fire(p)
 	}
-}
-
-func (m *refStore) setPerm(p string, owner int, perm Perm) error {
-	n, ok := m.nodes[p]
-	if !ok {
-		return ErrNoEnt
-	}
-	if n.owner != owner {
-		m.debitOwner(n.owner)
-		if owner != 0 {
-			m.owned[owner]++
-		}
-	}
-	n.owner = owner
-	n.perm = perm
-	return nil
-}
-
-// mayRead / mayWrite mirror perms.go, including the plain HasPrefix on
-// the guest's own subtree.
-func (m *refStore) mayRead(domid int, p string, n *refNode) bool {
-	if domid == 0 || n.owner == domid {
-		return true
-	}
-	if strings.HasPrefix(p, guestDomainPrefix(domid)) {
-		return true
-	}
-	return n.perm == PermRead || n.perm == PermBoth
-}
-
-func (m *refStore) mayWrite(domid int, p string, n *refNode) bool {
-	if domid == 0 || (n != nil && n.owner == domid) {
-		return true
-	}
-	if strings.HasPrefix(p, guestDomainPrefix(domid)) {
-		return true
-	}
-	return n != nil && (n.perm == PermWrite || n.perm == PermBoth)
-}
-
-func (m *refStore) guestRead(domid int, p string) (string, error) {
-	n, ok := m.nodes[p]
-	if !ok {
-		return "", ErrNoEnt
-	}
-	if !m.mayRead(domid, p, n) {
-		return "", ErrPermission
-	}
-	return n.value, nil
-}
-
-func (m *refStore) guestWrite(domid int, p, value string) error {
-	n := m.nodes[p]
-	if !m.mayWrite(domid, p, n) {
-		return ErrPermission
-	}
-	return m.writeAsGuest(domid, p, value)
 }
 
 func (m *refStore) writeUniqueName(dir, key, name string) error {
@@ -292,7 +170,7 @@ func (m *refStore) writeUniqueName(dir, key, name string) error {
 			}
 		}
 	}
-	m.writeAs(0, dir+"/"+key, name)
+	m.write(dir+"/"+key, name)
 	return nil
 }
 
@@ -412,7 +290,7 @@ func (t *refTx) commit(m *refStore) bool {
 		if v := t.writes[p]; v == nil {
 			_ = m.rm(p)
 		} else {
-			m.writeAs(0, p, *v)
+			m.write(p, *v)
 		}
 	}
 	return false
@@ -470,9 +348,7 @@ func sameErr(got error, want error) bool {
 func runModelSequence(t *testing.T, seed int64, ops int) {
 	r := rand.New(rand.NewSource(seed))
 	s, _ := newStore()
-	const quota = 10 // small enough that guests hit ErrQuota in-sequence
-	s.SetNodeQuota(quota)
-	m := newRefStore(quota)
+	m := newRefStore()
 
 	var realEvents []watchEvent
 	type liveWatch struct {
@@ -491,24 +367,10 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 
 	for op := 0; op < ops; op++ {
 		switch k := r.Intn(100); {
-		case k < 18: // Dom0 write
+		case k < 26: // write
 			p, v := randPath(r), randValue(r)
 			s.Write(p, v)
-			m.writeAs(0, p, v)
-		case k < 26: // guest write under quota
-			owner, p, v := 1+r.Intn(3), randPath(r), randValue(r)
-			gotErr := s.WriteAsGuest(owner, p, v)
-			wantErr := m.writeAsGuest(owner, p, v)
-			if !sameErr(gotErr, wantErr) {
-				fail(op, "WriteAsGuest(%d, %q): store %v, model %v", owner, p, gotErr, wantErr)
-			}
-		case k < 30: // ACL-checked guest write
-			domid, p, v := 1+r.Intn(3), randPath(r), randValue(r)
-			gotErr := s.GuestWrite(domid, p, v)
-			wantErr := m.guestWrite(domid, p, v)
-			if !sameErr(gotErr, wantErr) {
-				fail(op, "GuestWrite(%d, %q): store %v, model %v", domid, p, gotErr, wantErr)
-			}
+			m.write(p, v)
 		case k < 40: // read
 			p := randPath(r)
 			got, gotErr := s.Read(p)
@@ -516,69 +378,37 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			if got != want || !sameErr(gotErr, wantErr) {
 				fail(op, "Read(%q): store (%q, %v), model (%q, %v)", p, got, gotErr, want, wantErr)
 			}
-		case k < 44: // guest read with ACLs
-			domid, p := 1+r.Intn(3), randPath(r)
-			got, gotErr := s.GuestRead(domid, p)
-			want, wantErr := m.guestRead(domid, p)
-			if got != want || !sameErr(gotErr, wantErr) {
-				fail(op, "GuestRead(%d, %q): store (%q, %v), model (%q, %v)", domid, p, got, gotErr, want, wantErr)
-			}
-		case k < 49: // exists
+		case k < 46: // exists
 			p := randPath(r)
 			if got, want := s.Exists(p), m.exists(p); got != want {
 				fail(op, "Exists(%q): store %v, model %v", p, got, want)
 			}
-		case k < 56: // directory
+		case k < 55: // directory
 			p := randPath(r)
 			got, gotErr := s.Directory(p)
 			want, wantErr := m.directory(p)
 			if !sameErr(gotErr, wantErr) || !equalStrings(got, want) {
 				fail(op, "Directory(%q): store (%v, %v), model (%v, %v)", p, got, gotErr, want, wantErr)
 			}
-		case k < 61: // rm
+		case k < 62: // rm
 			p := randPath(r)
 			gotErr := s.Rm(p)
 			wantErr := m.rm(p)
 			if !sameErr(gotErr, wantErr) {
 				fail(op, "Rm(%q): store %v, model %v", p, gotErr, wantErr)
 			}
-		case k < 63: // rm with quota return
-			owner, p := 1+r.Intn(3), randPath(r)
-			gotErr := s.RmOwned(owner, p)
-			wantErr := m.rmOwned(owner, p)
-			if !sameErr(gotErr, wantErr) {
-				fail(op, "RmOwned(%d, %q): store %v, model %v", owner, p, gotErr, wantErr)
-			}
 		case k < 66: // mkdir
 			p := randPath(r)
 			s.Mkdir(p)
 			m.mkdir(p)
-		case k < 70: // setperm (no generation bump)
-			p, owner, perm := randPath(r), r.Intn(4), Perm(r.Intn(4))
-			gotErr := s.SetPerm(p, owner, perm)
-			wantErr := m.setPerm(p, owner, perm)
-			if !sameErr(gotErr, wantErr) {
-				fail(op, "SetPerm(%q): store %v, model %v", p, gotErr, wantErr)
-			}
-		case k < 72: // permof
-			p := randPath(r)
-			gotO, gotP, gotErr := s.PermOf(p)
-			n, ok := m.nodes[p]
-			if !ok {
-				if !errors.Is(gotErr, ErrNoEnt) {
-					fail(op, "PermOf(%q): store %v, model ErrNoEnt", p, gotErr)
-				}
-			} else if gotErr != nil || gotO != n.owner || gotP != n.perm {
-				fail(op, "PermOf(%q): store (%d, %v, %v), model (%d, %v)", p, gotO, gotP, gotErr, n.owner, n.perm)
-			}
-		case k < 74: // unique-name registration
+		case k < 70: // unique-name registration
 			dir, key, name := randPath(r), modelSegs[r.Intn(len(modelSegs))], randValue(r)
 			gotErr := s.WriteUniqueName(dir, key, name)
 			wantErr := m.writeUniqueName(dir, key, name)
 			if !sameErr(gotErr, wantErr) {
 				fail(op, "WriteUniqueName(%q, %q, %q): store %v, model %v", dir, key, name, gotErr, wantErr)
 			}
-		case k < 77: // register a watch
+		case k < 74: // register a watch
 			p, tok := randPath(r), fmt.Sprintf("t%d", r.Intn(8))
 			rw := &refWatch{prefix: p, token: tok, active: true}
 			id := s.Watch(p, tok, func(path, token string) {
@@ -586,14 +416,14 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			})
 			m.watches = append(m.watches, rw)
 			watches = append(watches, liveWatch{id: id, rw: rw})
-		case k < 79: // drop a watch
+		case k < 77: // drop a watch
 			if len(watches) > 0 {
 				i := r.Intn(len(watches))
 				s.Unwatch(watches[i].id)
 				watches[i].rw.active = false
 				watches = append(watches[:i], watches[i+1:]...)
 			}
-		case k < 82: // freeze a snapshot mid-sequence
+		case k < 81: // freeze a snapshot mid-sequence
 			frozen = append(frozen, frozenPair{opIndex: op, sn: s.Snapshot(), want: m.snapshotCopy()})
 		default: // transaction step (interleaved: up to 3 open at once)
 			if len(txns) < 3 && (len(txns) == 0 || r.Intn(2) == 0) {
@@ -676,14 +506,8 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			t.Fatalf("seed %d: end children of %q: store (%v, %v), model %v", seed, p, got, err, m.children(p))
 		}
 	}
-	for owner := 1; owner <= 3; owner++ {
-		if got, want := s.OwnerNodes(owner), m.owned[owner]; got != want {
-			t.Fatalf("seed %d: quota ledger for domain %d: store %d, model %d", seed, owner, got, want)
-		}
-	}
-
 	// The store must also self-audit clean after every sequence: cached
-	// sizes, child counts, and the quota ledger all match the tree.
+	// sizes and child counts match the tree.
 	if v := s.CheckConsistency(); len(v) != 0 {
 		t.Fatalf("seed %d: CheckConsistency: %v", seed, v)
 	}
@@ -731,8 +555,8 @@ func TestModelCheckStore(t *testing.T) {
 }
 
 // TestModelCheckLongSequences drives fewer but much longer sequences,
-// deep enough for log rotation (13,215 lines) and quota churn to occur
-// inside a single store lifetime.
+// deep enough for log rotation (13,215 lines) and long watch and
+// transaction histories to occur inside a single store lifetime.
 func TestModelCheckLongSequences(t *testing.T) {
 	for seed := int64(10_000); seed < 10_004; seed++ {
 		runModelSequence(t, seed, 4000)

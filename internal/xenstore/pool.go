@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Node and trie-level pooling for the mutation path.
 //
-// Every Write/Rm/SetPerm copies the spine of the immutable tree — that
+// Every Write/Rm/graft copies the spine of the immutable tree — that
 // is the price of O(1) snapshots — and before this pool existed, every
 // copy was a fresh heap allocation and every replaced spine became GC
 // work. The profile attributed ~60% of fig12a's allocations to exactly

@@ -38,166 +38,67 @@ func TestVariantNames(t *testing.T) {
 	}
 }
 
-func TestGuestNodeQuota(t *testing.T) {
-	s, _ := newStore()
-	s.SetNodeQuota(10)
-	// A guest can create up to its quota…
-	for i := 0; i < 10; i++ {
-		if err := s.WriteAsGuest(5, fmt.Sprintf("/local/domain/5/data/k%d", i), "v"); err != nil {
-			// Intermediate dirs count too; accept an early quota hit
-			// but require at least a few writes to land.
-			if i < 3 {
-				t.Fatalf("write %d: %v", i, err)
-			}
-			break
-		}
-	}
-	// …and is eventually refused.
-	var quotaErr error
-	for i := 0; i < 20; i++ {
-		if err := s.WriteAsGuest(5, fmt.Sprintf("/local/domain/5/more/k%d", i), "v"); err != nil {
-			quotaErr = err
-			break
-		}
-	}
-	if !errors.Is(quotaErr, ErrQuota) {
-		t.Fatalf("quota never enforced: %v", quotaErr)
-	}
-	if s.OwnerNodes(5) > 10 {
-		t.Fatalf("owner holds %d nodes over quota", s.OwnerNodes(5))
-	}
-}
-
+// TestQuotaDoesNotBindDom0: the store itself refuses no toolstack
+// write — a domain's registry may grow past DefaultNodeQuota nodes.
+// Quota refusals come only from the toolstack's create gate.
 func TestQuotaDoesNotBindDom0(t *testing.T) {
 	s, _ := newStore()
-	s.SetNodeQuota(5)
-	for i := 0; i < 50; i++ {
-		if err := s.WriteAsGuest(0, fmt.Sprintf("/toolstack/k%d", i), "v"); err != nil {
-			t.Fatalf("dom0 write refused: %v", err)
-		}
+	s.LoggingEnabled = false
+	before := s.NumNodes()
+	for i := 0; i < DefaultNodeQuota+10; i++ {
+		s.Write(fmt.Sprintf("/local/domain/5/data/k%d", i), "v")
+	}
+	// /local, /local/domain, /local/domain/5, data, plus every key.
+	if got, want := s.NumNodes()-before, DefaultNodeQuota+10+4; got != want {
+		t.Fatalf("dom0 writes created %d nodes, want %d", got, want)
 	}
 }
 
-func TestQuotaReturnedOnRemove(t *testing.T) {
-	s, _ := newStore()
-	s.SetNodeQuota(8)
-	for i := 0; i < 6; i++ {
-		if err := s.WriteAsGuest(7, fmt.Sprintf("/d7/k%d", i), "v"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	held := s.OwnerNodes(7)
-	if held == 0 {
-		t.Fatal("no quota charged")
-	}
-	if err := s.RmOwned(7, "/d7"); err != nil {
-		t.Fatal(err)
-	}
-	if s.OwnerNodes(7) != 0 {
-		t.Fatalf("quota not returned: %d", s.OwnerNodes(7))
-	}
-	// Fresh writes fit again.
-	if err := s.WriteAsGuest(7, "/d7/new", "v"); err != nil {
-		t.Fatalf("write after cleanup: %v", err)
-	}
-}
-
-func TestQuotaRejectionLeavesStoreClean(t *testing.T) {
-	s, _ := newStore()
-	s.SetNodeQuota(2)
-	_ = s.WriteAsGuest(3, "/g3/a", "v") // uses 2 nodes (g3, a)
-	if err := s.WriteAsGuest(3, "/g3/b/c/d", "v"); !errors.Is(err, ErrQuota) {
-		t.Fatalf("expected quota error, got %v", err)
-	}
-	if s.Exists("/g3/b") {
-		t.Fatal("rejected write left partial nodes")
-	}
-}
-
-func TestQuotaDisabled(t *testing.T) {
-	s, _ := newStore()
-	s.SetNodeQuota(0)
-	for i := 0; i < 2000; i++ {
-		if err := s.WriteAsGuest(9, fmt.Sprintf("/g9/k%d", i), "v"); err != nil {
-			t.Fatalf("write %d with quota disabled: %v", i, err)
-		}
-	}
-}
-
-// TestWatchQuota: guest watch registration is bounded per domain
-// (xenstored's quota-nb-watch-per-domain), the refusal is the typed
-// *ErrQuotaExceeded that still matches the ErrQuota sentinel, and
-// unwatching returns the quota.
-func TestWatchQuota(t *testing.T) {
-	s, _ := newStore()
-	s.SetWatchQuota(3)
-	var ids []WatchID
-	for i := 0; i < 3; i++ {
-		id, err := s.WatchAsGuest(7, fmt.Sprintf("/g/%d", i), "tok", func(string, string) {})
-		if err != nil {
-			t.Fatalf("watch %d under quota: %v", i, err)
-		}
-		ids = append(ids, id)
-	}
-	if s.OwnerWatches(7) != 3 {
-		t.Fatalf("OwnerWatches = %d, want 3", s.OwnerWatches(7))
-	}
-	_, err := s.WatchAsGuest(7, "/g/over", "tok", func(string, string) {})
-	if err == nil {
-		t.Fatal("4th watch admitted past a quota of 3")
-	}
-	var qe *ErrQuotaExceeded
-	if !errors.As(err, &qe) {
-		t.Fatalf("refusal not typed: %T %v", err, err)
-	}
-	if qe.Resource != "watches" || qe.Domain != 7 || qe.Limit != 3 {
-		t.Fatalf("typed refusal fields: %+v", qe)
+// TestNodeQuotaTyped: the typed refusal formats its fields, matches
+// the ErrQuota sentinel, and unwraps through errors.As.
+func TestNodeQuotaTyped(t *testing.T) {
+	var err error = fmt.Errorf("create: %w",
+		&ErrQuotaExceeded{Domain: 5, Resource: "nodes", Limit: DefaultNodeQuota, Used: DefaultNodeQuota})
+	if got, want := err.Error(), "create: xenstore: domain 5 nodes quota exceeded (1000/1000)"; got != want {
+		t.Fatalf("Error() = %q, want %q", got, want)
 	}
 	if !errors.Is(err, ErrQuota) {
 		t.Fatal("typed refusal does not match the ErrQuota sentinel")
 	}
-	// Another domain is unaffected; dom0 is never quota'd.
-	if _, err := s.WatchAsGuest(8, "/g/other", "tok", func(string, string) {}); err != nil {
-		t.Fatalf("domain 8 blocked by domain 7's quota: %v", err)
+	if errors.Is(err, ErrNoEnt) {
+		t.Fatal("typed refusal matches an unrelated sentinel")
 	}
-	for i := 0; i < 5; i++ {
-		if _, err := s.WatchAsGuest(0, "/dom0", "tok", func(string, string) {}); err != nil {
-			t.Fatalf("dom0 watch quota'd: %v", err)
-		}
-	}
-	// Quota returns on unwatch.
-	s.Unwatch(ids[0])
-	if s.OwnerWatches(7) != 2 {
-		t.Fatalf("OwnerWatches after unwatch = %d, want 2", s.OwnerWatches(7))
-	}
-	if _, err := s.WatchAsGuest(7, "/g/again", "tok", func(string, string) {}); err != nil {
-		t.Fatalf("watch after freeing quota: %v", err)
-	}
-	// Token teardown returns quota too.
-	if s.UnwatchByToken("tok") == 0 {
-		t.Fatal("token teardown removed nothing")
-	}
-	if s.OwnerWatches(7) != 0 || s.OwnerWatches(8) != 0 {
-		t.Fatalf("quota not returned on token teardown: %d/%d", s.OwnerWatches(7), s.OwnerWatches(8))
+	var qe *ErrQuotaExceeded
+	if !errors.As(err, &qe) || qe.Domain != 5 || qe.Resource != "nodes" ||
+		qe.Limit != DefaultNodeQuota || qe.Used != DefaultNodeQuota {
+		t.Fatalf("errors.As: %+v", qe)
 	}
 }
 
-// TestNodeQuotaTyped: the node-quota refusal carries the typed fields
-// and keeps matching the sentinel existing callers check.
-func TestNodeQuotaTyped(t *testing.T) {
-	s, _ := newStore()
-	s.SetNodeQuota(2)
-	if err := s.WriteAsGuest(5, "/local/a", "x"); err == nil {
-		// /local + /a = 2 nodes: at quota, not over.
-	} else if !errors.Is(err, ErrQuota) {
-		t.Fatalf("unexpected error: %v", err)
+// TestQuotaRejectionLeavesStoreClean: ChargeRefusal costs exactly one
+// daemon round trip — the same as a one-node op — and publishes nothing.
+func TestQuotaRejectionLeavesStoreClean(t *testing.T) {
+	s, clock := newStore()
+	s.Write("/local/domain/3/name", "g3")
+	fired := 0
+	s.Watch("/", "all", func(string, string) { fired++ })
+
+	start := clock.Now()
+	s.Exists("/")
+	oneOp := clock.Now().Sub(start)
+
+	nodes, gen := s.NumNodes(), s.Snapshot().Gen()
+	ops := s.Count.Ops
+	start = clock.Now()
+	s.ChargeRefusal()
+	if got := s.Count.Ops - ops; got != 1 {
+		t.Fatalf("ChargeRefusal charged %d ops, want 1", got)
 	}
-	err := s.WriteAsGuest(5, "/local/b", "x")
-	if err == nil {
-		t.Fatal("write past node quota admitted")
+	if got := clock.Now().Sub(start); got != oneOp {
+		t.Fatalf("ChargeRefusal cost %v, want one round trip %v", got, oneOp)
 	}
-	var qe *ErrQuotaExceeded
-	if !errors.As(err, &qe) || qe.Resource != "nodes" || qe.Domain != 5 || qe.Limit != 2 {
-		t.Fatalf("typed node refusal: %T %+v", err, err)
+	if s.NumNodes() != nodes || s.Snapshot().Gen() != gen || fired != 0 {
+		t.Fatalf("refusal changed the store: nodes %d->%d gen %d->%d fired %d",
+			nodes, s.NumNodes(), gen, s.Snapshot().Gen(), fired)
 	}
 }

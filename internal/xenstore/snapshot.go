@@ -96,7 +96,7 @@ func (sn *Snapshot) Subtree(path string) (*Snapshot, error) {
 // ---------------------------------------------------------------------------
 
 // snapMagic versions the wire format.
-const snapMagic = "xsnap1\n"
+const snapMagic = "xsnap2\n"
 
 // ErrBadSnapshot is returned for malformed or non-canonical blobs.
 var ErrBadSnapshot = errors.New("xenstore: malformed snapshot")
@@ -139,8 +139,6 @@ func appendNode(buf []byte, n *node, scratch *[]*node) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(n.value)))
 	buf = append(buf, n.value...)
 	buf = binary.AppendUvarint(buf, n.gen)
-	buf = binary.AppendUvarint(buf, uint64(n.owner))
-	buf = binary.AppendUvarint(buf, uint64(n.perm))
 	buf = binary.AppendUvarint(buf, uint64(n.nkids))
 	// Children are collected into a shared scratch stack (one backing
 	// array per Serialize instead of one slice per node) and sorted
@@ -260,17 +258,6 @@ func (r *snapReader) readNode(depth int) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	owner, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	perm, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if perm > uint64(PermBoth) {
-		return nil, fmt.Errorf("%w: perm %d out of range", ErrBadSnapshot, perm)
-	}
 	nkids, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -278,7 +265,7 @@ func (r *snapReader) readNode(depth int) (*node, error) {
 	if gen > r.maxGen {
 		r.maxGen = gen
 	}
-	n := &node{name: name, hsh: nameHash(name), value: value, gen: gen, owner: int(owner), perm: Perm(perm), size: 1}
+	n := &node{name: name, hsh: nameHash(name), value: value, gen: gen, size: 1}
 	prev := ""
 	for i := uint64(0); i < nkids; i++ {
 		c, err := r.readNode(depth + 1)
@@ -370,13 +357,7 @@ func lastSegment(path string) string {
 // generation; interior nodes keep their captured generations, and the
 // store's counter is advanced past the snapshot's so generation order
 // stays monotonic even for snapshots carried over from another store.
-//
-// Grafting maintains the quota ledger like any other mutation: nodes
-// displaced from dstPath return quota to their owners, and grafted
-// nodes that carry a non-zero owner are charged to that domain
-// (recorded, not enforced — a restore is a Dom0 operation and must
-// not half-fail). One op is charged and watches fire once, on
-// dstPath.
+// One op is charged and watches fire once, on dstPath.
 func (s *Store) GraftSnapshot(sn *Snapshot, srcPath, dstPath string) error {
 	s.enter()
 	defer s.exit()
@@ -390,10 +371,6 @@ func (s *Store) GraftSnapshot(sn *Snapshot, srcPath, dstPath string) error {
 		s.chargeOp(1)
 		return errors.New("xenstore: cannot graft onto the root")
 	}
-	if displaced, _ := s.resolve(dstPath); displaced != nil {
-		s.debitOwners(displaced)
-	}
-	s.creditOwners(sub)
 	if sn.gen > s.gen {
 		s.gen = sn.gen
 	}
@@ -404,7 +381,7 @@ func (s *Store) GraftSnapshot(sn *Snapshot, srcPath, dstPath string) error {
 	grafted.gen = s.gen
 	it := hashSegments(dstPath)
 	op := leafOp{kind: leafReplace, repl: grafted}
-	newRoot, touched, _ := s.applyWrite(s.loaded().root, &it, 0, &op)
+	newRoot, touched, _ := s.applyWrite(s.loaded().root, &it, &op)
 	s.publish(newRoot)
 	s.chargeOp(touched + s.matchCost(dstPath))
 	s.fireWatches(dstPath)

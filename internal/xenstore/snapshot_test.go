@@ -27,15 +27,13 @@ func TestSnapshotFrozenWhileLiveTreeMoves(t *testing.T) {
 	sn := s.Snapshot()
 	wantNodes := sn.NumNodes()
 
-	// Mutate the live tree hard: overwrite, delete, create, set perms.
+	// Mutate the live tree hard: overwrite, delete, create, mkdir.
 	s.Write("/local/domain/1/name", "renamed")
 	if err := s.Rm("/local/domain/2"); err != nil {
 		t.Fatal(err)
 	}
 	s.Write("/local/domain/99/name", "late")
-	if err := s.SetPerm("/local/domain/3/name", 3, PermRead); err != nil {
-		t.Fatal(err)
-	}
+	s.Mkdir("/local/domain/3/device/vbd")
 
 	if v, err := sn.Read("/local/domain/1/name"); err != nil || v != "g1" {
 		t.Fatalf("snapshot saw live write: %q, %v", v, err)
@@ -45,6 +43,9 @@ func TestSnapshotFrozenWhileLiveTreeMoves(t *testing.T) {
 	}
 	if sn.Exists("/local/domain/99") {
 		t.Fatal("snapshot gained a node created later")
+	}
+	if sn.Exists("/local/domain/3/device/vbd") {
+		t.Fatal("snapshot gained a directory made later")
 	}
 	if sn.NumNodes() != wantNodes {
 		t.Fatalf("snapshot node count moved: %d -> %d", wantNodes, sn.NumNodes())
@@ -84,9 +85,6 @@ func TestSnapshotDoesNotChargeClock(t *testing.T) {
 func TestSnapshotSerializeRoundTrip(t *testing.T) {
 	s, _ := newStore()
 	populateGuests(s, 7)
-	if err := s.SetPerm("/local/domain/3/name", 3, PermBoth); err != nil {
-		t.Fatal(err)
-	}
 	sn := s.Snapshot()
 	blob := sn.Serialize()
 	back, err := DeserializeSnapshot(blob)
@@ -116,8 +114,11 @@ func TestDeserializeRejectsMalformed(t *testing.T) {
 	populateGuests(s, 2)
 	good := s.Snapshot().Serialize()
 	cases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   []byte("not-a-snapshot"),
+		"empty":     {},
+		"bad magic": []byte("not-a-snapshot"),
+		// An empty store in the retired format that carried per-node
+		// owner and perm fields.
+		"xsnap1":      []byte("xsnap1\n\x00\x01/\x00\x00\x00\x00\x00"),
 		"truncated":   good[:len(good)-3],
 		"trailing":    append(append([]byte{}, good...), 0x00),
 		"flipped len": append([]byte{}, good...),

@@ -117,9 +117,9 @@ type Store struct {
 	// pool recycles only objects whose lifetime saw no bump (pool.go).
 	snapEpoch atomic.Uint64
 	pl        *pool
-	// pubs counts publishes (including SetPerm, which publishes without
-	// a generation bump). Reads use it to skip their end-of-round-trip
-	// re-resolve when nothing was published during the charge.
+	// pubs counts publishes. Reads use it to skip their
+	// end-of-round-trip re-resolve when nothing was published during
+	// the charge.
 	pubs uint64
 
 	// resCache memoizes the most recent resolve against the current
@@ -177,14 +177,6 @@ type Store struct {
 
 	// variant selects oxenstored (default) or the slower cxenstored.
 	variant Variant
-	// nodeQuota is the per-domain node limit (see quota.go).
-	nodeQuota int
-	// ownerNodes tracks quota usage per owning domain.
-	ownerNodes map[int]int
-	// watchQuota is the per-domain watch limit (see quota.go).
-	watchQuota int
-	// ownerWatches tracks registered watches per owning domain.
-	ownerWatches map[int]int
 
 	Count Counters
 }
@@ -192,13 +184,7 @@ type Store struct {
 // New creates an empty store on clock with access logging enabled
 // (the stock oxenstored configuration).
 func New(clock *sim.Clock) *Store {
-	s := &Store{
-		clock:          clock,
-		LoggingEnabled: true,
-		nodeQuota:      DefaultNodeQuota,
-		ownerNodes:     make(map[int]int),
-		watchQuota:     DefaultWatchQuota,
-	}
+	s := &Store{clock: clock, LoggingEnabled: true}
 	s.pl = newPool(&s.snapEpoch)
 	s.state.Store(&treeState{root: &node{name: "/", hsh: nameHash("/"), size: 1}})
 	return s
@@ -418,7 +404,7 @@ func (s *Store) applyLeaf(n *node, op *leafOp) *node {
 }
 
 // applyWrite rebuilds the spine from n down the remaining path,
-// creating missing components (owned by owner, gen 0 — see node) and
+// creating missing components (gen 0 — see node) and
 // applying op to the final node. Generation bumps happen top-down in
 // the same order as the historical mutable implementation: a parent's
 // generation is bumped at the moment a child is created under it,
@@ -426,7 +412,7 @@ func (s *Store) applyLeaf(n *node, op *leafOp) *node {
 // visited, and whether any component was created. When op changes
 // nothing and nothing was created, the original n is returned
 // (pointer-equal), so no-op mutations publish nothing.
-func (s *Store) applyWrite(n *node, it *hashIter, owner int, op *leafOp) (*node, int, bool) {
+func (s *Store) applyWrite(n *node, it *hashIter, op *leafOp) (*node, int, bool) {
 	seg, h, ok := it.next()
 	if !ok {
 		return s.applyLeaf(n, op), 1, false
@@ -436,12 +422,12 @@ func (s *Store) applyWrite(n *node, it *hashIter, owner int, op *leafOp) (*node,
 	var parentGen uint64
 	if child == nil {
 		child = s.pl.getNode()
-		child.name, child.hsh, child.owner, child.size = seg, h, owner, 1
+		child.name, child.hsh, child.size = seg, h, 1
 		s.gen++
 		parentGen = s.gen
 		created = true
 	}
-	newChild, touched, deeper := s.applyWrite(child, it, owner, op)
+	newChild, touched, deeper := s.applyWrite(child, it, op)
 	if newChild == child && !created {
 		return n, touched + 1, deeper
 	}
@@ -455,16 +441,11 @@ func (s *Store) applyWrite(n *node, it *hashIter, owner int, op *leafOp) (*node,
 // Write sets path to value (creating intermediate directories),
 // firing matching watches.
 func (s *Store) Write(path, value string) {
-	s.WriteAs(0, path, value)
-}
-
-// WriteAs is Write with an owning domain for new nodes.
-func (s *Store) WriteAs(owner int, path, value string) {
 	s.enter()
 	defer s.exit()
 	it := hashSegments(path)
 	op := leafOp{kind: leafValue, value: value}
-	newRoot, touched, _ := s.applyWrite(s.loaded().root, &it, owner, &op)
+	newRoot, touched, _ := s.applyWrite(s.loaded().root, &it, &op)
 	s.publish(newRoot)
 	s.chargeOp(touched + s.matchCost(path))
 	s.fireWatches(path)
@@ -512,7 +493,7 @@ func (s *Store) Mkdir(path string) {
 	defer s.exit()
 	it := hashSegments(path)
 	op := leafOp{kind: leafEnsure}
-	newRoot, touched, created := s.applyWrite(s.loaded().root, &it, 0, &op)
+	newRoot, touched, created := s.applyWrite(s.loaded().root, &it, &op)
 	if created {
 		s.publish(newRoot)
 		s.chargeOp(touched + s.matchCost(path))
@@ -638,9 +619,6 @@ func (s *Store) Rm(path string) error {
 		s.chargeOp(touched)
 		return &noEntError{path}
 	}
-	// Return quota to each removed node's actual owner, so the ledger
-	// always matches the tree (CheckConsistency's invariant).
-	s.debitOwners(removed)
 	rmSize := removed.size
 	s.publish(newRoot)
 	// The whole detached subtree is dead unless a snapshot holds it —
@@ -688,6 +666,6 @@ func (s *Store) WriteUniqueName(dir, key, name string) error {
 		// scan too.
 		s.chargeOp(n.nkids)
 	}
-	s.WriteAs(0, dir+"/"+key, name)
+	s.Write(dir+"/"+key, name)
 	return nil
 }

@@ -4,7 +4,7 @@ import "math/bits"
 
 // The store's state is an immutable, structurally-shared tree: nodes
 // are never modified after publication. Every mutation (write, rm,
-// mkdir, perm change, transaction apply) builds a new root by copying
+// mkdir, graft, transaction apply) builds a new root by copying
 // only the spine — the nodes on the path from the root to the change —
 // and publishes it with one atomic pointer store. Everything hanging
 // off the copied spine is shared with the previous version.
@@ -45,8 +45,6 @@ type node struct {
 	hsh   uint64 // FNV-1a of name: the interned segment id and trie key
 	value string
 	gen   uint64 // bumped on any modification (incl. child add/rm)
-	owner int    // domain that owns the node (permission model)
-	perm  Perm   // access class for non-owners
 
 	kids  *amtNode // nil when the node has no children
 	nkids int      // direct children
@@ -461,7 +459,3 @@ func appendChildren(a *amtNode, dst []*node) []*node {
 	}
 	return dst
 }
-
-// countNodes reports the subtree size (kept for readability at call
-// sites; O(1) thanks to the size field).
-func countNodes(n *node) int { return n.size }

@@ -317,7 +317,7 @@ func (tx *Tx) Commit() error {
 		if w.del {
 			_ = s.Rm(w.path)
 		} else {
-			s.WriteAs(0, w.path, w.val)
+			s.Write(w.path, w.val)
 		}
 	}
 	s.Count.TxnCommits++

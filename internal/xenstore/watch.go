@@ -19,7 +19,6 @@ type watch struct {
 	id     int
 	prefix string
 	token  string
-	owner  int // owning domain for quota (0 = dom0, unquota'd)
 	fn     WatchFn
 }
 
@@ -45,29 +44,6 @@ func (s *Store) Watch(path, token string, fn WatchFn) WatchID {
 	}
 	s.chargeOp(1)
 	return WatchID(w.id)
-}
-
-// watchOwners records the owning domain on a just-registered watch so
-// its quota is returned when the watch dies (see WatchAsGuest).
-func (s *Store) watchOwners(id WatchID, owner int) {
-	for i := len(s.watches) - 1; i >= 0; i-- {
-		if s.watches[i].id == int(id) {
-			s.watches[i].owner = owner
-			return
-		}
-	}
-}
-
-// unchargeWatch returns a dying watch's quota to its owner.
-func (s *Store) unchargeWatch(w *watch) {
-	if w.owner == 0 || s.ownerWatches == nil {
-		return
-	}
-	if next := s.ownerWatches[w.owner] - 1; next <= 0 {
-		delete(s.ownerWatches, w.owner)
-	} else {
-		s.ownerWatches[w.owner] = next
-	}
 }
 
 // dropIndexed removes w from its index bucket, preserving order.
@@ -100,7 +76,6 @@ func (s *Store) Unwatch(id WatchID) {
 		if w.id == int(id) {
 			s.watches = append(s.watches[:i], s.watches[i+1:]...)
 			s.dropIndexed(w)
-			s.unchargeWatch(w)
 			break
 		}
 	}
@@ -116,7 +91,6 @@ func (s *Store) UnwatchByToken(token string) int {
 	for _, w := range s.watches {
 		if w.token == token {
 			s.dropIndexed(w)
-			s.unchargeWatch(w)
 			removed++
 			continue
 		}

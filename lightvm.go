@@ -200,57 +200,17 @@ type CrashSiteStat = faults.SiteStat
 
 // SubsystemCost is one simulator subsystem's share of a profile
 // dimension (flat CPU time or allocated heap bytes).
-type SubsystemCost struct {
-	// Subsystem is the bucket: "internal/<pkg>" for simulator
-	// packages, "lightvm" for the facade, "runtime", "std" or "other".
-	Subsystem string `json:"subsystem"`
-	// Value is nanoseconds (CPU) or sampled bytes (heap).
-	Value int64 `json:"value"`
-	// Percent is the bucket's share of the figure's total (0–100).
-	Percent float64 `json:"percent"`
-}
+type SubsystemCost = profiling.Cost
 
 // FunctionCost is one function's share of a figure's heap delta, with
 // the subsystem it bills to attached.
-type FunctionCost struct {
-	// Function is the fully-qualified symbol as pprof reports it.
-	Function string `json:"function"`
-	// Subsystem is the function's bucket (the store's intern and pool
-	// tables bill to "internal/xenstore" like the rest of the package).
-	Subsystem string `json:"subsystem"`
-	// Value is sampled allocated bytes.
-	Value int64 `json:"value"`
-	// Percent is the function's share of the figure's heap delta
-	// (0–100).
-	Percent float64 `json:"percent"`
-}
+type FunctionCost = profiling.FuncCost
 
 // ExperimentProfile is the per-figure profiling report: where the raw
 // pprof files were written (open them with `go tool pprof`) and the
-// top-5 subsystems by flat CPU time and heap bytes.
-type ExperimentProfile struct {
-	// CPUFile/HeapFile are the captured profile paths ("" if that mode
-	// was off).
-	CPUFile  string `json:"cpu_file,omitempty"`
-	HeapFile string `json:"heap_file,omitempty"`
-	// CPU and Heap rank subsystems (top-5, deterministic order). CPU
-	// counts only samples labeled with this figure's id; Heap is the
-	// pre/post alloc_space delta.
-	CPU  []SubsystemCost `json:"cpu,omitempty"`
-	Heap []SubsystemCost `json:"heap,omitempty"`
-	// HeapTopFuncs drills the heap delta down to the top-10 flat
-	// allocation sites (function-level).
-	HeapTopFuncs []FunctionCost `json:"heap_top_funcs,omitempty"`
-	// CPUTotalNanos is the figure's own sampled CPU time;
-	// CPUForeignNanos is what else landed in the raw profile: runtime
-	// work that carries no figure label, such as GC background workers.
-	CPUTotalNanos   int64 `json:"cpu_total_nanos,omitempty"`
-	CPUForeignNanos int64 `json:"cpu_foreign_nanos,omitempty"`
-	// HeapDeltaBytes is the sampled alloc_space growth across the run.
-	HeapDeltaBytes int64 `json:"heap_delta_bytes,omitempty"`
-	// Text is a one-line rendering suitable for terminal output.
-	Text string `json:"-"`
-}
+// top-5 subsystems by flat CPU time and heap bytes. Its String method
+// renders the one-line terminal summary.
+type ExperimentProfile = experiments.ProfileSummary
 
 func toExperimentResult(res experiments.Result) ExperimentResult {
 	out := ExperimentResult{
@@ -262,34 +222,11 @@ func toExperimentResult(res experiments.Result) ExperimentResult {
 		Allocs:     res.Allocs,
 		CrashSites: res.CrashSites,
 		Serving:    res.Serving,
+		Profile:    res.Profile,
 	}
 	if tab, ok := res.Table.(*metrics.Table); ok {
 		// Most of the paper's time figures are log-scale.
 		out.Plot = tab.Plot(72, 18, true)
-	}
-	if sum := res.Profile; sum != nil {
-		costs := func(in []profiling.Cost) []SubsystemCost {
-			out := make([]SubsystemCost, len(in))
-			for i, c := range in {
-				out[i] = SubsystemCost{Subsystem: c.Subsystem, Value: c.Value, Percent: c.Percent}
-			}
-			return out
-		}
-		funcs := make([]FunctionCost, len(sum.HeapTopFuncs))
-		for i, fc := range sum.HeapTopFuncs {
-			funcs[i] = FunctionCost{Function: fc.Function, Subsystem: fc.Subsystem, Value: fc.Value, Percent: fc.Percent}
-		}
-		out.Profile = &ExperimentProfile{
-			CPUFile:         sum.CPUFile,
-			HeapFile:        sum.HeapFile,
-			CPU:             costs(sum.CPU),
-			Heap:            costs(sum.Heap),
-			HeapTopFuncs:    funcs,
-			CPUTotalNanos:   sum.CPUTotalNanos,
-			CPUForeignNanos: sum.CPUForeignNanos,
-			HeapDeltaBytes:  sum.HeapDeltaBytes,
-			Text:            sum.String(),
-		}
 	}
 	return out
 }
