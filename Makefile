@@ -192,4 +192,4 @@ bench-compare:
 
 clean:
 	rm -f *.cover coverage-xenstore.html fsck-smoke.json gray-smoke.json bench-fresh.json
-	rm -rf profiles
+	rm -rf profiles .bench_build

@@ -66,11 +66,10 @@ type Domain struct {
 	MaxMem   uint64 // bytes
 	MemBytes uint64
 
-	// Kernel image descriptor: the bytes are charged, not copied, so
-	// density experiments with 1.1 GB Debian images stay tractable.
-	KernelSize  uint64
-	KernelName  string
-	KernelEntry uint64 // fake entry point, set by image build
+	// KernelEntry is the loaded image's (fake) entry point. The image
+	// bytes are charged, not copied, so density experiments with 1.1 GB
+	// Debian images stay tractable.
+	KernelEntry uint64
 
 	// DevPage is the noxs device page (nil until created).
 	DevPage *DevicePage
@@ -83,9 +82,6 @@ type Domain struct {
 
 	// ShutdownReason is set when the guest shuts down or suspends.
 	ShutdownReason string
-
-	CreatedAt sim.Time
-	BootedAt  sim.Time
 }
 
 // Config describes a domain to create.
@@ -133,7 +129,7 @@ func New(clock *sim.Clock, hostMemBytes uint64) *Hypervisor {
 		grants: table[GrantRef, grant]{next: 1},
 	}
 	h.Share = mm.NewSharePool(h.Mem)
-	dom0 := &Domain{ID: 0, State: StateRunning, CreatedAt: clock.Now()}
+	dom0 := &Domain{ID: 0, State: StateRunning}
 	dom0Bytes := uint64(costs.Dom0BaseMB * 1024 * 1024)
 	if err := h.Mem.AllocBytes(dom0Bytes, mm.Owner(0)); err != nil {
 		panic("hv: host too small for Dom0")
@@ -180,11 +176,7 @@ func (h *Hypervisor) CreateDomain(cfg Config) (*Domain, error) {
 	if cfg.VCPUs <= 0 {
 		cfg.VCPUs = 1
 	}
-	d := &Domain{
-		State:     StateCreated,
-		MaxMem:    cfg.MaxMem,
-		CreatedAt: h.Clock.Now(),
-	}
+	d := &Domain{State: StateCreated, MaxMem: cfg.MaxMem}
 	d.ID = h.domains.put(d)
 	for i := 0; i < cfg.VCPUs; i++ {
 		core := i
@@ -242,8 +234,9 @@ func (h *Hypervisor) PopulateShared(id DomID, key string, bytes uint64) error {
 	return nil
 }
 
-// LoadImage charges the image parse+copy cost and records the kernel.
-func (h *Hypervisor) LoadImage(id DomID, name string, size uint64) error {
+// LoadImage charges the parse+copy cost of a size-byte kernel image
+// and marks the domain built (paused).
+func (h *Hypervisor) LoadImage(id DomID, size uint64) error {
 	d, err := h.Domain(id)
 	if err != nil {
 		return err
@@ -256,8 +249,6 @@ func (h *Hypervisor) LoadImage(id DomID, name string, size uint64) error {
 	}
 	mb := float64(size) / (1024 * 1024)
 	h.charge(costs.ImageLoadBase + sim.Duration(mb*float64(costs.ImageLoadPerMB)))
-	d.KernelSize = size
-	d.KernelName = name
 	d.KernelEntry = 0xffffffff80000000
 	d.State = StatePaused
 	return nil
@@ -273,7 +264,6 @@ func (h *Hypervisor) Unpause(id DomID) error {
 		return fmt.Errorf("%w: unpause %v domain", ErrBadState, d.State)
 	}
 	d.State = StateRunning
-	d.BootedAt = h.Clock.Now()
 	h.charge(costs.VMBootKick)
 	return nil
 }

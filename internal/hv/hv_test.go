@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"lightvm/internal/mm"
 	"lightvm/internal/sim"
@@ -33,6 +34,15 @@ func TestNewReservesDom0(t *testing.T) {
 	}
 }
 
+// TestDomainSize pins the hypervisor's per-guest record at 120 bytes
+// on 64-bit platforms (the 128-byte allocator size class): density
+// runs keep thousands of domains live (Fig. 10).
+func TestDomainSize(t *testing.T) {
+	if got := unsafe.Sizeof(Domain{}); got > 120 {
+		t.Fatalf("Domain is %d bytes, budget 120", got)
+	}
+}
+
 func TestDomainLifecycle(t *testing.T) {
 	h := newHV()
 	d, err := h.CreateDomain(Config{MaxMem: 8 * mib, VCPUs: 1, Cores: []int{1}})
@@ -48,7 +58,7 @@ func TestDomainLifecycle(t *testing.T) {
 	if d.MemBytes != 8*mib {
 		t.Fatalf("MemBytes = %d", d.MemBytes)
 	}
-	if err := h.LoadImage(d.ID, "daytime", 480*1024); err != nil {
+	if err := h.LoadImage(d.ID, 480*1024); err != nil {
 		t.Fatal(err)
 	}
 	if d.State != StatePaused {
@@ -75,7 +85,7 @@ func TestDomainLifecycle(t *testing.T) {
 func TestLoadImageRequiresPopulatedMemory(t *testing.T) {
 	h := newHV()
 	d, _ := h.CreateDomain(Config{MaxMem: mib})
-	if err := h.LoadImage(d.ID, "img", mib); err == nil {
+	if err := h.LoadImage(d.ID, mib); err == nil {
 		t.Fatal("image load into unpopulated domain accepted")
 	}
 }
@@ -291,7 +301,7 @@ func TestSuspendAndResume(t *testing.T) {
 	h := newHV()
 	d, _ := h.CreateDomain(Config{MaxMem: 8 * mib})
 	_ = h.PopulatePhysmap(d.ID, 8*mib)
-	_ = h.LoadImage(d.ID, "daytime", 480*1024)
+	_ = h.LoadImage(d.ID, 480*1024)
 	_ = h.Unpause(d.ID)
 	if err := h.Suspend(d.ID, "suspend"); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,11 @@
 package hv
 
-import "testing"
+import (
+	"fmt"
+	"os"
+	"testing"
+	"time"
+)
 
 // checkTable compares t with the model after an operation: the live
 // count, every live value, each chunk's live bits (so get finds no dead
@@ -47,25 +52,38 @@ func checkTable(t *testing.T, tb *table[Port, uint64], model map[Port]uint64) {
 	}
 }
 
+// Bounds on one replay, so every fuzz input finishes in bounded time.
+// The checks after each operation are linear in the ids issued: without
+// maxTableIDs (16 chunks) a run of put bursts grows the table by up to
+// 256 ids per operation and the replay slows quadratically with the
+// input's length; maxTableOps caps that length.
+const (
+	maxTableIDs = 1024
+	maxTableOps = 1024
+)
+
 // replayTable decodes data into table operations and checks each one
 // against a map model. The first byte picks where ids start (0, as for
 // domains, or 1, as for ports and grants); every following byte pair is
 // one operation: kind, argument. Ids are issued by put, monotonic and
-// never reused, exactly as the hypervisor issues them.
+// never reused, exactly as the hypervisor issues them, until
+// maxTableIDs have been issued; later put bursts issue nothing. Bytes
+// past the first maxTableOps operations are ignored.
 func replayTable(t *testing.T, data []byte) {
 	if len(data) < 1 {
 		return
 	}
 	tb := &table[Port, uint64]{next: Port(data[0] % 2)}
+	end := tb.next + maxTableIDs
 	model := map[Port]uint64{}
 	// pick maps an argument onto [0, next+1]: live, dead, never issued.
 	pick := func(arg byte) Port { return Port(int(arg) * (int(tb.next) + 2) / 256) }
 	var val uint64
-	for i := 1; i+2 <= len(data); i += 2 {
+	for i := 1; i+2 <= len(data) && i < 1+2*maxTableOps; i += 2 {
 		kind, arg := data[i]%5, data[i+1]
 		switch kind {
 		case 0: // a burst of puts
-			for k := 0; k <= int(arg); k++ {
+			for k := 0; k <= int(arg) && tb.next < end; k++ {
 				want := tb.next
 				val++
 				if id := tb.put(val); id != want {
@@ -137,4 +155,33 @@ func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 0, 63, 3, 62, 0, 0, 3, 0, 0, 127, 4, 3, 3, 255})
 	f.Add([]byte{1, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 3, 0, 1, 0, 2, 255})
 	f.Fuzz(func(t *testing.T, data []byte) { replayTable(t, data) })
+}
+
+// maxPutBursts is the longest input a replay decodes, every operation
+// a 256-id put burst: the ids run out after four bursts, and every
+// later operation checks a full table.
+func maxPutBursts() []byte {
+	data := []byte{1}
+	for i := 0; i < maxTableOps; i++ {
+		data = append(data, 0, 255)
+	}
+	return data
+}
+
+// TestTableMaxInputBounded replays maxPutBursts, which is checked in
+// as a FuzzTable seed, and bounds its time.
+func TestTableMaxInputBounded(t *testing.T) {
+	data := maxPutBursts()
+	seed, err := os.ReadFile("testdata/fuzz/FuzzTable/max-put-bursts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data); string(seed) != want {
+		t.Fatal("testdata/fuzz/FuzzTable/max-put-bursts does not hold maxPutBursts()")
+	}
+	start := time.Now()
+	replayTable(t, data)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("replaying %d bytes took %v, budget 1s", len(data), d)
+	}
 }

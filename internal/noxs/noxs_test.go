@@ -27,7 +27,7 @@ func newDom(t *testing.T, h *hv.Hypervisor) *hv.Domain {
 	if err := h.PopulatePhysmap(d.ID, 8*mib); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.LoadImage(d.ID, "noop", 300*1024); err != nil {
+	if err := h.LoadImage(d.ID, 300*1024); err != nil {
 		t.Fatal(err)
 	}
 	return d

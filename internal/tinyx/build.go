@@ -14,16 +14,6 @@ type BuildConfig struct {
 	App string
 	// Platform selects kernel support ("xen" or "kvm").
 	Platform string
-	// Whitelist adds packages regardless of dependency analysis.
-	Whitelist []string
-	// Blacklist overrides the default installation-only blacklist.
-	Blacklist []string
-	// KernelCandidates are user-provided kernel options the shrink
-	// loop tries to disable one by one.
-	KernelCandidates []string
-	// BootTest validates a candidate kernel config (nil = default
-	// test requiring the app's feature set).
-	BootTest func(enabled map[string]bool) bool
 }
 
 // BuildResult is a finished Tinyx image.
@@ -40,7 +30,9 @@ type BuildResult struct {
 	ImageBytes  uint64
 }
 
-// Build runs the full §3.2 pipeline.
+// Build runs the full §3.2 pipeline with the default package
+// blacklist, no whitelist, and the default kernel shrink candidates
+// and boot test.
 func Build(db *DB, cfg BuildConfig) (*BuildResult, error) {
 	if cfg.App == "" {
 		return nil, fmt.Errorf("tinyx: no application given")
@@ -48,13 +40,9 @@ func Build(db *DB, cfg BuildConfig) (*BuildResult, error) {
 	if _, err := db.Get(cfg.App); err != nil {
 		return nil, err
 	}
-	blacklist := cfg.Blacklist
-	if blacklist == nil {
-		blacklist = DefaultBlacklist()
-	}
 
 	// 1. Dependency discovery: package manager closure + objdump scan.
-	pkgs, err := db.Closure([]string{cfg.App, "busybox"}, blacklist, cfg.Whitelist)
+	pkgs, err := db.Closure([]string{cfg.App, "busybox"}, DefaultBlacklist(), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +97,7 @@ func Build(db *DB, cfg BuildConfig) (*BuildResult, error) {
 	dist := merged.Flatten("tinyx-" + cfg.App)
 
 	// 6. Kernel: tinyconfig + platform options + shrink loop.
-	kb, err := BuildKernel(cfg.Platform, cfg.KernelCandidates, cfg.BootTest)
+	kb, err := BuildKernel(cfg.Platform, nil, nil)
 	if err != nil {
 		return nil, err
 	}

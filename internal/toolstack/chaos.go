@@ -130,7 +130,7 @@ func (c *Chaos) Create(name string, img guest.Image) (*VM, error) {
 		}
 
 		e.charge(&bd.Load, func() {
-			retErr = e.HV.LoadImage(vm.Dom.ID, img.Name, img.TotalSize())
+			retErr = e.HV.LoadImage(vm.Dom.ID, img.TotalSize())
 		})
 		if retErr != nil {
 			return

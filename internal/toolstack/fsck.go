@@ -52,7 +52,7 @@ func Fsck(e *Env) []Violation {
 	}
 	live := e.liveDomains()
 
-	// Store-internal consistency (cached subtree sizes and child counts).
+	// Store-internal consistency (cached child counts).
 	for _, p := range e.Store.CheckConsistency() {
 		add("xenstore", "store-internal", "", "%s", p)
 	}

@@ -71,7 +71,7 @@ func (u *Ukvm) Create(name string, img guest.Image) (*VM, error) {
 			return
 		}
 		e.Clock.Sleep(time.Duration(len(img.Devices)) * ukvmDeviceSetup)
-		if err := e.HV.LoadImage(dom.ID, img.Name, img.TotalSize()); err != nil {
+		if err := e.HV.LoadImage(dom.ID, img.TotalSize()); err != nil {
 			retErr = err
 			return
 		}

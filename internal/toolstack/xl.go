@@ -140,7 +140,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 
 		// 8. Image build: parse the kernel and lay it out in memory.
 		e.charge(&bd.Load, func() {
-			retErr = e.HV.LoadImage(dom.ID, img.Name, img.TotalSize())
+			retErr = e.HV.LoadImage(dom.ID, img.TotalSize())
 		})
 		if retErr != nil {
 			return

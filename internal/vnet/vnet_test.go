@@ -147,67 +147,3 @@ func TestPacketKindString(t *testing.T) {
 		t.Fatal("kind names wrong")
 	}
 }
-
-func TestFlowDeliversAtRate(t *testing.T) {
-	s, c := newSwitch()
-	_ = s.AttachPort("client")
-	_ = s.AttachPort("server")
-	received := 0
-	_ = s.SetHandler("server", func(Packet) { received++ })
-	_ = s.SetHandler("client", func(Packet) {})
-	f, err := NewFlow(s, "client", "server", 10_000_000, 1500) // 10 Mbps
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := c.Now()
-	delivered := f.Run(100 * 1e6) // 100ms
-	window := c.Now().Sub(start)
-	// 10 Mbps of 1500B packets ≈ 833 pps → ~83 packets in 100ms.
-	if delivered < 70 || delivered > 95 {
-		t.Fatalf("delivered %d packets in %v", delivered, window)
-	}
-	if received != int(delivered) {
-		t.Fatalf("handler saw %d, delivered %d", received, delivered)
-	}
-	bps := f.DeliveredBps(delivered, 100*1e6)
-	if bps < 8e6 || bps > 11e6 {
-		t.Fatalf("achieved %.1f Mbps, want ≈10", bps/1e6)
-	}
-	if f.Dropped != 0 {
-		t.Fatalf("dropped %d on a healthy path", f.Dropped)
-	}
-}
-
-func TestFlowToBootingPortFillsBacklog(t *testing.T) {
-	s, _ := newSwitch()
-	s.QueueLimit = 10
-	_ = s.AttachPort("client")
-	_ = s.SetHandler("client", func(Packet) {})
-	_ = s.AttachPort("cold") // never gets a handler
-	f, err := NewFlow(s, "client", "cold", 100_000_000, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Run(50 * 1e6)
-	if f.Dropped == 0 {
-		t.Fatal("no drops despite full backlog")
-	}
-	if s.Backlog() != 10 {
-		t.Fatalf("backlog = %d, want at the limit", s.Backlog())
-	}
-}
-
-func TestFlowValidation(t *testing.T) {
-	if _, err := NewFlow(NewSwitch(sim.NewClock()), "a", "b", 1, 1); err == nil {
-		t.Fatal("flow on missing ports accepted")
-	}
-	s, _ := newSwitch()
-	_ = s.AttachPort("a")
-	_ = s.AttachPort("b")
-	if _, err := NewFlow(s, "a", "b", 0, 1500); err == nil {
-		t.Fatal("zero rate accepted")
-	}
-	if _, err := NewFlow(s, "a", "b", 1000, 0); err == nil {
-		t.Fatal("zero packet size accepted")
-	}
-}

@@ -178,7 +178,7 @@ func (m *refStore) writeUniqueName(dir, key, name string) error {
 type refTx struct {
 	startGen uint64
 	readGens map[string]uint64
-	writes   map[string]*string
+	writes   map[string]string
 	order    []string
 }
 
@@ -186,7 +186,7 @@ func (m *refStore) txnStart() *refTx {
 	return &refTx{
 		startGen: m.gen,
 		readGens: map[string]uint64{},
-		writes:   map[string]*string{},
+		writes:   map[string]string{},
 	}
 }
 
@@ -203,65 +203,17 @@ func (t *refTx) observe(m *refStore, p string) {
 
 func (t *refTx) read(m *refStore, p string) (string, error) {
 	if v, ok := t.writes[p]; ok {
-		if v == nil {
-			return "", ErrNoEnt
-		}
-		return *v, nil
+		return v, nil
 	}
 	t.observe(m, p)
 	return m.read(p)
-}
-
-func (t *refTx) exists(m *refStore, p string) bool {
-	if v, ok := t.writes[p]; ok {
-		return v != nil
-	}
-	t.observe(m, p)
-	return m.exists(p)
-}
-
-func (t *refTx) directory(m *refStore, p string) ([]string, error) {
-	t.observe(m, p)
-	names, err := m.directory(p)
-	if err != nil && len(t.writes) == 0 {
-		return nil, err
-	}
-	set := make(map[string]bool, len(names))
-	for _, n := range names {
-		set[n] = true
-	}
-	for wp, v := range t.writes {
-		if !strings.HasPrefix(wp, p+"/") {
-			continue
-		}
-		rest := strings.TrimPrefix(wp, p+"/")
-		first := strings.SplitN(rest, "/", 2)[0]
-		if v == nil && rest == first {
-			delete(set, first)
-		} else if v != nil {
-			set[first] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 func (t *refTx) write(p, v string) {
 	if _, ok := t.writes[p]; !ok {
 		t.order = append(t.order, p)
 	}
-	t.writes[p] = &v
-}
-
-func (t *refTx) rm(p string) {
-	if _, ok := t.writes[p]; !ok {
-		t.order = append(t.order, p)
-	}
-	t.writes[p] = nil
+	t.writes[p] = v
 }
 
 // commit reports whether the transaction conflicts (ErrAgain on the
@@ -287,11 +239,7 @@ func (t *refTx) commit(m *refStore) bool {
 		return true
 	}
 	for _, p := range t.order {
-		if v := t.writes[p]; v == nil {
-			_ = m.rm(p)
-		} else {
-			m.write(p, *v)
-		}
+		m.write(p, t.writes[p])
 	}
 	return false
 }
@@ -351,11 +299,6 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 	m := newRefStore()
 
 	var realEvents []watchEvent
-	type liveWatch struct {
-		id WatchID
-		rw *refWatch
-	}
-	var watches []liveWatch
 
 	var txns []openTxn
 	var frozen []frozenPair
@@ -410,18 +353,21 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			}
 		case k < 74: // register a watch
 			p, tok := randPath(r), fmt.Sprintf("t%d", r.Intn(8))
-			rw := &refWatch{prefix: p, token: tok, active: true}
-			id := s.Watch(p, tok, func(path, token string) {
+			s.Watch(p, tok, func(path, token string) {
 				realEvents = append(realEvents, watchEvent{path, token})
 			})
-			m.watches = append(m.watches, rw)
-			watches = append(watches, liveWatch{id: id, rw: rw})
-		case k < 77: // drop a watch
-			if len(watches) > 0 {
-				i := r.Intn(len(watches))
-				s.Unwatch(watches[i].id)
-				watches[i].rw.active = false
-				watches = append(watches[:i], watches[i+1:]...)
+			m.watches = append(m.watches, &refWatch{prefix: p, token: tok, active: true})
+		case k < 77: // drop every watch registered with one token
+			tok := fmt.Sprintf("t%d", r.Intn(8))
+			want := 0
+			for _, w := range m.watches {
+				if w.active && w.token == tok {
+					w.active = false
+					want++
+				}
+			}
+			if got := s.UnwatchByToken(tok); got != want {
+				fail(op, "UnwatchByToken(%q): store removed %d, model %d", tok, got, want)
 			}
 		case k < 81: // freeze a snapshot mid-sequence
 			frozen = append(frozen, frozenPair{opIndex: op, sn: s.Snapshot(), want: m.snapshotCopy()})
@@ -433,33 +379,17 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			i := r.Intn(len(txns))
 			o := txns[i]
 			switch r.Intn(7) {
-			case 0: // txn read
+			case 0, 1, 2: // txn read
 				p := randPath(r)
 				got, gotErr := o.tx.Read(p)
 				want, wantErr := o.rt.read(m, p)
 				if got != want || !sameErr(gotErr, wantErr) {
 					fail(op, "Tx.Read(%q): store (%q, %v), model (%q, %v)", p, got, gotErr, want, wantErr)
 				}
-			case 1: // txn exists
-				p := randPath(r)
-				if got, want := o.tx.Exists(p), o.rt.exists(m, p); got != want {
-					fail(op, "Tx.Exists(%q): store %v, model %v", p, got, want)
-				}
-			case 2: // txn directory
-				p := randPath(r)
-				got, gotErr := o.tx.Directory(p)
-				want, wantErr := o.rt.directory(m, p)
-				if !sameErr(gotErr, wantErr) || !equalStrings(got, want) {
-					fail(op, "Tx.Directory(%q): store (%v, %v), model (%v, %v)", p, got, gotErr, want, wantErr)
-				}
-			case 3: // txn write
+			case 3, 4: // txn write
 				p, v := randPath(r), randValue(r)
 				o.tx.Write(p, v)
 				o.rt.write(p, v)
-			case 4: // txn rm
-				p := randPath(r)
-				o.tx.Rm(p)
-				o.rt.rm(p)
 			case 5: // commit — conflict prediction must match exactly
 				gotErr := o.tx.Commit()
 				wantConflict := o.rt.commit(m)

@@ -49,8 +49,8 @@ func (s *Store) Snapshot() *Snapshot {
 func (sn *Snapshot) Gen() uint64 { return sn.gen }
 
 // NumNodes reports how many nodes the snapshot captured, including its
-// own root. O(1): subtree sizes ride along on every copy.
-func (sn *Snapshot) NumNodes() int { return sn.root.size }
+// own root. It walks the whole captured tree.
+func (sn *Snapshot) NumNodes() int { return countNodes(sn.root) }
 
 // Read returns the value at path inside the frozen tree.
 func (sn *Snapshot) Read(path string) (string, error) {
@@ -102,13 +102,7 @@ const snapMagic = "xsnap2\n"
 var ErrBadSnapshot = errors.New("xenstore: malformed snapshot")
 
 // Serialize encodes the snapshot into the canonical byte format.
-func (sn *Snapshot) Serialize() []byte {
-	buf := make([]byte, 0, 64+sn.root.size*24)
-	buf = append(buf, snapMagic...)
-	buf = binary.AppendUvarint(buf, sn.gen)
-	var scratch []*node
-	return appendNode(buf, sn.root, &scratch)
-}
+func (sn *Snapshot) Serialize() []byte { return encode(sn.root, sn.gen) }
 
 // SerializeSubtree encodes the subtree at path in the canonical
 // snapshot format, byte-identical to
@@ -125,11 +119,18 @@ func (s *Store) SerializeSubtree(path string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoEnt, path)
 	}
 	atomic.AddUint64(&s.Count.Snapshots, 1)
-	buf := make([]byte, 0, 64+n.size*24)
+	return encode(n, st.gen), nil
+}
+
+// encode serializes the tree under root at generation gen. One walk
+// counts the nodes to presize the buffer, so each blob is one
+// allocation.
+func encode(root *node, gen uint64) []byte {
+	buf := make([]byte, 0, 64+countNodes(root)*24)
 	buf = append(buf, snapMagic...)
-	buf = binary.AppendUvarint(buf, st.gen)
+	buf = binary.AppendUvarint(buf, gen)
 	var scratch []*node
-	return appendNode(buf, n, &scratch), nil
+	return appendNode(buf, root, &scratch)
 }
 
 // appendNode encodes one node and its children (sorted by name).
@@ -265,7 +266,7 @@ func (r *snapReader) readNode(depth int) (*node, error) {
 	if gen > r.maxGen {
 		r.maxGen = gen
 	}
-	n := &node{name: name, hsh: nameHash(name), value: value, gen: gen, size: 1}
+	n := &node{name: name, hsh: nameHash(name), value: value, gen: gen}
 	prev := ""
 	for i := uint64(0); i < nkids; i++ {
 		c, err := r.readNode(depth + 1)
@@ -285,7 +286,6 @@ func (r *snapReader) readNode(depth int) (*node, error) {
 		// grafted into any store and must never be recycled.
 		n.kids = amtBuild(n.kids, 0, c)
 		n.nkids++
-		n.size += c.size
 	}
 	return n, nil
 }

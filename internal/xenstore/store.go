@@ -186,7 +186,7 @@ type Store struct {
 func New(clock *sim.Clock) *Store {
 	s := &Store{clock: clock, LoggingEnabled: true}
 	s.pl = newPool(&s.snapEpoch)
-	s.state.Store(&treeState{root: &node{name: "/", hsh: nameHash("/"), size: 1}})
+	s.state.Store(&treeState{root: &node{name: "/", hsh: nameHash("/")}})
 	return s
 }
 
@@ -353,16 +353,6 @@ func (s *Store) resolve(path string) (*node, int) {
 	return n, touched
 }
 
-// lookup resolves a path, returning the node and the number of nodes
-// visited. Missing nodes return ErrNoEnt.
-func (s *Store) lookup(path string) (*node, int, error) {
-	n, touched := s.resolve(path)
-	if n == nil {
-		return nil, touched, &noEntError{path}
-	}
-	return n, touched, nil
-}
-
 // leafOp describes what a spine rebuild does to the final node. It
 // replaces the per-call closure applyWrite used to take — the closure
 // captured locals and allocated on every Write; the op struct lives on
@@ -422,7 +412,7 @@ func (s *Store) applyWrite(n *node, it *hashIter, op *leafOp) (*node, int, bool)
 	var parentGen uint64
 	if child == nil {
 		child = s.pl.getNode()
-		child.name, child.hsh, child.size = seg, h, 1
+		child.name, child.hsh = seg, h
 		s.gen++
 		parentGen = s.gen
 		created = true
@@ -619,7 +609,7 @@ func (s *Store) Rm(path string) error {
 		s.chargeOp(touched)
 		return &noEntError{path}
 	}
-	rmSize := removed.size
+	rmSize := countNodes(removed)
 	s.publish(newRoot)
 	// The whole detached subtree is dead unless a snapshot holds it —
 	// the pool's epoch check decides.
@@ -629,10 +619,10 @@ func (s *Store) Rm(path string) error {
 	return nil
 }
 
-// NumNodes reports the total node count (diagnostic; grows ~40 per
-// guest with the stock toolstack). O(1): subtree sizes are maintained
-// on every copy.
-func (s *Store) NumNodes() int { return s.loaded().root.size - 1 }
+// NumNodes reports the total node count, excluding the root
+// (diagnostic; grows ~40 per guest with the stock toolstack). It walks
+// the whole tree.
+func (s *Store) NumNodes() int { return countNodes(s.loaded().root) - 1 }
 
 // WriteUniqueName records a guest name under dir, performing the
 // uniqueness check the paper calls out: "the XenStore compares the new

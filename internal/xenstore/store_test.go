@@ -73,6 +73,100 @@ func TestRmSubtree(t *testing.T) {
 	}
 }
 
+// TestRmChargesSubtreeNodes pins Rm's price: one round trip plus one
+// node touch per ancestor reached, per node of the removed subtree and
+// per registered watch (the daemon's match scan), plus one delivery
+// per watch that fires. Every expectation below is a hand count.
+func TestRmChargesSubtreeNodes(t *testing.T) {
+	rtt := costs.XSRequestInterrupts*costs.SoftIRQ + costs.XSRequestCrossings*costs.DomainCrossing + costs.XSProcess
+	// rm removes path and checks the touched-node count and the
+	// virtual time charged against a hand count.
+	rm := func(t *testing.T, s *Store, c *sim.Clock, path string, touched uint64, fires int, wantErr error) {
+		t.Helper()
+		n0, t0 := s.Count.NodesTouched, c.Now()
+		if err := s.Rm(path); !errors.Is(err, wantErr) {
+			t.Fatalf("Rm(%s) = %v, want %v", path, err, wantErr)
+		}
+		if got := s.Count.NodesTouched - n0; got != touched {
+			t.Fatalf("Rm(%s) touched %d nodes, want %d", path, got, touched)
+		}
+		want := rtt + sim.Duration(touched)*costs.XSPerNodeTouch + sim.Duration(fires)*costs.XSWatchFire
+		if got := c.Now().Sub(t0); got != want {
+			t.Fatalf("Rm(%s) charged %v, want %v", path, got, want)
+		}
+	}
+	fresh := func() (*Store, *sim.Clock) {
+		s, c := newStore()
+		s.LoggingEnabled = false
+		s.Write("/local/domain/6/name", "other")
+		return s, c
+	}
+
+	t.Run("nested", func(t *testing.T) {
+		s, c := fresh()
+		for _, p := range []string{"/device/vif/0/state", "/device/vif/0/mac", "/device/vbd/1/state", "/name"} {
+			s.Write("/local/domain/5"+p, "v")
+		}
+		fired := 0
+		s.Watch("/local/domain/5", "mine", func(string, string) { fired++ })
+		s.Watch("/local/domain/6", "other", func(string, string) { fired++ })
+		// Ancestors reached: /, local, domain (3). Subtree: 5, device,
+		// vif, 0, state, mac, vbd, 1, state, name (10). Registered
+		// watches: 2, of which the one on /local/domain/5 fires.
+		rm(t, s, c, "/local/domain/5", 3+10+2, 1, nil)
+		if fired != 1 {
+			t.Fatalf("%d watches fired, want 1", fired)
+		}
+		// A leaf: ancestors /, local, domain, 6 (4), subtree 1, both
+		// watches scanned, the one on /local/domain/6 fires.
+		rm(t, s, c, "/local/domain/6/name", 4+1+2, 1, nil)
+	})
+
+	t.Run("wide", func(t *testing.T) {
+		s, c := fresh()
+		for i := 0; i < 40; i++ {
+			s.Write(fmt.Sprintf("/local/domain/7/k%d", i), "v")
+		}
+		// 40 children overflow one 32-slot trie level, so the count
+		// must descend nested levels. Ancestors: /, local, domain (3).
+		// Subtree: 7 and its 40 children (41). No watches.
+		rm(t, s, c, "/local/domain/7", 3+41, 0, nil)
+	})
+
+	t.Run("grafted", func(t *testing.T) {
+		src, _ := newStore()
+		for _, p := range []string{"/vm/a/b", "/vm/a/c", "/vm/d"} {
+			src.Write(p, "v")
+		}
+		blob, err := src.SerializeSubtree("/vm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn, err := DeserializeSnapshot(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, c := fresh()
+		if err := s.GraftSnapshot(sn, "/", "/local/domain/9"); err != nil {
+			t.Fatal(err)
+		}
+		s.Write("/local/domain/9/a/e", "v")
+		// Ancestors: /, local, domain (3). Subtree: 9 (the grafted
+		// root), a, b, c, e, d (6). No watches.
+		rm(t, s, c, "/local/domain/9", 3+6, 0, nil)
+	})
+
+	t.Run("missing", func(t *testing.T) {
+		s, c := fresh()
+		s.Watch("/local/domain/42", "w", func(string, string) { t.Fatal("watch fired on a failed Rm") })
+		// The walk reaches /, local and domain, then finds no 42: no
+		// subtree, no watch scan, no delivery.
+		rm(t, s, c, "/local/domain/42", 3, 0, ErrNoEnt)
+		// It stops at the first missing ancestor: /, local.
+		rm(t, s, c, "/local/nope/x", 2, 0, ErrNoEnt)
+	})
+}
+
 func TestNumNodes(t *testing.T) {
 	s, _ := newStore()
 	if s.NumNodes() != 0 {
@@ -157,9 +251,11 @@ func TestWatchNotFiredOnPrefixSibling(t *testing.T) {
 func TestUnwatch(t *testing.T) {
 	s, _ := newStore()
 	count := 0
-	id := s.Watch("/a", "t", func(string, string) { count++ })
+	s.Watch("/a", "t", func(string, string) { count++ })
 	s.Write("/a/x", "1")
-	s.Unwatch(id)
+	if n := s.UnwatchByToken("t"); n != 1 {
+		t.Fatalf("UnwatchByToken removed %d, want 1", n)
+	}
 	s.Write("/a/y", "2")
 	if count != 1 {
 		t.Fatalf("fired %d times, want 1", count)
@@ -206,10 +302,6 @@ func TestTxnReadsOwnWrites(t *testing.T) {
 	tx.Write("/a", "own")
 	if v, err := tx.Read("/a"); err != nil || v != "own" {
 		t.Fatalf("own write invisible: %q %v", v, err)
-	}
-	tx.Rm("/a")
-	if tx.Exists("/a") {
-		t.Fatal("own delete invisible")
 	}
 	tx.Abort()
 }
@@ -283,8 +375,8 @@ func TestTxnConflictOnWrittenNode(t *testing.T) {
 func TestTxnConflictOnAppearance(t *testing.T) {
 	s, _ := newStore()
 	tx := s.TxnStart()
-	if tx.Exists("/new") {
-		t.Fatal("phantom node")
+	if _, err := tx.Read("/new"); !errors.Is(err, ErrNoEnt) {
+		t.Fatalf("phantom node: %v", err)
 	}
 	s.Write("/new", "appeared")
 	tx.Write("/x", "1")
@@ -305,39 +397,6 @@ func TestTxnNoFalseConflict(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("unrelated write caused conflict: %v", err)
 	}
-}
-
-func TestTxnDirectoryConflictOnChildAdd(t *testing.T) {
-	// Listing a directory and then having another committer add a
-	// child must conflict: the parent's generation changed. This is
-	// the mechanism by which sequential creations against shared
-	// backend directories collide.
-	s, _ := newStore()
-	s.Write("/local/domain/1/name", "a")
-	tx := s.TxnStart()
-	if _, err := tx.Directory("/local/domain"); err != nil {
-		t.Fatal(err)
-	}
-	s.Write("/local/domain/2/name", "b")
-	tx.Write("/x", "1")
-	if err := tx.Commit(); !errors.Is(err, ErrAgain) {
-		t.Fatalf("directory conflict: %v", err)
-	}
-}
-
-func TestTxnDirectoryMergesOwnWrites(t *testing.T) {
-	s, _ := newStore()
-	s.Write("/d/a", "1")
-	tx := s.TxnStart()
-	tx.Write("/d/b", "2")
-	names, err := tx.Directory("/d")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("Directory = %v", names)
-	}
-	tx.Abort()
 }
 
 func TestTxnHelperRetries(t *testing.T) {

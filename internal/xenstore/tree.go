@@ -48,7 +48,6 @@ type node struct {
 
 	kids  *amtNode // nil when the node has no children
 	nkids int      // direct children
-	size  int      // subtree node count including this node
 
 	// Pool provenance (see pool.go). ptag identifies the allocating
 	// store's pool (0 = unpooled: deserialized, foreign, or test
@@ -397,19 +396,15 @@ func (n *node) childByID(h uint64, name string) *node {
 }
 
 // withChild returns a copy of n with child set (added or replaced),
-// with size/nkids bookkeeping. The spine copy and any replaced trie
-// levels come from / retire to p; n itself is retired (every caller
-// replaces n with the copy in the published tree).
+// counting an added child in nkids. The spine copy and any replaced
+// trie levels come from / retire to p; n itself is retired (every
+// caller replaces n with the copy in the published tree).
 func (n *node) withChild(p *pool, child *node) *node {
 	c := n.clone(p)
-	old := n.childByID(child.hsh, child.name)
 	kids, added := amtSet(p, n.kids, 0, child)
 	c.kids = kids
 	if added {
 		c.nkids++
-		c.size += child.size
-	} else {
-		c.size += child.size - old.size
 	}
 	p.retireNode(n)
 	return c
@@ -429,7 +424,6 @@ func (n *node) withoutChild(p *pool, name string, h uint64) (*node, *node) {
 	c := n.clone(p)
 	c.kids = kids
 	c.nkids--
-	c.size -= removed.size
 	p.retireNode(n)
 	return c, removed
 }
@@ -458,4 +452,16 @@ func appendChildren(a *amtNode, dst []*node) []*node {
 		}
 	}
 	return dst
+}
+
+// countNodes returns the node count of n's subtree, n included: what
+// Rm charges and what the serializers presize for. eachChild's
+// callback does not escape, so the walk allocates nothing.
+func countNodes(n *node) int {
+	count := 1
+	n.eachChild(func(c *node) bool {
+		count += countNodes(c)
+		return true
+	})
+	return count
 }

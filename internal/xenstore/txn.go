@@ -3,8 +3,6 @@ package xenstore
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"lightvm/internal/costs"
@@ -38,13 +36,12 @@ type readEnt struct {
 	gen  uint64
 }
 
-// writeEnt is one buffered write (del means delete). The write set
-// preserves first-write order — commits apply in that order, with
-// later writes to the same path updated in place.
+// writeEnt is one buffered write. The write set preserves first-write
+// order — commits apply in that order, with later writes to the same
+// path updated in place.
 type writeEnt struct {
 	path string
 	val  string
-	del  bool
 }
 
 type txn struct {
@@ -161,94 +158,20 @@ func (tx *Tx) Read(path string) (string, error) {
 	p := normalize(path)
 	if w := tx.findWrite(p); w != nil {
 		tx.s.chargeOp(1)
-		if w.del {
-			return "", &noEntError{path}
-		}
 		return w.val, nil
 	}
 	tx.observe(p)
 	return tx.s.Read(p)
 }
 
-// Exists reports whether path resolves within the transaction.
-func (tx *Tx) Exists(path string) bool {
-	p := normalize(path)
-	if w := tx.findWrite(p); w != nil {
-		tx.s.chargeOp(1)
-		return !w.del
-	}
-	tx.observe(p)
-	return tx.s.Exists(p)
-}
-
-// Directory lists children of path (committed view merged with the
-// transaction's own writes directly beneath path).
-func (tx *Tx) Directory(path string) ([]string, error) {
-	p := normalize(path)
-	tx.observe(p)
-	names, err := tx.s.Directory(p)
-	if !tx.valid() || len(tx.t.writes) == 0 {
-		return names, err
-	}
-	if err != nil {
-		names = names[:0]
-	}
-	prefix := p + "/"
-	out := names
-	for _, w := range tx.t.writes {
-		if !strings.HasPrefix(w.path, prefix) {
-			continue
-		}
-		rest := w.path[len(prefix):]
-		first := rest
-		if i := strings.IndexByte(rest, '/'); i >= 0 {
-			first = rest[:i]
-		}
-		if w.del && rest == first {
-			for i, n := range out {
-				if n == first {
-					out = append(out[:i], out[i+1:]...)
-					break
-				}
-			}
-		} else if !w.del {
-			dup := false
-			for _, n := range out {
-				if n == first {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, first)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// put buffers a write or delete for p, preserving first-write order.
-func (tx *Tx) put(p, val string, del bool) {
-	if !tx.valid() {
-		return
-	}
-	if w := tx.findWrite(p); w != nil {
-		w.val, w.del = val, del
-		return
-	}
-	tx.t.writes = append(tx.t.writes, writeEnt{path: p, val: val, del: del})
-}
-
-// Write buffers a write.
+// Write buffers a write, preserving first-write order.
 func (tx *Tx) Write(path, value string) {
-	tx.put(normalize(path), value, false)
-	tx.s.chargeOp(1)
-}
-
-// Rm buffers a delete.
-func (tx *Tx) Rm(path string) {
-	tx.put(normalize(path), "", true)
+	p := normalize(path)
+	if w := tx.findWrite(p); w != nil {
+		w.val = value
+	} else if tx.valid() {
+		tx.t.writes = append(tx.t.writes, writeEnt{path: p, val: value})
+	}
 	tx.s.chargeOp(1)
 }
 
@@ -313,12 +236,7 @@ func (tx *Tx) Commit() error {
 	}
 	// Apply in order; watches fire per write, as on a real commit.
 	for i := range t.writes {
-		w := &t.writes[i]
-		if w.del {
-			_ = s.Rm(w.path)
-		} else {
-			s.Write(w.path, w.val)
-		}
+		s.Write(t.writes[i].path, t.writes[i].val)
 	}
 	s.Count.TxnCommits++
 	s.recycleTxn(t)

@@ -22,14 +22,11 @@ type watch struct {
 	fn     WatchFn
 }
 
-// WatchID identifies a registered watch for removal.
-type WatchID int
-
 // Watch registers fn on path: it fires for modifications of the node
 // or anything beneath it (Xen semantics). Watches are indexed by their
 // full normalized prefix; buckets stay sorted by id because ids only
-// grow.
-func (s *Store) Watch(path, token string, fn WatchFn) WatchID {
+// grow. Watches are removed by token (UnwatchByToken).
+func (s *Store) Watch(path, token string, fn WatchFn) {
 	s.batchValid = false
 	s.nextWatch++
 	w := &watch{id: s.nextWatch, prefix: normalize(path), token: token, fn: fn}
@@ -43,7 +40,6 @@ func (s *Store) Watch(path, token string, fn WatchFn) WatchID {
 		s.watchIndex[w.prefix] = append(s.watchIndex[w.prefix], w)
 	}
 	s.chargeOp(1)
-	return WatchID(w.id)
 }
 
 // dropIndexed removes w from its index bucket, preserving order.
@@ -67,19 +63,6 @@ func removeWatch(ws []*watch, w *watch) []*watch {
 		}
 	}
 	return ws
-}
-
-// Unwatch removes a watch.
-func (s *Store) Unwatch(id WatchID) {
-	s.batchValid = false
-	for i, w := range s.watches {
-		if w.id == int(id) {
-			s.watches = append(s.watches[:i], s.watches[i+1:]...)
-			s.dropIndexed(w)
-			break
-		}
-	}
-	s.chargeOp(1)
 }
 
 // UnwatchByToken removes every watch registered with token (device
