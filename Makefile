@@ -62,13 +62,14 @@ race:
 
 # 20-second smoke of each xenstore, mm and hv fuzz target (native Go
 # fuzzing, seeded by the checked-in corpora under
-# internal/*/testdata/fuzz plus the f.Add seeds). The allocator and
-# id-table targets cap minimization at 1 s per new input: their
-# inputs are operation sequences whose quadratic minimization otherwise
-# eats the whole run.
+# internal/*/testdata/fuzz plus the f.Add seeds). The commit,
+# allocator and id-table targets cap minimization at 1 s per new
+# input: their inputs are operation sequences whose quadratic
+# minimization otherwise eats the whole run.
 fuzz-smoke:
 	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzPath$$' -fuzztime 20s
 	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime 20s
+	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzTxnCommit$$' -fuzztime 20s -fuzzminimizetime 1s
 	$(GO) test ./internal/mm -run '^$$' -fuzz '^FuzzAllocFree$$' -fuzztime 20s -fuzzminimizetime 1s
 	$(GO) test ./internal/hv -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 20s -fuzzminimizetime 1s
 

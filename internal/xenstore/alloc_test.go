@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -269,5 +270,63 @@ func TestTxnChurnAllocsHistoryIndependent(t *testing.T) {
 	want := testing.AllocsPerRun(100, func() { churnTxn(t, fresh, freshID); freshID++ })
 	if churned != want {
 		t.Fatalf("churn txn allocates %.1f objects after %d txns vs %.1f on a fresh store", churned, total, want)
+	}
+}
+
+// TestTxnCommitCopiesSpineOnce pins what a commit allocates. Six
+// writes rewrite leaves of one device directory seven levels deep.
+// Warm, the pool recycles everything the commit replaces, so the only
+// allocation is the Tx handle. With the snapshot epoch bumped before
+// each commit nothing may recycle, and the count is the commit's own
+// objects: each of the 7 spine nodes (/, local, domain, 1, device, vif,
+// 0) once, each of their 7 trie levels once (2 objects: the level and
+// its slot array), the 6 rewritten leaves, the published treeState and
+// the Tx handle — 29. Applying the writes one by one would copy the
+// spine per write: 6 × (7 + 2×7 + 1 + 1) + 1 = 139.
+func TestTxnCommitCopiesSpineOnce(t *testing.T) {
+	const dir = "/local/domain/1/device/vif/0"
+	keys := []string{"backend", "backend-id", "handle", "mac", "state", "event-channel"}
+	s, _ := newStore()
+	for _, k := range keys {
+		s.Write(dir+"/"+k, "0")
+	}
+	// The hand count assumes every directory keeps its children in a
+	// single trie level (no two keys share their first 5 hash bits).
+	for p := "/"; ; {
+		n, _ := s.resolve(p)
+		for _, sl := range n.kids.slots {
+			if _, ok := sl.(*node); !ok {
+				t.Fatalf("%s keeps its children in more than one trie level", p)
+			}
+		}
+		if p == dir {
+			break
+		}
+		seg, _ := n.kids.slots[0].(*node)
+		p = strings.TrimSuffix(p, "/") + "/" + seg.name
+	}
+	paths := make([]string, len(keys))
+	for i, k := range keys {
+		paths[i] = dir + "/" + k
+	}
+	commit := func() {
+		tx := s.TxnStart()
+		for _, p := range paths {
+			tx.Write(p, "1")
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(100, commit); got != 1 {
+		t.Fatalf("warm commit allocates %.1f objects, want 1 (the Tx handle)", got)
+	}
+	s.pl.freeN, s.pl.freeA, s.pl.freeT = nil, nil, nil
+	got := testing.AllocsPerRun(100, func() {
+		s.snapEpoch.Add(1)
+		commit()
+	})
+	if want := 7 + 2*7 + len(keys) + 2; got != float64(want) {
+		t.Fatalf("commit with recycling off allocates %.1f objects, want %d (spine copied once per commit)", got, want)
 	}
 }

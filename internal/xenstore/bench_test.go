@@ -76,6 +76,51 @@ func BenchmarkTxnCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkTxnCommitDevice commits a vif device entry on a store
+// holding 1,000 guests: the 12 writes of xenbus.WriteDeviceEntries plus
+// the frontend's event channel, 13 writes under two 6-deep prefixes.
+// It cycles through the guests, so each commit rewrites one guest's
+// entries. The paths are built in set-up, so the loop measures the
+// commit alone.
+func BenchmarkTxnCommitDevice(b *testing.B) {
+	const guests = 1000
+	s, _ := newStore()
+	s.LoggingEnabled = false
+	populateGuests(s, guests)
+	type write struct{ path, val string }
+	sets := make([][]write, guests)
+	for g := range sets {
+		dom := strconv.Itoa(g + 1)
+		fe := "/local/domain/" + dom + "/device/vif/0"
+		be := "/local/domain/0/backend/vif/" + dom + "/0"
+		mac := "00:16:3e:00:00:" + strconv.Itoa(g%100)
+		sets[g] = []write{
+			{fe + "/backend", be}, {fe + "/backend-id", "0"}, {fe + "/handle", "0"},
+			{fe + "/mac", mac}, {be + "/mac", mac}, {be + "/bridge", "xenbr0"},
+			{fe + "/state", "1"}, {be + "/frontend", fe}, {be + "/frontend-id", dom},
+			{be + "/handle", "0"}, {be + "/online", "1"}, {be + "/state", "1"},
+			{fe + "/event-channel", "17"},
+		}
+	}
+	commit := func(g int) {
+		tx := s.TxnStart()
+		for _, w := range sets[g] {
+			tx.Write(w.path, w.val)
+		}
+		if err := tx.Commit(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for g := range sets {
+		commit(g)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		commit(i % guests)
+	}
+}
+
 // BenchmarkTxnChurn is BenchmarkTxnCommit on a fresh domain id per
 // iteration, the shape of serving churn: no written path repeats, so
 // any store-side state kept per distinct path shows up here (and never

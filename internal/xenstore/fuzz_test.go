@@ -6,6 +6,7 @@ package xenstore
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"testing"
 )
 
@@ -127,6 +128,141 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			return nil
 		}); err != nil {
 			t.Fatalf("txn after graft: %v", err)
+		}
+	})
+}
+
+// Write-set vocabulary for FuzzTxnCommit: the frontend and backend
+// directories a device-entry commit writes, plus a shallow one, with
+// keys shared between them so paths repeat within and across commits.
+var (
+	txnFuzzPrefixes = []string{"/local/domain/1/device/vif/0", "/local/domain/0/backend/vif/1/0", "/vm/1"}
+	txnFuzzKeys     = []string{"state", "mac", "handle", "backend", "a", "b"}
+)
+
+// commitSequential is the reference FuzzTxnCommit holds Tx.Commit to:
+// the same round trips and validation charge, with the write set then
+// replayed through Store.Write one path at a time in first-write order.
+func commitSequential(s *Store, writes [][2]string) {
+	tx := s.TxnStart()
+	for _, w := range writes {
+		tx.Write(w[0], w[1])
+	}
+	t := tx.t
+	s.chargeOp(len(t.writes) + 1) // validation: one touch per written path, plus the round trip
+	for _, w := range t.writes {
+		s.Write(w.path, w.val)
+	}
+	s.Count.TxnCommits++
+	s.recycleTxn(t)
+}
+
+// FuzzTxnCommit is a differential check of commit atomicity. Each
+// input decodes into up to 64 steps over two stores: write sets of
+// 1–16 writes over a few shared prefixes (some repeating a path),
+// plain writes, removals and snapshots. A write set commits through
+// Tx.Commit on one store and through commitSequential on its twin.
+// After every step both stores must hold the same tree (values,
+// generations and child counts at every node, compared through the
+// canonical serialization), identical Counters, the same virtual time
+// and the same watch event sequence; and every snapshot taken along
+// the way must still serialize to its bytes at capture.
+func FuzzTxnCommit(f *testing.F) {
+	f.Add([]byte{0, 12, 0, 0, 1, 0, 1, 1, 0, 4, 2, 0, 2, 3, 0, 3, 1, 0, 5, 1, 1, 0, 0, 1, 2, 1, 1, 4, 3, 0, 1, 1, 0, 0})
+	f.Add([]byte{5, 1, 15, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 2, 2, 0, 3, 0, 4, 6, 0, 0, 3, 1, 1, 2, 5})
+	f.Add([]byte{7, 2, 4, 1, 6, 14, 0, 0, 0, 1, 3, 3, 2, 5, 5, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		pickPath := func() string {
+			p := txnFuzzPrefixes[next()%len(txnFuzzPrefixes)] + "/" + txnFuzzKeys[next()%len(txnFuzzKeys)]
+			if next()%4 == 0 {
+				p += "/" + txnFuzzKeys[next()%len(txnFuzzKeys)]
+			}
+			return p
+		}
+		var (
+			stores [2]*Store
+			events [2][]watchEvent
+		)
+		for i := range stores {
+			s, _ := newStore()
+			stores[i] = s
+			for _, w := range []string{"/", "/local/domain/1/device", "/local/domain/0/backend/vif/1", "/vm"} {
+				s.Watch(w, w, func(path, token string) {
+					events[i] = append(events[i], watchEvent{path: path, token: token})
+				})
+			}
+		}
+		batch, seq := stores[0], stores[1]
+		type frozen struct {
+			sn   *Snapshot
+			blob []byte
+		}
+		var snaps []frozen
+		for step := 0; len(data) > 0 && step < 64; step++ {
+			switch op := next() % 8; op {
+			case 5:
+				for _, s := range stores {
+					sn := s.Snapshot()
+					snaps = append(snaps, frozen{sn, sn.Serialize()})
+				}
+			case 6:
+				p := pickPath()
+				if next()%2 == 0 {
+					p = txnFuzzPrefixes[next()%len(txnFuzzPrefixes)]
+				}
+				if e1, e2 := batch.Rm(p), seq.Rm(p); (e1 == nil) != (e2 == nil) {
+					t.Fatalf("step %d: Rm(%q) = %v on the committing store, %v on its twin", step, p, e1, e2)
+				}
+			case 7:
+				p, v := pickPath(), "w"+strconv.Itoa(next()%8)
+				batch.Write(p, v)
+				seq.Write(p, v)
+			default:
+				writes := make([][2]string, 1+next()%16)
+				for i := range writes {
+					writes[i] = [2]string{pickPath(), "v" + strconv.Itoa(next()%8)}
+				}
+				tx := batch.TxnStart()
+				for _, w := range writes {
+					tx.Write(w[0], w[1])
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatalf("step %d: commit: %v", step, err)
+				}
+				commitSequential(seq, writes)
+			}
+			a, err1 := batch.SerializeSubtree("/")
+			b, err2 := seq.SerializeSubtree("/")
+			if err1 != nil || err2 != nil || !bytes.Equal(a, b) {
+				t.Fatalf("step %d: trees differ (errors %v, %v)", step, err1, err2)
+			}
+			if batch.Count != seq.Count {
+				t.Fatalf("step %d: counters differ:\n%+v\n%+v", step, batch.Count, seq.Count)
+			}
+			if t1, t2 := batch.clock.Now(), seq.clock.Now(); t1 != t2 {
+				t.Fatalf("step %d: virtual time %v vs %v", step, t1, t2)
+			}
+			if len(events[0]) != len(events[1]) {
+				t.Fatalf("step %d: %d watch events vs %d", step, len(events[0]), len(events[1]))
+			}
+			for i := range events[0] {
+				if events[0][i] != events[1][i] {
+					t.Fatalf("step %d: watch event %d: %+v vs %+v", step, i, events[0][i], events[1][i])
+				}
+			}
+		}
+		for i, fz := range snaps {
+			if !bytes.Equal(fz.sn.Serialize(), fz.blob) {
+				t.Fatalf("snapshot %d changed after capture", i)
+			}
 		}
 	})
 }

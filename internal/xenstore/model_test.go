@@ -12,6 +12,13 @@ package xenstore
 // beneath them, leaves bump on value writes, Rm bumps the parent), so
 // transaction conflict detection is predicted exactly rather than
 // approximated.
+//
+// Every watch callback reads the fired path's directory back from the
+// live store — each sibling's name and value — and the model predicts
+// that view from its own state at the same instant. A commit in the
+// model applies its whole write set before firing anything, so a
+// callback that saw a transaction half applied fails the comparison:
+// commit atomicity is checked against the model.
 
 import (
 	"errors"
@@ -38,9 +45,12 @@ type refWatch struct {
 	active bool
 }
 
+// watchEvent is one delivery: the fired path, the watch's token and
+// the callback's view of the path's directory (siblingView).
 type watchEvent struct {
 	path  string
 	token string
+	view  string
 }
 
 type refStore struct {
@@ -65,9 +75,50 @@ func refParent(p string) string {
 func (m *refStore) fire(path string) {
 	for _, w := range m.watches {
 		if w.active && watchMatches(w.prefix, path) {
-			m.events = append(m.events, watchEvent{path, w.token})
+			m.events = append(m.events, watchEvent{path, w.token, m.siblingView(path)})
 		}
 	}
+}
+
+// childPath joins a directory and a child name.
+func childPath(dir, name string) string {
+	if dir == "/" {
+		return "/" + name
+	}
+	return dir + "/" + name
+}
+
+// siblingView renders the directory holding p as the model has it now:
+// every child's name and value, in sorted order.
+func (m *refStore) siblingView(p string) string {
+	dir := refParent(p)
+	if !m.exists(dir) {
+		return "noent"
+	}
+	var sb strings.Builder
+	for _, c := range m.children(dir) {
+		fmt.Fprintf(&sb, "%s=%s;", c, m.nodes[childPath(dir, c)].value)
+	}
+	return sb.String()
+}
+
+// storeSiblingView is siblingView read from the live store, through
+// the same charged operations a watch handler would issue.
+func storeSiblingView(s *Store, p string) string {
+	dir := refParent(p)
+	names, err := s.Directory(dir)
+	if err != nil {
+		return "noent"
+	}
+	var sb strings.Builder
+	for _, c := range names {
+		v, err := s.Read(childPath(dir, c))
+		if err != nil {
+			v = err.Error()
+		}
+		fmt.Fprintf(&sb, "%s=%s;", c, v)
+	}
+	return sb.String()
 }
 
 // ensure creates missing components of p, bumping each parent's
@@ -90,12 +141,17 @@ func (m *refStore) ensure(p string) int {
 	return created
 }
 
-func (m *refStore) write(p, value string) {
+// set applies a write without firing watches.
+func (m *refStore) set(p, value string) {
 	m.ensure(p)
 	m.gen++
 	n := m.nodes[p]
 	n.gen = m.gen
 	n.value = value
+}
+
+func (m *refStore) write(p, value string) {
+	m.set(p, value)
 	m.fire(p)
 }
 
@@ -217,7 +273,8 @@ func (t *refTx) write(p, v string) {
 }
 
 // commit reports whether the transaction conflicts (ErrAgain on the
-// real store) and applies it when it does not.
+// real store) and applies it when it does not: every write first, in
+// first-write order, then one watch fire per write in the same order.
 func (t *refTx) commit(m *refStore) bool {
 	conflict := false
 	for p, g := range t.readGens {
@@ -239,7 +296,10 @@ func (t *refTx) commit(m *refStore) bool {
 		return true
 	}
 	for _, p := range t.order {
-		m.write(p, t.writes[p])
+		m.set(p, t.writes[p])
+	}
+	for _, p := range t.order {
+		m.fire(p)
 	}
 	return false
 }
@@ -354,7 +414,7 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 		case k < 74: // register a watch
 			p, tok := randPath(r), fmt.Sprintf("t%d", r.Intn(8))
 			s.Watch(p, tok, func(path, token string) {
-				realEvents = append(realEvents, watchEvent{path, token})
+				realEvents = append(realEvents, watchEvent{path, token, storeSiblingView(s, path)})
 			})
 			m.watches = append(m.watches, &refWatch{prefix: p, token: tok, active: true})
 		case k < 77: // drop every watch registered with one token

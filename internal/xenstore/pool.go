@@ -43,6 +43,16 @@ import "sync/atomic"
 //
 // The free lists are bounded (poolMaxFree) so a burst — one huge Rm —
 // cannot pin an arbitrary amount of memory.
+//
+// The pool also scopes a transaction commit's in-place edits (txn.go).
+// Between beginEdit and endEdit every object it hands out carries the
+// commit's edit tag, and owns reports exactly those objects: nothing
+// has published them yet, so the commit may mutate them instead of
+// copying them again for its next write, in the way Clojure's
+// transients work. endEdit untags them all before the commit publishes
+// its root, so no object reachable from a published root — a
+// snapshot's, or one grafted back from a snapshot — ever carries a tag
+// a later commit could match, however the tag counter wraps.
 
 const poolMaxFree = 8192
 
@@ -62,6 +72,13 @@ type pool struct {
 	pendT []*treeState
 
 	depth int
+
+	// edit is the open commit's tag (0 outside a commit); lastEdit
+	// issues tags. ownN/ownA list the objects stamped with edit, for
+	// endEdit to untag.
+	edit, lastEdit uint32
+	ownN           []*node
+	ownA           []*amtNode
 }
 
 // poolTags hands out store-unique pool tags (stores can live on
@@ -83,9 +100,59 @@ func (p *pool) getNode() *node {
 		p.freeN[n-1] = nil
 		p.freeN = p.freeN[:n-1]
 		nd.birth = p.epoch.Load()
+		p.stampNode(nd)
 		return nd
 	}
-	return &node{ptag: p.tag, birth: p.epoch.Load()}
+	nd := &node{ptag: p.tag, birth: p.epoch.Load()}
+	p.stampNode(nd)
+	return nd
+}
+
+// stampNode tags nd as owned by the open commit, if there is one.
+func (p *pool) stampNode(nd *node) {
+	if p.edit != 0 {
+		nd.edit = p.edit
+		p.ownN = append(p.ownN, nd)
+	}
+}
+
+// stampAMT is stampNode for trie levels.
+func (p *pool) stampAMT(a *amtNode) {
+	if p.edit != 0 {
+		a.edit = p.edit
+		p.ownA = append(p.ownA, a)
+	}
+}
+
+// owns reports whether an object with edit tag edit was drawn by the
+// open commit and may be edited in place. Published objects carry 0.
+func (p *pool) owns(edit uint32) bool {
+	return edit != 0 && p != nil && edit == p.edit
+}
+
+// beginEdit opens a commit's in-place edit window under a fresh tag.
+// The counter skips 0, which marks objects no commit owns.
+func (p *pool) beginEdit() {
+	if p.lastEdit++; p.lastEdit == 0 {
+		p.lastEdit = 1
+	}
+	p.edit = p.lastEdit
+}
+
+// endEdit closes the window: every object the commit drew goes back
+// to untagged, so once its root is published nothing can edit it.
+func (p *pool) endEdit() {
+	for i, n := range p.ownN {
+		n.edit = 0
+		p.ownN[i] = nil
+	}
+	p.ownN = p.ownN[:0]
+	for i, a := range p.ownA {
+		a.edit = 0
+		p.ownA[i] = nil
+	}
+	p.ownA = p.ownA[:0]
+	p.edit = 0
 }
 
 // amtSlotCap rounds a slot-array capacity request up to the next
@@ -116,9 +183,12 @@ func (p *pool) getAMT(nslots int) *amtNode {
 			a.slots = a.slots[:nslots]
 		}
 		a.birth = p.epoch.Load()
+		p.stampAMT(a)
 		return a
 	}
-	return &amtNode{ptag: p.tag, birth: p.epoch.Load(), slots: make([]any, nslots, amtSlotCap(nslots))}
+	a := &amtNode{ptag: p.tag, birth: p.epoch.Load(), slots: make([]any, nslots, amtSlotCap(nslots))}
+	p.stampAMT(a)
+	return a
 }
 
 // getTS returns a treeState for the next publish. treeStates never

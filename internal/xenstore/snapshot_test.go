@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -191,6 +193,90 @@ func TestSubtreeSnapshotAndGraft(t *testing.T) {
 	}
 	if err := dst.GraftSnapshot(sub, "/", "/"); err == nil {
 		t.Fatal("graft onto the root accepted")
+	}
+}
+
+// commitVif commits a vif device entry for guest 1 at value v: the
+// frontend and backend directories of xenbus.WriteDeviceEntries, plus
+// a sibling key named by v, so successive commits both rewrite paths
+// and add children to directories an earlier commit wrote.
+func commitVif(t *testing.T, s *Store, v string) {
+	t.Helper()
+	const fe, be = "/local/domain/1/device/vif/0", "/local/domain/0/backend/vif/1/0"
+	tx := s.TxnStart()
+	for _, k := range []string{"backend-id", "handle", "mac", "state"} {
+		tx.Write(fe+"/"+k, v)
+	}
+	for _, k := range []string{"frontend-id", "handle", "mac", "online", "state"} {
+		tx.Write(be+"/"+k, v)
+	}
+	tx.Write(fe+"/x"+v, v)
+	tx.Write(be+"/x"+v, v)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireUntagged fails if any node or trie level reachable from n
+// still carries a commit's edit tag: a tagged published object is one
+// a later commit holding the same tag would edit in place.
+func requireUntagged(t *testing.T, n *node) {
+	t.Helper()
+	if n.edit != 0 {
+		t.Fatalf("published node %q carries edit tag %d", n.name, n.edit)
+	}
+	var walk func(a *amtNode)
+	walk = func(a *amtNode) {
+		if a == nil {
+			return
+		}
+		if a.edit != 0 {
+			t.Fatalf("published trie level under %q carries edit tag %d", n.name, a.edit)
+		}
+		for _, sl := range a.slots {
+			if sub, ok := sl.(*amtNode); ok {
+				walk(sub)
+			}
+		}
+	}
+	walk(n.kids)
+	n.eachChild(func(c *node) bool {
+		requireUntagged(t, c)
+		return true
+	})
+}
+
+// TestCommitNeverEditsPublishedTree: commits edit only objects they
+// drew themselves. A snapshot taken after one commit serializes to the
+// same bytes after later commits rewrite its paths and add siblings
+// beside them — also when the edit-tag counter wraps and hands the
+// later commits the very tag the snapshot's nodes were built under.
+func TestCommitNeverEditsPublishedTree(t *testing.T) {
+	for _, wrap := range []bool{false, true} {
+		s, _ := newStore()
+		populateGuests(s, 3)
+		commitVif(t, s, "1")
+		if s.pl.lastEdit != 1 {
+			t.Fatalf("first commit ran under edit tag %d, want 1", s.pl.lastEdit)
+		}
+		sn := s.Snapshot()
+		blob := sn.Serialize()
+		if wrap {
+			s.pl.lastEdit = math.MaxUint32 // the next commit wraps to tag 1
+		}
+		for i := 2; i <= 5; i++ {
+			commitVif(t, s, strconv.Itoa(i))
+			requireUntagged(t, s.loaded().root)
+		}
+		if wrap && s.pl.lastEdit != 4 {
+			t.Fatalf("edit tag after wrapping = %d, want 4 (0 is skipped)", s.pl.lastEdit)
+		}
+		if !bytes.Equal(sn.Serialize(), blob) {
+			t.Fatalf("wrap=%v: later commits changed a published snapshot", wrap)
+		}
+		if v, _ := s.Read("/local/domain/0/backend/vif/1/0/x5"); v != "5" {
+			t.Fatalf("wrap=%v: last commit lost: %q", wrap, v)
+		}
 	}
 }
 

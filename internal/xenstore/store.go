@@ -375,15 +375,19 @@ const (
 	leafReplace
 )
 
-// applyLeaf applies op to the final node of a spine rebuild.
+// applyLeaf applies op to the final node of a spine rebuild. A value
+// write edits a node the open commit owns in place.
 func (s *Store) applyLeaf(n *node, op *leafOp) *node {
 	switch op.kind {
 	case leafValue:
-		c := n.clone(s.pl)
+		c := n
+		if !s.pl.owns(n.edit) {
+			c = n.clone(s.pl)
+			s.pl.retireNode(n)
+		}
 		c.value = op.value
 		s.gen++
 		c.gen = s.gen
-		s.pl.retireNode(n)
 		return c
 	case leafReplace:
 		s.pl.retireTree(n)
@@ -401,7 +405,8 @@ func (s *Store) applyLeaf(n *node, op *leafOp) *node {
 // before deeper creations. It returns the new subtree root, the nodes
 // visited, and whether any component was created. When op changes
 // nothing and nothing was created, the original n is returned
-// (pointer-equal), so no-op mutations publish nothing.
+// (pointer-equal), so no-op mutations publish nothing. So is a node
+// whose subtree the open commit edited in place: n already holds it.
 func (s *Store) applyWrite(n *node, it *hashIter, op *leafOp) (*node, int, bool) {
 	seg, h, ok := it.next()
 	if !ok {
@@ -573,26 +578,6 @@ func (s *Store) applyRm(n *node, it *hashIter, leaf string, leafH uint64) (newN,
 		return nil, nil, t + 1, false
 	}
 	return n.withChild(s.pl, newChild), rm, t + 1, true
-}
-
-// updateAt rebuilds the spine down the remaining path and replaces the
-// final node with f(final), creating nothing. The visited-node count
-// matches resolveFrom. Generations are untouched unless f bumps them.
-// f owns retirement of the node it replaces.
-func updateAt(p *pool, n *node, it *hashIter, f func(*node) *node) (newN *node, touched int, found bool) {
-	seg, h, ok := it.next()
-	if !ok {
-		return f(n), 1, true
-	}
-	child := n.childByID(h, seg)
-	if child == nil {
-		return nil, 1, false
-	}
-	newChild, t, ok := updateAt(p, child, it, f)
-	if !ok {
-		return nil, t + 1, false
-	}
-	return n.withChild(p, newChild), t + 1, true
 }
 
 // Rm removes path and its subtree.

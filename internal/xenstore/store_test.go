@@ -584,6 +584,107 @@ func TestTxnAtomicityQuick(t *testing.T) {
 	}
 }
 
+// commitDevice commits a device-shaped write set: three writes under
+// /dev, the first to a path that existed before the commit.
+func commitDevice(t *testing.T, s *Store) {
+	t.Helper()
+	tx := s.TxnStart()
+	tx.Write("/dev/a", "1")
+	tx.Write("/dev/b", "new")
+	tx.Write("/dev/c", "new")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTxnCommitAtomicForWatches: a watch fired by a commit's first
+// write reads the paths of its later writes and sees their committed
+// values — the commit is applied whole before any watch fires, one
+// existing node (/dev/b) and one new node (/dev/c) alike.
+func TestTxnCommitAtomicForWatches(t *testing.T) {
+	s, _ := newStore()
+	s.Write("/dev/b", "old")
+	var seen []string
+	s.Watch("/dev/a", "t", func(string, string) {
+		for _, p := range []string{"/dev/b", "/dev/c"} {
+			v, err := s.Read(p)
+			seen = append(seen, fmt.Sprintf("%s=%q err=%v", p, v, err))
+		}
+	})
+	commitDevice(t, s)
+	want := []string{`/dev/b="new" err=<nil>`, `/dev/c="new" err=<nil>`}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("watch on the first write saw %v, want %v", seen, want)
+	}
+}
+
+// TestTxnCommitAtomicForClockEvents: clock events that run during a
+// commit's charges see all of its writes or none of them (none only
+// before the commit applies), and at least one runs after it applies.
+func TestTxnCommitAtomicForClockEvents(t *testing.T) {
+	s, c := newStore()
+	s.Write("/dev/b", "old")
+	var seen []int
+	done := false
+	var tick func()
+	tick = func() {
+		if done {
+			return
+		}
+		sn := s.Snapshot()
+		n := 0
+		for _, p := range []string{"/dev/a", "/dev/b", "/dev/c"} {
+			if v, _ := sn.Read(p); v == "1" || v == "new" {
+				n++
+			}
+		}
+		seen = append(seen, n)
+		c.After(time.Microsecond, tick)
+	}
+	c.After(time.Microsecond, tick)
+	commitDevice(t, s)
+	done = true
+	full := 0
+	for i, n := range seen {
+		switch n {
+		case 3:
+			full++
+		case 0:
+			if full > 0 {
+				t.Fatalf("event %d of %d saw the commit undone", i, len(seen))
+			}
+		default:
+			t.Fatalf("event %d of %d saw %d of 3 writes", i, len(seen), n)
+		}
+	}
+	if full == 0 {
+		t.Fatalf("none of %d events ran after the commit applied", len(seen))
+	}
+}
+
+// TestTxnCommitPublishesOnce: a commit publishes one tree version
+// however many writes it carries; a read-only commit publishes none.
+func TestTxnCommitPublishesOnce(t *testing.T) {
+	s, _ := newStore()
+	s.Write("/dev/b", "old")
+	before := s.pubs
+	commitDevice(t, s)
+	if got := s.pubs - before; got != 1 {
+		t.Fatalf("3-write commit published %d times, want 1", got)
+	}
+	before = s.pubs
+	tx := s.TxnStart()
+	if _, err := tx.Read("/dev/a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.pubs - before; got != 0 {
+		t.Fatalf("read-only commit published %d times, want 0", got)
+	}
+}
+
 func TestConnectionCountSlowsOps(t *testing.T) {
 	s, c := newStore()
 	before := c.Now()

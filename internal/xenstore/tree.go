@@ -4,10 +4,13 @@ import "math/bits"
 
 // The store's state is an immutable, structurally-shared tree: nodes
 // are never modified after publication. Every mutation (write, rm,
-// mkdir, graft, transaction apply) builds a new root by copying
+// mkdir, graft, transaction commit) builds a new root by copying
 // only the spine — the nodes on the path from the root to the change —
 // and publishes it with one atomic pointer store. Everything hanging
-// off the copied spine is shared with the previous version.
+// off the copied spine is shared with the previous version. A commit
+// copies each spine node once however many of its writes pass
+// through it: later writes edit the commit's own, not yet published
+// copies in place (pool.go's edit window).
 //
 // That single invariant is what makes Store.Snapshot O(1): a snapshot
 // is just the current root pointer, and it stays internally consistent
@@ -53,8 +56,10 @@ type node struct {
 	// store's pool (0 = unpooled: deserialized, foreign, or test
 	// construction); birth is that store's snapshot epoch at
 	// allocation. A node is recycled only by its own pool and only
-	// when no snapshot was taken during its lifetime.
+	// when no snapshot was taken during its lifetime. edit is the
+	// open commit's tag while that commit owns the node, 0 otherwise.
 	ptag  uint32
+	edit  uint32
 	birth uint64
 }
 
@@ -65,9 +70,9 @@ type node struct {
 // nodes (grafts) whose originals stay live.
 func (n *node) clone(p *pool) *node {
 	c := p.getNode()
-	ptag, birth := c.ptag, c.birth
+	ptag, edit, birth := c.ptag, c.edit, c.birth
 	*c = *n
-	c.ptag, c.birth = ptag, birth
+	c.ptag, c.edit, c.birth = ptag, edit, birth
 	return c
 }
 
@@ -88,11 +93,12 @@ const (
 
 // amtNode is one bitmap-compressed trie level. slots[i] is either a
 // *node (a direct entry) or a *amtNode (a deeper level); at
-// amtMaxShift, slots hold *amtCollision. ptag/birth mirror node's
-// pool provenance.
+// amtMaxShift, slots hold *amtCollision. ptag/edit/birth mirror
+// node's pool provenance.
 type amtNode struct {
 	bitmap uint32
 	ptag   uint32
+	edit   uint32
 	birth  uint64
 	slots  []any
 }
@@ -165,8 +171,13 @@ func amtGet(a *amtNode, h uint64, name string) *node {
 }
 
 // withSlot returns a copy of a with the packed slot at idx replaced,
-// retiring the original level to p.
+// retiring the original level to p. A level the open commit owns is
+// edited in place instead.
 func (a *amtNode) withSlot(p *pool, idx int, s any) *amtNode {
+	if p.owns(a.edit) {
+		a.slots[idx] = s
+		return a
+	}
 	c := p.getAMT(len(a.slots))
 	c.bitmap = a.bitmap
 	copy(c.slots, a.slots)
@@ -176,9 +187,17 @@ func (a *amtNode) withSlot(p *pool, idx int, s any) *amtNode {
 }
 
 // withInsert returns a copy of a with a new bit set and slot inserted,
-// retiring the original level to p.
+// retiring the original level to p. A level the open commit owns is
+// edited in place instead.
 func (a *amtNode) withInsert(p *pool, bit uint32, s any) *amtNode {
 	idx := a.slotIndex(bit)
+	if p.owns(a.edit) {
+		a.bitmap |= bit
+		a.slots = append(a.slots, nil)
+		copy(a.slots[idx+1:], a.slots[idx:])
+		a.slots[idx] = s
+		return a
+	}
 	c := p.getAMT(len(a.slots) + 1)
 	c.bitmap = a.bitmap | bit
 	copy(c.slots, a.slots[:idx])
@@ -398,15 +417,19 @@ func (n *node) childByID(h uint64, name string) *node {
 // withChild returns a copy of n with child set (added or replaced),
 // counting an added child in nkids. The spine copy and any replaced
 // trie levels come from / retire to p; n itself is retired (every
-// caller replaces n with the copy in the published tree).
+// caller replaces n with the copy in the published tree). A node the
+// open commit owns is edited in place instead.
 func (n *node) withChild(p *pool, child *node) *node {
-	c := n.clone(p)
-	kids, added := amtSet(p, n.kids, 0, child)
+	c := n
+	if !p.owns(n.edit) {
+		c = n.clone(p)
+		p.retireNode(n)
+	}
+	kids, added := amtSet(p, c.kids, 0, child)
 	c.kids = kids
 	if added {
 		c.nkids++
 	}
-	p.retireNode(n)
 	return c
 }
 

@@ -28,6 +28,18 @@ type TxnID uint64
 // touched-node count of a conflicting commit is a pure function of the
 // op sequence — a property the model-check harness and the
 // byte-identical golden figures rely on.
+//
+// A commit is atomic, as in oxenstored: the whole write set is applied
+// to one working root, which is published once, before any clock
+// charge or watch fires. No watch callback and no clock event ever
+// sees a transaction half applied. The writes still charge and fire
+// one by one afterwards, in first-write order, each at the cost a
+// plain Write of that path would charge at that moment. Applying them
+// as one batch also makes the commit cheap: the pool's edit window
+// (pool.go) lets every write after the first edit the commit's own
+// spine copies in place, so a 13-write device-entry commit copies each
+// spine node once rather than once per write, and the pool recycles
+// once per commit rather than once per write.
 
 // readEnt records the generation a transaction observed for a path
 // (0 = absent). The read set preserves first-observed order.
@@ -38,10 +50,12 @@ type readEnt struct {
 
 // writeEnt is one buffered write. The write set preserves first-write
 // order — commits apply in that order, with later writes to the same
-// path updated in place.
+// path updated in place. touched is the node count the write's apply
+// visited, which its charge pays.
 type writeEnt struct {
-	path string
-	val  string
+	path    string
+	val     string
+	touched int
 }
 
 type txn struct {
@@ -191,6 +205,8 @@ func (tx *Tx) Commit() error {
 	if !tx.valid() {
 		return ErrBadTxn
 	}
+	s.enter()
+	defer s.exit()
 	t := tx.t
 	if s.Faults.Fire(faults.KindTxnConflict) {
 		// An overlapping committer got in first (§4.2's failure mode,
@@ -234,9 +250,27 @@ func (tx *Tx) Commit() error {
 		s.recycleTxn(t)
 		return ErrAgain
 	}
-	// Apply in order; watches fire per write, as on a real commit.
+	// Apply the whole write set, in first-write order, to one working
+	// root inside the pool's edit window, and publish it once. Each
+	// write bumps generations exactly as a plain Write would.
+	if len(t.writes) > 0 {
+		s.pl.beginEdit()
+		root := s.loaded().root
+		for i := range t.writes {
+			w := &t.writes[i]
+			it := hashSegments(w.path)
+			op := leafOp{kind: leafValue, value: w.val}
+			root, w.touched, _ = s.applyWrite(root, &it, &op)
+		}
+		s.pl.endEdit()
+		s.publish(root)
+	}
+	// Only then charge and fire per write, in the same order: whatever
+	// runs during a charge or a callback sees the whole commit.
 	for i := range t.writes {
-		s.Write(t.writes[i].path, t.writes[i].val)
+		w := &t.writes[i]
+		s.chargeOp(w.touched + s.matchCost(w.path))
+		s.fireWatches(w.path)
 	}
 	s.Count.TxnCommits++
 	s.recycleTxn(t)
