@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-check bench-digests verify verify-race race fuzz-smoke cover-xenstore cover-traffic bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke clean
+.PHONY: build test bench-check bench-digests verify verify-race race fuzz-smoke cover-xenstore cover-traffic bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke examples-smoke clean
 
 # Newest checked-in benchmark report; bench-compare reruns its figures
 # and fails on regression. Override with BASELINE=path to pin another.
@@ -162,6 +162,15 @@ serve-smoke:
 overload-smoke:
 	$(GO) run ./cmd/lightvm-bench -exp ext-overload -scale 0.05 -seed 1 -parallel 1 -fsck
 	@echo "overload-smoke: metastable collapse reproduced and defended; hosts fsck clean"
+
+# Examples gate: run every program under examples/ with `go run`; a
+# non-zero exit fails the target. The examples are the public lightvm
+# API's only end-to-end callers, so a runtime break shows here first.
+examples-smoke:
+	@for d in examples/*/; do \
+		$(GO) run ./$$d > /dev/null || { echo "examples-smoke: $$d failed"; exit 1; }; \
+		echo "examples-smoke: $$d ok"; \
+	done
 
 # Full-scale replay of every figure with a JSON timing report.
 bench:

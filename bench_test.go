@@ -127,12 +127,12 @@ func BenchmarkAblationHotplug(b *testing.B) {
 	}
 	b.Run("bash-scripts", func(b *testing.B) {
 		run(b, func(c *sim.Clock) devd.Hotplug {
-			return &devd.BashScripts{Clock: c, Bridge: &devd.NullBridge{}}
+			return &devd.BashScripts{Clock: c, Bridge: devd.NewBridge()}
 		})
 	})
 	b.Run("xendevd", func(b *testing.B) {
 		run(b, func(c *sim.Clock) devd.Hotplug {
-			return &devd.Xendevd{Clock: c, Bridge: &devd.NullBridge{}}
+			return &devd.Xendevd{Clock: c, Bridge: devd.NewBridge()}
 		})
 	})
 }

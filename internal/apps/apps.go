@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"lightvm/internal/minipy"
 	"lightvm/internal/sim"
 )
 
@@ -30,35 +29,4 @@ func (d *Daytime) Serve() string {
 	t -= time.Duration(m) * time.Minute
 	s := int(t / time.Second)
 	return fmt.Sprintf("day %d, %02d:%02d:%02d UTC", days, h, m, s)
-}
-
-// PyFunc is the Minipython compute service payload runner (§7.4):
-// "receives compute service requests (in the form of python programs)
-// and spawns a VM to run the program".
-type PyFunc struct {
-	// Fuel bounds interpreter steps per request.
-	Fuel int
-	// Executed counts completed programs.
-	Executed uint64
-}
-
-// Run executes a program and returns its output.
-func (p *PyFunc) Run(program string) (string, error) {
-	res, err := minipy.Run(program, p.Fuel)
-	if err != nil {
-		return "", fmt.Errorf("apps: pyfunc: %w", err)
-	}
-	p.Executed++
-	return res.Output, nil
-}
-
-// Noop is the empty application of the noop unikernel and Tinyx-noop.
-type Noop struct{}
-
-// Main does nothing, successfully.
-func (Noop) Main() {}
-
-// Known lists the application identifiers used in guest images.
-func Known() []string {
-	return []string{"noop", "daytime", "minipython", "firewall", "tlsproxy"}
 }

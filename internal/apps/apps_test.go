@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -131,28 +130,8 @@ func TestDaytime(t *testing.T) {
 	}
 }
 
-func TestPyFuncRunsProgram(t *testing.T) {
-	p := &PyFunc{}
-	out, err := p.Run("print(6 * 7)")
-	if err != nil || strings.TrimSpace(out) != "42" {
-		t.Fatalf("pyfunc: %q, %v", out, err)
-	}
-	if _, err := p.Run("while True:\n    pass"); err == nil {
-		t.Fatal("runaway program not stopped")
-	}
-	if p.Executed != 1 {
-		t.Fatalf("executed = %d", p.Executed)
-	}
-}
-
 func TestActionString(t *testing.T) {
 	if Allow.String() != "allow" || Deny.String() != "deny" {
 		t.Fatal("action names")
-	}
-}
-
-func TestKnownApps(t *testing.T) {
-	if len(Known()) < 5 {
-		t.Fatal("app registry too small")
 	}
 }

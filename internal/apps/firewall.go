@@ -1,7 +1,7 @@
 // Package apps implements the guest applications the paper's VMs run:
-// the daytime service (§3.1), the ClickOS-style personal firewall
-// (§7.1), and the Minipython compute function (§7.4). The TLS
-// termination proxy lives in internal/tlsterm.
+// the daytime service (§3.1) and the ClickOS-style personal firewall
+// (§7.1). The Minipython compute function (§7.4) is internal/minipy;
+// the TLS termination proxy lives in internal/tlsterm.
 package apps
 
 import (

@@ -8,8 +8,6 @@ package console
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 
 	"lightvm/internal/hv"
 )
@@ -79,27 +77,4 @@ func (d *Daemon) Read(dom hv.DomID) (string, error) {
 		out = fmt.Sprintf("[%d bytes dropped]\n", r.dropped) + out
 	}
 	return out, nil
-}
-
-// Tail returns the last n lines of a domain's console.
-func (d *Daemon) Tail(dom hv.DomID, n int) (string, error) {
-	full, err := d.Read(dom)
-	if err != nil {
-		return "", err
-	}
-	lines := strings.Split(strings.TrimRight(full, "\n"), "\n")
-	if len(lines) > n {
-		lines = lines[len(lines)-n:]
-	}
-	return strings.Join(lines, "\n"), nil
-}
-
-// Domains lists attached domains in order.
-func (d *Daemon) Domains() []hv.DomID {
-	out := make([]hv.DomID, 0, len(d.rings))
-	for id := range d.rings {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,8 +1,8 @@
 // Package core assembles the complete LightVM host: the hypervisor and
-// its control planes (xl / chaos / split / noxs), the Dom0 software
-// switch, the Docker-like container engine and the fork/exec process
-// runner — everything a paper experiment or a library user needs on
-// one simulated machine.
+// its control planes (xl / chaos / split / noxs) with the Dom0 bridge,
+// the Docker-like container engine and the fork/exec process runner —
+// everything a paper experiment or a library user needs on one
+// simulated machine.
 package core
 
 import (
@@ -16,7 +16,6 @@ import (
 	"lightvm/internal/sim"
 	"lightvm/internal/toolstack"
 	"lightvm/internal/trace"
-	"lightvm/internal/vnet"
 )
 
 // Host is one simulated machine.
@@ -24,15 +23,11 @@ type Host struct {
 	Clock   *sim.Clock
 	Machine sched.Machine
 	Env     *toolstack.Env
-	Switch  *vnet.Switch
 	Docker  *container.Engine
 	Procs   *container.ProcessRunner
 	RNG     *sim.RNG
 
-	drivers  map[toolstack.Mode]toolstack.Driver
-	appOf    map[string]interface{}
-	pingPort map[string]bool
-	pingSeq  uint64
+	drivers map[toolstack.Mode]toolstack.Driver
 }
 
 // NewHost builds a host on machine; seed fixes all stochastic
@@ -46,20 +41,12 @@ func NewHost(machine sched.Machine, seed uint64) (*Host, error) {
 // need two hosts sharing one timeline).
 func NewHostOn(clock *sim.Clock, machine sched.Machine, seed uint64) (*Host, error) {
 	h := &Host{
-		Clock:    clock,
-		Machine:  machine,
-		Env:      toolstack.NewEnv(clock, machine),
-		RNG:      sim.NewRNG(seed),
-		drivers:  make(map[toolstack.Mode]toolstack.Driver),
-		appOf:    make(map[string]interface{}),
-		pingPort: make(map[string]bool),
+		Clock:   clock,
+		Machine: machine,
+		Env:     toolstack.NewEnv(clock, machine),
+		RNG:     sim.NewRNG(seed),
+		drivers: make(map[toolstack.Mode]toolstack.Driver),
 	}
-	h.Switch = vnet.NewSwitch(clock)
-	// Plumb the real software switch into both hotplug mechanisms.
-	h.Env.Bash.Bridge = h.Switch
-	h.Env.Xendevd.Bridge = h.Switch
-	h.Env.Bridge = h.Switch
-
 	docker, err := container.NewEngine(clock, h.Env.HV.Mem)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -112,23 +99,13 @@ func (h *Host) EnableTrace(max int) *trace.Log {
 	return h.Env.Trace
 }
 
-// CreateVM creates and boots a guest with the mode's toolstack, then
-// wires its application onto the host switch.
+// CreateVM creates and boots a guest with the mode's toolstack.
 func (h *Host) CreateVM(mode toolstack.Mode, name string, img guest.Image) (*toolstack.VM, error) {
-	vm, err := h.Driver(mode).Create(name, img)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.wireApp(vm); err != nil {
-		_ = h.Driver(mode).Destroy(vm)
-		return nil, err
-	}
-	return vm, nil
+	return h.Driver(mode).Create(name, img)
 }
 
 // DestroyVM tears a guest down.
 func (h *Host) DestroyVM(vm *toolstack.VM) error {
-	delete(h.appOf, vm.Name)
 	return h.Driver(vm.Mode).Destroy(vm)
 }
 
@@ -142,15 +119,7 @@ func (h *Host) UnpauseVM(vm *toolstack.VM) error { return h.Env.UnpauseVM(vm) }
 // from the parent's state sharing its memory copy-on-write. See
 // toolstack.Env.CloneVM.
 func (h *Host) CloneVM(parent *toolstack.VM, name string) (*toolstack.VM, error) {
-	vm, err := h.Env.CloneVM(parent, name)
-	if err != nil {
-		return nil, err
-	}
-	if err := h.wireApp(vm); err != nil {
-		_ = h.DestroyVM(vm)
-		return nil, err
-	}
-	return vm, nil
+	return h.Env.CloneVM(parent, name)
 }
 
 // Save checkpoints a VM.

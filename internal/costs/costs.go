@@ -494,11 +494,6 @@ const (
 	// BridgeForward is the Dom0 software switch's per-packet cost.
 	BridgeForward = 2 * time.Microsecond
 
-	// BridgeQueueLimit is the switch's per-port backlog limit; when
-	// exceeded, packets (notably ARPs in §7.2) are dropped, producing
-	// the long tail of Fig. 16b.
-	BridgeQueueLimit = 256
-
 	// PingProcess is the guest-side cost to answer one echo request.
 	PingProcess = 30 * time.Microsecond
 

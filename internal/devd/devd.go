@@ -25,16 +25,41 @@ import (
 // returned by the Hotplug implementations in this package wrap it.
 var ErrHotplug = errors.New("devd: hotplug failed")
 
-// PortAttacher is the bridge-facing half: the software switch (or a
-// test fake) implements it.
-type PortAttacher interface {
-	AttachPort(name string) error
-	DetachPort(name string) error
+// Bridge is the Dom0 software bridge as hotplug sees it: the set of
+// attached vif ports. Attaching a port twice, or detaching one that is
+// not attached, is an error — each vif is plumbed exactly once between
+// its backend's setup and teardown.
+type Bridge struct {
+	ports map[string]struct{}
 }
+
+// NewBridge returns a bridge with no ports.
+func NewBridge() *Bridge { return &Bridge{ports: make(map[string]struct{})} }
+
+// AttachPort adds the named port.
+func (b *Bridge) AttachPort(name string) error {
+	if _, dup := b.ports[name]; dup {
+		return fmt.Errorf("devd: port %q already attached", name)
+	}
+	b.ports[name] = struct{}{}
+	return nil
+}
+
+// DetachPort removes the named port.
+func (b *Bridge) DetachPort(name string) error {
+	if _, ok := b.ports[name]; !ok {
+		return fmt.Errorf("devd: no port %q", name)
+	}
+	delete(b.ports, name)
+	return nil
+}
+
+// Ports reports the attached port count.
+func (b *Bridge) Ports() int { return len(b.ports) }
 
 // Hotplug sets up and tears down guest vifs in Dom0.
 type Hotplug interface {
-	// Setup plumbs the named vif (e.g. "vif3.0") into the switch.
+	// Setup plumbs the named vif (e.g. "vif3.0") into the bridge.
 	Setup(vif string) error
 	// Teardown removes it.
 	Teardown(vif string) error
@@ -45,7 +70,7 @@ type Hotplug interface {
 // BashScripts is the stock xl/udevd hotplug path.
 type BashScripts struct {
 	Clock  *sim.Clock
-	Bridge PortAttacher
+	Bridge *Bridge
 	// Invocations counts script executions (fork+exec pairs).
 	Invocations int
 }
@@ -67,13 +92,16 @@ func (b *BashScripts) Setup(vif string) error {
 func (b *BashScripts) Teardown(vif string) error {
 	b.Invocations++
 	b.Clock.Sleep(costs.HotplugBashScript)
-	return b.Bridge.DetachPort(vif)
+	if err := b.Bridge.DetachPort(vif); err != nil {
+		return fmt.Errorf("%w: bash hotplug %s: %v", ErrHotplug, vif, err)
+	}
+	return nil
 }
 
 // Xendevd is LightVM's in-process setup daemon.
 type Xendevd struct {
 	Clock  *sim.Clock
-	Bridge PortAttacher
+	Bridge *Bridge
 	// Events counts udev events handled.
 	Events int
 }
@@ -95,7 +123,10 @@ func (x *Xendevd) Setup(vif string) error {
 func (x *Xendevd) Teardown(vif string) error {
 	x.Events++
 	x.Clock.Sleep(costs.HotplugXendevd)
-	return x.Bridge.DetachPort(vif)
+	if err := x.Bridge.DetachPort(vif); err != nil {
+		return fmt.Errorf("%w: xendevd %s: %v", ErrHotplug, vif, err)
+	}
+	return nil
 }
 
 // Failover is a Hotplug that normally delegates to Primary but falls
@@ -128,13 +159,3 @@ func (f *Failover) Setup(vif string) error { return f.pick().Setup(vif) }
 
 // Teardown implements Hotplug.
 func (f *Failover) Teardown(vif string) error { return f.pick().Teardown(vif) }
-
-// NullBridge is a PortAttacher that accepts everything; used where the
-// experiment doesn't care about the data plane.
-type NullBridge struct{ Ports int }
-
-// AttachPort implements PortAttacher.
-func (n *NullBridge) AttachPort(string) error { n.Ports++; return nil }
-
-// DetachPort implements PortAttacher.
-func (n *NullBridge) DetachPort(string) error { n.Ports--; return nil }

@@ -1,6 +1,8 @@
 package devd
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,7 +12,7 @@ import (
 
 func TestBashScriptsChargesForkExecCost(t *testing.T) {
 	clock := sim.NewClock()
-	br := &NullBridge{}
+	br := NewBridge()
 	hp := &BashScripts{Clock: clock, Bridge: br}
 	if err := hp.Setup("vif1.0"); err != nil {
 		t.Fatal(err)
@@ -18,26 +20,27 @@ func TestBashScriptsChargesForkExecCost(t *testing.T) {
 	if clock.Now().Sub(0) < costs.HotplugBashScript {
 		t.Fatalf("bash setup charged %v, want ≥%v", clock.Now(), costs.HotplugBashScript)
 	}
-	if br.Ports != 1 || hp.Invocations != 1 {
-		t.Fatalf("ports=%d invocations=%d", br.Ports, hp.Invocations)
+	if br.Ports() != 1 || hp.Invocations != 1 {
+		t.Fatalf("ports=%d invocations=%d", br.Ports(), hp.Invocations)
 	}
 	if err := hp.Teardown("vif1.0"); err != nil {
 		t.Fatal(err)
 	}
-	if br.Ports != 0 || hp.Invocations != 2 {
-		t.Fatalf("after teardown: ports=%d invocations=%d", br.Ports, hp.Invocations)
+	if br.Ports() != 0 || hp.Invocations != 2 {
+		t.Fatalf("after teardown: ports=%d invocations=%d", br.Ports(), hp.Invocations)
 	}
 }
 
 func TestXendevdMuchCheaperThanBash(t *testing.T) {
 	c1, c2 := sim.NewClock(), sim.NewClock()
-	bash := &BashScripts{Clock: c1, Bridge: &NullBridge{}}
-	xd := &Xendevd{Clock: c2, Bridge: &NullBridge{}}
+	bash := &BashScripts{Clock: c1, Bridge: NewBridge()}
+	xd := &Xendevd{Clock: c2, Bridge: NewBridge()}
 	for i := 0; i < 10; i++ {
-		if err := bash.Setup("vifX"); err != nil {
+		vif := fmt.Sprintf("vif%d.0", i+1)
+		if err := bash.Setup(vif); err != nil {
 			t.Fatal(err)
 		}
-		if err := xd.Setup("vifX"); err != nil {
+		if err := xd.Setup(vif); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,5 +52,37 @@ func TestXendevdMuchCheaperThanBash(t *testing.T) {
 func TestNames(t *testing.T) {
 	if (&BashScripts{}).Name() != "bash-hotplug" || (&Xendevd{}).Name() != "xendevd" {
 		t.Fatal("hotplug names wrong")
+	}
+}
+
+// The bridge holds each port once, and every hotplug failure — on
+// setup or teardown, by either mechanism — wraps ErrHotplug.
+func TestBridgePortsAndHotplugErrors(t *testing.T) {
+	br := NewBridge()
+	if err := br.AttachPort("vif1.0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := br.AttachPort("vif1.0"); err == nil {
+		t.Fatal("duplicate attach accepted")
+	}
+	if err := br.DetachPort("vif9.0"); err == nil {
+		t.Fatal("detach of an unknown port accepted")
+	}
+	if br.Ports() != 1 {
+		t.Fatalf("ports = %d, want 1", br.Ports())
+	}
+	for _, hp := range []Hotplug{
+		&BashScripts{Clock: sim.NewClock(), Bridge: br},
+		&Xendevd{Clock: sim.NewClock(), Bridge: br},
+	} {
+		if err := hp.Setup("vif1.0"); !errors.Is(err, ErrHotplug) {
+			t.Fatalf("%s: duplicate setup: %v", hp.Name(), err)
+		}
+		if err := hp.Teardown("vif9.0"); !errors.Is(err, ErrHotplug) {
+			t.Fatalf("%s: teardown of an unknown vif: %v", hp.Name(), err)
+		}
+	}
+	if err := br.DetachPort("vif1.0"); err != nil || br.Ports() != 0 {
+		t.Fatalf("detach: %v, ports = %d", err, br.Ports())
 	}
 }

@@ -388,16 +388,20 @@ func discardTarget(e *toolstack.Env, vm *toolstack.VM) {
 }
 
 // teardownSource destroys the instance a save or migration leaves
-// behind: its scheduler load, its device state — the registry entries
-// on the store path (without the backend hotplug teardown), the device
-// page on noxs, whose destruction pays the unoptimized-teardown
-// penalty of §6.2 — and then its domain.
+// behind: its scheduler load, its device state — on the store path the
+// registry entries, with each vif detached from the bridge directly
+// (no backend hotplug teardown, so nothing is charged), on noxs the
+// device page, whose destruction pays the unoptimized-teardown penalty
+// of §6.2 — and then its domain.
 func teardownSource(e *toolstack.Env, vm *toolstack.VM) error {
 	var err error
 	e.RunDom0(func() {
 		e.UnregisterRunning(vm)
 		if vm.Mode.UsesStore() {
 			for i, dev := range vm.Image.Devices {
+				if dev.Kind == hv.DevVif {
+					_ = e.Bridge.DetachPort(xenbus.VifName(int(vm.Dom.ID), i))
+				}
 				xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i)
 			}
 			_ = e.Store.Rm(xenbus.DomainPath(vm.Dom.ID))

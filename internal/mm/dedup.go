@@ -75,21 +75,6 @@ func (p *SharePool) Release(key string) error {
 	return nil
 }
 
-// BreakCOW gives one sharer a private copy of breakBytes of the
-// region (a guest wrote to shared pages): the private pages are
-// allocated for owner and the share reference is retained for the
-// remainder.
-func (p *SharePool) BreakCOW(key string, breakBytes uint64, owner Owner) error {
-	r, ok := p.pages[key]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoShare, key)
-	}
-	if breakBytes > r.bytes {
-		return fmt.Errorf("mm: COW break of %d bytes exceeds region %q (%d bytes)", breakBytes, key, r.bytes)
-	}
-	return p.alloc.AllocBytes(breakBytes, owner)
-}
-
 // Refs reports the sharer count of a region (0 if absent).
 func (p *SharePool) Refs(key string) int {
 	if r, ok := p.pages[key]; ok {

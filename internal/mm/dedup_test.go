@@ -72,34 +72,6 @@ func TestReleaseUnknown(t *testing.T) {
 	}
 }
 
-func TestBreakCOW(t *testing.T) {
-	a := newTest(64)
-	p := NewSharePool(a)
-	if _, err := p.Acquire("k", 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	before := a.UsedBytes()
-	if err := p.BreakCOW("k", 256<<10, Owner(42)); err != nil {
-		t.Fatal(err)
-	}
-	if a.UsedBytes()-before != 256<<10 {
-		t.Fatalf("COW break allocated %d", a.UsedBytes()-before)
-	}
-	if a.OwnerBytes(42) != 256<<10 {
-		t.Fatal("COW pages not charged to the writer")
-	}
-	if a.OwnerBytes(p.pages["k"].owner) != 1<<20 {
-		t.Fatal("COW break changed the shared region's pages")
-	}
-	// Break beyond the region is rejected.
-	if err := p.BreakCOW("k", 2<<20, Owner(42)); err == nil {
-		t.Fatal("oversized COW break accepted")
-	}
-	if err := p.BreakCOW("ghost", 1, Owner(42)); !errors.Is(err, ErrNoShare) {
-		t.Fatalf("COW on unknown region: %v", err)
-	}
-}
-
 func TestSharedBytesCountsOnce(t *testing.T) {
 	p := NewSharePool(newTest(64))
 	_, _ = p.Acquire("a", 1<<20)

@@ -14,7 +14,7 @@ const mib = 1024 * 1024
 func newModule() (*Module, *hv.Hypervisor, *sim.Clock) {
 	clock := sim.NewClock()
 	h := hv.New(clock, 8*1024*mib)
-	hp := &devd.Xendevd{Clock: clock, Bridge: &devd.NullBridge{}}
+	hp := &devd.Xendevd{Clock: clock, Bridge: devd.NewBridge()}
 	return NewModule(h, hp), h, clock
 }
 

@@ -109,7 +109,7 @@ type Env struct {
 	Noxs  *noxs.Module
 	Sched *sched.Sched
 
-	Bridge  devd.PortAttacher
+	Bridge  *devd.Bridge
 	Bash    *devd.BashScripts
 	Xendevd *devd.Xendevd
 
@@ -174,7 +174,7 @@ func NewEnv(clock *sim.Clock, machine sched.Machine) *Env {
 		Sched: sched.New(machine),
 		vms:   make(map[string]*VM),
 	}
-	e.Bridge = &devd.NullBridge{}
+	e.Bridge = devd.NewBridge()
 	e.Bash = &devd.BashScripts{Clock: clock, Bridge: e.Bridge}
 	e.Xendevd = &devd.Xendevd{Clock: clock, Bridge: e.Bridge}
 	e.Noxs = noxs.NewModule(e.HV, e.Xendevd)

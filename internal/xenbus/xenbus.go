@@ -113,8 +113,8 @@ func BackendPath(dom hv.DomID, kind hv.DevKind, idx int) string {
 	return string(buf)
 }
 
-// vifName is the hotplug interface name "vif<dom>.<idx>".
-func vifName(dom, idx int) string {
+// VifName is the hotplug interface name "vif<dom>.<idx>".
+func VifName(dom, idx int) string {
 	buf := make([]byte, 0, 16)
 	buf = append(buf, "vif"...)
 	buf = strconv.AppendInt(buf, int64(dom), 10)
@@ -217,7 +217,7 @@ func (b *Backend) setup(dir string) {
 		return
 	}
 	if b.Kind == hv.DevVif && b.Hotplug != nil {
-		_ = b.Hotplug.Setup(vifName(feDom, 0))
+		_ = b.Hotplug.Setup(VifName(feDom, 0))
 	}
 	b.DevicesSetUp++
 }
@@ -232,7 +232,7 @@ func (b *Backend) Teardown(dom hv.DomID, idx int) {
 		}
 	}
 	if b.Kind == hv.DevVif && b.Hotplug != nil {
-		_ = b.Hotplug.Teardown(vifName(int(dom), idx))
+		_ = b.Hotplug.Teardown(VifName(int(dom), idx))
 	}
 	_ = b.Store.Rm(dir)
 }

@@ -27,7 +27,7 @@ func newFixture(t *testing.T) *fixture {
 	clock := sim.NewClock()
 	h := hv.New(clock, 8*1024*mib)
 	s := xenstore.New(clock)
-	hp := &devd.Xendevd{Clock: clock, Bridge: &devd.NullBridge{}}
+	hp := &devd.Xendevd{Clock: clock, Bridge: devd.NewBridge()}
 	be := NewBackend(hv.DevVif, h, s, hp)
 	return &fixture{clock: clock, h: h, s: s, be: be, hp: hp}
 }
@@ -223,8 +223,8 @@ func TestHotplugAblation(t *testing.T) {
 		}
 		return clock.Now().Sub(start)
 	}
-	bash := elapsed(&devd.BashScripts{Bridge: &devd.NullBridge{}})
-	xd := elapsed(&devd.Xendevd{Bridge: &devd.NullBridge{}})
+	bash := elapsed(&devd.BashScripts{Bridge: devd.NewBridge()})
+	xd := elapsed(&devd.Xendevd{Bridge: devd.NewBridge()})
 	if bash <= xd {
 		t.Fatalf("bash hotplug (%v) not slower than xendevd (%v)", bash, xd)
 	}

@@ -45,7 +45,7 @@ import (
 // Core types, re-exported for library users.
 type (
 	// Host is one simulated machine with its hypervisor, toolstacks,
-	// software switch, container engine and process runner.
+	// Dom0 bridge, container engine and process runner.
 	Host = core.Host
 	// Machine describes a testbed host (cores, Dom0 cores, memory).
 	Machine = sched.Machine
