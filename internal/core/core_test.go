@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lightvm/internal/guest"
+	"lightvm/internal/hv"
 	"lightvm/internal/sched"
 	"lightvm/internal/sim"
 	"lightvm/internal/toolstack"
@@ -38,6 +39,33 @@ func TestHostLifecycle(t *testing.T) {
 	}
 	if h.VMs() != 0 || h.Env.Bridge.Ports() != 0 {
 		t.Fatalf("teardown incomplete: vms=%d ports=%d", h.VMs(), h.Env.Bridge.Ports())
+	}
+}
+
+// TestVifPastFirstDeviceLeavesWithGuest creates store-path guests whose
+// vif is device 1 (after a console): the backend must attach the port
+// under the vif's own index, so destroy finds and detaches it.
+func TestVifPastFirstDeviceLeavesWithGuest(t *testing.T) {
+	for _, mode := range []toolstack.Mode{toolstack.ModeXL, toolstack.ModeChaosXS} {
+		h := newHost(t)
+		img := guest.Daytime()
+		img.Devices = append([]guest.DeviceSpec{{Kind: hv.DevConsole}}, img.Devices...)
+		vm, err := h.CreateVM(mode, "v1", img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := h.Env.Bridge.Ports(); n != 1 {
+			t.Fatalf("%s: %d bridge ports after create, want 1", mode, n)
+		}
+		if err := h.DestroyVM(vm); err != nil {
+			t.Fatal(err)
+		}
+		if n := h.Env.Bridge.Ports(); n != 0 {
+			t.Fatalf("%s: %d bridge ports after destroy, want 0", mode, n)
+		}
+		if f := h.Env.BackVif.HotplugFailures; f != 0 {
+			t.Fatalf("%s: %d hotplug failures", mode, f)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"lightvm/internal/costs"
@@ -144,6 +145,9 @@ type Backend struct {
 
 	// DevicesSetUp counts completed device initializations.
 	DevicesSetUp int
+	// HotplugFailures counts vif setups whose hotplug step failed (the
+	// device still reaches InitWait, as with a failed hotplug script).
+	HotplugFailures int
 	// StallsInjected counts handshake announcements the fault plane
 	// made this backend drop (the toolstack recovers via re-attach).
 	StallsInjected int
@@ -217,7 +221,14 @@ func (b *Backend) setup(dir string) {
 		return
 	}
 	if b.Kind == hv.DevVif && b.Hotplug != nil {
-		_ = b.Hotplug.Setup(VifName(feDom, 0))
+		// dir is BackendPath(dom, kind, idx): the index is its last segment.
+		idx, err := strconv.Atoi(dir[strings.LastIndexByte(dir, '/')+1:])
+		if err == nil {
+			err = b.Hotplug.Setup(VifName(feDom, idx))
+		}
+		if err != nil {
+			b.HotplugFailures++
+		}
 	}
 	b.DevicesSetUp++
 }

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -108,6 +109,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if sn.NumNodes() < 1 {
 			t.Fatalf("accepted snapshot has %d nodes", sn.NumNodes())
 		}
+		checkGenBound(t, sn.root, sn.gen)
 		// Walking the frozen tree must be safe.
 		if _, err := sn.Directory("/"); err != nil {
 			t.Fatalf("Directory on accepted snapshot: %v", err)
@@ -120,6 +122,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err := s.GraftSnapshot(sn, "/", "/grafted"); err != nil {
 			t.Fatalf("graft of accepted snapshot: %v", err)
 		}
+		checkGenBound(t, s.loaded().root, s.gen)
 		if got, want := s.NumNodes(), sn.NumNodes(); got != want {
 			t.Fatalf("graft node count: store %d, snapshot %d", got, want)
 		}
@@ -135,38 +138,89 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // Write-set vocabulary for FuzzTxnCommit: the frontend and backend
 // directories a device-entry commit writes, plus a shallow one, with
 // keys shared between them so paths repeat within and across commits.
+// Watches registered mid-run take one of the tokens; the last two name
+// watches every run starts with.
 var (
 	txnFuzzPrefixes = []string{"/local/domain/1/device/vif/0", "/local/domain/0/backend/vif/1/0", "/vm/1"}
 	txnFuzzKeys     = []string{"state", "mac", "handle", "backend", "a", "b"}
+	txnFuzzTokens   = []string{"f0", "f1", "f2", "/vm", "/local/domain/1/device"}
 )
 
-// commitSequential is the reference FuzzTxnCommit holds Tx.Commit to:
-// the same round trips and validation charge, with the write set then
-// replayed through Store.Write one path at a time in first-write order.
-func commitSequential(s *Store, writes [][2]string) {
+// commitSequential is the reference FuzzTxnCommit holds Tx.Commit to.
+// It starts a transaction, buffers writes, runs between (a plain write
+// from another client, or nothing), then always walks the write set to
+// validate it, stopping at the first node modified since TxnStart. A
+// commit that passes replays the write set through Store.Write one path
+// at a time in first-write order.
+func commitSequential(s *Store, writes [][2]string, between func(*Store)) error {
 	tx := s.TxnStart()
 	for _, w := range writes {
 		tx.Write(w[0], w[1])
 	}
+	between(s)
 	t := tx.t
-	s.chargeOp(len(t.writes) + 1) // validation: one touch per written path, plus the round trip
+	touched := 0 // one touch per written path checked, plus the round trip
+	for _, w := range t.writes {
+		touched++
+		if n, _ := resolveFrom(s.loaded().root, w.path); n != nil && n.gen > t.startGen {
+			s.chargeOp(touched + 1)
+			s.Count.TxnConflicts++
+			s.recycleTxn(t)
+			return ErrAgain
+		}
+	}
+	s.chargeOp(touched + 1)
 	for _, w := range t.writes {
 		s.Write(w.path, w.val)
 	}
 	s.Count.TxnCommits++
 	s.recycleTxn(t)
+	return nil
 }
 
-// FuzzTxnCommit is a differential check of commit atomicity. Each
-// input decodes into up to 64 steps over two stores: write sets of
-// 1–16 writes over a few shared prefixes (some repeating a path),
-// plain writes, removals and snapshots. A write set commits through
-// Tx.Commit on one store and through commitSequential on its twin.
-// After every step both stores must hold the same tree (values,
+// checkCandidates fails t unless the indexed delivery candidates for
+// path and each of its ancestors are exactly the registered watches
+// that match it, in registration order.
+func checkCandidates(t *testing.T, step int, s *Store, path string) {
+	t.Helper()
+	for p := path; ; p = refParent(p) {
+		got := s.mergeCandidates(0, p)
+		var want []*watch
+		for _, w := range s.watches {
+			if watchMatches(w.prefix, p) {
+				want = append(want, w)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %s has %d delivery candidates, %d watches match", step, p, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: %s candidate %d is watch %d on %s, want %d on %s",
+					step, p, i, got[i].id, got[i].prefix, want[i].id, want[i].prefix)
+			}
+		}
+		if p == "/" {
+			return
+		}
+	}
+}
+
+// FuzzTxnCommit is a differential check of commit atomicity and
+// validation. Each input decodes into up to 64 steps over two stores:
+// write sets of 1–16 writes over a few shared prefixes (some repeating
+// a path), plain writes, removals, snapshots, and watches registered
+// at random depths or removed by token. A write set commits through
+// Tx.Commit on one store and through commitSequential on its twin;
+// some commits see a plain write land between TxnStart and Commit on
+// both, so Commit's quiet path (nothing published since TxnStart) and
+// its validation walk are both held to the reference, which always
+// walks. After every step both stores must hold the same tree (values,
 // generations and child counts at every node, compared through the
 // canonical serialization), identical Counters, the same virtual time
-// and the same watch event sequence; and every snapshot taken along
-// the way must still serialize to its bytes at capture.
+// and the same watch event sequence, and each store's indexed delivery
+// candidates must match a scan of its watches; every snapshot taken
+// along the way must still serialize to its bytes at capture.
 func FuzzTxnCommit(f *testing.F) {
 	f.Add([]byte{0, 12, 0, 0, 1, 0, 1, 1, 0, 4, 2, 0, 2, 3, 0, 3, 1, 0, 5, 1, 1, 0, 0, 1, 2, 1, 1, 4, 3, 0, 1, 1, 0, 0})
 	f.Add([]byte{5, 1, 15, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 2, 2, 0, 3, 0, 4, 6, 0, 0, 3, 1, 1, 2, 5})
@@ -191,13 +245,15 @@ func FuzzTxnCommit(f *testing.F) {
 			stores [2]*Store
 			events [2][]watchEvent
 		)
+		watch := func(i int, prefix, token string) {
+			stores[i].Watch(prefix, token, func(path, token string) {
+				events[i] = append(events[i], watchEvent{path: path, token: token})
+			})
+		}
 		for i := range stores {
-			s, _ := newStore()
-			stores[i] = s
+			stores[i], _ = newStore()
 			for _, w := range []string{"/", "/local/domain/1/device", "/local/domain/0/backend/vif/1", "/vm"} {
-				s.Watch(w, w, func(path, token string) {
-					events[i] = append(events[i], watchEvent{path: path, token: token})
-				})
+				watch(i, w, w)
 			}
 		}
 		batch, seq := stores[0], stores[1]
@@ -207,7 +263,7 @@ func FuzzTxnCommit(f *testing.F) {
 		}
 		var snaps []frozen
 		for step := 0; len(data) > 0 && step < 64; step++ {
-			switch op := next() % 8; op {
+			switch op := next() % 10; op {
 			case 5:
 				for _, s := range stores {
 					sn := s.Snapshot()
@@ -225,19 +281,41 @@ func FuzzTxnCommit(f *testing.F) {
 				p, v := pickPath(), "w"+strconv.Itoa(next()%8)
 				batch.Write(p, v)
 				seq.Write(p, v)
+			case 8:
+				segs := strings.Split(pickPath()[1:], "/")
+				prefix := "/" + strings.Join(segs[:next()%(len(segs)+1)], "/")
+				tok := txnFuzzTokens[next()%len(txnFuzzTokens)]
+				for i := range stores {
+					watch(i, prefix, tok)
+				}
+			case 9:
+				tok := txnFuzzTokens[next()%len(txnFuzzTokens)]
+				if n1, n2 := batch.UnwatchByToken(tok), seq.UnwatchByToken(tok); n1 != n2 {
+					t.Fatalf("step %d: UnwatchByToken(%q) removed %d on the committing store, %d on its twin", step, tok, n1, n2)
+				}
 			default:
-				writes := make([][2]string, 1+next()%16)
+				// The count byte's bit 4 puts a plain write between
+				// TxnStart and Commit on both stores.
+				n := next()
+				writes := make([][2]string, 1+n%16)
 				for i := range writes {
 					writes[i] = [2]string{pickPath(), "v" + strconv.Itoa(next()%8)}
+				}
+				between := func(*Store) {}
+				if n&16 != 0 {
+					p, v := pickPath(), "x"+strconv.Itoa(next()%8)
+					between = func(s *Store) { s.Write(p, v) }
 				}
 				tx := batch.TxnStart()
 				for _, w := range writes {
 					tx.Write(w[0], w[1])
 				}
-				if err := tx.Commit(); err != nil {
-					t.Fatalf("step %d: commit: %v", step, err)
+				between(batch)
+				err := tx.Commit()
+				want := commitSequential(seq, writes, between)
+				if !errors.Is(err, want) {
+					t.Fatalf("step %d: commit: %v, reference: %v", step, err, want)
 				}
-				commitSequential(seq, writes)
 			}
 			a, err1 := batch.SerializeSubtree("/")
 			b, err2 := seq.SerializeSubtree("/")
@@ -256,6 +334,11 @@ func FuzzTxnCommit(f *testing.F) {
 			for i := range events[0] {
 				if events[0][i] != events[1][i] {
 					t.Fatalf("step %d: watch event %d: %+v vs %+v", step, i, events[0][i], events[1][i])
+				}
+			}
+			for _, s := range stores {
+				for _, p := range txnFuzzPrefixes {
+					checkCandidates(t, step, s, p+"/a/b")
 				}
 			}
 		}

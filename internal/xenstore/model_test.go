@@ -346,6 +346,27 @@ type openTxn struct {
 	rt *refTx
 }
 
+// maxTreeGen returns the largest node generation under n.
+func maxTreeGen(n *node) uint64 {
+	g := n.gen
+	n.eachChild(func(c *node) bool {
+		g = max(g, maxTreeGen(c))
+		return true
+	})
+	return g
+}
+
+// checkGenBound fails t when a node under root carries a generation
+// above gen, the counter of the store or snapshot root belongs to.
+// Quiet commits (txn.go) skip their validation walk on the strength of
+// that bound.
+func checkGenBound(t *testing.T, root *node, gen uint64) {
+	t.Helper()
+	if g := maxTreeGen(root); g > gen {
+		t.Fatalf("node generation %d exceeds generation %d", g, gen)
+	}
+}
+
 func sameErr(got error, want error) bool {
 	if want == nil {
 		return got == nil
@@ -463,6 +484,9 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			}
 		}
 
+		if g := maxTreeGen(s.loaded().root); g > s.gen {
+			fail(op, "node generation %d exceeds store generation %d", g, s.gen)
+		}
 		if len(realEvents) != len(m.events) {
 			fail(op, "watch event count diverged: store %d, model %d (store %v, model %v)",
 				len(realEvents), len(m.events), realEvents, m.events)

@@ -93,6 +93,7 @@ func TestSnapshotSerializeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGenBound(t, back.root, back.gen)
 	if back.NumNodes() != sn.NumNodes() {
 		t.Fatalf("round trip node count %d != %d", back.NumNodes(), sn.NumNodes())
 	}
@@ -153,6 +154,7 @@ func TestSubtreeSnapshotAndGraft(t *testing.T) {
 	if err := dst.GraftSnapshot(src.Snapshot(), "/local/domain/2", "/local/domain/9"); err != nil {
 		t.Fatal(err)
 	}
+	checkGenBound(t, dst.loaded().root, dst.gen)
 	if v, err := dst.Read("/local/domain/9/name"); err != nil || v != "g2" {
 		t.Fatalf("grafted read = %q, %v", v, err)
 	}
@@ -181,9 +183,11 @@ func TestSubtreeSnapshotAndGraft(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkGenBound(t, back.root, back.gen)
 	if err := dst2.GraftSnapshot(back, "/local/domain/2", "/local/domain/4"); err != nil {
 		t.Fatal(err)
 	}
+	checkGenBound(t, dst2.loaded().root, dst2.gen)
 	if v, err := dst2.Read("/local/domain/4/device/vif/0/state"); err != nil || v != "4" {
 		t.Fatalf("deserialized graft read = %q, %v", v, err)
 	}

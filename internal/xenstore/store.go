@@ -142,16 +142,16 @@ type Store struct {
 	// holds watches on "/" (they match every path).
 	watchIndex  map[string][]*watch
 	rootWatches []*watch
-	// Per-commit watch delivery batching (watch.go): merged candidate
-	// lists are built in per-depth scratch buffers and the depth-0 list
-	// is cached across consecutive fires of the same path. mergeBufs is
-	// the per-depth bucket scratch for the id-order merge.
-	fireBufs   [][]*watch
-	mergeBufs  [][][]*watch
-	fireDepth  int
-	batchPath  string
-	batchValid bool
-	batchCands []*watch
+	// watchDepths[d] counts the indexed watches whose prefix has depth
+	// d (d '/'s); its last entry is non-zero, so delivery probes
+	// watchIndex only at watched depths and stops past the deepest.
+	watchDepths []int
+	// Watch delivery scratch (watch.go), one slot per fire-nesting
+	// depth: fireBufs holds the merged candidate list and mergeBufs the
+	// buckets being merged by registration id.
+	fireBufs  [][]*watch
+	mergeBufs [][][]*watch
+	fireDepth int
 
 	// Transactions: open set and recycled txn structs (txn.go).
 	openTxns []*txn
@@ -261,25 +261,28 @@ func hashSegments(path string) hashIter {
 	return hashIter{rest: path[i:j]}
 }
 
-// next returns the following component and its segment id.
+// next returns the following component and its segment id. One byte
+// loop both hashes the segment and finds the '/' that ends it.
 func (it *hashIter) next() (seg string, h uint64, ok bool) {
-	for it.rest != "" {
-		seg = it.rest
-		if i := strings.IndexByte(seg, '/'); i >= 0 {
-			seg, it.rest = seg[:i], seg[i+1:]
-		} else {
-			it.rest = ""
-		}
-		if seg == "" {
-			continue
-		}
+	for rest := it.rest; rest != ""; {
 		h = fnvOffset64
-		for k := 0; k < len(seg); k++ {
-			h ^= uint64(seg[k])
+		k := 0
+		for ; k < len(rest) && rest[k] != '/'; k++ {
+			h ^= uint64(rest[k])
 			h *= fnvPrime64
 		}
-		return seg, h, true
+		seg = rest[:k]
+		if k < len(rest) {
+			rest = rest[k+1:]
+		} else {
+			rest = ""
+		}
+		if seg != "" {
+			it.rest = rest
+			return seg, h, true
+		}
 	}
+	it.rest = ""
 	return "", 0, false
 }
 

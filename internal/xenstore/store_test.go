@@ -150,6 +150,7 @@ func TestRmChargesSubtreeNodes(t *testing.T) {
 		if err := s.GraftSnapshot(sn, "/", "/local/domain/9"); err != nil {
 			t.Fatal(err)
 		}
+		checkGenBound(t, s.loaded().root, s.gen)
 		s.Write("/local/domain/9/a/e", "v")
 		// Ancestors: /, local, domain (3). Subtree: 9 (the grafted
 		// root), a, b, c, e, d (6). No watches.
@@ -396,6 +397,65 @@ func TestTxnNoFalseConflict(t *testing.T) {
 	tx.Write("/b", "3")
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("unrelated write caused conflict: %v", err)
+	}
+}
+
+// TestTxnQuietCommitChargesLikeWalk pins the quiet-commit shortcut
+// (txn.go) against the validation walk. A commit with a publish to an
+// unrelated path between TxnStart and Commit walks; the same commit
+// with nothing published in between skips the walk. Both must charge
+// identical node touches and virtual time. A publish to an observed or
+// written path must still conflict, at the read or write that changed.
+func TestTxnQuietCommitChargesLikeWalk(t *testing.T) {
+	reads := []string{"/a", "/b", "/c"}
+	writes := []string{"/w1", "/w2"}
+	// commit runs the transaction, calling between after its reads and
+	// writes, and returns the node touches and virtual time the Commit
+	// call alone charged, with its error.
+	commit := func(between func(s *Store)) (uint64, sim.Duration, error) {
+		s, c := newStore()
+		for _, p := range append(append([]string{}, reads...), writes...) {
+			s.Write(p, "v")
+		}
+		s.Watch("/", "all", func(string, string) {})
+		tx := s.TxnStart()
+		for _, p := range reads {
+			if _, err := tx.Read(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, p := range writes {
+			tx.Write(p, "mine")
+		}
+		between(s)
+		touched, now := s.Count.NodesTouched, c.Now()
+		err := tx.Commit()
+		return s.Count.NodesTouched - touched, c.Now().Sub(now), err
+	}
+	touchedQ, timeQ, errQ := commit(func(*Store) {})
+	touchedW, timeW, errW := commit(func(s *Store) { s.Write("/unrelated", "x") })
+	if errQ != nil || errW != nil {
+		t.Fatalf("commits failed: quiet %v, walked %v", errQ, errW)
+	}
+	if touchedQ != touchedW || timeQ != timeW {
+		t.Fatalf("quiet commit charged %d touches in %v, walked %d in %v", touchedQ, timeQ, touchedW, timeW)
+	}
+	// Validation stops at the first conflict: reads in first-observed
+	// order, then writes; each checked path is one touch, plus the
+	// round trip.
+	for _, tc := range []struct {
+		path    string
+		touched uint64
+	}{
+		{"/b", 2 + 1},
+		{"/c", 3 + 1},
+		{"/w1", 3 + 1 + 1},
+		{"/w2", 3 + 2 + 1},
+	} {
+		touched, _, err := commit(func(s *Store) { s.Write(tc.path, "theirs") })
+		if !errors.Is(err, ErrAgain) || touched != tc.touched {
+			t.Errorf("publish to %s: commit %v touching %d, want ErrAgain touching %d", tc.path, err, touched, tc.touched)
+		}
 	}
 }
 

@@ -23,11 +23,18 @@ type TxnID uint64
 //
 // The sets are searched linearly. Every transaction the toolstacks
 // issue observes at most 1 node and writes at most 13, far below the
-// size where an index pays for itself. Validation walks the read set
-// in first-observed order and stops at the first conflict, so the
-// touched-node count of a conflicting commit is a pure function of the
-// op sequence — a property the model-check harness and the
-// byte-identical golden figures rely on.
+// size where an index pays for itself. Validation charges one node
+// touch per observed and per written path. When anything was published
+// since the transaction started, it walks the read set in
+// first-observed order, then the write set, and stops at the first
+// conflict, so the touched-node count of a conflicting commit is a
+// pure function of the op sequence — a property the model-check
+// harness and the byte-identical golden figures rely on. A quiet
+// commit (nothing published since TxnStart) skips the walk: the live
+// tree is still the tree the transaction started on, so every observed
+// generation holds, and no node can carry a generation above startGen,
+// because no published generation ever exceeds the store's counter.
+// It charges the same touches the walk would have.
 //
 // A commit is atomic, as in oxenstored: the whole write set is applied
 // to one working root, which is published once, before any clock
@@ -61,9 +68,12 @@ type writeEnt struct {
 type txn struct {
 	id       TxnID
 	startGen uint64
-	live     bool
-	reads    []readEnt
-	writes   []writeEnt
+	// startPubs is the store's publish count at TxnStart; Commit skips
+	// the validation walk when it has not moved.
+	startPubs uint64
+	live      bool
+	reads     []readEnt
+	writes    []writeEnt
 }
 
 // Tx is the client handle for operations inside a transaction.
@@ -125,6 +135,7 @@ func (s *Store) TxnStart() *Tx {
 	t := s.getTxn()
 	t.id = s.nextTxn
 	t.startGen = s.gen
+	t.startPubs = s.pubs
 	t.live = true
 	s.openTxns = append(s.openTxns, t)
 	s.Count.TxnStarts++
@@ -220,29 +231,11 @@ func (tx *Tx) Commit() error {
 	}
 	// Validation: every read must still be at the observed generation,
 	// and every written path must not have been modified since start.
-	touched := 0
+	// A quiet commit cannot conflict and needs no walk (see the header).
+	touched := len(t.reads) + len(t.writes)
 	conflict := false
-	for _, r := range t.reads {
-		touched++
-		n, _ := s.resolve(r.path)
-		switch {
-		case n == nil && r.gen != 0:
-			conflict = true // node vanished
-		case n != nil && n.gen != r.gen:
-			conflict = true // node changed (or appeared: gen==0)
-		}
-		if conflict {
-			break
-		}
-	}
-	if !conflict {
-		for i := range t.writes {
-			touched++
-			if n, _ := s.resolve(t.writes[i].path); n != nil && n.gen > t.startGen {
-				conflict = true
-				break
-			}
-		}
+	if s.pubs != t.startPubs {
+		touched, conflict = s.validate(t)
 	}
 	s.chargeOp(touched + 1)
 	if conflict {
@@ -275,6 +268,29 @@ func (tx *Tx) Commit() error {
 	s.Count.TxnCommits++
 	s.recycleTxn(t)
 	return nil
+}
+
+// validate walks t's read set in first-observed order, then its write
+// set, and stops at the first conflict. It returns the nodes touched
+// and whether a conflict was found.
+func (s *Store) validate(t *txn) (touched int, conflict bool) {
+	for _, r := range t.reads {
+		touched++
+		n, _ := s.resolve(r.path)
+		switch {
+		case n == nil && r.gen != 0:
+			return touched, true // node vanished
+		case n != nil && n.gen != r.gen:
+			return touched, true // node changed (or appeared: gen==0)
+		}
+	}
+	for i := range t.writes {
+		touched++
+		if n, _ := s.resolve(t.writes[i].path); n != nil && n.gen > t.startGen {
+			return touched, true
+		}
+	}
+	return touched, false
 }
 
 // Txn runs body in a transaction, retrying on ErrAgain up to

@@ -27,7 +27,6 @@ type watch struct {
 // full normalized prefix; buckets stay sorted by id because ids only
 // grow. Watches are removed by token (UnwatchByToken).
 func (s *Store) Watch(path, token string, fn WatchFn) {
-	s.batchValid = false
 	s.nextWatch++
 	w := &watch{id: s.nextWatch, prefix: normalize(path), token: token, fn: fn}
 	s.watches = append(s.watches, w)
@@ -38,9 +37,18 @@ func (s *Store) Watch(path, token string, fn WatchFn) {
 			s.watchIndex = make(map[string][]*watch)
 		}
 		s.watchIndex[w.prefix] = append(s.watchIndex[w.prefix], w)
+		d := prefixDepth(w.prefix)
+		for len(s.watchDepths) <= d {
+			s.watchDepths = append(s.watchDepths, 0)
+		}
+		s.watchDepths[d]++
 	}
 	s.chargeOp(1)
 }
+
+// prefixDepth is the depth mergeCandidates probes a normalized prefix
+// at: its '/' count ("/a" is 1, "/a/b" is 2).
+func prefixDepth(prefix string) int { return strings.Count(prefix, "/") }
 
 // dropIndexed removes w from its index bucket, preserving order.
 func (s *Store) dropIndexed(w *watch) {
@@ -53,6 +61,11 @@ func (s *Store) dropIndexed(w *watch) {
 		delete(s.watchIndex, w.prefix)
 	} else {
 		s.watchIndex[w.prefix] = bucket
+	}
+	s.watchDepths[prefixDepth(w.prefix)]--
+	// Keep the deepest entry non-zero: delivery stops probing past it.
+	for n := len(s.watchDepths); n > 0 && s.watchDepths[n-1] == 0; n-- {
+		s.watchDepths = s.watchDepths[:n-1]
 	}
 }
 
@@ -68,7 +81,6 @@ func removeWatch(ws []*watch, w *watch) []*watch {
 // UnwatchByToken removes every watch registered with token (device
 // teardown: the netfront's watch dies with its device).
 func (s *Store) UnwatchByToken(token string) int {
-	s.batchValid = false
 	removed := 0
 	out := s.watches[:0]
 	for _, w := range s.watches {
@@ -143,9 +155,12 @@ func watchMatches(prefix, path string) bool {
 // path into the scratch buffer for the given fire-nesting depth: the
 // root bucket plus one bucket per ancestor prefix of p, k-way merged
 // by registration id so delivery order matches the historical
-// single-list scan. Per-depth buffers keep re-entrant fires (a watch
-// callback writing, which fires watches again) from clobbering an
-// iteration in progress, without allocating per fire.
+// single-list scan. Only ancestors at a depth that holds an indexed
+// watch are looked up, and the walk stops past the deepest such depth:
+// most ancestors of a written path sit at depths no watch is
+// registered at (DESIGN.md §9). Per-depth buffers keep re-entrant fires
+// (a watch callback writing, which fires watches again) from
+// clobbering an iteration in progress, without allocating per fire.
 func (s *Store) mergeCandidates(depth int, p string) []*watch {
 	for len(s.fireBufs) <= depth {
 		s.fireBufs = append(s.fireBufs, nil)
@@ -155,14 +170,24 @@ func (s *Store) mergeCandidates(depth int, p string) []*watch {
 	if len(s.rootWatches) > 0 {
 		bufs = append(bufs, s.rootWatches)
 	}
-	if p != "/" && len(s.watchIndex) > 0 {
-		// Every ancestor prefix of p, including p itself.
-		for i := 1; i <= len(p); i++ {
-			if i == len(p) || p[i] == '/' {
-				if b := s.watchIndex[p[:i]]; len(b) > 0 {
+	if p != "/" {
+		// Every ancestor prefix p[:end] of p, including p itself, at
+		// prefix depth d; it starts at segment i.
+		for i, d := 1, 1; d < len(s.watchDepths); d++ {
+			end := len(p)
+			j := strings.IndexByte(p[i:], '/')
+			if j >= 0 {
+				end = i + j
+			}
+			if s.watchDepths[d] > 0 {
+				if b := s.watchIndex[p[:end]]; len(b) > 0 {
 					bufs = append(bufs, b)
 				}
 			}
+			if j < 0 {
+				break
+			}
+			i = end + 1
 		}
 	}
 	s.mergeBufs[depth] = bufs
@@ -186,30 +211,16 @@ func (s *Store) mergeCandidates(depth int, p string) []*watch {
 
 // fireWatches delivers events for a modified path. The delivery cost
 // is charged per matching watch. Candidates are the watches registered
-// on the path's ancestors (prefix-indexed, so delivery does O(depth)
-// bucket lookups instead of scanning every watch) plus the root
-// watches, merged by registration id — every candidate matches by
-// construction.
-//
-// Delivery is batched per commit: repeated fires of the same path
-// (touched-parent notifications in a burst of writes) reuse the cached
-// depth-0 candidate list until the path changes or the watch set is
-// modified. The virtual costs and the fire order are identical to
-// merging from scratch — only the repeated merge work disappears.
+// on the path's ancestors (prefix-indexed, so delivery does at most
+// one bucket lookup per watched depth instead of scanning every watch)
+// plus the root watches, merged by registration id — every candidate
+// matches by construction.
 func (s *Store) fireWatches(path string) {
 	if len(s.watchIndex) == 0 && len(s.rootWatches) == 0 {
 		return
 	}
 	p := normalize(path)
-	var cands []*watch
-	if s.fireDepth == 0 && s.batchValid && s.batchPath == p {
-		cands = s.batchCands
-	} else {
-		cands = s.mergeCandidates(s.fireDepth, p)
-		if s.fireDepth == 0 {
-			s.batchCands, s.batchPath, s.batchValid = cands, p, true
-		}
-	}
+	cands := s.mergeCandidates(s.fireDepth, p)
 	s.fireDepth++
 	for _, w := range cands {
 		s.Count.WatchFires++
