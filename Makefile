@@ -47,7 +47,7 @@ verify: build
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) vet ./...
 	$(GO) test ./...
-	$(GO) test -race ./internal/experiments ./internal/xenstore ./internal/sim ./internal/profiling ./internal/cluster ./internal/toolstack ./internal/traffic ./cmd/lightvm-bench
+	$(GO) test -race ./internal/experiments ./internal/xenstore ./internal/sim ./internal/profiling ./internal/cluster ./internal/toolstack ./internal/traffic ./internal/core ./internal/console ./internal/noxs ./cmd/chaos ./cmd/lightvm-bench
 	$(MAKE) bench-check
 	$(MAKE) bench-compare
 

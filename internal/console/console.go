@@ -3,13 +3,23 @@
 // banners and runtime messages; `chaos -op console` and tests read
 // them back. Rings are bounded like the real 4 KiB console ring —
 // writers overwrite the oldest output when the reader falls behind.
+//
+// Boot and resume banners arrive as typed records (Boot, Resume) and
+// are rendered to text only when the ring is read: every guest prints
+// one, almost none is ever read, so the write path does no formatting.
+// A ring still behaves exactly like a byte buffer of the rendered
+// stream — the daemon knows each record's rendered length up front,
+// which is all the overwrite bookkeeping needs.
 package console
 
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strconv"
 
 	"lightvm/internal/hv"
+	"lightvm/internal/sim"
 )
 
 // RingSize is the per-domain console ring capacity in bytes.
@@ -18,10 +28,62 @@ const RingSize = 4096
 // ErrNoConsole is returned for domains without an attached console.
 var ErrNoConsole = errors.New("console: domain has no console")
 
-// ring is one guest's console buffer.
+// Boot is the banner a guest prints as it boots: three lines naming
+// its image, core, device count and device path, and the virtual time
+// it came up at.
+type Boot struct {
+	VM, Image, Kind string
+	Core, Devices   int
+	Path            string // device path the frontends connected over
+	At              sim.Time
+}
+
+// Resume is the one-line banner of a guest restored from saved state.
+type Resume struct {
+	VM string
+	At sim.Time
+}
+
+// The fixed text of the banners, shared by rendering and measuring.
+const (
+	bootMid     = ": booting "
+	bootKindL   = " ("
+	bootCore    = ") on vcpu->core "
+	bootDevs    = ": "
+	bootPath    = " device(s) connected via "
+	bootReady   = ": ready in "
+	resumeMid   = ": resumed from saved state at "
+	bootFixed   = len(bootMid+bootKindL+bootCore+bootDevs+bootPath+bootReady) + 3 // three newlines
+	resumeFixed = len(resumeMid) + 1
+)
+
+type entryKind uint8
+
+const (
+	textEntry entryKind = iota
+	bootEntry
+	resumeEntry // uses rec.VM and rec.At only
+)
+
+// entry is one span of the ring's stream: raw guest output, or a
+// banner record still waiting to be rendered.
+type entry struct {
+	kind entryKind
+	text []byte
+	rec  Boot
+	n    int // rendered length in bytes
+}
+
+// ring is one guest's console buffer: the retained entries cover at
+// least the newest RingSize bytes of the stream, and the oldest entry
+// is dropped once the rest cover them on their own.
 type ring struct {
-	buf     []byte
+	entries []entry
+	size    int // rendered bytes across entries
 	dropped int // bytes overwritten before being read
+	// first backs entries until a second entry arrives, so a guest
+	// that prints one banner costs a single allocation.
+	first [1]entry
 }
 
 // Daemon is the xenconsoled equivalent.
@@ -37,7 +99,9 @@ func NewDaemon() *Daemon {
 // Attach creates the console ring for a domain (idempotent).
 func (d *Daemon) Attach(dom hv.DomID) {
 	if _, ok := d.rings[dom]; !ok {
-		d.rings[dom] = &ring{}
+		r := &ring{}
+		r.entries = r.first[:0]
+		d.rings[dom] = r
 	}
 }
 
@@ -46,18 +110,43 @@ func (d *Daemon) Detach(dom hv.DomID) {
 	delete(d.rings, dom)
 }
 
+// Domains lists every domain with an attached console, sorted.
+func (d *Daemon) Domains() []hv.DomID {
+	out := make([]hv.DomID, 0, len(d.rings))
+	for dom := range d.rings {
+		out = append(out, dom)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func (d *Daemon) ring(dom hv.DomID) (*ring, error) {
+	r, ok := d.rings[dom]
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrNoConsole, dom)
+	}
+	return r, nil
+}
+
 // Write appends guest output to the domain's ring, overwriting the
 // oldest bytes past capacity.
 func (d *Daemon) Write(dom hv.DomID, msg string) error {
-	r, ok := d.rings[dom]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoConsole, dom)
+	r, err := d.ring(dom)
+	if err != nil {
+		return err
 	}
-	r.buf = append(r.buf, msg...)
-	if over := len(r.buf) - RingSize; over > 0 {
-		r.buf = r.buf[over:]
-		r.dropped += over
+	if msg == "" {
+		return nil
 	}
+	if last := len(r.entries) - 1; last >= 0 && r.entries[last].kind == textEntry {
+		e := &r.entries[last]
+		e.text = append(e.text, msg...)
+		e.n += len(msg)
+		r.size += len(msg)
+	} else {
+		r.push(entry{kind: textEntry, text: []byte(msg), n: len(msg)})
+	}
+	r.trim()
 	return nil
 }
 
@@ -66,15 +155,175 @@ func (d *Daemon) Writef(dom hv.DomID, format string, args ...interface{}) error 
 	return d.Write(dom, fmt.Sprintf(format, args...))
 }
 
-// Read returns the domain's buffered console output.
-func (d *Daemon) Read(dom hv.DomID) (string, error) {
-	r, ok := d.rings[dom]
-	if !ok {
-		return "", fmt.Errorf("%w: %d", ErrNoConsole, dom)
+// WriteBoot appends a boot banner to the domain's ring.
+func (d *Daemon) WriteBoot(dom hv.DomID, b Boot) error {
+	r, err := d.ring(dom)
+	if err != nil {
+		return err
 	}
-	out := string(r.buf)
-	if r.dropped > 0 {
-		out = fmt.Sprintf("[%d bytes dropped]\n", r.dropped) + out
+	n := 3*len(b.VM) + len(b.Image) + len(b.Kind) + len(b.Path) +
+		intLen(b.Core) + intLen(b.Devices) + durationLen(sim.Duration(b.At)) + bootFixed
+	r.push(entry{kind: bootEntry, rec: b, n: n})
+	r.trim()
+	return nil
+}
+
+// WriteResume appends a resume banner to the domain's ring.
+func (d *Daemon) WriteResume(dom hv.DomID, res Resume) error {
+	r, err := d.ring(dom)
+	if err != nil {
+		return err
+	}
+	n := len(res.VM) + durationLen(sim.Duration(res.At)) + resumeFixed
+	r.push(entry{kind: resumeEntry, rec: Boot{VM: res.VM, At: res.At}, n: n})
+	r.trim()
+	return nil
+}
+
+// Read returns the domain's buffered console output: the newest
+// RingSize bytes of everything written, after a marker counting the
+// bytes overwritten before them.
+func (d *Daemon) Read(dom hv.DomID) (string, error) {
+	r, err := d.ring(dom)
+	if err != nil {
+		return "", err
+	}
+	buf := make([]byte, 0, r.size)
+	for i := range r.entries {
+		buf = r.entries[i].render(buf)
+	}
+	dropped := r.dropped
+	if over := len(buf) - RingSize; over > 0 {
+		buf = buf[over:]
+		dropped += over
+	}
+	out := string(buf)
+	if dropped > 0 {
+		out = fmt.Sprintf("[%d bytes dropped]\n", dropped) + out
 	}
 	return out, nil
+}
+
+func (r *ring) push(e entry) {
+	r.entries = append(r.entries, e)
+	r.size += e.n
+}
+
+// trim drops whole entries the newer ones already cover, then cuts the
+// oldest bytes off a leading text entry, so at most one banner's worth
+// of bytes beyond RingSize stays retained.
+func (r *ring) trim() {
+	for r.size-r.entries[0].n >= RingSize {
+		r.size -= r.entries[0].n
+		r.dropped += r.entries[0].n
+		r.entries[0] = entry{}
+		r.entries = r.entries[1:]
+	}
+	if over := r.size - RingSize; over > 0 && r.entries[0].kind == textEntry {
+		e := &r.entries[0]
+		e.text = e.text[over:]
+		if cap(e.text) > 2*RingSize { // one huge write: keep only the window
+			e.text = append([]byte(nil), e.text...)
+		}
+		e.n -= over
+		r.size -= over
+		r.dropped += over
+	}
+}
+
+// render appends the entry's text to b.
+func (e *entry) render(b []byte) []byte {
+	switch e.kind {
+	case textEntry:
+		return append(b, e.text...)
+	case resumeEntry:
+		b = append(b, e.rec.VM...)
+		b = append(b, resumeMid...)
+		b = append(b, e.rec.At.String()...)
+		return append(b, '\n')
+	}
+	x := &e.rec
+	b = append(b, x.VM...)
+	b = append(b, bootMid...)
+	b = append(b, x.Image...)
+	b = append(b, bootKindL...)
+	b = append(b, x.Kind...)
+	b = append(b, bootCore...)
+	b = strconv.AppendInt(b, int64(x.Core), 10)
+	b = append(b, '\n')
+	b = append(b, x.VM...)
+	b = append(b, bootDevs...)
+	b = strconv.AppendInt(b, int64(x.Devices), 10)
+	b = append(b, bootPath...)
+	b = append(b, x.Path...)
+	b = append(b, '\n')
+	b = append(b, x.VM...)
+	b = append(b, bootReady...)
+	b = append(b, x.At.String()...)
+	return append(b, '\n')
+}
+
+// durationLen is len(d.String()), following time.Duration's format:
+// "0s"; below a second one unit (ns, µs, ms) with a fraction trimmed
+// of trailing zeros; otherwise [[h]m]s with fractional seconds.
+func durationLen(d sim.Duration) int {
+	u := uint64(d)
+	n := 0
+	if d < 0 {
+		n++
+		u = -u
+	}
+	switch {
+	case u == 0:
+		return len("0s")
+	case u < 1e3:
+		return n + uintLen(u) + len("ns")
+	case u < 1e6:
+		f, whole := fracLen(u, 3)
+		return n + f + uintLen(whole) + len("µs")
+	case u < 1e9:
+		f, whole := fracLen(u, 6)
+		return n + f + uintLen(whole) + len("ms")
+	}
+	f, secs := fracLen(u, 9)
+	n += f + uintLen(secs%60) + len("s")
+	if mins := secs / 60; mins > 0 {
+		n += uintLen(mins%60) + len("m")
+		if hours := mins / 60; hours > 0 {
+			n += uintLen(hours) + len("h")
+		}
+	}
+	return n
+}
+
+// fracLen measures the fraction of v/10^prec as printed — trailing
+// zeros dropped, no point when nothing is left — and returns it with
+// the whole part.
+func fracLen(v uint64, prec int) (n int, whole uint64) {
+	for i := 0; i < prec; i++ {
+		if n > 0 || v%10 != 0 {
+			n++
+		}
+		v /= 10
+	}
+	if n > 0 {
+		n++ // the point
+	}
+	return n, v
+}
+
+// intLen is len(strconv.Itoa(v)).
+func intLen(v int) int {
+	if v < 0 {
+		return 1 + uintLen(-uint64(v))
+	}
+	return uintLen(uint64(v))
+}
+
+func uintLen(u uint64) int {
+	n := 1
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }

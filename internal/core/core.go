@@ -77,10 +77,9 @@ func (h *Host) EnsureFlavor(img guest.Image, mode toolstack.Mode) error {
 	if !mode.UsesSplit() {
 		return nil
 	}
-	f := toolstack.FlavorFor(img, mode.UsesStore())
 	// Register rather than Take: a probing Take would pull a shell out
 	// of the pool with no way to put it back, leaking its domain.
-	h.Env.Pool.Register(f)
+	h.Env.Pool.Register(img, mode.UsesStore())
 	return h.Env.Pool.Replenish()
 }
 

@@ -75,33 +75,47 @@ func TestVifPastFirstDeviceLeavesWithGuest(t *testing.T) {
 var raceEnabled bool
 
 // TestHostLifecycleAllocs pins the heap objects one create+destroy of a
-// daytime guest costs through the host in chaos[NoXS]: every networked
-// guest pays them, so per-guest garbage that creeps back in fails here.
+// daytime guest costs through the host, per toolstack mode: every
+// networked guest pays them, so per-guest garbage that creeps back in
+// fails here. The split modes take no pre-stocked shell, so each run
+// also pays an inline shell prepare.
 func TestHostLifecycleAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	const runs = 50
-	const budget = 25
-	h := newHost(t)
+	budgets := []struct {
+		mode   toolstack.Mode
+		budget float64
+	}{
+		{toolstack.ModeXL, 83},
+		{toolstack.ModeChaosXS, 55},
+		{toolstack.ModeChaosSplit, 61},
+		{toolstack.ModeChaosNoXS, 14},
+		{toolstack.ModeLightVM, 16},
+	}
 	img := guest.Daytime()
 	names := make([]string, runs+1) // AllocsPerRun adds one warm-up run
 	for i := range names {
 		names[i] = fmt.Sprintf("a%d", i)
 	}
-	i := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		vm, err := h.CreateVM(toolstack.ModeChaosNoXS, names[i], img)
-		i++
-		if err != nil {
-			t.Fatal(err)
+	for _, b := range budgets {
+		h := newHost(t)
+		i := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			vm, err := h.CreateVM(b.mode, names[i], img)
+			i++
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.DestroyVM(vm); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f objects per create+destroy", b.mode, allocs)
+		if allocs > b.budget {
+			t.Errorf("%s: CreateVM+DestroyVM allocates %.1f objects, budget %.0f", b.mode, allocs, b.budget)
 		}
-		if err := h.DestroyVM(vm); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > budget {
-		t.Fatalf("CreateVM+DestroyVM allocates %.1f objects, budget %d", allocs, budget)
 	}
 }
 
@@ -340,5 +354,33 @@ func TestPauseUnpause(t *testing.T) {
 	}
 	if got := h.CPUUtilization(); got < busy*0.95 {
 		t.Fatalf("utilization after thaw = %v, was %v", got, busy)
+	}
+}
+
+// TestResumeBanner saves a guest and restores it through the host: the
+// restored domain's console carries exactly the one-line resume banner,
+// stamped with the virtual time the guest came back.
+func TestResumeBanner(t *testing.T) {
+	for _, mode := range []toolstack.Mode{toolstack.ModeChaosXS, toolstack.ModeChaosNoXS} {
+		h := newHost(t)
+		vm, err := h.CreateVM(mode, "sleeper", guest.Daytime())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, _, err := h.Save(vm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, _, err := h.Restore(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := h.Env.Console.Read(back.Dom.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("sleeper: resumed from saved state at %v\n", h.Clock.Now()); out != want {
+			t.Fatalf("%s: console after restore = %q, want %q", mode, out, want)
+		}
 	}
 }

@@ -16,6 +16,7 @@ package devd
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/sim"
@@ -56,6 +57,17 @@ func (b *Bridge) DetachPort(name string) error {
 
 // Ports reports the attached port count.
 func (b *Bridge) Ports() int { return len(b.ports) }
+
+// VifName is the hotplug interface name "vif<dom>.<idx>" of a guest's
+// idx'th device, as every backend names the port it plumbs.
+func VifName(dom, idx int) string {
+	buf := make([]byte, 0, 16)
+	buf = append(buf, "vif"...)
+	buf = strconv.AppendInt(buf, int64(dom), 10)
+	buf = append(buf, '.')
+	buf = strconv.AppendInt(buf, int64(idx), 10)
+	return string(buf)
+}
 
 // Hotplug sets up and tears down guest vifs in Dom0.
 type Hotplug interface {

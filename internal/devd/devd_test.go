@@ -86,3 +86,14 @@ func TestBridgePortsAndHotplugErrors(t *testing.T) {
 		t.Fatalf("detach: %v, ports = %d", err, br.Ports())
 	}
 }
+
+func TestVifName(t *testing.T) {
+	for _, c := range []struct {
+		dom, idx int
+		want     string
+	}{{1, 0, "vif1.0"}, {3, 1, "vif3.1"}, {65535, 12, "vif65535.12"}} {
+		if got := VifName(c.dom, c.idx); got != c.want {
+			t.Fatalf("VifName(%d, %d) = %q, want %q", c.dom, c.idx, got, c.want)
+		}
+	}
+}

@@ -86,16 +86,16 @@ var lifecyclePaths = []lifecyclePath{
 	}},
 	{name: "pool-crash", run: func(t *testing.T, clock *sim.Clock, src, _ *toolstack.Env, mode toolstack.Mode) string {
 		_ = src.ForMode(mode) // selects the mode's hotplug path
-		flavor := toolstack.FlavorFor(guest.Daytime(), mode.UsesStore())
+		img, store := guest.Daytime(), mode.UsesStore()
 		src.Pool.SetTarget(2)
-		src.Pool.Register(flavor)
+		src.Pool.Register(img, store)
 		if err := src.Pool.Replenish(); err != nil {
 			t.Fatal(err)
 		}
 		src.SetFaults(faults.New(clock, lifecycleSeed, faults.Plan{
 			Rate: 1, Kinds: []faults.Kind{faults.KindDaemonCrash},
 		}))
-		if s := src.Pool.Take(flavor); s != nil {
+		if s := src.Pool.Take(img, store); s != nil {
 			t.Fatal("took a shell from a crashed daemon")
 		}
 		return fmt.Sprintf("prepared=%d crashes=%d", src.Pool.Stats.Prepared, src.Pool.Stats.Crashes)

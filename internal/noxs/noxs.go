@@ -40,6 +40,9 @@ type Counters struct {
 	DevicesGone    uint64
 	Suspends       uint64
 	Poweroffs      uint64
+	// HotplugFailures counts vif teardowns whose hotplug step failed;
+	// the device itself is still destroyed.
+	HotplugFailures uint64
 }
 
 // sysctlState is the shared control page of the sysctl device.
@@ -146,7 +149,7 @@ func (m *Module) CreateDevice(dom hv.DomID, kind hv.DevKind, idx int, mac string
 		return hv.DevEntry{}, err
 	}
 	if kind == hv.DevVif && m.Hotplug != nil {
-		if err := m.Hotplug.Setup(fmt.Sprintf("vif%d.%d", dom, idx)); err != nil {
+		if err := m.Hotplug.Setup(devd.VifName(int(dom), idx)); err != nil {
 			return hv.DevEntry{}, err
 		}
 	}
@@ -205,7 +208,9 @@ func (m *Module) DestroyDevice(dom hv.DomID, kind hv.DevKind, idx int) error {
 	_ = m.HV.ClosePort(entry.Evtchn)
 	_ = m.HV.EndGrant(entry.CtrlGrant)
 	if kind == hv.DevVif && m.Hotplug != nil {
-		_ = m.Hotplug.Teardown(fmt.Sprintf("vif%d.%d", dom, idx))
+		if err := m.Hotplug.Teardown(devd.VifName(int(dom), idx)); err != nil {
+			m.Count.HotplugFailures++
+		}
 	}
 	if kind == hv.DevSysctl {
 		delete(m.sysctl, dom)

@@ -207,3 +207,30 @@ func TestIoctlScanGrowsWithDomains(t *testing.T) {
 		t.Fatalf("noxs growth too steep: %v", nth-first)
 	}
 }
+
+// failingTeardown is a hotplug whose setups succeed and whose
+// teardowns all fail.
+type failingTeardown struct{ devd.Xendevd }
+
+func (f *failingTeardown) Teardown(vif string) error { return devd.ErrHotplug }
+
+// TestDestroyDeviceCountsHotplugFailure destroys a vif through a
+// hotplug whose teardown fails: the device still leaves the page, and
+// the failure is counted rather than dropped.
+func TestDestroyDeviceCountsHotplugFailure(t *testing.T) {
+	m, h, clock := newModule()
+	m.Hotplug = &failingTeardown{devd.Xendevd{Clock: clock, Bridge: devd.NewBridge()}}
+	d := newDom(t, h)
+	if _, err := m.CreateDevice(d.ID, hv.DevVif, 0, "00:16:3e:00:00:09"); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DestroyDevice(d.ID, hv.DevVif, 0); err != nil {
+		t.Fatal(err)
+	}
+	if m.Count.HotplugFailures != 1 {
+		t.Fatalf("HotplugFailures = %d, want 1", m.Count.HotplugFailures)
+	}
+	if m.Count.DevicesGone != 1 || len(d.DevPage.Entries) != 0 {
+		t.Fatalf("device not destroyed: gone=%d page=%v", m.Count.DevicesGone, d.DevPage.Entries)
+	}
+}

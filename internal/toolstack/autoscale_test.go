@@ -10,19 +10,18 @@ import (
 	"lightvm/internal/sim"
 )
 
-func newAutoscaleEnv(t *testing.T) (*Env, Flavor) {
+func newAutoscaleEnv(t *testing.T) *Env {
 	t.Helper()
 	e := NewEnv(sim.NewClock(), sched.Machine{Name: "scale", Cores: 8, Dom0Cores: 1, MemoryGB: 32})
-	f := FlavorFor(guest.Daytime(), true)
-	e.Pool.Register(f)
-	return e, f
+	e.Pool.Register(guest.Daytime(), true)
+	return e
 }
 
 // TestSetTargetClampsNegative: the depth floor is part of the "target
 // never negative" invariant — a panicking replenish loop is the
 // failure mode otherwise.
 func TestSetTargetClampsNegative(t *testing.T) {
-	e, _ := newAutoscaleEnv(t)
+	e := newAutoscaleEnv(t)
 	e.Pool.SetTarget(-5)
 	if got := e.Pool.Target(); got != 0 {
 		t.Fatalf("Target after SetTarget(-5) = %d, want 0", got)
@@ -37,7 +36,7 @@ func TestSetTargetClampsNegative(t *testing.T) {
 // stays non-negative throughout.
 func TestAutoscalerTargetNeverNegative(t *testing.T) {
 	for _, policy := range []AutoscalePolicy{ScaleReactive, ScalePredictive} {
-		e, _ := newAutoscaleEnv(t)
+		e := newAutoscaleEnv(t)
 		a := NewAutoscaler(e.Pool, AutoscalerConfig{
 			Policy: policy, Min: -3, Max: -1,
 		})
@@ -62,7 +61,7 @@ func TestAutoscalerTargetNeverNegative(t *testing.T) {
 // steady-state target ceil(rate·horizon·(1+headroom)) — and decays
 // back to Min when the traffic stops.
 func TestAutoscalerPredictiveConverges(t *testing.T) {
-	e, f := newAutoscaleEnv(t)
+	e := newAutoscaleEnv(t)
 	a := NewAutoscaler(e.Pool, AutoscalerConfig{
 		Policy: ScalePredictive, Min: 2, Max: 64,
 		Horizon: 20 * time.Millisecond,
@@ -83,7 +82,7 @@ func TestAutoscalerPredictiveConverges(t *testing.T) {
 				i, last, want, a.Rate())
 		}
 	}
-	if got := e.Pool.Available(f); got != want {
+	if got := e.Pool.Available(guest.Daytime(), true); got != want {
 		t.Fatalf("shells warm = %d, want steady-state %d", got, want)
 	}
 	// Traffic stops: the estimate decays and the target returns to Min.
@@ -102,7 +101,7 @@ func TestAutoscalerPredictiveConverges(t *testing.T) {
 // configurable depth from §5.2 — the target never moves off Min no
 // matter what the arrival stream does.
 func TestAutoscalerReactiveHoldsDepth(t *testing.T) {
-	e, f := newAutoscaleEnv(t)
+	e := newAutoscaleEnv(t)
 	a := NewAutoscaler(e.Pool, AutoscalerConfig{Policy: ScaleReactive, Min: 4})
 	now := sim.Time(0)
 	for i, arrivals := range []int{0, 1000, 0, 50000} {
@@ -114,7 +113,7 @@ func TestAutoscalerReactiveHoldsDepth(t *testing.T) {
 			t.Fatalf("tick %d: reactive target %d, want 4", i, got)
 		}
 	}
-	if got := e.Pool.Available(f); got != 4 {
+	if got := e.Pool.Available(guest.Daytime(), true); got != 4 {
 		t.Fatalf("shells warm = %d, want 4", got)
 	}
 }
@@ -125,11 +124,11 @@ func TestAutoscalerReactiveHoldsDepth(t *testing.T) {
 // domain — the pool never hands the same shell out twice. Run under
 // -race this is also the regression net for the SetTarget lock fix.
 func TestAutoscalerNeverDoubleTakes(t *testing.T) {
-	e, _ := newAutoscaleEnv(t)
+	e := newAutoscaleEnv(t)
 	// The noxs flavor: reap (how this test disposes of taken shells)
 	// matches the daemon's own orphan cleanup on that path.
-	f := FlavorFor(guest.Daytime(), false)
-	e.Pool.Register(f)
+	img := guest.Daytime()
+	e.Pool.Register(img, false)
 	a := NewAutoscaler(e.Pool, AutoscalerConfig{
 		Policy: ScalePredictive, Min: 1, Max: 16, Horizon: 10 * time.Millisecond,
 	})
@@ -142,7 +141,7 @@ func TestAutoscalerNeverDoubleTakes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				if s := e.Pool.Take(f); s != nil {
+				if s := e.Pool.Take(img, false); s != nil {
 					mu.Lock()
 					taken = append(taken, s)
 					mu.Unlock()

@@ -65,17 +65,16 @@ func (c *Chaos) Create(name string, img guest.Image) (*VM, error) {
 		}
 		e.charge(&bd.Toolstack, func() { e.Clock.Sleep(costs.ToolstackInternalChaos) })
 
-		flavor := FlavorFor(img, us)
 		if c.mode.UsesSplit() {
 			// Execute phase on a pre-created shell.
 			var shell *Shell
 			e.charge(&bd.Toolstack, func() {
-				shell = e.Pool.Take(flavor)
+				shell = e.Pool.Take(img, us)
 			})
 			if shell == nil {
 				// Pool miss: prepare inline, paying full price. Prepare
 				// has its own crash points journaled under shell:<id>.
-				e.charge(&bd.Hypervisor, func() { shell, retErr = e.Pool.Prepare(flavor) })
+				e.charge(&bd.Hypervisor, func() { shell, retErr = e.Pool.Prepare(img, us) })
 				if retErr != nil {
 					return
 				}

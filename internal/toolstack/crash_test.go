@@ -246,7 +246,7 @@ func TestPoolFinalizeCrashWithDaemonFailover(t *testing.T) {
 	img := guest.Daytime()
 
 	// Stock the pool (prepare sites are filtered, so this succeeds).
-	e.Pool.Register(FlavorFor(img, false))
+	e.Pool.Register(img, false)
 	if err := e.Pool.Replenish(); err != nil {
 		t.Fatal(err)
 	}
@@ -320,8 +320,8 @@ func TestPoolConcurrentTakeReplenish(t *testing.T) {
 		Rate: 0.1, Kinds: []faults.Kind{faults.KindDaemonCrash},
 	})
 	e.SetFaults(inj)
-	f := FlavorFor(guest.Daytime(), false)
-	e.Pool.Register(f)
+	img := guest.Daytime()
+	e.Pool.Register(img, false)
 	if err := e.Pool.Replenish(); err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestPoolConcurrentTakeReplenish(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if s := e.Pool.Take(f); s != nil {
+				if s := e.Pool.Take(img, false); s != nil {
 					takenMu.Lock()
 					taken = append(taken, s)
 					takenMu.Unlock()

@@ -324,8 +324,11 @@ func (e *Env) BootGuest(vm *VM) error {
 			}
 		}
 		// Linux guests chatter with the store while booting.
-		for i := 0; i < im.StoreOpsBoot; i++ {
-			_, _ = e.Store.Read(fmt.Sprintf("/local/domain/%d/name", vm.Dom.ID))
+		if im.StoreOpsBoot > 0 {
+			name := xenbus.DomainPath(vm.Dom.ID) + "/name"
+			for i := 0; i < im.StoreOpsBoot; i++ {
+				_, _ = e.Store.Read(name)
+			}
 		}
 		e.Store.Connections++
 	} else {
@@ -338,11 +341,14 @@ func (e *Env) BootGuest(vm *VM) error {
 	e.dom0WakeRate += im.WakeRatePerSec
 	vm.Booted = true
 	e.Console.Attach(vm.Dom.ID)
-	_ = e.Console.Writef(vm.Dom.ID,
-		"%s: booting %s (%s) on vcpu->core %d\n%s: %d device(s) connected via %s\n%s: ready in %v\n",
-		vm.Name, im.Name, im.Kind, vm.Core,
-		vm.Name, len(im.Devices), map[bool]string{true: "xenbus", false: "noxs"}[vm.Mode.UsesStore()],
-		vm.Name, e.Clock.Now())
+	path := "noxs"
+	if vm.Mode.UsesStore() {
+		path = "xenbus"
+	}
+	_ = e.Console.WriteBoot(vm.Dom.ID, console.Boot{
+		VM: vm.Name, Image: im.Name, Kind: im.Kind.String(),
+		Core: vm.Core, Devices: len(im.Devices), Path: path, At: e.Clock.Now(),
+	})
 	return nil
 }
 
@@ -448,7 +454,7 @@ func (e *Env) BootResumed(vm *VM) error {
 	e.dom0WakeRate += im.WakeRatePerSec
 	vm.Booted = true
 	e.Console.Attach(vm.Dom.ID)
-	_ = e.Console.Writef(vm.Dom.ID, "%s: resumed from saved state at %v\n", vm.Name, e.Clock.Now())
+	_ = e.Console.WriteResume(vm.Dom.ID, console.Resume{VM: vm.Name, At: e.Clock.Now()})
 	return nil
 }
 

@@ -90,8 +90,7 @@ func TestSplitCreateOOMDuringPrepare(t *testing.T) {
 func TestReplenishSurfacesOOM(t *testing.T) {
 	e := tinyEnv()
 	e.Pool.SetTarget(64) // 64 Debian shells can never fit in 1GB
-	f := FlavorFor(guest.DebianMinimal(), false)
-	e.Pool.flavors[f.key()] = f
+	e.Pool.Register(guest.DebianMinimal(), false)
 	if err := e.Pool.Replenish(); !errors.Is(err, mm.ErrOutOfMemory) {
 		t.Fatalf("replenish on full host: %v", err)
 	}

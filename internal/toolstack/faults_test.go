@@ -45,11 +45,11 @@ func TestPoolCrashFallsBackToColdPath(t *testing.T) {
 	}
 
 	// Replenish while down is a no-op: nobody is home to do the work.
-	flavor := FlavorFor(guest.Daytime(), false)
+	img := guest.Daytime()
 	if err := e.Pool.Replenish(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Pool.Available(flavor); got != 0 {
+	if got := e.Pool.Available(img, false); got != 0 {
 		t.Fatalf("dead daemon stocked %d shells", got)
 	}
 
@@ -61,7 +61,7 @@ func TestPoolCrashFallsBackToColdPath(t *testing.T) {
 	if err := e.Pool.Replenish(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Pool.Available(flavor) == 0 {
+	if e.Pool.Available(img, false) == 0 {
 		t.Fatal("restarted daemon did not restock the pool")
 	}
 }
@@ -70,14 +70,14 @@ func TestPoolCrashReapsShellsAndTheirDomains(t *testing.T) {
 	clock := sim.NewClock()
 	e := NewEnv(clock, sched.Machine{Name: "reap", Cores: 4, Dom0Cores: 1, MemoryGB: 32})
 	// Stock the pool before attaching the fault plane.
-	flavor := FlavorFor(guest.Daytime(), false)
-	if s := e.Pool.Take(flavor); s != nil {
+	img := guest.Daytime()
+	if s := e.Pool.Take(img, false); s != nil {
 		t.Fatal("empty pool returned a shell")
 	}
 	if err := e.Pool.Replenish(); err != nil {
 		t.Fatal(err)
 	}
-	stocked := e.Pool.Available(flavor)
+	stocked := e.Pool.Available(img, false)
 	if stocked == 0 {
 		t.Fatal("pool did not stock")
 	}
@@ -86,10 +86,10 @@ func TestPoolCrashReapsShellsAndTheirDomains(t *testing.T) {
 	}
 
 	e.SetFaults(faults.New(clock, 9, faults.Plan{Rate: 1, Kinds: []faults.Kind{faults.KindDaemonCrash}}))
-	if s := e.Pool.Take(flavor); s != nil {
+	if s := e.Pool.Take(img, false); s != nil {
 		t.Fatal("crashing Take returned a shell")
 	}
-	if e.Pool.Available(flavor) != 0 {
+	if e.Pool.Available(img, false) != 0 {
 		t.Fatal("crash left shells in the pool")
 	}
 	if e.HV.NumDomains() != 0 {

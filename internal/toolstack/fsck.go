@@ -13,9 +13,9 @@ import (
 )
 
 // Fsck is the cross-layer invariant checker: it cross-references the
-// store, the hypervisor, the memory allocator, the noxs module and the
-// shell pool against the toolstack's own tables and reports everything
-// that no live domain can account for. It is entirely clock-free —
+// store, the hypervisor, the memory allocator, the noxs module, the
+// shell pool and the console daemon against the toolstack's own tables
+// and reports everything that no live domain can account for. It is entirely clock-free —
 // snapshots and introspection only, no charged operations — so
 // experiments can assert on it without perturbing their timelines.
 //
@@ -32,7 +32,7 @@ const nonDomainOwnerBase = 1 << 20
 
 // Violation is one broken cross-layer invariant.
 type Violation struct {
-	Layer   string // xenstore, hv, mm, noxs, pool, toolstack
+	Layer   string // xenstore, hv, mm, noxs, pool, console, toolstack
 	Kind    string // machine tag, e.g. orphan-domain
 	Subject string // the offending object: path, domain, token
 	Detail  string
@@ -195,6 +195,14 @@ func Fsck(e *Env) []Violation {
 		seen[id] = true
 		if name, ok := vmDoms[id]; ok {
 			add("pool", "shell-vm-overlap", strconv.Itoa(int(id)), "pooled shell is also VM %q", name)
+		}
+	}
+
+	// Console: a guest's ring is attached when it boots and detached
+	// with its load, so every ring must belong to a live domain.
+	for _, id := range e.Console.Domains() {
+		if !live[id] {
+			add("console", "orphan-ring", strconv.Itoa(int(id)), "console ring of dead domain %d", id)
 		}
 	}
 

@@ -1,7 +1,6 @@
 package toolstack
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -26,21 +25,38 @@ type Flavor struct {
 	Devices []guest.DeviceSpec
 }
 
-// key folds a flavor to a map key (device kinds matter, MACs don't).
-func (f Flavor) key() string {
-	k := fmt.Sprintf("%s/%d/%v", f.Img.Name, f.Img.MemBytes, f.Store)
-	for _, d := range f.Devices {
-		k += "/" + d.Kind.String()
+// key is the flavor's registry key (see appendFlavorKey).
+func (f Flavor) key() string { return string(appendFlavorKey(nil, &f.Img, f.Store)) }
+
+// appendFlavorKey appends the registry key of flavorFor(img, store) to
+// b: "<image>/<memory bytes>/<store>/<device kind>..." over the
+// flavor's devices (device kinds matter, MACs don't). The pool's
+// replenish and reap schedules run in sorted key order, so these bytes
+// are part of every timeline.
+func appendFlavorKey(b []byte, img *guest.Image, store bool) []byte {
+	b = append(b, img.Name...)
+	b = append(b, '/')
+	b = strconv.AppendUint(b, img.MemBytes, 10)
+	b = append(b, '/')
+	b = strconv.AppendBool(b, store)
+	for _, d := range img.Devices {
+		b = append(b, '/')
+		b = append(b, d.Kind.String()...)
 	}
-	return k
+	if !store {
+		b = append(b, '/')
+		b = append(b, hv.DevSysctl.String()...)
+	}
+	return b
 }
 
-// FlavorFor derives the shell flavor for an image under a device path.
-func FlavorFor(img guest.Image, store bool) Flavor {
+// flavorFor derives the shell flavor for an image under a device path.
+// Its devices are the image's, plus — on the noxs path — the sysctl
+// power device noxs guests always carry (§5.1), last.
+func flavorFor(img guest.Image, store bool) Flavor {
 	devs := make([]guest.DeviceSpec, len(img.Devices))
 	copy(devs, img.Devices)
 	if !store {
-		// noxs guests always carry the sysctl power device (§5.1).
 		devs = append(devs, guest.DeviceSpec{Kind: hv.DevSysctl})
 	}
 	return Flavor{Img: img, Store: store, Devices: devs}
@@ -51,9 +67,21 @@ func FlavorFor(img guest.Image, store bool) Flavor {
 // phase. The execute phase only parses config, finalizes devices,
 // builds the image and boots.
 type Shell struct {
-	Dom    *hv.Domain
-	Core   int
-	Flavor Flavor
+	Dom  *hv.Domain
+	Core int
+	// flavor is what the shell was built for: its registry entry's
+	// flavor. Only its device path and device kinds are read back, and
+	// those are fixed by the key, so a later registration of the key
+	// never changes them.
+	flavor *Flavor
+}
+
+// flavorEntry is one registered flavor: its key, the flavor as last
+// taken or registered, and its ready shells.
+type flavorEntry struct {
+	key    string
+	flavor Flavor
+	shells []*Shell
 }
 
 // PoolStats reports pool behaviour for tests and benchmarks.
@@ -79,8 +107,9 @@ type Pool struct {
 	// only ever advanced under mu on these paths, which is what makes
 	// concurrent callers -race-clean.
 	mu      sync.Mutex
-	shells  map[string][]*Shell
-	flavors map[string]Flavor
+	flavors map[string]*flavorEntry
+	order   []*flavorEntry // sorted by key: the replenish and reap order
+	keyBuf  []byte         // scratch key for lookups
 	Stats   PoolStats
 
 	// downUntil is when the restarted daemon comes back after an
@@ -94,7 +123,33 @@ type Pool struct {
 
 // NewPool creates an empty pool with a default target depth of 8.
 func NewPool(env *Env) *Pool {
-	return &Pool{env: env, target: 8, shells: make(map[string][]*Shell), flavors: make(map[string]Flavor)}
+	return &Pool{env: env, target: 8, flavors: make(map[string]*flavorEntry)}
+}
+
+// lookup builds the key of flavorFor(img, store) into p.keyBuf and
+// returns its registry entry, or nil. The map index does not allocate.
+// Caller holds mu.
+func (p *Pool) lookup(img *guest.Image, store bool) *flavorEntry {
+	p.keyBuf = appendFlavorKey(p.keyBuf[:0], img, store)
+	return p.flavors[string(p.keyBuf)]
+}
+
+// claim returns the registry entry of flavorFor(img, store): a new
+// one, or the existing one with its image replaced — the last Take or
+// Register of a key wins. Only a new key builds a Flavor. Caller holds
+// mu.
+func (p *Pool) claim(img guest.Image, store bool) *flavorEntry {
+	if ent := p.lookup(&img, store); ent != nil {
+		ent.flavor.Img = img
+		return ent
+	}
+	ent := &flavorEntry{key: string(p.keyBuf), flavor: flavorFor(img, store)}
+	p.flavors[ent.key] = ent
+	i := sort.Search(len(p.order), func(i int) bool { return p.order[i].key > ent.key })
+	p.order = append(p.order, nil)
+	copy(p.order[i+1:], p.order[i:])
+	p.order[i] = ent
+	return ent
 }
 
 // SetTarget configures the per-flavor shell depth. Negative depths
@@ -117,11 +172,15 @@ func (p *Pool) Target() int {
 	return p.target
 }
 
-// Available reports ready shells for a flavor.
-func (p *Pool) Available(f Flavor) int {
+// Available reports ready shells for img's flavor on a device path
+// (store: devices via XenStore, else noxs).
+func (p *Pool) Available(img guest.Image, store bool) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.shells[f.key()])
+	if ent := p.lookup(&img, store); ent != nil {
+		return len(ent.shells)
+	}
+	return 0
 }
 
 // ShellDomIDs lists the domains backing every pooled shell, sorted.
@@ -131,8 +190,8 @@ func (p *Pool) ShellDomIDs() []hv.DomID {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []hv.DomID
-	for _, q := range p.shells {
-		for _, s := range q {
+	for _, ent := range p.order {
+		for _, s := range ent.shells {
 			out = append(out, s.Dom.ID)
 		}
 	}
@@ -140,14 +199,15 @@ func (p *Pool) ShellDomIDs() []hv.DomID {
 	return out
 }
 
-// Register records a flavor for Replenish to keep stocked, without
+// Register records img's flavor on a device path for Replenish to keep
+// stocked, without
 // consuming a shell. Callers that only want the pool primed (EnsureFlavor,
 // placement probes) use this instead of a throwaway Take — taking a
 // shell with nowhere to put it back would orphan its domain.
-func (p *Pool) Register(f Flavor) {
+func (p *Pool) Register(img guest.Image, store bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.flavors[f.key()] = f
+	p.claim(img, store)
 }
 
 // DaemonDown reports whether the pool daemon is currently dead (an
@@ -163,16 +223,11 @@ func (p *Pool) DaemonDown() bool { return p.env.Clock.Now() < sim.Time(p.downUnt
 // holds mu.
 func (p *Pool) crash() {
 	e := p.env
-	keys := make([]string, 0, len(p.shells))
-	for k := range p.shells {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		for _, s := range p.shells[k] {
+	for _, ent := range p.order {
+		for _, s := range ent.shells {
 			p.reap(s)
 		}
-		delete(p.shells, k)
+		ent.shells = nil
 	}
 	p.Stats.Crashes++
 	p.downUntil.Store(int64(e.Clock.Now().Add(costs.PoolDaemonRestart)))
@@ -183,38 +238,42 @@ func (p *Pool) crash() {
 // the pre-created domain.
 func (p *Pool) reap(s *Shell) {
 	e := p.env
-	if s.Flavor.Store {
-		e.RemoveStoreDevices(s.Dom.ID, s.Flavor.Devices)
+	if s.flavor.Store {
+		e.RemoveStoreDevices(s.Dom.ID, s.flavor.Devices)
 	} else {
 		e.Noxs.DestroyAll(s.Dom.ID)
 	}
 	_ = e.HV.DestroyDomain(s.Dom.ID)
 }
 
-// Take removes one shell for flavor, or returns nil on a pool miss
-// (the caller then prepares inline, paying the full cost). The flavor
-// is remembered so Replenish keeps it stocked.
-func (p *Pool) Take(f Flavor) *Shell {
+// Take removes one shell of img's flavor on a device path, or returns
+// nil on a pool miss (the caller then prepares inline, paying the full
+// cost). The flavor is remembered so Replenish keeps it stocked.
+func (p *Pool) Take(img guest.Image, store bool) *Shell {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := f.key()
-	p.flavors[k] = f
+	return p.takeFrom(p.claim(img, store))
+}
+
+// takeFrom removes the first ready shell of a registered flavor, or
+// counts a miss. Caller holds mu.
+func (p *Pool) takeFrom(ent *flavorEntry) *Shell {
 	if p.env.Faults.Fire(faults.KindDaemonCrash) {
 		p.crash()
 	}
 	if p.DaemonDown() {
 		p.Stats.Misses++
-		p.env.Trace.Emit("pool", "miss", k, "daemon-down", 0)
+		p.env.Trace.Emit("pool", "miss", ent.key, "daemon-down", 0)
 		return nil
 	}
-	q := p.shells[k]
-	if len(q) == 0 {
+	if len(ent.shells) == 0 {
 		p.Stats.Misses++
-		p.env.Trace.Emit("pool", "miss", k, "", 0)
+		p.env.Trace.Emit("pool", "miss", ent.key, "", 0)
 		return nil
 	}
-	s := q[0]
-	p.shells[k] = q[1:]
+	s := ent.shells[0]
+	ent.shells[0] = nil
+	ent.shells = ent.shells[1:]
 	p.Stats.Taken++
 	p.env.Clock.Sleep(costs.ShellPoolHit)
 	return s
@@ -240,49 +299,51 @@ func (p *Pool) ReplenishUntil(deadline sim.Time) error {
 	if p.DaemonDown() {
 		return nil
 	}
-	keys := make([]string, 0, len(p.flavors))
-	for k := range p.flavors {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		f := p.flavors[k]
-		for len(p.shells[k]) < p.target {
+	for _, ent := range p.order {
+		for len(ent.shells) < p.target {
 			if deadline > 0 && p.env.Clock.Now() >= deadline {
 				return nil
 			}
-			s, err := p.prepare(f)
+			s, err := p.prepare(&ent.flavor, &ent.flavor.Img)
 			if err != nil {
 				return err
 			}
-			p.shells[k] = append(p.shells[k], s)
+			ent.shells = append(ent.shells, s)
 		}
 	}
 	return nil
 }
 
-// Prepare runs the prepare phase for one shell: hypervisor
-// reservation, compute allocation, memory reservation + preparation,
-// and device pre-creation (Fig. 8 steps 1–5).
-func (p *Pool) Prepare(f Flavor) (*Shell, error) {
+// Prepare runs the prepare phase for one shell of img's flavor on a
+// device path, populated from img: hypervisor reservation, compute
+// allocation, memory reservation + preparation, and device
+// pre-creation (Fig. 8 steps 1–5). It is the inline path after a Take
+// miss; the shell goes to the caller, not the pool.
+func (p *Pool) Prepare(img guest.Image, store bool) (*Shell, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.prepare(f)
+	if ent := p.lookup(&img, store); ent != nil {
+		return p.prepare(&ent.flavor, &img)
+	}
+	f := flavorFor(img, store)
+	return p.prepare(&f, &img)
 }
 
-// prepare is Prepare with mu held. A shell being prepared is journaled
+// prepare is Prepare with mu held, for a shell of flavor f populated
+// from img (f's image, or the caller's for an inline prepare: the two
+// agree on every key field). A shell being prepared is journaled
 // under "shell:<domid>" — if the daemon crashes at a crash point the
 // half-built shell leaks (no rollback) and recovery reaps it from the
 // journal; it never enters the pool, so it cannot also be reaped by a
 // later daemon-crash drain.
-func (p *Pool) prepare(f Flavor) (*Shell, error) {
+func (p *Pool) prepare(f *Flavor, img *guest.Image) (*Shell, error) {
 	e := p.env
 	core := e.Sched.Place()
-	dom, err := e.HV.CreateDomain(hv.Config{MaxMem: f.Img.MemBytes, VCPUs: 1, Cores: []int{core}})
+	dom, err := e.HV.CreateDomain(hv.Config{MaxMem: img.MemBytes, VCPUs: 1, Cores: []int{core}})
 	if err != nil {
 		return nil, err
 	}
-	key := fmt.Sprintf("shell:%d", dom.ID)
+	key := "shell:" + strconv.Itoa(int(dom.ID))
 	e.journalSet(f.Store, key, journalOpPrepare, "devices", dom.ID)
 	if cerr := e.crashPoint("pool.prepare.hv"); cerr != nil {
 		return nil, cerr
@@ -292,7 +353,7 @@ func (p *Pool) prepare(f Flavor) (*Shell, error) {
 		e.journalClear(f.Store, key)
 		return err
 	}
-	if err := e.PopulateGuest(dom.ID, f.Img); err != nil {
+	if err := e.PopulateGuest(dom.ID, *img); err != nil {
 		return nil, rollback(err)
 	}
 	// Shells are built before any guest claims them: devices get blank
@@ -317,7 +378,7 @@ func (p *Pool) prepare(f Flavor) (*Shell, error) {
 	if e.Trace != nil {
 		e.Trace.Emit("pool", "prepare", f.key(), "", 0)
 	}
-	return &Shell{Dom: dom, Core: core, Flavor: f}, nil
+	return &Shell{Dom: dom, Core: core, flavor: f}, nil
 }
 
 // finalizeDevices is the execute phase's "device initialization": set
@@ -330,7 +391,7 @@ func (p *Pool) finalizeDevices(s *Shell, img guest.Image) error {
 	if err := e.crashPoint("pool.finalize"); err != nil {
 		return err
 	}
-	if s.Flavor.Store {
+	if s.flavor.Store {
 		domPath := xenbus.DomainPath(s.Dom.ID)
 		return e.Store.Txn(8, func(tx *xenstore.Tx) error {
 			for i, dev := range img.Devices {

@@ -98,11 +98,11 @@ var scrubKinds = []hv.DevKind{hv.DevVif, hv.DevVbd, hv.DevConsole}
 
 // reapDomain reclaims everything a half-done operation may have left
 // for one domain: device state (store dirs + backend teardown, or the
-// noxs device page), registry entries, and the domain itself with its
-// memory, event channels and grants. name is the journal key; for VM
-// keys the /vm/<name> tree is removed too. r may be nil (rollback
-// callers reap without reporting); the returned error is the domain
-// destroy's, for callers that must not swallow it.
+// noxs device page), registry entries, its console ring, and the
+// domain itself with its memory, event channels and grants. name is
+// the journal key; for VM keys the /vm/<name> tree is removed too. r
+// may be nil (rollback callers reap without reporting); the returned
+// error is the domain destroy's, for callers that must not swallow it.
 func (e *Env) reapDomain(dom hv.DomID, useStore bool, name string, r *ScrubReport) error {
 	var destroyErr error
 	if dom != 0 {
@@ -129,6 +129,7 @@ func (e *Env) reapDomain(dom hv.DomID, useStore bool, name string, r *ScrubRepor
 		} else {
 			e.Noxs.DestroyAll(dom)
 		}
+		e.Console.Detach(dom)
 		if _, err := e.HV.Domain(dom); err == nil {
 			destroyErr = e.HV.DestroyDomain(dom)
 			if r != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func TestCreateDestroyAllModes(t *testing.T) {
 			e := newEnv()
 			drv := e.ForMode(mode)
 			if mode.UsesSplit() {
-				e.Pool.flavors[FlavorFor(guest.Daytime(), mode.UsesStore()).key()] = FlavorFor(guest.Daytime(), mode.UsesStore())
+				e.Pool.Register(guest.Daytime(), mode.UsesStore())
 				if err := e.Pool.Replenish(); err != nil {
 					t.Fatal(err)
 				}
@@ -163,7 +164,7 @@ func TestCreationTimeOrderingAcrossModes(t *testing.T) {
 				if err := e.Pool.Replenish(); err != nil {
 					t.Fatal(err)
 				}
-				e.Pool.flavors[FlavorFor(guest.Daytime(), mode.UsesStore()).key()] = FlavorFor(guest.Daytime(), mode.UsesStore())
+				e.Pool.Register(guest.Daytime(), mode.UsesStore())
 			}
 			if _, err := drv.Create(fmt.Sprintf("g%d", i), guest.Daytime()); err != nil {
 				t.Fatal(err)
@@ -197,8 +198,7 @@ func TestLightVMNoopFloor(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Seed the flavor, replenish, then measure.
-	f := FlavorFor(guest.Noop(), false)
-	e.Pool.flavors[f.key()] = f
+	e.Pool.Register(guest.Noop(), false)
 	if err := e.Pool.Replenish(); err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +221,7 @@ func TestLightVMFlatScaling(t *testing.T) {
 	// guests: growth below 30%.
 	e := newEnv()
 	drv := e.ForMode(ModeLightVM)
-	f := FlavorFor(guest.Daytime(), false)
-	e.Pool.flavors[f.key()] = f
+	e.Pool.Register(guest.Daytime(), false)
 	var firstTime, lastTime time.Duration
 	for i := 0; i < 300; i++ {
 		if err := e.Pool.Replenish(); err != nil {
@@ -284,25 +283,25 @@ func TestPoolHitFasterThanMiss(t *testing.T) {
 func TestPoolReplenishKeepsDepth(t *testing.T) {
 	e := newEnv()
 	e.Pool.SetTarget(5)
-	f := FlavorFor(guest.Noop(), false)
-	e.Pool.flavors[f.key()] = f
+	img := guest.Noop()
+	e.Pool.Register(img, false)
 	if err := e.Pool.Replenish(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Pool.Available(f); got != 5 {
+	if got := e.Pool.Available(img, false); got != 5 {
 		t.Fatalf("pool depth %d, want 5", got)
 	}
-	s := e.Pool.Take(f)
+	s := e.Pool.Take(img, false)
 	if s == nil {
 		t.Fatal("Take returned nil with stocked pool")
 	}
-	if got := e.Pool.Available(f); got != 4 {
+	if got := e.Pool.Available(img, false); got != 4 {
 		t.Fatalf("depth after take %d", got)
 	}
 	if err := e.Pool.Replenish(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Pool.Available(f); got != 5 {
+	if got := e.Pool.Available(img, false); got != 5 {
 		t.Fatalf("depth after replenish %d", got)
 	}
 }
@@ -650,5 +649,105 @@ func TestTraceOffSkipsDetails(t *testing.T) {
 			t.Fatalf("%v: tracing off saves %.2f allocs per create/destroy cycle, want %v (%s)",
 				mode, onAllocs-offAllocs, want, what)
 		}
+	}
+}
+
+// TestFsckFlagsOrphanConsoleRing plants a console ring for a domain
+// that is already gone: Fsck must name it under console/orphan-ring,
+// and reaping the domain's leftovers must take the ring with them.
+func TestFsckFlagsOrphanConsoleRing(t *testing.T) {
+	e := newEnv()
+	drv := e.ForMode(ModeChaosNoXS)
+	vm, err := drv.Create("leaky", guest.Daytime())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := vm.Dom.ID
+	if err := drv.Destroy(vm); err != nil {
+		t.Fatal(err)
+	}
+	if v := Fsck(e); len(v) > 0 {
+		t.Fatalf("clean destroy: %v", v)
+	}
+	e.Console.Attach(dead) // the planted leak
+	v := Fsck(e)
+	if len(v) != 1 || v[0].Layer != "console" || v[0].Kind != "orphan-ring" || v[0].Subject != strconv.Itoa(int(dead)) {
+		t.Fatalf("fsck = %v, want one console/orphan-ring for dom %d", v, dead)
+	}
+	_ = e.reapDomain(dead, false, "", nil)
+	if v := Fsck(e); len(v) > 0 {
+		t.Fatalf("after reap: %v", v)
+	}
+}
+
+// TestFlavorKeyBytes pins the registry key format: replenish and reap
+// run in sorted key order, so its bytes are part of every timeline.
+// The key of (img, store) folds the devices flavorFor gives the shell,
+// and Take finds the entry Register made under it.
+func TestFlavorKeyBytes(t *testing.T) {
+	for _, img := range []guest.Image{guest.Noop(), guest.Daytime(), guest.DebianMinimal()} {
+		for _, store := range []bool{true, false} {
+			f := flavorFor(img, store)
+			want := fmt.Sprintf("%s/%d/%v", img.Name, img.MemBytes, store)
+			for _, d := range f.Devices {
+				want += "/" + d.Kind.String()
+			}
+			if got := f.key(); got != want {
+				t.Fatalf("key = %q, want %q", got, want)
+			}
+			e := newEnv()
+			e.Pool.Register(img, store)
+			e.Pool.Take(img, store)
+			if len(e.Pool.flavors) != 1 || e.Pool.flavors[want] == nil {
+				t.Fatalf("Take(%s, %v) did not find the registered flavor %q", img.Name, store, want)
+			}
+		}
+	}
+}
+
+// TestPoolLastRegistrationWins registers, takes and registers again
+// under one key with different images: the registry keeps one entry,
+// holding the latest image.
+func TestPoolLastRegistrationWins(t *testing.T) {
+	e := newEnv()
+	img := guest.Daytime()
+	e.Pool.Register(img, false)
+	ent := e.Pool.flavors[flavorFor(img, false).key()]
+	img.SizeBytes++
+	e.Pool.Take(img, false)
+	if len(e.Pool.flavors) != 1 || len(e.Pool.order) != 1 || ent.flavor.Img.SizeBytes != img.SizeBytes {
+		t.Fatalf("after Take: %d entries, image size %d, want 1 entry of size %d",
+			len(e.Pool.flavors), ent.flavor.Img.SizeBytes, img.SizeBytes)
+	}
+	img.SizeBytes++
+	e.Pool.Register(img, false)
+	if len(e.Pool.flavors) != 1 || ent.flavor.Img.SizeBytes != img.SizeBytes {
+		t.Fatalf("Register kept image size %d, want %d", ent.flavor.Img.SizeBytes, img.SizeBytes)
+	}
+}
+
+// TestInlinePreparePopulatesCallersImage: a pool-miss Prepare builds
+// the shell from the caller's image even when another Register of the
+// same key replaced the registry's image in between. With memory dedup
+// the domain's shared region is sized from the image it was populated
+// from.
+func TestInlinePreparePopulatesCallersImage(t *testing.T) {
+	e := newEnv()
+	e.MemDedup = true
+	mine := guest.Daytime()
+	other := mine
+	other.SizeBytes += 64 << 10
+	if e.Pool.Take(mine, false) != nil {
+		t.Fatal("empty pool returned a shell")
+	}
+	e.Pool.Register(other, false) // another caller, in the miss window
+	s, err := e.Pool.Prepare(mine, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mine.TotalSize() + (mine.MemBytes-mine.TotalSize())/2
+	if s.Dom.SharedBytes != want {
+		t.Fatalf("shell shares %d bytes, want %d (populated from the registry's image, not the caller's)",
+			s.Dom.SharedBytes, want)
 	}
 }

@@ -312,10 +312,8 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 	degImg := brownoutImage(img)
 
 	var scaler *toolstack.Autoscaler
-	var flavor toolstack.Flavor
 	if cfg.Mode.UsesPool() {
-		flavor = toolstack.FlavorFor(img, modeToolstack(cfg.Mode).UsesStore())
-		h.Env.Pool.Register(flavor)
+		h.Env.Pool.Register(img, modeToolstack(cfg.Mode).UsesStore())
 		pol := cfg.Scaler
 		if pol.Min <= 0 {
 			pol.Min = 8 // the pool's own default depth
@@ -507,7 +505,7 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		if !isRetry && k%warmEvery == 0 {
 			w := 0
 			if scaler != nil {
-				w = h.Env.Pool.Available(flavor)
+				w = h.Env.Pool.Available(img, modeToolstack(cfg.Mode).UsesStore())
 			}
 			st.Warm = append(st.Warm, w)
 		}

@@ -114,16 +114,6 @@ func BackendPath(dom hv.DomID, kind hv.DevKind, idx int) string {
 	return string(buf)
 }
 
-// VifName is the hotplug interface name "vif<dom>.<idx>".
-func VifName(dom, idx int) string {
-	buf := make([]byte, 0, 16)
-	buf = append(buf, "vif"...)
-	buf = strconv.AppendInt(buf, int64(dom), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendInt(buf, int64(idx), 10)
-	return string(buf)
-}
-
 // DeviceReq describes a device the toolstack wants to create.
 type DeviceReq struct {
 	Kind hv.DevKind
@@ -145,8 +135,9 @@ type Backend struct {
 
 	// DevicesSetUp counts completed device initializations.
 	DevicesSetUp int
-	// HotplugFailures counts vif setups whose hotplug step failed (the
-	// device still reaches InitWait, as with a failed hotplug script).
+	// HotplugFailures counts vif setups and teardowns whose hotplug step
+	// failed (the device still reaches InitWait, or is still removed,
+	// as with a failed hotplug script).
 	HotplugFailures int
 	// StallsInjected counts handshake announcements the fault plane
 	// made this backend drop (the toolstack recovers via re-attach).
@@ -224,7 +215,7 @@ func (b *Backend) setup(dir string) {
 		// dir is BackendPath(dom, kind, idx): the index is its last segment.
 		idx, err := strconv.Atoi(dir[strings.LastIndexByte(dir, '/')+1:])
 		if err == nil {
-			err = b.Hotplug.Setup(VifName(feDom, idx))
+			err = b.Hotplug.Setup(devd.VifName(feDom, idx))
 		}
 		if err != nil {
 			b.HotplugFailures++
@@ -243,7 +234,9 @@ func (b *Backend) Teardown(dom hv.DomID, idx int) {
 		}
 	}
 	if b.Kind == hv.DevVif && b.Hotplug != nil {
-		_ = b.Hotplug.Teardown(VifName(int(dom), idx))
+		if err := b.Hotplug.Teardown(devd.VifName(int(dom), idx)); err != nil {
+			b.HotplugFailures++
+		}
 	}
 	_ = b.Store.Rm(dir)
 }

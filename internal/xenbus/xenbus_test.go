@@ -283,3 +283,45 @@ func TestOverlappingCreationsConflictAndRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// failingTeardown is a hotplug whose setups succeed and whose
+// teardowns all fail.
+type failingTeardown struct{ devd.Xendevd }
+
+func (f *failingTeardown) Teardown(vif string) error { return devd.ErrHotplug }
+
+// TestTeardownCountsHotplugFailure tears a vif down through a hotplug
+// that fails: the failure is counted, and the backend half still goes.
+func TestTeardownCountsHotplugFailure(t *testing.T) {
+	f := newFixture(t)
+	hp := &failingTeardown{devd.Xendevd{Clock: f.clock, Bridge: devd.NewBridge()}}
+	f.be.Hotplug = hp
+	d := f.newDomain(t)
+	f.createDevice(t, d.ID)
+	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0); err != nil {
+		t.Fatal(err)
+	}
+	if f.be.HotplugFailures != 0 {
+		t.Fatalf("%d hotplug failures after a clean setup", f.be.HotplugFailures)
+	}
+	f.be.Teardown(d.ID, 0)
+	if f.be.HotplugFailures != 1 {
+		t.Fatalf("HotplugFailures = %d after a failed teardown, want 1", f.be.HotplugFailures)
+	}
+	if f.s.Exists(BackendPath(d.ID, hv.DevVif, 0)) {
+		t.Fatal("backend dir survived teardown")
+	}
+}
+
+func TestVifNameMatchesBackendPort(t *testing.T) {
+	f := newFixture(t)
+	d := f.newDomain(t)
+	f.createDevice(t, d.ID)
+	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0); err != nil {
+		t.Fatal(err)
+	}
+	// The port the backend attached is the one VifName names.
+	if err := f.hp.Bridge.DetachPort(devd.VifName(int(d.ID), 0)); err != nil {
+		t.Fatal(err)
+	}
+}
