@@ -163,12 +163,17 @@ overload-smoke:
 	$(GO) run ./cmd/lightvm-bench -exp ext-overload -scale 0.05 -seed 1 -parallel 1 -fsck
 	@echo "overload-smoke: metastable collapse reproduced and defended; hosts fsck clean"
 
-# Examples gate: run every program under examples/ with `go run`; a
-# non-zero exit fails the target. The examples are the public lightvm
-# API's only end-to-end callers, so a runtime break shows here first.
+# Examples gate: run every program under examples/ with `go run` and
+# diff its stdout against the checked-in examples/<name>/output.txt; a
+# non-zero exit or any byte of difference fails the target. The
+# examples are the public lightvm API's only end-to-end callers, and
+# every one of them is deterministic, so their output is the API's
+# contract.
 examples-smoke:
 	@for d in examples/*/; do \
-		$(GO) run ./$$d > /dev/null || { echo "examples-smoke: $$d failed"; exit 1; }; \
+		$(GO) run ./$$d > $${d}output.got || { echo "examples-smoke: $$d failed"; rm -f $${d}output.got; exit 1; }; \
+		diff -u $${d}output.txt $${d}output.got || { echo "examples-smoke: $$d output differs from $${d}output.txt"; rm -f $${d}output.got; exit 1; }; \
+		rm -f $${d}output.got; \
 		echo "examples-smoke: $$d ok"; \
 	done
 
