@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench-check bench-digests verify verify-race race fuzz-smoke cover-xenstore cover-traffic bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke examples-smoke clean
+.PHONY: build test reach bench-check bench-digests verify verify-race race fuzz-smoke cover-xenstore cover-traffic bench bench-smoke bench-compare profile-smoke fsck-smoke gray-smoke cluster-smoke serve-smoke overload-smoke examples-smoke clean
 
 # Newest checked-in benchmark report; bench-compare reruns its figures
 # and fails on regression. Override with BASELINE=path to pin another.
@@ -177,6 +177,15 @@ examples-smoke:
 		echo "examples-smoke: $$d ok"; \
 	done
 
+# Reachability gate: build cmd/lightvm-bench, cmd/chaos, cmd/tinyx-build
+# and every examples/* program with coverage over the whole module, run
+# a fixed invocation set (fixed seeds, sequential), and fail unless the
+# functions none of them reached are exactly the ones reach-baseline.txt
+# lists with a reason. Prints the share of statements reached. Builds
+# into .reach/ (~15 s warm).
+reach:
+	GO=$(GO) bash scripts/reach.sh
+
 # Full-scale replay of every figure with a JSON timing report.
 bench:
 	$(GO) run ./cmd/lightvm-bench -exp all -parallel 0 -json
@@ -207,4 +216,4 @@ bench-compare:
 
 clean:
 	rm -f *.cover coverage-xenstore.html fsck-smoke.json gray-smoke.json bench-fresh.json
-	rm -rf profiles .bench_build
+	rm -rf profiles .bench_build .reach

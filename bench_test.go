@@ -20,11 +20,11 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := lightvm.RunExperiment(id, benchScale, uint64(i)+1)
+		res, err := lightvm.RunExperimentsOpts([]string{id}, lightvm.ExperimentOptions{Scale: benchScale, Seed: uint64(i) + 1, Parallel: 1})
 		if err != nil {
 			b.Fatalf("%s: %v", id, err)
 		}
-		if len(res.Output) == 0 {
+		if len(res[0].Output) == 0 {
 			b.Fatalf("%s produced no output", id)
 		}
 	}

@@ -197,13 +197,6 @@ func (c *Cluster) EnableHealth(cfg HealthConfig, inj *faults.Injector) {
 	c.Clock.Schedule(now.Add(m.cfg.Period), c.healthTick)
 }
 
-// HealthEnabled reports whether the monitor is armed.
-func (c *Cluster) HealthEnabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.health != nil
-}
-
 // Health reports the monitor's view of one member (HealthAlive when
 // the monitor is off or the member unknown).
 func (c *Cluster) Health(name string) HealthState {

@@ -345,10 +345,6 @@ func NewSharded(cfg ShardedConfig, pools []HostPool) (*Sharded, error) {
 	return sc, nil
 }
 
-// Engine exposes the underlying engine (stats, shard handles) for
-// tests and the experiment harness.
-func (sc *Sharded) Engine() *sim.Engine { return sc.eng }
-
 // ---------------------------------------------------------------------------
 // Controller: placement heap
 // ---------------------------------------------------------------------------

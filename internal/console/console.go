@@ -1,12 +1,12 @@
 // Package console models xenconsoled: the Dom0 daemon that drains
 // each guest's console ring into a per-domain log. Guests write boot
-// banners and runtime messages; `chaos -op console` and tests read
-// them back. Rings are bounded like the real 4 KiB console ring —
-// writers overwrite the oldest output when the reader falls behind.
+// and resume banners; `chaos -op console` and tests read them back.
+// Rings are bounded like the real 4 KiB console ring — writers
+// overwrite the oldest output when the reader falls behind.
 //
-// Boot and resume banners arrive as typed records (Boot, Resume) and
-// are rendered to text only when the ring is read: every guest prints
-// one, almost none is ever read, so the write path does no formatting.
+// The banners arrive as typed records (Boot, Resume) and are rendered
+// to text only when the ring is read: every guest prints one, almost
+// none is ever read, so the write path does no formatting.
 // A ring still behaves exactly like a byte buffer of the rendered
 // stream — the daemon knows each record's rendered length up front,
 // which is all the overwrite bookkeeping needs.
@@ -60,16 +60,14 @@ const (
 type entryKind uint8
 
 const (
-	textEntry entryKind = iota
-	bootEntry
-	resumeEntry // uses rec.VM and rec.At only
+	bootEntry   entryKind = iota
+	resumeEntry           // uses rec.VM and rec.At only
 )
 
-// entry is one span of the ring's stream: raw guest output, or a
-// banner record still waiting to be rendered.
+// entry is one banner record of the ring's stream, still waiting to be
+// rendered.
 type entry struct {
 	kind entryKind
-	text []byte
 	rec  Boot
 	n    int // rendered length in bytes
 }
@@ -128,33 +126,6 @@ func (d *Daemon) ring(dom hv.DomID) (*ring, error) {
 	return r, nil
 }
 
-// Write appends guest output to the domain's ring, overwriting the
-// oldest bytes past capacity.
-func (d *Daemon) Write(dom hv.DomID, msg string) error {
-	r, err := d.ring(dom)
-	if err != nil {
-		return err
-	}
-	if msg == "" {
-		return nil
-	}
-	if last := len(r.entries) - 1; last >= 0 && r.entries[last].kind == textEntry {
-		e := &r.entries[last]
-		e.text = append(e.text, msg...)
-		e.n += len(msg)
-		r.size += len(msg)
-	} else {
-		r.push(entry{kind: textEntry, text: []byte(msg), n: len(msg)})
-	}
-	r.trim()
-	return nil
-}
-
-// Writef is Write with formatting.
-func (d *Daemon) Writef(dom hv.DomID, format string, args ...interface{}) error {
-	return d.Write(dom, fmt.Sprintf(format, args...))
-}
-
 // WriteBoot appends a boot banner to the domain's ring.
 func (d *Daemon) WriteBoot(dom hv.DomID, b Boot) error {
 	r, err := d.ring(dom)
@@ -209,9 +180,8 @@ func (r *ring) push(e entry) {
 	r.size += e.n
 }
 
-// trim drops whole entries the newer ones already cover, then cuts the
-// oldest bytes off a leading text entry, so at most one banner's worth
-// of bytes beyond RingSize stays retained.
+// trim drops whole entries the newer ones already cover, so at most
+// one banner's worth of bytes beyond RingSize stays retained.
 func (r *ring) trim() {
 	for r.size-r.entries[0].n >= RingSize {
 		r.size -= r.entries[0].n
@@ -219,24 +189,11 @@ func (r *ring) trim() {
 		r.entries[0] = entry{}
 		r.entries = r.entries[1:]
 	}
-	if over := r.size - RingSize; over > 0 && r.entries[0].kind == textEntry {
-		e := &r.entries[0]
-		e.text = e.text[over:]
-		if cap(e.text) > 2*RingSize { // one huge write: keep only the window
-			e.text = append([]byte(nil), e.text...)
-		}
-		e.n -= over
-		r.size -= over
-		r.dropped += over
-	}
 }
 
 // render appends the entry's text to b.
 func (e *entry) render(b []byte) []byte {
-	switch e.kind {
-	case textEntry:
-		return append(b, e.text...)
-	case resumeEntry:
+	if e.kind == resumeEntry {
 		b = append(b, e.rec.VM...)
 		b = append(b, resumeMid...)
 		b = append(b, e.rec.At.String()...)

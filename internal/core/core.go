@@ -108,12 +108,6 @@ func (h *Host) DestroyVM(vm *toolstack.VM) error {
 	return h.Driver(vm.Mode).Destroy(vm)
 }
 
-// PauseVM freezes a running guest (state resident, no CPU).
-func (h *Host) PauseVM(vm *toolstack.VM) error { return h.Env.PauseVM(vm) }
-
-// UnpauseVM thaws a frozen guest with a single hypercall.
-func (h *Host) UnpauseVM(vm *toolstack.VM) error { return h.Env.UnpauseVM(vm) }
-
 // CloneVM forks a running guest SnowFlock-style: the child resumes
 // from the parent's state sharing its memory copy-on-write. See
 // toolstack.Env.CloneVM.

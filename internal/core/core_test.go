@@ -310,53 +310,6 @@ func TestTraceRecordsLifecycle(t *testing.T) {
 	}
 }
 
-func TestPauseUnpause(t *testing.T) {
-	h, err := NewHost(sched.Machine{Name: "p", Cores: 4, Dom0Cores: 1, MemoryGB: 64}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var vms []*toolstack.VM
-	for i := 0; i < 30; i++ {
-		vm, err := h.CreateVM(toolstack.ModeChaosNoXS, fmt.Sprintf("d%d", i), guest.DebianMinimal())
-		if err != nil {
-			t.Fatal(err)
-		}
-		vms = append(vms, vm)
-	}
-	busy := h.CPUUtilization()
-	memBusy := h.MemoryUsedBytes()
-	for _, vm := range vms {
-		if err := h.PauseVM(vm); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Frozen guests burn no CPU but keep their memory (the Lambda
-	// freeze semantics of §2).
-	if got := h.CPUUtilization(); got >= busy {
-		t.Fatalf("utilization after pause = %v, was %v", got, busy)
-	}
-	if h.MemoryUsedBytes() != memBusy {
-		t.Fatal("pause released memory")
-	}
-	// Double pause is rejected; thaw restores the load.
-	if err := h.PauseVM(vms[0]); err == nil {
-		t.Fatal("double pause accepted")
-	}
-	start := h.Clock.Now()
-	for _, vm := range vms {
-		if err := h.UnpauseVM(vm); err != nil {
-			t.Fatal(err)
-		}
-	}
-	thaw := time.Duration(h.Clock.Now().Sub(start)) / 30
-	if thaw > time.Millisecond {
-		t.Fatalf("unpause cost %v per guest, want ≪1ms", thaw)
-	}
-	if got := h.CPUUtilization(); got < busy*0.95 {
-		t.Fatalf("utilization after thaw = %v, was %v", got, busy)
-	}
-}
-
 // TestResumeBanner saves a guest and restores it through the host: the
 // restored domain's console carries exactly the one-line resume banner,
 // stamped with the virtual time the guest came back.

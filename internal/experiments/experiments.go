@@ -125,7 +125,7 @@ type Result struct {
 	// the generator built. Generators that track it set it; 0 means
 	// not instrumented.
 	VirtualMS float64
-	// Wall is the real time the generator took (set by RunMany/RunAll).
+	// Wall is the real time the generator took (set by RunMany).
 	Wall time.Duration
 	// Allocs is the number of heap allocations the generator performed
 	// (the MemStats.Mallocs delta across the figure). RunMany records

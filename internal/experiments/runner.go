@@ -102,8 +102,3 @@ func RunMany(ids []string, o Options) ([]Result, error) {
 	}
 	return out, nil
 }
-
-// RunAll runs every registered experiment in registry (sorted) order.
-func RunAll(o Options) ([]Result, error) {
-	return RunMany(IDs(), o)
-}

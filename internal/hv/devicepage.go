@@ -50,19 +50,6 @@ type DevicePage struct {
 	Entries []DevEntry
 }
 
-// CreateDevicePage allocates the per-domain device page. Idempotent.
-func (h *Hypervisor) CreateDevicePage(id DomID) error {
-	d, err := h.Domain(id)
-	if err != nil {
-		return err
-	}
-	if d.DevPage == nil {
-		d.DevPage = &DevicePage{}
-	}
-	h.charge(0)
-	return nil
-}
-
 // DevicePageWrite appends a device entry; the hypercall is restricted
 // to Dom0 ("the page is shared read-only with guests, with only Dom0
 // allowed to request modifications").

@@ -268,20 +268,6 @@ func (h *Hypervisor) Unpause(id DomID) error {
 	return nil
 }
 
-// Pause deschedules a running domain.
-func (h *Hypervisor) Pause(id DomID) error {
-	d, err := h.Domain(id)
-	if err != nil {
-		return err
-	}
-	if d.State != StateRunning {
-		return fmt.Errorf("%w: pause %v domain", ErrBadState, d.State)
-	}
-	d.State = StatePaused
-	h.charge(0)
-	return nil
-}
-
 // Suspend marks the domain suspended (invoked after the guest
 // acknowledges the suspend request).
 func (h *Hypervisor) Suspend(id DomID, reason string) error {

@@ -243,9 +243,6 @@ func TestDestroyCleansChannelsAndGrants(t *testing.T) {
 func TestDevicePage(t *testing.T) {
 	h := newHV()
 	d, _ := h.CreateDomain(Config{MaxMem: mib})
-	if err := h.CreateDevicePage(d.ID); err != nil {
-		t.Fatal(err)
-	}
 	e := DevEntry{Kind: DevVif, Index: 0, BackendID: 0, Evtchn: 7, CtrlGrant: 9, MAC: "00:16:3e:00:00:01"}
 	if err := h.DevicePageWrite(0, d.ID, e); err != nil {
 		t.Fatal(err)

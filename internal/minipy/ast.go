@@ -27,12 +27,6 @@ type NameRef struct{ Name string }
 // ListLit is [a, b, c].
 type ListLit struct{ Elems []Node }
 
-// DictLit is {k: v, ...}.
-type DictLit struct {
-	Keys []Node
-	Vals []Node
-}
-
 // Index is container[expr].
 type Index struct {
 	Container Node
@@ -63,7 +57,6 @@ func (*BoolLit) node() {}
 func (*NoneLit) node() {}
 func (*NameRef) node() {}
 func (*ListLit) node() {}
-func (*DictLit) node() {}
 func (*Index) node()   {}
 func (*Call) node()    {}
 func (*BinOp) node()   {}

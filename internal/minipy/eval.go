@@ -15,70 +15,6 @@ type Value interface{}
 // List is a mutable list value.
 type List struct{ Items []Value }
 
-// Dict is a mutable mapping with insertion-ordered keys. Keys may be
-// strings, ints, floats or bools (hashable values).
-type Dict struct {
-	keys  []Value
-	vals  []Value
-	index map[string]int
-}
-
-// dictKey encodes a hashable value as a map key, preserving Python's
-// cross-type numeric equality (1 == 1.0 == True).
-func dictKey(v Value) (string, error) {
-	switch x := v.(type) {
-	case string:
-		return "s:" + x, nil
-	case int64:
-		return "n:" + strconv.FormatFloat(float64(x), 'g', -1, 64), nil
-	case float64:
-		return "n:" + strconv.FormatFloat(x, 'g', -1, 64), nil
-	case bool:
-		if x {
-			return "n:1", nil
-		}
-		return "n:0", nil
-	case nil:
-		return "none", nil
-	}
-	return "", rte("unhashable type: %s", typeName(v))
-}
-
-// Set inserts or updates a key.
-func (d *Dict) Set(k, v Value) error {
-	ek, err := dictKey(k)
-	if err != nil {
-		return err
-	}
-	if d.index == nil {
-		d.index = make(map[string]int)
-	}
-	if i, ok := d.index[ek]; ok {
-		d.vals[i] = v
-		return nil
-	}
-	d.index[ek] = len(d.keys)
-	d.keys = append(d.keys, k)
-	d.vals = append(d.vals, v)
-	return nil
-}
-
-// Get looks a key up.
-func (d *Dict) Get(k Value) (Value, bool, error) {
-	ek, err := dictKey(k)
-	if err != nil {
-		return nil, false, err
-	}
-	i, ok := d.index[ek]
-	if !ok {
-		return nil, false, nil
-	}
-	return d.vals[i], true, nil
-}
-
-// Len reports entry count.
-func (d *Dict) Len() int { return len(d.keys) }
-
 // Function is a user-defined function.
 type Function struct {
 	Name   string
@@ -279,9 +215,6 @@ func (in *Interp) assign(target Node, v Value, env map[string]Value) error {
 		if err != nil {
 			return err
 		}
-		if d, ok := cont.(*Dict); ok {
-			return d.Set(idx, v)
-		}
 		lst, ok := cont.(*List)
 		if !ok {
 			return rte("cannot index-assign into %s", typeName(cont))
@@ -336,22 +269,6 @@ func (in *Interp) eval(x Node, env map[string]Value) (Value, error) {
 			l.Items = append(l.Items, v)
 		}
 		return l, nil
-	case *DictLit:
-		d := &Dict{}
-		for i := range e.Keys {
-			k, err := in.eval(e.Keys[i], env)
-			if err != nil {
-				return nil, err
-			}
-			v, err := in.eval(e.Vals[i], env)
-			if err != nil {
-				return nil, err
-			}
-			if err := d.Set(k, v); err != nil {
-				return nil, err
-			}
-		}
-		return d, nil
 	case *Index:
 		cont, err := in.eval(e.Container, env)
 		if err != nil {
@@ -500,245 +417,10 @@ func (in *Interp) builtin(name string, args []Value) (Value, error) {
 		switch v := args[0].(type) {
 		case *List:
 			return int64(len(v.Items)), nil
-		case *Dict:
-			return int64(v.Len()), nil
 		case string:
 			return int64(len(v)), nil
 		}
 		return nil, rte("len() of %s", typeName(args[0]))
-	case "abs":
-		if len(args) != 1 {
-			return nil, rte("abs() takes 1 argument")
-		}
-		switch v := args[0].(type) {
-		case int64:
-			if v < 0 {
-				return -v, nil
-			}
-			return v, nil
-		case float64:
-			return math.Abs(v), nil
-		}
-		return nil, rte("abs() of %s", typeName(args[0]))
-	case "min", "max":
-		if len(args) == 0 {
-			return nil, rte("%s() needs arguments", name)
-		}
-		items := args
-		if len(args) == 1 {
-			l, ok := args[0].(*List)
-			if !ok || len(l.Items) == 0 {
-				return nil, rte("%s() of non-list or empty list", name)
-			}
-			items = l.Items
-		}
-		best := items[0]
-		for _, it := range items[1:] {
-			cmp, err := compare(it, best)
-			if err != nil {
-				return nil, err
-			}
-			if (name == "min" && cmp < 0) || (name == "max" && cmp > 0) {
-				best = it
-			}
-		}
-		return best, nil
-	case "sum":
-		if len(args) != 1 {
-			return nil, rte("sum() takes 1 argument")
-		}
-		l, ok := args[0].(*List)
-		if !ok {
-			return nil, rte("sum() of %s", typeName(args[0]))
-		}
-		var acc Value = int64(0)
-		for _, it := range l.Items {
-			v, err := binop("+", acc, it)
-			if err != nil {
-				return nil, err
-			}
-			acc = v
-		}
-		return acc, nil
-	case "int":
-		if len(args) != 1 {
-			return nil, rte("int() takes 1 argument")
-		}
-		switch v := args[0].(type) {
-		case int64:
-			return v, nil
-		case float64:
-			return int64(v), nil
-		case bool:
-			if v {
-				return int64(1), nil
-			}
-			return int64(0), nil
-		case string:
-			n, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-			if err != nil {
-				return nil, rte("invalid literal for int(): %q", v)
-			}
-			return n, nil
-		}
-		return nil, rte("int() of %s", typeName(args[0]))
-	case "float":
-		if len(args) != 1 {
-			return nil, rte("float() takes 1 argument")
-		}
-		switch v := args[0].(type) {
-		case int64:
-			return float64(v), nil
-		case float64:
-			return v, nil
-		case string:
-			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				return nil, rte("invalid literal for float(): %q", v)
-			}
-			return f, nil
-		}
-		return nil, rte("float() of %s", typeName(args[0]))
-	case "str":
-		if len(args) != 1 {
-			return nil, rte("str() takes 1 argument")
-		}
-		return Repr(args[0]), nil
-	case "keys":
-		if len(args) != 1 {
-			return nil, rte("keys() takes 1 argument")
-		}
-		d, ok := args[0].(*Dict)
-		if !ok {
-			return nil, rte("keys() of %s", typeName(args[0]))
-		}
-		return &List{Items: append([]Value(nil), d.keys...)}, nil
-	case "values":
-		if len(args) != 1 {
-			return nil, rte("values() takes 1 argument")
-		}
-		d, ok := args[0].(*Dict)
-		if !ok {
-			return nil, rte("values() of %s", typeName(args[0]))
-		}
-		return &List{Items: append([]Value(nil), d.vals...)}, nil
-	case "split":
-		// split(s[, sep]) — whitespace split when sep is omitted.
-		if len(args) < 1 || len(args) > 2 {
-			return nil, rte("split() takes 1-2 arguments")
-		}
-		s, ok := args[0].(string)
-		if !ok {
-			return nil, rte("split() of %s", typeName(args[0]))
-		}
-		var parts []string
-		if len(args) == 2 {
-			sep, ok := args[1].(string)
-			if !ok || sep == "" {
-				return nil, rte("split() separator must be a non-empty string")
-			}
-			parts = strings.Split(s, sep)
-		} else {
-			parts = strings.Fields(s)
-		}
-		l := &List{}
-		for _, p := range parts {
-			l.Items = append(l.Items, p)
-		}
-		return l, nil
-	case "join":
-		// join(sep, list) — MicroPython-flavoured free function.
-		if len(args) != 2 {
-			return nil, rte("join() takes 2 arguments")
-		}
-		sep, ok := args[0].(string)
-		if !ok {
-			return nil, rte("join() separator must be a string")
-		}
-		l, ok := args[1].(*List)
-		if !ok {
-			return nil, rte("join() of %s", typeName(args[1]))
-		}
-		parts := make([]string, len(l.Items))
-		for i, it := range l.Items {
-			s, ok := it.(string)
-			if !ok {
-				return nil, rte("join() item %d is %s, not str", i, typeName(it))
-			}
-			parts[i] = s
-		}
-		return strings.Join(parts, sep), nil
-	case "upper", "lower":
-		if len(args) != 1 {
-			return nil, rte("%s() takes 1 argument", name)
-		}
-		s, ok := args[0].(string)
-		if !ok {
-			return nil, rte("%s() of %s", name, typeName(args[0]))
-		}
-		if name == "upper" {
-			return strings.ToUpper(s), nil
-		}
-		return strings.ToLower(s), nil
-	case "find":
-		// find(haystack, needle) → index or -1.
-		if len(args) != 2 {
-			return nil, rte("find() takes 2 arguments")
-		}
-		h, ok1 := args[0].(string)
-		n, ok2 := args[1].(string)
-		if !ok1 || !ok2 {
-			return nil, rte("find() needs strings")
-		}
-		return int64(strings.Index(h, n)), nil
-	case "strip":
-		if len(args) != 1 {
-			return nil, rte("strip() takes 1 argument")
-		}
-		s, ok := args[0].(string)
-		if !ok {
-			return nil, rte("strip() of %s", typeName(args[0]))
-		}
-		return strings.TrimSpace(s), nil
-	case "sorted":
-		if len(args) != 1 {
-			return nil, rte("sorted() takes 1 argument")
-		}
-		l, ok := args[0].(*List)
-		if !ok {
-			return nil, rte("sorted() of %s", typeName(args[0]))
-		}
-		out := &List{Items: append([]Value(nil), l.Items...)}
-		var sortErr error
-		// Insertion sort: stable, no extra imports, fine at guest scale.
-		for i := 1; i < len(out.Items); i++ {
-			for j := i; j > 0; j-- {
-				c, err := compare(out.Items[j], out.Items[j-1])
-				if err != nil {
-					sortErr = err
-					break
-				}
-				if c >= 0 {
-					break
-				}
-				out.Items[j], out.Items[j-1] = out.Items[j-1], out.Items[j]
-			}
-			if sortErr != nil {
-				return nil, sortErr
-			}
-		}
-		return out, nil
-	case "append":
-		// MicroPython-flavoured convenience: append(list, x).
-		if len(args) != 2 {
-			return nil, rte("append() takes 2 arguments")
-		}
-		l, ok := args[0].(*List)
-		if !ok {
-			return nil, rte("append() to %s", typeName(args[0]))
-		}
-		l.Items = append(l.Items, args[1])
-		return nil, nil
 	}
 	return nil, rte("name %q is not defined", name)
 }
@@ -759,8 +441,6 @@ func truthy(v Value) bool {
 		return x != ""
 	case *List:
 		return len(x.Items) > 0
-	case *Dict:
-		return x.Len() > 0
 	}
 	return true
 }
@@ -779,8 +459,6 @@ func typeName(v Value) string {
 		return "str"
 	case *List:
 		return "list"
-	case *Dict:
-		return "dict"
 	case *Function:
 		return "function"
 	}
@@ -817,21 +495,6 @@ func Repr(v Value) string {
 			}
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
-	case *Dict:
-		parts := make([]string, len(x.keys))
-		for i := range x.keys {
-			k, v := x.keys[i], x.vals[i]
-			ks := Repr(k)
-			if s, ok := k.(string); ok {
-				ks = "'" + s + "'"
-			}
-			vs := Repr(v)
-			if s, ok := v.(string); ok {
-				vs = "'" + s + "'"
-			}
-			parts[i] = ks + ": " + vs
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
 	case *Function:
 		return "<function " + x.Name + ">"
 	}
@@ -842,8 +505,6 @@ func iterate(v Value) ([]Value, error) {
 	switch x := v.(type) {
 	case *List:
 		return x.Items, nil
-	case *Dict:
-		return append([]Value(nil), x.keys...), nil
 	case string:
 		out := make([]Value, 0, len(x))
 		for _, r := range x {
@@ -855,16 +516,6 @@ func iterate(v Value) ([]Value, error) {
 }
 
 func index(cont, idx Value) (Value, error) {
-	if d, ok := cont.(*Dict); ok {
-		v, found, err := d.Get(idx)
-		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return nil, rte("KeyError: %s", Repr(idx))
-		}
-		return v, nil
-	}
 	i, ok := idx.(int64)
 	if !ok {
 		return nil, rte("indices must be int, not %s", typeName(idx))
@@ -929,9 +580,6 @@ func binop(op string, l, r Value) (Value, error) {
 	switch op {
 	case "in":
 		switch c := r.(type) {
-		case *Dict:
-			_, found, err := c.Get(l)
-			return found, err
 		case *List:
 			for _, it := range c.Items {
 				eq, err := equals(l, it)

@@ -55,7 +55,7 @@ var keywords = map[string]bool{
 // operators, longest first so multi-char ops win.
 var operators = []string{
 	"**", "//", "==", "!=", "<=", ">=", "+=", "-=", "*=", "/=",
-	"+", "-", "*", "/", "%", "<", ">", "=", "(", ")", "[", "]", "{", "}", ",", ":",
+	"+", "-", "*", "/", "%", "<", ">", "=", "(", ")", "[", "]", ",", ":",
 }
 
 // SyntaxError reports a lexing or parsing problem with its line.

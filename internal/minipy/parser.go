@@ -513,31 +513,6 @@ func (p *parser) atom() (Node, error) {
 			return nil, err
 		}
 		return &ListLit{Elems: elems}, nil
-	case t.Kind == TokOp && t.Lit == "{":
-		p.next()
-		d := &DictLit{}
-		for !p.at(TokOp, "}") {
-			k, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokOp, ":"); err != nil {
-				return nil, err
-			}
-			v, err := p.expr()
-			if err != nil {
-				return nil, err
-			}
-			d.Keys = append(d.Keys, k)
-			d.Vals = append(d.Vals, v)
-			if !p.accept(TokOp, ",") {
-				break
-			}
-		}
-		if _, err := p.expect(TokOp, "}"); err != nil {
-			return nil, err
-		}
-		return d, nil
 	}
 	return nil, errf(t.Line, "unexpected token %v", t)
 }

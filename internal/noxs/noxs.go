@@ -49,10 +49,6 @@ type Counters struct {
 type sysctlState struct {
 	port           hv.Port
 	shutdownReason string
-	// onShutdown is the frontend's handler, registered when the guest
-	// connects; it models the guest saving internal state and
-	// unbinding its noxs resources before suspending.
-	onShutdown func(reason string)
 }
 
 // Module is the noxs Linux kernel module living in Dom0.
@@ -263,9 +259,6 @@ func (m *Module) guestUpcall(dom hv.DomID, e hv.DevEntry) func() {
 			return
 		}
 		reason := st.shutdownReason
-		if st.onShutdown != nil {
-			st.onShutdown(reason)
-		}
 		// Guest saves internal state and unbinds noxs event channels
 		// and device pages (§5.1), then the hypervisor marks it
 		// suspended or shut down.
@@ -280,17 +273,6 @@ func (m *Module) guestUpcall(dom hv.DomID, e hv.DevEntry) func() {
 			}
 		}
 	}
-}
-
-// OnGuestShutdown registers a guest callback run before the domain
-// suspends/powers off (used by guests that must quiesce devices).
-func (m *Module) OnGuestShutdown(dom hv.DomID, fn func(reason string)) error {
-	st, ok := m.sysctl[dom]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSysctl, dom)
-	}
-	st.onShutdown = fn
-	return nil
 }
 
 // RequestShutdown is the toolstack's power operation: an ioctl to the

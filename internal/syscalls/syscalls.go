@@ -36,18 +36,6 @@ var Releases = []Release{
 	{"4.17", 2018, 397},
 }
 
-// ByYear returns the syscall count of the newest release in or before
-// year, and whether any release qualifies.
-func ByYear(year int) (int, bool) {
-	count, ok := 0, false
-	for _, r := range Releases { // releases are in chronological order
-		if r.Year <= year {
-			count, ok = r.Syscalls, true
-		}
-	}
-	return count, ok
-}
-
 // GrowthPerYear returns the least-squares slope of syscall count over
 // years — the "unrelenting growth" rate.
 func GrowthPerYear() float64 {

@@ -28,20 +28,6 @@ func TestDatasetShape(t *testing.T) {
 	}
 }
 
-func TestByYear(t *testing.T) {
-	if _, ok := ByYear(1999); ok {
-		t.Fatal("pre-dataset year matched")
-	}
-	c, ok := ByYear(2016)
-	if !ok || c != 377 {
-		t.Fatalf("ByYear(2016) = %d, %v", c, ok)
-	}
-	c, _ = ByYear(2030)
-	if c != Releases[len(Releases)-1].Syscalls {
-		t.Fatalf("future year = %d", c)
-	}
-}
-
 func TestGrowthPositive(t *testing.T) {
 	g := GrowthPerYear()
 	// Roughly 9-10 syscalls/year over the span.

@@ -37,9 +37,6 @@ func NewChaos(env *Env, mode Mode) *Chaos {
 // Name implements Driver.
 func (c *Chaos) Name() string { return c.mode.String() }
 
-// Mode reports the configuration.
-func (c *Chaos) Mode() Mode { return c.mode }
-
 // Create implements Driver.
 func (c *Chaos) Create(name string, img guest.Image) (*VM, error) {
 	e := c.env

@@ -61,8 +61,6 @@ func (m Mode) UsesSplit() bool { return m == ModeChaosSplit || m == ModeLightVM 
 var (
 	ErrDuplicateName = errors.New("toolstack: duplicate VM name")
 	ErrUnknownVM     = errors.New("toolstack: unknown VM")
-	ErrAlreadyPaused = errors.New("toolstack: VM already paused")
-	ErrNotPaused     = errors.New("toolstack: VM not paused")
 )
 
 // Breakdown attributes creation time to the Fig. 5 categories.
@@ -90,9 +88,6 @@ type VM struct {
 
 	// Booted marks a guest whose OS finished booting.
 	Booted bool
-	// Paused marks a frozen guest (its idle load is already off the
-	// scheduler).
-	Paused bool
 
 	// CreateTime / BootTime are the last measured durations.
 	CreateTime time.Duration
@@ -358,11 +353,8 @@ func (e *Env) UnregisterRunning(vm *VM) {
 		return
 	}
 	im := vm.Image
-	if !vm.Paused { // a paused guest's load is already off the books
-		e.Sched.RemoveGuest(vm.Core, im.WakeRatePerSec, im.WakeWork, im.UtilDuty)
-		e.dom0WakeRate -= im.WakeRatePerSec
-	}
-	vm.Paused = false
+	e.Sched.RemoveGuest(vm.Core, im.WakeRatePerSec, im.WakeWork, im.UtilDuty)
+	e.dom0WakeRate -= im.WakeRatePerSec
 	if vm.Mode.UsesStore() && e.Store.Connections > 0 {
 		e.Store.Connections--
 	}
@@ -372,43 +364,6 @@ func (e *Env) UnregisterRunning(vm *VM) {
 
 // forget drops the VM from the name table.
 func (e *Env) forget(vm *VM) { delete(e.vms, vm.Name) }
-
-// PauseVM deschedules a running guest (the §2 pause/unpause
-// requirement — Amazon Lambda "freezes" idle instances): all state
-// stays resident but the guest stops consuming CPU, so its background
-// load disappears from the host.
-func (e *Env) PauseVM(vm *VM) error {
-	if vm.Paused {
-		return fmt.Errorf("%w: %q", ErrAlreadyPaused, vm.Name)
-	}
-	if err := e.HV.Pause(vm.Dom.ID); err != nil {
-		return err
-	}
-	im := vm.Image
-	e.Sched.RemoveGuest(vm.Core, im.WakeRatePerSec, im.WakeWork, im.UtilDuty)
-	e.dom0WakeRate -= im.WakeRatePerSec
-	vm.Paused = true
-	e.Clock.Sleep(costs.VMBootKick)
-	e.Trace.Emit("toolstack", "pause", vm.Name, "", 0)
-	return nil
-}
-
-// UnpauseVM thaws a paused guest: one hypercall and the scheduler
-// takes it back — no boot, no device renegotiation.
-func (e *Env) UnpauseVM(vm *VM) error {
-	if !vm.Paused {
-		return fmt.Errorf("%w: %q", ErrNotPaused, vm.Name)
-	}
-	if err := e.HV.Unpause(vm.Dom.ID); err != nil {
-		return err
-	}
-	im := vm.Image
-	e.Sched.AddGuest(vm.Core, im.WakeRatePerSec, im.WakeWork, im.UtilDuty)
-	e.dom0WakeRate += im.WakeRatePerSec
-	vm.Paused = false
-	e.Trace.Emit("toolstack", "unpause", vm.Name, "", 0)
-	return nil
-}
 
 // PopulateGuest populates a fresh domain's memory for an image. With
 // MemDedup enabled, unikernel guests share the image-resident pages

@@ -207,47 +207,6 @@ func TestDeterminismQuick(t *testing.T) {
 	}
 }
 
-func TestDestroyPausedVMDoesNotCorruptScheduler(t *testing.T) {
-	// Regression: destroying a paused guest must not remove its idle
-	// load twice (which used to drive the per-core guest count
-	// negative and panic the scheduler).
-	e := NewEnv(sim.NewClock(), sched.Xeon4)
-	drv := e.ForMode(ModeChaosNoXS)
-	a, err := drv.Create("a", guest.TinyxNoop())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := drv.Create("b", guest.TinyxNoop())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.PauseVM(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.PauseVM(a); err == nil {
-		t.Fatal("double pause accepted")
-	}
-	if err := drv.Destroy(a); err != nil {
-		t.Fatal(err)
-	}
-	// The scheduler still works for the remaining guest.
-	if err := e.PauseVM(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.UnpauseVM(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.UnpauseVM(b); err == nil {
-		t.Fatal("double unpause accepted")
-	}
-	if err := drv.Destroy(b); err != nil {
-		t.Fatal(err)
-	}
-	if e.Sched.Guests(b.Core) != 0 && e.Sched.Guests(a.Core) != 0 {
-		t.Fatal("scheduler guest counts not clean")
-	}
-}
-
 func TestDestroyRemovesFrontendWatches(t *testing.T) {
 	// Regression: a destroyed guest's netfront watch must leave the
 	// store, or churn makes every write progressively slower.

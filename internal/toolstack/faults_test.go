@@ -1,7 +1,6 @@
 package toolstack
 
 import (
-	"errors"
 	"testing"
 
 	"lightvm/internal/costs"
@@ -114,23 +113,5 @@ func TestHotplugFailsOverToBashWhileDaemonDown(t *testing.T) {
 	}
 	if e.Bash.Invocations == 0 {
 		t.Fatal("bash scripts never ran despite the fallback")
-	}
-}
-
-func TestPauseSentinels(t *testing.T) {
-	clock := sim.NewClock()
-	e := NewEnv(clock, sched.Machine{Name: "p", Cores: 4, Dom0Cores: 1, MemoryGB: 32})
-	vm, err := e.ForMode(ModeChaosNoXS).Create("p0", guest.Daytime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.UnpauseVM(vm); !errors.Is(err, ErrNotPaused) {
-		t.Fatalf("unpause of running VM: %v, want ErrNotPaused", err)
-	}
-	if err := e.PauseVM(vm); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.PauseVM(vm); !errors.Is(err, ErrAlreadyPaused) {
-		t.Fatalf("double pause: %v, want ErrAlreadyPaused", err)
 	}
 }

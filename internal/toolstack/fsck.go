@@ -107,7 +107,7 @@ func Fsck(e *Env) []Violation {
 	// Backend↔frontend pairing: every backend dir must face a frontend
 	// dir of a live domain.
 	for _, kind := range scrubKinds {
-		root := "/local/domain/0/backend/" + xenbus.KindName(kind)
+		root := xenbus.BackendDir(kind)
 		doms, err := snap.Directory(root)
 		if err != nil {
 			continue
@@ -207,10 +207,10 @@ func Fsck(e *Env) []Violation {
 	}
 
 	// Toolstack ledger: Dom0's dilation wake-rate must equal the sum
-	// over booted, unpaused guests.
+	// over booted guests.
 	want := 0.0
 	for _, vm := range e.vms {
-		if vm.Booted && !vm.Paused {
+		if vm.Booted {
 			want += vm.Image.WakeRatePerSec
 		}
 	}

@@ -108,7 +108,7 @@ func (e *Env) reapDomain(dom hv.DomID, useStore bool, name string, r *ScrubRepor
 	if dom != 0 {
 		if useStore {
 			for _, kind := range scrubKinds {
-				dir := fmt.Sprintf("/local/domain/0/backend/%s/%d", xenbus.KindName(kind), dom)
+				dir := xenbus.BackendDir(kind) + "/" + strconv.Itoa(int(dom))
 				idxs, err := e.Store.Directory(dir)
 				if err != nil {
 					continue
@@ -125,7 +125,7 @@ func (e *Env) reapDomain(dom hv.DomID, useStore bool, name string, r *ScrubRepor
 				_ = e.Store.Rm(dir)
 			}
 			_ = e.Store.Rm(xenbus.DomainPath(dom))
-			_ = e.Store.Rm(fmt.Sprintf("/vm/names/%d", dom))
+			_ = e.Store.Rm("/vm/names/" + strconv.Itoa(int(dom)))
 		} else {
 			e.Noxs.DestroyAll(dom)
 		}
@@ -218,7 +218,7 @@ func (e *Env) sweepStore(r *ScrubReport) {
 	}
 	// Empty per-domain backend parents for dead domains.
 	for _, kind := range scrubKinds {
-		root := "/local/domain/0/backend/" + xenbus.KindName(kind)
+		root := xenbus.BackendDir(kind)
 		doms, err := e.Store.Directory(root)
 		if err != nil {
 			continue

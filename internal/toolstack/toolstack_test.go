@@ -544,16 +544,9 @@ func TestCloneRequiresRunningParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.PauseVM(parent); err != nil {
-		t.Fatal(err)
-	}
-	// Paused parents are still Booted (frozen, not torn down); clone
-	// is allowed. But a destroyed parent is not.
+	// A running parent can be cloned; a destroyed one cannot.
 	if _, err := e.CloneVM(parent, "c"); err != nil {
-		t.Fatalf("clone of paused parent: %v", err)
-	}
-	if err := e.UnpauseVM(parent); err != nil {
-		t.Fatal(err)
+		t.Fatalf("clone of running parent: %v", err)
 	}
 	if err := drv.Destroy(parent); err != nil {
 		t.Fatal(err)

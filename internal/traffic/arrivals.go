@@ -112,15 +112,6 @@ type Trace struct {
 	i    int
 }
 
-// NewTrace wraps a gap sequence for replay. Empty traces degenerate
-// to one-second gaps.
-func NewTrace(gaps []time.Duration) *Trace {
-	if len(gaps) == 0 {
-		gaps = []time.Duration{time.Second}
-	}
-	return &Trace{gaps: gaps}
-}
-
 // Next replays the next recorded gap.
 func (t *Trace) Next() time.Duration {
 	g := t.gaps[t.i]

@@ -49,8 +49,7 @@ const (
 )
 
 // KindName maps device kinds to their store directory names ("vif",
-// "vbd", "console") — exported so the scrubber can walk the backend
-// directories the same way the toolstack laid them out.
+// "vbd", "console").
 func KindName(k hv.DevKind) string { return kindName(k) }
 
 // FrontendWatchToken is the token a running frontend registers its
@@ -102,10 +101,18 @@ func FrontendPath(dom hv.DomID, kind hv.DevKind, idx int) string {
 	return string(buf)
 }
 
+// backendRoot is the parent of every backend driver's store directory.
+const backendRoot = "/local/domain/0/backend/"
+
+// BackendDir returns the Dom0-side store directory of one device
+// kind's backend driver, "/local/domain/0/backend/<kind>": the root
+// its watch covers, with one "<dom>/<idx>" subdirectory per device.
+func BackendDir(kind hv.DevKind) string { return backendRoot + kindName(kind) }
+
 // BackendPath returns the Dom0-side store directory for a device.
 func BackendPath(dom hv.DomID, kind hv.DevKind, idx int) string {
 	buf := make([]byte, 0, 48)
-	buf = append(buf, "/local/domain/0/backend/"...)
+	buf = append(buf, backendRoot...)
 	buf = append(buf, kindName(kind)...)
 	buf = append(buf, '/')
 	buf = strconv.AppendInt(buf, int64(dom), 10)
@@ -148,7 +155,7 @@ type Backend struct {
 // /local/domain/0/backend/<kind> exactly as netback does at start-up.
 func NewBackend(kind hv.DevKind, h *hv.Hypervisor, s *xenstore.Store, hp devd.Hotplug) *Backend {
 	b := &Backend{Kind: kind, HV: h, Store: s, Clock: h.Clock, Hotplug: hp}
-	root := "/local/domain/0/backend/" + kindName(kind)
+	root := BackendDir(kind)
 	s.Mkdir(root)
 	s.Watch(root, "backend-"+kindName(kind), b.onWatch)
 	return b

@@ -192,6 +192,25 @@ func TestPathHelpers(t *testing.T) {
 	}
 }
 
+// TestBackendDirPrefixesBackendPath pins the one backend layout the
+// toolstack, fsck and the scrubber all walk: a device's backend path is
+// its kind's backend directory plus /<dom>/<idx>.
+func TestBackendDirPrefixesBackendPath(t *testing.T) {
+	if got := BackendDir(hv.DevVif); got != "/local/domain/0/backend/vif" {
+		t.Fatalf("BackendDir(vif) = %q", got)
+	}
+	for _, kind := range []hv.DevKind{hv.DevVif, hv.DevVbd, hv.DevConsole, hv.DevSysctl} {
+		for _, dom := range []hv.DomID{1, 42, 65535} {
+			for _, idx := range []int{0, 7} {
+				want := BackendDir(kind) + "/" + strconv.Itoa(int(dom)) + "/" + strconv.Itoa(idx)
+				if got := BackendPath(dom, kind, idx); got != want {
+					t.Fatalf("BackendPath(%d, %s, %d) = %q, want %q", dom, KindName(kind), idx, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestHotplugAblation(t *testing.T) {
 	// The same handshake through bash hotplug must be slower than
 	// through xendevd — the §5.3 ablation.

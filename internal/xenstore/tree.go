@@ -398,14 +398,6 @@ func amtIter(a *amtNode, fn func(*node) bool) bool {
 	return true
 }
 
-// child returns n's direct child by name (nil if absent).
-func (n *node) child(name string) *node {
-	if n.kids == nil {
-		return nil
-	}
-	return amtGet(n.kids, nameHash(name), name)
-}
-
 // childByID returns n's direct child by precomputed segment id.
 func (n *node) childByID(h uint64, name string) *node {
 	if n.kids == nil {

@@ -39,7 +39,6 @@ import (
 	"lightvm/internal/tlsterm"
 	"lightvm/internal/toolstack"
 	"lightvm/internal/trace"
-	"lightvm/internal/traffic"
 )
 
 // Core types, re-exported for library users.
@@ -149,7 +148,7 @@ var (
 )
 
 // Experiments lists the figure/table generators available to
-// RunExperiment (fig01..fig18, tbl-guests).
+// RunExperimentsOpts (fig01..fig18, tbl-guests).
 func Experiments() []string { return experiments.IDs() }
 
 // ExperimentResult is one regenerated figure.
@@ -164,7 +163,7 @@ type ExperimentResult struct {
 	// terminal consumption.
 	Plot string
 	// WallMS is the real time the generator took, in milliseconds
-	// (set by RunExperiments).
+	// (set by RunExperimentsOpts).
 	WallMS float64
 	// VirtualMS is the figure's simulated makespan in milliseconds
 	// (0 = not instrumented by the generator).
@@ -254,26 +253,6 @@ var SetEnvTracking = toolstack.SetEnvTracking
 // violations found.
 var FsckTracked = toolstack.FsckTracked
 
-// RunExperiment regenerates one paper figure at the given scale
-// (1.0 = the paper's guest counts; smaller is proportionally cheaper).
-func RunExperiment(id string, scale float64, seed uint64) (ExperimentResult, error) {
-	res, err := experiments.Run(id, experiments.Options{Scale: scale, Seed: seed})
-	if err != nil {
-		return ExperimentResult{}, err
-	}
-	return toExperimentResult(res), nil
-}
-
-// RunExperiments regenerates the given figures (all registered ones if
-// ids is empty) on a bounded worker pool. parallel bounds the pool:
-// 0 uses GOMAXPROCS, 1 forces sequential execution. Results come back
-// in input order and are byte-identical regardless of parallelism —
-// every figure (and every series within a figure) owns its own virtual
-// clock, host and RNG.
-func RunExperiments(ids []string, scale float64, seed uint64, parallel int) ([]ExperimentResult, error) {
-	return RunExperimentsOpts(ids, ExperimentOptions{Scale: scale, Seed: seed, Parallel: parallel})
-}
-
 // ExperimentOptions configures RunExperimentsOpts. The zero value of
 // Scale/Seed falls back to full scale / seed 1.
 type ExperimentOptions struct {
@@ -300,8 +279,11 @@ type ExperimentOptions struct {
 	ProfileDir  string
 }
 
-// RunExperimentsOpts is RunExperiments with the full option set,
-// including per-figure pprof profiling.
+// RunExperimentsOpts regenerates the given figures (all registered
+// ones if ids is empty) on a bounded worker pool, optionally with
+// per-figure pprof profiling. Results come back in input order and are
+// byte-identical regardless of parallelism — every figure (and every
+// series within a figure) owns its own virtual clock, host and RNG.
 func RunExperimentsOpts(ids []string, o ExperimentOptions) ([]ExperimentResult, error) {
 	if len(ids) == 0 {
 		ids = experiments.IDs()
@@ -320,112 +302,6 @@ func RunExperimentsOpts(ids []string, o ExperimentOptions) ([]ExperimentResult, 
 		out[i] = toExperimentResult(r)
 	}
 	return out, nil
-}
-
-// Open-loop traffic serving (the engine behind the ext-serve figure):
-// seeded arrival processes drive one host with per-request guests.
-
-type (
-	// TrafficConfig parameterizes one open-loop serving run (mode,
-	// arrival process, admission limits, autoscaler policy).
-	TrafficConfig = traffic.Config
-	// TrafficStats is a run's outcome: latency histogram, timeout and
-	// rejection counters, warm-shell trajectory.
-	TrafficStats = traffic.Stats
-	// TrafficMode selects the serving backend (VM per request, warm
-	// pools, container, process).
-	TrafficMode = traffic.Mode
-	// RejectReason classifies admission backpressure (backlog,
-	// capacity, overload, quota, retry-budget).
-	RejectReason = traffic.RejectReason
-	// OverloadState is the serving plane's degradation level
-	// (Normal → Brownout → Shedding), surfaced in TrafficStats.
-	OverloadState = traffic.OverloadState
-	// TrafficDefense toggles the overload defenses per serving run:
-	// AIMD adaptive admission, retry budgets, two-priority shedding
-	// and brownout serving. The zero value reproduces the undefended
-	// plane exactly.
-	TrafficDefense = traffic.Defense
-	// TrafficClass is a request's scheduling class for two-priority
-	// shedding (paid sheds last, batch first).
-	TrafficClass = traffic.Class
-	// PhaseRate is one segment of a phased (piecewise-Poisson)
-	// arrival process.
-	PhaseRate = traffic.PhaseRate
-	// TrafficPhaseStats is one accounting phase's slice of a serving
-	// run (see TrafficConfig.PhaseBounds).
-	TrafficPhaseStats = traffic.PhaseStats
-	// Arrivals is an arrival process: seeded, deterministic,
-	// allocation-free gap generation on the virtual clock.
-	Arrivals = traffic.Arrivals
-	// AutoscalerConfig tunes the warm-pool autoscaler (policy, depth
-	// bounds, prediction horizon).
-	AutoscalerConfig = toolstack.AutoscalerConfig
-)
-
-// Serving backends and autoscaler policies.
-const (
-	VMPerRequest    = traffic.VMPerRequest
-	PoolReactive    = traffic.PoolReactive
-	PoolPredictive  = traffic.PoolPredictive
-	ContainerMode   = traffic.Container
-	ProcessMode     = traffic.Process
-	VMPerRequestXL  = traffic.VMPerRequestXL
-	ScaleReactive   = toolstack.ScaleReactive
-	ScalePredictive = toolstack.ScalePredictive
-)
-
-// Admission reject reasons (counted per reason in TrafficStats).
-const (
-	RejectBacklog  = traffic.RejectBacklog
-	RejectCapacity = traffic.RejectCapacity
-	RejectOverload = traffic.RejectOverload
-	RejectQuota    = traffic.RejectQuota
-	RejectBudget   = traffic.RejectBudget
-)
-
-// Overload states (the Normal → Brownout → Shedding ladder).
-const (
-	StateNormal   = traffic.StateNormal
-	StateBrownout = traffic.StateBrownout
-	StateShedding = traffic.StateShedding
-)
-
-// Request classes for two-priority shedding.
-const (
-	ClassPaid  = traffic.ClassPaid
-	ClassBatch = traffic.ClassBatch
-)
-
-// EstimateCapacity measures a serving mode's sustainable request rate
-// on an idle scratch host — the denominator behind "offered load at
-// 2× capacity" in overload scenarios.
-var EstimateCapacity = traffic.EstimateCapacity
-
-// Arrival-process constructors.
-var (
-	// NewPoisson is memoryless traffic at a fixed rate.
-	NewPoisson = traffic.NewPoisson
-	// NewMMPP is two-state bursty traffic; instances sharing a modSeed
-	// burst at the same virtual times (fleet-synchronized crowds).
-	NewMMPP = traffic.NewMMPP
-	// NewTrace replays a recorded gap sequence.
-	NewTrace = traffic.NewTrace
-	// NewPhased is piecewise-Poisson traffic: the rate switches at
-	// fixed virtual-time boundaries (pre-burst / burst / post-burst
-	// timelines for overload studies).
-	NewPhased = traffic.NewPhased
-	// FlashTrace synthesizes a replayable flash-crowd trace.
-	FlashTrace = traffic.FlashTrace
-)
-
-// ServeTraffic runs one open-loop serving timeline on a fresh host:
-// arrivals keep coming on schedule whether or not the control plane
-// keeps up, each one boots (or pool-takes) a real guest, gets its
-// response, and is torn down. Returns the run's stats and the host
-// (for Fsck and inspection).
-func ServeTraffic(cfg TrafficConfig) (*TrafficStats, *Host, error) {
-	return traffic.Serve(cfg)
 }
 
 // BuildTinyx runs the §3.2 build system: dependency discovery,
@@ -471,7 +347,14 @@ func NewTLSTerminator(h *Host, stack NetStack) *TLSTerminator {
 }
 
 // RunPython executes a program on the Minipython interpreter (the
-// §7.4 compute-service payload engine) and returns its output.
+// §7.4 compute-service payload engine) and returns its output. The
+// interpreter runs an indentation-based Python subset: def with
+// recursion, return, if/elif/else, while, for over lists, ranges and
+// strings, break, continue, pass, assignment (also +=, -=, *=, /= and
+// list[i] = x); int, float, bool, str, list and None values; the
+// operators + - * / // % **, comparisons, and, or, not, in and not in
+// (on lists and strings), and indexing. Its builtins are print, range
+// and len. Programs run under a step budget.
 func RunPython(program string) (string, error) {
 	res, err := minipy.Run(program, 0)
 	if err != nil {

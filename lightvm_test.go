@@ -60,10 +60,11 @@ func TestExperimentListing(t *testing.T) {
 }
 
 func TestRunExperimentSmall(t *testing.T) {
-	res, err := lightvm.RunExperiment("fig09", 0.03, 1)
+	out, err := lightvm.RunExperimentsOpts([]string{"fig09"}, lightvm.ExperimentOptions{Scale: 0.03, Seed: 1, Parallel: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out[0]
 	if res.ID != "fig09" || res.Paper == "" {
 		t.Fatalf("metadata: %+v", res)
 	}
@@ -72,7 +73,7 @@ func TestRunExperimentSmall(t *testing.T) {
 			t.Fatalf("output missing %q:\n%s", want, res.Output)
 		}
 	}
-	if _, err := lightvm.RunExperiment("nonesuch", 1, 1); err == nil {
+	if _, err := lightvm.RunExperimentsOpts([]string{"nonesuch"}, lightvm.ExperimentOptions{Scale: 1, Seed: 1, Parallel: 1}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
