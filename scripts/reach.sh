@@ -17,6 +17,8 @@
 set -euo pipefail
 
 GO=${GO:-go}
+# Build with the local toolchain only; the module needs nothing fetched.
+export GOTOOLCHAIN=local GOPROXY=off
 root=$(cd "$(dirname "$0")/.." && pwd)
 cd "$root"
 out=.reach
