@@ -11,21 +11,20 @@
 // the virtual clock, and an epoch/lease fence (toolstack/lease.go)
 // that keeps detection mistakes from ever double-running a domain.
 //
-// Locking: every public method takes c.mu; internal *Locked helpers
-// assume it is held. The virtual clock must only be advanced while
-// holding c.mu once the health monitor is enabled (use Idle for pure
-// waiting) — timer callbacks then always run under the lock of the
-// goroutine advancing the clock, so they use the *Locked helpers
-// directly. Lease epochs live under the separate leaseMu so the
-// toolstack's fence callbacks (invoked from scrub/destroy paths that
-// already run under c.mu) never re-enter it.
+// Concurrency: a Cluster is one timeline, owned by one goroutine at a
+// time, like the sim.Clock it shares with its hosts; it takes no
+// locks. Health-monitor ticks are clock events, so they run on
+// whichever goroutine advances the clock — inside a Cluster method or
+// a plain Clock.Sleep — and see the placement table that goroutine
+// sees. The sharded controller (sharded.go) is the one place a
+// cluster's hosts run on several workers, and it hands each host to
+// one worker at a time through sim.Engine.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"lightvm/internal/core"
@@ -57,7 +56,6 @@ var (
 type Cluster struct {
 	Clock *sim.Clock
 
-	mu        sync.Mutex
 	hosts     map[string]*core.Host
 	hostNames []string          // insertion order, for deterministic placement
 	placement map[string]string // VM name → host name
@@ -68,14 +66,13 @@ type Cluster struct {
 	// opDepth counts cluster operations currently in the toolstack /
 	// core layers (create, migrate, destroy, scrub). Health ticks that
 	// fire from a clock advance nested inside one of those operations
-	// must not run a pass — the pass could re-enter a component lock
-	// the operation already holds — so healthTick skips while > 0.
+	// must not run a pass — the pass would re-enter toolstack state the
+	// operation has only half mutated — so healthTick skips while > 0.
 	opDepth int
 
-	// leaseMu guards epochs alone: the authoritative per-VM placement
-	// epoch the toolstack fence validates claims against.
-	leaseMu sync.Mutex
-	epochs  map[string]uint64
+	// epochs is the authoritative per-VM placement epoch the toolstack
+	// fence validates claims against.
+	epochs map[string]uint64
 }
 
 // New creates an empty cluster on clock.
@@ -92,8 +89,6 @@ func New(clock *sim.Clock) *Cluster {
 
 // AddHost brings a machine into the cluster.
 func (c *Cluster) AddHost(name string, machine sched.Machine, seed uint64) (*core.Host, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.hosts[name]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateHost, name)
 	}
@@ -105,19 +100,13 @@ func (c *Cluster) AddHost(name string, machine sched.Machine, seed uint64) (*cor
 	c.hostNames = append(c.hostNames, name)
 	if c.health != nil {
 		c.health.addHost(name, c.Clock.Now())
-		c.armLeaseLocked(name)
+		c.armLease(name)
 	}
 	return h, nil
 }
 
 // Host returns a member by name.
 func (c *Cluster) Host(name string) (*core.Host, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hostLocked(name)
-}
-
-func (c *Cluster) hostLocked(name string) (*core.Host, error) {
 	h, ok := c.hosts[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, name)
@@ -130,15 +119,11 @@ func (c *Cluster) hostLocked(name string) (*core.Host, error) {
 
 // Hosts lists member names in join order.
 func (c *Cluster) Hosts() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]string(nil), c.hostNames...)
 }
 
 // HostOf reports where a VM runs.
 func (c *Cluster) HostOf(vmName string) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	host, ok := c.placement[vmName]
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrUnknownVM, vmName)
@@ -148,29 +133,17 @@ func (c *Cluster) HostOf(vmName string) (string, error) {
 
 // VMs reports the cluster-wide guest count.
 func (c *Cluster) VMs() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return len(c.placement)
 }
 
-// Idle advances the cluster's clock by d while holding its lock, so
-// health-monitor ticks observe a consistent placement table. Drivers
-// of a health-enabled cluster pass virtual time through Idle (or any
-// other Cluster method), never Clock.Sleep directly.
-func (c *Cluster) Idle(d sim.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.Clock.Sleep(d)
-}
-
-// pickLocked returns candidate hosts ordered by load: fewest VMs
-// first, most free memory as the tie-breaker, join order as the final
-// tie. Failed members are out; so is anything the health monitor holds
+// pick returns candidate hosts ordered by load: fewest VMs first, most
+// free memory as the tie-breaker, join order as the final tie. Failed
+// members are out; so is anything the health monitor holds
 // in a non-alive state (suspect, dead, quarantined).
-func (c *Cluster) pickLocked() []string {
+func (c *Cluster) pick() []string {
 	names := make([]string, 0, len(c.hostNames))
 	for _, n := range c.hostNames {
-		if c.failed[n] || c.healthStateLocked(n) != HealthAlive {
+		if c.failed[n] || c.Health(n) != HealthAlive {
 			continue
 		}
 		names = append(names, n)
@@ -185,12 +158,12 @@ func (c *Cluster) pickLocked() []string {
 	return names
 }
 
-// degradedLocked reports whether any live member was excluded from
-// placement for health reasons — the condition that turns "no hosts"
-// into "saturated, try later".
-func (c *Cluster) degradedLocked() bool {
+// degraded reports whether any live member was excluded from placement
+// for health reasons — the condition that turns "no hosts" into
+// "saturated, try later".
+func (c *Cluster) degraded() bool {
 	for _, n := range c.hostNames {
-		if !c.failed[n] && c.healthStateLocked(n) != HealthAlive {
+		if !c.failed[n] && c.Health(n) != HealthAlive {
 			return true
 		}
 	}
@@ -202,18 +175,12 @@ func (c *Cluster) degradedLocked() bool {
 // and the host it landed on; ErrClusterSaturated when only degraded
 // capacity remains.
 func (c *Cluster) Place(mode toolstack.Mode, vmName string, img guest.Image) (*toolstack.VM, string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.placeLocked(mode, vmName, img)
-}
-
-func (c *Cluster) placeLocked(mode toolstack.Mode, vmName string, img guest.Image) (*toolstack.VM, string, error) {
 	if _, dup := c.placement[vmName]; dup {
 		return nil, "", fmt.Errorf("cluster: VM %q already placed", vmName)
 	}
-	cands := c.pickLocked()
+	cands := c.pick()
 	if len(cands) == 0 {
-		if c.degradedLocked() {
+		if c.degraded() {
 			return nil, "", fmt.Errorf("%w: placing %q", ErrClusterSaturated, vmName)
 		}
 		return nil, "", ErrNoHosts
@@ -233,9 +200,9 @@ func (c *Cluster) placeLocked(mode toolstack.Mode, vmName string, img guest.Imag
 			lastErr = err
 			continue
 		}
-		c.chargeSlowLocked(start, name)
+		c.chargeSlow(start, name)
 		c.placement[vmName] = name
-		c.grantLeaseLocked(name, vmName, mode)
+		c.grantLease(name, vmName, mode)
 		return vm, name, nil
 	}
 	return nil, "", fmt.Errorf("cluster: no host could place %q: %w", vmName, lastErr)
@@ -247,27 +214,21 @@ func (c *Cluster) placeLocked(mode toolstack.Mode, vmName string, img guest.Imag
 // from), a degraded destination with ErrClusterSaturated, and a cut
 // source↔destination edge with ErrPartitioned.
 func (c *Cluster) Move(vmName, dstName string) (time.Duration, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.moveLocked(vmName, dstName)
-}
-
-func (c *Cluster) moveLocked(vmName, dstName string) (time.Duration, error) {
 	srcName, ok := c.placement[vmName]
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrUnknownVM, vmName)
 	}
-	if c.failed[srcName] || c.healthStateLocked(srcName) == HealthDead {
+	if c.failed[srcName] || c.Health(srcName) == HealthDead {
 		return 0, fmt.Errorf("%w: source %q", ErrHostFailed, srcName)
 	}
-	dst, err := c.hostLocked(dstName)
+	dst, err := c.Host(dstName)
 	if err != nil {
 		return 0, err
 	}
-	if st := c.healthStateLocked(dstName); st != HealthAlive {
+	if st := c.Health(dstName); st != HealthAlive {
 		return 0, fmt.Errorf("%w: destination %q is %s", ErrClusterSaturated, dstName, st)
 	}
-	if !c.reachableLocked(srcName, dstName) {
+	if !c.reachable(srcName, dstName) {
 		return 0, fmt.Errorf("%w: %q and %q", ErrPartitioned, srcName, dstName)
 	}
 	if srcName == dstName {
@@ -285,17 +246,15 @@ func (c *Cluster) moveLocked(vmName, dstName string) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.chargeSlowLocked(start, srcName, dstName)
+	c.chargeSlow(start, srcName, dstName)
 	src.Env.RevokeLease(vmName, vm.Mode.UsesStore())
 	c.placement[vmName] = dstName
-	c.grantLeaseLocked(dstName, vmName, vm.Mode)
+	c.grantLease(dstName, vmName, vm.Mode)
 	return d, nil
 }
 
 // Destroy removes a VM wherever it runs.
 func (c *Cluster) Destroy(vmName string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	hostName, ok := c.placement[vmName]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownVM, vmName)
@@ -313,9 +272,7 @@ func (c *Cluster) Destroy(vmName string) error {
 		return err
 	}
 	h.Env.RevokeLease(vmName, mode.UsesStore())
-	c.leaseMu.Lock()
 	delete(c.epochs, vmName)
-	c.leaseMu.Unlock()
 	delete(c.placement, vmName)
 	return nil
 }
@@ -333,8 +290,6 @@ type LostVM struct {
 // reject it with ErrHostFailed. The lost VMs' descriptors are returned
 // sorted by name, ready for Failover.
 func (c *Cluster) FailHost(name string) ([]LostVM, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	h, ok := c.hosts[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownHost, name)
@@ -357,8 +312,6 @@ func (c *Cluster) FailHost(name string) ([]LostVM, error) {
 
 // Failed reports whether a member has been marked dead.
 func (c *Cluster) Failed(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.failed[name]
 }
 
@@ -367,11 +320,9 @@ func (c *Cluster) Failed(name string) bool {
 // detection delay. It returns the total recovery time (detection plus
 // re-creation) and how many VMs came back; a placement error aborts
 // the sweep with the partial count. Failover is idempotent: VMs that
-// are already placed again (a concurrent Place, a monitor-driven
+// are already placed again (a Place in between, a monitor-driven
 // recovery, or a repeated call) are skipped, not errors.
 func (c *Cluster) Failover(lost []LostVM) (time.Duration, int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	start := c.Clock.Now()
 	c.Clock.Sleep(costs.HostFailureDetect)
 	recovered := 0
@@ -379,7 +330,7 @@ func (c *Cluster) Failover(lost []LostVM) (time.Duration, int, error) {
 		if _, placed := c.placement[l.Name]; placed {
 			continue
 		}
-		if _, _, err := c.placeLocked(l.Mode, l.Name, l.Image); err != nil {
+		if _, _, err := c.Place(l.Mode, l.Name, l.Image); err != nil {
 			return time.Duration(c.Clock.Now().Sub(start)), recovered,
 				fmt.Errorf("cluster: failover of %q: %w", l.Name, err)
 		}
@@ -398,8 +349,6 @@ type HostStat struct {
 
 // Stats summarizes every live member in join order.
 func (c *Cluster) Stats() []HostStat {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := make([]HostStat, 0, len(c.hostNames))
 	for _, name := range c.hostNames {
 		if c.failed[name] {
@@ -421,11 +370,9 @@ func (c *Cluster) Stats() []HostStat {
 // (a maintenance operation LightVM's 60 ms migrations make routine).
 // Only healthy hosts participate on either end.
 func (c *Cluster) Rebalance(maxMoves int) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	moves := 0
 	for moves < maxMoves {
-		order := c.pickLocked()
+		order := c.pick()
 		if len(order) < 2 {
 			return moves, nil
 		}
@@ -438,7 +385,7 @@ func (c *Cluster) Rebalance(maxMoves int) (int, error) {
 		if len(vms) == 0 {
 			return moves, nil
 		}
-		if _, err := c.moveLocked(vms[0].Name, least); err != nil {
+		if _, err := c.Move(vms[0].Name, least); err != nil {
 			return moves, err
 		}
 		moves++
@@ -446,30 +393,24 @@ func (c *Cluster) Rebalance(maxMoves int) (int, error) {
 	return moves, nil
 }
 
-// grantLeaseLocked bumps the VM's placement epoch and records the new
-// owner's claim durably in its intent journal. A no-op until the
-// health monitor (and with it the lease fence) is enabled, so
-// fault-free timelines are untouched.
-func (c *Cluster) grantLeaseLocked(hostName, vmName string, mode toolstack.Mode) {
+// grantLease bumps the VM's placement epoch and records the new owner's
+// claim durably in its intent journal. A no-op until the health monitor
+// (and with it the lease fence) is enabled, so fault-free timelines are
+// untouched.
+func (c *Cluster) grantLease(hostName, vmName string, mode toolstack.Mode) {
 	if c.health == nil {
 		return
 	}
 	c.hostMode[hostName] = mode
-	c.leaseMu.Lock()
 	e := c.epochs[vmName] + 1
 	c.epochs[vmName] = e
-	c.leaseMu.Unlock()
 	c.hosts[hostName].Env.GrantLease(vmName, e, mode.UsesStore())
 }
 
-// armLeaseLocked attaches the epoch validator to one member's Dom0:
-// the fence the toolstack consults on destroy/migrate/scrub. It takes
-// only leaseMu, so it is safe from any toolstack path running under
-// c.mu.
-func (c *Cluster) armLeaseLocked(name string) {
+// armLease attaches the epoch validator to one member's Dom0: the
+// fence the toolstack consults on destroy/migrate/scrub.
+func (c *Cluster) armLease(name string) {
 	c.hosts[name].Env.LeaseCheck = func(vmName string, epoch uint64) bool {
-		c.leaseMu.Lock()
-		defer c.leaseMu.Unlock()
 		cur, ok := c.epochs[vmName]
 		return ok && epoch == cur
 	}

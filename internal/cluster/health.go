@@ -27,9 +27,9 @@ import (
 // Determinism: the monitor runs one tick event per period; within a
 // tick, hosts are visited in join order and every fault decision comes
 // from the injector's per-kind streams, so a (seed, config) pair
-// replays byte-identically. Ticks fire while the driving goroutine
-// advances the clock under c.mu (see the package comment), so all
-// monitor work happens on *Locked state with no extra synchronization.
+// replays byte-identically. Ticks fire on whichever goroutine advances
+// the clock, the cluster's one owner (see the package comment), so the
+// monitor needs no synchronization of its own.
 
 // HealthState is the monitor's view of one member.
 type HealthState int
@@ -161,12 +161,8 @@ func (m *healthMonitor) pickPeer(names []string, self string) string {
 // EnableHealth arms the heartbeat monitor and, with it, the lease
 // fence on every member (present and future). inj supplies the gray
 // fault decisions (KindHostSlow/KindPartition/KindHostFlap); nil is a
-// valid, fault-free monitor. From this point on the virtual clock must
-// only be advanced through Cluster methods (Idle for pure waiting) so
-// tick callbacks run under the cluster lock.
+// valid, fault-free monitor.
 func (c *Cluster) EnableHealth(cfg HealthConfig, inj *faults.Injector) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.health != nil {
 		return
 	}
@@ -180,7 +176,7 @@ func (c *Cluster) EnableHealth(cfg HealthConfig, inj *faults.Injector) {
 	now := c.Clock.Now()
 	for _, n := range c.hostNames {
 		m.addHost(n, now)
-		c.armLeaseLocked(n)
+		c.armLease(n)
 	}
 	// Grant leases for anything placed before the monitor came up.
 	vms := make([]string, 0, len(c.placement))
@@ -191,7 +187,7 @@ func (c *Cluster) EnableHealth(cfg HealthConfig, inj *faults.Injector) {
 	for _, vmName := range vms {
 		hostName := c.placement[vmName]
 		if vm, err := c.hosts[hostName].Env.VM(vmName); err == nil {
-			c.grantLeaseLocked(hostName, vmName, vm.Mode)
+			c.grantLease(hostName, vmName, vm.Mode)
 		}
 	}
 	c.Clock.Schedule(now.Add(m.cfg.Period), c.healthTick)
@@ -200,12 +196,6 @@ func (c *Cluster) EnableHealth(cfg HealthConfig, inj *faults.Injector) {
 // Health reports the monitor's view of one member (HealthAlive when
 // the monitor is off or the member unknown).
 func (c *Cluster) Health(name string) HealthState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.healthStateLocked(name)
-}
-
-func (c *Cluster) healthStateLocked(name string) HealthState {
 	if c.health == nil {
 		return HealthAlive
 	}
@@ -216,19 +206,19 @@ func (c *Cluster) healthStateLocked(name string) HealthState {
 	return hh.state
 }
 
-func (c *Cluster) reachableLocked(a, b string) bool {
+func (c *Cluster) reachable(a, b string) bool {
 	if c.health == nil {
 		return true
 	}
 	return c.health.edgeUp(a, b, c.Clock.Now())
 }
 
-// chargeSlowLocked applies host-slow degradation to control-plane work
+// chargeSlow applies host-slow degradation to control-plane work
 // that just ran on the named hosts: the elapsed interval is re-charged
 // at (factor-1), dilating the operation exactly as a sick disk or a
 // throttled CPU would. Inert when the monitor is off or nobody is
 // slow.
-func (c *Cluster) chargeSlowLocked(start sim.Time, names ...string) {
+func (c *Cluster) chargeSlow(start sim.Time, names ...string) {
 	m := c.health
 	if m == nil {
 		return
@@ -246,10 +236,9 @@ func (c *Cluster) chargeSlowLocked(start sim.Time, names ...string) {
 	}
 }
 
-// healthTick is the monitor's periodic timer callback. It runs under
-// the lock of whichever goroutine is advancing the clock (see the
-// package comment), so it works on *Locked state directly. It
-// reschedules itself only after the pass completes — failover work
+// healthTick is the monitor's periodic timer callback. It runs on
+// whichever goroutine is advancing the clock (see the package comment).
+// It reschedules itself only after the pass completes — failover work
 // inside a pass can advance the clock, and rescheduling last keeps
 // exactly one tick outstanding.
 func (c *Cluster) healthTick() {
@@ -258,23 +247,23 @@ func (c *Cluster) healthTick() {
 		return
 	}
 	// A tick can fire from a clock advance nested inside a cluster
-	// operation (a create sleeping with the shell pool's lock held, a
-	// migration mid-copy). Running a pass there could re-enter the very
-	// component the operation holds — the failover sweep creates VMs —
-	// so the pass defers to the next tick; beats missed while deferred
-	// are re-delivered at the head of the next pass, before silence is
-	// judged.
+	// operation (a create sleeping half-way through taking a pool
+	// shell, a migration mid-copy). Running a pass there would re-enter
+	// toolstack state the operation has only half mutated — the
+	// failover sweep creates VMs — so the pass defers to the next tick;
+	// beats missed while deferred are re-delivered at the head of the
+	// next pass, before silence is judged.
 	if c.opDepth == 0 {
-		c.healthPassLocked()
+		c.healthPass()
 	}
 	c.Clock.Schedule(c.Clock.Now().Add(m.cfg.Period), c.healthTick)
 }
 
-// healthPassLocked is one heartbeat round: deliver (or lose) every
+// healthPass is one heartbeat round: deliver (or lose) every
 // member's beat, then run state transitions — including monitor-driven
 // failover, which charges virtual time on the shared timeline like the
 // real controller's recovery work would.
-func (c *Cluster) healthPassLocked() {
+func (c *Cluster) healthPass() {
 	m := c.health
 	now := c.Clock.Now()
 
@@ -320,10 +309,10 @@ func (c *Cluster) healthPassLocked() {
 		switch {
 		case silence >= m.cfg.DeadAfter:
 			if hh.state != HealthDead {
-				c.declareDeadLocked(n, hh, now)
-			} else if c.ownsAnyLocked(n) {
+				c.declareDead(n, hh, now)
+			} else if c.ownsAny(n) {
 				// Saturation deferred some re-placements; keep trying.
-				c.failoverDeadLocked(n)
+				c.failoverDead(n)
 			}
 		case silence >= m.cfg.SuspectAfter:
 			if hh.state == HealthAlive {
@@ -331,14 +320,14 @@ func (c *Cluster) healthPassLocked() {
 			}
 		default:
 			if hh.state == HealthSuspect || hh.state == HealthDead {
-				c.recoverHostLocked(n, hh)
+				c.recoverHost(n, hh)
 			}
 		}
 	}
 }
 
-// ownsAnyLocked reports whether any placement still maps to name.
-func (c *Cluster) ownsAnyLocked(name string) bool {
+// ownsAny reports whether any placement still maps to name.
+func (c *Cluster) ownsAny(name string) bool {
 	for _, owner := range c.placement {
 		if owner == name {
 			return true
@@ -347,12 +336,12 @@ func (c *Cluster) ownsAnyLocked(name string) bool {
 	return false
 }
 
-// declareDeadLocked is the detection event: the member has been silent
+// declareDead is the detection event: the member has been silent
 // past DeadAfter. Its VMs are failed over under fresh epochs; if the
 // member was in fact reachable and beating — merely slow — the
 // declaration is counted as a false positive (flapped and partitioned
 // members are indistinguishable from dead ones, so they are not).
-func (c *Cluster) declareDeadLocked(name string, hh *hostHealth, now sim.Time) {
+func (c *Cluster) declareDead(name string, hh *hostHealth, now sim.Time) {
 	m := c.health
 	hh.state = HealthDead
 	hh.wasDead = true
@@ -361,16 +350,16 @@ func (c *Cluster) declareDeadLocked(name string, hh *hostHealth, now sim.Time) {
 		m.falsePositives++
 	}
 	m.failovers++
-	c.failoverDeadLocked(name)
+	c.failoverDead(name)
 }
 
-// failoverDeadLocked re-places every VM the dead-declared member owns,
-// in name order. Each successful re-placement bumps the VM's epoch
-// (via grantLeaseLocked inside placeLocked), fencing the old copy. On
-// saturation the VM stays with the old owner under its old epoch: if
-// the host returns, its claim is still current and service resumes —
-// better a gray owner than no owner.
-func (c *Cluster) failoverDeadLocked(name string) {
+// failoverDead re-places every VM the dead-declared member owns, in
+// name order. Each successful re-placement bumps the VM's epoch (via
+// grantLease inside Place), fencing the old copy. On saturation the VM
+// stays with the old owner under its old epoch: if the host returns,
+// its claim is still current and service resumes — better a gray owner
+// than no owner.
+func (c *Cluster) failoverDead(name string) {
 	m := c.health
 	h := c.hosts[name]
 	var vms []string
@@ -388,7 +377,7 @@ func (c *Cluster) failoverDeadLocked(name string) {
 			continue
 		}
 		delete(c.placement, vmName)
-		if _, _, perr := c.placeLocked(vm.Mode, vmName, vm.Image); perr != nil {
+		if _, _, perr := c.Place(vm.Mode, vmName, vm.Image); perr != nil {
 			c.placement[vmName] = name
 			m.deferred++
 			continue
@@ -399,11 +388,11 @@ func (c *Cluster) failoverDeadLocked(name string) {
 	}
 }
 
-// recoverHostLocked handles a member heartbeating again after being
+// recoverHost handles a member heartbeating again after being
 // suspected or declared dead: the flap circuit breaker decides whether
 // it rejoins the placement rotation or is quarantined, and a returning
 // dead-declared member is fenced before anything else.
-func (c *Cluster) recoverHostLocked(name string, hh *hostHealth) {
+func (c *Cluster) recoverHost(name string, hh *hostHealth) {
 	m := c.health
 	wasDead := hh.wasDead
 	hh.wasDead = false
@@ -417,18 +406,18 @@ func (c *Cluster) recoverHostLocked(name string, hh *hostHealth) {
 		hh.state = HealthAlive
 	}
 	if wasDead {
-		c.fenceReturnLocked(name)
+		c.fenceReturn(name)
 	}
 }
 
-// fenceReturnLocked is the split-brain endgame: a member the cluster
+// fenceReturn is the split-brain endgame: a member the cluster
 // declared dead (and failed over) is back. Before it takes any work it
 // self-scrubs — journal replay validates each of its lease claims
 // against the epoch table and reaps the stale copies (lease.go). The
 // audit afterwards counts, rather than assumes away, any fenced copy
 // still serving: that count is ext-gray's double-start metric and must
 // be zero.
-func (c *Cluster) fenceReturnLocked(name string) {
+func (c *Cluster) fenceReturn(name string) {
 	if c.failed[name] {
 		return // a real corpse does not return
 	}
@@ -452,8 +441,6 @@ func (c *Cluster) fenceReturnLocked(name string) {
 // with injection live, some host is always mid-episode and "post-scrub"
 // never arrives.
 func (c *Cluster) EndGrayWindow() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.health != nil {
 		c.health.inj = nil
 	}
@@ -474,8 +461,6 @@ type HealthReport struct {
 // HealthReport snapshots the monitor's counters (zero value when the
 // monitor is off).
 func (c *Cluster) HealthReport() HealthReport {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	m := c.health
 	if m == nil {
 		return HealthReport{}
@@ -500,8 +485,6 @@ func (c *Cluster) HealthReport() HealthReport {
 // by a current-epoch lease on its owner, and no live member may run a
 // domain placed elsewhere (a double-run) or hold a claim for one.
 func (c *Cluster) FsckLeases() []toolstack.Violation {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var out []toolstack.Violation
 	add := func(kind, subject, format string, args ...any) {
 		out = append(out, toolstack.Violation{
@@ -517,23 +500,17 @@ func (c *Cluster) FsckLeases() []toolstack.Violation {
 		vms = append(vms, vm)
 	}
 	sort.Strings(vms)
-	c.leaseMu.Lock()
-	epochs := make(map[string]uint64, len(c.epochs))
-	for k, v := range c.epochs {
-		epochs[k] = v
-	}
-	c.leaseMu.Unlock()
 	for _, vmName := range vms {
 		owner := c.placement[vmName]
-		if c.failed[owner] || c.healthStateLocked(owner) == HealthDead {
+		if c.failed[owner] || c.Health(owner) == HealthDead {
 			continue // failover pending; audited once it completes
 		}
 		held, ok := c.hosts[owner].Env.LeaseEpoch(vmName)
 		switch {
 		case !ok:
 			add("placement-without-lease", vmName, "placed on %q with no lease claim", owner)
-		case held != epochs[vmName]:
-			add("placement-epoch-skew", vmName, "owner %q holds epoch %d, cluster says %d", owner, held, epochs[vmName])
+		case held != c.epochs[vmName]:
+			add("placement-epoch-skew", vmName, "owner %q holds epoch %d, cluster says %d", owner, held, c.epochs[vmName])
 		}
 	}
 	for _, hostName := range c.hostNames {

@@ -3,10 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
+	"lightvm/internal/costs"
 	"lightvm/internal/guest"
 	"lightvm/internal/migrate"
 	"lightvm/internal/toolstack"
@@ -67,7 +67,7 @@ func TestHealthDetectsSilentHostAndFailsOver(t *testing.T) {
 			}
 
 			flap(c, "cell-0", 2*time.Second)
-			c.Idle(time.Second)
+			c.Clock.Sleep(time.Second)
 			if got := c.Health("cell-0"); got != HealthDead {
 				t.Fatalf("after 1s of silence: health = %v", got)
 			}
@@ -88,7 +88,7 @@ func TestHealthDetectsSilentHostAndFailsOver(t *testing.T) {
 			}
 
 			// The host returns; the monitor fences it before it rejoins.
-			c.Idle(1500 * time.Millisecond)
+			c.Clock.Sleep(1500 * time.Millisecond)
 			if got := c.Health("cell-0"); got != HealthAlive {
 				t.Fatalf("after return: health = %v", got)
 			}
@@ -125,7 +125,7 @@ func TestSaturationBackpressureAndDeferredFailover(t *testing.T) {
 	}
 
 	flap(c, "cell-0", 1500*time.Millisecond)
-	c.Idle(time.Second)
+	c.Clock.Sleep(time.Second)
 	if got := c.Health("cell-0"); got != HealthDead {
 		t.Fatalf("health = %v", got)
 	}
@@ -145,7 +145,7 @@ func TestSaturationBackpressureAndDeferredFailover(t *testing.T) {
 	// The host returns still owning vm0 (nobody else could take it):
 	// its lease is still current, so service resumes with no re-place
 	// and no double-run.
-	c.Idle(time.Second)
+	c.Clock.Sleep(time.Second)
 	if got := c.Health("cell-0"); got != HealthAlive {
 		t.Fatalf("after return: health = %v", got)
 	}
@@ -203,12 +203,12 @@ func TestFlapCircuitBreakerQuarantines(t *testing.T) {
 	c.EnableHealth(cfg, nil)
 
 	flap(c, "cell-0", 350*time.Millisecond)
-	c.Idle(500 * time.Millisecond)
+	c.Clock.Sleep(500 * time.Millisecond)
 	if got := c.Health("cell-0"); got != HealthAlive {
 		t.Fatalf("after first flap: health = %v", got)
 	}
 	flap(c, "cell-0", 350*time.Millisecond)
-	c.Idle(500 * time.Millisecond)
+	c.Clock.Sleep(500 * time.Millisecond)
 	if got := c.Health("cell-0"); got != HealthQuarantined {
 		t.Fatalf("after second flap: health = %v", got)
 	}
@@ -216,7 +216,7 @@ func TestFlapCircuitBreakerQuarantines(t *testing.T) {
 		t.Fatalf("report: %+v", rep)
 	}
 	// Quarantined hosts answer heartbeats but take no placements.
-	c.Idle(time.Second)
+	c.Clock.Sleep(time.Second)
 	if got := c.Health("cell-0"); got != HealthQuarantined {
 		t.Fatalf("quarantine did not stick: %v", got)
 	}
@@ -225,18 +225,22 @@ func TestFlapCircuitBreakerQuarantines(t *testing.T) {
 	}
 }
 
-// TestFailoverIdempotentWithConcurrentPlace interleaves a failover
-// sweep with concurrent placements (run under -race in CI): the two
-// must serialize without deadlock, every lost VM must come back
-// exactly once, and a second Failover of the same lost set must be a
-// no-op.
+// TestFailoverIdempotentWithConcurrentPlace interleaves failover sweeps
+// with placements on the cluster's one goroutine: two placements arrive
+// as clock events inside the first sweep's detection delay, two more
+// between sweeps. Every lost VM must come back exactly once and never
+// on the failed host, and a second Failover of the same lost set must
+// be a no-op.
 func TestFailoverIdempotentWithConcurrentPlace(t *testing.T) {
 	c := newCluster(t, 3)
 	mode, img := toolstack.ModeChaosNoXS, guest.ClickOSFirewall()
-	for i := 0; i < 6; i++ {
-		if _, _, err := c.Place(mode, fmt.Sprintf("fw%d", i), img); err != nil {
-			t.Fatal(err)
+	place := func(name string) {
+		if _, _, err := c.Place(mode, name, img); err != nil {
+			t.Errorf("place %q: %v", name, err)
 		}
+	}
+	for i := 0; i < 6; i++ {
+		place(fmt.Sprintf("fw%d", i))
 	}
 	lost, err := c.FailHost("cell-0")
 	if err != nil {
@@ -245,23 +249,23 @@ func TestFailoverIdempotentWithConcurrentPlace(t *testing.T) {
 	if len(lost) != 2 {
 		t.Fatalf("lost %d VMs, want 2", len(lost))
 	}
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		if _, _, err := c.Failover(lost); err != nil {
-			t.Errorf("failover: %v", err)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 4; i++ {
-			if _, _, err := c.Place(mode, fmt.Sprintf("new%d", i), img); err != nil {
-				t.Errorf("concurrent place: %v", err)
-			}
-		}
-	}()
-	wg.Wait()
+	for i := 1; i <= 2; i++ {
+		name := fmt.Sprintf("new%d", i)
+		c.Clock.After(costs.HostFailureDetect*time.Duration(i)/3, func() { place(name) })
+	}
+	if _, rec, err := c.Failover(lost[:1]); err != nil || rec != 1 {
+		t.Fatalf("partial failover: recovered=%d err=%v", rec, err)
+	}
+	place("new3")
+	// The sweep over the whole set skips the VM already back.
+	if _, rec, err := c.Failover(lost); err != nil || rec != len(lost)-1 {
+		t.Fatalf("failover: recovered=%d err=%v", rec, err)
+	}
+	place("new4")
+	// The six originals, the lost ones among them re-placed, plus four.
+	if got, want := c.VMs(), 6+4; got != want {
+		t.Fatalf("cluster runs %d VMs, want %d", got, want)
+	}
 	for _, l := range lost {
 		host, err := c.HostOf(l.Name)
 		if err != nil {
@@ -269,6 +273,17 @@ func TestFailoverIdempotentWithConcurrentPlace(t *testing.T) {
 		}
 		if host == "cell-0" {
 			t.Fatalf("lost VM %q re-placed on the failed host", l.Name)
+		}
+		copies := 0
+		for _, name := range c.Hosts() {
+			if h, err := c.Host(name); err == nil {
+				if _, err := h.Env.VM(l.Name); err == nil {
+					copies++
+				}
+			}
+		}
+		if copies != 1 {
+			t.Fatalf("lost VM %q runs on %d live hosts, want 1", l.Name, copies)
 		}
 	}
 	// Idempotent: everything already placed, nothing to redo.
@@ -287,7 +302,7 @@ func TestStaleLeaseFencedAtToolstackBoundary(t *testing.T) {
 	h1, _ := c.Host("cell-1")
 
 	flap(c, "cell-0", 2*time.Second)
-	c.Idle(time.Second) // dead declaration + failover to cell-1
+	c.Clock.Sleep(time.Second) // dead declaration + failover to cell-1
 
 	// The partitioned host, unaware, keeps acting on its copy: every
 	// lifecycle path is fenced by the stale epoch.
@@ -307,7 +322,7 @@ func TestStaleLeaseFencedAtToolstackBoundary(t *testing.T) {
 		t.Fatalf("fence rejections: %+v", rep)
 	}
 	// On return the copy is scrubbed; both audits come back clean.
-	c.Idle(1500 * time.Millisecond)
+	c.Clock.Sleep(1500 * time.Millisecond)
 	if _, err := h0.Env.VM("vm0"); err == nil {
 		t.Fatal("stale copy survived the return scrub")
 	}

@@ -487,10 +487,6 @@ const (
 // ---------------------------------------------------------------------------
 
 const (
-	// FirewallPerPacket is the ClickOS firewall's CPU cost per packet
-	// (poll, classify against the rule set, forward).
-	FirewallPerPacket = 9 * time.Microsecond
-
 	// BridgeForward is the Dom0 software switch's per-packet cost.
 	BridgeForward = 2 * time.Microsecond
 
@@ -517,8 +513,6 @@ const (
 // ---------------------------------------------------------------------------
 
 const (
-	PageSize = 4096
-
 	// Image sizes on disk (uncompressed).
 	ImgDaytimeKB    = 480    // "only 480KB (uncompressed)"
 	ImgNoopKB       = 300    // smaller than daytime (no lwip)

@@ -143,9 +143,8 @@ func extGray(o Options) (Result, error) {
 
 // runGrayChurn drives one (mode, detect, rate) cell: a four-host
 // cluster placing and migrating VMs while the gray plane degrades
-// hosts underneath the monitor. The churn uses only cluster-level
-// operations (Place/Move/Destroy/Idle) — once health is enabled the
-// clock may only advance under the cluster lock.
+// hosts underneath the monitor. Heartbeat ticks run inside the
+// cluster operations and the idle gaps between them (Clock.Sleep).
 func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed uint64, n int) (grayCell, error) {
 	clock := sim.NewClock()
 	cl := cluster.New(clock)
@@ -184,7 +183,7 @@ func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed 
 			// backpressure the policy is supposed to produce. Park the
 			// request and retry after the next heartbeat interval.
 			cell.saturated++
-			cl.Idle(costs.HeartbeatPeriod * 3)
+			cl.Clock.Sleep(costs.HeartbeatPeriod * 3)
 			if _, _, rerr := cl.Place(mode, name, img); rerr == nil {
 				live++
 			} else if !isGrayBackpressure(rerr) {
@@ -195,7 +194,7 @@ func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed 
 		}
 		// Let heartbeats, detections and deferred-failover retries run
 		// between arrivals.
-		cl.Idle(costs.HeartbeatPeriod * 2)
+		cl.Clock.Sleep(costs.HeartbeatPeriod * 2)
 
 		// Handover churn: every fourth subscriber moves right after
 		// arriving; gray refusals (suspect target, cut edge, fenced
@@ -232,7 +231,7 @@ func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed 
 	// some host is always mid-episode.
 	cl.EndGrayWindow()
 	drain := costs.GrayPartitionMin + costs.GrayPartitionExtra + detect + 10*costs.HeartbeatPeriod
-	cl.Idle(drain)
+	cl.Clock.Sleep(drain)
 
 	rep := cl.HealthReport()
 	var unavail metrics.Series

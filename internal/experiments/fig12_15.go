@@ -6,6 +6,7 @@ import (
 
 	"lightvm/internal/container"
 	"lightvm/internal/core"
+	"lightvm/internal/costs"
 	"lightvm/internal/guest"
 	"lightvm/internal/metrics"
 	"lightvm/internal/migrate"
@@ -356,7 +357,7 @@ func fig15(o Options) (Result, error) {
 				if _, err := h.Docker.Run("noop"); err != nil {
 					return err
 				}
-				h.Env.Sched.AddGuest(0, 0, 0, containerUtilDuty)
+				h.Env.Sched.AddGuest(0, 0, 0, costs.DockerUtilDuty)
 				if wanted[i] {
 					docker[i] = h.CPUUtilization() * 100
 				}
@@ -377,6 +378,3 @@ func fig15(o Options) (Result, error) {
 	t.Note("paper @1000: debian ≈25%%, tinyx ≈1%%, unikernel a fraction above docker (lowest)")
 	return Result{ID: "fig15", Paper: "Debian ~25% at 1000 guests; Tinyx ~1%; unikernel ≈ Docker", Table: t, VirtualMS: maxOf(virtMS)}, nil
 }
-
-// containerUtilDuty is an idle container's reported duty cycle.
-const containerUtilDuty = 0.0000040

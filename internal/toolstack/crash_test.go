@@ -3,7 +3,6 @@ package toolstack
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 
 	"lightvm/internal/devd"
@@ -306,84 +305,6 @@ func TestPoolFinalizeCrashWithDaemonFailover(t *testing.T) {
 	}
 	if err := drv.Destroy(vm); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPoolConcurrentTakeReplenish exercises the pool daemon's
-// mutex under concurrent Take/Prepare/Replenish with injected daemon
-// crashes. Run under -race (the verify-race CI lane) this is the
-// regression net for the lock-free DaemonDown / locked-clock split.
-func TestPoolConcurrentTakeReplenish(t *testing.T) {
-	clock := sim.NewClock()
-	e := NewEnv(clock, sched.Machine{Name: "race", Cores: 8, Dom0Cores: 1, MemoryGB: 32})
-	inj := faults.New(clock, 9, faults.Plan{
-		Rate: 0.1, Kinds: []faults.Kind{faults.KindDaemonCrash},
-	})
-	e.SetFaults(inj)
-	img := guest.Daytime()
-	e.Pool.Register(img, false)
-	if err := e.Pool.Replenish(); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	var takenMu sync.Mutex
-	var taken []*Shell
-	errs := make(chan error, 8)
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				if s := e.Pool.Take(img, false); s != nil {
-					takenMu.Lock()
-					taken = append(taken, s)
-					takenMu.Unlock()
-				}
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				if err := e.Pool.Replenish(); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	// Every taken shell left the pool backed by a real domain; dispose
-	// of them the way a failed execute phase would.
-	for _, s := range taken {
-		if _, err := e.HV.Domain(s.Dom.ID); err != nil {
-			t.Fatalf("taken shell dom %d: %v", s.Dom.ID, err)
-		}
-		e.Pool.mu.Lock()
-		e.Pool.reap(s)
-		e.Pool.mu.Unlock()
-	}
-	// Every surviving pooled shell is backed by a live domain and the
-	// host's domain count equals the pool's (no VM was created here).
-	shells := e.Pool.ShellDomIDs()
-	for _, id := range shells {
-		if _, err := e.HV.Domain(id); err != nil {
-			t.Fatalf("pooled shell %d has no domain: %v", id, err)
-		}
-	}
-	if got := e.HV.NumDomains(); got != len(shells) {
-		t.Fatalf("domains = %d, pooled shells = %d", got, len(shells))
-	}
-	if st := e.Pool.Stats; st.Prepared < st.Taken {
-		t.Fatalf("stats inconsistent: %+v", st)
-	}
-	if v := Fsck(e); len(v) > 0 {
-		t.Fatalf("violations after concurrent churn: %v", v)
 	}
 }
 

@@ -3,8 +3,6 @@ package toolstack
 import (
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/faults"
@@ -98,15 +96,8 @@ type PoolStats struct {
 // the experiment harness invokes it between measured creations, which
 // is exactly when the real daemon gets the CPU.
 type Pool struct {
-	env    *Env
-	target int
-
-	// mu serializes the daemon's work: Take/Prepare/Replenish (and the
-	// shell/flavor/Stats state they touch) run one at a time, exactly
-	// like the single-threaded chaos daemon. The environment's clock is
-	// only ever advanced under mu on these paths, which is what makes
-	// concurrent callers -race-clean.
-	mu      sync.Mutex
+	env     *Env
+	target  int
 	flavors map[string]*flavorEntry
 	order   []*flavorEntry // sorted by key: the replenish and reap order
 	keyBuf  []byte         // scratch key for lookups
@@ -114,11 +105,8 @@ type Pool struct {
 
 	// downUntil is when the restarted daemon comes back after an
 	// injected crash; until then Take misses and Replenish is a no-op,
-	// so creations fall back to the inline (cold) prepare path. It is
-	// an atomic (not mu-guarded) because DaemonDown is consulted from
-	// inside reap/prepare work that already holds mu — the hotplug
-	// failover shim reads it mid-teardown — and must stay lock-free.
-	downUntil atomic.Int64
+	// so creations fall back to the inline (cold) prepare path.
+	downUntil sim.Time
 }
 
 // NewPool creates an empty pool with a default target depth of 8.
@@ -128,7 +116,6 @@ func NewPool(env *Env) *Pool {
 
 // lookup builds the key of flavorFor(img, store) into p.keyBuf and
 // returns its registry entry, or nil. The map index does not allocate.
-// Caller holds mu.
 func (p *Pool) lookup(img *guest.Image, store bool) *flavorEntry {
 	p.keyBuf = appendFlavorKey(p.keyBuf[:0], img, store)
 	return p.flavors[string(p.keyBuf)]
@@ -136,8 +123,7 @@ func (p *Pool) lookup(img *guest.Image, store bool) *flavorEntry {
 
 // claim returns the registry entry of flavorFor(img, store): a new
 // one, or the existing one with its image replaced — the last Take or
-// Register of a key wins. Only a new key builds a Flavor. Caller holds
-// mu.
+// Register of a key wins. Only a new key builds a Flavor.
 func (p *Pool) claim(img guest.Image, store bool) *flavorEntry {
 	if ent := p.lookup(&img, store); ent != nil {
 		ent.flavor.Img = img
@@ -153,30 +139,22 @@ func (p *Pool) claim(img guest.Image, store bool) *flavorEntry {
 }
 
 // SetTarget configures the per-flavor shell depth. Negative depths
-// clamp to zero. Takes mu: the autoscaler retargets the pool while
-// Take/Replenish run from serving workers, and an unguarded write here
-// would race the daemon's `len(shells) < target` refill loop.
+// clamp to zero.
 func (p *Pool) SetTarget(n int) {
 	if n < 0 {
 		n = 0
 	}
-	p.mu.Lock()
 	p.target = n
-	p.mu.Unlock()
 }
 
 // Target reports the configured per-flavor shell depth.
 func (p *Pool) Target() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return p.target
 }
 
 // Available reports ready shells for img's flavor on a device path
 // (store: devices via XenStore, else noxs).
 func (p *Pool) Available(img guest.Image, store bool) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if ent := p.lookup(&img, store); ent != nil {
 		return len(ent.shells)
 	}
@@ -187,8 +165,6 @@ func (p *Pool) Available(img guest.Image, store bool) int {
 // The scrubber and the invariant checker cross-reference it: pooled
 // shells are live control-plane state, not orphans.
 func (p *Pool) ShellDomIDs() []hv.DomID {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var out []hv.DomID
 	for _, ent := range p.order {
 		for _, s := range ent.shells {
@@ -205,22 +181,17 @@ func (p *Pool) ShellDomIDs() []hv.DomID {
 // placement probes) use this instead of a throwaway Take — taking a
 // shell with nowhere to put it back would orphan its domain.
 func (p *Pool) Register(img guest.Image, store bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.claim(img, store)
 }
 
 // DaemonDown reports whether the pool daemon is currently dead (an
-// injected crash whose restart window has not elapsed yet). Lock-free
-// on purpose: the hotplug failover shim consults it from teardown
-// paths that run while mu is already held.
-func (p *Pool) DaemonDown() bool { return p.env.Clock.Now() < sim.Time(p.downUntil.Load()) }
+// injected crash whose restart window has not elapsed yet).
+func (p *Pool) DaemonDown() bool { return p.env.Clock.Now() < p.downUntil }
 
 // crash models the chaos daemon dying: its in-memory shell bookkeeping
 // is lost, so the restarted daemon reaps every orphaned shell, and the
 // pool stays empty until the restart completes. Flavors are reaped in
-// sorted key order to keep the reap schedule deterministic. Caller
-// holds mu.
+// sorted key order to keep the reap schedule deterministic.
 func (p *Pool) crash() {
 	e := p.env
 	for _, ent := range p.order {
@@ -230,7 +201,7 @@ func (p *Pool) crash() {
 		ent.shells = nil
 	}
 	p.Stats.Crashes++
-	p.downUntil.Store(int64(e.Clock.Now().Add(costs.PoolDaemonRestart)))
+	p.downUntil = e.Clock.Now().Add(costs.PoolDaemonRestart)
 	e.Trace.Emit("pool", "crash", "", "", 0)
 }
 
@@ -250,14 +221,7 @@ func (p *Pool) reap(s *Shell) {
 // nil on a pool miss (the caller then prepares inline, paying the full
 // cost). The flavor is remembered so Replenish keeps it stocked.
 func (p *Pool) Take(img guest.Image, store bool) *Shell {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.takeFrom(p.claim(img, store))
-}
-
-// takeFrom removes the first ready shell of a registered flavor, or
-// counts a miss. Caller holds mu.
-func (p *Pool) takeFrom(ent *flavorEntry) *Shell {
+	ent := p.claim(img, store)
 	if p.env.Faults.Fire(faults.KindDaemonCrash) {
 		p.crash()
 	}
@@ -294,8 +258,6 @@ func (p *Pool) Replenish() error { return p.ReplenishUntil(0) }
 // instead of batching an unbounded top-up into one beat and queueing
 // every arrival behind it. deadline 0 means no bound.
 func (p *Pool) ReplenishUntil(deadline sim.Time) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.DaemonDown() {
 		return nil
 	}
@@ -320,8 +282,6 @@ func (p *Pool) ReplenishUntil(deadline sim.Time) error {
 // pre-creation (Fig. 8 steps 1–5). It is the inline path after a Take
 // miss; the shell goes to the caller, not the pool.
 func (p *Pool) Prepare(img guest.Image, store bool) (*Shell, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if ent := p.lookup(&img, store); ent != nil {
 		return p.prepare(&ent.flavor, &img)
 	}
@@ -329,13 +289,12 @@ func (p *Pool) Prepare(img guest.Image, store bool) (*Shell, error) {
 	return p.prepare(&f, &img)
 }
 
-// prepare is Prepare with mu held, for a shell of flavor f populated
-// from img (f's image, or the caller's for an inline prepare: the two
-// agree on every key field). A shell being prepared is journaled
-// under "shell:<domid>" — if the daemon crashes at a crash point the
-// half-built shell leaks (no rollback) and recovery reaps it from the
-// journal; it never enters the pool, so it cannot also be reaped by a
-// later daemon-crash drain.
+// prepare builds a shell of flavor f populated from img (f's image, or
+// the caller's for an inline prepare: the two agree on every key
+// field). A shell being prepared is journaled under "shell:<domid>" —
+// if the daemon crashes at a crash point the half-built shell leaks (no
+// rollback) and recovery reaps it from the journal; it never enters the
+// pool, so it cannot also be reaped by a later daemon-crash drain.
 func (p *Pool) prepare(f *Flavor, img *guest.Image) (*Shell, error) {
 	e := p.env
 	core := e.Sched.Place()

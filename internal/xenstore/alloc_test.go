@@ -73,8 +73,7 @@ func TestWriteWarmAllocBudget(t *testing.T) {
 	s.Watch("/backend/vbd", "tok", func(string, string) {})
 	// A warm write copies the spine of the immutable tree — that is the
 	// price of O(1) snapshots — but the copy must stay a small constant:
-	// one node plus one or two trie levels per path component, plus the
-	// published treeState. Anything beyond the budget means structural
+	// one node plus one or two trie levels per path component. Anything beyond the budget means structural
 	// sharing broke and writes started copying whole directories.
 	const writeAllocBudget = 32
 	allocs := testing.AllocsPerRun(200, func() {
@@ -280,9 +279,9 @@ func TestTxnChurnAllocsHistoryIndependent(t *testing.T) {
 // each commit nothing may recycle, and the count is the commit's own
 // objects: each of the 7 spine nodes (/, local, domain, 1, device, vif,
 // 0) once, each of their 7 trie levels once (2 objects: the level and
-// its slot array), the 6 rewritten leaves, the published treeState and
-// the Tx handle — 29. Applying the writes one by one would copy the
-// spine per write: 6 × (7 + 2×7 + 1 + 1) + 1 = 139.
+// its slot array), the 6 rewritten leaves and the Tx handle — 28.
+// Applying the writes one by one would copy the spine per write:
+// 6 × (7 + 2×7 + 1) + 1 = 133.
 func TestTxnCommitCopiesSpineOnce(t *testing.T) {
 	const dir = "/local/domain/1/device/vif/0"
 	keys := []string{"backend", "backend-id", "handle", "mac", "state", "event-channel"}
@@ -321,12 +320,12 @@ func TestTxnCommitCopiesSpineOnce(t *testing.T) {
 	if got := testing.AllocsPerRun(100, commit); got != 1 {
 		t.Fatalf("warm commit allocates %.1f objects, want 1 (the Tx handle)", got)
 	}
-	s.pl.freeN, s.pl.freeA, s.pl.freeT = nil, nil, nil
+	s.pl.freeN, s.pl.freeA = nil, nil
 	got := testing.AllocsPerRun(100, func() {
-		s.snapEpoch.Add(1)
+		s.pl.epoch++
 		commit()
 	})
-	if want := 7 + 2*7 + len(keys) + 2; got != float64(want) {
+	if want := 7 + 2*7 + len(keys) + 1; got != float64(want) {
 		t.Fatalf("commit with recycling off allocates %.1f objects, want %d (spine copied once per commit)", got, want)
 	}
 }

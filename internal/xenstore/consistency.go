@@ -32,7 +32,7 @@ func (s *Store) CheckConsistency() []string {
 			out = append(out, fmt.Sprintf("node %s: nkids %d, trie has %d children", path, n.nkids, kids))
 		}
 	}
-	walk("", s.loaded().root)
+	walk("", s.root)
 	sort.Strings(out)
 	return out
 }

@@ -122,7 +122,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err := s.GraftSnapshot(sn, "/", "/grafted"); err != nil {
 			t.Fatalf("graft of accepted snapshot: %v", err)
 		}
-		checkGenBound(t, s.loaded().root, s.gen)
+		checkGenBound(t, s.root, s.gen)
 		if got, want := s.NumNodes(), sn.NumNodes(); got != want {
 			t.Fatalf("graft node count: store %d, snapshot %d", got, want)
 		}
@@ -162,7 +162,7 @@ func commitSequential(s *Store, writes [][2]string, between func(*Store)) error 
 	touched := 0 // one touch per written path checked, plus the round trip
 	for _, w := range t.writes {
 		touched++
-		if n, _ := resolveFrom(s.loaded().root, w.path); n != nil && n.gen > t.startGen {
+		if n, _ := resolveFrom(s.root, w.path); n != nil && n.gen > t.startGen {
 			s.chargeOp(touched + 1)
 			s.Count.TxnConflicts++
 			s.recycleTxn(t)

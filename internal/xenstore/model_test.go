@@ -484,7 +484,7 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			}
 		}
 
-		if g := maxTreeGen(s.loaded().root); g > s.gen {
+		if g := maxTreeGen(s.root); g > s.gen {
 			fail(op, "node generation %d exceeds store generation %d", g, s.gen)
 		}
 		if len(realEvents) != len(m.events) {

@@ -21,17 +21,14 @@ import "sync/atomic"
 //     deserialized snapshots, grafts from another store — carry a
 //     foreign (or zero) tag and are never touched.
 //
-//  2. Snapshot epoch (birth): Store.Snapshot atomically bumps the
-//     store's snapshot epoch *before* loading the root (see
-//     snapshot.go), and a retired object is recycled only if the epoch
-//     still equals the one recorded at its allocation. Any object
-//     whose lifetime overlapped a snapshot — including a snapshot
-//     taken concurrently from another goroutine, which the
-//     sequentially-consistent atomics order correctly — is left for
-//     the GC, because that snapshot (or a graft made from it) may
-//     reach it forever. This is also what keeps self-grafts sound: a
-//     subtree can only become doubly-referenced via a snapshot, and
-//     taking that snapshot permanently excludes its nodes from reuse.
+//  2. Snapshot epoch (birth): Store.Snapshot bumps the pool's snapshot
+//     epoch (see snapshot.go), and a retired object is recycled only
+//     if the epoch still equals the one recorded at its allocation.
+//     Any object whose lifetime overlapped a snapshot is left for the
+//     GC, because that snapshot (or a graft made from it) may reach it
+//     forever. This is also what keeps self-grafts sound: a subtree
+//     can only become doubly-referenced via a snapshot, and taking that
+//     snapshot permanently excludes its nodes from reuse.
 //
 //  3. Operation nesting (depth): charging the virtual clock can run
 //     scheduled events that re-enter the store (a watch callback
@@ -56,20 +53,18 @@ import "sync/atomic"
 
 const poolMaxFree = 8192
 
-// pool is a Store's allocation recycler. It is mutator-side state:
-// only the goroutine that owns the store's timeline touches it.
+// pool is a Store's allocation recycler. Like the store, only the
+// goroutine that owns the store's timeline touches it.
 type pool struct {
-	tag   uint32         // unique per store; 0 is reserved for "unpooled"
-	epoch *atomic.Uint64 // the owning store's snapshot epoch
+	tag   uint32 // unique per store; 0 is reserved for "unpooled"
+	epoch uint64 // snapshot epoch: bumped by every Store.Snapshot
 
 	freeN []*node
 	freeA []*amtNode
-	freeT []*treeState
 
 	// Objects retired by in-flight operations, recycled at depth 0.
 	pendN []*node
 	pendA []*amtNode
-	pendT []*treeState
 
 	depth int
 
@@ -85,8 +80,8 @@ type pool struct {
 // different goroutines, so the counter is atomic).
 var poolTags atomic.Uint32
 
-func newPool(epoch *atomic.Uint64) *pool {
-	return &pool{tag: poolTags.Add(1), epoch: epoch}
+func newPool() *pool {
+	return &pool{tag: poolTags.Add(1)}
 }
 
 // getNode returns a zeroed node stamped with the pool's provenance.
@@ -99,11 +94,11 @@ func (p *pool) getNode() *node {
 		nd := p.freeN[n-1]
 		p.freeN[n-1] = nil
 		p.freeN = p.freeN[:n-1]
-		nd.birth = p.epoch.Load()
+		nd.birth = p.epoch
 		p.stampNode(nd)
 		return nd
 	}
-	nd := &node{ptag: p.tag, birth: p.epoch.Load()}
+	nd := &node{ptag: p.tag, birth: p.epoch}
 	p.stampNode(nd)
 	return nd
 }
@@ -182,36 +177,13 @@ func (p *pool) getAMT(nslots int) *amtNode {
 		} else {
 			a.slots = a.slots[:nslots]
 		}
-		a.birth = p.epoch.Load()
+		a.birth = p.epoch
 		p.stampAMT(a)
 		return a
 	}
-	a := &amtNode{ptag: p.tag, birth: p.epoch.Load(), slots: make([]any, nslots, amtSlotCap(nslots))}
+	a := &amtNode{ptag: p.tag, birth: p.epoch, slots: make([]any, nslots, amtSlotCap(nslots))}
 	p.stampAMT(a)
 	return a
-}
-
-// getTS returns a treeState for the next publish. treeStates never
-// cross stores (each publish makes its own), so no provenance tag is
-// needed — only the snapshot-epoch birth stamp.
-func (p *pool) getTS() *treeState {
-	if n := len(p.freeT); n > 0 {
-		ts := p.freeT[n-1]
-		p.freeT[n-1] = nil
-		p.freeT = p.freeT[:n-1]
-		ts.birth = p.epoch.Load()
-		return ts
-	}
-	return &treeState{birth: p.epoch.Load()}
-}
-
-// retireTS parks the version a publish replaced. A concurrent
-// snapshotter that could still be reading it necessarily bumped the
-// epoch before loading it, which excludes it from reuse at flush.
-func (p *pool) retireTS(ts *treeState) {
-	if ts != nil {
-		p.pendT = append(p.pendT, ts)
-	}
 }
 
 // retireNode parks a replaced node for recycling. Foreign or unpooled
@@ -268,7 +240,7 @@ func (p *pool) retireAMTTree(a *amtNode) {
 func (p *pool) enter() { p.depth++ }
 
 func (p *pool) exit() {
-	if p.depth--; p.depth == 0 && (len(p.pendN) > 0 || len(p.pendA) > 0 || len(p.pendT) > 0) {
+	if p.depth--; p.depth == 0 && (len(p.pendN) > 0 || len(p.pendA) > 0) {
 		p.flush()
 	}
 }
@@ -276,7 +248,7 @@ func (p *pool) exit() {
 // flush recycles pending retirements whose lifetime did not overlap a
 // snapshot, and abandons the rest to the GC.
 func (p *pool) flush() {
-	e := p.epoch.Load()
+	e := p.epoch
 	for i, n := range p.pendN {
 		p.pendN[i] = nil
 		if n.birth == e && len(p.freeN) < poolMaxFree {
@@ -298,12 +270,4 @@ func (p *pool) flush() {
 		}
 	}
 	p.pendA = p.pendA[:0]
-	for i, ts := range p.pendT {
-		p.pendT[i] = nil
-		if ts.birth == e && len(p.freeT) < poolMaxFree {
-			ts.root = nil
-			p.freeT = append(p.freeT, ts)
-		}
-	}
-	p.pendT = p.pendT[:0]
 }

@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 )
 
 // Snapshot is an immutable capture of the store at one published
-// version. Taking one is O(1) — a single atomic load of the root
-// pointer — because the tree is never mutated in place (tree.go);
-// the snapshot stays frozen forever while the live store keeps moving.
+// version. Taking one is O(1) — a copy of the root pointer — because
+// the tree is never mutated in place (tree.go); the snapshot stays
+// frozen forever while the live store keeps moving.
 //
 // Snapshots never charge the virtual clock: capturing one models a
 // pointer swap inside the daemon, and reading one models the consumer
@@ -19,30 +18,18 @@ import (
 // round trip to the daemon. Consumers that want the protocol-level
 // cost of asking the daemon for a snapshot charge
 // costs.CostStoreSnapshot on their own clock (see internal/migrate).
-// This is also what makes Snapshot safe to call from any goroutine
-// while the owning timeline mutates: it touches only the atomic root
-// and an atomic counter.
 type Snapshot struct {
 	root *node
 	gen  uint64
 }
 
-// Snapshot captures the current store state in O(1).
-//
-// The snapshot epoch MUST be bumped before the root is loaded: the
-// pool (pool.go) recycles retired nodes only when the epoch did not
-// move during their lifetime, and sequentially-consistent ordering of
-// the two atomics guarantees that any root this load can observe is
-// either seen by the mutator's flush as epoch-protected, or was
-// published after the bump (in which case the nodes this snapshot can
-// reach were not retired before it). Loading first would open a window
-// where a concurrently-retired node is recycled while this snapshot
-// still references it.
+// Snapshot captures the current store state in O(1). It bumps the
+// pool's snapshot epoch: the snapshot may reach any object allocated
+// so far, so the pool recycles none of them (pool.go).
 func (s *Store) Snapshot() *Snapshot {
-	s.snapEpoch.Add(1)
-	st := s.state.Load()
-	atomic.AddUint64(&s.Count.Snapshots, 1)
-	return &Snapshot{root: st.root, gen: st.gen}
+	s.pl.epoch++
+	s.Count.Snapshots++
+	return &Snapshot{root: s.root, gen: s.gen}
 }
 
 // Gen reports the store generation the snapshot was taken at.
@@ -106,20 +93,18 @@ func (sn *Snapshot) Serialize() []byte { return encode(sn.root, sn.gen) }
 
 // SerializeSubtree encodes the subtree at path in the canonical
 // snapshot format, byte-identical to
-// Snapshot().Subtree(path).Serialize(). Unlike that chain it runs
-// entirely on the mutator's side and retains no reference to the tree
-// after returning, so it does not bump the snapshot epoch: a
-// checkpoint save no longer excludes every node whose lifetime spans
-// it from pool recycling. Callers that keep a live Snapshot (clone's
+// Snapshot().Subtree(path).Serialize(). Unlike that chain it retains
+// no reference to the tree after returning, so it does not bump the
+// snapshot epoch: a checkpoint save no longer excludes every node whose
+// lifetime spans it from pool recycling. Callers that keep a live Snapshot (clone's
 // same-store graft) must still use Snapshot().
 func (s *Store) SerializeSubtree(path string) ([]byte, error) {
-	st := s.loaded()
-	n, _ := resolveFrom(st.root, path)
+	n, _ := resolveFrom(s.root, path)
 	if n == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNoEnt, path)
 	}
-	atomic.AddUint64(&s.Count.Snapshots, 1)
-	return encode(n, st.gen), nil
+	s.Count.Snapshots++
+	return encode(n, s.gen), nil
 }
 
 // encode serializes the tree under root at generation gen. One walk
@@ -338,10 +323,10 @@ func DeserializeSnapshot(data []byte) (*Snapshot, error) {
 
 // lastSegment returns the final component of path ("" for the root).
 func lastSegment(path string) string {
-	it := segments(path)
+	it := hashSegments(path)
 	last := ""
 	for {
-		seg, ok := it.next()
+		seg, _, ok := it.next()
 		if !ok {
 			return last
 		}
@@ -381,7 +366,7 @@ func (s *Store) GraftSnapshot(sn *Snapshot, srcPath, dstPath string) error {
 	grafted.gen = s.gen
 	it := hashSegments(dstPath)
 	op := leafOp{kind: leafReplace, repl: grafted}
-	newRoot, touched, _ := s.applyWrite(s.loaded().root, &it, &op)
+	newRoot, touched, _ := s.applyWrite(s.root, &it, &op)
 	s.publish(newRoot)
 	s.chargeOp(touched + s.matchCost(dstPath))
 	s.fireWatches(dstPath)

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -79,7 +77,7 @@ func TestSnapshotDoesNotChargeClock(t *testing.T) {
 	if clock.Now() != before {
 		t.Fatal("snapshot capture/reads charged the virtual clock")
 	}
-	if got := atomic.LoadUint64(&s.Count.Snapshots); got != 1 {
+	if got := s.Count.Snapshots; got != 1 {
 		t.Fatalf("Snapshots counter = %d, want 1", got)
 	}
 }
@@ -154,7 +152,7 @@ func TestSubtreeSnapshotAndGraft(t *testing.T) {
 	if err := dst.GraftSnapshot(src.Snapshot(), "/local/domain/2", "/local/domain/9"); err != nil {
 		t.Fatal(err)
 	}
-	checkGenBound(t, dst.loaded().root, dst.gen)
+	checkGenBound(t, dst.root, dst.gen)
 	if v, err := dst.Read("/local/domain/9/name"); err != nil || v != "g2" {
 		t.Fatalf("grafted read = %q, %v", v, err)
 	}
@@ -187,7 +185,7 @@ func TestSubtreeSnapshotAndGraft(t *testing.T) {
 	if err := dst2.GraftSnapshot(back, "/local/domain/2", "/local/domain/4"); err != nil {
 		t.Fatal(err)
 	}
-	checkGenBound(t, dst2.loaded().root, dst2.gen)
+	checkGenBound(t, dst2.root, dst2.gen)
 	if v, err := dst2.Read("/local/domain/4/device/vif/0/state"); err != nil || v != "4" {
 		t.Fatalf("deserialized graft read = %q, %v", v, err)
 	}
@@ -270,7 +268,7 @@ func TestCommitNeverEditsPublishedTree(t *testing.T) {
 		}
 		for i := 2; i <= 5; i++ {
 			commitVif(t, s, strconv.Itoa(i))
-			requireUntagged(t, s.loaded().root)
+			requireUntagged(t, s.root)
 		}
 		if wrap && s.pl.lastEdit != 4 {
 			t.Fatalf("edit tag after wrapping = %d, want 4 (0 is skipped)", s.pl.lastEdit)
@@ -300,63 +298,6 @@ func TestSnapshotAllocsFlat(t *testing.T) {
 	if a1 > 1 {
 		t.Fatalf("snapshot allocates %.1f objects, want ≤1", a1)
 	}
-}
-
-// TestSnapshotRaceHammer drives Snapshot() and snapshot reads from
-// many goroutines while the owning timeline keeps committing
-// transactions and delivering watch events. Run under -race (make
-// verify-race); the single-mutator/multi-observer contract means the
-// only shared state is the atomic root.
-func TestSnapshotRaceHammer(t *testing.T) {
-	s, _ := newStore()
-	populateGuests(s, 50)
-	s.Watch("/local/domain", "hammer", func(string, string) {})
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sn := s.Snapshot()
-				if sn.NumNodes() == 0 {
-					t.Error("snapshot saw an empty store")
-					return
-				}
-				if _, err := sn.Read("/local/domain/1/name"); err != nil {
-					t.Errorf("snapshot read: %v", err)
-					return
-				}
-				if _, err := sn.Directory("/local/domain"); err != nil {
-					t.Errorf("snapshot directory: %v", err)
-					return
-				}
-				_ = sn.Serialize()
-			}
-		}()
-	}
-	// The mutator stays on this goroutine: transactions, plain writes,
-	// deletes, watch-triggering paths.
-	for i := 0; i < 300; i++ {
-		d := fmt.Sprintf("/local/domain/%d", 1+i%50)
-		if err := s.Txn(8, func(tx *Tx) error {
-			tx.Write(d+"/control/shutdown", "suspend")
-			tx.Write(d+"/memory/target", "4096")
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		s.Write(d+"/device/vif/0/state", "2")
-		_ = s.Rm(d + "/control/shutdown")
-	}
-	close(stop)
-	wg.Wait()
 }
 
 // BenchmarkSnapshot is the O(1) acceptance benchmark: capture time

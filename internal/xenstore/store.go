@@ -6,8 +6,8 @@
 //
 // The tree is immutable and structurally shared (see tree.go): every
 // mutation builds a new root by copying only the spine and publishes
-// it with one atomic pointer store. Store.Snapshot is therefore an
-// O(1) root capture, and snapshots stay frozen forever while the live
+// it by replacing the store's root pointer. Store.Snapshot is therefore
+// an O(1) root capture, and snapshots stay frozen forever while the live
 // tree keeps moving — the basis of the O(1) checkpoint/clone paths in
 // internal/migrate and internal/toolstack.
 //
@@ -22,12 +22,10 @@
 // to 20 access-log files that rotate every 13,215 lines — the spikes
 // in Fig. 5 and Fig. 9.
 //
-// Concurrency contract: mutations (and clock-charging reads) stay
-// single-threaded, like the real single-threaded oxenstored event
-// loop and like the rest of the simulation, which shares one
-// sim.Clock per timeline. Snapshot is the exception: it only loads
-// the atomically-published root, so any goroutine may take and read
-// snapshots while the owning timeline keeps mutating.
+// Concurrency: a store belongs to one timeline and only the goroutine
+// that owns the timeline uses it — snapshots included — like the real
+// single-threaded oxenstored event loop and like the sim.Clock the
+// timeline shares.
 //
 // Hot-path structure (profile-guided; DESIGN.md §9): path segments are
 // hashed once while the path is being split (hashIter) and compared as
@@ -40,8 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
-	"sync/atomic"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/faults"
@@ -85,9 +81,8 @@ type Counters struct {
 	LogLines     uint64
 	LogRotations uint64
 	UniqScans    uint64
-	// Snapshots counts O(1) root captures. It is incremented atomically
-	// (Snapshot may be called from any goroutine) and must be read with
-	// atomic.LoadUint64 while snapshotters are live.
+	// Snapshots counts O(1) root captures (Snapshot) and subtree
+	// serializations (SerializeSubtree).
 	Snapshots uint64
 	// Stalls counts injected store-daemon freezes (fault plane).
 	Stalls uint64
@@ -96,27 +91,12 @@ type Counters struct {
 	InjectedConflicts uint64
 }
 
-// treeState is one published version of the store: the immutable root
-// plus the generation counter it was published at. Root and generation
-// travel together so Snapshot captures a consistent pair. birth is the
-// snapshot epoch at allocation (treeStates recycle through the pool
-// under the same epoch rule as nodes).
-type treeState struct {
-	root  *node
-	gen   uint64
-	birth uint64
-}
-
 // Store is the oxenstored-equivalent.
 type Store struct {
 	clock *sim.Clock
-	state atomic.Pointer[treeState]
-	gen   uint64 // mutator-side generation counter (mirrored into state)
-
-	// snapEpoch is bumped by Snapshot *before* it loads the root; the
-	// pool recycles only objects whose lifetime saw no bump (pool.go).
-	snapEpoch atomic.Uint64
-	pl        *pool
+	root  *node  // the published tree
+	gen   uint64 // the last node generation issued
+	pl    *pool
 	// pubs counts publishes. Reads use it to skip their
 	// end-of-round-trip re-resolve when nothing was published during
 	// the charge.
@@ -184,22 +164,17 @@ type Store struct {
 // New creates an empty store on clock with access logging enabled
 // (the stock oxenstored configuration).
 func New(clock *sim.Clock) *Store {
-	s := &Store{clock: clock, LoggingEnabled: true}
-	s.pl = newPool(&s.snapEpoch)
-	s.state.Store(&treeState{root: &node{name: "/", hsh: nameHash("/")}})
-	return s
+	return &Store{
+		clock:          clock,
+		root:           &node{name: "/", hsh: nameHash("/")},
+		pl:             newPool(),
+		LoggingEnabled: true,
+	}
 }
 
-// loaded returns the current published tree version.
-func (s *Store) loaded() *treeState { return s.state.Load() }
-
-// publish installs root as the current tree version. Mutator-side
-// only; concurrent snapshotters observe either the old or the new
-// version, never a mix. The replaced version is retired to the pool.
+// publish installs root as the current tree version.
 func (s *Store) publish(root *node) {
-	ts := s.pl.getTS()
-	ts.root, ts.gen = root, s.gen
-	s.pl.retireTS(s.state.Swap(ts))
+	s.root = root
 	s.pubs++
 }
 
@@ -209,42 +184,12 @@ func (s *Store) publish(root *node) {
 func (s *Store) enter() { s.pl.enter() }
 func (s *Store) exit()  { s.pl.exit() }
 
-// segIter walks a path's components without allocating: "/a/b/c"
-// yields "a", "b", "c" as substrings of the input.
-type segIter struct {
-	rest string
-}
-
-// segments returns an iterator over path's components.
-func segments(path string) segIter {
-	return segIter{rest: strings.Trim(path, "/")}
-}
-
-// next returns the following component, or ok=false at the end. Empty
-// components ("//" runs) are skipped, so every node name the store ever
-// creates is a valid segment — which keeps snapshot serialization
-// canonical for any reachable tree (FuzzPath leans on this).
-func (it *segIter) next() (seg string, ok bool) {
-	for {
-		if it.rest == "" {
-			return "", false
-		}
-		if i := strings.IndexByte(it.rest, '/'); i >= 0 {
-			seg, it.rest = it.rest[:i], it.rest[i+1:]
-		} else {
-			seg, it.rest = it.rest, ""
-		}
-		if seg != "" {
-			return seg, true
-		}
-	}
-}
-
-// hashIter is segIter fused with segment interning: it yields each
-// component together with its 64-bit FNV-1a id, computed in the same
-// pass that finds the separators. Resolution and spine rebuilds are the
-// store's hottest loops; they descend the trie on the id and only
-// touch the segment string to guard against full-hash collisions.
+// hashIter walks a path's components without allocating: "/a/b/c"
+// yields "a", "b", "c" as substrings of the input, each with its 64-bit
+// FNV-1a id, computed in the same pass that finds the separators.
+// Resolution and spine rebuilds are the store's hottest loops; they
+// descend the trie on the id and only touch the segment string to
+// guard against full-hash collisions.
 type hashIter struct {
 	rest string
 }
@@ -261,8 +206,12 @@ func hashSegments(path string) hashIter {
 	return hashIter{rest: path[i:j]}
 }
 
-// next returns the following component and its segment id. One byte
-// loop both hashes the segment and finds the '/' that ends it.
+// next returns the following component and its segment id, or ok=false
+// at the end. One byte loop both hashes the segment and finds the '/'
+// that ends it. Empty components ("//" runs) are skipped, so every node
+// name the store ever creates is a valid segment — which keeps snapshot
+// serialization canonical for any reachable tree (FuzzPath leans on
+// this).
 func (it *hashIter) next() (seg string, h uint64, ok bool) {
 	for rest := it.rest; rest != ""; {
 		h = fnvOffset64
@@ -350,7 +299,7 @@ func (s *Store) resolve(path string) (*node, int) {
 	if s.resCachePubs == s.pubs && s.resCachePath == path && s.resCachePath != "" {
 		return s.resCacheNode, s.resCacheTouched
 	}
-	n, touched := resolveFrom(s.loaded().root, path)
+	n, touched := resolveFrom(s.root, path)
 	s.resCachePubs, s.resCachePath = s.pubs, path
 	s.resCacheNode, s.resCacheTouched = n, touched
 	return n, touched
@@ -443,7 +392,7 @@ func (s *Store) Write(path, value string) {
 	defer s.exit()
 	it := hashSegments(path)
 	op := leafOp{kind: leafValue, value: value}
-	newRoot, touched, _ := s.applyWrite(s.loaded().root, &it, &op)
+	newRoot, touched, _ := s.applyWrite(s.root, &it, &op)
 	s.publish(newRoot)
 	s.chargeOp(touched + s.matchCost(path))
 	s.fireWatches(path)
@@ -491,7 +440,7 @@ func (s *Store) Mkdir(path string) {
 	defer s.exit()
 	it := hashSegments(path)
 	op := leafOp{kind: leafEnsure}
-	newRoot, touched, created := s.applyWrite(s.loaded().root, &it, &op)
+	newRoot, touched, created := s.applyWrite(s.root, &it, &op)
 	if created {
 		s.publish(newRoot)
 		s.chargeOp(touched + s.matchCost(path))
@@ -592,7 +541,7 @@ func (s *Store) Rm(path string) error {
 	if !ok {
 		return errRmRoot
 	}
-	newRoot, removed, touched, found := s.applyRm(s.loaded().root, &it, leaf, leafH)
+	newRoot, removed, touched, found := s.applyRm(s.root, &it, leaf, leafH)
 	if !found {
 		s.chargeOp(touched)
 		return &noEntError{path}
@@ -610,7 +559,7 @@ func (s *Store) Rm(path string) error {
 // NumNodes reports the total node count, excluding the root
 // (diagnostic; grows ~40 per guest with the stock toolstack). It walks
 // the whole tree.
-func (s *Store) NumNodes() int { return countNodes(s.loaded().root) - 1 }
+func (s *Store) NumNodes() int { return countNodes(s.root) - 1 }
 
 // WriteUniqueName records a guest name under dir, performing the
 // uniqueness check the paper calls out: "the XenStore compares the new

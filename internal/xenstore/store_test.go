@@ -150,7 +150,7 @@ func TestRmChargesSubtreeNodes(t *testing.T) {
 		if err := s.GraftSnapshot(sn, "/", "/local/domain/9"); err != nil {
 			t.Fatal(err)
 		}
-		checkGenBound(t, s.loaded().root, s.gen)
+		checkGenBound(t, s.root, s.gen)
 		s.Write("/local/domain/9/a/e", "v")
 		// Ancestors: /, local, domain (3). Subtree: 9 (the grafted
 		// root), a, b, c, e, d (6). No watches.

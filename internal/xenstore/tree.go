@@ -6,8 +6,8 @@ import "math/bits"
 // are never modified after publication. Every mutation (write, rm,
 // mkdir, graft, transaction commit) builds a new root by copying
 // only the spine — the nodes on the path from the root to the change —
-// and publishes it with one atomic pointer store. Everything hanging
-// off the copied spine is shared with the previous version. A commit
+// and publishes it by replacing the store's root pointer. Everything
+// hanging off the copied spine is shared with the previous version. A commit
 // copies each spine node once however many of its writes pass
 // through it: later writes edit the commit's own, not yet published
 // copies in place (pool.go's edit window).

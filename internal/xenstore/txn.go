@@ -248,7 +248,7 @@ func (tx *Tx) Commit() error {
 	// write bumps generations exactly as a plain Write would.
 	if len(t.writes) > 0 {
 		s.pl.beginEdit()
-		root := s.loaded().root
+		root := s.root
 		for i := range t.writes {
 			w := &t.writes[i]
 			it := hashSegments(w.path)
