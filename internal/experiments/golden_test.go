@@ -39,6 +39,10 @@ var goldenFigures = []string{
 	// per-kind decision stream, and ext-overload pins the metastability
 	// study itself.
 	"ext-faults", "ext-gray", "ext-overload",
+	// The guest-count sweeps nothing else pinned: memory (fig14,
+	// ext-dedup), the firewall fleet (fig16a) and the ukvm monitor
+	// (ext-ukvm) all run through the population sweep.
+	"fig14", "fig16a", "ext-ukvm", "ext-dedup",
 }
 
 // goldenOverrides replaces goldenOptions for figures whose default
