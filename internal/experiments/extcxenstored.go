@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"time"
-
 	"lightvm/internal/core"
 	"lightvm/internal/guest"
 	"lightvm/internal/metrics"
@@ -21,51 +18,25 @@ func init() {
 // XenStore. Results with cxenstored show much higher overheads." We
 // rerun the Fig. 9 xl sweep under both store daemons.
 func extCxenstored(o Options) (Result, error) {
-	n := o.scaled(1000, 20)
-	points := o.samplePoints(n)
-	wanted := map[int]bool{}
-	for _, p := range points {
-		wanted[p] = true
-	}
-	sweep := func(v xenstore.Variant) (map[int]float64, float64, error) {
-		h, err := core.NewHost(sched.Xeon4, o.Seed)
-		if err != nil {
-			return nil, 0, err
+	// The two store daemons sweep on independent hosts, in parallel.
+	daemon := func(v xenstore.Variant) curve {
+		c := bootCurve(sched.Xeon4, toolstack.ModeXL, guest.Daytime())
+		boot := c.setup
+		c.setup = func(h *core.Host) error {
+			h.Env.Store.SetVariant(v)
+			return boot(h)
 		}
-		h.Env.Store.SetVariant(v)
-		drv := h.Driver(toolstack.ModeXL)
-		img := guest.Daytime()
-		out := map[int]float64{}
-		for i := 1; i <= n; i++ {
-			vm, err := drv.Create(fmt.Sprintf("g%d", i), img)
-			if err != nil {
-				return nil, 0, err
-			}
-			if wanted[i] {
-				out[i] = float64(vm.CreateTime+vm.BootTime) / float64(time.Millisecond)
-			}
-		}
-		return out, h.Clock.Now().Milliseconds(), nil
+		return c
 	}
-	// The two store daemons sweep on independent hosts — run both
-	// variants in parallel.
-	variants := []xenstore.Variant{xenstore.Oxenstored, xenstore.Cxenstored}
-	cols := make([]map[int]float64, len(variants))
-	virtMS := make([]float64, len(variants))
-	err := o.runSeries(len(variants), func(i int) error {
-		m, v, err := sweep(variants[i])
-		cols[i], virtMS[i] = m, v
-		return err
-	})
+	pop, err := o.sweep(o.scaled(1000, 20), daemon(xenstore.Oxenstored), daemon(xenstore.Cxenstored))
 	if err != nil {
 		return Result{}, err
 	}
-	ox, cx := cols[0], cols[1]
 	t := metrics.NewTable("Extension: xl creation under oxenstored vs cxenstored (daytime unikernel)",
 		"n", "oxenstored_ms", "cxenstored_ms", "slowdown")
-	for _, p := range points {
-		t.AddRow(float64(p), ox[p], cx[p], cx[p]/ox[p])
+	for _, r := range pop.rows {
+		t.AddRow(r[0], r[1], r[2], r[2]/r[1])
 	}
 	t.Note("paper footnote 3: cxenstored shows 'much higher overheads' than the oxenstored results plotted in Figs. 5 and 9")
-	return Result{ID: "ext-cxenstored", Paper: "footnote 3: cxenstored much slower than oxenstored", Table: t, VirtualMS: maxOf(virtMS)}, nil
+	return Result{ID: "ext-cxenstored", Paper: "footnote 3: cxenstored much slower than oxenstored", Table: t, VirtualMS: pop.virtMS}, nil
 }

@@ -19,53 +19,34 @@ func init() {
 // SnowFlock-style share pool off and on. The paper lists this as
 // future work; we implement it and measure the saving.
 func extDedup(o Options) (Result, error) {
-	n := o.scaled(1000, 20)
-	points := o.samplePoints(n)
-	wanted := map[int]bool{}
-	for _, p := range points {
-		wanted[p] = true
+	minipy := func(dedup bool) curve {
+		var drv toolstack.Driver
+		return memCurve(sched.Machine{Name: "dedup-host", Cores: 4, Dom0Cores: 1, MemoryGB: 64},
+			func(h *core.Host) {
+				h.Env.MemDedup = dedup
+				drv = h.Driver(toolstack.ModeChaosNoXS)
+			},
+			func(h *core.Host, i int) error {
+				_, err := drv.Create(fmt.Sprintf("g%d", i), guest.Minipython())
+				return err
+			})
 	}
-	sweep := func(dedup bool) (map[int]float64, float64, error) {
-		h, err := core.NewHost(sched.Machine{Name: "dedup-host", Cores: 4, Dom0Cores: 1, MemoryGB: 64}, o.Seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		h.Env.MemDedup = dedup
-		base := h.MemoryUsedBytes()
-		drv := h.Driver(toolstack.ModeChaosNoXS)
-		out := map[int]float64{}
-		for i := 1; i <= n; i++ {
-			if _, err := drv.Create(fmt.Sprintf("g%d", i), guest.Minipython()); err != nil {
-				return nil, 0, err
-			}
-			if wanted[i] {
-				out[i] = float64(h.MemoryUsedBytes()-base) / (1 << 20)
-			}
-		}
-		return out, h.Clock.Now().Milliseconds(), nil
-	}
-	// Off/on sweeps are independent hosts — run the pair in parallel.
-	cols := make([]map[int]float64, 2)
-	virtMS := make([]float64, 2)
-	err := o.runSeries(2, func(i int) error {
-		m, v, err := sweep(i == 1)
-		cols[i], virtMS[i] = m, v
-		return err
-	})
+	// Off/on sweeps are independent hosts, run in parallel.
+	pop, err := o.sweep(o.scaled(1000, 20), minipy(false), minipy(true))
 	if err != nil {
 		return Result{}, err
 	}
-	baseline, dedup := cols[0], cols[1]
 	t := metrics.NewTable("Extension: memory deduplication (Minipython unikernels, MB)",
 		"n", "baseline_mb", "dedup_mb", "saving_pct")
-	for _, p := range points {
+	for _, r := range pop.rows {
+		baseline, dedup := r[1], r[2]
 		saving := 0.0
-		if baseline[p] > 0 {
-			saving = (1 - dedup[p]/baseline[p]) * 100
+		if baseline > 0 {
+			saving = (1 - dedup/baseline) * 100
 		}
-		t.AddRow(float64(p), baseline[p], dedup[p], saving)
+		t.AddRow(r[0], baseline, dedup, saving)
 	}
 	t.Note("paper §9: 'LightVM does not use page sharing between VMs, assuming the worst-case scenario'; this measures the SnowFlock-style avenue it proposes")
 	t.Note("model: sharers map the image-resident pages plus half of their never-written heap")
-	return Result{ID: "ext-dedup", Paper: "§9 future work: dedup reduces the per-VM footprint", Table: t, VirtualMS: maxOf(virtMS)}, nil
+	return Result{ID: "ext-dedup", Paper: "§9 future work: dedup reduces the per-VM footprint", Table: t, VirtualMS: pop.virtMS}, nil
 }

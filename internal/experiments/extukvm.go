@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"time"
-
 	"lightvm/internal/core"
 	"lightvm/internal/guest"
 	"lightvm/internal/metrics"
@@ -21,64 +18,22 @@ func init() {
 // fork/exec plus setup per boot while the split toolstack amortizes
 // prepare work off the creation path.
 func extUkvm(o Options) (Result, error) {
-	n := o.scaled(1000, 20)
-	points := o.samplePoints(n)
-	wanted := map[int]bool{}
-	for _, p := range points {
-		wanted[p] = true
-	}
 	img := guest.Daytime()
-
-	sweep := func(useUkvm bool) (map[int]float64, float64, error) {
-		h, err := core.NewHost(sched.Xeon4, o.Seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		var drv toolstack.Driver
-		if useUkvm {
-			drv = toolstack.NewUkvm(h.Env)
-		} else {
-			if err := h.EnsureFlavor(img, toolstack.ModeLightVM); err != nil {
-				return nil, 0, err
-			}
-			drv = h.Driver(toolstack.ModeLightVM)
-		}
-		out := map[int]float64{}
-		for i := 1; i <= n; i++ {
-			if !useUkvm {
-				if err := h.Replenish(); err != nil {
-					return nil, 0, err
-				}
-			}
-			vm, err := drv.Create(fmt.Sprintf("g%d", i), img)
-			if err != nil {
-				return nil, 0, err
-			}
-			if wanted[i] {
-				out[i] = float64(vm.CreateTime+vm.BootTime) / float64(time.Millisecond)
-			}
-		}
-		return out, h.Clock.Now().Milliseconds(), nil
+	var drv toolstack.Driver
+	ukvm := curve{
+		machine: sched.Xeon4,
+		setup:   func(h *core.Host) error { drv = toolstack.NewUkvm(h.Env); return nil },
+		step:    func(h *core.Host, i int, rec []float64) error { return boot(drv, img, i, rec) },
 	}
-	// Both monitors sweep on independent hosts — run the pair in
-	// parallel.
-	cols := make([]map[int]float64, 2)
-	virtMS := make([]float64, 2)
-	err := o.runSeries(2, func(i int) error {
-		m, v, err := sweep(i == 0)
-		cols[i], virtMS[i] = m, v
-		return err
-	})
+	// Both monitors sweep on independent hosts, in parallel.
+	pop, err := o.sweep(o.scaled(1000, 20), ukvm, bootCurve(sched.Xeon4, toolstack.ModeLightVM, img))
 	if err != nil {
 		return Result{}, err
 	}
-	ukvm, lightvm := cols[0], cols[1]
 	t := metrics.NewTable("Extension: ukvm-style monitor vs LightVM (daytime unikernel)",
 		"n", "ukvm_ms", "lightvm_ms")
-	for _, p := range points {
-		t.AddRow(float64(p), ukvm[p], lightvm[p])
-	}
+	pop.addRows(t)
 	t.Note("§9: 'ukvm implements a specialized unikernel monitor on top of KVM ... to achieve 10 ms boot times'")
 	t.Note("both scale flat (no store); ukvm pays a per-boot monitor fork/exec that the split toolstack amortizes away")
-	return Result{ID: "ext-ukvm", Paper: "§9: ukvm ≈10ms boots; LightVM still faster via the prepare phase", Table: t, VirtualMS: maxOf(virtMS)}, nil
+	return Result{ID: "ext-ukvm", Paper: "§9: ukvm ≈10ms boots; LightVM still faster via the prepare phase", Table: t, VirtualMS: pop.virtMS}, nil
 }

@@ -85,86 +85,60 @@ func fig02(o Options) (Result, error) {
 // daytime unikernel (xl on the 4-core Xeon), Docker containers and
 // processes, for 1..1000 running instances.
 func fig04(o Options) (Result, error) {
-	n := o.scaled(1000, 20)
-	points := o.samplePoints(n)
 	t := metrics.NewTable("Figure 4: create/boot times vs number of running guests (xl)",
 		"n", "debian_create_ms", "debian_boot_ms", "tinyx_create_ms", "tinyx_boot_ms",
 		"unikernel_create_ms", "unikernel_boot_ms", "docker_run_ms", "process_ms")
-
-	type vmSeries struct {
-		img    guest.Image
-		create map[int]float64
-		boot   map[int]float64
-	}
-	series := []*vmSeries{
-		{img: guest.DebianMinimal(), create: map[int]float64{}, boot: map[int]float64{}},
-		{img: guest.TinyxNoop(), create: map[int]float64{}, boot: map[int]float64{}},
-		{img: guest.Daytime(), create: map[int]float64{}, boot: map[int]float64{}},
-	}
-	wanted := map[int]bool{}
-	for _, p := range points {
-		wanted[p] = true
-	}
-	// Four independent timelines: one host per VM series plus one for
-	// the container/process baselines.
-	dockerMS := map[int]float64{}
-	procMS := map[int]float64{}
-	virtMS := make([]float64, len(series)+1)
-	err := o.runSeries(len(series)+1, func(j int) error {
-		h, err := core.NewHost(sched.Machine{Name: "xeon-big", Cores: 4, Dom0Cores: 1, MemoryGB: 192}, o.Seed)
-		if err != nil {
-			return err
+	machine := sched.Machine{Name: "xeon-big", Cores: 4, Dom0Cores: 1, MemoryGB: 192}
+	vmCurve := func(img guest.Image) curve {
+		var drv toolstack.Driver
+		return curve{
+			machine: machine,
+			cols:    2,
+			setup:   func(h *core.Host) error { drv = h.Driver(toolstack.ModeXL); return nil },
+			step: func(h *core.Host, i int, rec []float64) error {
+				vm, err := drv.Create(fmt.Sprintf("%s-%d", img.Name, i), img)
+				if err != nil {
+					return fmt.Errorf("fig04 %s: %w", img.Name, err)
+				}
+				if rec != nil {
+					rec[0], rec[1] = ms(vm.CreateTime), ms(vm.BootTime)
+				}
+				return nil
+			},
 		}
-		defer func() { virtMS[j] = h.Clock.Now().Milliseconds() }()
-		if j == len(series) {
-			// Docker and process baselines share one host, as on the
-			// testbed.
-			for i := 1; i <= n; i++ {
-				c, err := h.Docker.Run("noop")
-				if err != nil {
-					return err
-				}
-				if wanted[i] {
-					dockerMS[i] = float64(c.StartTime) / float64(time.Millisecond)
-				}
-				lat, err := h.Procs.Spawn(1 << 20)
-				if err != nil {
-					return err
-				}
-				if wanted[i] {
-					procMS[i] = float64(lat) / float64(time.Millisecond)
-				}
+	}
+	// Docker and process baselines share one host, as on the testbed.
+	baselines := curve{
+		machine: machine,
+		cols:    2,
+		step: func(h *core.Host, i int, rec []float64) error {
+			c, err := h.Docker.Run("noop")
+			if err != nil {
+				return err
+			}
+			lat, err := h.Procs.Spawn(1 << 20)
+			if err != nil {
+				return err
+			}
+			if rec != nil {
+				rec[0], rec[1] = ms(c.StartTime), ms(lat)
 			}
 			return nil
-		}
-		s := series[j]
-		drv := h.Driver(toolstack.ModeXL)
-		for i := 1; i <= n; i++ {
-			vm, err := drv.Create(fmt.Sprintf("%s-%d", s.img.Name, i), s.img)
-			if err != nil {
-				return fmt.Errorf("fig04 %s #%d: %w", s.img.Name, i, err)
-			}
-			if wanted[i] {
-				s.create[i] = float64(vm.CreateTime) / float64(time.Millisecond)
-				s.boot[i] = float64(vm.BootTime) / float64(time.Millisecond)
-			}
-		}
-		return nil
-	})
+		},
+	}
+	pop, err := o.sweep(o.scaled(1000, 20),
+		vmCurve(guest.DebianMinimal()), vmCurve(guest.TinyxNoop()), vmCurve(guest.Daytime()), baselines)
 	if err != nil {
 		return Result{}, err
 	}
-	for _, p := range points {
-		t.AddRow(float64(p),
-			series[0].create[p], series[0].boot[p],
-			series[1].create[p], series[1].boot[p],
-			series[2].create[p], series[2].boot[p],
-			dockerMS[p], procMS[p])
-	}
+	pop.addRows(t)
 	t.Note("paper @N=0: debian 500ms+1.5s, tinyx 360ms+180ms, unikernel 80ms+3ms, docker ~200ms, process 3.5ms")
 	t.Note("paper @N=1000 create: debian 42s, tinyx 10s, unikernel 700ms (our model reproduces ordering and growth, compressed magnitudes for the Linux guests; see EXPERIMENTS.md)")
-	return Result{ID: "fig04", Paper: "creation grows with N; VM size ordering debian≫tinyx≫unikernel", Table: t, VirtualMS: maxOf(virtMS)}, nil
+	return Result{ID: "fig04", Paper: "creation grows with N; VM size ordering debian≫tinyx≫unikernel", Table: t, VirtualMS: pop.virtMS}, nil
 }
+
+// ms converts a duration to milliseconds.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // maxOf returns the largest element of vs (0 when empty) — the
 // simulated makespan across a figure's parallel timelines.
@@ -179,34 +153,30 @@ func maxOf(vs []float64) float64 {
 // fig05 — breakdown of xl creation overhead by category vs number of
 // running guests (daytime unikernel).
 func fig05(o Options) (Result, error) {
-	n := o.scaled(1000, 20)
-	points := o.samplePoints(n)
-	wanted := map[int]bool{}
-	for _, p := range points {
-		wanted[p] = true
-	}
 	t := metrics.NewTable("Figure 5: xl creation-time breakdown vs running guests",
 		"n", "toolstack_ms", "load_ms", "devices_ms", "xenstore_ms", "hypervisor_ms", "config_ms")
-	h, err := core.NewHost(sched.Xeon4, o.Seed)
+	img := guest.Daytime()
+	var drv toolstack.Driver
+	pop, err := o.sweep(o.scaled(1000, 20), curve{
+		machine: sched.Xeon4,
+		cols:    6,
+		setup:   func(h *core.Host) error { drv = h.Driver(toolstack.ModeXL); return nil },
+		step: func(h *core.Host, i int, rec []float64) error {
+			vm, err := drv.Create(fmt.Sprintf("g%d", i), img)
+			if err != nil || rec == nil {
+				return err
+			}
+			b := vm.LastBreakdown
+			copy(rec, []float64{ms(b.Toolstack), ms(b.Load), ms(b.Devices), ms(b.XenStore), ms(b.Hypervisor), ms(b.Config)})
+			return nil
+		},
+	})
 	if err != nil {
 		return Result{}, err
 	}
-	drv := h.Driver(toolstack.ModeXL)
-	img := guest.Daytime()
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	for i := 1; i <= n; i++ {
-		vm, err := drv.Create(fmt.Sprintf("g%d", i), img)
-		if err != nil {
-			return Result{}, err
-		}
-		if wanted[i] {
-			b := vm.LastBreakdown
-			t.AddRow(float64(i), ms(b.Toolstack), ms(b.Load), ms(b.Devices),
-				ms(b.XenStore), ms(b.Hypervisor), ms(b.Config))
-		}
-	}
+	pop.addRows(t)
 	t.Note("paper: xenstore grows superlinearly, devices stay ~constant and dominate at low N; log-rotation spikes")
-	return Result{ID: "fig05", Paper: "XenStore interactions and device creation dominate; store cost grows with N", Table: t, VirtualMS: h.Clock.Now().Milliseconds()}, nil
+	return Result{ID: "fig05", Paper: "XenStore interactions and device creation dominate; store cost grows with N", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // tblGuests — the §3/§6 guest inventory (image size, runtime memory).

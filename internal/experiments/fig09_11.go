@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"lightvm/internal/core"
 	"lightvm/internal/guest"
@@ -23,175 +22,110 @@ var allModes = []toolstack.Mode{
 	toolstack.ModeChaosNoXS, toolstack.ModeLightVM,
 }
 
-// runCreationSweep boots n guests of img under mode on machine and
-// returns total create+boot time (ms) at the sampled counts, plus the
-// sweep's final virtual time (ms).
-func runCreationSweep(machine sched.Machine, mode toolstack.Mode, img guest.Image, n int, wanted map[int]bool, seed uint64) (map[int]float64, float64, error) {
-	h, err := core.NewHost(machine, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := h.EnsureFlavor(img, mode); err != nil {
-		return nil, 0, err
-	}
-	drv := h.Driver(mode)
-	out := make(map[int]float64)
-	for i := 1; i <= n; i++ {
-		if mode.UsesSplit() {
-			// The chaos daemon replenishes between creations.
-			if err := h.Replenish(); err != nil {
-				return nil, 0, err
+// bootCurve grows mode guests of img on machine and reads each sampled
+// creation's create+boot time (ms). Split modes register the image's
+// shell flavor first and, as the chaos daemon does, replenish the pool
+// between creations.
+func bootCurve(machine sched.Machine, mode toolstack.Mode, img guest.Image) curve {
+	var drv toolstack.Driver
+	return curve{
+		machine: machine,
+		setup: func(h *core.Host) error {
+			if err := h.EnsureFlavor(img, mode); err != nil {
+				return err
 			}
-		}
-		vm, err := drv.Create(fmt.Sprintf("g%d", i), img)
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s #%d: %w", mode, i, err)
-		}
-		if wanted[i] {
-			out[i] = float64(vm.CreateTime+vm.BootTime) / float64(time.Millisecond)
-		}
+			drv = h.Driver(mode)
+			return nil
+		},
+		step: func(h *core.Host, i int, rec []float64) error {
+			if mode.UsesSplit() {
+				if err := h.Replenish(); err != nil {
+					return err
+				}
+			}
+			return boot(drv, img, i, rec)
+		},
 	}
-	return out, h.Clock.Now().Milliseconds(), nil
+}
+
+// boot creates guest g<i> from img and, at a sampled count, reads its
+// create+boot time (ms) into rec[0].
+func boot(drv toolstack.Driver, img guest.Image, i int, rec []float64) error {
+	vm, err := drv.Create(fmt.Sprintf("g%d", i), img)
+	if err != nil {
+		return fmt.Errorf("%s: %w", drv.Name(), err)
+	}
+	if rec != nil {
+		rec[0] = ms(vm.CreateTime + vm.BootTime)
+	}
+	return nil
+}
+
+// dockerCurve runs noop containers on machine and reads each sampled
+// container's start time (ms).
+func dockerCurve(machine sched.Machine) curve {
+	return curve{
+		machine: machine,
+		step: func(h *core.Host, i int, rec []float64) error {
+			c, err := h.Docker.Run("noop")
+			if err == nil && rec != nil {
+				rec[0] = ms(c.StartTime)
+			}
+			return err
+		},
+	}
 }
 
 // fig09 — daytime-unikernel creation times for all five toolstack
 // configurations, 1..1000 guests on the 4-core Xeon.
 func fig09(o Options) (Result, error) {
-	n := o.scaled(1000, 20)
-	points := o.samplePoints(n)
-	wanted := map[int]bool{}
-	for _, p := range points {
-		wanted[p] = true
-	}
 	t := metrics.NewTable("Figure 9: daytime unikernel creation+boot times by toolstack",
 		"n", "xl_ms", "chaos_xs_ms", "chaos_split_ms", "chaos_noxs_ms", "lightvm_ms")
-	img := guest.Daytime()
-	cols := make([]map[int]float64, len(allModes))
-	virtMS := make([]float64, len(allModes))
-	// The five toolstack configurations each sweep on their own host
-	// and clock — run them as parallel series.
-	err := o.runSeries(len(allModes), func(i int) error {
-		vals, virt, err := runCreationSweep(sched.Xeon4, allModes[i], img, n, wanted, o.Seed)
-		if err != nil {
-			return err
-		}
-		cols[i], virtMS[i] = vals, virt
-		return nil
-	})
+	curves := make([]curve, len(allModes))
+	for j, mode := range allModes {
+		curves[j] = bootCurve(sched.Xeon4, mode, guest.Daytime())
+	}
+	pop, err := o.sweep(o.scaled(1000, 20), curves...)
 	if err != nil {
 		return Result{}, err
 	}
-	for _, p := range points {
-		t.AddRow(float64(p), cols[0][p], cols[1][p], cols[2][p], cols[3][p], cols[4][p])
-	}
+	pop.addRows(t)
 	t.Note("paper: xl ~100ms→~1s; chaos[XS] 15→80ms; +split max ~25ms; noxs 8→15ms; LightVM 4→4.1ms")
-	return Result{ID: "fig09", Paper: "LightVM flat at ~4ms; xl grows toward 1s at 1000 guests", Table: t, VirtualMS: maxOf(virtMS)}, nil
+	return Result{ID: "fig09", Paper: "LightVM flat at ~4ms; xl grows toward 1s at 1000 guests", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // fig10 — LightVM (noop unikernel) vs Docker on the 64-core AMD
 // machine, up to 8000 guests; Docker hits its memory wall around 3-4k.
 func fig10(o Options) (Result, error) {
-	n := o.scaled(8000, 40)
-	points := o.samplePoints(n)
-	wanted := map[int]bool{}
-	for _, p := range points {
-		wanted[p] = true
-	}
-	img := guest.Noop()
-	var lightvm, docker map[int]float64
-	virtMS := make([]float64, 2)
-	dockerWall := 0
-	err := o.runSeries(2, func(j int) error {
-		if j == 0 {
-			var err error
-			lightvm, virtMS[0], err = runCreationSweep(sched.Amd64, toolstack.ModeLightVM, img, n, wanted, o.Seed)
-			return err
-		}
-		// Docker on the same kind of box until the memory wall.
-		h, err := core.NewHost(sched.Amd64, o.Seed)
-		if err != nil {
-			return err
-		}
-		docker = make(map[int]float64)
-		for i := 1; i <= n; i++ {
-			c, err := h.Docker.Run("noop")
-			if err != nil {
-				dockerWall = i
-				break
-			}
-			if wanted[i] {
-				docker[i] = float64(c.StartTime) / float64(time.Millisecond)
-			}
-		}
-		virtMS[1] = h.Clock.Now().Milliseconds()
-		return nil
-	})
+	docker := dockerCurve(sched.Amd64)
+	docker.wall = true
+	pop, err := o.sweep(o.scaled(8000, 40), bootCurve(sched.Amd64, toolstack.ModeLightVM, guest.Noop()), docker)
 	if err != nil {
 		return Result{}, err
 	}
 	t := metrics.NewTable("Figure 10: LightVM vs Docker boot times to 8000 guests (64-core AMD)",
 		"n", "lightvm_ms", "docker_ms")
-	for _, p := range points {
-		d, ok := docker[p]
-		if !ok {
-			d = -1 // beyond the wall
-		}
-		t.AddRow(float64(p), lightvm[p], d)
-	}
-	if dockerWall > 0 {
-		t.Note("docker hit the memory wall at %d containers (-1 = beyond the wall); paper stops at ~3000", dockerWall)
+	pop.addRows(t)
+	if wall := pop.walls[1]; wall > 0 {
+		t.Note("docker hit the memory wall at %d containers (-1 = beyond the wall); paper stops at ~3000", wall)
 	}
 	t.Note("paper: LightVM scales to 8000; Docker starts ~150ms and ramps toward 1s by 3000 with memory-spike steps")
-	return Result{ID: "fig10", Paper: "8000 LightVM guests; Docker collapses around 3000", Table: t, VirtualMS: maxOf(virtMS)}, nil
+	return Result{ID: "fig10", Paper: "8000 LightVM guests; Docker collapses around 3000", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // fig11 — boot times for unikernel and Tinyx guests (over LightVM)
 // versus Docker containers: idle Tinyx guests dilate later boots.
 func fig11(o Options) (Result, error) {
-	n := o.scaled(1000, 20)
-	points := o.samplePoints(n)
-	wanted := map[int]bool{}
-	for _, p := range points {
-		wanted[p] = true
-	}
-	var uni, tinyx, docker map[int]float64
-	virtMS := make([]float64, 3)
-	err := o.runSeries(3, func(j int) error {
-		switch j {
-		case 0:
-			var err error
-			uni, virtMS[0], err = runCreationSweep(sched.Xeon4, toolstack.ModeLightVM, guest.Daytime(), n, wanted, o.Seed)
-			return err
-		case 1:
-			var err error
-			tinyx, virtMS[1], err = runCreationSweep(sched.Xeon4, toolstack.ModeLightVM, guest.TinyxNoop(), n, wanted, o.Seed)
-			return err
-		}
-		h, err := core.NewHost(sched.Xeon4, o.Seed)
-		if err != nil {
-			return err
-		}
-		docker = make(map[int]float64)
-		for i := 1; i <= n; i++ {
-			c, err := h.Docker.Run("noop")
-			if err != nil {
-				return err
-			}
-			if wanted[i] {
-				docker[i] = float64(c.StartTime) / float64(time.Millisecond)
-			}
-		}
-		virtMS[2] = h.Clock.Now().Milliseconds()
-		return nil
-	})
+	pop, err := o.sweep(o.scaled(1000, 20),
+		bootCurve(sched.Xeon4, toolstack.ModeLightVM, guest.TinyxNoop()),
+		dockerCurve(sched.Xeon4),
+		bootCurve(sched.Xeon4, toolstack.ModeLightVM, guest.Daytime()))
 	if err != nil {
 		return Result{}, err
 	}
 	t := metrics.NewTable("Figure 11: boot times — unikernel vs Tinyx (over LightVM) vs Docker",
 		"n", "tinyx_ms", "docker_ms", "unikernel_ms")
-	for _, p := range points {
-		t.AddRow(float64(p), tinyx[p], docker[p], uni[p])
-	}
+	pop.addRows(t)
 	t.Note("paper: tinyx tracks docker up to ~750 guests, then idle-guest background tasks dilate its boots; unikernel stays flat")
-	return Result{ID: "fig11", Paper: "Tinyx ≈ Docker to ~750 guests; unikernel flat and lowest", Table: t, VirtualMS: maxOf(virtMS)}, nil
+	return Result{ID: "fig11", Paper: "Tinyx ≈ Docker to ~750 guests; unikernel flat and lowest", Table: t, VirtualMS: pop.virtMS}, nil
 }

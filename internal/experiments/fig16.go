@@ -33,65 +33,60 @@ func init() {
 // the ping VM waits ~N timeslices (§7.1's own explanation of the
 // 60 ms @1000 figure).
 func fig16a(o Options) (Result, error) {
-	n := o.scaled(1000, 50)
-	points := o.samplePoints(n)
-	wanted := map[int]bool{}
-	for _, p := range points {
-		wanted[p] = true
-	}
-
-	// Boot the firewall fleet for real (LightVM, ~10 ms each) and run
-	// a sample of traffic through each VM's actual rule engine.
-	h, err := core.NewHost(sched.Xeon14, o.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := h.EnsureFlavor(guest.ClickOSFirewall(), toolstack.ModeLightVM); err != nil {
-		return Result{}, err
-	}
-	drv := h.Driver(toolstack.ModeLightVM)
 	t := metrics.NewTable("Figure 16a: personal firewalls — total throughput and ping RTT",
 		"n", "throughput_gbps", "rtt_ms")
 	const cmaxGbps, kSat = 5.2, 300.0
 	var fwDenied uint64
-	for i := 1; i <= n; i++ {
-		if err := h.Replenish(); err != nil {
-			return Result{}, err
-		}
-		if _, err := drv.Create(fmt.Sprintf("fw%d", i), guest.ClickOSFirewall()); err != nil {
-			return Result{}, err
-		}
-		// Each subscriber's firewall filters its own flow.
-		fw, err := apps.NewPersonalFirewall(fmt.Sprintf("10.%d.%d.0/24", i/250, i%250), []string{"203.0.113.0/24"})
-		if err != nil {
-			return Result{}, err
-		}
-		src, _ := apps.ParseIPv4(fmt.Sprintf("10.%d.%d.7", i/250, i%250))
-		dst, _ := apps.ParseIPv4("198.51.100.10")
-		bad, _ := apps.ParseIPv4("203.0.113.66")
-		if fw.Filter(src, dst, 443) != apps.Allow {
-			return Result{}, fmt.Errorf("fig16a: subscriber flow denied")
-		}
-		if fw.Filter(bad, src, 80) != apps.Deny {
-			return Result{}, fmt.Errorf("fig16a: blocklist flow allowed")
-		}
-		fwDenied += fw.Denied
-
-		if wanted[i] {
-			fi := float64(i)
-			demand := 10 * fi / 1000 // Gbps
-			capacity := cmaxGbps * fi / (fi + kSat)
-			tput := demand
-			if capacity < tput {
-				tput = capacity
+	var drv toolstack.Driver
+	pop, err := o.sweep(o.scaled(1000, 50), curve{
+		machine: sched.Xeon14,
+		cols:    2,
+		setup: func(h *core.Host) error {
+			if err := h.EnsureFlavor(guest.ClickOSFirewall(), toolstack.ModeLightVM); err != nil {
+				return err
 			}
-			rtt := 0.2 + fi*float64(costs.TimesliceRR)/float64(time.Millisecond)
-			t.AddRow(fi, tput, rtt)
-		}
+			drv = h.Driver(toolstack.ModeLightVM)
+			return nil
+		},
+		step: func(h *core.Host, i int, rec []float64) error {
+			if err := h.Replenish(); err != nil {
+				return err
+			}
+			if _, err := drv.Create(fmt.Sprintf("fw%d", i), guest.ClickOSFirewall()); err != nil {
+				return err
+			}
+			// Each subscriber's firewall filters its own flow.
+			fw, err := apps.NewPersonalFirewall(fmt.Sprintf("10.%d.%d.0/24", i/250, i%250), []string{"203.0.113.0/24"})
+			if err != nil {
+				return err
+			}
+			src, _ := apps.ParseIPv4(fmt.Sprintf("10.%d.%d.7", i/250, i%250))
+			dst, _ := apps.ParseIPv4("198.51.100.10")
+			bad, _ := apps.ParseIPv4("203.0.113.66")
+			if fw.Filter(src, dst, 443) != apps.Allow {
+				return fmt.Errorf("fig16a: subscriber flow denied")
+			}
+			if fw.Filter(bad, src, 80) != apps.Deny {
+				return fmt.Errorf("fig16a: blocklist flow allowed")
+			}
+			fwDenied += fw.Denied
+			if rec != nil {
+				fi := float64(i)
+				demand := 10 * fi / 1000 // Gbps
+				capacity := cmaxGbps * fi / (fi + kSat)
+				rec[0] = min(demand, capacity)
+				rec[1] = 0.2 + fi*float64(costs.TimesliceRR)/float64(time.Millisecond)
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		return Result{}, err
 	}
+	pop.addRows(t)
 	t.Note("paper: linear to 2.5Gbps @250 clients; 6.5Mbps/user @500 (3.25G), 4Mbps/user @1000 (4.0G); RTT ~60ms @1000")
 	t.Note("rule engine exercised: %d blocklist packets denied across the fleet", fwDenied)
-	return Result{ID: "fig16a", Paper: "one machine can firewall a full LTE cell (3.3 Gbps max)", Table: t, VirtualMS: h.Clock.Now().Milliseconds()}, nil
+	return Result{ID: "fig16a", Paper: "one machine can firewall a full LTE cell (3.3 Gbps max)", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // fig16b — just-in-time service instantiation: each client sends one
