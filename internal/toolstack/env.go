@@ -251,15 +251,13 @@ func (e *Env) dom0Dilation() float64 {
 	return 1 + e.dom0WakeRate*float64(costs.Dom0BackendWorkPerWake)/float64(time.Second)
 }
 
-// runDom0 executes fn, then charges the extra Dom0 time implied by
-// backend interference, returning the total wall time.
-func (e *Env) RunDom0(fn func()) time.Duration {
+// RunDom0 executes fn, then charges the extra Dom0 time implied by
+// backend interference.
+func (e *Env) RunDom0(fn func()) {
 	start := e.Clock.Now()
 	fn()
 	raw := e.Clock.Now().Sub(start)
-	extra := time.Duration(float64(raw) * (e.dom0Dilation() - 1))
-	e.Clock.Sleep(extra)
-	return raw + extra
+	e.Clock.Sleep(time.Duration(float64(raw) * (e.dom0Dilation() - 1)))
 }
 
 // charge runs fn and adds the virtual time it took to *dst: the
@@ -307,7 +305,7 @@ func (e *Env) bootCreated(d Driver, vm *VM, bd Breakdown, start sim.Time) (*VM, 
 	return vm, nil
 }
 
-// bootGuest performs the guest side of bringing a VM up: frontend
+// BootGuest performs the guest side of bringing a VM up: frontend
 // negotiation (store or noxs), then the OS boot work on the VM's core
 // (dilated by its neighbours), then idle-load registration.
 func (e *Env) BootGuest(vm *VM) error {
@@ -332,9 +330,7 @@ func (e *Env) BootGuest(vm *VM) error {
 		}
 	}
 	e.Sched.RunWork(e.Clock, vm.Core, im.BootWork)
-	e.Sched.AddGuest(vm.Core, im.WakeRatePerSec, im.WakeWork, im.UtilDuty)
-	e.dom0WakeRate += im.WakeRatePerSec
-	vm.Booted = true
+	e.markRunning(vm)
 	e.Console.Attach(vm.Dom.ID)
 	path := "noxs"
 	if vm.Mode.UsesStore() {
@@ -347,7 +343,17 @@ func (e *Env) BootGuest(vm *VM) error {
 	return nil
 }
 
-// unregisterRunning removes a booted guest's load and connections.
+// markRunning puts a booted guest's idle load on its core and its
+// wakeups on the Dom0 dilation ledger. It is the only place either is
+// added; UnregisterRunning is its inverse.
+func (e *Env) markRunning(vm *VM) {
+	im := vm.Image
+	e.Sched.AddGuest(vm.Core, im.WakeRatePerSec, im.WakeWork, im.UtilDuty)
+	e.dom0WakeRate += im.WakeRatePerSec
+	vm.Booted = true
+}
+
+// UnregisterRunning removes a booted guest's load and connections.
 func (e *Env) UnregisterRunning(vm *VM) {
 	if !vm.Booted {
 		return
@@ -405,9 +411,7 @@ func (e *Env) BootResumed(vm *VM) error {
 			return fmt.Errorf("toolstack: resume %q: %w", vm.Name, err)
 		}
 	}
-	e.Sched.AddGuest(vm.Core, im.WakeRatePerSec, im.WakeWork, im.UtilDuty)
-	e.dom0WakeRate += im.WakeRatePerSec
-	vm.Booted = true
+	e.markRunning(vm)
 	e.Console.Attach(vm.Dom.ID)
 	_ = e.Console.WriteResume(vm.Dom.ID, console.Resume{VM: vm.Name, At: e.Clock.Now()})
 	return nil

@@ -89,13 +89,9 @@ func (u *Ukvm) Create(name string, img guest.Image) (*VM, error) {
 	vm.CreateTime = e.Clock.Now().Sub(start)
 	bootStart := e.Clock.Now()
 	// Guest boot: no frontend negotiation beyond the monitor's direct
-	// paravirtual endpoints. The wake rate joins the Dom0 ledger here
-	// and leaves it in UnregisterRunning — a Destroy used to subtract a
-	// rate Create never added, driving the dilation ledger negative.
+	// paravirtual endpoints.
 	e.Sched.RunWork(e.Clock, vm.Core, img.BootWork)
-	e.Sched.AddGuest(vm.Core, img.WakeRatePerSec, img.WakeWork, img.UtilDuty)
-	e.dom0WakeRate += img.WakeRatePerSec
-	vm.Booted = true
+	e.markRunning(vm)
 	vm.BootTime = e.Clock.Now().Sub(bootStart)
 	e.Trace.Emit("toolstack", "create", name, "mode=ukvm", vm.CreateTime+vm.BootTime)
 	return vm, nil
