@@ -23,14 +23,33 @@ func init() {
 	register("fig15", fig15)
 }
 
-// ckptModes are the Fig. 12/13 configurations.
-var ckptModes = []struct {
-	mode  toolstack.Mode
-	label string
-}{
-	{toolstack.ModeXL, "xl"},
-	{toolstack.ModeChaosXS, "chaos_xs"},
-	{toolstack.ModeChaosNoXS, "lightvm"}, // checkpoint path == noxs + chaos
+// ckptModes are the Fig. 12/13 configurations, in the tables' xl,
+// chaos_xs, lightvm column order (the LightVM checkpoint path is noxs
+// plus chaos).
+var ckptModes = []toolstack.Mode{toolstack.ModeXL, toolstack.ModeChaosXS, toolstack.ModeChaosNoXS}
+
+// batchMean runs op on a batch of 10 guests picked at random from
+// g1..g<i> (the paper's procedure), skipping picks no longer on h, and
+// returns op's mean time (ms; 0 when every pick was skipped).
+func batchMean(h *core.Host, rng *sim.RNG, i int, op func(vm *toolstack.VM) (time.Duration, error)) (float64, error) {
+	var sum time.Duration
+	done := 0
+	for b := 0; b < 10; b++ {
+		vm, err := h.Env.VM(fmt.Sprintf("g%d", 1+rng.Intn(i)))
+		if err != nil {
+			continue // checkpointed or migrated away this round
+		}
+		d, err := op(vm)
+		if err != nil {
+			return 0, err
+		}
+		sum += d
+		done++
+	}
+	if done == 0 {
+		return 0, nil
+	}
+	return float64(sum) / float64(done) / float64(time.Millisecond), nil
 }
 
 func fig12(o Options, which string) (Result, error) {
@@ -41,51 +60,35 @@ func fig12(o Options, which string) (Result, error) {
 	t := metrics.NewTable(title, "n", "xl_ms", "chaos_xs_ms", "lightvm_ms")
 	img := guest.Daytime()
 	// One independent host+clock per toolstack configuration. At each
-	// sampled population the curve checkpoints a batch of 10 randomly
-	// chosen guests (the paper's procedure) and reads the mean save or
-	// restore time.
+	// sampled population the curve saves and restores a batch of
+	// guests and reads the mean save or restore time.
 	curves := make([]curve, len(ckptModes))
-	for j, m := range ckptModes {
+	for j, mode := range ckptModes {
 		var drv toolstack.Driver
 		var rng *sim.RNG
 		curves[j] = curve{
 			machine: sched.Xeon4Ckpt,
 			setup: func(h *core.Host) error {
-				drv, rng = h.Driver(m.mode), sim.NewRNG(o.Seed)
+				drv, rng = h.Driver(mode), sim.NewRNG(o.Seed)
 				return nil
 			},
 			step: func(h *core.Host, i int, rec []float64) error {
 				if _, err := drv.Create(fmt.Sprintf("g%d", i), img); err != nil || rec == nil {
 					return err
 				}
-				var saveSum, restSum time.Duration
-				const batch = 10
-				done := 0
-				for b := 0; b < batch; b++ {
-					vm, err := h.Env.VM(fmt.Sprintf("g%d", 1+rng.Intn(i)))
-					if err != nil {
-						continue // mid-checkpoint this round; skip
-					}
+				var err error
+				rec[0], err = batchMean(h, rng, i, func(vm *toolstack.VM) (time.Duration, error) {
 					cp, st, err := migrate.Save(h.Env, vm)
 					if err != nil {
-						return err
+						return 0, err
 					}
-					saveSum += st
 					_, rt, err := migrate.Restore(h.Env, cp)
-					if err != nil {
-						return err
+					if which == "restore" {
+						return rt, err
 					}
-					restSum += rt
-					done++
-				}
-				sum := saveSum
-				if which == "restore" {
-					sum = restSum
-				}
-				if done > 0 {
-					rec[0] = float64(sum) / float64(done) / float64(time.Millisecond)
-				}
-				return nil
+					return st, err
+				})
+				return err
 			},
 		}
 	}
@@ -117,7 +120,7 @@ func fig13(o Options) (Result, error) {
 	// timeline: the curve's host is the source, and setup builds the
 	// destination on its clock.
 	curves := make([]curve, len(ckptModes))
-	for j, m := range ckptModes {
+	for j, mode := range ckptModes {
 		var dst *core.Host
 		var drv toolstack.Driver
 		var rng *sim.RNG
@@ -130,38 +133,26 @@ func fig13(o Options) (Result, error) {
 				if err != nil {
 					return err
 				}
-				drv, rng = src.Driver(m.mode), sim.NewRNG(o.Seed+uint64(j))
+				drv, rng = src.Driver(mode), sim.NewRNG(o.Seed+uint64(j))
 				return nil
 			},
 			step: func(src *core.Host, i int, rec []float64) error {
 				if _, err := drv.Create(fmt.Sprintf("g%d", i), img); err != nil || rec == nil {
 					return err
 				}
-				var sum time.Duration
-				const batch = 10
-				migrated := 0
-				for b := 0; b < batch; b++ {
-					vm, err := src.Env.VM(fmt.Sprintf("g%d", 1+rng.Intn(i)))
-					if err != nil {
-						continue // already migrated
-					}
+				var err error
+				rec[0], err = batchMean(src, rng, i, func(vm *toolstack.VM) (time.Duration, error) {
 					_, d, err := src.MigrateTo(dst, vm)
 					if err != nil {
-						return err
+						return 0, err
 					}
-					sum += d
-					migrated++
 					// Replace the migrated guest to keep N constant (the
 					// paper's procedure).
 					migID++
-					if _, err := drv.Create(fmt.Sprintf("r%d-%d", j, migID), img); err != nil {
-						return err
-					}
-				}
-				if migrated > 0 {
-					rec[0] = float64(sum) / float64(migrated) / float64(time.Millisecond)
-				}
-				return nil
+					_, err = drv.Create(fmt.Sprintf("r%d-%d", j, migID), img)
+					return d, err
+				})
+				return err
 			},
 		}
 	}
