@@ -22,7 +22,7 @@ func extCxenstored(o Options) (Result, error) {
 	daemon := func(v xenstore.Variant) curve {
 		c := bootCurve(sched.Xeon4, toolstack.ModeXL, guest.Daytime())
 		boot := c.setup
-		c.setup = func(h *core.Host) error {
+		c.setup = func(h *core.Host) (step, error) {
 			h.Env.Store.SetVariant(v)
 			return boot(h)
 		}

@@ -20,16 +20,14 @@ func init() {
 // future work; we implement it and measure the saving.
 func extDedup(o Options) (Result, error) {
 	minipy := func(dedup bool) curve {
-		var drv toolstack.Driver
-		return memCurve(sched.Machine{Name: "dedup-host", Cores: 4, Dom0Cores: 1, MemoryGB: 64},
-			func(h *core.Host) {
-				h.Env.MemDedup = dedup
-				drv = h.Driver(toolstack.ModeChaosNoXS)
-			},
-			func(h *core.Host, i int) error {
+		return memCurve(sched.Machine{Name: "dedup-host", Cores: 4, Dom0Cores: 1, MemoryGB: 64}, func(h *core.Host) func(int) error {
+			h.Env.MemDedup = dedup
+			drv := h.Driver(toolstack.ModeChaosNoXS)
+			return func(i int) error {
 				_, err := drv.Create(fmt.Sprintf("g%d", i), guest.Minipython())
 				return err
-			})
+			}
+		})
 	}
 	// Off/on sweeps are independent hosts, run in parallel.
 	pop, err := o.sweep(o.scaled(1000, 20), minipy(false), minipy(true))

@@ -19,12 +19,10 @@ func init() {
 // prepare work off the creation path.
 func extUkvm(o Options) (Result, error) {
 	img := guest.Daytime()
-	var drv toolstack.Driver
-	ukvm := curve{
-		machine: sched.Xeon4,
-		setup:   func(h *core.Host) error { drv = toolstack.NewUkvm(h.Env); return nil },
-		step:    func(h *core.Host, i int, rec []float64) error { return boot(drv, img, i, rec) },
-	}
+	ukvm := curve{machine: sched.Xeon4, setup: func(h *core.Host) (step, error) {
+		drv := toolstack.NewUkvm(h.Env)
+		return func(i int, rec []float64) error { return boot(drv, img, i, rec) }, nil
+	}}
 	// Both monitors sweep on independent hosts, in parallel.
 	pop, err := o.sweep(o.scaled(1000, 20), ukvm, bootCurve(sched.Xeon4, toolstack.ModeLightVM, img))
 	if err != nil {

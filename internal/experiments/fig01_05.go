@@ -90,12 +90,9 @@ func fig04(o Options) (Result, error) {
 		"unikernel_create_ms", "unikernel_boot_ms", "docker_run_ms", "process_ms")
 	machine := sched.Machine{Name: "xeon-big", Cores: 4, Dom0Cores: 1, MemoryGB: 192}
 	vmCurve := func(img guest.Image) curve {
-		var drv toolstack.Driver
-		return curve{
-			machine: machine,
-			cols:    2,
-			setup:   func(h *core.Host) error { drv = h.Driver(toolstack.ModeXL); return nil },
-			step: func(h *core.Host, i int, rec []float64) error {
+		return curve{machine: machine, cols: 2, setup: func(h *core.Host) (step, error) {
+			drv := h.Driver(toolstack.ModeXL)
+			return func(i int, rec []float64) error {
 				vm, err := drv.Create(fmt.Sprintf("%s-%d", img.Name, i), img)
 				if err != nil {
 					return fmt.Errorf("fig04 %s: %w", img.Name, err)
@@ -104,14 +101,12 @@ func fig04(o Options) (Result, error) {
 					rec[0], rec[1] = ms(vm.CreateTime), ms(vm.BootTime)
 				}
 				return nil
-			},
-		}
+			}, nil
+		}}
 	}
 	// Docker and process baselines share one host, as on the testbed.
-	baselines := curve{
-		machine: machine,
-		cols:    2,
-		step: func(h *core.Host, i int, rec []float64) error {
+	baselines := curve{machine: machine, cols: 2, setup: func(h *core.Host) (step, error) {
+		return func(i int, rec []float64) error {
 			c, err := h.Docker.Run("noop")
 			if err != nil {
 				return err
@@ -124,8 +119,8 @@ func fig04(o Options) (Result, error) {
 				rec[0], rec[1] = ms(c.StartTime), ms(lat)
 			}
 			return nil
-		},
-	}
+		}, nil
+	}}
 	pop, err := o.sweep(o.scaled(1000, 20),
 		vmCurve(guest.DebianMinimal()), vmCurve(guest.TinyxNoop()), vmCurve(guest.Daytime()), baselines)
 	if err != nil {
@@ -156,12 +151,9 @@ func fig05(o Options) (Result, error) {
 	t := metrics.NewTable("Figure 5: xl creation-time breakdown vs running guests",
 		"n", "toolstack_ms", "load_ms", "devices_ms", "xenstore_ms", "hypervisor_ms", "config_ms")
 	img := guest.Daytime()
-	var drv toolstack.Driver
-	pop, err := o.sweep(o.scaled(1000, 20), curve{
-		machine: sched.Xeon4,
-		cols:    6,
-		setup:   func(h *core.Host) error { drv = h.Driver(toolstack.ModeXL); return nil },
-		step: func(h *core.Host, i int, rec []float64) error {
+	pop, err := o.sweep(o.scaled(1000, 20), curve{machine: sched.Xeon4, cols: 6, setup: func(h *core.Host) (step, error) {
+		drv := h.Driver(toolstack.ModeXL)
+		return func(i int, rec []float64) error {
 			vm, err := drv.Create(fmt.Sprintf("g%d", i), img)
 			if err != nil || rec == nil {
 				return err
@@ -169,8 +161,8 @@ func fig05(o Options) (Result, error) {
 			b := vm.LastBreakdown
 			copy(rec, []float64{ms(b.Toolstack), ms(b.Load), ms(b.Devices), ms(b.XenStore), ms(b.Hypervisor), ms(b.Config)})
 			return nil
-		},
-	})
+		}, nil
+	}})
 	if err != nil {
 		return Result{}, err
 	}

@@ -27,25 +27,20 @@ var allModes = []toolstack.Mode{
 // shell flavor first and, as the chaos daemon does, replenish the pool
 // between creations.
 func bootCurve(machine sched.Machine, mode toolstack.Mode, img guest.Image) curve {
-	var drv toolstack.Driver
-	return curve{
-		machine: machine,
-		setup: func(h *core.Host) error {
-			if err := h.EnsureFlavor(img, mode); err != nil {
-				return err
-			}
-			drv = h.Driver(mode)
-			return nil
-		},
-		step: func(h *core.Host, i int, rec []float64) error {
+	return curve{machine: machine, setup: func(h *core.Host) (step, error) {
+		if err := h.EnsureFlavor(img, mode); err != nil {
+			return nil, err
+		}
+		drv := h.Driver(mode)
+		return func(i int, rec []float64) error {
 			if mode.UsesSplit() {
 				if err := h.Replenish(); err != nil {
 					return err
 				}
 			}
 			return boot(drv, img, i, rec)
-		},
-	}
+		}, nil
+	}}
 }
 
 // boot creates guest g<i> from img and, at a sampled count, reads its
@@ -64,16 +59,15 @@ func boot(drv toolstack.Driver, img guest.Image, i int, rec []float64) error {
 // dockerCurve runs noop containers on machine and reads each sampled
 // container's start time (ms).
 func dockerCurve(machine sched.Machine) curve {
-	return curve{
-		machine: machine,
-		step: func(h *core.Host, i int, rec []float64) error {
+	return curve{machine: machine, setup: func(h *core.Host) (step, error) {
+		return func(i int, rec []float64) error {
 			c, err := h.Docker.Run("noop")
 			if err == nil && rec != nil {
 				rec[0] = ms(c.StartTime)
 			}
 			return err
-		},
-	}
+		}, nil
+	}}
 }
 
 // fig09 — daytime-unikernel creation times for all five toolstack

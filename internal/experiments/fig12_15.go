@@ -64,15 +64,9 @@ func fig12(o Options, which string) (Result, error) {
 	// guests and reads the mean save or restore time.
 	curves := make([]curve, len(ckptModes))
 	for j, mode := range ckptModes {
-		var drv toolstack.Driver
-		var rng *sim.RNG
-		curves[j] = curve{
-			machine: sched.Xeon4Ckpt,
-			setup: func(h *core.Host) error {
-				drv, rng = h.Driver(mode), sim.NewRNG(o.Seed)
-				return nil
-			},
-			step: func(h *core.Host, i int, rec []float64) error {
+		curves[j] = curve{machine: sched.Xeon4Ckpt, setup: func(h *core.Host) (step, error) {
+			drv, rng := h.Driver(mode), sim.NewRNG(o.Seed)
+			return func(i int, rec []float64) error {
 				if _, err := drv.Create(fmt.Sprintf("g%d", i), img); err != nil || rec == nil {
 					return err
 				}
@@ -89,8 +83,8 @@ func fig12(o Options, which string) (Result, error) {
 					return st, err
 				})
 				return err
-			},
-		}
+			}, nil
+		}}
 	}
 	pop, err := o.sweep(o.scaled(1000, 20), curves...)
 	if err != nil {
@@ -121,22 +115,14 @@ func fig13(o Options) (Result, error) {
 	// destination on its clock.
 	curves := make([]curve, len(ckptModes))
 	for j, mode := range ckptModes {
-		var dst *core.Host
-		var drv toolstack.Driver
-		var rng *sim.RNG
-		migID := 0
-		curves[j] = curve{
-			machine: sched.Xeon4Ckpt,
-			setup: func(src *core.Host) error {
-				var err error
-				dst, err = core.NewHostOn(src.Clock, sched.Machine{Name: "dst", Cores: 4, Dom0Cores: 2, MemoryGB: 512}, o.Seed+1)
-				if err != nil {
-					return err
-				}
-				drv, rng = src.Driver(mode), sim.NewRNG(o.Seed+uint64(j))
-				return nil
-			},
-			step: func(src *core.Host, i int, rec []float64) error {
+		curves[j] = curve{machine: sched.Xeon4Ckpt, setup: func(src *core.Host) (step, error) {
+			dst, err := core.NewHostOn(src.Clock, sched.Machine{Name: "dst", Cores: 4, Dom0Cores: 2, MemoryGB: 512}, o.Seed+1)
+			if err != nil {
+				return nil, err
+			}
+			drv, rng := src.Driver(mode), sim.NewRNG(o.Seed+uint64(j))
+			migID := 0
+			return func(i int, rec []float64) error {
 				if _, err := drv.Create(fmt.Sprintf("g%d", i), img); err != nil || rec == nil {
 					return err
 				}
@@ -153,8 +139,8 @@ func fig13(o Options) (Result, error) {
 					return d, err
 				})
 				return err
-			},
-		}
+			}, nil
+		}}
 	}
 	pop, err := o.sweep(o.scaled(1000, 20), curves...)
 	if err != nil {
@@ -165,28 +151,21 @@ func fig13(o Options) (Result, error) {
 	return Result{ID: "fig13", Paper: "LightVM migrates in ~60ms regardless of N", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
-// memCurve grows a population on machine by add and reads the memory
-// (MB) the host has used since setup. The base reading is taken before
-// setup (if any) runs, so before any driver is built.
-func memCurve(machine sched.Machine, setup func(h *core.Host), add func(h *core.Host, i int) error) curve {
-	var base uint64
-	return curve{
-		machine: machine,
-		setup: func(h *core.Host) error {
-			base = h.MemoryUsedBytes()
-			if setup != nil {
-				setup(h)
-			}
-			return nil
-		},
-		step: func(h *core.Host, i int, rec []float64) error {
-			err := add(h, i)
+// memCurve grows a population on machine by the step setup returns
+// and reads the memory (MB) the host has used since before setup ran,
+// so before any driver was built.
+func memCurve(machine sched.Machine, setup func(h *core.Host) func(i int) error) curve {
+	return curve{machine: machine, setup: func(h *core.Host) (step, error) {
+		base := h.MemoryUsedBytes()
+		add := setup(h)
+		return func(i int, rec []float64) error {
+			err := add(i)
 			if err == nil && rec != nil {
 				rec[0] = float64(h.MemoryUsedBytes()-base) / (1 << 20)
 			}
 			return err
-		},
-	}
+		}, nil
+	}}
 }
 
 // fig14 — memory usage vs number of guests for Debian, Tinyx,
@@ -194,20 +173,25 @@ func memCurve(machine sched.Machine, setup func(h *core.Host), add func(h *core.
 func fig14(o Options) (Result, error) {
 	big := sched.Machine{Name: "mem-host", Cores: 4, Dom0Cores: 1, MemoryGB: 160}
 	vmCurve := func(img guest.Image) curve {
-		var drv toolstack.Driver
-		return memCurve(big, func(h *core.Host) { drv = h.Driver(toolstack.ModeChaosNoXS) },
-			func(h *core.Host, i int) error {
+		return memCurve(big, func(h *core.Host) func(int) error {
+			drv := h.Driver(toolstack.ModeChaosNoXS)
+			return func(i int) error {
 				_, err := drv.Create(fmt.Sprintf("g%d", i), img)
 				return err
-			})
+			}
+		})
 	}
-	docker := memCurve(big, nil, func(h *core.Host, i int) error {
-		_, err := h.Docker.Run("micropython")
-		return err
+	docker := memCurve(big, func(h *core.Host) func(int) error {
+		return func(int) error {
+			_, err := h.Docker.Run("micropython")
+			return err
+		}
 	})
-	procs := memCurve(big, nil, func(h *core.Host, i int) error {
-		_, err := h.Procs.Spawn(container.ProcessMicropyBytes())
-		return err
+	procs := memCurve(big, func(h *core.Host) func(int) error {
+		return func(int) error {
+			_, err := h.Procs.Spawn(container.ProcessMicropyBytes())
+			return err
+		}
 	})
 	pop, err := o.sweep(o.scaled(1000, 20),
 		vmCurve(guest.DebianMicropython()), vmCurve(guest.TinyxMicropython()), docker, vmCurve(guest.Minipython()), procs)
@@ -231,31 +215,28 @@ func fig15(o Options) (Result, error) {
 		}
 	}
 	vmCurve := func(img guest.Image) curve {
-		var drv toolstack.Driver
-		return curve{
-			machine: big,
-			setup:   func(h *core.Host) error { drv = h.Driver(toolstack.ModeChaosNoXS); return nil },
-			step: func(h *core.Host, i int, rec []float64) error {
+		return curve{machine: big, setup: func(h *core.Host) (step, error) {
+			drv := h.Driver(toolstack.ModeChaosNoXS)
+			return func(i int, rec []float64) error {
 				if _, err := drv.Create(fmt.Sprintf("g%d", i), img); err != nil {
 					return err
 				}
 				util(h, rec)
 				return nil
-			},
-		}
+			}, nil
+		}}
 	}
 	// Docker: idle containers, utilization from duty cycles.
-	docker := curve{
-		machine: big,
-		step: func(h *core.Host, i int, rec []float64) error {
+	docker := curve{machine: big, setup: func(h *core.Host) (step, error) {
+		return func(i int, rec []float64) error {
 			if _, err := h.Docker.Run("noop"); err != nil {
 				return err
 			}
 			h.Env.Sched.AddGuest(0, 0, 0, costs.DockerUtilDuty)
 			util(h, rec)
 			return nil
-		},
-	}
+		}, nil
+	}}
 	pop, err := o.sweep(o.scaled(1000, 20),
 		vmCurve(guest.DebianMinimal()), vmCurve(guest.TinyxNoop()), vmCurve(guest.Noop()), docker)
 	if err != nil {

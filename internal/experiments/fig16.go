@@ -37,18 +37,12 @@ func fig16a(o Options) (Result, error) {
 		"n", "throughput_gbps", "rtt_ms")
 	const cmaxGbps, kSat = 5.2, 300.0
 	var fwDenied uint64
-	var drv toolstack.Driver
-	pop, err := o.sweep(o.scaled(1000, 50), curve{
-		machine: sched.Xeon14,
-		cols:    2,
-		setup: func(h *core.Host) error {
-			if err := h.EnsureFlavor(guest.ClickOSFirewall(), toolstack.ModeLightVM); err != nil {
-				return err
-			}
-			drv = h.Driver(toolstack.ModeLightVM)
-			return nil
-		},
-		step: func(h *core.Host, i int, rec []float64) error {
+	pop, err := o.sweep(o.scaled(1000, 50), curve{machine: sched.Xeon14, cols: 2, setup: func(h *core.Host) (step, error) {
+		if err := h.EnsureFlavor(guest.ClickOSFirewall(), toolstack.ModeLightVM); err != nil {
+			return nil, err
+		}
+		drv := h.Driver(toolstack.ModeLightVM)
+		return func(i int, rec []float64) error {
 			if err := h.Replenish(); err != nil {
 				return err
 			}
@@ -78,8 +72,8 @@ func fig16a(o Options) (Result, error) {
 				rec[1] = 0.2 + fi*float64(costs.TimesliceRR)/float64(time.Millisecond)
 			}
 			return nil
-		},
-	})
+		}, nil
+	}})
 	if err != nil {
 		return Result{}, err
 	}

@@ -27,13 +27,18 @@ type curve struct {
 	// a failure: the curve stops there and reads −1 at that count and
 	// every later sampled count.
 	wall bool
-	// setup, if set, runs once on the fresh host before instance 1.
-	setup func(h *core.Host) error
-	// step adds instance i (1-based). At a sampled count rec is the
-	// curve's cols readings for that count, to be filled in; at every
-	// other count it is nil, so sampled-only work can be skipped.
-	step func(h *core.Host, i int, rec []float64) error
+	// setup prepares the fresh host and returns the step that grows
+	// it. Whatever a run keeps besides the host (drivers, a second
+	// host, an RNG, a base reading) lives in the step's closure, so a
+	// finished curve's host is garbage while the other curves still
+	// run.
+	setup func(h *core.Host) (step, error)
 }
+
+// step adds instance i (1-based). At a sampled count rec is the
+// curve's cols readings for that count, to be filled in; at every
+// other count it is nil, so sampled-only work can be skipped.
+type step func(i int, rec []float64) error
 
 // population is what a sweep measured.
 type population struct {
@@ -69,10 +74,9 @@ func (o Options) sweep(n int, curves ...curve) (population, error) {
 		if err != nil {
 			return err
 		}
-		if c.setup != nil {
-			if err := c.setup(h); err != nil {
-				return err
-			}
+		add, err := c.setup(h)
+		if err != nil {
+			return err
 		}
 		lo, hi := offs[j], offs[j+1]
 		k := 0 // next sampled count's index
@@ -81,7 +85,7 @@ func (o Options) sweep(n int, curves ...curve) (population, error) {
 			if k < len(points) && points[k] == i {
 				rec = pop.rows[k][lo:hi]
 			}
-			if err := c.step(h, i, rec); err != nil {
+			if err := add(i, rec); err != nil {
 				if !c.wall {
 					return fmt.Errorf("instance %d: %w", i, err)
 				}

@@ -11,38 +11,35 @@ import (
 	"lightvm/internal/toolstack"
 )
 
-// countCurve is a fake curve that touches no host: it reads 10·i (and
-// 10·i+1 in its second column) and logs the counts at which the sweep
-// handed it a record, so tests can see what the harness asked for.
-func countCurve(sampled *[]int) curve {
-	return curve{
-		machine: sched.Xeon4,
-		cols:    2,
-		step: func(h *core.Host, i int, rec []float64) error {
-			if rec != nil {
-				*sampled = append(*sampled, i)
-				rec[0], rec[1] = float64(10*i), float64(10*i+1)
-			}
-			return nil
-		},
-	}
+// fake is a curve whose steps touch no host.
+func fake(cols int, wall bool, add step) curve {
+	return curve{machine: sched.Xeon4, cols: cols, wall: wall, setup: func(*core.Host) (step, error) { return add, nil }}
 }
 
-// wallCurve is a fake curve whose step fails from count at on.
-func wallCurve(at int) curve {
-	return curve{
-		machine: sched.Xeon4,
-		wall:    true,
-		step: func(h *core.Host, i int, rec []float64) error {
-			if i >= at {
-				return errors.New("out of memory")
-			}
-			if rec != nil {
-				rec[0] = float64(i)
-			}
-			return nil
-		},
-	}
+// countCurve reads 10·i and 10·i+1 and logs the counts at which the
+// sweep handed it a record, so tests can see what the harness asked
+// for.
+func countCurve(sampled *[]int) curve {
+	return fake(2, false, func(i int, rec []float64) error {
+		if rec != nil {
+			*sampled = append(*sampled, i)
+			rec[0], rec[1] = float64(10*i), float64(10*i+1)
+		}
+		return nil
+	})
+}
+
+// wallCurve reads i and hits its wall from count at on.
+func wallCurve(at, cols int) curve {
+	return fake(cols, true, func(i int, rec []float64) error {
+		if i >= at {
+			return errors.New("out of memory")
+		}
+		if rec != nil {
+			rec[0] = float64(i)
+		}
+		return nil
+	})
 }
 
 func TestSweepKeepsReadingsOnlyAtSampledCounts(t *testing.T) {
@@ -50,19 +47,16 @@ func TestSweepKeepsReadingsOnlyAtSampledCounts(t *testing.T) {
 	var sampled []int
 	setups, steps := 0, 0
 	c := countCurve(&sampled)
-	c.setup = func(*core.Host) error {
-		if steps != 0 {
-			t.Error("setup ran after a step")
-		}
+	start := c.setup
+	c.setup = func(h *core.Host) (step, error) {
 		setups++
-		return nil
-	}
-	inner := c.step
-	c.step = func(h *core.Host, i int, rec []float64) error {
-		if steps++; i != steps {
-			t.Errorf("step %d got count %d", steps, i)
-		}
-		return inner(h, i, rec)
+		inner, err := start(h)
+		return func(i int, rec []float64) error {
+			if steps++; i != steps {
+				t.Errorf("step %d got count %d", steps, i)
+			}
+			return inner(i, rec)
+		}, err
 	}
 	pop, err := o.sweep(23, c)
 	if err != nil {
@@ -92,9 +86,7 @@ func TestSweepKeepsReadingsOnlyAtSampledCounts(t *testing.T) {
 func TestSweepWallFillsLaterPointsWithMinusOne(t *testing.T) {
 	o := Options{Seed: 1, Samples: 5, Parallel: 1}
 	var sampled []int
-	wall := wallCurve(9)
-	wall.cols = 2
-	pop, err := o.sweep(20, countCurve(&sampled), wall)
+	pop, err := o.sweep(20, countCurve(&sampled), wallCurve(9, 2))
 	if err != nil {
 		t.Fatalf("a wall is not a failure: %v", err)
 	}
@@ -114,7 +106,7 @@ func TestSweepWallFillsLaterPointsWithMinusOne(t *testing.T) {
 	}
 
 	// A wall on a sampled count reads −1 there too.
-	pop, err = o.sweep(20, wallCurve(8))
+	pop, err = o.sweep(20, wallCurve(8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,13 +116,16 @@ func TestSweepWallFillsLaterPointsWithMinusOne(t *testing.T) {
 }
 
 func TestSweepRowsIndependentOfParallel(t *testing.T) {
+	// The same curves sweep twice: a curve keeps no state between runs.
+	curves := []curve{
+		bootCurve(sched.Xeon4, toolstack.ModeLightVM, guest.Daytime()),
+		dockerCurve(sched.Xeon4),
+		wallCurve(17, 1),
+		bootCurve(sched.Xeon4, toolstack.ModeXL, guest.Daytime()),
+	}
 	run := func(parallel int) population {
 		o := Options{Seed: 3, Samples: 6, Parallel: parallel}
-		pop, err := o.sweep(30,
-			bootCurve(sched.Xeon4, toolstack.ModeLightVM, guest.Daytime()),
-			dockerCurve(sched.Xeon4),
-			wallCurve(17),
-			bootCurve(sched.Xeon4, toolstack.ModeXL, guest.Daytime()))
+		pop, err := o.sweep(30, curves...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,15 +143,12 @@ func TestSweepRowsIndependentOfParallel(t *testing.T) {
 func TestSweepLowestIndexedErrorWins(t *testing.T) {
 	errA, errB := errors.New("curve 1 failed"), errors.New("curve 2 failed")
 	fail := func(at int, err error) curve {
-		return curve{
-			machine: sched.Xeon4,
-			step: func(h *core.Host, i int, rec []float64) error {
-				if i == at {
-					return err
-				}
-				return nil
-			},
-		}
+		return fake(1, false, func(i int, rec []float64) error {
+			if i == at {
+				return err
+			}
+			return nil
+		})
 	}
 	var sampled []int
 	for _, parallel := range []int{1, 4} {
