@@ -21,10 +21,10 @@ func extCxenstored(o Options) (Result, error) {
 	// The two store daemons sweep on independent hosts, in parallel.
 	daemon := func(v xenstore.Variant) curve {
 		c := bootCurve(sched.Xeon4, toolstack.ModeXL, guest.Daytime())
-		boot := c.setup
+		xl := c.setup
 		c.setup = func(h *core.Host) (step, error) {
 			h.Env.Store.SetVariant(v)
-			return boot(h)
+			return xl(h)
 		}
 		return c
 	}
