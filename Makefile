@@ -194,9 +194,13 @@ bench:
 # worker pool and the JSON report in a few seconds. The extra
 # ext-faults line runs the fault-injection sweep at tiny scale with a
 # distinct seed, so the recovery paths get an end-to-end shake too.
+# The last line runs every Go microbenchmark once, so a benchmark that
+# no longer builds or hits b.Fatal fails here rather than when someone
+# next measures with it (~10 s).
 bench-smoke:
 	$(GO) run ./cmd/lightvm-bench -exp all -scale 0.05 -parallel 0 -json
 	$(GO) run ./cmd/lightvm-bench -exp ext-faults -scale 0.02 -seed 7 -parallel 0
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Regression gate: replay every figure at smoke scale with the same
 # seed as the checked-in baseline and diff the two reports with

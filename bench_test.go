@@ -82,12 +82,25 @@ func BenchmarkCreateLightVM(b *testing.B) {
 }
 
 // BenchmarkCreateXL is the same cycle through the stock toolstack.
-func BenchmarkCreateXL(b *testing.B) {
+func BenchmarkCreateXL(b *testing.B) { benchCreateXL(b, 0) }
+
+// BenchmarkCreateXLGuests is BenchmarkCreateXL on a host already
+// running 1,000 daytime guests: xl's per-creation work that grows with
+// the guest count (listing /local/domain, the unique-name scan) only
+// shows on a populated host.
+func BenchmarkCreateXLGuests(b *testing.B) { benchCreateXL(b, 1000) }
+
+func benchCreateXL(b *testing.B, guests int) {
 	host, err := lightvm.NewHost(lightvm.Xeon4, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	img := lightvm.Daytime()
+	for i := 0; i < guests; i++ {
+		if _, err := host.CreateVM(lightvm.ModeXL, fmt.Sprintf("guest%d", i), img); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -17,11 +17,6 @@ import (
 // shows ballooning as guests accumulate.
 type XL struct {
 	env *Env
-	// dirBuf backs the per-creation "/local/domain" listing; reusing
-	// it keeps the listing's simulator-side cost flat as guests
-	// accumulate (the *modelled* cost still grows with the domain
-	// count).
-	dirBuf []string
 }
 
 // NewXL returns the stock driver.
@@ -115,7 +110,11 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 				retErr = err
 				return
 			}
-			x.dirBuf, _ = e.Store.DirectoryAppend("/local/domain", x.dirBuf)
+			// libxl lists every domain (§4.2). Only the charged round
+			// trip is modelled, so the count goes unread, and the
+			// listing cannot miss: the transaction above wrote under
+			// /local/domain.
+			_, _ = e.Store.DirectoryLen("/local/domain")
 			namePath := domPath + "/name"
 			for i := 0; i < xlStateReads; i++ {
 				_, _ = e.Store.Read(namePath)

@@ -109,27 +109,21 @@ func TestWriteAllocsIndependentOfFanout(t *testing.T) {
 	}
 }
 
-func TestDirectoryAppendReusesBuffer(t *testing.T) {
+// TestDirectoryLenAllocFree: xl counts /local/domain on every
+// creation, so the count must cost no garbage however many guests the
+// store holds.
+func TestDirectoryLenAllocFree(t *testing.T) {
 	s, _ := newStore()
 	for i := 0; i < 64; i++ {
 		s.Write(fmt.Sprintf("/local/domain/%d/name", i), "g")
 	}
-	buf, err := s.DirectoryAppend("/local/domain", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(buf) != 64 {
-		t.Fatalf("listing = %d entries", len(buf))
-	}
 	allocs := testing.AllocsPerRun(100, func() {
-		var err error
-		buf, err = s.DirectoryAppend("/local/domain", buf)
-		if err != nil || len(buf) != 64 {
-			t.Fatalf("DirectoryAppend = %d entries, %v", len(buf), err)
+		if n, err := s.DirectoryLen("/local/domain"); err != nil || n != 64 {
+			t.Fatalf("DirectoryLen = %d, %v", n, err)
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("DirectoryAppend with a warm buffer allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("DirectoryLen allocates %.1f objects/op, want 0", allocs)
 	}
 }
 

@@ -48,11 +48,44 @@ func BenchmarkRead(b *testing.B) {
 
 func BenchmarkDirectory(b *testing.B) {
 	s := benchStore(b)
-	var buf []string
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if buf, err = s.DirectoryAppend("/local/domain", buf); err != nil {
+		if _, err := s.Directory("/local/domain"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// guestStore holds 1,000 guests, the scale of the density figures,
+// where the listings below dominated xl's per-creation host cost.
+func guestStore() *Store {
+	s, _ := newStore()
+	s.LoggingEnabled = false
+	populateGuests(s, 1000)
+	return s
+}
+
+// BenchmarkDirectoryGuests lists the 1,000 guests' /local/domain, as
+// fsck and scrub do.
+func BenchmarkDirectoryGuests(b *testing.B) {
+	s := guestStore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Directory("/local/domain"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDirectoryLenGuests is BenchmarkDirectoryGuests counting
+// instead of listing, as xl does on every creation.
+func BenchmarkDirectoryLenGuests(b *testing.B) {
+	s := guestStore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.DirectoryLen("/local/domain"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -450,21 +450,40 @@ func (s *Store) Mkdir(path string) {
 	}
 }
 
-// Directory lists the children of path in sorted order. Listing
-// touches every child — this is one of the O(#guests) costs on the
-// creation path when listing /local/domain.
+// Directory lists the children of path in sorted order. The listing
+// is charged one touch per child (fsck's and scrub's audits list this
+// way); callers that read only the count use DirectoryLen.
 func (s *Store) Directory(path string) ([]string, error) {
-	return s.DirectoryAppend(path, nil)
-}
-
-// DirectoryAppend is Directory appending into buf (sliced to zero
-// length first). Callers that list repeatedly — the toolstack lists
-// /local/domain on every creation — pass the previous result back in
-// so the listing reuses one buffer instead of allocating O(#guests)
-// per operation.
-func (s *Store) DirectoryAppend(path string, buf []string) ([]string, error) {
 	s.enter()
 	defer s.exit()
+	n, err := s.list(path)
+	if err != nil {
+		return nil, err
+	}
+	out := appendChildNames(n.kids, make([]string, 0, n.nkids))
+	sort.Strings(out)
+	return out, nil
+}
+
+// DirectoryLen is Directory returning only the number of children: it
+// charges the identical round trip, touching every child, but builds
+// no listing. xl lists /local/domain on every creation — one of the
+// O(#guests) costs on the creation path — and reads nothing of it, so
+// the growth lives in the charge alone.
+func (s *Store) DirectoryLen(path string) (int, error) {
+	s.enter()
+	defer s.exit()
+	n, err := s.list(path)
+	if err != nil {
+		return 0, err
+	}
+	return n.nkids, nil
+}
+
+// list charges one directory listing of path and returns the listed
+// node. Like Read, the result reflects children as of the end of the
+// charge; the cost was fixed at op start.
+func (s *Store) list(path string) (*node, error) {
 	n, touched := s.resolve(path)
 	if n == nil {
 		s.chargeOp(touched)
@@ -472,21 +491,15 @@ func (s *Store) DirectoryAppend(path string, buf []string) ([]string, error) {
 	}
 	pubs := s.pubs
 	s.chargeOp(touched + n.nkids)
-	// Like Read, the listing reflects children as of the end of the
-	// charge (the cost was fixed at op start).
 	if s.pubs != pubs {
 		if cur, _ := s.resolve(path); cur != nil {
 			n = cur
 		}
 	}
-	out := appendChildNames(n.kids, buf[:0])
-	sort.Strings(out)
-	return out, nil
+	return n, nil
 }
 
-// appendChildNames collects a trie's entry names into buf. It is a
-// plain function (no closure) so a warm buffer makes the listing
-// allocation-free.
+// appendChildNames collects a trie's entry names into buf.
 func appendChildNames(a *amtNode, buf []string) []string {
 	if a == nil {
 		return buf

@@ -51,6 +51,75 @@ func TestDirectorySorted(t *testing.T) {
 	}
 }
 
+// TestDirectoryLenChargesLikeDirectory runs Directory and DirectoryLen
+// on identically built stores: DirectoryLen is the same charged round
+// trip without the listing, so both must end at the same virtual time
+// with the same counters, report the same child count and miss the
+// same way — with access logging on and off, and when a clock event
+// publishes a new child during the charge.
+func TestDirectoryLenChargesLikeDirectory(t *testing.T) {
+	const k = 37
+	type result struct {
+		n       int
+		err     error
+		now     sim.Time
+		count   Counters
+		touched uint64
+	}
+	run := func(logging, publish bool, path string, op func(*Store, string) (int, error)) result {
+		s, c := newStore()
+		s.LoggingEnabled = logging
+		for i := 0; i < k; i++ {
+			s.Write(fmt.Sprintf("/local/domain/%d/name", i+1), "g")
+		}
+		if publish {
+			c.After(time.Nanosecond, func() { s.Write("/local/domain/999/name", "late") })
+		}
+		before := s.Count.NodesTouched
+		n, err := op(s, path)
+		return result{n, err, c.Now(), s.Count, s.Count.NodesTouched - before}
+	}
+	list := func(s *Store, path string) (int, error) {
+		names, err := s.Directory(path)
+		return len(names), err
+	}
+	for _, tc := range []struct {
+		name    string
+		path    string
+		publish bool
+		want    int
+	}{
+		{"children", "/local/domain", false, k},
+		{"missing", "/local/nope", false, 0},
+		{"publish mid-charge", "/local/domain", true, k + 1},
+	} {
+		for _, logging := range []bool{false, true} {
+			got := run(logging, tc.publish, tc.path, (*Store).DirectoryLen)
+			ref := run(logging, tc.publish, tc.path, list)
+			where := fmt.Sprintf("%s (logging %v)", tc.name, logging)
+			if got.n != tc.want || ref.n != tc.want {
+				t.Errorf("%s: DirectoryLen = %d, Directory lists %d, want %d", where, got.n, ref.n, tc.want)
+			}
+			if tc.path == "/local/nope" {
+				if !errors.Is(got.err, ErrNoEnt) || !errors.Is(ref.err, ErrNoEnt) {
+					t.Errorf("%s: errors %v, %v, want ErrNoEnt", where, got.err, ref.err)
+				}
+			} else if got.err != nil || ref.err != nil {
+				t.Errorf("%s: errors %v, %v", where, got.err, ref.err)
+			}
+			if got.now != ref.now {
+				t.Errorf("%s: DirectoryLen ends at %v, Directory at %v", where, got.now, ref.now)
+			}
+			if got.count != ref.count {
+				t.Errorf("%s: counters differ:\nDirectoryLen %+v\nDirectory    %+v", where, got.count, ref.count)
+			}
+			if tc.name == "children" && got.touched != 3+k {
+				t.Errorf("%s: listing touched %d nodes, want %d (3 to resolve, one per child)", where, got.touched, 3+k)
+			}
+		}
+	}
+}
+
 func TestRmSubtree(t *testing.T) {
 	s, _ := newStore()
 	s.Write("/a/b/c", "1")
