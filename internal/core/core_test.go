@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -88,9 +89,9 @@ func TestHostLifecycleAllocs(t *testing.T) {
 		mode   toolstack.Mode
 		budget float64
 	}{
-		{toolstack.ModeXL, 83},
-		{toolstack.ModeChaosXS, 55},
-		{toolstack.ModeChaosSplit, 61},
+		{toolstack.ModeXL, 82},
+		{toolstack.ModeChaosXS, 54},
+		{toolstack.ModeChaosSplit, 60},
 		{toolstack.ModeChaosNoXS, 14},
 		{toolstack.ModeLightVM, 16},
 	}
@@ -115,6 +116,122 @@ func TestHostLifecycleAllocs(t *testing.T) {
 		t.Logf("%s: %.1f objects per create+destroy", b.mode, allocs)
 		if allocs > b.budget {
 			t.Errorf("%s: CreateVM+DestroyVM allocates %.1f objects, budget %.0f", b.mode, allocs, b.budget)
+		}
+	}
+}
+
+// TestHostRetainedBytes pins the heap each live daytime guest keeps,
+// per toolstack mode: the simulator's own per-guest footprint, which
+// bounds how many guests the largest figures can hold and how much of
+// their time goes to GC marking. It holds 2,000 guests on one host
+// after a warm create and measures the live heap's growth after a
+// full GC. Budgets are the measured values plus about 5% headroom.
+func TestHostRetainedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes differ under the race detector")
+	}
+	const guests = 2000
+	budgets := []struct {
+		mode           toolstack.Mode
+		bytes, objects float64
+	}{
+		{toolstack.ModeXL, 7300, 108},
+		{toolstack.ModeChaosXS, 4600, 63},
+		{toolstack.ModeChaosSplit, 4750, 65},
+		{toolstack.ModeChaosNoXS, 1350, 11},
+		{toolstack.ModeLightVM, 1350, 11},
+	}
+	img := guest.Daytime()
+	names := make([]string, guests)
+	for i := range names {
+		names[i] = fmt.Sprintf("r%d", i)
+	}
+	for _, b := range budgets {
+		h, err := NewHost(sched.Xeon4Ckpt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.CreateVM(b.mode, "warm", img); err != nil {
+			t.Fatal(err)
+		}
+		vms := make([]*toolstack.VM, 0, guests)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for _, name := range names {
+			vm, err := h.CreateVM(b.mode, name, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vms = append(vms, vm)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.HeapAlloc-before.HeapAlloc) / guests
+		objects := float64(after.HeapObjects-before.HeapObjects) / guests
+		runtime.KeepAlive(h)
+		runtime.KeepAlive(vms)
+		t.Logf("%s: %.0f bytes, %.1f objects per live guest", b.mode, bytes, objects)
+		if bytes > b.bytes || objects > b.objects {
+			t.Errorf("%s: a live guest retains %.0f bytes and %.1f objects, budget %.0f and %.1f",
+				b.mode, bytes, objects, b.bytes, b.objects)
+		}
+	}
+}
+
+// TestHostLifecycleBytes pins the bytes one create+destroy of a daytime
+// guest allocates on a host already running 1,000 of them, per store
+// toolstack mode: a store whose directories are populated is where
+// spine copies and trie-level recycling show. Budgets are the measured
+// values plus about 5% headroom.
+func TestHostLifecycleBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under the race detector")
+	}
+	const live, runs = 1000, 200
+	budgets := []struct {
+		mode  toolstack.Mode
+		bytes float64
+	}{
+		{toolstack.ModeXL, 3800},
+		{toolstack.ModeChaosXS, 2820},
+		{toolstack.ModeChaosSplit, 3000},
+	}
+	img := guest.Daytime()
+	names := make([]string, live+runs)
+	for i := range names {
+		names[i] = fmt.Sprintf("b%d", i)
+	}
+	for _, b := range budgets {
+		h, err := NewHost(sched.Xeon4Ckpt, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range names[:live] {
+			if _, err := h.CreateVM(b.mode, name, img); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle := func(name string) {
+			vm, err := h.CreateVM(b.mode, name, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.DestroyVM(vm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cycle("warm")
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, name := range names[live:] {
+			cycle(name)
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.0f bytes per create+destroy", b.mode, bytes)
+		if bytes > b.bytes {
+			t.Errorf("%s: CreateVM+DestroyVM allocates %.0f bytes with %d guests live, budget %.0f", b.mode, bytes, live, b.bytes)
 		}
 	}
 }

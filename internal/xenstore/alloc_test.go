@@ -37,6 +37,23 @@ func TestNodeSize(t *testing.T) {
 	}
 }
 
+// TestVocabularyNamesInterned: a node created under a store vocabulary
+// word takes the shared interned string, so it does not keep the path
+// it was first written under alive.
+func TestVocabularyNamesInterned(t *testing.T) {
+	s, _ := newStore()
+	dir := "/local/domain/" + strconv.Itoa(1234) + "/device/vif/0"
+	s.Write(dir+"/state", "1")
+	n := s.root
+	for _, seg := range []string{"local", "domain", "1234", "device", "vif", "0", "state"} {
+		n = n.childByID(nameHash(seg), seg)
+		w, vocab := internTab[seg]
+		if shared := unsafe.StringData(n.name) == unsafe.StringData(w); vocab && !shared {
+			t.Errorf("node %q does not share the interned string", seg)
+		}
+	}
+}
+
 func TestReadAllocFree(t *testing.T) {
 	s := warmStore()
 	allocs := testing.AllocsPerRun(200, func() {
@@ -314,7 +331,7 @@ func TestTxnCommitCopiesSpineOnce(t *testing.T) {
 	if got := testing.AllocsPerRun(100, commit); got != 1 {
 		t.Fatalf("warm commit allocates %.1f objects, want 1 (the Tx handle)", got)
 	}
-	s.pl.freeN, s.pl.freeA = nil, nil
+	s.pl.freeN, s.pl.freeA = nil, [len(amtBrackets)][]*amtNode{}
 	got := testing.AllocsPerRun(100, func() {
 		s.pl.epoch++
 		commit()

@@ -138,13 +138,18 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 // Write-set vocabulary for FuzzTxnCommit: the frontend and backend
 // directories a device-entry commit writes, plus a shallow one, with
 // keys shared between them so paths repeat within and across commits.
-// Watches registered mid-run take one of the tokens; the last two name
-// watches every run starts with.
+// A key byte with its top bit set draws one of txnFuzzWide wide keys
+// instead ("w0", "w1", …), so one directory can grow through every
+// trie-level bracket (pool.go) and push colliding ids into a second
+// level. Watches registered mid-run take one of the tokens; the last
+// two name watches every run starts with.
 var (
 	txnFuzzPrefixes = []string{"/local/domain/1/device/vif/0", "/local/domain/0/backend/vif/1/0", "/vm/1"}
 	txnFuzzKeys     = []string{"state", "mac", "handle", "backend", "a", "b"}
 	txnFuzzTokens   = []string{"f0", "f1", "f2", "/vm", "/local/domain/1/device"}
 )
+
+const txnFuzzWide = 40
 
 // commitSequential is the reference FuzzTxnCommit holds Tx.Commit to.
 // It starts a transaction, buffers writes, runs between (a plain write
@@ -209,7 +214,8 @@ func checkCandidates(t *testing.T, step int, s *Store, path string) {
 // FuzzTxnCommit is a differential check of commit atomicity and
 // validation. Each input decodes into up to 64 steps over two stores:
 // write sets of 1–16 writes over a few shared prefixes (some repeating
-// a path), plain writes, removals, snapshots, and watches registered
+// a path, some filling a directory up to 46 children), plain writes,
+// removals, snapshots, and watches registered
 // at random depths or removed by token. A write set commits through
 // Tx.Commit on one store and through commitSequential on its twin;
 // some commits see a plain write land between TxnStart and Commit on
@@ -219,8 +225,9 @@ func checkCandidates(t *testing.T, step int, s *Store, path string) {
 // generations and child counts at every node, compared through the
 // canonical serialization), identical Counters, the same virtual time
 // and the same watch event sequence, and each store's indexed delivery
-// candidates must match a scan of its watches; every snapshot taken
-// along the way must still serialize to its bytes at capture.
+// candidates must match a scan of its watches, and every trie level
+// must keep its size bracket's capacity; every snapshot taken along
+// the way must still serialize to its bytes at capture.
 func FuzzTxnCommit(f *testing.F) {
 	f.Add([]byte{0, 12, 0, 0, 1, 0, 1, 1, 0, 4, 2, 0, 2, 3, 0, 3, 1, 0, 5, 1, 1, 0, 0, 1, 2, 1, 1, 4, 3, 0, 1, 1, 0, 0})
 	f.Add([]byte{5, 1, 15, 0, 0, 1, 0, 0, 1, 0, 0, 1, 1, 0, 2, 2, 0, 3, 0, 4, 6, 0, 0, 3, 1, 1, 2, 5})
@@ -234,10 +241,17 @@ func FuzzTxnCommit(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
+		pickKey := func() string {
+			b := next()
+			if b >= 128 {
+				return "w" + strconv.Itoa((b-128)%txnFuzzWide)
+			}
+			return txnFuzzKeys[b%len(txnFuzzKeys)]
+		}
 		pickPath := func() string {
-			p := txnFuzzPrefixes[next()%len(txnFuzzPrefixes)] + "/" + txnFuzzKeys[next()%len(txnFuzzKeys)]
+			p := txnFuzzPrefixes[next()%len(txnFuzzPrefixes)] + "/" + pickKey()
 			if next()%4 == 0 {
-				p += "/" + txnFuzzKeys[next()%len(txnFuzzKeys)]
+				p += "/" + pickKey()
 			}
 			return p
 		}
@@ -339,6 +353,9 @@ func FuzzTxnCommit(f *testing.F) {
 			for _, s := range stores {
 				for _, p := range txnFuzzPrefixes {
 					checkCandidates(t, step, s, p+"/a/b")
+				}
+				if v := bracketViolation(s.root); v != "" {
+					t.Fatalf("step %d: %s", step, v)
 				}
 			}
 		}

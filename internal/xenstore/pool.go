@@ -38,8 +38,16 @@ import "sync/atomic"
 //     park in a pending list and are only recycled when the outermost
 //     operation exits.
 //
-// The free lists are bounded (poolMaxFree) so a burst — one huge Rm —
-// cannot pin an arbitrary amount of memory.
+// Trie levels recycle by slot-capacity bracket (amtBrackets: 1, 2, 4,
+// 8, 16, 24, 32 slots), one free list per bracket. A level is
+// allocated with its bracket's capacity, keeps it for life (an in-place
+// insert grows it only within that capacity, tree.go), and is handed
+// back only to a request in the same bracket, so a recycled level
+// never rebuilds its slot array and a small directory never keeps a
+// wide level's array.
+//
+// The free lists are bounded (poolMaxFree each) so a burst — one huge
+// Rm — cannot pin an arbitrary amount of memory.
 //
 // The pool also scopes a transaction commit's in-place edits (txn.go).
 // Between beginEdit and endEdit every object it hands out carries the
@@ -60,7 +68,7 @@ type pool struct {
 	epoch uint64 // snapshot epoch: bumped by every Store.Snapshot
 
 	freeN []*node
-	freeA []*amtNode
+	freeA [len(amtBrackets)][]*amtNode // by slot-capacity bracket
 
 	// Objects retired by in-flight operations, recycled at depth 0.
 	pendN []*node
@@ -150,38 +158,44 @@ func (p *pool) endEdit() {
 	p.edit = 0
 }
 
-// amtSlotCap rounds a slot-array capacity request up to the next
-// bracket of 8 (capped by the trie width). Recycled levels keep their
-// backing arrays only while the capacity fits the next request, so
-// exact-size arrays thrash between adjacent sizes; bracketed arrays
-// are reusable across the whole bracket for at most 7 spare slots.
-func amtSlotCap(nslots int) int {
-	if nslots >= amtWidth {
-		return nslots
-	}
-	return (nslots + 7) &^ 7
-}
+// amtBrackets are the slot capacities trie levels are allocated with.
+// Most directories hold at most 8 children, so the small sizes get
+// their own brackets; wide directories such as /local/domain fill
+// levels up to the 32-slot trie width.
+var amtBrackets = [...]int{1, 2, 4, 8, 16, 24, 32}
 
-// getAMT returns a trie level with exactly nslots slots, reusing a
-// retired level's backing array when it is big enough.
-func (p *pool) getAMT(nslots int) *amtNode {
-	if p == nil {
-		return &amtNode{slots: make([]any, nslots)}
-	}
-	if n := len(p.freeA); n > 0 {
-		a := p.freeA[n-1]
-		p.freeA[n-1] = nil
-		p.freeA = p.freeA[:n-1]
-		if cap(a.slots) < nslots {
-			a.slots = make([]any, nslots, amtSlotCap(nslots))
-		} else {
-			a.slots = a.slots[:nslots]
+// amtBracketOf maps a slot count (0–32) to its bracket index in
+// amtBrackets: the smallest bracket that holds it.
+var amtBracketOf = func() (t [amtWidth + 1]uint8) {
+	b := 0
+	for n := range t {
+		if n > amtBrackets[b] {
+			b++
 		}
+		t[n] = uint8(b)
+	}
+	return t
+}()
+
+// getAMT returns a trie level with exactly nslots slots and its
+// bracket's capacity, reusing a retired level of the same bracket when
+// there is one.
+func (p *pool) getAMT(nslots int) *amtNode {
+	b := amtBracketOf[nslots]
+	if p == nil {
+		return &amtNode{slots: make([]any, nslots, amtBrackets[b])}
+	}
+	free := p.freeA[b]
+	if n := len(free); n > 0 {
+		a := free[n-1]
+		free[n-1] = nil
+		p.freeA[b] = free[:n-1]
+		a.slots = a.slots[:nslots]
 		a.birth = p.epoch
 		p.stampAMT(a)
 		return a
 	}
-	a := &amtNode{ptag: p.tag, birth: p.epoch, slots: make([]any, nslots, amtSlotCap(nslots))}
+	a := &amtNode{ptag: p.tag, birth: p.epoch, slots: make([]any, nslots, amtBrackets[b])}
 	p.stampAMT(a)
 	return a
 }
@@ -260,13 +274,13 @@ func (p *pool) flush() {
 	p.pendN = p.pendN[:0]
 	for i, a := range p.pendA {
 		p.pendA[i] = nil
-		if a.birth == e && len(p.freeA) < poolMaxFree {
+		if b := amtBracketOf[cap(a.slots)]; a.birth == e && len(p.freeA[b]) < poolMaxFree {
 			slots := a.slots[:0]
 			for j := range a.slots {
 				a.slots[j] = nil // unpin whatever the dead level referenced
 			}
 			*a = amtNode{ptag: p.tag, slots: slots}
-			p.freeA = append(p.freeA, a)
+			p.freeA[b] = append(p.freeA[b], a)
 		}
 	}
 	p.pendA = p.pendA[:0]

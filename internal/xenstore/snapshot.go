@@ -147,30 +147,6 @@ func appendNode(buf []byte, n *node, scratch *[]*node) []byte {
 	return buf
 }
 
-// internTab holds the xenstore vocabulary that appears in practically
-// every serialized guest subtree: device entry names, domain registry
-// keys, and the small state/flag values. It is built once and
-// read-only thereafter, so concurrent deserializers share it without
-// locking and a blob's standard strings never touch the per-reader
-// map.
-var internTab = func() map[string]string {
-	m := make(map[string]string, 64)
-	for _, s := range []string{
-		"", "0", "1", "2", "3", "4", "5", "6", "7", "8", "9",
-		"backend", "backend-id", "bridge", "event-channel",
-		"frontend", "frontend-id", "grant-ref", "handle", "mac",
-		"online", "state", "device", "vif", "vbd", "console",
-		"name", "vm", "domid", "memory", "target", "static-max",
-		"cpu", "availability", "limit", "type", "control",
-		"platform-feature-multiprocessor-suspend", "shutdown",
-		"image", "entry", "unpaused", "ring-ref", "port",
-		"xenbr0", "xenconsoled", "1048576",
-	} {
-		m[s] = s
-	}
-	return m
-}()
-
 // snapReader is a bounds-checked cursor over a snapshot blob.
 type snapReader struct {
 	data   []byte

@@ -368,6 +368,9 @@ func (s *Store) applyWrite(n *node, it *hashIter, op *leafOp) (*node, int, bool)
 	created := false
 	var parentGen uint64
 	if child == nil {
+		if w, ok := internTab[seg]; ok {
+			seg = w // share the word instead of pinning the caller's path
+		}
 		child = s.pl.getNode()
 		child.name, child.hsh = seg, h
 		s.gen++
@@ -587,15 +590,17 @@ func (s *Store) WriteUniqueName(dir, key, name string) error {
 	s.Count.UniqScans++
 	n, _ := s.resolve(dir)
 	if n != nil {
-		dup := false
+		// Compare first, counting the names up to and including the
+		// first duplicate, then charge those k comparisons. n is
+		// immutable, so the outcome cannot depend on what runs during
+		// the charge.
+		k, dup := 0, false
 		n.eachChild(func(child *node) bool {
-			s.clock.Sleep(costs.XSNameUniquenessPerGuest)
-			if child.value == name {
-				dup = true
-				return false
-			}
-			return true
+			k++
+			dup = child.value == name
+			return !dup
 		})
+		s.chargeScan(k)
 		if dup {
 			s.chargeOp(n.nkids)
 			return fmt.Errorf("%w: name %q", ErrExists, name)
@@ -608,4 +613,20 @@ func (s *Store) WriteUniqueName(dir, key, name string) error {
 	}
 	s.Write(dir+"/"+key, name)
 	return nil
+}
+
+// chargeScan charges k name comparisons, one XSNameUniquenessPerGuest
+// each. When no queued event falls inside the scan, one advance ends
+// where k single sleeps would. Otherwise it sleeps once per
+// comparison, so an event due mid-scan runs at its own deadline and a
+// handler that sleeps pushes the rest of the scan back.
+func (s *Store) chargeScan(k int) {
+	d := costs.XSNameUniquenessPerGuest
+	if dl, ok := s.clock.NextDeadline(); !ok || dl > s.clock.Now().Add(sim.Duration(k)*d) {
+		s.clock.Sleep(sim.Duration(k) * d)
+		return
+	}
+	for i := 0; i < k; i++ {
+		s.clock.Sleep(d)
+	}
 }

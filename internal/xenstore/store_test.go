@@ -625,6 +625,110 @@ func TestUniqueNameScanLinearCost(t *testing.T) {
 	}
 }
 
+// uniqueNameSleepPerName is the reference WriteUniqueName is held to:
+// one clock sleep per name compared, interleaved with the comparisons.
+func uniqueNameSleepPerName(s *Store, dir, key, name string) error {
+	s.enter()
+	defer s.exit()
+	s.Count.UniqScans++
+	if n, _ := s.resolve(dir); n != nil {
+		dup := false
+		n.eachChild(func(c *node) bool {
+			s.clock.Sleep(costs.XSNameUniquenessPerGuest)
+			dup = c.value == name
+			return !dup
+		})
+		s.chargeOp(n.nkids)
+		if dup {
+			return fmt.Errorf("%w: name %q", ErrExists, name)
+		}
+	}
+	s.Write(dir+"/"+key, name)
+	return nil
+}
+
+// TestUniqueNameScanChargesLikeSingleSleeps holds WriteUniqueName to
+// the sleep-per-name reference on a store with 50 names: a unique name
+// (all 50 compared) and a duplicate found partway through the scan,
+// each with no event queued, with an event due mid-scan whose handler
+// sleeps, with one due exactly at the scan's end, and with one due
+// after it. The end time, the moment the handler ran, the Counters and
+// the error must all match.
+func TestUniqueNameScanChargesLikeSingleSleeps(t *testing.T) {
+	const names = 50
+	cost := costs.XSNameUniquenessPerGuest
+	type result struct {
+		err   error
+		now   sim.Time
+		fired sim.Time
+		count Counters
+	}
+	build := func() (*Store, *sim.Clock) {
+		s, c := newStore()
+		for i := 0; i < names; i++ {
+			s.Write(fmt.Sprintf("/vm-names/k%d", i), fmt.Sprintf("guest%d", i))
+		}
+		return s, c
+	}
+	// The duplicate is the name the scan reaches 20th.
+	var order []string
+	probe, _ := build()
+	n, _ := probe.resolve("/vm-names")
+	n.eachChild(func(c *node) bool { order = append(order, c.value); return true })
+	dupName := order[19]
+
+	run := func(op func(*Store, string, string, string) error, name string, eventAt sim.Duration) result {
+		s, c := build()
+		var r result
+		if eventAt > 0 {
+			c.After(eventAt, func() {
+				r.fired = c.Now()
+				c.Sleep(7 * time.Microsecond)
+			})
+		}
+		r.err = op(s, "/vm-names", "new", name)
+		r.now, r.count = c.Now(), s.Count
+		return r
+	}
+	for _, tc := range []struct {
+		name    string
+		value   string
+		compare int // names the scan compares
+	}{
+		{"unique", "guest-new", names},
+		{"duplicate", dupName, 20},
+	} {
+		for _, ev := range []struct {
+			name string
+			at   sim.Duration
+		}{
+			{"no event", 0},
+			{"event mid-scan", 9*cost + cost/2},
+			{"event at scan end", sim.Duration(tc.compare) * cost},
+			{"event after scan", sim.Duration(tc.compare)*cost + time.Nanosecond},
+		} {
+			where := tc.name + ", " + ev.name
+			got := run((*Store).WriteUniqueName, tc.value, ev.at)
+			want := run(uniqueNameSleepPerName, tc.value, ev.at)
+			if (got.err == nil) != (want.err == nil) || (got.err != nil && got.err.Error() != want.err.Error()) {
+				t.Errorf("%s: error %v, reference %v", where, got.err, want.err)
+			}
+			if tc.name == "duplicate" && !errors.Is(got.err, ErrExists) {
+				t.Errorf("%s: error %v, want ErrExists", where, got.err)
+			}
+			if got.now != want.now {
+				t.Errorf("%s: ends at %v, reference at %v", where, got.now, want.now)
+			}
+			if got.fired != want.fired {
+				t.Errorf("%s: event ran at %v, reference at %v", where, got.fired, want.fired)
+			}
+			if got.count != want.count {
+				t.Errorf("%s: counters differ:\n%+v\n%+v", where, got.count, want.count)
+			}
+		}
+	}
+}
+
 func TestUniqueNameChargesSuccessScan(t *testing.T) {
 	// The §4.2 uniqueness scan costs a full pass over the registered
 	// names whether or not it finds a duplicate; the success path must

@@ -32,7 +32,14 @@ import "math/bits"
 //     store's pool (pool.go) and retire the objects they replace, so
 //     steady-state mutation recycles its own garbage instead of
 //     feeding the GC. Retirement is COW-safe: anything a snapshot
-//     could have captured is never reused.
+//     could have captured is never reused;
+//   - a trie level's slot array has its size bracket's capacity
+//     (1, 2, 4, 8, 16, 24 or 32 slots) for life: it is recycled only
+//     within that bracket, and an in-place insert never grows it past
+//     its capacity;
+//   - a node created under a store vocabulary word (internTab) takes
+//     the shared interned name, not a substring of the written path,
+//     so a live node does not keep its writer's whole path alive.
 //
 // The helpers below take an optional *pool; nil (deserialization,
 // tests) falls back to plain allocation and retires nothing.
@@ -128,6 +135,32 @@ func nameHash(s string) uint64 {
 	return h
 }
 
+// internTab holds the xenstore vocabulary: device entry names, domain
+// registry keys, and the small state/flag values that appear in
+// practically every guest subtree. The live store names new nodes from
+// it (applyWrite), so a guest's "state" or "backend-id" node does not
+// pin the path it was written under, and the snapshot decoder draws
+// names and values from it, so a blob's standard strings never touch
+// the per-reader map. It is built once and read-only thereafter, so
+// concurrent stores and deserializers share it without locking.
+var internTab = func() map[string]string {
+	m := make(map[string]string, 64)
+	for _, s := range []string{
+		"", "0", "1", "2", "3", "4", "5", "6", "7", "8", "9",
+		"backend", "backend-id", "bridge", "event-channel",
+		"frontend", "frontend-id", "grant-ref", "handle", "mac",
+		"online", "state", "device", "vif", "vbd", "console",
+		"name", "vm", "domid", "memory", "target", "static-max",
+		"cpu", "availability", "limit", "type", "control",
+		"platform-feature-multiprocessor-suspend", "shutdown",
+		"image", "entry", "unpaused", "ring-ref", "port",
+		"xenbr0", "xenconsoled", "1048576",
+	} {
+		m[s] = s
+	}
+	return m
+}()
+
 // slotIndex maps a bitmap position to its packed slot index.
 func (a *amtNode) slotIndex(bit uint32) int {
 	return bits.OnesCount32(a.bitmap & (bit - 1))
@@ -188,12 +221,14 @@ func (a *amtNode) withSlot(p *pool, idx int, s any) *amtNode {
 
 // withInsert returns a copy of a with a new bit set and slot inserted,
 // retiring the original level to p. A level the open commit owns is
-// edited in place instead.
+// edited in place instead while its slot array has room; a full one
+// is copied into the next bracket (pool.go), so no level's array ever
+// regrows outside the bracket it was allocated for.
 func (a *amtNode) withInsert(p *pool, bit uint32, s any) *amtNode {
 	idx := a.slotIndex(bit)
-	if p.owns(a.edit) {
+	if p.owns(a.edit) && len(a.slots) < cap(a.slots) {
 		a.bitmap |= bit
-		a.slots = append(a.slots, nil)
+		a.slots = a.slots[:len(a.slots)+1]
 		copy(a.slots[idx+1:], a.slots[idx:])
 		a.slots[idx] = s
 		return a
