@@ -1080,10 +1080,18 @@ func (a *hostAgent) stop() { a.stopped = true }
 // Harvest
 // ---------------------------------------------------------------------------
 
-// harvest assembles the report after the engine has quiesced.
+// harvest assembles the report after the engine has quiesced. The
+// surviving hosts' audits run as one more engine window: each live
+// agent's Fsck is an event on its own shard at the makespan, so the
+// engine's workers audit the hosts in parallel, and the counts are
+// summed in agent order afterwards. Fsck is clock-free, so the window
+// moves no figure; the makespan is read before it, and the engine
+// statistics were captured when the run returned.
 func (sc *Sharded) harvest() (*ChurnReport, error) {
 	c := sc.ctl
 	rep := &c.report
+	end := sc.eng.MaxTime()
+	rep.MakespanMS = float64(end) / float64(time.Millisecond)
 	for _, ps := range c.pools {
 		placed := 0
 		for id := ps.firstVM; id < ps.firstVM+uint32(ps.VMs); id++ {
@@ -1097,12 +1105,16 @@ func (sc *Sharded) harvest() (*ChurnReport, error) {
 		ps.report.Placed = placed
 		rep.Pools = append(rep.Pools, ps.report)
 	}
-	for _, a := range sc.agents {
+	violated := make([]int, len(sc.agents))
+	for i, a := range sc.agents {
 		rep.DeferredBeats += a.deferredBeats
 		if !a.dead {
-			rep.FsckViolated += len(toolstack.Fsck(a.host.Env))
+			a.shard.Clock().Schedule(end, func() { violated[i] = len(toolstack.Fsck(a.host.Env)) })
 		}
 	}
-	rep.MakespanMS = float64(sc.eng.MaxTime()) / float64(time.Millisecond)
+	sc.eng.Run()
+	for _, n := range violated {
+		rep.FsckViolated += n
+	}
 	return rep, nil
 }

@@ -190,3 +190,38 @@ func TestShardedChurnRace(t *testing.T) {
 		t.Error("no cross-shard messages — the race test exercised nothing")
 	}
 }
+
+// TestShardedHarvestCountsEachViolationOnce plants one leak, a console
+// ring for a domain its host never ran, on one member of a small fleet
+// with no host failures. The post-run audit runs every surviving
+// host's fsck in one engine window; the leak must be counted exactly
+// once at any worker count, and a fleet without it must audit clean.
+func TestShardedHarvestCountsEachViolationOnce(t *testing.T) {
+	pools := []HostPool{
+		{Name: "chaos", Mode: toolstack.ModeLightVM, Hosts: 3, VMs: 24, Image: guest.Daytime()},
+		{Name: "xl", Mode: toolstack.ModeXL, Hosts: 2, VMs: 8, Image: guest.Daytime()},
+	}
+	for _, leak := range []bool{false, true} {
+		for _, workers := range []int{1, 4} {
+			sc, err := NewSharded(ShardedConfig{Machine: testMachine, Workers: workers, Seed: 5}, pools)
+			if err != nil {
+				t.Fatalf("NewSharded: %v", err)
+			}
+			want := 0
+			if leak {
+				sc.agents[1].host.Env.Console.Attach(999)
+				want = 1
+			}
+			rep, err := sc.RunChurn(ChurnSpec{Waves: 2, WavePeriod: time.Second, MigratePerWave: 2, Drain: 30 * time.Second})
+			if err != nil {
+				t.Fatalf("RunChurn: %v", err)
+			}
+			if rep.HostsFailed != 0 || rep.Unplaced != 0 {
+				t.Fatalf("leak=%v workers=%d: %d hosts failed, %d VMs unplaced", leak, workers, rep.HostsFailed, rep.Unplaced)
+			}
+			if rep.FsckViolated != want {
+				t.Errorf("leak=%v workers=%d: FsckViolated = %d, want %d", leak, workers, rep.FsckViolated, want)
+			}
+		}
+	}
+}

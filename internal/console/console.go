@@ -15,7 +15,6 @@ package console
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 
 	"lightvm/internal/hv"
@@ -108,14 +107,12 @@ func (d *Daemon) Detach(dom hv.DomID) {
 	delete(d.rings, dom)
 }
 
-// Domains lists every domain with an attached console, sorted.
-func (d *Daemon) Domains() []hv.DomID {
-	out := make([]hv.DomID, 0, len(d.rings))
+// EachDomain calls fn on every domain with an attached console, in
+// place and in no particular order.
+func (d *Daemon) EachDomain(fn func(hv.DomID)) {
 	for dom := range d.rings {
-		out = append(out, dom)
+		fn(dom)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 func (d *Daemon) ring(dom hv.DomID) (*ring, error) {

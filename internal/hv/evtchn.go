@@ -143,25 +143,21 @@ type Endpoint struct {
 	Peer  DomID
 }
 
-// PortEndpoints lists every live event channel's (owner, peer) pair,
-// sorted by port number. It is a pure inspection: no virtual time is
+// EachPort calls fn on every live event channel's (owner, peer) pair
+// in port order, in place. It is a pure inspection: no virtual time is
 // charged, so invariant checkers can call it without perturbing runs.
-func (h *Hypervisor) PortEndpoints() []Endpoint {
-	out := make([]Endpoint, 0, h.ports.n)
+func (h *Hypervisor) EachPort(fn func(Endpoint)) {
 	h.ports.each(func(_ Port, ch *channel) {
-		out = append(out, Endpoint{Owner: ch.owner, Peer: ch.peer})
+		fn(Endpoint{Owner: ch.owner, Peer: ch.peer})
 	})
-	return out
 }
 
-// GrantEndpoints lists every live grant's (owner, peer) pair, sorted
-// by grant ref. Clock-free, like PortEndpoints.
-func (h *Hypervisor) GrantEndpoints() []Endpoint {
-	out := make([]Endpoint, 0, h.grants.n)
+// EachGrant calls fn on every live grant's (owner, peer) pair in
+// grant-ref order, in place. Clock-free, like EachPort.
+func (h *Hypervisor) EachGrant(fn func(Endpoint)) {
 	h.grants.each(func(_ GrantRef, g *grant) {
-		out = append(out, Endpoint{Owner: g.owner, Peer: g.peer})
+		fn(Endpoint{Owner: g.owner, Peer: g.peer})
 	})
-	return out
 }
 
 // HasPort reports whether a port exists, without charging time.

@@ -157,16 +157,21 @@ func (h *Hypervisor) Domain(id DomID) (*Domain, error) {
 // NumDomains reports the number of live guest domains (excluding Dom0).
 func (h *Hypervisor) NumDomains() int { return h.domains.n - 1 }
 
-// DomainIDs returns all guest domain IDs in ascending order.
-func (h *Hypervisor) DomainIDs() []DomID {
-	out := make([]DomID, 0, h.domains.n-1)
+// EachDomain calls fn on every guest domain ID (Dom0 excluded) in
+// ascending order, in place: no listing is built and no virtual time
+// is charged. fn may destroy domains.
+func (h *Hypervisor) EachDomain(fn func(DomID)) {
 	h.domains.each(func(id DomID, _ **Domain) {
 		if id != 0 {
-			out = append(out, id)
+			fn(id)
 		}
 	})
-	return out
 }
+
+// DomIDLimit is one past the highest domain ID issued so far. IDs are
+// dense and never reused, so every domain this hypervisor ever held
+// has an ID below it.
+func (h *Hypervisor) DomIDLimit() DomID { return h.domains.next }
 
 // CreateDomain is the domain-creation hypercall: it reserves an ID and
 // management structures and pins vCPUs to cores. Memory is populated

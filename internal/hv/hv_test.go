@@ -3,7 +3,6 @@ package hv
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"testing"
 	"unsafe"
 
@@ -123,14 +122,21 @@ func TestDomainIDsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids := h.DomainIDs()
+	var ids []DomID
+	h.EachDomain(func(id DomID) { ids = append(ids, id) })
 	if len(ids) != 5 {
-		t.Fatalf("DomainIDs len = %d", len(ids))
+		t.Fatalf("EachDomain visited %d domains", len(ids))
 	}
 	for i := 1; i < len(ids); i++ {
 		if ids[i] <= ids[i-1] {
 			t.Fatalf("ids not ascending: %v", ids)
 		}
+	}
+	if err := h.DestroyDomain(ids[4]); err != nil {
+		t.Fatal(err)
+	}
+	if lim := h.DomIDLimit(); lim != ids[4]+1 {
+		t.Fatalf("DomIDLimit = %d after destroying the newest domain %d, want %d", lim, ids[4], ids[4]+1)
 	}
 }
 
@@ -340,10 +346,14 @@ func TestManyDomainsMemoryAccounting(t *testing.T) {
 	if got != n*8*mib {
 		t.Fatalf("guest memory accounted %d, want %d", got, n*8*mib)
 	}
-	for _, id := range h.DomainIDs() {
-		if err := h.DestroyDomain(id); err != nil {
-			t.Fatal(err)
+	var destroyErr error
+	h.EachDomain(func(id DomID) {
+		if err := h.DestroyDomain(id); err != nil && destroyErr == nil {
+			destroyErr = err
 		}
+	})
+	if destroyErr != nil {
+		t.Fatal(destroyErr)
 	}
 	if h.UsedMemBytes() != base {
 		t.Fatal("memory not fully released after mass destroy")
@@ -442,18 +452,19 @@ func TestEndpointIntrospectionIsClockFree(t *testing.T) {
 	p, _ := h.AllocUnboundPort(0, d.ID)
 	g, _ := h.GrantAccess(0, d.ID, 1, false)
 	before := h.Clock.Now()
-	pe := h.PortEndpoints()
-	ge := h.GrantEndpoints()
+	var pe, ge []Endpoint
+	h.EachPort(func(ep Endpoint) { pe = append(pe, ep) })
+	h.EachGrant(func(ep Endpoint) { ge = append(ge, ep) })
 	_ = h.HasPort(p)
 	_ = h.HasGrant(g)
 	if h.Clock.Now() != before {
 		t.Fatal("introspection charged virtual time")
 	}
 	if len(pe) != 1 || pe[0] != (Endpoint{Owner: 0, Peer: d.ID}) {
-		t.Fatalf("PortEndpoints = %+v", pe)
+		t.Fatalf("EachPort visited %+v", pe)
 	}
 	if len(ge) != 1 || ge[0] != (Endpoint{Owner: 0, Peer: d.ID}) {
-		t.Fatalf("GrantEndpoints = %+v", ge)
+		t.Fatalf("EachGrant visited %+v", ge)
 	}
 }
 
@@ -464,7 +475,11 @@ func TestEndpointIntrospectionIsClockFree(t *testing.T) {
 func TestDestroyReleasesAllGuestMemory(t *testing.T) {
 	h := New(sim.NewClock(), 1024*mib)
 	used0 := h.UsedMemBytes()
-	holds := func(id DomID) bool { return slices.Contains(h.Mem.Owners(), mm.Owner(id)) }
+	holds := func(id DomID) bool {
+		held := false
+		h.Mem.EachOwner(func(o mm.Owner, _ uint64) { held = held || o == mm.Owner(id) })
+		return held
+	}
 	d, err := h.CreateDomain(Config{MaxMem: 64 * mib})
 	if err != nil {
 		t.Fatal(err)

@@ -304,7 +304,7 @@ func Restore(e *toolstack.Env, cp *Checkpoint) (*toolstack.VM, time.Duration, er
 			return nil, 0, fmt.Errorf("%w: %q store state: %v", ErrBadCheckpoint, cp.Name, err)
 		}
 		for i, k := range desc.Devices {
-			if !storeSnap.Exists("/device/" + xenbus.KindName(k) + "/" + strconv.Itoa(i)) {
+			if !storeSnap.Lookup("/device/" + xenbus.KindName(k) + "/" + strconv.Itoa(i)).Exists() {
 				return nil, 0, fmt.Errorf("%w: %q device %s/%d missing from captured registry",
 					ErrBadCheckpoint, cp.Name, k, i)
 			}

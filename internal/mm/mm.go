@@ -129,14 +129,12 @@ func (a *Allocator) SetPressurePages(n uint64) {
 // PressurePages reports the currently withheld headroom.
 func (a *Allocator) PressurePages() uint64 { return a.pressure }
 
-// Owners returns all owners with live allocations, sorted.
-func (a *Allocator) Owners() []Owner {
-	out := make([]Owner, 0, len(a.owners))
-	for o := range a.owners {
-		out = append(out, o)
+// EachOwner calls fn on every owner with live allocations and the
+// bytes it holds, in place and in no particular order.
+func (a *Allocator) EachOwner(fn func(o Owner, bytes uint64)) {
+	for o, rec := range a.owners {
+		fn(o, rec.pages*PageSize)
 	}
-	slices.Sort(out)
-	return out
 }
 
 // orderFor returns the smallest order whose block covers pages.

@@ -263,10 +263,20 @@ func TestOwnersList(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := a.Owners()
+	if _, err := a.AllocPages(2, 5); err != nil {
+		t.Fatal(err)
+	}
+	var got []Owner
+	a.EachOwner(func(o Owner, bytes uint64) {
+		if bytes != a.OwnerBytes(o) {
+			t.Fatalf("EachOwner(%d) reports %d bytes, OwnerBytes %d", o, bytes, a.OwnerBytes(o))
+		}
+		got = append(got, o)
+	})
+	slices.Sort(got)
 	want := []Owner{3, 5, 9}
-	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
-		t.Fatalf("Owners = %v, want %v", got, want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("EachOwner visited %v, want %v", got, want)
 	}
 }
 

@@ -1,15 +1,18 @@
 package toolstack
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 
 	"lightvm/internal/hv"
+	"lightvm/internal/mm"
 	"lightvm/internal/xenbus"
+	"lightvm/internal/xenstore"
 )
 
 // Fsck is the cross-layer invariant checker: it cross-references the
@@ -45,12 +48,38 @@ func (v Violation) String() string {
 // Fsck audits one quiescent environment. The caller must ensure no
 // lifecycle operation is in flight (violations found mid-operation
 // would be torn reads, not leaks).
+//
+// Its allocations do not grow with the guest count: the live set is a
+// bitset (domSet), the store is walked through snapshot entries rather
+// than per-directory listings and paths, and the hypervisor, allocator
+// and console tables are iterated in place. A string is built only for
+// a violation. The tables are walked in whatever order they keep, so
+// the result is sorted on every field: the list is the same whatever
+// the iteration order.
 func Fsck(e *Env) []Violation {
 	var out []Violation
 	add := func(layer, kind, subject, format string, args ...any) {
 		out = append(out, Violation{Layer: layer, Kind: kind, Subject: subject, Detail: fmt.Sprintf(format, args...)})
 	}
-	live := e.liveDomains()
+
+	// Pool: every shell must be backed by a real domain, and no shell
+	// may be shared with a tracked VM (a taken shell leaves the pool).
+	// Shell ids arrive sorted, so a duplicate is adjacent; overlaps are
+	// looked up in the tracked VMs' set before the shells join it.
+	vms := e.vmDomains()
+	shells := e.Pool.ShellDomIDs()
+	for i, id := range shells {
+		if _, err := e.HV.Domain(id); err != nil {
+			add("pool", "missing-shell-domain", strconv.Itoa(int(id)), "pooled shell's domain does not exist")
+		}
+		if i > 0 && shells[i-1] == id {
+			add("pool", "duplicate-shell", strconv.Itoa(int(id)), "domain pooled twice")
+		}
+		if vms.has(id) {
+			add("pool", "shell-vm-overlap", strconv.Itoa(int(id)), "pooled shell is also VM %q", e.vmOn(id))
+		}
+	}
+	live := liveDomains(vms, shells)
 
 	// Store-internal consistency (cached child counts).
 	for _, p := range e.Store.CheckConsistency() {
@@ -60,14 +89,12 @@ func Fsck(e *Env) []Violation {
 	snap := e.Store.Snapshot()
 
 	// Orphan registry subtrees and dirty journals.
-	if ids, err := snap.Directory("/local/domain"); err == nil {
-		sort.Strings(ids)
-		for _, s := range ids {
-			if id, aerr := strconv.Atoi(s); aerr == nil && id != 0 && !live[hv.DomID(id)] {
-				add("xenstore", "orphan-domain-dir", "/local/domain/"+s, "registry subtree for dead domain %d", id)
-			}
+	local := snap.Lookup("/local/domain")
+	local.Each(func(s string, _ xenstore.Entry) {
+		if id, err := strconv.Atoi(s); err == nil && id != 0 && !live.has(hv.DomID(id)) {
+			add("xenstore", "orphan-domain-dir", "/local/domain/"+s, "registry subtree for dead domain %d", id)
 		}
-	}
+	})
 	// Lease records share the journal but are ownership claims, not
 	// intents: a claim is validated (live domain, current epoch), not
 	// flagged as dirt.
@@ -85,17 +112,13 @@ func Fsck(e *Env) []Violation {
 			add(layer, "stale-lease", rec.Key, "epoch %d no longer current — the fence should have scrubbed this copy", rec.Epoch)
 		}
 	}
-	if keys, err := snap.Directory(journalRoot); err == nil {
-		sort.Strings(keys)
-		for _, k := range keys {
-			v, _ := snap.Read(journalRoot + "/" + k)
-			if strings.HasPrefix(k, leasePrefix) {
-				checkLease("xenstore", parseJournalRecord(k, v))
-				continue
-			}
-			add("xenstore", "journal-dirty", journalRoot+"/"+k, "unrecovered intent: %s", v)
+	snap.Lookup(journalRoot).Each(func(k string, rec xenstore.Entry) {
+		if strings.HasPrefix(k, leasePrefix) {
+			checkLease("xenstore", parseJournalRecord(k, rec.Value()))
+			return
 		}
-	}
+		add("xenstore", "journal-dirty", journalRoot+"/"+k, "unrecovered intent: %s", rec.Value())
+	})
 	for _, ent := range e.Noxs.JournalEntries() {
 		if strings.HasPrefix(ent.Key, leasePrefix) {
 			checkLease("noxs", parseJournalRecord(ent.Key, ent.Record))
@@ -108,103 +131,89 @@ func Fsck(e *Env) []Violation {
 	// dir of a live domain.
 	for _, kind := range scrubKinds {
 		root := xenbus.BackendDir(kind)
-		doms, err := snap.Directory(root)
-		if err != nil {
-			continue
-		}
-		sort.Strings(doms)
-		for _, ds := range doms {
-			id, aerr := strconv.Atoi(ds)
-			if aerr != nil {
-				continue
+		kname := xenbus.KindName(kind)
+		snap.Lookup(root).Each(func(ds string, devs xenstore.Entry) {
+			id, err := strconv.Atoi(ds)
+			if err != nil {
+				return
 			}
-			idxs, ierr := snap.Directory(root + "/" + ds)
-			if ierr != nil {
-				continue
+			dom := hv.DomID(id)
+			// The frontend dir is /local/domain/<id>/device/<kind>/<idx>:
+			// reached by entry when the names are in the form that path
+			// prints, by path otherwise.
+			canon := isDecimal(ds, id)
+			var fe xenstore.Entry
+			if canon {
+				fe = local.Child(ds).Child("device").Child(kname)
 			}
-			sort.Strings(idxs)
-			for _, is := range idxs {
-				idx, xerr := strconv.Atoi(is)
-				if xerr != nil {
-					continue
+			devs.Each(func(is string, _ xenstore.Entry) {
+				idx, err := strconv.Atoi(is)
+				if err != nil {
+					return
 				}
-				be := root + "/" + ds + "/" + is
-				if !live[hv.DomID(id)] {
-					add("xenstore", "orphan-backend", be, "backend for dead domain %d", id)
-					continue
+				if !live.has(dom) {
+					add("xenstore", "orphan-backend", root+"/"+ds+"/"+is, "backend for dead domain %d", id)
+					return
 				}
-				if !snap.Exists(xenbus.FrontendPath(hv.DomID(id), kind, idx)) {
-					add("xenstore", "backend-without-frontend", be, "no frontend dir for dom %d %s[%d]", id, xenbus.KindName(kind), idx)
+				var ok bool
+				if canon && isDecimal(is, idx) {
+					ok = fe.Child(is).Exists()
+				} else {
+					ok = snap.Lookup(xenbus.FrontendPath(dom, kind, idx)).Exists()
 				}
-			}
-		}
+				if !ok {
+					add("xenstore", "backend-without-frontend", root+"/"+ds+"/"+is, "no frontend dir for dom %d %s[%d]", id, kname, idx)
+				}
+			})
+		})
 	}
 
 	// Orphan frontend watches.
 	for _, tok := range e.Store.WatchTokens() {
-		if dom, ok := frontendWatchDom(tok); ok && !live[dom] {
+		if dom, ok := frontendWatchDom(tok); ok && !live.has(dom) {
 			add("xenstore", "orphan-watch", tok, "frontend watch of dead domain %d", dom)
 		}
 	}
 
 	// Hypervisor: domains, event channels and grants must belong to
 	// live domains on both endpoints.
-	for _, id := range e.HV.DomainIDs() {
-		if !live[id] {
+	e.HV.EachDomain(func(id hv.DomID) {
+		if !live.has(id) {
 			add("hv", "orphan-domain", strconv.Itoa(int(id)), "hypervisor domain with no toolstack claim")
 		}
+	})
+	deadEnd := func(ep hv.Endpoint) bool {
+		return (ep.Owner != 0 && !live.has(ep.Owner)) || (ep.Peer != 0 && !live.has(ep.Peer))
 	}
-	for _, ep := range e.HV.PortEndpoints() {
-		if (ep.Owner != 0 && !live[ep.Owner]) || (ep.Peer != 0 && !live[ep.Peer]) {
+	e.HV.EachPort(func(ep hv.Endpoint) {
+		if deadEnd(ep) {
 			add("hv", "orphan-port", fmt.Sprintf("%d->%d", ep.Owner, ep.Peer), "event channel endpoint is dead")
 		}
-	}
-	for _, ep := range e.HV.GrantEndpoints() {
-		if (ep.Owner != 0 && !live[ep.Owner]) || (ep.Peer != 0 && !live[ep.Peer]) {
+	})
+	e.HV.EachGrant(func(ep hv.Endpoint) {
+		if deadEnd(ep) {
 			add("hv", "orphan-grant", fmt.Sprintf("%d->%d", ep.Owner, ep.Peer), "grant endpoint is dead")
 		}
-	}
+	})
 
 	// Memory: every charged owner in the domain-ID range must be a live
 	// domain. Owners at nonDomainOwnerBase and above belong to other
 	// tenants of the allocator (the container engine allocates from
 	// 1<<20, the process runner from 1<<24, dedup share pools from
 	// 1<<28) and are outside the toolstack's jurisdiction.
-	for _, o := range e.HV.Mem.Owners() {
-		if o != 0 && o < nonDomainOwnerBase && !live[hv.DomID(o)] {
-			add("mm", "orphan-memory", strconv.Itoa(int(o)), "%d bytes owned by dead domain", e.HV.Mem.OwnerBytes(o))
+	e.HV.Mem.EachOwner(func(o mm.Owner, bytes uint64) {
+		if o != 0 && o < nonDomainOwnerBase && !live.has(hv.DomID(o)) {
+			add("mm", "orphan-memory", strconv.Itoa(int(o)), "%d bytes owned by dead domain", bytes)
 		}
-	}
-
-	// Pool: every shell must be backed by a real domain, and no shell
-	// may be shared with a tracked VM (a taken shell leaves the pool).
-	vmDoms := map[hv.DomID]string{}
-	for _, vm := range e.vms {
-		if vm.Dom != nil {
-			vmDoms[vm.Dom.ID] = vm.Name
-		}
-	}
-	seen := map[hv.DomID]bool{}
-	for _, id := range e.Pool.ShellDomIDs() {
-		if _, err := e.HV.Domain(id); err != nil {
-			add("pool", "missing-shell-domain", strconv.Itoa(int(id)), "pooled shell's domain does not exist")
-		}
-		if seen[id] {
-			add("pool", "duplicate-shell", strconv.Itoa(int(id)), "domain pooled twice")
-		}
-		seen[id] = true
-		if name, ok := vmDoms[id]; ok {
-			add("pool", "shell-vm-overlap", strconv.Itoa(int(id)), "pooled shell is also VM %q", name)
-		}
-	}
+	})
 
 	// Console: a guest's ring is attached when it boots and detached
 	// with its load, so every ring must belong to a live domain.
-	for _, id := range e.Console.Domains() {
-		if !live[id] {
+	e.Console.EachDomain(func(id hv.DomID) {
+		if !live.has(id) {
 			add("console", "orphan-ring", strconv.Itoa(int(id)), "console ring of dead domain %d", id)
 		}
-	}
+	})
 
 	// Toolstack ledger: Dom0's dilation wake-rate must equal the sum
 	// over booted guests.
@@ -218,17 +227,34 @@ func Fsck(e *Env) []Violation {
 		add("toolstack", "wake-ledger", "dom0", "dilation ledger %.3f wakes/s, live guests sum to %.3f", e.dom0WakeRate, want)
 	}
 
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Layer != b.Layer {
-			return a.Layer < b.Layer
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Subject < b.Subject
+	slices.SortFunc(out, func(a, b Violation) int {
+		return cmp.Or(
+			strings.Compare(a.Layer, b.Layer),
+			strings.Compare(a.Kind, b.Kind),
+			strings.Compare(a.Subject, b.Subject),
+			strings.Compare(a.Detail, b.Detail),
+		)
 	})
 	return out
+}
+
+// isDecimal reports whether s is n printed in decimal, the form the
+// store paths built by xenbus use.
+func isDecimal(s string, n int) bool {
+	var buf [20]byte
+	return string(strconv.AppendInt(buf[:0], int64(n), 10)) == s
+}
+
+// vmOn names the tracked VM running on domain id (the least name, if
+// several claim it).
+func (e *Env) vmOn(id hv.DomID) string {
+	name, found := "", false
+	for _, vm := range e.vms {
+		if vm.Dom != nil && vm.Dom.ID == id && (!found || vm.Name < name) {
+			name, found = vm.Name, true
+		}
+	}
+	return name
 }
 
 // Environment tracking: experiments build Envs deep inside generator

@@ -170,3 +170,61 @@ func TestFsckSeededViolations(t *testing.T) {
 		})
 	}
 }
+
+// fsckGuests returns a host running n daytime guests created in mode,
+// audited clean.
+func fsckGuests(tb testing.TB, mode Mode, n int) *Env {
+	tb.Helper()
+	e := newEnv()
+	drv := e.ForMode(mode)
+	if mode.UsesSplit() {
+		e.Pool.Register(guest.Daytime(), mode.UsesStore())
+		if err := e.Pool.Replenish(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := range n {
+		if _, err := drv.Create("g"+strconv.Itoa(i), guest.Daytime()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if v := Fsck(e); len(v) > 0 {
+		tb.Fatalf("%v host with %d guests: %v", mode, n, v)
+	}
+	return e
+}
+
+// TestFsckAllocs audits clean hosts at 100 and at 1,000 live guests:
+// the audit's allocation count must not grow with the guest count and
+// must stay within a small budget. Both modes measure 6, among them
+// the live set, the watch-token listing and the three backend-root
+// paths; none is per guest.
+func TestFsckAllocs(t *testing.T) {
+	const budget = 6
+	for _, mode := range []Mode{ModeLightVM, ModeXL} {
+		var allocs [2]float64
+		for i, n := range []int{100, 1000} {
+			e := fsckGuests(t, mode, n)
+			allocs[i] = testing.AllocsPerRun(10, func() { _ = Fsck(e) })
+		}
+		t.Logf("%v: %.0f allocations at 100 guests, %.0f at 1,000", mode, allocs[0], allocs[1])
+		if allocs[0] != allocs[1] {
+			t.Errorf("%v: fsck allocates %.0f objects at 100 guests but %.0f at 1,000", mode, allocs[0], allocs[1])
+		}
+		if allocs[1] > budget {
+			t.Errorf("%v: fsck allocates %.0f objects, budget %d", mode, allocs[1], budget)
+		}
+	}
+}
+
+// BenchmarkFsck audits a clean LightVM host running 1,000 guests.
+func BenchmarkFsck(b *testing.B) {
+	e := fsckGuests(b, ModeLightVM, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if v := Fsck(e); len(v) > 0 {
+			b.Fatal(v)
+		}
+	}
+}

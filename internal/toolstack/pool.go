@@ -1,6 +1,7 @@
 package toolstack
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 
@@ -165,13 +166,17 @@ func (p *Pool) Available(img guest.Image, store bool) int {
 // The scrubber and the invariant checker cross-reference it: pooled
 // shells are live control-plane state, not orphans.
 func (p *Pool) ShellDomIDs() []hv.DomID {
-	var out []hv.DomID
+	n := 0
+	for _, ent := range p.order {
+		n += len(ent.shells)
+	}
+	out := make([]hv.DomID, 0, n)
 	for _, ent := range p.order {
 		for _, s := range ent.shells {
 			out = append(out, s.Dom.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

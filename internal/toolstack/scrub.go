@@ -155,19 +155,52 @@ func (e *Env) rollbackDomain(err error, useStore bool, name string, dom hv.DomID
 	return err
 }
 
-// liveDomains is the set of domains the control plane still claims:
-// Dom0, every tracked VM, and every pooled shell.
-func (e *Env) liveDomains() map[hv.DomID]bool {
-	live := map[hv.DomID]bool{0: true}
+// domSet is a set of domain ids: a bitset over the host's dense,
+// never-reused id space (hv.Hypervisor.DomIDLimit), one allocation
+// however many guests the host runs.
+type domSet []uint64
+
+// newDomSet returns an empty set sized for every id h has issued.
+func newDomSet(h *hv.Hypervisor) domSet {
+	return make(domSet, (int(h.DomIDLimit())+63)/64)
+}
+
+// add puts id in the set, growing it for an id past the sizing limit.
+func (s *domSet) add(id hv.DomID) {
+	w := int(id >> 6)
+	for len(*s) <= w {
+		*s = append(*s, 0)
+	}
+	(*s)[w] |= 1 << (id & 63)
+}
+
+// has reports whether id is in the set; ids outside it, negative ones
+// included, are not.
+func (s domSet) has(id hv.DomID) bool {
+	w := int(id >> 6)
+	return id >= 0 && w < len(s) && s[w]&(1<<(id&63)) != 0
+}
+
+// vmDomains is the set of domains backing tracked VMs.
+func (e *Env) vmDomains() domSet {
+	s := newDomSet(e.HV)
 	for _, vm := range e.vms {
 		if vm.Dom != nil {
-			live[vm.Dom.ID] = true
+			s.add(vm.Dom.ID)
 		}
 	}
-	for _, id := range e.Pool.ShellDomIDs() {
-		live[id] = true
+	return s
+}
+
+// liveDomains is the set of domains the control plane still claims:
+// Dom0, every tracked VM (vms, from vmDomains, which it extends in
+// place) and every pooled shell (shells, from Pool.ShellDomIDs).
+func liveDomains(vms domSet, shells []hv.DomID) domSet {
+	vms.add(0)
+	for _, id := range shells {
+		vms.add(id)
 	}
-	return live
+	return vms
 }
 
 // sweepStore is the xl-style full-registry scan: every Directory read
@@ -175,13 +208,13 @@ func (e *Env) liveDomains() map[hv.DomID]bool {
 // the registry's size — including litter left by OTHER crashed
 // operations, which is exactly the degradation Fig. 5 describes.
 func (e *Env) sweepStore(r *ScrubReport) {
-	live := e.liveDomains()
+	live := liveDomains(e.vmDomains(), e.Pool.ShellDomIDs())
 	// Orphan domain subtrees: a /local/domain/<id> with no live claim.
 	if ids, err := e.Store.Directory("/local/domain"); err == nil {
 		sort.Strings(ids)
 		for _, s := range ids {
 			id, aerr := strconv.Atoi(s)
-			if aerr != nil || id == 0 || live[hv.DomID(id)] {
+			if aerr != nil || id == 0 || live.has(hv.DomID(id)) {
 				continue
 			}
 			had := r.Orphans
@@ -196,7 +229,7 @@ func (e *Env) sweepStore(r *ScrubReport) {
 		sort.Strings(ids)
 		for _, s := range ids {
 			id, aerr := strconv.Atoi(s)
-			if aerr != nil || live[hv.DomID(id)] {
+			if aerr != nil || live.has(hv.DomID(id)) {
 				continue
 			}
 			_ = e.Store.Rm("/vm/names/" + s)
@@ -226,7 +259,7 @@ func (e *Env) sweepStore(r *ScrubReport) {
 		sort.Strings(doms)
 		for _, s := range doms {
 			id, aerr := strconv.Atoi(s)
-			if aerr != nil || live[hv.DomID(id)] {
+			if aerr != nil || live.has(hv.DomID(id)) {
 				continue
 			}
 			_ = e.Store.Rm(root + "/" + s)
@@ -238,7 +271,7 @@ func (e *Env) sweepStore(r *ScrubReport) {
 	// removal is a charged store op.
 	for _, tok := range e.Store.WatchTokens() {
 		dom, ok := frontendWatchDom(tok)
-		if !ok || live[dom] {
+		if !ok || live.has(dom) {
 			continue
 		}
 		e.Store.UnwatchByToken(tok)

@@ -340,3 +340,85 @@ func TestTxnCommitCopiesSpineOnce(t *testing.T) {
 		t.Fatalf("commit with recycling off allocates %.1f objects, want %d (spine copied once per commit)", got, want)
 	}
 }
+
+// TestDeserializeSizesLevels decodes a 1,000-guest store plus one
+// 20-child directory (10,024 nodes). Each decoded trie level is
+// allocated once, at its final slot count and that count's bracket
+// capacity, so no level's array is outgrown while its children are
+// read. Before levels were sized up front the decode made 27,241
+// allocations, about 2,470 of them arrays that append outgrew; sized
+// levels make 24,772.
+func TestDeserializeSizesLevels(t *testing.T) {
+	s := guestStore()
+	for i := range 20 {
+		s.Write(fmt.Sprintf("/wide/c%02d", i), "v")
+	}
+	blob := s.Snapshot().Serialize()
+	sn, err := DeserializeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := sn.NumNodes(); n != 10024 {
+		t.Fatalf("fixture has %d nodes, want 10024", n)
+	}
+	var check func(n *node)
+	check = func(n *node) {
+		var level func(a *amtNode)
+		level = func(a *amtNode) {
+			if a == nil {
+				return
+			}
+			if a.ptag != 0 {
+				t.Fatalf("decoded level under %q is pooled (ptag %d)", n.name, a.ptag)
+			}
+			if l := len(a.slots); cap(a.slots) != amtBrackets[amtBracketOf[l]] {
+				t.Fatalf("decoded level under %q has %d slots and capacity %d, want %d", n.name, l, cap(a.slots), amtBrackets[amtBracketOf[l]])
+			}
+			for _, s := range a.slots {
+				switch e := s.(type) {
+				case *node:
+					check(e)
+				case *amtNode:
+					level(e)
+				}
+			}
+		}
+		level(n.kids)
+	}
+	check(sn.root)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := DeserializeSnapshot(blob); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations per decode", allocs)
+	if allocs > 24800 {
+		t.Fatalf("decode makes %.0f allocations, want at most 24800", allocs)
+	}
+}
+
+// TestEntryWalkAllocFree walks every guest's vif directory in a
+// 1,000-guest snapshot through Entry handles: the walk builds no path
+// and no listing, so it allocates nothing.
+func TestEntryWalkAllocFree(t *testing.T) {
+	sn := guestStore().Snapshot()
+	local := sn.Lookup("/local/domain")
+	found := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		found = 0
+		local.Each(func(_ string, dom Entry) {
+			if dom.Child("device").Child("vif").Child("0").Child("state").Value() == "4" {
+				found++
+			}
+		})
+	})
+	if found != 1000 {
+		t.Fatalf("walk found %d vif states, want 1000", found)
+	}
+	if allocs != 0 {
+		t.Fatalf("entry walk allocates %.1f objects, want 0", allocs)
+	}
+	if sn.Lookup("/local/nowhere").Child("x").Exists() {
+		t.Fatal("a missing entry has children")
+	}
+}

@@ -3,6 +3,7 @@ package xenstore
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // CheckConsistency audits the store's internal bookkeeping against the
@@ -18,21 +19,38 @@ import (
 // Like Snapshot, it only reads the published root and charges no
 // virtual time, so experiments can audit themselves without
 // perturbing their own figures.
+//
+// A path string is built only for a node that fails the check, so a
+// clean audit allocates nothing per node.
 func (s *Store) CheckConsistency() []string {
-	var out []string
-	var walk func(path string, n *node)
-	walk = func(path string, n *node) {
-		kids := 0
-		n.eachChild(func(c *node) bool {
-			kids++
-			walk(path+"/"+c.name, c)
-			return true
-		})
-		if kids != n.nkids {
-			out = append(out, fmt.Sprintf("node %s: nkids %d, trie has %d children", path, n.nkids, kids))
+	var depth [16]string
+	c := consistencyWalk{names: depth[:0]}
+	c.walk(s.root)
+	sort.Strings(c.out)
+	return c.out
+}
+
+// consistencyWalk is CheckConsistency's state: names holds the path
+// from the root to the node being checked, one segment per level.
+type consistencyWalk struct {
+	names []string
+	out   []string
+}
+
+func (c *consistencyWalk) walk(n *node) {
+	kids := 0
+	n.eachChild(func(k *node) bool {
+		kids++
+		c.names = append(c.names, k.name)
+		c.walk(k)
+		c.names = c.names[:len(c.names)-1]
+		return true
+	})
+	if kids != n.nkids {
+		path := ""
+		if len(c.names) > 0 {
+			path = "/" + strings.Join(c.names, "/")
 		}
+		c.out = append(c.out, fmt.Sprintf("node %s: nkids %d, trie has %d children", path, n.nkids, kids))
 	}
-	walk("", s.root)
-	sort.Strings(out)
-	return out
 }

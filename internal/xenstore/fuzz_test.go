@@ -111,7 +111,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		checkGenBound(t, sn.root, sn.gen)
 		// Walking the frozen tree must be safe.
-		if _, err := sn.Directory("/"); err != nil {
+		if _, err := snapDir(sn, "/"); err != nil {
 			t.Fatalf("Directory on accepted snapshot: %v", err)
 		}
 		// Grafting any accepted snapshot must keep generation order

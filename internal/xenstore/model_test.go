@@ -511,11 +511,11 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 		t.Fatalf("seed %d: node count: store %d, model %d", seed, got, want)
 	}
 	for p, n := range m.nodes {
-		v, err := end.Read(p)
+		v, err := snapRead(end, p)
 		if err != nil || v != n.value {
 			t.Fatalf("seed %d: end state %q: store (%q, %v), model %q", seed, p, v, err, n.value)
 		}
-		got, err := end.Directory(p)
+		got, err := snapDir(end, p)
 		if err != nil || !equalStrings(got, m.children(p)) {
 			t.Fatalf("seed %d: end children of %q: store (%v, %v), model %v", seed, p, got, err, m.children(p))
 		}
@@ -533,7 +533,7 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			t.Fatalf("seed %d: snapshot@op%d node count: store %d, model %d", seed, fz.opIndex, got, want)
 		}
 		for p, n := range fz.want {
-			v, err := fz.sn.Read(p)
+			v, err := snapRead(fz.sn, p)
 			if err != nil || v != n.value {
 				t.Fatalf("seed %d: snapshot@op%d %q: store (%q, %v), model %q", seed, fz.opIndex, p, v, err, n.value)
 			}

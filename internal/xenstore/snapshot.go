@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Snapshot is an immutable capture of the store at one published
@@ -39,30 +38,48 @@ func (sn *Snapshot) Gen() uint64 { return sn.gen }
 // own root. It walks the whole captured tree.
 func (sn *Snapshot) NumNodes() int { return countNodes(sn.root) }
 
-// Read returns the value at path inside the frozen tree.
-func (sn *Snapshot) Read(path string) (string, error) {
+// Lookup returns the entry at path inside the frozen tree.
+func (sn *Snapshot) Lookup(path string) Entry {
 	n, _ := resolveFrom(sn.root, path)
-	if n == nil {
-		return "", fmt.Errorf("%w: %s", ErrNoEnt, path)
-	}
-	return n.value, nil
+	return Entry{n}
 }
 
-// Exists reports whether path resolved at capture time.
-func (sn *Snapshot) Exists(path string) bool {
-	n, _ := resolveFrom(sn.root, path)
-	return n != nil
+// Entry is a handle on one node of a frozen tree; the zero Entry is a
+// missing node. Walking from a Lookup with Child and Each builds no
+// path and no listing, so an audit of every guest's registry entries
+// (toolstack.Fsck) allocates nothing per guest. Like everything on a
+// snapshot it charges no virtual time.
+type Entry struct{ n *node }
+
+// Exists reports whether the entry names a node.
+func (e Entry) Exists() bool { return e.n != nil }
+
+// Value returns the node's value ("" for a missing node).
+func (e Entry) Value() string {
+	if e.n == nil {
+		return ""
+	}
+	return e.n.value
 }
 
-// Directory lists the children of path at capture time, sorted.
-func (sn *Snapshot) Directory(path string) ([]string, error) {
-	n, _ := resolveFrom(sn.root, path)
-	if n == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoEnt, path)
+// Child returns the direct child called name.
+func (e Entry) Child(name string) Entry {
+	if e.n == nil {
+		return Entry{}
 	}
-	out := appendChildNames(n.kids, make([]string, 0, n.nkids))
-	sort.Strings(out)
-	return out, nil
+	return Entry{e.n.childByID(nameHash(name), name)}
+}
+
+// Each calls fn on every direct child in trie order: deterministic
+// for given contents, but not sorted.
+func (e Entry) Each(fn func(name string, child Entry)) {
+	if e.n == nil {
+		return
+	}
+	e.n.eachChild(func(c *node) bool {
+		fn(c.name, Entry{c})
+		return true
+	})
 }
 
 // Subtree returns a snapshot rooted at path (sharing the same frozen
@@ -159,6 +176,9 @@ type snapReader struct {
 	// map is keyed by its own values, so lookups from the raw byte
 	// window never allocate.
 	interned map[string]string
+	// kids stacks the children of every directory being decoded, the
+	// innermost last; scratch is amtBuild's sort buffer.
+	kids, scratch []*node
 }
 
 // uvarint reads a minimally-encoded varint (non-minimal encodings are
@@ -228,6 +248,10 @@ func (r *snapReader) readNode(depth int) (*node, error) {
 		r.maxGen = gen
 	}
 	n := &node{name: name, hsh: nameHash(name), value: value, gen: gen}
+	// The children collect on r.kids above the entries of the
+	// directories being decoded around this one, then build the trie
+	// at once, so every level is allocated at its final size.
+	base := len(r.kids)
 	prev := ""
 	for i := uint64(0); i < nkids; i++ {
 		c, err := r.readNode(depth + 1)
@@ -241,13 +265,16 @@ func (r *snapReader) readNode(depth int) (*node, error) {
 			return nil, fmt.Errorf("%w: children out of order (%q after %q)", ErrBadSnapshot, c.name, prev)
 		}
 		prev = c.name
-		// amtBuild mutates the build-private trie in place (one
-		// allocation per level instead of a copied spine per child).
-		// Deserialized nodes are unpooled (ptag 0) — they may be
-		// grafted into any store and must never be recycled.
-		n.kids = amtBuild(n.kids, 0, c)
-		n.nkids++
+		r.kids = append(r.kids, c)
 	}
+	kids := r.kids[base:]
+	if len(r.scratch) < len(kids) {
+		r.scratch = make([]*node, len(kids))
+	}
+	n.kids = amtBuild(kids, r.scratch, 0)
+	n.nkids = len(kids)
+	clear(kids)
+	r.kids = r.kids[:base]
 	return n, nil
 }
 

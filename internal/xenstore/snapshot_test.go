@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"strconv"
 	"testing"
 )
@@ -21,6 +22,27 @@ func populateGuests(s *Store, n int) {
 	}
 }
 
+// snapRead returns the value at path in sn, or ErrNoEnt.
+func snapRead(sn *Snapshot, path string) (string, error) {
+	e := sn.Lookup(path)
+	if !e.Exists() {
+		return "", fmt.Errorf("%w: %s", ErrNoEnt, path)
+	}
+	return e.Value(), nil
+}
+
+// snapDir lists the children of path in sn, sorted, or ErrNoEnt.
+func snapDir(sn *Snapshot, path string) ([]string, error) {
+	e := sn.Lookup(path)
+	if !e.Exists() {
+		return nil, fmt.Errorf("%w: %s", ErrNoEnt, path)
+	}
+	out := []string{}
+	e.Each(func(name string, _ Entry) { out = append(out, name) })
+	sort.Strings(out)
+	return out, nil
+}
+
 func TestSnapshotFrozenWhileLiveTreeMoves(t *testing.T) {
 	s, _ := newStore()
 	populateGuests(s, 5)
@@ -35,22 +57,22 @@ func TestSnapshotFrozenWhileLiveTreeMoves(t *testing.T) {
 	s.Write("/local/domain/99/name", "late")
 	s.Mkdir("/local/domain/3/device/vbd")
 
-	if v, err := sn.Read("/local/domain/1/name"); err != nil || v != "g1" {
+	if v, err := snapRead(sn, "/local/domain/1/name"); err != nil || v != "g1" {
 		t.Fatalf("snapshot saw live write: %q, %v", v, err)
 	}
-	if !sn.Exists("/local/domain/2/name") {
+	if !sn.Lookup("/local/domain/2/name").Exists() {
 		t.Fatal("snapshot lost a node deleted later")
 	}
-	if sn.Exists("/local/domain/99") {
+	if sn.Lookup("/local/domain/99").Exists() {
 		t.Fatal("snapshot gained a node created later")
 	}
-	if sn.Exists("/local/domain/3/device/vbd") {
+	if sn.Lookup("/local/domain/3/device/vbd").Exists() {
 		t.Fatal("snapshot gained a directory made later")
 	}
 	if sn.NumNodes() != wantNodes {
 		t.Fatalf("snapshot node count moved: %d -> %d", wantNodes, sn.NumNodes())
 	}
-	kids, err := sn.Directory("/local/domain")
+	kids, err := snapDir(sn, "/local/domain")
 	if err != nil || len(kids) != 5 {
 		t.Fatalf("snapshot directory = %v, %v (want the 5 captured guests)", kids, err)
 	}
@@ -68,10 +90,10 @@ func TestSnapshotDoesNotChargeClock(t *testing.T) {
 	populateGuests(s, 20)
 	before := clock.Now()
 	sn := s.Snapshot()
-	if _, err := sn.Read("/local/domain/7/name"); err != nil {
+	if _, err := snapRead(sn, "/local/domain/7/name"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sn.Directory("/local/domain"); err != nil {
+	if _, err := snapDir(sn, "/local/domain"); err != nil {
 		t.Fatal(err)
 	}
 	if clock.Now() != before {
@@ -95,11 +117,11 @@ func TestSnapshotSerializeRoundTrip(t *testing.T) {
 	if back.NumNodes() != sn.NumNodes() {
 		t.Fatalf("round trip node count %d != %d", back.NumNodes(), sn.NumNodes())
 	}
-	if v, err := back.Read("/local/domain/3/name"); err != nil || v != "g3" {
+	if v, err := snapRead(back, "/local/domain/3/name"); err != nil || v != "g3" {
 		t.Fatalf("round-trip read = %q, %v", v, err)
 	}
-	d1, _ := sn.Directory("/local/domain")
-	d2, err := back.Directory("/local/domain")
+	d1, _ := snapDir(sn, "/local/domain")
+	d2, err := snapDir(back, "/local/domain")
 	if err != nil || len(d1) != len(d2) {
 		t.Fatalf("round-trip directory = %v vs %v (%v)", d2, d1, err)
 	}
@@ -141,7 +163,7 @@ func TestSubtreeSnapshotAndGraft(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, err := sub.Read("/name"); err != nil || v != "g2" {
+	if v, err := snapRead(sub, "/name"); err != nil || v != "g2" {
 		t.Fatalf("subtree read = %q, %v", v, err)
 	}
 

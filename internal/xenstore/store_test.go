@@ -867,7 +867,7 @@ func TestTxnCommitAtomicForClockEvents(t *testing.T) {
 		sn := s.Snapshot()
 		n := 0
 		for _, p := range []string{"/dev/a", "/dev/b", "/dev/c"} {
-			if v, _ := sn.Read(p); v == "1" || v == "new" {
+			if v, _ := snapRead(sn, p); v == "1" || v == "new" {
 				n++
 			}
 		}

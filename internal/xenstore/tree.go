@@ -258,45 +258,58 @@ func (a *amtNode) withRemove(p *pool, bit uint32) *amtNode {
 	return c
 }
 
-// amtBuild inserts child into a build-private trie in place. It is
-// the mutating counterpart of amtSet for trees under construction
-// (snapshot deserialization): every level reachable from a is
-// exclusively owned by the builder and unpooled (ptag 0), so slots
-// are grown and overwritten directly instead of copied — one level
-// allocation per surviving level rather than one per insertion step.
-// Callers guarantee child names are unique (the canonical snapshot
-// format enforces strictly ascending children), so there is no
-// replace case.
-func amtBuild(a *amtNode, shift uint, child *node) *amtNode {
-	h := child.hsh
-	if a == nil {
-		if shift >= amtMaxShift {
-			return &amtNode{bitmap: 1, slots: []any{&amtCollision{entries: []*node{child}}}}
-		}
-		bit := uint32(1) << ((h >> shift) & amtMask)
-		return &amtNode{bitmap: bit, slots: []any{child}}
+// amtBuild builds the trie of a directory under construction
+// (snapshot deserialization) from all of its children at once. Each
+// level is allocated once, at its final slot count and that count's
+// bracket capacity, and unpooled (ptag 0): a decoded tree may be
+// grafted into any store and must never be recycled. kids is
+// reordered in place, grouped by the hash chunk at shift with each
+// group in input order, so a collision bucket lists its entries in
+// insertion order as amtSet would; scratch must hold len(kids)
+// entries. Callers guarantee unique names (the canonical snapshot
+// format enforces strictly ascending children).
+func amtBuild(kids, scratch []*node, shift uint) *amtNode {
+	if len(kids) == 0 {
+		return nil
 	}
 	if shift >= amtMaxShift {
-		c := a.slots[0].(*amtCollision)
-		c.entries = append(c.entries, child)
-		return a
+		return &amtNode{bitmap: 1, slots: []any{&amtCollision{entries: append([]*node(nil), kids...)}}}
 	}
-	bit := uint32(1) << ((h >> shift) & amtMask)
-	idx := a.slotIndex(bit)
-	if a.bitmap&bit == 0 {
-		a.bitmap |= bit
-		a.slots = append(a.slots, nil)
-		copy(a.slots[idx+1:], a.slots[idx:])
-		a.slots[idx] = child
-		return a
+	var count [amtWidth]int
+	var bitmap uint32
+	for _, c := range kids {
+		i := (c.hsh >> shift) & amtMask
+		count[i]++
+		bitmap |= 1 << i
 	}
-	switch s := a.slots[idx].(type) {
-	case *node:
-		// Two ids share this slot: push the old entry one level down
-		// next to the new one.
-		a.slots[idx] = amtBuild(amtBuild(nil, shift+amtBits, s), shift+amtBits, child)
-	case *amtNode:
-		a.slots[idx] = amtBuild(s, shift+amtBits, child)
+	a := (*pool)(nil).getAMT(bits.OnesCount32(bitmap))
+	a.bitmap = bitmap
+	if len(kids) > 1 {
+		// Stable counting sort by chunk, through scratch.
+		var next [amtWidth]int
+		for i, sum := 0, 0; i < amtWidth; i++ {
+			next[i] = sum
+			sum += count[i]
+		}
+		for _, c := range kids {
+			i := (c.hsh >> shift) & amtMask
+			scratch[next[i]] = c
+			next[i]++
+		}
+		copy(kids, scratch[:len(kids)])
+	}
+	lo, slot := 0, 0
+	for _, n := range count {
+		switch {
+		case n == 1:
+			a.slots[slot] = kids[lo]
+		case n > 1:
+			a.slots[slot] = amtBuild(kids[lo:lo+n], scratch, shift+amtBits)
+		default:
+			continue
+		}
+		slot++
+		lo += n
 	}
 	return a
 }
