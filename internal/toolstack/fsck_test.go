@@ -196,11 +196,10 @@ func fsckGuests(tb testing.TB, mode Mode, n int) *Env {
 
 // TestFsckAllocs audits clean hosts at 100 and at 1,000 live guests:
 // the audit's allocation count must not grow with the guest count and
-// must stay within a small budget. Both modes measure 6, among them
-// the live set, the watch-token listing and the three backend-root
-// paths; none is per guest.
+// must stay within a small budget. Both modes measure 5: the live set,
+// the watch-token listing and the three backend-root paths.
 func TestFsckAllocs(t *testing.T) {
-	const budget = 6
+	const budget = 5
 	for _, mode := range []Mode{ModeLightVM, ModeXL} {
 		var allocs [2]float64
 		for i, n := range []int{100, 1000} {

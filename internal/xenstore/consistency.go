@@ -24,33 +24,27 @@ import (
 // clean audit allocates nothing per node.
 func (s *Store) CheckConsistency() []string {
 	var depth [16]string
-	c := consistencyWalk{names: depth[:0]}
-	c.walk(s.root)
-	sort.Strings(c.out)
-	return c.out
+	out := checkCounts(s.root, depth[:0], nil)
+	sort.Strings(out)
+	return out
 }
 
-// consistencyWalk is CheckConsistency's state: names holds the path
-// from the root to the node being checked, one segment per level.
-type consistencyWalk struct {
-	names []string
-	out   []string
-}
-
-func (c *consistencyWalk) walk(n *node) {
+// checkCounts appends to out a report for every node in n's subtree
+// whose cached child count disagrees with its trie. names holds the
+// path from the root to n, one segment per level.
+func checkCounts(n *node, names, out []string) []string {
 	kids := 0
 	n.eachChild(func(k *node) bool {
 		kids++
-		c.names = append(c.names, k.name)
-		c.walk(k)
-		c.names = c.names[:len(c.names)-1]
+		out = checkCounts(k, append(names, k.name), out)
 		return true
 	})
 	if kids != n.nkids {
 		path := ""
-		if len(c.names) > 0 {
-			path = "/" + strings.Join(c.names, "/")
+		if len(names) > 0 {
+			path = "/" + strings.Join(names, "/")
 		}
-		c.out = append(c.out, fmt.Sprintf("node %s: nkids %d, trie has %d children", path, n.nkids, kids))
+		out = append(out, fmt.Sprintf("node %s: nkids %d, trie has %d children", path, n.nkids, kids))
 	}
+	return out
 }

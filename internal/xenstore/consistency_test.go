@@ -23,6 +23,28 @@ func TestCheckConsistencyDetectsCorruption(t *testing.T) {
 		t.Fatal("CheckConsistency charged virtual time")
 	}
 	n.nkids++
+
+	// A deeper node is named by its full path.
+	s.Write("/a/b/c/d", "v")
+	deep, _ := s.resolve("/a/b/c")
+	deep.nkids += 2
+	if v := s.CheckConsistency(); len(v) != 1 || v[0] != "node /a/b/c: nkids 3, trie has 1 children" {
+		t.Fatalf("deep corruption reported as %v", v)
+	}
+	deep.nkids -= 2
+}
+
+// TestCheckConsistencyAllocFree audits a clean 1,000-guest store: no
+// path is built for a node that passes, so the audit allocates nothing.
+func TestCheckConsistencyAllocFree(t *testing.T) {
+	s := guestStore()
+	if allocs := testing.AllocsPerRun(5, func() {
+		if v := s.CheckConsistency(); len(v) != 0 {
+			t.Fatal(v)
+		}
+	}); allocs != 0 {
+		t.Fatalf("clean audit allocates %.1f objects, want 0", allocs)
+	}
 }
 
 func TestWatchTokensSortedAndClockFree(t *testing.T) {
