@@ -347,7 +347,7 @@ func TestTxnCommitCopiesSpineOnce(t *testing.T) {
 // capacity, so no level's array is outgrown while its children are
 // read. Before levels were sized up front the decode made 27,241
 // allocations, about 2,470 of them arrays that append outgrew; sized
-// levels make 24,772.
+// levels make 24,766.
 func TestDeserializeSizesLevels(t *testing.T) {
 	s := guestStore()
 	for i := range 20 {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Snapshot is an immutable capture of the store at one published
@@ -177,8 +178,10 @@ type snapReader struct {
 	// window never allocate.
 	interned map[string]string
 	// kids stacks the children of every directory being decoded, the
-	// innermost last; scratch is amtBuild's sort buffer.
-	kids, scratch []*node
+	// innermost last. It starts in the inline array stack and moves to
+	// the heap only if it outgrows it.
+	kids  []*node
+	stack [16]*node
 }
 
 // uvarint reads a minimally-encoded varint (non-minimal encodings are
@@ -267,12 +270,15 @@ func (r *snapReader) readNode(depth int) (*node, error) {
 		prev = c.name
 		r.kids = append(r.kids, c)
 	}
-	kids := r.kids[base:]
-	if len(r.scratch) < len(kids) {
-		r.scratch = make([]*node, len(kids))
+	k := len(r.kids) - base
+	if k == 0 {
+		return n, nil
 	}
-	n.kids = amtBuild(kids, r.scratch, 0)
-	n.nkids = len(kids)
+	// amtBuild's scratch is the stack's spare room past these children.
+	r.kids = slices.Grow(r.kids, k)
+	kids, scratch := r.kids[base:], r.kids[len(r.kids):len(r.kids)+k]
+	n.kids = amtBuild(kids, scratch, 0)
+	n.nkids = k
 	clear(kids)
 	r.kids = r.kids[:base]
 	return n, nil
@@ -300,6 +306,7 @@ func DeserializeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadSnapshot)
 	}
 	r := &snapReader{data: data, off: len(snapMagic)}
+	r.kids = r.stack[:0]
 	gen, err := r.uvarint()
 	if err != nil {
 		return nil, err

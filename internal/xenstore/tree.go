@@ -262,10 +262,10 @@ func (a *amtNode) withRemove(p *pool, bit uint32) *amtNode {
 // (snapshot deserialization) from all of its children at once. Each
 // level is allocated once, at its final slot count and that count's
 // bracket capacity, and unpooled (ptag 0): a decoded tree may be
-// grafted into any store and must never be recycled. kids is
-// reordered in place, grouped by the hash chunk at shift with each
-// group in input order, so a collision bucket lists its entries in
-// insertion order as amtSet would; scratch must hold len(kids)
+// grafted into any store and must never be recycled. When several
+// children share a hash chunk, kids is reordered in place, grouped by
+// chunk with each group kept in input order (a collision bucket lists
+// its entries in name order), and scratch must hold len(kids)
 // entries. Callers guarantee unique names (the canonical snapshot
 // format enforces strictly ascending children).
 func amtBuild(kids, scratch []*node, shift uint) *amtNode {
@@ -275,29 +275,35 @@ func amtBuild(kids, scratch []*node, shift uint) *amtNode {
 	if shift >= amtMaxShift {
 		return &amtNode{bitmap: 1, slots: []any{&amtCollision{entries: append([]*node(nil), kids...)}}}
 	}
-	var count [amtWidth]int
 	var bitmap uint32
 	for _, c := range kids {
-		i := (c.hsh >> shift) & amtMask
-		count[i]++
-		bitmap |= 1 << i
+		bitmap |= 1 << ((c.hsh >> shift) & amtMask)
 	}
 	a := (*pool)(nil).getAMT(bits.OnesCount32(bitmap))
 	a.bitmap = bitmap
-	if len(kids) > 1 {
-		// Stable counting sort by chunk, through scratch.
-		var next [amtWidth]int
-		for i, sum := 0, 0; i < amtWidth; i++ {
-			next[i] = sum
-			sum += count[i]
-		}
+	if len(a.slots) == len(kids) {
+		// Every child has a chunk of its own: the common case.
 		for _, c := range kids {
-			i := (c.hsh >> shift) & amtMask
-			scratch[next[i]] = c
-			next[i]++
+			a.slots[a.slotIndex(1<<((c.hsh>>shift)&amtMask))] = c
 		}
-		copy(kids, scratch[:len(kids)])
+		return a
 	}
+	// Stable counting sort by chunk, through scratch; a chunk with
+	// several children becomes a deeper level.
+	var count, next [amtWidth]int
+	for _, c := range kids {
+		count[(c.hsh>>shift)&amtMask]++
+	}
+	for i, sum := 0, 0; i < amtWidth; i++ {
+		next[i] = sum
+		sum += count[i]
+	}
+	for _, c := range kids {
+		i := (c.hsh >> shift) & amtMask
+		scratch[next[i]] = c
+		next[i]++
+	}
+	copy(kids, scratch[:len(kids)])
 	lo, slot := 0, 0
 	for _, n := range count {
 		switch {
