@@ -227,3 +227,19 @@ func BenchmarkFsck(b *testing.B) {
 		}
 	}
 }
+
+// TestFsckBackendNamesNotDecimal: a backend directory whose names
+// parse as numbers but are not written the way xenbus prints them
+// ("007", "00") still faces the frontend of the domain and device they
+// parse to, so it is judged by that frontend like any other backend.
+func TestFsckBackendNamesNotDecimal(t *testing.T) {
+	e, vm := fsckHost(t)
+	id := strconv.Itoa(int(vm.Dom.ID))
+	root := xenbus.BackendDir(hv.DevVif) + "/00" + id
+	e.Store.Write(root+"/00/state", "4") // faces the live frontend vif[0]
+	e.Store.Write(root+"/01/state", "4") // faces a vif[1] the guest lacks
+	want := []Violation{{"xenstore", "backend-without-frontend", root + "/01", "no frontend dir for dom " + id + " vif[1]"}}
+	if got := Fsck(e); !reflect.DeepEqual(got, want) {
+		t.Fatalf("fsck = %v\nwant   %v", got, want)
+	}
+}
