@@ -71,7 +71,7 @@ fuzz-smoke:
 	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime 20s
 	$(GO) test ./internal/xenstore -run '^$$' -fuzz '^FuzzTxnCommit$$' -fuzztime 20s -fuzzminimizetime 1s
 	$(GO) test ./internal/mm -run '^$$' -fuzz '^FuzzAllocFree$$' -fuzztime 20s -fuzzminimizetime 1s
-	$(GO) test ./internal/hv -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 20s -fuzzminimizetime 1s
+	$(GO) test ./internal/idtable -run '^$$' -fuzz '^FuzzTable$$' -fuzztime 20s -fuzzminimizetime 1s
 
 # Line-coverage gate for the store: the unit suite plus the
 # model-checking harness must keep internal/xenstore at or above 80%.

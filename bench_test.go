@@ -129,10 +129,10 @@ func BenchmarkAblationHotplug(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := h.Setup("vif1.0"); err != nil {
+			if err := h.Setup(1, 0); err != nil {
 				b.Fatal(err)
 			}
-			if err := h.Teardown("vif1.0"); err != nil {
+			if err := h.Teardown(1, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

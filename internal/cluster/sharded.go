@@ -1,9 +1,9 @@
 // Sharded cluster: the §7.1 scheduler at datacenter scale on the
 // parallel discrete-event core.
 //
-// Cluster (cluster.go) keeps every host on one shared clock under one
-// lock — faithful for a handful of edge machines, but a single global
-// event queue serializes the simulation and caps experiments at one
+// Cluster (cluster.go) keeps every host on one shared clock, driven by
+// one goroutine — faithful for a handful of edge machines, but a single
+// global event queue serializes the simulation and caps experiments at one
 // host's worth of concurrency. Sharded instead gives every simulated
 // host its own logical process (sim.Shard): a private clock, a private
 // toolstack.Env with the full control plane, and a mailbox. A
@@ -74,8 +74,6 @@ type ShardedConfig struct {
 	// Seed drives the controller's churn decisions and each host's
 	// stochastic behaviour.
 	Seed uint64
-	// Lookahead overrides costs.ClusterLookahead (tests only).
-	Lookahead time.Duration
 	// Heartbeat overrides costs.HeartbeatPeriod (tests only).
 	Heartbeat time.Duration
 	// DeadAfter overrides costs.HeartbeatDead (tests only).
@@ -146,7 +144,6 @@ type Sharded struct {
 	eng       *sim.Engine
 	ctl       *shardCtl
 	agents    []*hostAgent
-	lookahead time.Duration
 	heartbeat time.Duration
 	deadAfter time.Duration
 }
@@ -232,9 +229,9 @@ type hostAgent struct {
 	// createBatch) deliberately returns to the event loop between
 	// creates so fences and beats stay timely — which means a command
 	// message can fire from a clock advance nested inside another
-	// toolstack operation. Reentering the env there would corrupt it
-	// (or self-deadlock on its locks), so every command funnels
-	// through exec's one-at-a-time queue instead.
+	// toolstack operation. Reentering the env there would run on
+	// state the outer operation has half mutated, so every command
+	// funnels through exec's one-at-a-time queue instead.
 	busy  bool
 	workq []func()
 }
@@ -274,12 +271,8 @@ func NewSharded(cfg ShardedConfig, pools []HostPool) (*Sharded, error) {
 	}
 	sc := &Sharded{
 		cfg:       cfg,
-		lookahead: cfg.Lookahead,
 		heartbeat: cfg.Heartbeat,
 		deadAfter: cfg.DeadAfter,
-	}
-	if sc.lookahead <= 0 {
-		sc.lookahead = costs.ClusterLookahead
 	}
 	if sc.heartbeat <= 0 {
 		sc.heartbeat = costs.HeartbeatPeriod
@@ -291,7 +284,7 @@ func NewSharded(cfg ShardedConfig, pools []HostPool) (*Sharded, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	sc.eng = sim.NewEngine(totalHosts+1, workers, sc.lookahead)
+	sc.eng = sim.NewEngine(totalHosts+1, workers, costs.ClusterLookahead)
 
 	ctl := &shardCtl{
 		sc:         sc,
@@ -576,7 +569,7 @@ func (c *shardCtl) flushBatches() {
 			epochs[i] = c.vmEpoch[id]
 		}
 		agent := c.sc.agents[h]
-		c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() {
+		c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() {
 			agent.createBatch(ids, epochs)
 		})
 	}
@@ -603,7 +596,7 @@ func (c *shardCtl) migrateRandom() {
 	c.vmFrom[id] = int32(src)
 	epoch := c.vmEpoch[id]
 	srcAgent, dstAgent := c.sc.agents[src], c.sc.agents[dst]
-	c.shard.Send(srcAgent.shard.ID(), c.sc.lookahead, func() {
+	c.shard.Send(srcAgent.shard.ID(), costs.ClusterLookahead, func() {
 		srcAgent.migrateOut(id, epoch, dstAgent)
 	})
 }
@@ -621,7 +614,7 @@ func (c *shardCtl) departRandom() {
 	c.setState(id, vmDeparting)
 	epoch := c.vmEpoch[id]
 	agent := c.sc.agents[gidx]
-	c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() {
+	c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() {
 		agent.destroyVM(id, epoch)
 	})
 }
@@ -675,7 +668,7 @@ func (c *shardCtl) failRandomHost() {
 	c.failedAt[victim] = c.shard.Clock().Now()
 	c.report.HostsFailed++
 	agent := c.sc.agents[victim]
-	c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.kill() })
+	c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.kill() })
 }
 
 // healthTick scans for heartbeat silence, declares dead members, and
@@ -716,7 +709,7 @@ func (c *shardCtl) healthTick() {
 func (c *shardCtl) declareDead(g int, now sim.Time) {
 	c.alive[g] = false
 	agent := c.sc.agents[g]
-	c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.kill() })
+	c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.kill() })
 	failTime, injected := c.failedAt[g]
 	if !injected {
 		failTime = now
@@ -752,7 +745,7 @@ func (c *shardCtl) declareDead(g int, now sim.Time) {
 	}
 	c.report.Failovers += len(lost)
 	// Re-place after the fence has provably landed.
-	c.shard.Clock().After(2*c.sc.lookahead, func() {
+	c.shard.Clock().After(2*costs.ClusterLookahead, func() {
 		for _, id := range lost {
 			if c.vmState[id] == vmPlacing && c.vmHost[id] < 0 {
 				c.setState(id, vmNone)
@@ -784,7 +777,7 @@ func (c *shardCtl) stopAll() {
 	c.stopped = true
 	for _, a := range c.sc.agents {
 		agent := a
-		c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.stop() })
+		c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.stop() })
 	}
 }
 
@@ -814,7 +807,7 @@ func (c *shardCtl) onCreateAck(g int, ids []uint32, epochs []uint32, latMS []flo
 			if !failed[i] {
 				li++
 				c.report.Fenced++
-				c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.reap(id) })
+				c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.reap(id) })
 			}
 			continue
 		}
@@ -856,7 +849,7 @@ func (c *shardCtl) onMigrateAck(dstG int, id uint32, epoch uint32, t0, doneAt si
 	agent := c.sc.agents[dstG]
 	if epoch != c.vmEpoch[id] || c.vmState[id] != vmMigrating {
 		c.report.Fenced++
-		c.shard.Send(agent.shard.ID(), c.sc.lookahead, func() { agent.reap(id) })
+		c.shard.Send(agent.shard.ID(), costs.ClusterLookahead, func() { agent.reap(id) })
 		return
 	}
 	c.setState(id, vmPlaced)
@@ -908,7 +901,7 @@ func (a *hostAgent) heartbeatTick() {
 	now := a.shard.Clock().Now()
 	g := a.gidx
 	ctl := a.sc.ctl
-	a.shard.Send(0, a.sc.lookahead, func() { ctl.onBeat(g, now) })
+	a.shard.Send(0, costs.ClusterLookahead, func() { ctl.onBeat(g, now) })
 	a.shard.Clock().After(a.sc.heartbeat, a.heartbeatTick)
 }
 
@@ -971,7 +964,7 @@ func (a *hostAgent) startCreateBatch(ids []uint32, epochs []uint32) {
 func (a *hostAgent) ackCreates(ids []uint32, epochs []uint32, lats []float64, failed []bool) {
 	g := a.gidx
 	ctl := a.sc.ctl
-	a.shard.Send(0, a.sc.lookahead, func() { ctl.onCreateAck(g, ids, epochs, lats, failed) })
+	a.shard.Send(0, costs.ClusterLookahead, func() { ctl.onCreateAck(g, ids, epochs, lats, failed) })
 }
 
 // destroyVM tears one guest down and acks.
@@ -989,7 +982,7 @@ func (a *hostAgent) doDestroyVM(id uint32, epoch uint32) {
 		a.opDepth--
 	}
 	ctl := a.sc.ctl
-	a.shard.Send(0, a.sc.lookahead, func() { ctl.onDestroyAck(id, epoch) })
+	a.shard.Send(0, costs.ClusterLookahead, func() { ctl.onDestroyAck(id, epoch) })
 }
 
 // reap destroys an orphaned copy without acking (fence cleanup).
@@ -1022,7 +1015,7 @@ func (a *hostAgent) doMigrateOut(id uint32, epoch uint32, dst *hostAgent) {
 	}
 	vm, err := a.host.Env.VM(a.vmName(id))
 	if err != nil {
-		a.shard.Send(0, a.sc.lookahead, func() { ctl.onMigrateNack(id, epoch) })
+		a.shard.Send(0, costs.ClusterLookahead, func() { ctl.onMigrateNack(id, epoch) })
 		return
 	}
 	t0 := a.shard.Clock().Now()
@@ -1030,10 +1023,10 @@ func (a *hostAgent) doMigrateOut(id uint32, epoch uint32, dst *hostAgent) {
 	cp, _, err := migrate.Save(a.host.Env, vm)
 	a.opDepth--
 	if err != nil {
-		a.shard.Send(0, a.sc.lookahead, func() { ctl.onMigrateNack(id, epoch) })
+		a.shard.Send(0, costs.ClusterLookahead, func() { ctl.onMigrateNack(id, epoch) })
 		return
 	}
-	wire := a.sc.lookahead + migrate.StreamCost(cp)
+	wire := costs.ClusterLookahead + migrate.StreamCost(cp)
 	a.shard.Send(dst.shard.ID(), wire, func() { dst.receiveMigration(cp, id, epoch, t0) })
 }
 
@@ -1053,11 +1046,11 @@ func (a *hostAgent) doReceiveMigration(cp *migrate.Checkpoint, id uint32, epoch 
 	a.opDepth--
 	g := a.gidx
 	if err != nil {
-		a.shard.Send(0, a.sc.lookahead, func() { ctl.onMigrateNack(id, epoch) })
+		a.shard.Send(0, costs.ClusterLookahead, func() { ctl.onMigrateNack(id, epoch) })
 		return
 	}
 	doneAt := a.shard.Clock().Now()
-	a.shard.Send(0, a.sc.lookahead, func() { ctl.onMigrateAck(g, id, epoch, t0, doneAt) })
+	a.shard.Send(0, costs.ClusterLookahead, func() { ctl.onMigrateAck(g, id, epoch, t0, doneAt) })
 }
 
 // kill is the fence: a whole-machine death (or a declared death made

@@ -18,6 +18,7 @@ import (
 	"strconv"
 
 	"lightvm/internal/hv"
+	"lightvm/internal/idtable"
 	"lightvm/internal/sim"
 )
 
@@ -79,45 +80,38 @@ type ring struct {
 	size    int // rendered bytes across entries
 	dropped int // bytes overwritten before being read
 	// first backs entries until a second entry arrives, so a guest
-	// that prints one banner costs a single allocation.
+	// that prints one banner allocates nothing of its own.
 	first [1]entry
 }
 
-// Daemon is the xenconsoled equivalent.
+// Daemon is the xenconsoled equivalent. Its rings are held by value
+// under the hypervisor's domain ids (DESIGN.md §17).
 type Daemon struct {
-	rings map[hv.DomID]*ring
+	rings idtable.Table[hv.DomID, ring]
 }
 
 // NewDaemon starts an empty console daemon.
-func NewDaemon() *Daemon {
-	return &Daemon{rings: make(map[hv.DomID]*ring)}
-}
+func NewDaemon() *Daemon { return &Daemon{} }
 
 // Attach creates the console ring for a domain (idempotent).
 func (d *Daemon) Attach(dom hv.DomID) {
-	if _, ok := d.rings[dom]; !ok {
-		r := &ring{}
-		r.entries = r.first[:0]
-		d.rings[dom] = r
+	if d.rings.Get(dom) == nil {
+		d.rings.Set(dom, ring{})
 	}
 }
 
 // Detach drops a domain's console (domain destruction).
-func (d *Daemon) Detach(dom hv.DomID) {
-	delete(d.rings, dom)
-}
+func (d *Daemon) Detach(dom hv.DomID) { d.rings.Del(dom) }
 
 // EachDomain calls fn on every domain with an attached console, in
-// place and in no particular order.
+// place and in ascending order.
 func (d *Daemon) EachDomain(fn func(hv.DomID)) {
-	for dom := range d.rings {
-		fn(dom)
-	}
+	d.rings.Each(func(dom hv.DomID, _ *ring) { fn(dom) })
 }
 
 func (d *Daemon) ring(dom hv.DomID) (*ring, error) {
-	r, ok := d.rings[dom]
-	if !ok {
+	r := d.rings.Get(dom)
+	if r == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoConsole, dom)
 	}
 	return r, nil
@@ -125,26 +119,38 @@ func (d *Daemon) ring(dom hv.DomID) (*ring, error) {
 
 // WriteBoot appends a boot banner to the domain's ring.
 func (d *Daemon) WriteBoot(dom hv.DomID, b Boot) error {
-	r, err := d.ring(dom)
-	if err != nil {
-		return err
-	}
 	n := 3*len(b.VM) + len(b.Image) + len(b.Kind) + len(b.Path) +
 		intLen(b.Core) + intLen(b.Devices) + durationLen(sim.Duration(b.At)) + bootFixed
-	r.push(entry{kind: bootEntry, rec: b, n: n})
-	r.trim()
-	return nil
+	return d.write(dom, entry{kind: bootEntry, rec: b, n: n})
 }
 
 // WriteResume appends a resume banner to the domain's ring.
 func (d *Daemon) WriteResume(dom hv.DomID, res Resume) error {
+	n := len(res.VM) + durationLen(sim.Duration(res.At)) + resumeFixed
+	return d.write(dom, entry{kind: resumeEntry, rec: Boot{VM: res.VM, At: res.At}, n: n})
+}
+
+// write appends e to the domain's ring and drops whole entries the
+// newer ones already cover, so at most one banner's worth of bytes
+// beyond RingSize stays retained.
+func (d *Daemon) write(dom hv.DomID, e entry) error {
 	r, err := d.ring(dom)
 	if err != nil {
 		return err
 	}
-	n := len(res.VM) + durationLen(sim.Duration(res.At)) + resumeFixed
-	r.push(entry{kind: resumeEntry, rec: Boot{VM: res.VM, At: res.At}, n: n})
-	r.trim()
+	if r.entries == nil {
+		// Not at Attach: the ring is copied into its table slot, and
+		// entries must point at the slot's own first.
+		r.entries = r.first[:0]
+	}
+	r.entries = append(r.entries, e)
+	r.size += e.n
+	for r.size-r.entries[0].n >= RingSize {
+		r.size -= r.entries[0].n
+		r.dropped += r.entries[0].n
+		r.entries[0] = entry{}
+		r.entries = r.entries[1:]
+	}
 	return nil
 }
 
@@ -170,22 +176,6 @@ func (d *Daemon) Read(dom hv.DomID) (string, error) {
 		out = fmt.Sprintf("[%d bytes dropped]\n", dropped) + out
 	}
 	return out, nil
-}
-
-func (r *ring) push(e entry) {
-	r.entries = append(r.entries, e)
-	r.size += e.n
-}
-
-// trim drops whole entries the newer ones already cover, so at most
-// one banner's worth of bytes beyond RingSize stays retained.
-func (r *ring) trim() {
-	for r.size-r.entries[0].n >= RingSize {
-		r.size -= r.entries[0].n
-		r.dropped += r.entries[0].n
-		r.entries[0] = entry{}
-		r.entries = r.entries[1:]
-	}
 }
 
 // render appends the entry's text to b.

@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"lightvm/internal/hv"
 	"lightvm/internal/sim"
 )
 
@@ -171,7 +173,7 @@ func TestRetainedStateBounded(t *testing.T) {
 			_ = d.WriteResume(1, Resume{VM: "g", At: sim.Time(i)})
 		}
 	}
-	r := d.rings[1]
+	r := d.rings.Get(1)
 	if len(r.entries) > RingSize/16 || cap(r.entries) > RingSize/8 {
 		t.Fatalf("ring keeps %d entries (cap %d) after 10000 writes", len(r.entries), cap(r.entries))
 	}
@@ -200,4 +202,31 @@ func TestDurationLen(t *testing.T) {
 			t.Fatalf("durationLen(%d) = %d, want %d (%q)", v, got, want, d.String())
 		}
 	}
+}
+
+// TestRingTableChurnStaysSmall: 100k attach/detach cycles at rising
+// domain ids, each ring printing a banner, keep the ring table at two
+// chunks or fewer — a chunk is freed once its domains are gone and the
+// ids have moved past it.
+func TestRingTableChurnStaysSmall(t *testing.T) {
+	const cycles = 100_000
+	d := NewDaemon()
+	for dom := hv.DomID(1); dom <= cycles; dom++ {
+		d.Attach(dom)
+		if err := d.WriteBoot(dom, Boot{VM: "g", Image: "noop", Kind: "unikernel", Path: "noxs"}); err != nil {
+			t.Fatal(err)
+		}
+		d.Detach(dom)
+	}
+	chunks := reflect.ValueOf(d).Elem().FieldByName("rings").FieldByName("chunks")
+	n := 0
+	for i := 0; i < chunks.Len(); i++ {
+		if !chunks.Index(i).IsNil() {
+			n++
+		}
+	}
+	if n > 2 {
+		t.Fatalf("ring table holds %d chunks after %d cycles, want <= 2", n, cycles)
+	}
+	d.EachDomain(func(dom hv.DomID) { t.Fatalf("domain %d still has a ring", dom) })
 }

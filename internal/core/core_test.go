@@ -89,11 +89,11 @@ func TestHostLifecycleAllocs(t *testing.T) {
 		mode   toolstack.Mode
 		budget float64
 	}{
-		{toolstack.ModeXL, 82},
-		{toolstack.ModeChaosXS, 54},
-		{toolstack.ModeChaosSplit, 60},
-		{toolstack.ModeChaosNoXS, 14},
-		{toolstack.ModeLightVM, 16},
+		{toolstack.ModeXL, 79},
+		{toolstack.ModeChaosXS, 51},
+		{toolstack.ModeChaosSplit, 57},
+		{toolstack.ModeChaosNoXS, 10},
+		{toolstack.ModeLightVM, 12},
 	}
 	img := guest.Daytime()
 	names := make([]string, runs+1) // AllocsPerRun adds one warm-up run
@@ -135,11 +135,11 @@ func TestHostRetainedBytes(t *testing.T) {
 		mode           toolstack.Mode
 		bytes, objects float64
 	}{
-		{toolstack.ModeXL, 7300, 108},
-		{toolstack.ModeChaosXS, 4600, 63},
-		{toolstack.ModeChaosSplit, 4750, 65},
-		{toolstack.ModeChaosNoXS, 1350, 11},
-		{toolstack.ModeLightVM, 1350, 11},
+		{toolstack.ModeXL, 7230, 106},
+		{toolstack.ModeChaosXS, 4530, 61},
+		{toolstack.ModeChaosSplit, 4700, 63},
+		{toolstack.ModeChaosNoXS, 1240, 7.5},
+		{toolstack.ModeLightVM, 1240, 7.5},
 	}
 	img := guest.Daytime()
 	names := make([]string, guests)

@@ -16,7 +16,6 @@ package devd
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/sim"
@@ -27,54 +26,49 @@ import (
 var ErrHotplug = errors.New("devd: hotplug failed")
 
 // Bridge is the Dom0 software bridge as hotplug sees it: the set of
-// attached vif ports. Attaching a port twice, or detaching one that is
-// not attached, is an error — each vif is plumbed exactly once between
-// its backend's setup and teardown.
+// attached vif ports, each the idx'th device of guest dom (the
+// interface Linux names "vif<dom>.<idx>"). Attaching a port twice, or
+// detaching one that is not attached, is an error — each vif is
+// plumbed exactly once between its backend's setup and teardown.
 type Bridge struct {
-	ports map[string]struct{}
+	ports map[vif]struct{}
 }
 
-// NewBridge returns a bridge with no ports.
-func NewBridge() *Bridge { return &Bridge{ports: make(map[string]struct{})} }
+// vif keys a bridge port by guest and device index.
+type vif struct{ dom, idx int }
 
-// AttachPort adds the named port.
-func (b *Bridge) AttachPort(name string) error {
-	if _, dup := b.ports[name]; dup {
-		return fmt.Errorf("devd: port %q already attached", name)
+// NewBridge returns a bridge with no ports.
+func NewBridge() *Bridge { return &Bridge{ports: make(map[vif]struct{})} }
+
+// AttachPort adds guest dom's idx'th vif.
+func (b *Bridge) AttachPort(dom, idx int) error {
+	v := vif{dom, idx}
+	if _, dup := b.ports[v]; dup {
+		return fmt.Errorf("devd: port \"vif%d.%d\" already attached", dom, idx)
 	}
-	b.ports[name] = struct{}{}
+	b.ports[v] = struct{}{}
 	return nil
 }
 
-// DetachPort removes the named port.
-func (b *Bridge) DetachPort(name string) error {
-	if _, ok := b.ports[name]; !ok {
-		return fmt.Errorf("devd: no port %q", name)
+// DetachPort removes guest dom's idx'th vif.
+func (b *Bridge) DetachPort(dom, idx int) error {
+	v := vif{dom, idx}
+	if _, ok := b.ports[v]; !ok {
+		return fmt.Errorf("devd: no port \"vif%d.%d\"", dom, idx)
 	}
-	delete(b.ports, name)
+	delete(b.ports, v)
 	return nil
 }
 
 // Ports reports the attached port count.
 func (b *Bridge) Ports() int { return len(b.ports) }
 
-// VifName is the hotplug interface name "vif<dom>.<idx>" of a guest's
-// idx'th device, as every backend names the port it plumbs.
-func VifName(dom, idx int) string {
-	buf := make([]byte, 0, 16)
-	buf = append(buf, "vif"...)
-	buf = strconv.AppendInt(buf, int64(dom), 10)
-	buf = append(buf, '.')
-	buf = strconv.AppendInt(buf, int64(idx), 10)
-	return string(buf)
-}
-
 // Hotplug sets up and tears down guest vifs in Dom0.
 type Hotplug interface {
-	// Setup plumbs the named vif (e.g. "vif3.0") into the bridge.
-	Setup(vif string) error
+	// Setup plumbs guest dom's idx'th vif into the bridge.
+	Setup(dom, idx int) error
 	// Teardown removes it.
-	Teardown(vif string) error
+	Teardown(dom, idx int) error
 	// Name identifies the mechanism for logs and breakdowns.
 	Name() string
 }
@@ -91,21 +85,23 @@ type BashScripts struct {
 func (b *BashScripts) Name() string { return "bash-hotplug" }
 
 // Setup forks a shell, runs the script, and attaches the port.
-func (b *BashScripts) Setup(vif string) error {
+func (b *BashScripts) Setup(dom, idx int) error {
 	b.Invocations++
-	b.Clock.Sleep(costs.HotplugBashScript + costs.VifBridgeAttach)
-	if err := b.Bridge.AttachPort(vif); err != nil {
-		return fmt.Errorf("%w: bash hotplug %s: %v", ErrHotplug, vif, err)
-	}
-	return nil
+	return plumb(b.Clock, costs.HotplugBashScript+costs.VifBridgeAttach, "bash hotplug", b.Bridge.AttachPort, dom, idx)
 }
 
 // Teardown forks the script again with the offline argument.
-func (b *BashScripts) Teardown(vif string) error {
+func (b *BashScripts) Teardown(dom, idx int) error {
 	b.Invocations++
-	b.Clock.Sleep(costs.HotplugBashScript)
-	if err := b.Bridge.DetachPort(vif); err != nil {
-		return fmt.Errorf("%w: bash hotplug %s: %v", ErrHotplug, vif, err)
+	return plumb(b.Clock, costs.HotplugBashScript, "bash hotplug", b.Bridge.DetachPort, dom, idx)
+}
+
+// plumb charges a hotplug step's dispatch, then attaches or detaches
+// the vif, wrapping a bridge failure in ErrHotplug.
+func plumb(clock *sim.Clock, cost sim.Duration, via string, port func(dom, idx int) error, dom, idx int) error {
+	clock.Sleep(cost)
+	if err := port(dom, idx); err != nil {
+		return fmt.Errorf("%w: %s vif%d.%d: %v", ErrHotplug, via, dom, idx, err)
 	}
 	return nil
 }
@@ -122,23 +118,15 @@ type Xendevd struct {
 func (x *Xendevd) Name() string { return "xendevd" }
 
 // Setup handles the udev event with the pre-defined binary path.
-func (x *Xendevd) Setup(vif string) error {
+func (x *Xendevd) Setup(dom, idx int) error {
 	x.Events++
-	x.Clock.Sleep(costs.HotplugXendevd + costs.VifBridgeAttach)
-	if err := x.Bridge.AttachPort(vif); err != nil {
-		return fmt.Errorf("%w: xendevd %s: %v", ErrHotplug, vif, err)
-	}
-	return nil
+	return plumb(x.Clock, costs.HotplugXendevd+costs.VifBridgeAttach, "xendevd", x.Bridge.AttachPort, dom, idx)
 }
 
 // Teardown removes the port without forking.
-func (x *Xendevd) Teardown(vif string) error {
+func (x *Xendevd) Teardown(dom, idx int) error {
 	x.Events++
-	x.Clock.Sleep(costs.HotplugXendevd)
-	if err := x.Bridge.DetachPort(vif); err != nil {
-		return fmt.Errorf("%w: xendevd %s: %v", ErrHotplug, vif, err)
-	}
-	return nil
+	return plumb(x.Clock, costs.HotplugXendevd, "xendevd", x.Bridge.DetachPort, dom, idx)
 }
 
 // Failover is a Hotplug that normally delegates to Primary but falls
@@ -167,7 +155,7 @@ func (f *Failover) pick() Hotplug {
 }
 
 // Setup implements Hotplug.
-func (f *Failover) Setup(vif string) error { return f.pick().Setup(vif) }
+func (f *Failover) Setup(dom, idx int) error { return f.pick().Setup(dom, idx) }
 
 // Teardown implements Hotplug.
-func (f *Failover) Teardown(vif string) error { return f.pick().Teardown(vif) }
+func (f *Failover) Teardown(dom, idx int) error { return f.pick().Teardown(dom, idx) }

@@ -2,7 +2,6 @@ package devd
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -14,7 +13,7 @@ func TestBashScriptsChargesForkExecCost(t *testing.T) {
 	clock := sim.NewClock()
 	br := NewBridge()
 	hp := &BashScripts{Clock: clock, Bridge: br}
-	if err := hp.Setup("vif1.0"); err != nil {
+	if err := hp.Setup(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if clock.Now().Sub(0) < costs.HotplugBashScript {
@@ -23,7 +22,7 @@ func TestBashScriptsChargesForkExecCost(t *testing.T) {
 	if br.Ports() != 1 || hp.Invocations != 1 {
 		t.Fatalf("ports=%d invocations=%d", br.Ports(), hp.Invocations)
 	}
-	if err := hp.Teardown("vif1.0"); err != nil {
+	if err := hp.Teardown(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	if br.Ports() != 0 || hp.Invocations != 2 {
@@ -35,12 +34,11 @@ func TestXendevdMuchCheaperThanBash(t *testing.T) {
 	c1, c2 := sim.NewClock(), sim.NewClock()
 	bash := &BashScripts{Clock: c1, Bridge: NewBridge()}
 	xd := &Xendevd{Clock: c2, Bridge: NewBridge()}
-	for i := 0; i < 10; i++ {
-		vif := fmt.Sprintf("vif%d.0", i+1)
-		if err := bash.Setup(vif); err != nil {
+	for i := 1; i <= 10; i++ {
+		if err := bash.Setup(i, 0); err != nil {
 			t.Fatal(err)
 		}
-		if err := xd.Setup(vif); err != nil {
+		if err := xd.Setup(i, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,13 +57,13 @@ func TestNames(t *testing.T) {
 // setup or teardown, by either mechanism — wraps ErrHotplug.
 func TestBridgePortsAndHotplugErrors(t *testing.T) {
 	br := NewBridge()
-	if err := br.AttachPort("vif1.0"); err != nil {
+	if err := br.AttachPort(1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := br.AttachPort("vif1.0"); err == nil {
+	if err := br.AttachPort(1, 0); err == nil {
 		t.Fatal("duplicate attach accepted")
 	}
-	if err := br.DetachPort("vif9.0"); err == nil {
+	if err := br.DetachPort(9, 0); err == nil {
 		t.Fatal("detach of an unknown port accepted")
 	}
 	if br.Ports() != 1 {
@@ -75,25 +73,14 @@ func TestBridgePortsAndHotplugErrors(t *testing.T) {
 		&BashScripts{Clock: sim.NewClock(), Bridge: br},
 		&Xendevd{Clock: sim.NewClock(), Bridge: br},
 	} {
-		if err := hp.Setup("vif1.0"); !errors.Is(err, ErrHotplug) {
+		if err := hp.Setup(1, 0); !errors.Is(err, ErrHotplug) {
 			t.Fatalf("%s: duplicate setup: %v", hp.Name(), err)
 		}
-		if err := hp.Teardown("vif9.0"); !errors.Is(err, ErrHotplug) {
+		if err := hp.Teardown(9, 0); !errors.Is(err, ErrHotplug) {
 			t.Fatalf("%s: teardown of an unknown vif: %v", hp.Name(), err)
 		}
 	}
-	if err := br.DetachPort("vif1.0"); err != nil || br.Ports() != 0 {
+	if err := br.DetachPort(1, 0); err != nil || br.Ports() != 0 {
 		t.Fatalf("detach: %v, ports = %d", err, br.Ports())
-	}
-}
-
-func TestVifName(t *testing.T) {
-	for _, c := range []struct {
-		dom, idx int
-		want     string
-	}{{1, 0, "vif1.0"}, {3, 1, "vif3.1"}, {65535, 12, "vif65535.12"}} {
-		if got := VifName(c.dom, c.idx); got != c.want {
-			t.Fatalf("VifName(%d, %d) = %q, want %q", c.dom, c.idx, got, c.want)
-		}
 	}
 }

@@ -48,6 +48,10 @@ const DevicePageSlots = 32
 // per domain under noxs. Only Dom0 may request modifications.
 type DevicePage struct {
 	Entries []DevEntry
+	// ShutdownReason is the sysctl device's reason field ("suspend" or
+	// "poweroff"): the toolstack sets it before kicking the sysctl
+	// channel, and the guest reads it in the upcall (§5.1).
+	ShutdownReason string
 }
 
 // DevicePageWrite appends a device entry; the hypercall is restricted

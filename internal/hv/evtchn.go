@@ -30,14 +30,14 @@ func (h *Hypervisor) AllocUnboundPort(owner, peer DomID) (Port, error) {
 	if _, err := h.Domain(owner); err != nil {
 		return 0, err
 	}
-	p := h.ports.put(channel{owner: owner, peer: peer})
+	p := h.ports.Put(channel{owner: owner, peer: peer})
 	h.charge(costs.EventChannelAlloc)
 	return p, nil
 }
 
 // BindPort attaches the peer's upcall handler to the channel.
 func (h *Hypervisor) BindPort(p Port, peer DomID, fn Handler) error {
-	ch := h.ports.get(p)
+	ch := h.ports.Get(p)
 	if ch == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchPort, p)
 	}
@@ -53,7 +53,7 @@ func (h *Hypervisor) BindPort(p Port, peer DomID, fn Handler) error {
 // Send notifies the remote end of the channel. The upcall (software
 // interrupt) is charged and the handler runs inline.
 func (h *Hypervisor) Send(p Port) error {
-	ch := h.ports.get(p)
+	ch := h.ports.Get(p)
 	if ch == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchPort, p)
 	}
@@ -68,7 +68,7 @@ func (h *Hypervisor) Send(p Port) error {
 
 // ClosePort tears down an event channel.
 func (h *Hypervisor) ClosePort(p Port) error {
-	if !h.ports.del(p) {
+	if !h.ports.Del(p) {
 		return fmt.Errorf("%w: %d", ErrNoSuchPort, p)
 	}
 	h.charge(0)
@@ -78,14 +78,14 @@ func (h *Hypervisor) ClosePort(p Port) error {
 // PortPending reports the number of undelivered-or-delivered sends on
 // a port (diagnostic).
 func (h *Hypervisor) PortPending(p Port) uint64 {
-	if ch := h.ports.get(p); ch != nil {
+	if ch := h.ports.Get(p); ch != nil {
 		return ch.pending
 	}
 	return 0
 }
 
 // NumPorts reports live event channels (diagnostic).
-func (h *Hypervisor) NumPorts() int { return h.ports.n }
+func (h *Hypervisor) NumPorts() int { return h.ports.Len() }
 
 // GrantRef names an entry in a domain's grant table.
 type GrantRef uint32
@@ -104,14 +104,14 @@ func (h *Hypervisor) GrantAccess(owner, peer DomID, frame uint64, readonly bool)
 	if _, err := h.Domain(owner); err != nil {
 		return 0, err
 	}
-	r := h.grants.put(grant{owner: owner, peer: peer, frame: frame, readonly: readonly})
+	r := h.grants.Put(grant{owner: owner, peer: peer, frame: frame, readonly: readonly})
 	h.charge(costs.GrantRefSetup)
 	return r, nil
 }
 
 // MapGrant maps a granted page into peer's address space.
 func (h *Hypervisor) MapGrant(r GrantRef, peer DomID) (uint64, error) {
-	g := h.grants.get(r)
+	g := h.grants.Get(r)
 	if g == nil {
 		return 0, fmt.Errorf("%w: %d", ErrNoSuchGrant, r)
 	}
@@ -126,7 +126,7 @@ func (h *Hypervisor) MapGrant(r GrantRef, peer DomID) (uint64, error) {
 
 // EndGrant revokes a grant.
 func (h *Hypervisor) EndGrant(r GrantRef) error {
-	if !h.grants.del(r) {
+	if !h.grants.Del(r) {
 		return fmt.Errorf("%w: %d", ErrNoSuchGrant, r)
 	}
 	h.charge(0)
@@ -134,7 +134,7 @@ func (h *Hypervisor) EndGrant(r GrantRef) error {
 }
 
 // NumGrants reports live grant entries (diagnostic).
-func (h *Hypervisor) NumGrants() int { return h.grants.n }
+func (h *Hypervisor) NumGrants() int { return h.grants.Len() }
 
 // Endpoint names one side of an event channel or grant as seen by an
 // auditor: which domains the entry ties together.
@@ -147,7 +147,7 @@ type Endpoint struct {
 // in port order, in place. It is a pure inspection: no virtual time is
 // charged, so invariant checkers can call it without perturbing runs.
 func (h *Hypervisor) EachPort(fn func(Endpoint)) {
-	h.ports.each(func(_ Port, ch *channel) {
+	h.ports.Each(func(_ Port, ch *channel) {
 		fn(Endpoint{Owner: ch.owner, Peer: ch.peer})
 	})
 }
@@ -155,17 +155,17 @@ func (h *Hypervisor) EachPort(fn func(Endpoint)) {
 // EachGrant calls fn on every live grant's (owner, peer) pair in
 // grant-ref order, in place. Clock-free, like EachPort.
 func (h *Hypervisor) EachGrant(fn func(Endpoint)) {
-	h.grants.each(func(_ GrantRef, g *grant) {
+	h.grants.Each(func(_ GrantRef, g *grant) {
 		fn(Endpoint{Owner: g.owner, Peer: g.peer})
 	})
 }
 
 // HasPort reports whether a port exists, without charging time.
 func (h *Hypervisor) HasPort(p Port) bool {
-	return h.ports.get(p) != nil
+	return h.ports.Get(p) != nil
 }
 
 // HasGrant reports whether a grant ref exists, without charging time.
 func (h *Hypervisor) HasGrant(r GrantRef) bool {
-	return h.grants.get(r) != nil
+	return h.grants.Get(r) != nil
 }

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"lightvm/internal/costs"
+	"lightvm/internal/idtable"
 	"lightvm/internal/mm"
 	"lightvm/internal/sim"
 )
@@ -112,9 +113,9 @@ type Hypervisor struct {
 	// Domains, event channels and grants by id. Each table issues its
 	// own ids, monotonic and never reused: Dom0 is 0, and ports and
 	// grant refs start at 1.
-	domains table[DomID, *Domain]
-	ports   table[Port, channel]
-	grants  table[GrantRef, grant]
+	domains idtable.Table[DomID, *Domain]
+	ports   idtable.Table[Port, channel]
+	grants  idtable.Table[GrantRef, grant]
 
 	Count Counters
 }
@@ -125,8 +126,8 @@ func New(clock *sim.Clock, hostMemBytes uint64) *Hypervisor {
 	h := &Hypervisor{
 		Clock:  clock,
 		Mem:    mm.New(hostMemBytes),
-		ports:  table[Port, channel]{next: 1},
-		grants: table[GrantRef, grant]{next: 1},
+		ports:  idtable.From[Port, channel](1),
+		grants: idtable.From[GrantRef, grant](1),
 	}
 	h.Share = mm.NewSharePool(h.Mem)
 	dom0 := &Domain{ID: 0, State: StateRunning}
@@ -135,7 +136,7 @@ func New(clock *sim.Clock, hostMemBytes uint64) *Hypervisor {
 		panic("hv: host too small for Dom0")
 	}
 	dom0.MemBytes = dom0Bytes
-	h.domains.put(dom0)
+	h.domains.Put(dom0)
 	return h
 }
 
@@ -147,7 +148,7 @@ func (h *Hypervisor) charge(extra sim.Duration) {
 
 // Domain returns the domain with the given ID.
 func (h *Hypervisor) Domain(id DomID) (*Domain, error) {
-	d := h.domains.get(id)
+	d := h.domains.Get(id)
 	if d == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchDomain, id)
 	}
@@ -155,13 +156,13 @@ func (h *Hypervisor) Domain(id DomID) (*Domain, error) {
 }
 
 // NumDomains reports the number of live guest domains (excluding Dom0).
-func (h *Hypervisor) NumDomains() int { return h.domains.n - 1 }
+func (h *Hypervisor) NumDomains() int { return h.domains.Len() - 1 }
 
 // EachDomain calls fn on every guest domain ID (Dom0 excluded) in
 // ascending order, in place: no listing is built and no virtual time
 // is charged. fn may destroy domains.
 func (h *Hypervisor) EachDomain(fn func(DomID)) {
-	h.domains.each(func(id DomID, _ **Domain) {
+	h.domains.Each(func(id DomID, _ **Domain) {
 		if id != 0 {
 			fn(id)
 		}
@@ -171,7 +172,7 @@ func (h *Hypervisor) EachDomain(fn func(DomID)) {
 // DomIDLimit is one past the highest domain ID issued so far. IDs are
 // dense and never reused, so every domain this hypervisor ever held
 // has an ID below it.
-func (h *Hypervisor) DomIDLimit() DomID { return h.domains.next }
+func (h *Hypervisor) DomIDLimit() DomID { return h.domains.Next() }
 
 // CreateDomain is the domain-creation hypercall: it reserves an ID and
 // management structures and pins vCPUs to cores. Memory is populated
@@ -182,7 +183,7 @@ func (h *Hypervisor) CreateDomain(cfg Config) (*Domain, error) {
 		cfg.VCPUs = 1
 	}
 	d := &Domain{State: StateCreated, MaxMem: cfg.MaxMem}
-	d.ID = h.domains.put(d)
+	d.ID = h.domains.Put(d)
 	for i := 0; i < cfg.VCPUs; i++ {
 		core := i
 		if len(cfg.Cores) > 0 {
@@ -300,17 +301,17 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 		return err
 	}
 	d.State = StateDying
-	h.ports.each(func(p Port, ch *channel) {
+	h.ports.Each(func(p Port, ch *channel) {
 		if ch.owner == id || ch.peer == id {
-			h.ports.del(p)
+			h.ports.Del(p)
 		}
 	})
-	h.grants.each(func(r GrantRef, g *grant) {
+	h.grants.Each(func(r GrantRef, g *grant) {
 		// Both endpoints release: a dying guest's mappings of Dom0
 		// backend grants (owner=0, peer=guest) must not outlive it, or
 		// the grant table fills with entries no one can ever end.
 		if g.owner == id || g.peer == id {
-			h.grants.del(r)
+			h.grants.Del(r)
 		}
 	})
 	h.Mem.FreeOwner(mm.Owner(id))
@@ -319,7 +320,7 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 			return fmt.Errorf("hv: destroy %d: %w", id, err)
 		}
 	}
-	h.domains.del(id)
+	h.domains.Del(id)
 	h.Count.DomainsGone++
 	// Teardown walks the page lists; charge proportional to memory.
 	mb := float64(d.MemBytes) / (1024 * 1024)

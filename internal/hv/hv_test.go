@@ -2,7 +2,6 @@ package hv
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 	"unsafe"
 
@@ -531,104 +530,5 @@ func TestDestroyReleasesAllGuestMemory(t *testing.T) {
 	}
 	if h.UsedMemBytes() != used0 {
 		t.Fatalf("host memory %d after destroy, %d before create", h.UsedMemBytes(), used0)
-	}
-}
-
-// liveChunks counts a table's allocated chunks.
-func liveChunks[I ~int | ~uint32, T any](tb *table[I, T]) int {
-	n := 0
-	for _, ch := range tb.chunks {
-		if ch != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// TestTableChurnStaysSmall: 100k create/destroy cycles of each kind of
-// id keep each table at two chunks or fewer — the tail a freed chunk
-// may not leave behind — and port and grant cycles allocate almost
-// nothing: a chunk is reused until the counter leaves it.
-func TestTableChurnStaysSmall(t *testing.T) {
-	const cycles = 100_000
-	h := newHV()
-	d, err := h.CreateDomain(Config{MaxMem: mib})
-	if err != nil {
-		t.Fatal(err)
-	}
-	portCycle := func() {
-		p, err := h.AllocUnboundPort(0, d.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.ClosePort(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	grantCycle := func() {
-		r, err := h.GrantAccess(d.ID, 0, 1, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.EndGrant(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < cycles; i++ {
-		portCycle()
-		grantCycle()
-		g, err := h.CreateDomain(Config{MaxMem: mib})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.DestroyDomain(g.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, n := range map[string]int{
-		"domains": liveChunks(&h.domains),
-		"ports":   liveChunks(&h.ports),
-		"grants":  liveChunks(&h.grants),
-	} {
-		if n > 2 {
-			t.Errorf("%s table holds %d chunks after %d cycles, want <= 2", name, n, cycles)
-		}
-	}
-	if h.NumDomains() != 1 || h.NumPorts() != 0 || h.NumGrants() != 0 {
-		t.Fatalf("after churn: %d guests, %d ports, %d grants", h.NumDomains(), h.NumPorts(), h.NumGrants())
-	}
-
-	// AllocsPerRun truncates to whole allocations per run, so each run
-	// is a batch of cycles and the pin is on the per-cycle average.
-	const batch = 1000
-	for name, cycle := range map[string]func(){"port": portCycle, "grant": grantCycle} {
-		perOp := testing.AllocsPerRun(20, func() {
-			for i := 0; i < batch; i++ {
-				cycle()
-			}
-		}) / batch
-		t.Logf("%s cycle: %.4f allocs/op", name, perOp)
-		if perOp >= 0.1 {
-			t.Errorf("%s cycle allocates %.4f objects per op, want < 0.1", name, perOp)
-		}
-	}
-}
-
-// TestTableIDsMatchCounters: each table issues the ids the hypervisor
-// always has — Dom0 then 1, 2, …; ports and grant refs from 1 — and
-// never reuses one, whatever was deleted in between.
-func TestTableIDsMatchCounters(t *testing.T) {
-	h := newHV()
-	var got []string
-	for i := 0; i < 3; i++ {
-		d, _ := h.CreateDomain(Config{MaxMem: mib})
-		p, _ := h.AllocUnboundPort(0, d.ID)
-		r, _ := h.GrantAccess(0, d.ID, 1, false)
-		got = append(got, fmt.Sprintf("%d/%d/%d", d.ID, p, r))
-		_ = h.DestroyDomain(d.ID)
-	}
-	want := []string{"1/1/1", "2/2/2", "3/3/3"}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("ids issued %v, want %v", got, want)
 	}
 }

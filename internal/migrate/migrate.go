@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"lightvm/internal/costs"
-	"lightvm/internal/devd"
 	"lightvm/internal/faults"
 	"lightvm/internal/guest"
 	"lightvm/internal/hv"
@@ -401,7 +400,7 @@ func teardownSource(e *toolstack.Env, vm *toolstack.VM) error {
 		if vm.Mode.UsesStore() {
 			for i, dev := range vm.Image.Devices {
 				if dev.Kind == hv.DevVif {
-					_ = e.Bridge.DetachPort(devd.VifName(int(vm.Dom.ID), i))
+					_ = e.Bridge.DetachPort(int(vm.Dom.ID), i)
 				}
 				xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i)
 			}

@@ -45,19 +45,12 @@ type Counters struct {
 	HotplugFailures uint64
 }
 
-// sysctlState is the shared control page of the sysctl device.
-type sysctlState struct {
-	port           hv.Port
-	shutdownReason string
-}
-
 // Module is the noxs Linux kernel module living in Dom0.
 type Module struct {
 	HV      *hv.Hypervisor
 	Clock   *sim.Clock
 	Hotplug devd.Hotplug
 
-	sysctl map[hv.DomID]*sysctlState
 	// journal is the toolstack's intent journal, kept in module (Dom0
 	// kernel) memory: the chaos toolstack process can die mid-operation
 	// but the module survives, so a restarted toolstack reads the
@@ -71,7 +64,7 @@ type Module struct {
 // NewModule loads the module against h, plumbing vifs through hp
 // (LightVM pairs noxs with xendevd, but any Hotplug works).
 func NewModule(h *hv.Hypervisor, hp devd.Hotplug) *Module {
-	return &Module{HV: h, Clock: h.Clock, Hotplug: hp, sysctl: make(map[hv.DomID]*sysctlState)}
+	return &Module{HV: h, Clock: h.Clock, Hotplug: hp}
 }
 
 // ioctl charges the user→kernel round trip plus the module's
@@ -145,12 +138,9 @@ func (m *Module) CreateDevice(dom hv.DomID, kind hv.DevKind, idx int, mac string
 		return hv.DevEntry{}, err
 	}
 	if kind == hv.DevVif && m.Hotplug != nil {
-		if err := m.Hotplug.Setup(devd.VifName(int(dom), idx)); err != nil {
+		if err := m.Hotplug.Setup(int(dom), idx); err != nil {
 			return hv.DevEntry{}, err
 		}
-	}
-	if kind == hv.DevSysctl {
-		m.sysctl[dom] = &sysctlState{port: port}
 	}
 	m.Count.DevicesCreated++
 	return entry, nil
@@ -160,22 +150,32 @@ func (m *Module) CreateDevice(dom hv.DomID, kind hv.DevKind, idx int, mac string
 // execute phase, Fig. 8 step "device initialization"): one device-page
 // update hypercall.
 func (m *Module) SetMAC(dom hv.DomID, kind hv.DevKind, idx int, mac string) error {
-	d, err := m.HV.Domain(dom)
+	_, e, err := m.entry(dom, kind, idx)
 	if err != nil {
 		return err
 	}
-	if d.DevPage == nil {
-		return fmt.Errorf("noxs: dom %d has no device page", dom)
+	e.MAC = mac
+	m.Clock.Sleep(costs.NoxsDevicePageWrite + costs.Hypercall)
+	return nil
+}
+
+// anyIndex makes entry match a device of the kind at any index.
+const anyIndex = -1
+
+// entry finds dom's device page and its entry for kind at idx.
+func (m *Module) entry(dom hv.DomID, kind hv.DevKind, idx int) (*hv.DevicePage, *hv.DevEntry, error) {
+	d, err := m.HV.Domain(dom)
+	if err != nil {
+		return nil, nil, err
 	}
-	for i := range d.DevPage.Entries {
-		e := &d.DevPage.Entries[i]
-		if e.Kind == kind && e.Index == idx {
-			e.MAC = mac
-			m.Clock.Sleep(costs.NoxsDevicePageWrite + costs.Hypercall)
-			return nil
+	if p := d.DevPage; p != nil {
+		for i := range p.Entries {
+			if e := &p.Entries[i]; e.Kind == kind && (idx == anyIndex || e.Index == idx) {
+				return p, e, nil
+			}
 		}
 	}
-	return fmt.Errorf("noxs: dom %d has no %v[%d]", dom, kind, idx)
+	return nil, nil, fmt.Errorf("noxs: dom %d has no %v[%d]", dom, kind, idx)
 }
 
 // DestroyDevice tears down one device. The paper notes noxs device
@@ -184,32 +184,16 @@ func (m *Module) SetMAC(dom hv.DomID, kind hv.DevKind, idx int, mac string) erro
 func (m *Module) DestroyDevice(dom hv.DomID, kind hv.DevKind, idx int) error {
 	m.ioctl()
 	m.Clock.Sleep(costs.NoxsDeviceDestroy)
-	d, err := m.HV.Domain(dom)
+	_, entry, err := m.entry(dom, kind, idx)
 	if err != nil {
 		return err
-	}
-	var entry *hv.DevEntry
-	if d.DevPage != nil {
-		for i := range d.DevPage.Entries {
-			e := &d.DevPage.Entries[i]
-			if e.Kind == kind && e.Index == idx {
-				entry = e
-				break
-			}
-		}
-	}
-	if entry == nil {
-		return fmt.Errorf("noxs: dom %d has no %v[%d]", dom, kind, idx)
 	}
 	_ = m.HV.ClosePort(entry.Evtchn)
 	_ = m.HV.EndGrant(entry.CtrlGrant)
 	if kind == hv.DevVif && m.Hotplug != nil {
-		if err := m.Hotplug.Teardown(devd.VifName(int(dom), idx)); err != nil {
+		if err := m.Hotplug.Teardown(int(dom), idx); err != nil {
 			m.Count.HotplugFailures++
 		}
-	}
-	if kind == hv.DevSysctl {
-		delete(m.sysctl, dom)
 	}
 	m.Count.DevicesGone++
 	return m.HV.DevicePageRemove(0, dom, kind, idx)
@@ -254,11 +238,11 @@ func (m *Module) guestUpcall(dom hv.DomID, e hv.DevEntry) func() {
 		return func() {}
 	}
 	return func() {
-		st, ok := m.sysctl[dom]
-		if !ok {
+		page, _, err := m.entry(dom, hv.DevSysctl, anyIndex)
+		if err != nil {
 			return
 		}
-		reason := st.shutdownReason
+		reason := page.ShutdownReason
 		// Guest saves internal state and unbinds noxs event channels
 		// and device pages (§5.1), then the hypervisor marks it
 		// suspended or shut down.
@@ -279,16 +263,19 @@ func (m *Module) guestUpcall(dom hv.DomID, e hv.DevEntry) func() {
 // sysctl back-end sets the reason field in the shared page and kicks
 // the event channel (§5.1). reason is "suspend" or "poweroff".
 func (m *Module) RequestShutdown(dom hv.DomID, reason string) error {
-	st, ok := m.sysctl[dom]
-	if !ok {
+	// The module keeps no sysctl state: the port is the sysctl entry's
+	// and the reason field is on the device page.
+	page, e, err := m.entry(dom, hv.DevSysctl, anyIndex)
+	if err != nil {
 		return fmt.Errorf("%w: %d", ErrNoSysctl, dom)
 	}
+	port := e.Evtchn
 	m.ioctl()
-	st.shutdownReason = reason
+	page.ShutdownReason = reason
 	if reason == "suspend" {
 		m.Count.Suspends++
 	} else {
 		m.Count.Poweroffs++
 	}
-	return m.HV.Send(st.port)
+	return m.HV.Send(port)
 }

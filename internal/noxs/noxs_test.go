@@ -208,7 +208,7 @@ func TestIoctlScanGrowsWithDomains(t *testing.T) {
 // teardowns all fail.
 type failingTeardown struct{ devd.Xendevd }
 
-func (f *failingTeardown) Teardown(vif string) error { return devd.ErrHotplug }
+func (f *failingTeardown) Teardown(dom, idx int) error { return devd.ErrHotplug }
 
 // TestDestroyDeviceCountsHotplugFailure destroys a vif through a
 // hotplug whose teardown fails: the device still leaves the page, and

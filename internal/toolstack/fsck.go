@@ -19,7 +19,7 @@ import (
 // store, the hypervisor, the memory allocator, the noxs module, the
 // shell pool and the console daemon against the toolstack's own tables
 // and reports everything that no live domain can account for. It is entirely clock-free —
-// snapshots and introspection only, no charged operations — so
+// store reads and introspection only, no charged operations — so
 // experiments can assert on it without perturbing their timelines.
 //
 // Violations are real leaks. Benign litter that existing flows leave
@@ -50,8 +50,8 @@ func (v Violation) String() string {
 // would be torn reads, not leaks).
 //
 // Its allocations do not grow with the guest count: the live set is a
-// bitset (domSet), the store is walked through snapshot entries rather
-// than per-directory listings and paths, and the hypervisor, allocator
+// bitset (domSet), the store is walked through live-tree entries
+// rather than per-directory listings and paths, and the hypervisor, allocator
 // and console tables are iterated in place. A string is built only for
 // a violation. The tables are walked in whatever order they keep, so
 // the result is sorted on every field: the list is the same whatever
@@ -86,10 +86,10 @@ func Fsck(e *Env) []Violation {
 		add("xenstore", "store-internal", "", "%s", p)
 	}
 
-	snap := e.Store.Snapshot()
-
 	// Orphan registry subtrees and dirty journals.
-	local := snap.Lookup("/local/domain")
+	// The store is read in place, not snapshotted, so the nodes read
+	// stay recyclable; nothing below mutates it while entries are held.
+	local := e.Store.Lookup("/local/domain")
 	local.Each(func(s string, _ xenstore.Entry) {
 		if id, err := strconv.Atoi(s); err == nil && id != 0 && !live.has(hv.DomID(id)) {
 			add("xenstore", "orphan-domain-dir", "/local/domain/"+s, "registry subtree for dead domain %d", id)
@@ -112,7 +112,7 @@ func Fsck(e *Env) []Violation {
 			add(layer, "stale-lease", rec.Key, "epoch %d no longer current — the fence should have scrubbed this copy", rec.Epoch)
 		}
 	}
-	snap.Lookup(journalRoot).Each(func(k string, rec xenstore.Entry) {
+	e.Store.Lookup(journalRoot).Each(func(k string, rec xenstore.Entry) {
 		if strings.HasPrefix(k, leasePrefix) {
 			checkLease("xenstore", parseJournalRecord(k, rec.Value()))
 			return
@@ -132,7 +132,7 @@ func Fsck(e *Env) []Violation {
 	for _, kind := range scrubKinds {
 		root := xenbus.BackendDir(kind)
 		kname := xenbus.KindName(kind)
-		snap.Lookup(root).Each(func(ds string, devs xenstore.Entry) {
+		e.Store.Lookup(root).Each(func(ds string, devs xenstore.Entry) {
 			id, err := strconv.Atoi(ds)
 			if err != nil {
 				return
@@ -159,7 +159,7 @@ func Fsck(e *Env) []Violation {
 				if canon && isDecimal(is, idx) {
 					ok = fe.Child(is).Exists()
 				} else {
-					ok = snap.Lookup(xenbus.FrontendPath(dom, kind, idx)).Exists()
+					ok = e.Store.Lookup(xenbus.FrontendPath(dom, kind, idx)).Exists()
 				}
 				if !ok {
 					add("xenstore", "backend-without-frontend", root+"/"+ds+"/"+is, "no frontend dir for dom %d %s[%d]", id, kname, idx)

@@ -216,6 +216,42 @@ func TestFsckAllocs(t *testing.T) {
 	}
 }
 
+// TestFsckKeepsStoreRecycling: on a 200-guest xl host, a create and
+// destroy cycle that ends with an audit allocates no more than the
+// cycle and the audit do apart. Fsck reads the live store without a
+// snapshot, so the nodes alive at an audit stay recyclable afterwards;
+// a snapshot would leave every later write of them to allocate afresh.
+func TestFsckKeepsStoreRecycling(t *testing.T) {
+	const runs = 300
+	e := fsckGuests(t, ModeXL, 200)
+	drv := e.ForMode(ModeXL)
+	img := guest.Daytime()
+	i := 0
+	cycle := func() {
+		vm, err := drv.Create("c"+strconv.Itoa(i), img)
+		i++
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := drv.Destroy(vm); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain := testing.AllocsPerRun(runs, cycle)
+	audit := testing.AllocsPerRun(runs, func() { _ = Fsck(e) })
+	audited := testing.AllocsPerRun(runs, func() {
+		cycle()
+		_ = Fsck(e)
+	})
+	t.Logf("cycle %.0f, audit %.0f, cycle ending in an audit %.0f allocations", plain, audit, audited)
+	if audited > plain+audit {
+		t.Fatalf("a cycle ending in an audit allocates %.0f objects, want <= %.0f (cycle) + %.0f (audit)", audited, plain, audit)
+	}
+	if v := Fsck(e); len(v) > 0 {
+		t.Fatal(v)
+	}
+}
+
 // BenchmarkFsck audits a clean LightVM host running 1,000 guests.
 func BenchmarkFsck(b *testing.B) {
 	e := fsckGuests(b, ModeLightVM, 1000)

@@ -76,13 +76,10 @@ type Defense struct {
 	// tokens per fresh arrival (Finagle-style budget, enforced at the
 	// server's front door). 0 disables the budget.
 	RetryBudget float64
-	// PriorityShed sheds ClassBatch requests as soon as the plane
-	// leaves StateNormal, reserving the remaining capacity for
-	// ClassPaid.
+	// PriorityShed tags a seeded batchFraction of fresh arrivals
+	// ClassBatch and sheds them as soon as the plane leaves
+	// StateNormal, reserving the remaining capacity for ClassPaid.
 	PriorityShed bool
-	// BatchFraction is the seeded fraction of fresh arrivals tagged
-	// ClassBatch. Default 0.25 when PriorityShed is on, else 0.
-	BatchFraction float64
 	// Brownout serves from a degraded shell image (half the memory,
 	// half the image bytes, no console, no boot-time store chatter)
 	// whenever the plane is past StateNormal, trading fidelity for
@@ -102,6 +99,10 @@ type aimdLimiter struct {
 }
 
 const aimdBeta = 0.75
+
+// batchFraction is the share of fresh arrivals tagged ClassBatch under
+// PriorityShed.
+const batchFraction = 0.25
 
 func newAIMDLimiter(target, maxBacklog time.Duration) *aimdLimiter {
 	min := target / 8

@@ -262,9 +262,7 @@ func TestAdaptiveLimitBoundsTail(t *testing.T) {
 }
 
 func TestPrioritySheddingProtectsPaid(t *testing.T) {
-	st, _, err := Serve(overloadConfig(t, 13, 2.0, 0, Defense{
-		PriorityShed: true, BatchFraction: 0.3,
-	}))
+	st, _, err := Serve(overloadConfig(t, 13, 2.0, 0, Defense{PriorityShed: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,10 +288,6 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 	if d.LatencyTarget <= 0 {
 		d.LatencyTarget = timeout / 2
 	}
-	batchFrac := d.BatchFraction
-	if d.PriorityShed && batchFrac <= 0 {
-		batchFrac = 0.25
-	}
 
 	h, err := newServeHost(cfg.Seed)
 	if err != nil {
@@ -352,7 +348,7 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		budget = newRetryBudget(d.RetryBudget)
 	}
 	var classRNG *sim.RNG
-	if batchFrac > 0 {
+	if d.PriorityShed {
 		classRNG = sim.NewRNG(cfg.Seed ^ 0x9e3779b97f4a7c15)
 	}
 
@@ -434,7 +430,7 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 		default:
 			st.RejectedBacklog++
 		}
-		if batchFrac > 0 {
+		if d.PriorityShed {
 			if class == ClassBatch {
 				st.ShedBatch++
 			} else {
@@ -466,7 +462,7 @@ func Serve(cfg Config) (*Stats, *core.Host, error) {
 			if freshLeft > 0 {
 				freshAt = freshAt.Add(cfg.Arrivals.Next())
 			}
-			if classRNG != nil && classRNG.Float64() < batchFrac {
+			if classRNG != nil && classRNG.Float64() < batchFraction {
 				class = ClassBatch
 			}
 			if budget != nil {

@@ -222,7 +222,7 @@ func (b *Backend) setup(dir string) {
 		// dir is BackendPath(dom, kind, idx): the index is its last segment.
 		idx, err := strconv.Atoi(dir[strings.LastIndexByte(dir, '/')+1:])
 		if err == nil {
-			err = b.Hotplug.Setup(devd.VifName(feDom, idx))
+			err = b.Hotplug.Setup(feDom, idx)
 		}
 		if err != nil {
 			b.HotplugFailures++
@@ -241,7 +241,7 @@ func (b *Backend) Teardown(dom hv.DomID, idx int) {
 		}
 	}
 	if b.Kind == hv.DevVif && b.Hotplug != nil {
-		if err := b.Hotplug.Teardown(devd.VifName(int(dom), idx)); err != nil {
+		if err := b.Hotplug.Teardown(int(dom), idx); err != nil {
 			b.HotplugFailures++
 		}
 	}

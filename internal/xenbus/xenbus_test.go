@@ -307,7 +307,7 @@ func TestOverlappingCreationsConflictAndRecover(t *testing.T) {
 // teardowns all fail.
 type failingTeardown struct{ devd.Xendevd }
 
-func (f *failingTeardown) Teardown(vif string) error { return devd.ErrHotplug }
+func (f *failingTeardown) Teardown(dom, idx int) error { return devd.ErrHotplug }
 
 // TestTeardownCountsHotplugFailure tears a vif down through a hotplug
 // that fails: the failure is counted, and the backend half still goes.
@@ -339,8 +339,11 @@ func TestVifNameMatchesBackendPort(t *testing.T) {
 	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0); err != nil {
 		t.Fatal(err)
 	}
-	// The port the backend attached is the one VifName names.
-	if err := f.hp.Bridge.DetachPort(devd.VifName(int(d.ID), 0)); err != nil {
+	// The backend attached the domain's vif 0, and only that.
+	if n := f.hp.Bridge.Ports(); n != 1 {
+		t.Fatalf("bridge holds %d ports, want 1", n)
+	}
+	if err := f.hp.Bridge.DetachPort(int(d.ID), 0); err != nil {
 		t.Fatal(err)
 	}
 }

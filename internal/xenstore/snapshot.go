@@ -45,11 +45,22 @@ func (sn *Snapshot) Lookup(path string) Entry {
 	return Entry{n}
 }
 
-// Entry is a handle on one node of a frozen tree; the zero Entry is a
-// missing node. Walking from a Lookup with Child and Each builds no
-// path and no listing, so an audit of every guest's registry entries
-// (toolstack.Fsck) allocates nothing per guest. Like everything on a
-// snapshot it charges no virtual time.
+// Lookup returns the entry at path in the live tree. Unlike
+// Snapshot().Lookup it takes no snapshot, so it leaves the pool's
+// snapshot epoch alone and every node it reaches stays recyclable; in
+// exchange the entry, and every entry reached from it, is valid only
+// until the store's next mutation. It charges no virtual time.
+func (s *Store) Lookup(path string) Entry {
+	n, _ := resolveFrom(s.root, path)
+	return Entry{n}
+}
+
+// Entry is a handle on one node of a snapshot's frozen tree or, from
+// Store.Lookup, of the live tree; the zero Entry is a missing node.
+// Walking from a Lookup with Child and Each builds no path and no
+// listing, so an audit of every guest's registry entries
+// (toolstack.Fsck) allocates nothing per guest. Reading an entry
+// charges no virtual time.
 type Entry struct{ n *node }
 
 // Exists reports whether the entry names a node.

@@ -104,6 +104,33 @@ func TestSnapshotDoesNotChargeClock(t *testing.T) {
 	}
 }
 
+// TestStoreLookupReadsLiveTree: Store.Lookup reads the live tree as
+// a snapshot would — values, children, missing nodes — without
+// charging the clock, counting a snapshot or bumping the pool's
+// snapshot epoch, so the nodes it reads stay recyclable.
+func TestStoreLookupReadsLiveTree(t *testing.T) {
+	s, clock := newStore()
+	populateGuests(s, 20)
+	before, epoch := clock.Now(), s.pl.epoch
+	dom := s.Lookup("/local/domain/7")
+	if v := dom.Child("name").Value(); v != "g7" {
+		t.Fatalf("live name = %q, want g7", v)
+	}
+	if s.Lookup("/local/domain/99").Exists() || dom.Child("nope").Exists() {
+		t.Fatal("missing node found")
+	}
+	n := 0
+	s.Lookup("/local/domain").Each(func(string, Entry) { n++ })
+	want, _ := snapDir(s.Snapshot(), "/local/domain")
+	if n != len(want) {
+		t.Fatalf("Each visited %d children, the snapshot lists %d", n, len(want))
+	}
+	if clock.Now() != before || s.Count.Snapshots != 1 || s.pl.epoch != epoch+1 {
+		t.Fatalf("lookups charged %v, counted %d snapshots, moved the epoch %d -> %d",
+			clock.Now().Sub(before), s.Count.Snapshots-1, epoch, s.pl.epoch-1)
+	}
+}
+
 func TestSnapshotSerializeRoundTrip(t *testing.T) {
 	s, _ := newStore()
 	populateGuests(s, 7)
