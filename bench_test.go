@@ -253,7 +253,7 @@ func BenchmarkXenStoreTxn(b *testing.B) {
 		err := s.Txn(4, func(tx *xenstore.Tx) error {
 			tx.Write("/local/domain/9/device/vif/0/state", "4")
 			tx.Write("/local/domain/9/name", "bench")
-			_, _ = tx.Read("/local/domain/9/name")
+			_, _ = tx.ReadAt("/local/domain/9/name", "")
 			return nil
 		})
 		if err != nil {

@@ -89,11 +89,11 @@ func TestHostLifecycleAllocs(t *testing.T) {
 		mode   toolstack.Mode
 		budget float64
 	}{
-		{toolstack.ModeXL, 79},
-		{toolstack.ModeChaosXS, 51},
-		{toolstack.ModeChaosSplit, 57},
-		{toolstack.ModeChaosNoXS, 10},
-		{toolstack.ModeLightVM, 12},
+		{toolstack.ModeXL, 47},
+		{toolstack.ModeChaosXS, 37},
+		{toolstack.ModeChaosSplit, 42},
+		{toolstack.ModeChaosNoXS, 9},
+		{toolstack.ModeLightVM, 11},
 	}
 	img := guest.Daytime()
 	names := make([]string, runs+1) // AllocsPerRun adds one warm-up run
@@ -135,9 +135,9 @@ func TestHostRetainedBytes(t *testing.T) {
 		mode           toolstack.Mode
 		bytes, objects float64
 	}{
-		{toolstack.ModeXL, 7230, 106},
-		{toolstack.ModeChaosXS, 4530, 61},
-		{toolstack.ModeChaosSplit, 4700, 63},
+		{toolstack.ModeXL, 7110, 101},
+		{toolstack.ModeChaosXS, 4430, 58.5},
+		{toolstack.ModeChaosSplit, 4600, 60.5},
 		{toolstack.ModeChaosNoXS, 1240, 7.5},
 		{toolstack.ModeLightVM, 1240, 7.5},
 	}
@@ -193,9 +193,9 @@ func TestHostLifecycleBytes(t *testing.T) {
 		mode  toolstack.Mode
 		bytes float64
 	}{
-		{toolstack.ModeXL, 3800},
-		{toolstack.ModeChaosXS, 2820},
-		{toolstack.ModeChaosSplit, 3000},
+		{toolstack.ModeXL, 2430},
+		{toolstack.ModeChaosXS, 2150},
+		{toolstack.ModeChaosSplit, 2280},
 	}
 	img := guest.Daytime()
 	names := make([]string, live+runs)

@@ -199,16 +199,23 @@ func (m *Module) DestroyDevice(dom hv.DomID, kind hv.DevKind, idx int) error {
 	return m.HV.DevicePageRemove(0, dom, kind, idx)
 }
 
-// DestroyAll tears down every device of a domain (destroy path).
+// DestroyAll tears down every device of a domain (destroy path), in
+// page order. It makes one DestroyDevice call per entry the page held
+// on entry, on the entry at the front of what is left: a destroyed
+// entry leaves the page, and one whose destroy failed stays and is
+// stepped over, so a failing destroy cannot make the loop spin.
 func (m *Module) DestroyAll(dom hv.DomID) {
 	d, err := m.HV.Domain(dom)
 	if err != nil || d.DevPage == nil {
 		return
 	}
-	entries := make([]hv.DevEntry, len(d.DevPage.Entries))
-	copy(entries, d.DevPage.Entries)
-	for _, e := range entries {
+	p := d.DevPage
+	for i, n := 0, len(p.Entries); n > 0 && i < len(p.Entries); n-- {
+		e, before := p.Entries[i], len(p.Entries)
 		_ = m.DestroyDevice(dom, e.Kind, e.Index)
+		if len(p.Entries) == before {
+			i++
+		}
 	}
 }
 

@@ -116,9 +116,9 @@ func (c *Chaos) Create(name string, img guest.Image) (*VM, error) {
 			}
 			e.charge(&bd.XenStore, func() {
 				domPath := xenbus.DomainPath(vm.Dom.ID)
-				e.Store.Write(domPath+"/name", name)
-				e.Store.Write(domPath+"/memory/target", strconv.FormatUint(img.MemBytes/1024, 10))
-				e.Store.Write(domPath+"/console/port", "2")
+				e.Store.WriteAt(domPath, "name", name)
+				e.Store.WriteAt(domPath, "memory/target", strconv.FormatUint(img.MemBytes/1024, 10))
+				e.Store.WriteAt(domPath, "console/port", "2")
 			})
 			if retErr = e.crashPoint("chaos.create.store"); retErr != nil {
 				return

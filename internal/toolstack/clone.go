@@ -80,7 +80,7 @@ func (e *Env) CloneVM(parent *VM, name string) (*VM, error) {
 			if retErr = e.Store.GraftSnapshot(sub, "/", xenbus.DomainPath(dom.ID)); retErr != nil {
 				return
 			}
-			e.Store.Write(xenbus.DomainPath(dom.ID)+"/name", name)
+			e.Store.WriteAt(xenbus.DomainPath(dom.ID), "name", name)
 		}
 		if retErr = e.CreateDevices(dom.ID, img.Devices, us); retErr != nil {
 			return

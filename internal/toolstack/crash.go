@@ -133,7 +133,7 @@ func (e *Env) journalSet(useStore bool, key, op, step string, dom hv.DomID) {
 	}
 	rec := journalRecord{Key: key, Op: op, Step: step, Dom: dom}
 	if useStore {
-		e.Store.Write(journalRoot+"/"+key, rec.encode())
+		e.Store.WriteAt(journalRoot, key, rec.encode())
 	} else {
 		e.Noxs.JournalSet(key, rec.encode())
 	}
@@ -163,7 +163,7 @@ func (e *Env) journalEntries(useStore bool) []journalRecord {
 			return nil
 		}
 		for _, k := range keys {
-			v, err := e.Store.Read(journalRoot + "/" + k)
+			v, err := e.Store.ReadAt(journalRoot, k)
 			if err != nil {
 				continue
 			}

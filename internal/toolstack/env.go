@@ -318,9 +318,9 @@ func (e *Env) BootGuest(vm *VM) error {
 		}
 		// Linux guests chatter with the store while booting.
 		if im.StoreOpsBoot > 0 {
-			name := xenbus.DomainPath(vm.Dom.ID) + "/name"
+			domPath := xenbus.DomainPath(vm.Dom.ID)
 			for i := 0; i < im.StoreOpsBoot; i++ {
-				_, _ = e.Store.Read(name)
+				_, _ = e.Store.ReadAt(domPath, "name")
 			}
 		}
 		e.Store.Connections++

@@ -65,7 +65,7 @@ func (e *Env) GrantLease(name string, epoch uint64, useStore bool) {
 	}
 	rec := journalRecord{Key: leasePrefix + name, Op: journalOpLease, Step: "own", Dom: dom, Epoch: epoch}
 	if useStore {
-		e.Store.Write(journalRoot+"/"+rec.Key, rec.encode())
+		e.Store.WriteAt(journalRoot, rec.Key, rec.encode())
 	} else {
 		e.Noxs.JournalSet(rec.Key, rec.encode())
 	}

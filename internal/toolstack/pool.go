@@ -360,10 +360,10 @@ func (p *Pool) finalizeDevices(s *Shell, img guest.Image) error {
 		return e.Store.Txn(8, func(tx *xenstore.Tx) error {
 			for i, dev := range img.Devices {
 				if dev.Kind == hv.DevVif {
-					tx.Write(xenbus.FrontendPath(s.Dom.ID, dev.Kind, i)+"/mac", dev.MAC)
+					tx.WriteAt(xenbus.FrontendPath(s.Dom.ID, dev.Kind, i), "mac", dev.MAC)
 				}
 			}
-			tx.Write(domPath+"/domid", strconv.Itoa(int(s.Dom.ID)))
+			tx.WriteAt(domPath, "domid", strconv.Itoa(int(s.Dom.ID)))
 			return nil
 		})
 	}

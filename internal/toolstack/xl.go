@@ -86,21 +86,21 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 			return
 		}
 		e.charge(&bd.XenStore, func() {
-			domPath := xenbus.DomainPath(dom.ID)
+			domPath, vmPath := xenbus.DomainPath(dom.ID), "/vm/"+name
 			retErr = e.Store.Txn(8, func(tx *xenstore.Tx) error {
-				tx.Write(domPath+"/name", name)
-				tx.Write(domPath+"/vm", "/vm/"+name)
-				tx.Write(domPath+"/domid", strconv.Itoa(int(dom.ID)))
-				tx.Write(domPath+"/memory/target", strconv.FormatUint(img.MemBytes/1024, 10))
-				tx.Write(domPath+"/memory/static-max", strconv.FormatUint(img.MemBytes/1024, 10))
-				tx.Write(domPath+"/cpu/0/availability", "online")
-				tx.Write(domPath+"/console/limit", "1048576")
-				tx.Write(domPath+"/console/type", "xenconsoled")
-				tx.Write(domPath+"/control/platform-feature-multiprocessor-suspend", "1")
-				tx.Write(domPath+"/control/shutdown", "")
-				tx.Write("/vm/"+name+"/uuid", fmt.Sprintf("0000-%08d", dom.ID))
-				tx.Write("/vm/"+name+"/image/ostype", img.Kind.String())
-				tx.Write("/vm/"+name+"/start_time", e.Clock.Now().String())
+				tx.WriteAt(domPath, "name", name)
+				tx.WriteAt(domPath, "vm", vmPath)
+				tx.WriteAt(domPath, "domid", strconv.Itoa(int(dom.ID)))
+				tx.WriteAt(domPath, "memory/target", strconv.FormatUint(img.MemBytes/1024, 10))
+				tx.WriteAt(domPath, "memory/static-max", strconv.FormatUint(img.MemBytes/1024, 10))
+				tx.WriteAt(domPath, "cpu/0/availability", "online")
+				tx.WriteAt(domPath, "console/limit", "1048576")
+				tx.WriteAt(domPath, "console/type", "xenconsoled")
+				tx.WriteAt(domPath, "control/platform-feature-multiprocessor-suspend", "1")
+				tx.WriteAt(domPath, "control/shutdown", "")
+				tx.WriteAt(vmPath, "uuid", fmt.Sprintf("0000-%08d", dom.ID))
+				tx.WriteAt(vmPath, "image/ostype", img.Kind.String())
+				tx.WriteAt(vmPath, "start_time", e.Clock.Now().String())
 				return nil
 			})
 			if retErr != nil {
@@ -115,9 +115,8 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 			// listing cannot miss: the transaction above wrote under
 			// /local/domain.
 			_, _ = e.Store.DirectoryLen("/local/domain")
-			namePath := domPath + "/name"
 			for i := 0; i < xlStateReads; i++ {
-				_, _ = e.Store.Read(namePath)
+				_, _ = e.Store.ReadAt(domPath, "name")
 			}
 		})
 		if retErr != nil {
@@ -148,10 +147,10 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 		// Finalize: console ring info etc.
 		e.charge(&bd.XenStore, func() {
 			domPath := xenbus.DomainPath(dom.ID)
-			e.Store.Write(domPath+"/console/ring-ref", "1")
-			e.Store.Write(domPath+"/console/port", "2")
-			e.Store.Write(domPath+"/image/entry", strconv.FormatUint(dom.KernelEntry, 16))
-			e.Store.Write(domPath+"/unpaused", "1")
+			e.Store.WriteAt(domPath, "console/ring-ref", "1")
+			e.Store.WriteAt(domPath, "console/port", "2")
+			e.Store.WriteAt(domPath, "image/entry", strconv.FormatUint(dom.KernelEntry, 16))
+			e.Store.WriteAt(domPath, "unpaused", "1")
 		})
 
 		// 9. Boot kick.
@@ -177,8 +176,8 @@ func (x *XL) createDevices(vm *VM) error {
 		}
 		// libxl re-reads the device's backend nodes to verify.
 		be := xenbus.BackendPath(vm.Dom.ID, dev.Kind, i)
-		for _, k := range []string{"/state", "/event-channel", "/grant-ref"} {
-			_, _ = e.Store.Read(be + k)
+		for _, k := range [...]string{"state", "event-channel", "grant-ref"} {
+			_, _ = e.Store.ReadAt(be, k)
 		}
 	}
 	return nil

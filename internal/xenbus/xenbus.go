@@ -6,6 +6,13 @@
 // grant, binds the channel and moves to Connected.
 //
 // This is the baseline ("XenStore") device path that noxs replaces.
+//
+// Each operation builds its device's frontend and backend directories
+// once and reads and writes the entries under them through the
+// store's directory-relative ops (Store.ReadAt, Store.WriteAt,
+// Tx.ReadAt, Tx.WriteAt). They charge exactly what the full-path ops
+// charge, but build an entry's path only for a watch that matches it:
+// the netback watch on the backend root takes one per backend write.
 package xenbus
 
 import (
@@ -188,7 +195,7 @@ func (b *Backend) onWatch(path, _ string) {
 // setup performs steps 2 of Fig. 7a: allocate the event channel and
 // grant, write them back, run hotplug, and move to InitWait.
 func (b *Backend) setup(dir string) {
-	feDomStr, err := b.Store.Read(dir + "/frontend-id")
+	feDomStr, err := b.Store.ReadAt(dir, "frontend-id")
 	if err != nil {
 		return // device vanished before we got to it
 	}
@@ -207,9 +214,11 @@ func (b *Backend) setup(dir string) {
 		return
 	}
 	err = b.Store.Txn(8, func(tx *xenstore.Tx) error {
-		if _, err := tx.Read(dir + "/state"); err != nil {
+		if _, err := tx.ReadAt(dir, "state"); err != nil {
 			return err
 		}
+		// This backend's own watch on its root matches these writes,
+		// so the commit needs each one's path: build it here.
 		tx.Write(dir+"/event-channel", strconv.Itoa(int(port)))
 		tx.Write(dir+"/grant-ref", strconv.Itoa(int(ref)))
 		tx.Write(dir+"/state", strconv.Itoa(StateInitWait))
@@ -235,7 +244,7 @@ func (b *Backend) setup(dir string) {
 // and migration).
 func (b *Backend) Teardown(dom hv.DomID, idx int) {
 	dir := BackendPath(dom, b.Kind, idx)
-	if portStr, err := b.Store.Read(dir + "/event-channel"); err == nil {
+	if portStr, err := b.Store.ReadAt(dir, "event-channel"); err == nil {
 		if p, err := strconv.Atoi(portStr); err == nil {
 			_ = b.HV.ClosePort(hv.Port(p))
 		}
@@ -255,20 +264,20 @@ func (b *Backend) Teardown(dom hv.DomID, idx int) {
 func WriteDeviceEntries(tx *xenstore.Tx, req DeviceReq) {
 	fe := FrontendPath(req.Dom, req.Kind, req.Idx)
 	be := BackendPath(req.Dom, req.Kind, req.Idx)
-	tx.Write(fe+"/backend", be)
-	tx.Write(fe+"/backend-id", "0")
-	tx.Write(fe+"/handle", strconv.Itoa(req.Idx))
+	tx.WriteAt(fe, "backend", be)
+	tx.WriteAt(fe, "backend-id", "0")
+	tx.WriteAt(fe, "handle", strconv.Itoa(req.Idx))
 	if req.Kind == hv.DevVif {
-		tx.Write(fe+"/mac", req.MAC)
-		tx.Write(be+"/mac", req.MAC)
-		tx.Write(be+"/bridge", "xenbr0")
+		tx.WriteAt(fe, "mac", req.MAC)
+		tx.WriteAt(be, "mac", req.MAC)
+		tx.WriteAt(be, "bridge", "xenbr0")
 	}
-	tx.Write(fe+"/state", strconv.Itoa(StateInitialising))
-	tx.Write(be+"/frontend", fe)
-	tx.Write(be+"/frontend-id", strconv.Itoa(int(req.Dom)))
-	tx.Write(be+"/handle", strconv.Itoa(req.Idx))
-	tx.Write(be+"/online", "1")
-	tx.Write(be+"/state", strconv.Itoa(StateInitialising))
+	tx.WriteAt(fe, "state", strconv.Itoa(StateInitialising))
+	tx.WriteAt(be, "frontend", fe)
+	tx.WriteAt(be, "frontend-id", strconv.Itoa(int(req.Dom)))
+	tx.WriteAt(be, "handle", strconv.Itoa(req.Idx))
+	tx.WriteAt(be, "online", "1")
+	tx.WriteAt(be, "state", strconv.Itoa(StateInitialising))
 }
 
 // handshakeAttempts bounds how many times the toolstack re-announces a
@@ -284,11 +293,11 @@ const handshakeAttempts = 3
 // which re-fires the backend's watch and restarts setup. After
 // handshakeAttempts silent windows it degrades to ErrDeviceTimeout.
 func WaitBackendReady(s *xenstore.Store, clock *sim.Clock, dom hv.DomID, kind hv.DevKind, idx int) error {
-	path := BackendPath(dom, kind, idx) + "/state"
+	be := BackendPath(dom, kind, idx)
 	for attempt := 0; attempt < handshakeAttempts; attempt++ {
 		deadline := clock.Now().Add(costs.DeviceHandshakeTimeout)
 		for {
-			v, err := s.Read(path)
+			v, err := s.ReadAt(be, "state")
 			if err == nil {
 				if st, err := strconv.Atoi(v); err == nil && st >= StateInitWait {
 					return nil
@@ -301,7 +310,7 @@ func WaitBackendReady(s *xenstore.Store, clock *sim.Clock, dom hv.DomID, kind hv
 		}
 		if attempt < handshakeAttempts-1 {
 			clock.Sleep(costs.DeviceReattach)
-			s.Write(path, strconv.Itoa(StateInitialising))
+			s.WriteAt(be, "state", strconv.Itoa(StateInitialising))
 		}
 	}
 	return fmt.Errorf("%w: backend %s/%d for domain %d silent across %d attempts",
@@ -314,11 +323,11 @@ func WaitBackendReady(s *xenstore.Store, clock *sim.Clock, dom hv.DomID, kind hv
 func ConnectFrontend(s *xenstore.Store, h *hv.Hypervisor, dom hv.DomID, kind hv.DevKind, idx int) error {
 	fe := FrontendPath(dom, kind, idx)
 	be := BackendPath(dom, kind, idx)
-	portStr, err := s.Read(be + "/event-channel")
+	portStr, err := s.ReadAt(be, "event-channel")
 	if err != nil {
 		return fmt.Errorf("%w: frontend %s/%d dom %d: %v", ErrBackendGone, kindName(kind), idx, dom, err)
 	}
-	refStr, err := s.Read(be + "/grant-ref")
+	refStr, err := s.ReadAt(be, "grant-ref")
 	if err != nil {
 		return fmt.Errorf("%w: frontend %s/%d dom %d: %v", ErrBackendGone, kindName(kind), idx, dom, err)
 	}
@@ -337,8 +346,8 @@ func ConnectFrontend(s *xenstore.Store, h *hv.Hypervisor, dom hv.DomID, kind hv.
 		return err
 	}
 	h.Clock.Sleep(costs.FrontendDeviceInit)
-	s.Write(fe+"/state", strconv.Itoa(StateConnected))
-	s.Write(be+"/state", strconv.Itoa(StateConnected))
+	s.WriteAt(fe, "state", strconv.Itoa(StateConnected))
+	s.WriteAt(be, "state", strconv.Itoa(StateConnected))
 	// A running frontend keeps a watch on its backend directory — one
 	// of the per-guest costs that accumulate against the store.
 	s.Watch(be, FrontendWatchToken(dom, kind, idx), func(string, string) {})

@@ -272,7 +272,7 @@ func TestOverlappingCreationsConflictAndRecover(t *testing.T) {
 	// backend state (as a toolstack enumerating in-flight devices
 	// does) before that backend has run.
 	tx := f.s.TxnStart()
-	if _, err := tx.Read(BackendPath(d1.ID, hv.DevVif, 0) + "/state"); err != nil {
+	if _, err := tx.ReadAt(BackendPath(d1.ID, hv.DevVif, 0), "state"); err != nil {
 		t.Fatal(err)
 	}
 	WriteDeviceEntries(tx, DeviceReq{Kind: hv.DevVif, Dom: d2.ID, Idx: 0, MAC: "00:16:3e:00:00:09"})

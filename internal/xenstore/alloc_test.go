@@ -163,7 +163,7 @@ func TestWatchDeliveryScansOwnBucketOnly(t *testing.T) {
 		t.Fatalf("root watch fired %d times, want 1", rootFired)
 	}
 	// Simulated cost still models the full linear scan.
-	if got := s.matchCost("/backend/vif/1/0/state"); got != s.NumWatches() {
+	if got := s.matchCost(); got != s.NumWatches() {
 		t.Fatalf("matchCost = %d, want %d (modelled linear scan)", got, s.NumWatches())
 	}
 }

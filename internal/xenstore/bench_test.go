@@ -98,7 +98,7 @@ func BenchmarkTxnCommit(b *testing.B) {
 		err := s.Txn(8, func(tx *Tx) error {
 			tx.Write("/local/domain/3/device/vif/0/state", "4")
 			tx.Write("/local/domain/3/device/vif/0/event-channel", "17")
-			if _, err := tx.Read("/local/domain/3/name"); err != nil {
+			if _, err := tx.ReadAt("/local/domain/3/name", ""); err != nil {
 				return err
 			}
 			return nil
@@ -168,7 +168,7 @@ func BenchmarkTxnChurn(b *testing.B) {
 		err := s.Txn(8, func(tx *Tx) error {
 			tx.Write(dom+"/device/vif/0/state", "4")
 			tx.Write(dom+"/device/vif/0/event-channel", "17")
-			if _, err := tx.Read("/local/domain/3/name"); err != nil {
+			if _, err := tx.ReadAt("/local/domain/3/name", ""); err != nil {
 				return err
 			}
 			return nil

@@ -167,7 +167,7 @@ func commitSequential(s *Store, writes [][2]string, between func(*Store)) error 
 	touched := 0 // one touch per written path checked, plus the round trip
 	for _, w := range t.writes {
 		touched++
-		if n, _ := resolveFrom(s.root, w.path); n != nil && n.gen > t.startGen {
+		if n, _ := resolveFrom(s.root, w.text()); n != nil && n.gen > t.startGen {
 			s.chargeOp(touched + 1)
 			s.Count.TxnConflicts++
 			s.recycleTxn(t)
@@ -176,7 +176,7 @@ func commitSequential(s *Store, writes [][2]string, between func(*Store)) error 
 	}
 	s.chargeOp(touched + 1)
 	for _, w := range t.writes {
-		s.Write(w.path, w.val)
+		s.Write(w.text(), w.val)
 	}
 	s.Count.TxnCommits++
 	s.recycleTxn(t)
@@ -189,7 +189,7 @@ func commitSequential(s *Store, writes [][2]string, between func(*Store)) error 
 func checkCandidates(t *testing.T, step int, s *Store, path string) {
 	t.Helper()
 	for p := path; ; p = refParent(p) {
-		got := s.mergeCandidates(0, p)
+		got := s.mergeCandidates(0, []byte(p))
 		var want []*watch
 		for _, w := range s.watches {
 			if watchMatches(w.prefix, p) {
@@ -218,6 +218,9 @@ func checkCandidates(t *testing.T, step int, s *Store, path string) {
 // removals, snapshots, and watches registered
 // at random depths or removed by token. A write set commits through
 // Tx.Commit on one store and through commitSequential on its twin;
+// the committing store takes some of its writes, plain and buffered,
+// through WriteAt as a directory and a relative path, while its twin
+// writes every one as a path;
 // some commits see a plain write land between TxnStart and Commit on
 // both, so Commit's quiet path (nothing published since TxnStart) and
 // its validation walk are both held to the reference, which always
@@ -248,12 +251,18 @@ func FuzzTxnCommit(f *testing.F) {
 			}
 			return txnFuzzKeys[b%len(txnFuzzKeys)]
 		}
-		pickPath := func() string {
-			p := txnFuzzPrefixes[next()%len(txnFuzzPrefixes)] + "/" + pickKey()
+		// pickAt draws a path as a directory (one of the prefixes) and
+		// the path relative to it.
+		pickAt := func() (dir, rel string) {
+			dir, rel = txnFuzzPrefixes[next()%len(txnFuzzPrefixes)], pickKey()
 			if next()%4 == 0 {
-				p += "/" + pickKey()
+				rel += "/" + pickKey()
 			}
-			return p
+			return dir, rel
+		}
+		pickPath := func() string {
+			dir, rel := pickAt()
+			return dir + "/" + rel
 		}
 		var (
 			stores [2]*Store
@@ -292,9 +301,17 @@ func FuzzTxnCommit(f *testing.F) {
 					t.Fatalf("step %d: Rm(%q) = %v on the committing store, %v on its twin", step, p, e1, e2)
 				}
 			case 7:
-				p, v := pickPath(), "w"+strconv.Itoa(next()%8)
-				batch.Write(p, v)
-				seq.Write(p, v)
+				// The value byte's bit 3 writes through WriteAt on the
+				// committing store; its twin always writes the path.
+				dir, rel := pickAt()
+				b := next()
+				v := "w" + strconv.Itoa(b%8)
+				if b&8 != 0 {
+					batch.WriteAt(dir, rel, v)
+				} else {
+					batch.Write(dir+"/"+rel, v)
+				}
+				seq.Write(dir+"/"+rel, v)
 			case 8:
 				segs := strings.Split(pickPath()[1:], "/")
 				prefix := "/" + strings.Join(segs[:next()%(len(segs)+1)], "/")
@@ -309,11 +326,20 @@ func FuzzTxnCommit(f *testing.F) {
 				}
 			default:
 				// The count byte's bit 4 puts a plain write between
-				// TxnStart and Commit on both stores.
+				// TxnStart and Commit on both stores. A value byte's bit 3
+				// buffers that write through Tx.WriteAt (directory and
+				// relative path) on the committing store, so one write set
+				// mixes both forms of the same and of different paths.
 				n := next()
 				writes := make([][2]string, 1+n%16)
+				at := make([][2]string, len(writes))
 				for i := range writes {
-					writes[i] = [2]string{pickPath(), "v" + strconv.Itoa(next()%8)}
+					dir, rel := pickAt()
+					b := next()
+					writes[i] = [2]string{dir + "/" + rel, "v" + strconv.Itoa(b%8)}
+					if b&8 != 0 {
+						at[i] = [2]string{dir, rel}
+					}
 				}
 				between := func(*Store) {}
 				if n&16 != 0 {
@@ -321,8 +347,12 @@ func FuzzTxnCommit(f *testing.F) {
 					between = func(s *Store) { s.Write(p, v) }
 				}
 				tx := batch.TxnStart()
-				for _, w := range writes {
-					tx.Write(w[0], w[1])
+				for i, w := range writes {
+					if at[i][0] != "" {
+						tx.WriteAt(at[i][0], at[i][1], w[1])
+					} else {
+						tx.Write(w[0], w[1])
+					}
 				}
 				between(batch)
 				err := tx.Commit()
@@ -365,4 +395,17 @@ func FuzzTxnCommit(f *testing.F) {
 			}
 		}
 	})
+}
+
+// joinPath is the text appendPath appends for rel under dir.
+func joinPath(dir, rel string) string {
+	return string(appendPath(nil, dir, rel))
+}
+
+// text returns the path of a buffered write.
+func (w *writeEnt) text() string {
+	if w.path != "" {
+		return w.path
+	}
+	return joinPath(w.dir, w.rel)
 }

@@ -13,6 +13,11 @@ package xenstore
 // transaction conflict detection is predicted exactly rather than
 // approximated.
 //
+// Writes and reads, plain and inside transactions, go half of the time
+// through WriteAt/ReadAt with the path split at a random component
+// boundary, so one transaction mixes both forms over the same and
+// over different directories; the model sees only paths.
+//
 // Every watch callback reads the fired path's directory back from the
 // live store — each sibling's name and value — and the model predicts
 // that view from its own state at the same instant. A commit in the
@@ -329,6 +334,15 @@ func randPath(r *rand.Rand) string {
 	return sb.String()
 }
 
+// randSplit splits p at a random component boundary into a directory
+// and the path relative to it (either may be the root or empty), the
+// arguments a directory-relative op takes.
+func randSplit(r *rand.Rand, p string) (dir, rel string) {
+	segs := strings.Split(p[1:], "/")
+	k := r.Intn(len(segs) + 1)
+	return "/" + strings.Join(segs[:k], "/"), strings.Join(segs[k:], "/")
+}
+
 func randValue(r *rand.Rand) string {
 	return fmt.Sprintf("v%d", r.Intn(40))
 }
@@ -391,13 +405,25 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 
 	for op := 0; op < ops; op++ {
 		switch k := r.Intn(100); {
-		case k < 26: // write
+		case k < 26: // write, by path or relative to a directory
 			p, v := randPath(r), randValue(r)
-			s.Write(p, v)
+			if r.Intn(2) == 0 {
+				s.Write(p, v)
+			} else {
+				dir, rel := randSplit(r, p)
+				s.WriteAt(dir, rel, v)
+			}
 			m.write(p, v)
-		case k < 40: // read
+		case k < 40: // read, by path or relative to a directory
 			p := randPath(r)
-			got, gotErr := s.Read(p)
+			var got string
+			var gotErr error
+			if r.Intn(2) == 0 {
+				got, gotErr = s.Read(p)
+			} else {
+				dir, rel := randSplit(r, p)
+				got, gotErr = s.ReadAt(dir, rel)
+			}
 			want, wantErr := m.read(p)
 			if got != want || !sameErr(gotErr, wantErr) {
 				fail(op, "Read(%q): store (%q, %v), model (%q, %v)", p, got, gotErr, want, wantErr)
@@ -460,16 +486,28 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			i := r.Intn(len(txns))
 			o := txns[i]
 			switch r.Intn(7) {
-			case 0, 1, 2: // txn read
+			case 0, 1, 2: // txn read, of the whole path or relative to a directory
 				p := randPath(r)
-				got, gotErr := o.tx.Read(p)
+				var got string
+				var gotErr error
+				if r.Intn(2) == 0 {
+					got, gotErr = o.tx.ReadAt(p, "")
+				} else {
+					dir, rel := randSplit(r, p)
+					got, gotErr = o.tx.ReadAt(dir, rel)
+				}
 				want, wantErr := o.rt.read(m, p)
 				if got != want || !sameErr(gotErr, wantErr) {
-					fail(op, "Tx.Read(%q): store (%q, %v), model (%q, %v)", p, got, gotErr, want, wantErr)
+					fail(op, "Tx.ReadAt(%q): store (%q, %v), model (%q, %v)", p, got, gotErr, want, wantErr)
 				}
-			case 3, 4: // txn write
+			case 3, 4: // txn write, by path or relative to a directory
 				p, v := randPath(r), randValue(r)
-				o.tx.Write(p, v)
+				if r.Intn(2) == 0 {
+					o.tx.Write(p, v)
+				} else {
+					dir, rel := randSplit(r, p)
+					o.tx.WriteAt(dir, rel, v)
+				}
 				o.rt.write(p, v)
 			case 5: // commit — conflict prediction must match exactly
 				gotErr := o.tx.Commit()

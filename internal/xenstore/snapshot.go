@@ -389,7 +389,7 @@ func (s *Store) GraftSnapshot(sn *Snapshot, srcPath, dstPath string) error {
 	op := leafOp{kind: leafReplace, repl: grafted}
 	newRoot, touched, _ := s.applyWrite(s.root, &it, &op)
 	s.publish(newRoot)
-	s.chargeOp(touched + s.matchCost(dstPath))
+	s.chargeOp(touched + s.matchCost())
 	s.fireWatches(dstPath)
 	return nil
 }

@@ -214,7 +214,7 @@ func TestSubtreeSnapshotAndGraft(t *testing.T) {
 	// Generation order must stay monotonic after grafting foreign-store
 	// state: a fresh transaction must not see phantom conflicts.
 	if err := dst.Txn(3, func(tx *Tx) error {
-		if _, err := tx.Read("/local/domain/9/name"); err != nil {
+		if _, err := tx.ReadAt("/local/domain/9/name", ""); err != nil {
 			return err
 		}
 		tx.Write("/local/domain/9/resumed", "1")

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 
 	"lightvm/internal/costs"
 	"lightvm/internal/faults"
@@ -63,9 +64,17 @@ var (
 // and transaction observes produced (and discarded) one per absent
 // node. This type defers all formatting to Error() and still matches
 // errors.Is(err, ErrNoEnt) via Unwrap.
-type noEntError struct{ path string }
+//
+// A directory-relative miss keeps its directory and relative path and
+// joins them only if the message is asked for.
+type noEntError struct{ path, dir, rel string }
 
-func (e *noEntError) Error() string { return "xenstore: no such node: " + e.path }
+func (e *noEntError) Error() string {
+	if e.path == "" {
+		return string(appendPath([]byte("xenstore: no such node: "), e.dir, e.rel))
+	}
+	return "xenstore: no such node: " + e.path
+}
 func (e *noEntError) Unwrap() error { return ErrNoEnt }
 
 // Counters aggregates store activity for tests and Fig. 5 attribution.
@@ -103,15 +112,27 @@ type Store struct {
 	pubs uint64
 
 	// resCache memoizes the most recent resolve against the current
-	// publish count: toolstack flows re-read one path hundreds of
-	// times between mutations (libxl's state re-reads), and each hit
-	// skips the physical trie walk while still charging the identical
-	// modeled cost. pubs is monotonic, so a hit can never alias a
-	// recycled root pointer.
-	resCachePubs    uint64
-	resCachePath    string
-	resCacheNode    *node
-	resCacheTouched int
+	// publish count, at two levels: the directory and the node under
+	// it. Toolstack flows re-read one path hundreds of times between
+	// mutations (libxl's state re-reads) and read several leaves of one
+	// device directory in a row; a hit skips the physical trie walk of
+	// what it covers while still charging the identical modeled cost.
+	// pubs is monotonic, so a hit can never alias a recycled root
+	// pointer.
+	resCacheOK         bool
+	resCachePubs       uint64
+	resCacheDir        string
+	resCacheDirNode    *node
+	resCacheDirTouched int
+	resCacheLeafOK     bool
+	resCacheRel        string
+	resCacheNode       *node
+	resCacheTouched    int
+
+	// pathBuf is scratch for joining a directory-relative path: watch
+	// delivery looks its ancestors up in it, and write sets compare
+	// paths in it, without building a string (watch.go, txn.go).
+	pathBuf []byte
 
 	watches   []*watch
 	nextWatch int
@@ -190,8 +211,11 @@ func (s *Store) exit()  { s.pl.exit() }
 // Resolution and spine rebuilds are the store's hottest loops; they
 // descend the trie on the id and only touch the segment string to
 // guard against full-hash collisions.
+//
+// A directory-relative op iterates its directory, then tail: the
+// components of the path relative to it.
 type hashIter struct {
-	rest string
+	rest, tail string
 }
 
 // hashSegments returns a hashing iterator over path's components.
@@ -206,6 +230,11 @@ func hashSegments(path string) hashIter {
 	return hashIter{rest: path[i:j]}
 }
 
+// hashSegmentsAt iterates the components of dir, then those of rel.
+func hashSegmentsAt(dir, rel string) hashIter {
+	return hashIter{rest: dir, tail: rel}
+}
+
 // next returns the following component and its segment id, or ok=false
 // at the end. One byte loop both hashes the segment and finds the '/'
 // that ends it. Empty components ("//" runs) are skipped, so every node
@@ -213,26 +242,79 @@ func hashSegments(path string) hashIter {
 // serialization canonical for any reachable tree (FuzzPath leans on
 // this).
 func (it *hashIter) next() (seg string, h uint64, ok bool) {
-	for rest := it.rest; rest != ""; {
-		h = fnvOffset64
-		k := 0
-		for ; k < len(rest) && rest[k] != '/'; k++ {
-			h ^= uint64(rest[k])
-			h *= fnvPrime64
+	for {
+		for rest := it.rest; rest != ""; {
+			h = fnvOffset64
+			k := 0
+			for ; k < len(rest) && rest[k] != '/'; k++ {
+				h ^= uint64(rest[k])
+				h *= fnvPrime64
+			}
+			seg = rest[:k]
+			if k < len(rest) {
+				rest = rest[k+1:]
+			} else {
+				rest = ""
+			}
+			if seg != "" {
+				it.rest = rest
+				return seg, h, true
+			}
 		}
-		seg = rest[:k]
-		if k < len(rest) {
-			rest = rest[k+1:]
-		} else {
-			rest = ""
+		if it.tail == "" {
+			it.rest = ""
+			return "", 0, false
 		}
-		if seg != "" {
-			it.rest = rest
-			return seg, h, true
-		}
+		it.rest, it.tail = it.tail, ""
 	}
-	it.rest = ""
-	return "", 0, false
+}
+
+// splitPath splits path at its last '/' into the directory and the
+// final component, both substrings: every store op resolves a path as
+// a directory plus the path relative to it. A path without a parent
+// component splits into the root ("") and itself.
+func splitPath(path string) (dir, rel string) {
+	i := strings.LastIndexByte(path, '/')
+	if i < 0 {
+		return "", path
+	}
+	return path[:i], path[i+1:]
+}
+
+// splitAt normalizes the arguments of a directory-relative op: a
+// normalized directory and rel without leading or trailing '/'. Both
+// stay substrings of the caller's strings when already in that form.
+func splitAt(dir, rel string) (string, string) {
+	return normalize(dir), strings.Trim(rel, "/")
+}
+
+// pathLen is the length of joinPath(dir, rel).
+func pathLen(dir, rel string) int {
+	switch {
+	case rel == "" && dir == "":
+		return 1
+	case rel == "":
+		return len(dir)
+	case dir == "/":
+		return 1 + len(rel)
+	}
+	return len(dir) + 1 + len(rel)
+}
+
+// appendPath appends the text of rel joined under dir: dir + "/" +
+// rel, where the root ("" or "/") contributes no extra slash and an
+// empty rel names dir itself.
+func appendPath(b []byte, dir, rel string) []byte {
+	switch {
+	case rel == "" && dir == "":
+		return append(b, '/')
+	case rel == "":
+		return append(b, dir...)
+	case dir != "/":
+		b = append(b, dir...)
+	}
+	b = append(b, '/')
+	return append(b, rel...)
 }
 
 // chargeOp accounts one protocol round trip plus extra node touches.
@@ -296,11 +378,29 @@ func resolveFrom(root *node, path string) (*node, int) {
 
 // resolve walks a path in the live tree.
 func (s *Store) resolve(path string) (*node, int) {
-	if s.resCachePubs == s.pubs && s.resCachePath == path && s.resCachePath != "" {
+	return s.resolveAt(splitPath(path))
+}
+
+// resolveAt walks rel under dir in the live tree, returning the node
+// (nil if missing) and the nodes visited: the count a walk of the
+// joined path from the root gives, a miss included. The directory is
+// resolved from the root only when it is not the one resolved last
+// since the last publish.
+func (s *Store) resolveAt(dir, rel string) (*node, int) {
+	if !s.resCacheOK || s.resCachePubs != s.pubs || s.resCacheDir != dir {
+		s.resCacheDirNode, s.resCacheDirTouched = resolveFrom(s.root, dir)
+		s.resCacheOK, s.resCachePubs, s.resCacheDir = true, s.pubs, dir
+		s.resCacheLeafOK = false
+	} else if s.resCacheLeafOK && s.resCacheRel == rel {
 		return s.resCacheNode, s.resCacheTouched
 	}
-	n, touched := resolveFrom(s.root, path)
-	s.resCachePubs, s.resCachePath = s.pubs, path
+	n, touched := s.resCacheDirNode, s.resCacheDirTouched
+	if n != nil {
+		var t int
+		n, t = resolveFrom(n, rel)
+		touched += t - 1 // the directory itself is counted once
+	}
+	s.resCacheLeafOK, s.resCacheRel = true, rel
 	s.resCacheNode, s.resCacheTouched = n, touched
 	return n, touched
 }
@@ -391,14 +491,31 @@ func (s *Store) applyWrite(n *node, it *hashIter, op *leafOp) (*node, int, bool)
 // Write sets path to value (creating intermediate directories),
 // firing matching watches.
 func (s *Store) Write(path, value string) {
+	p := normalize(path)
+	dir, rel := splitPath(p)
+	s.write(dir, rel, p, value)
+}
+
+// WriteAt is Write of rel under dir (rel may hold '/', as in
+// "memory/target"): the same charge, the same generation bumps and the
+// same watch fires as Write(dir+"/"+rel), but the joined path is built
+// only when a watch matches it.
+func (s *Store) WriteAt(dir, rel, value string) {
+	dir, rel = splitAt(dir, rel)
+	s.write(dir, rel, "", value)
+}
+
+// write applies one value write of rel under dir; path is their joined
+// text when the caller has it, "" otherwise.
+func (s *Store) write(dir, rel, path, value string) {
 	s.enter()
 	defer s.exit()
-	it := hashSegments(path)
+	it := hashSegmentsAt(dir, rel)
 	op := leafOp{kind: leafValue, value: value}
 	newRoot, touched, _ := s.applyWrite(s.root, &it, &op)
 	s.publish(newRoot)
-	s.chargeOp(touched + s.matchCost(path))
-	s.fireWatches(path)
+	s.chargeOp(touched + s.matchCost())
+	s.fireWatchesAt(dir, rel, path)
 }
 
 // Read returns the value at path. The reply carries the value as of
@@ -412,16 +529,30 @@ func (s *Store) Write(path, value string) {
 // case — nothing happened during the charge — free: the second resolve
 // runs only when something was actually published.
 func (s *Store) Read(path string) (string, error) {
+	dir, rel := splitPath(path)
+	return s.read(dir, rel, path)
+}
+
+// ReadAt is Read of rel under dir, charged exactly as
+// Read(dir+"/"+rel). Consecutive reads in one directory resolve it
+// once.
+func (s *Store) ReadAt(dir, rel string) (string, error) {
+	return s.read(dir, rel, "")
+}
+
+// read is Read of rel under dir; path is their joined text when the
+// caller has it, "" otherwise.
+func (s *Store) read(dir, rel, path string) (string, error) {
 	s.enter()
 	defer s.exit()
-	n, touched := s.resolve(path)
+	n, touched := s.resolveAt(dir, rel)
 	pubs := s.pubs
 	s.chargeOp(touched)
 	if n == nil {
-		return "", &noEntError{path}
+		return "", &noEntError{path, dir, rel}
 	}
 	if s.pubs != pubs {
-		if cur, _ := s.resolve(path); cur != nil {
+		if cur, _ := s.resolveAt(dir, rel); cur != nil {
 			return cur.value, nil
 		}
 	}
@@ -446,7 +577,7 @@ func (s *Store) Mkdir(path string) {
 	newRoot, touched, created := s.applyWrite(s.root, &it, &op)
 	if created {
 		s.publish(newRoot)
-		s.chargeOp(touched + s.matchCost(path))
+		s.chargeOp(touched + s.matchCost())
 		s.fireWatches(path)
 	} else {
 		s.chargeOp(touched)
@@ -490,7 +621,7 @@ func (s *Store) list(path string) (*node, error) {
 	n, touched := s.resolve(path)
 	if n == nil {
 		s.chargeOp(touched)
-		return nil, &noEntError{path}
+		return nil, &noEntError{path: path}
 	}
 	pubs := s.pubs
 	s.chargeOp(touched + n.nkids)
@@ -560,14 +691,14 @@ func (s *Store) Rm(path string) error {
 	newRoot, removed, touched, found := s.applyRm(s.root, &it, leaf, leafH)
 	if !found {
 		s.chargeOp(touched)
-		return &noEntError{path}
+		return &noEntError{path: path}
 	}
 	rmSize := countNodes(removed)
 	s.publish(newRoot)
 	// The whole detached subtree is dead unless a snapshot holds it —
 	// the pool's epoch check decides.
 	s.pl.retireTree(removed)
-	s.chargeOp(touched + rmSize + s.matchCost(path))
+	s.chargeOp(touched + rmSize + s.matchCost())
 	s.fireWatches(path)
 	return nil
 }
@@ -611,7 +742,7 @@ func (s *Store) WriteUniqueName(dir, key, name string) error {
 		// scan too.
 		s.chargeOp(n.nkids)
 	}
-	s.Write(dir+"/"+key, name)
+	s.WriteAt(dir, key, name)
 	return nil
 }
 

@@ -370,7 +370,7 @@ func TestTxnReadsOwnWrites(t *testing.T) {
 	s, _ := newStore()
 	tx := s.TxnStart()
 	tx.Write("/a", "own")
-	if v, err := tx.Read("/a"); err != nil || v != "own" {
+	if v, err := tx.ReadAt("/a", ""); err != nil || v != "own" {
 		t.Fatalf("own write invisible: %q %v", v, err)
 	}
 	tx.Abort()
@@ -380,7 +380,7 @@ func TestTxnConflictOnRead(t *testing.T) {
 	s, _ := newStore()
 	s.Write("/k", "old")
 	tx := s.TxnStart()
-	if _, err := tx.Read("/k"); err != nil {
+	if _, err := tx.ReadAt("/k", ""); err != nil {
 		t.Fatal(err)
 	}
 	s.Write("/k", "interloper") // concurrent modification
@@ -406,7 +406,7 @@ func TestTxnValidationFirstObservedOrder(t *testing.T) {
 	// An earlier transaction observes the same nodes in another order.
 	prior := s.TxnStart()
 	for _, p := range []string{"/c", "/a", "/b"} {
-		if _, err := prior.Read(p); err != nil {
+		if _, err := prior.ReadAt(p, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -415,7 +415,7 @@ func TestTxnValidationFirstObservedOrder(t *testing.T) {
 	}
 	tx := s.TxnStart()
 	for _, p := range []string{"/a", "/b", "/c"} {
-		if _, err := tx.Read(p); err != nil {
+		if _, err := tx.ReadAt(p, ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -445,7 +445,7 @@ func TestTxnConflictOnWrittenNode(t *testing.T) {
 func TestTxnConflictOnAppearance(t *testing.T) {
 	s, _ := newStore()
 	tx := s.TxnStart()
-	if _, err := tx.Read("/new"); !errors.Is(err, ErrNoEnt) {
+	if _, err := tx.ReadAt("/new", ""); !errors.Is(err, ErrNoEnt) {
 		t.Fatalf("phantom node: %v", err)
 	}
 	s.Write("/new", "appeared")
@@ -459,7 +459,7 @@ func TestTxnNoFalseConflict(t *testing.T) {
 	s, _ := newStore()
 	s.Write("/a", "1")
 	tx := s.TxnStart()
-	if _, err := tx.Read("/a"); err != nil {
+	if _, err := tx.ReadAt("/a", ""); err != nil {
 		t.Fatal(err)
 	}
 	s.Write("/unrelated", "2")
@@ -489,7 +489,7 @@ func TestTxnQuietCommitChargesLikeWalk(t *testing.T) {
 		s.Watch("/", "all", func(string, string) {})
 		tx := s.TxnStart()
 		for _, p := range reads {
-			if _, err := tx.Read(p); err != nil {
+			if _, err := tx.ReadAt(p, ""); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -534,7 +534,7 @@ func TestTxnHelperRetries(t *testing.T) {
 	attempts := 0
 	err := s.Txn(5, func(tx *Tx) error {
 		attempts++
-		if _, err := tx.Read("/k"); err != nil {
+		if _, err := tx.ReadAt("/k", ""); err != nil {
 			return err
 		}
 		if attempts == 1 {
@@ -558,7 +558,7 @@ func TestTxnHelperGivesUp(t *testing.T) {
 	s, _ := newStore()
 	s.Write("/k", "0")
 	err := s.Txn(2, func(tx *Tx) error {
-		if _, err := tx.Read("/k"); err != nil {
+		if _, err := tx.ReadAt("/k", ""); err != nil {
 			return err
 		}
 		s.Write("/k", "always-conflict")
@@ -791,7 +791,7 @@ func TestTxnAtomicityQuick(t *testing.T) {
 		s, _ := newStore()
 		s.Write("/guard", "0")
 		tx := s.TxnStart()
-		if _, err := tx.Read("/guard"); err != nil {
+		if _, err := tx.ReadAt("/guard", ""); err != nil {
 			return false
 		}
 		for i, k := range keys {
@@ -907,7 +907,7 @@ func TestTxnCommitPublishesOnce(t *testing.T) {
 	}
 	before = s.pubs
 	tx := s.TxnStart()
-	if _, err := tx.Read("/dev/a"); err != nil {
+	if _, err := tx.ReadAt("/dev/a", ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
@@ -933,4 +933,60 @@ func TestConnectionCountSlowsOps(t *testing.T) {
 	if loaded-idle < 1000*costs.XSPerConnection {
 		t.Fatalf("connection scan under-charged: delta=%v", loaded-idle)
 	}
+}
+
+// TestReadAtChargesAsRead holds ReadAt to Read, and Tx.ReadAt of a
+// directory and a relative path to Tx.ReadAt of the joined path, on
+// twin stores: hits, a miss in the directory, a miss of the
+// leaf, repeated reads of one directory, reads across a publish, and
+// directories given as the root or with a relative path holding '/'.
+// Values, errors, Counters and virtual time must all agree.
+func TestReadAtChargesAsRead(t *testing.T) {
+	byPath, c1 := newStore()
+	byDir, c2 := newStore()
+	for _, s := range []*Store{byPath, byDir} {
+		populateGuests(s, 3)
+	}
+	reads := [][2]string{
+		{"/local/domain/1", "name"},
+		{"/local/domain/1", "name"},
+		{"/local/domain/1", "memory/target"},
+		{"/local/domain/1", "device/vif/0/state"},
+		{"/local/domain/1", "missing"},
+		{"/local/domain/9", "name"},
+		{"/", "local/domain/2/name"},
+		{"/local/domain/2/name", ""},
+		{"/local", "domain/3/control/shutdown"},
+		{"/local/domain/1", "name"},
+	}
+	check := func(i int, v1, v2 string, e1, e2 error) {
+		t.Helper()
+		if v1 != v2 || (e1 == nil) != (e2 == nil) || (e1 != nil && e1.Error() != e2.Error()) {
+			t.Fatalf("read %d: Read (%q, %v), ReadAt (%q, %v)", i, v1, e1, v2, e2)
+		}
+		if byPath.Count != byDir.Count || c1.Now() != c2.Now() {
+			t.Fatalf("read %d: charges differ: %+v at %v, %+v at %v", i, byPath.Count, c1.Now(), byDir.Count, c2.Now())
+		}
+	}
+	for i, r := range reads {
+		v1, e1 := byPath.Read(joinPath(r[0], r[1]))
+		v2, e2 := byDir.ReadAt(r[0], r[1])
+		check(i, v1, v2, e1, e2)
+		if i == 3 {
+			byPath.Write("/local/domain/1/name", "renamed")
+			byDir.WriteAt("/local/domain/1", "name", "renamed")
+		}
+	}
+	tx1, tx2 := byPath.TxnStart(), byDir.TxnStart()
+	tx1.Write("/local/domain/2/name", "tx")
+	tx2.WriteAt("/local/domain/2", "name", "tx")
+	for i, r := range reads {
+		v1, e1 := tx1.ReadAt(joinPath(r[0], r[1]), "")
+		v2, e2 := tx2.ReadAt(r[0], r[1])
+		check(len(reads)+i, v1, v2, e1, e2)
+	}
+	if e1, e2 := tx1.Commit(), tx2.Commit(); e1 != nil || e2 != nil {
+		t.Fatalf("commits: %v, %v", e1, e2)
+	}
+	check(2*len(reads), "", "", nil, nil)
 }

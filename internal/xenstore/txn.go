@@ -15,7 +15,9 @@ type TxnID uint64
 // Transactions are the second-hottest xenstore path after plain writes
 // (every toolstack create commits two, every device another). Read
 // and write sets are small reusable slices keyed by the normalized
-// path, and the txn structs recycle through a per-store free list, so
+// path, held as a directory and the path relative to it (a path-based
+// op splits at its last '/'; WriteAt and ReadAt keep the caller's
+// directory), and the txn structs recycle through a per-store free list, so
 // a warm transaction start/observe/write/commit cycle allocates only
 // its handle. Nothing outlives the transaction: the store keeps no
 // per-path state for transactions, so their cost does not grow with
@@ -46,22 +48,44 @@ type TxnID uint64
 // (pool.go) lets every write after the first edit the commit's own
 // spine copies in place, so a 13-write device-entry commit copies each
 // spine node once rather than once per write, and the pool recycles
-// once per commit rather than once per write.
+// once per commit rather than once per write. It resolves each
+// distinct directory of the write set once: the first write under it
+// walks from the root and leaves the directory node the commit's own
+// copy, and every later write under it is applied from that node
+// (applyWrites), charged the touches a walk from the root would make.
+// A device-entry commit resolves its frontend and backend directories
+// once each, and no write builds its path unless a watch matches it.
 
 // readEnt records the generation a transaction observed for a path
-// (0 = absent). The read set preserves first-observed order.
+// (0 = absent). The read set preserves first-observed order. A path
+// is held as a directory and the path relative to it (see writeEnt).
 type readEnt struct {
-	path string
-	gen  uint64
+	dir, rel string
+	plen     int // pathLen(dir, rel)
+	gen      uint64
 }
 
 // writeEnt is one buffered write. The write set preserves first-write
 // order — commits apply in that order, with later writes to the same
-// path updated in place. touched is the node count the write's apply
-// visited, which its charge pays.
+// path updated in place. A path-based write is split at its last '/'
+// and keeps its text in path; a directory-relative write keeps the
+// caller's directory and relative path and no text: the commit joins
+// them only for a watch that matches. Entries are the same path when
+// their joined texts are equal, however they were split. touched is
+// the node count the write's apply visited, which its charge pays.
 type writeEnt struct {
-	path    string
-	val     string
+	path     string
+	dir, rel string
+	plen     int // pathLen(dir, rel)
+	val      string
+	touched  int
+}
+
+// dirEnt is a directory a commit has resolved in its working root:
+// the commit's own spine copy of it, and the nodes from the root to it.
+type dirEnt struct {
+	dir     string
+	n       *node
 	touched int
 }
 
@@ -74,6 +98,8 @@ type txn struct {
 	live      bool
 	reads     []readEnt
 	writes    []writeEnt
+	// dirs is Commit's scratch: the write set's distinct directories.
+	dirs []dirEnt
 }
 
 // Tx is the client handle for operations inside a transaction.
@@ -116,13 +142,9 @@ func (s *Store) recycleTxn(t *txn) {
 		}
 	}
 	t.live = false
-	for i := range t.reads {
-		t.reads[i] = readEnt{} // unpin observed path strings
-	}
+	clear(t.reads) // unpin observed path strings
 	t.reads = t.reads[:0]
-	for i := range t.writes {
-		t.writes[i] = writeEnt{} // unpin buffered path and value strings
-	}
+	clear(t.writes) // unpin buffered path and value strings
 	t.writes = t.writes[:0]
 	if len(s.freeTxns) < 64 {
 		s.freeTxns = append(s.freeTxns, t)
@@ -143,59 +165,89 @@ func (s *Store) TxnStart() *Tx {
 	return &Tx{s: s, t: t, id: t.id}
 }
 
-// findRead reports whether p is already in t.reads.
-func (t *txn) findRead(p string) bool {
-	for i := range t.reads {
-		if t.reads[i].path == p {
-			return true
-		}
+// samePath reports whether rel under dir and rel2 under dir2, whose
+// joined lengths are equal, are the same path. Two splits of one path
+// in different places are joined in s.pathBuf and compared there.
+func (s *Store) samePath(dir, rel, dir2, rel2 string) bool {
+	if dir == dir2 {
+		return rel == rel2
 	}
-	return false
+	b := appendPath(s.pathBuf[:0], dir, rel)
+	n := len(b)
+	b = appendPath(b, dir2, rel2)
+	s.pathBuf = b
+	return string(b[:n]) == string(b[n:])
 }
 
-// observe records the generation of path at read time.
-func (tx *Tx) observe(p string) {
-	if !tx.valid() || tx.t.findRead(p) {
+// observe records the generation of rel under dir at read time.
+func (tx *Tx) observe(dir, rel string, plen int) {
+	if !tx.valid() {
 		return
 	}
+	for i := range tx.t.reads {
+		if r := &tx.t.reads[i]; r.plen == plen && tx.s.samePath(r.dir, r.rel, dir, rel) {
+			return
+		}
+	}
 	var g uint64
-	if n, _ := tx.s.resolve(p); n != nil {
+	if n, _ := tx.s.resolveAt(dir, rel); n != nil {
 		g = n.gen
 	}
-	tx.t.reads = append(tx.t.reads, readEnt{path: p, gen: g})
+	tx.t.reads = append(tx.t.reads, readEnt{dir: dir, rel: rel, plen: plen, gen: g})
 }
 
-// findWrite returns the buffered write for p, or nil.
-func (tx *Tx) findWrite(p string) *writeEnt {
+// findWrite returns the buffered write of rel under dir, or nil.
+func (tx *Tx) findWrite(dir, rel string, plen int) *writeEnt {
 	if !tx.valid() {
 		return nil
 	}
 	for i := range tx.t.writes {
-		if tx.t.writes[i].path == p {
-			return &tx.t.writes[i]
+		if w := &tx.t.writes[i]; w.plen == plen && tx.s.samePath(w.dir, w.rel, dir, rel) {
+			return w
 		}
 	}
 	return nil
 }
 
-// Read returns the value at path as seen by the transaction.
-func (tx *Tx) Read(path string) (string, error) {
-	p := normalize(path)
-	if w := tx.findWrite(p); w != nil {
+// ReadAt returns the value of rel under dir (rel may hold '/' or be
+// empty, naming dir itself) as seen by the transaction: its own
+// buffered write if it has one, else the committed node, whose
+// generation the commit validates.
+func (tx *Tx) ReadAt(dir, rel string) (string, error) {
+	dir, rel = splitAt(dir, rel)
+	plen := pathLen(dir, rel)
+	if w := tx.findWrite(dir, rel, plen); w != nil {
 		tx.s.chargeOp(1)
 		return w.val, nil
 	}
-	tx.observe(p)
-	return tx.s.Read(p)
+	tx.observe(dir, rel, plen)
+	return tx.s.read(dir, rel, "")
 }
 
 // Write buffers a write, preserving first-write order.
 func (tx *Tx) Write(path, value string) {
 	p := normalize(path)
-	if w := tx.findWrite(p); w != nil {
+	dir, rel := splitPath(p)
+	tx.write(dir, rel, p, value)
+}
+
+// WriteAt buffers a write of rel under dir (rel may hold '/'). It is
+// Write(dir+"/"+rel, value) — the same write-set entry, charge,
+// commit and watch fires — without building the joined path unless a
+// watch matches it at commit.
+func (tx *Tx) WriteAt(dir, rel, value string) {
+	dir, rel = splitAt(dir, rel)
+	tx.write(dir, rel, "", value)
+}
+
+// write buffers value for rel under dir; path is their joined text
+// when the caller has it, "" otherwise.
+func (tx *Tx) write(dir, rel, path, value string) {
+	plen := pathLen(dir, rel)
+	if w := tx.findWrite(dir, rel, plen); w != nil {
 		w.val = value
 	} else if tx.valid() {
-		tx.t.writes = append(tx.t.writes, writeEnt{path: p, val: value})
+		tx.t.writes = append(tx.t.writes, writeEnt{path: path, dir: dir, rel: rel, plen: plen, val: value})
 	}
 	tx.s.chargeOp(1)
 }
@@ -247,26 +299,59 @@ func (tx *Tx) Commit() error {
 	// root inside the pool's edit window, and publish it once. Each
 	// write bumps generations exactly as a plain Write would.
 	if len(t.writes) > 0 {
-		s.pl.beginEdit()
-		root := s.root
-		for i := range t.writes {
-			w := &t.writes[i]
-			it := hashSegments(w.path)
-			op := leafOp{kind: leafValue, value: w.val}
-			root, w.touched, _ = s.applyWrite(root, &it, &op)
-		}
-		s.pl.endEdit()
+		root := s.applyWrites(t)
 		s.publish(root)
 	}
 	// Only then charge and fire per write, in the same order: whatever
 	// runs during a charge or a callback sees the whole commit.
 	for i := range t.writes {
 		w := &t.writes[i]
-		s.chargeOp(w.touched + s.matchCost(w.path))
-		s.fireWatches(w.path)
+		s.chargeOp(w.touched + s.matchCost())
+		s.fireWatchesAt(w.dir, w.rel, w.path)
 	}
 	s.Count.TxnCommits++
 	s.recycleTxn(t)
+	return nil
+}
+
+// applyWrites applies t's write set to a working root inside the
+// pool's edit window and returns that root. It resolves each distinct
+// directory of the write set once: the first write under a directory
+// walks from the root, copying the spine, and leaves that directory's
+// node the commit's own copy, which every later write under it is
+// applied from. The node stays where it is, since the commit edits its
+// own copies in place, so the root above it needs no further edit.
+// Each write's touched count is what a walk from the root would visit.
+func (s *Store) applyWrites(t *txn) *node {
+	s.pl.beginEdit()
+	root := s.root
+	for i := range t.writes {
+		w := &t.writes[i]
+		op := leafOp{kind: leafValue, value: w.val}
+		if d := t.findDir(w.dir); d != nil {
+			it := hashSegments(w.rel)
+			_, touched, _ := s.applyWrite(d.n, &it, &op)
+			w.touched = d.touched + touched - 1 // d.n is counted in both
+			continue
+		}
+		it := hashSegmentsAt(w.dir, w.rel)
+		root, w.touched, _ = s.applyWrite(root, &it, &op)
+		n, touched := resolveFrom(root, w.dir)
+		t.dirs = append(t.dirs, dirEnt{dir: w.dir, n: n, touched: touched})
+	}
+	s.pl.endEdit()
+	clear(t.dirs) // unpin the working nodes
+	t.dirs = t.dirs[:0]
+	return root
+}
+
+// findDir returns the commit's resolved entry for dir, or nil.
+func (t *txn) findDir(dir string) *dirEnt {
+	for i := range t.dirs {
+		if t.dirs[i].dir == dir {
+			return &t.dirs[i]
+		}
+	}
 	return nil
 }
 
@@ -276,7 +361,7 @@ func (tx *Tx) Commit() error {
 func (s *Store) validate(t *txn) (touched int, conflict bool) {
 	for _, r := range t.reads {
 		touched++
-		n, _ := s.resolve(r.path)
+		n, _ := s.resolveAt(r.dir, r.rel)
 		switch {
 		case n == nil && r.gen != 0:
 			return touched, true // node vanished
@@ -286,7 +371,8 @@ func (s *Store) validate(t *txn) (touched int, conflict bool) {
 	}
 	for i := range t.writes {
 		touched++
-		if n, _ := s.resolve(t.writes[i].path); n != nil && n.gen > t.startGen {
+		w := &t.writes[i]
+		if n, _ := s.resolveAt(w.dir, w.rel); n != nil && n.gen > t.startGen {
 			return touched, true
 		}
 	}

@@ -1,6 +1,7 @@
 package xenstore
 
 import (
+	"bytes"
 	"sort"
 	"strings"
 
@@ -133,7 +134,7 @@ func normalize(path string) string {
 // The *simulated* cost stays linear in the watch count (that is the
 // modelled daemon's behaviour); the simulator itself answers in O(1)
 // and only walks the modified subtree's own bucket when delivering.
-func (s *Store) matchCost(string) int {
+func (s *Store) matchCost() int {
 	// Each watch comparison costs about one node touch.
 	return len(s.watches)
 }
@@ -152,7 +153,9 @@ func watchMatches(prefix, path string) bool {
 }
 
 // mergeCandidates builds the id-ordered candidate list for a modified
-// path into the scratch buffer for the given fire-nesting depth: the
+// path (its text, in a byte buffer, so that a directory-relative write
+// looks its ancestors up without building a string) into the scratch
+// buffer for the given fire-nesting depth: the
 // root bucket plus one bucket per ancestor prefix of p, k-way merged
 // by registration id so delivery order matches the historical
 // single-list scan. Only ancestors at a depth that holds an indexed
@@ -161,7 +164,7 @@ func watchMatches(prefix, path string) bool {
 // registered at (DESIGN.md §9). Per-depth buffers keep re-entrant fires
 // (a watch callback writing, which fires watches again) from
 // clobbering an iteration in progress, without allocating per fire.
-func (s *Store) mergeCandidates(depth int, p string) []*watch {
+func (s *Store) mergeCandidates(depth int, p []byte) []*watch {
 	for len(s.fireBufs) <= depth {
 		s.fireBufs = append(s.fireBufs, nil)
 		s.mergeBufs = append(s.mergeBufs, nil)
@@ -170,17 +173,17 @@ func (s *Store) mergeCandidates(depth int, p string) []*watch {
 	if len(s.rootWatches) > 0 {
 		bufs = append(bufs, s.rootWatches)
 	}
-	if p != "/" {
+	if string(p) != "/" {
 		// Every ancestor prefix p[:end] of p, including p itself, at
 		// prefix depth d; it starts at segment i.
 		for i, d := 1, 1; d < len(s.watchDepths); d++ {
 			end := len(p)
-			j := strings.IndexByte(p[i:], '/')
+			j := bytes.IndexByte(p[i:], '/')
 			if j >= 0 {
 				end = i + j
 			}
 			if s.watchDepths[d] > 0 {
-				if b := s.watchIndex[p[:end]]; len(b) > 0 {
+				if b := s.watchIndex[string(p[:end])]; len(b) > 0 {
 					bufs = append(bufs, b)
 				}
 			}
@@ -219,8 +222,31 @@ func (s *Store) fireWatches(path string) {
 	if len(s.watchIndex) == 0 && len(s.rootWatches) == 0 {
 		return
 	}
-	p := normalize(path)
-	cands := s.mergeCandidates(s.fireDepth, p)
+	s.fireWatchesAt("", "", normalize(path))
+}
+
+// fireWatchesAt is fireWatches for the path rel under dir, whose
+// normalized text is path, or "" when the caller has not built it.
+// The text is then joined in s.pathBuf for the candidate lookup, and
+// a string is built only when some watch matches: the callback takes
+// one.
+func (s *Store) fireWatchesAt(dir, rel, path string) {
+	if len(s.watchIndex) == 0 && len(s.rootWatches) == 0 {
+		return
+	}
+	if path != "" {
+		s.pathBuf = append(s.pathBuf[:0], path...)
+	} else {
+		s.pathBuf = appendPath(s.pathBuf[:0], dir, rel)
+	}
+	cands := s.mergeCandidates(s.fireDepth, s.pathBuf)
+	if len(cands) == 0 {
+		return
+	}
+	p := path
+	if p == "" {
+		p = string(s.pathBuf)
+	}
 	s.fireDepth++
 	for _, w := range cands {
 		s.Count.WatchFires++
