@@ -2,6 +2,7 @@ package noxs
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"lightvm/internal/devd"
@@ -228,5 +229,43 @@ func TestDestroyDeviceCountsHotplugFailure(t *testing.T) {
 	}
 	if m.Count.DevicesGone != 1 || len(d.DevPage.Entries) != 0 {
 		t.Fatalf("device not destroyed: gone=%d page=%v", m.Count.DevicesGone, d.DevPage.Entries)
+	}
+}
+
+// orderHotplug records the vif indexes torn down, in order.
+type orderHotplug struct{ torn []int }
+
+func (o *orderHotplug) Setup(dom, idx int) error    { return nil }
+func (o *orderHotplug) Teardown(dom, idx int) error { o.torn = append(o.torn, idx); return nil }
+func (o *orderHotplug) Name() string                { return "order" }
+
+// TestDestroyAllPageOrder checks that DestroyAll destroys a page's
+// entries in page order, each once, including after a device was
+// removed from the middle of the page.
+func TestDestroyAllPageOrder(t *testing.T) {
+	m, h, _ := newModule()
+	hp := &orderHotplug{}
+	m.Hotplug = hp
+	d := newDom(t, h)
+	for i := 0; i < 4; i++ {
+		if _, err := m.CreateDevice(d.ID, hv.DevVif, i, "m"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := m.CreateDevice(d.ID, hv.DevSysctl, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DestroyDevice(d.ID, hv.DevVif, 1); err != nil {
+		t.Fatal(err)
+	}
+	m.DestroyAll(d.ID)
+	if got := fmt.Sprint(hp.torn); got != "[1 0 2 3]" {
+		t.Fatalf("vifs torn down in order %s, want [1 0 2 3]", got)
+	}
+	if entries, _ := h.DevicePageMap(d.ID); len(entries) != 0 {
+		t.Fatalf("DestroyAll left %d entries", len(entries))
+	}
+	if m.Count.DevicesGone != 5 {
+		t.Fatalf("DevicesGone = %d, want 5", m.Count.DevicesGone)
 	}
 }

@@ -288,7 +288,8 @@ func splitAt(dir, rel string) (string, string) {
 	return normalize(dir), strings.Trim(rel, "/")
 }
 
-// pathLen is the length of joinPath(dir, rel).
+// pathLen is the length of the text appendPath appends for rel under
+// dir.
 func pathLen(dir, rel string) int {
 	switch {
 	case rel == "" && dir == "":
@@ -537,6 +538,7 @@ func (s *Store) Read(path string) (string, error) {
 // Read(dir+"/"+rel). Consecutive reads in one directory resolve it
 // once.
 func (s *Store) ReadAt(dir, rel string) (string, error) {
+	dir, rel = splitAt(dir, rel)
 	return s.read(dir, rel, "")
 }
 
