@@ -990,3 +990,74 @@ func TestReadAtChargesAsRead(t *testing.T) {
 	}
 	check(2*len(reads), "", "", nil, nil)
 }
+
+// TestMidChargeRepliesKeepStartState pins what an op replies when a
+// clock event inside its charge changes, then removes, the node it
+// resolved at op start. The reply follows the node while it exists and
+// falls back to the op's start state once it is gone: the start value
+// for Read and Tx.ReadAt, the start listing for Directory and
+// DirectoryLen. WriteUniqueName charges the names it saw at op start,
+// however many a mid-scan event adds.
+func TestMidChargeRepliesKeepStartState(t *testing.T) {
+	const name = "/local/domain/1/name"
+	writeThenRm := func(s *Store, c *sim.Clock, path, child string) {
+		c.After(time.Nanosecond, func() {
+			s.Write(path+child, "mid")
+			if err := s.Rm(path); err != nil {
+				t.Errorf("mid-charge Rm(%s): %v", path, err)
+			}
+		})
+	}
+	t.Run("Read", func(t *testing.T) {
+		s, c := newStore()
+		s.Write(name, "before")
+		writeThenRm(s, c, name, "")
+		if v, err := s.Read(name); v != "before" || err != nil {
+			t.Fatalf("Read = %q, %v, want \"before\"", v, err)
+		}
+	})
+	t.Run("Tx.ReadAt", func(t *testing.T) {
+		s, c := newStore()
+		s.Write(name, "before")
+		tx := s.TxnStart()
+		writeThenRm(s, c, name, "")
+		if v, err := tx.ReadAt("/local/domain/1", "name"); v != "before" || err != nil {
+			t.Fatalf("Tx.ReadAt = %q, %v, want \"before\"", v, err)
+		}
+		tx.Abort()
+	})
+	const dir = "/local/domain/2"
+	t.Run("DirectoryLen", func(t *testing.T) {
+		s, c := newStore()
+		s.Write(dir+"/name", "g2")
+		writeThenRm(s, c, dir, "/extra")
+		if n, err := s.DirectoryLen(dir); n != 1 || err != nil {
+			t.Fatalf("DirectoryLen = %d, %v, want 1", n, err)
+		}
+	})
+	t.Run("Directory", func(t *testing.T) {
+		s, c := newStore()
+		s.Write(dir+"/name", "g2")
+		writeThenRm(s, c, dir, "/extra")
+		if names, err := s.Directory(dir); len(names) != 1 || names[0] != "name" || err != nil {
+			t.Fatalf("Directory = %v, %v, want [name]", names, err)
+		}
+	})
+	t.Run("WriteUniqueName", func(t *testing.T) {
+		s, c := newStore()
+		for i := 0; i < 20; i++ {
+			s.Write(fmt.Sprintf("/vm/names/k%d", i), fmt.Sprintf("guest%d", i))
+		}
+		c.After(time.Nanosecond, func() {
+			s.Write("/vm/names/late1", "late1")
+			s.Write("/vm/names/late2", "late2")
+		})
+		start := c.Now()
+		if err := s.WriteUniqueName("/vm/names", "new", "guest-new"); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := c.Now().Sub(start), 371201*time.Nanosecond; got != want {
+			t.Fatalf("WriteUniqueName charged %v, want %v", got, want)
+		}
+	})
+}
