@@ -74,9 +74,11 @@ func New(machine Machine) *Sched {
 
 // Place assigns the next guest to a core round-robin (the paper pins
 // VMs "to the VMs in a round-robin fashion").
+// Guest cores are numbered contiguously after Dom0's, so the next one
+// is computed rather than picked from GuestCores' slice.
 func (s *Sched) Place() int {
-	cores := s.machine.GuestCores()
-	c := cores[s.rrNext%len(cores)]
+	m := s.machine
+	c := m.Dom0Cores + s.rrNext%(m.Cores-m.Dom0Cores)
 	s.rrNext++
 	return c
 }

@@ -18,6 +18,8 @@ func TestGuestCores(t *testing.T) {
 	}
 }
 
+// TestPlaceRoundRobin: Place walks GuestCores in order and wraps, on
+// every testbed, and allocates nothing.
 func TestPlaceRoundRobin(t *testing.T) {
 	s := New(Xeon4)
 	want := []int{1, 2, 3, 1, 2, 3, 1}
@@ -25,6 +27,18 @@ func TestPlaceRoundRobin(t *testing.T) {
 		if c := s.Place(); c != w {
 			t.Fatalf("Place #%d = %d, want %d", i, c, w)
 		}
+	}
+	for _, m := range []Machine{Xeon4, Amd64, Xeon14, Xeon4Ckpt} {
+		s := New(m)
+		cores := m.GuestCores()
+		for i := 0; i < 2*len(cores)+1; i++ {
+			if c, w := s.Place(), cores[i%len(cores)]; c != w {
+				t.Fatalf("%s: Place #%d = %d, want %d", m.Name, i, c, w)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Place() }); allocs != 0 {
+		t.Fatalf("Place allocates %.1f objects, want 0", allocs)
 	}
 }
 

@@ -91,6 +91,33 @@ func BenchmarkDirectoryLenGuests(b *testing.B) {
 	}
 }
 
+// BenchmarkSteadyWrite overwrites one guest's leaf on a store holding
+// 1,000 guests with no snapshot taken: the steady-state plain write.
+func BenchmarkSteadyWrite(b *testing.B) {
+	s := guestStore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Write("/local/domain/500/device/vif/0/state", "4")
+	}
+}
+
+// BenchmarkRmRecreate removes one guest's leaf and writes it back on a
+// store holding 1,000 guests: the remove-and-recreate pair of device
+// teardown and setup.
+func BenchmarkRmRecreate(b *testing.B) {
+	const path = "/local/domain/500/control/shutdown"
+	s := guestStore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Rm(path); err != nil {
+			b.Fatal(err)
+		}
+		s.Write(path, "")
+	}
+}
+
 func BenchmarkTxnCommit(b *testing.B) {
 	s := benchStore(b)
 	b.ReportAllocs()
@@ -120,25 +147,14 @@ func BenchmarkTxnCommitDevice(b *testing.B) {
 	s, _ := newStore()
 	s.LoggingEnabled = false
 	populateGuests(s, guests)
-	type write struct{ path, val string }
-	sets := make([][]write, guests)
+	sets := make([][][2]string, guests)
 	for g := range sets {
-		dom := strconv.Itoa(g + 1)
-		fe := "/local/domain/" + dom + "/device/vif/0"
-		be := "/local/domain/0/backend/vif/" + dom + "/0"
-		mac := "00:16:3e:00:00:" + strconv.Itoa(g%100)
-		sets[g] = []write{
-			{fe + "/backend", be}, {fe + "/backend-id", "0"}, {fe + "/handle", "0"},
-			{fe + "/mac", mac}, {be + "/mac", mac}, {be + "/bridge", "xenbr0"},
-			{fe + "/state", "1"}, {be + "/frontend", fe}, {be + "/frontend-id", dom},
-			{be + "/handle", "0"}, {be + "/online", "1"}, {be + "/state", "1"},
-			{fe + "/event-channel", "17"},
-		}
+		sets[g] = deviceWrites(strconv.Itoa(g+1), "00:16:3e:00:00:"+strconv.Itoa(g%100))
 	}
 	commit := func(g int) {
 		tx := s.TxnStart()
 		for _, w := range sets[g] {
-			tx.Write(w.path, w.val)
+			tx.Write(w[0], w[1])
 		}
 		if err := tx.Commit(); err != nil {
 			b.Fatal(err)

@@ -24,6 +24,14 @@ package xenstore
 // model applies its whole write set before firing anything, so a
 // callback that saw a transaction half applied fails the comparison:
 // commit atomicity is checked against the model.
+//
+// Some reads, listings, writes and removals run with a clock event
+// queued to fire inside their charge, which writes, writes then
+// removes, or removes the op's own path. The model applies the store's
+// rule for a reply taken after the charge: whether the node exists is
+// decided at op start; the reply is taken at the end if the node still
+// exists, otherwise at start. After every step no current object (one
+// the store may edit in place, pool.go) may sit under an old one.
 
 import (
 	"errors"
@@ -200,6 +208,15 @@ func (m *refStore) directory(p string) ([]string, error) {
 }
 
 func (m *refStore) rm(p string) error {
+	err := m.remove(p)
+	if err == nil {
+		m.fire(p)
+	}
+	return err
+}
+
+// remove applies an rm without firing watches.
+func (m *refStore) remove(p string) error {
 	if p == "/" {
 		return errors.New("cannot remove root")
 	}
@@ -213,7 +230,6 @@ func (m *refStore) rm(p string) error {
 	}
 	m.gen++
 	m.nodes[refParent(p)].gen = m.gen
-	m.fire(p)
 	return nil
 }
 
@@ -370,6 +386,42 @@ func maxTreeGen(n *node) uint64 {
 	return g
 }
 
+// oldAboveCurrent describes the first current node or trie level
+// under n (inclusive) whose parent is not current, or returns "".
+// parentCurrent tells whether n's parent is. Pool retirement stops at
+// the first old object of a removed subtree on the strength of this
+// invariant (pool.go).
+func oldAboveCurrent(p *pool, n *node, parentCurrent bool) string {
+	cur := p.current(n.ptag, n.birth)
+	if cur && !parentCurrent {
+		return fmt.Sprintf("current node %q under an old parent", n.name)
+	}
+	var level func(a *amtNode, up bool) string
+	level = func(a *amtNode, up bool) string {
+		if a == nil {
+			return ""
+		}
+		c := p.current(a.ptag, a.birth)
+		if c && !up {
+			return fmt.Sprintf("current trie level under an old one in %q", n.name)
+		}
+		for _, sl := range a.slots {
+			switch e := sl.(type) {
+			case *node:
+				if v := oldAboveCurrent(p, e, c); v != "" {
+					return v
+				}
+			case *amtNode:
+				if v := level(e, c); v != "" {
+					return v
+				}
+			}
+		}
+		return ""
+	}
+	return level(n.kids, cur)
+}
+
 // checkGenBound fails t when a node under root carries a generation
 // above gen, the counter of the store or snapshot root belongs to.
 // Quiet commits (txn.go) skip their validation walk on the strength of
@@ -390,7 +442,7 @@ func sameErr(got error, want error) bool {
 
 func runModelSequence(t *testing.T, seed int64, ops int) {
 	r := rand.New(rand.NewSource(seed))
-	s, _ := newStore()
+	s, c := newStore()
 	m := newRefStore()
 
 	var realEvents []watchEvent
@@ -403,19 +455,60 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 		t.Fatalf("seed %d op %d: %s", seed, op, fmt.Sprintf(format, args...))
 	}
 
+	// midCharge, one time in six, queues a clock event that fires
+	// inside the next op's charge and writes p, writes then removes it,
+	// or removes it; with child set, the write goes to a child of p
+	// instead, so a listing of p changes. It returns the model's twin
+	// of that event, which the step applies at the point of the op
+	// where the store runs it (a no-op when nothing was queued).
+	midCharge := func(op int, p string, child bool) func() {
+		if r.Intn(6) != 0 {
+			return func() {}
+		}
+		kind, w, v := r.Intn(3), p, randValue(r)
+		if child {
+			w = childPath(p, modelSegs[r.Intn(len(modelSegs))])
+		}
+		var storeErr error
+		c.After(time.Nanosecond, func() {
+			if kind != 2 {
+				s.Write(w, v)
+			}
+			if kind != 0 {
+				storeErr = s.Rm(p)
+			}
+		})
+		return func() {
+			var modelErr error
+			if kind != 2 {
+				m.write(w, v)
+			}
+			if kind != 0 {
+				modelErr = m.rm(p)
+			}
+			if !sameErr(storeErr, modelErr) {
+				fail(op, "mid-charge Rm(%q): store %v, model %v", p, storeErr, modelErr)
+			}
+		}
+	}
+
 	for op := 0; op < ops; op++ {
 		switch k := r.Intn(100); {
 		case k < 26: // write, by path or relative to a directory
 			p, v := randPath(r), randValue(r)
+			mid := midCharge(op, p, false)
 			if r.Intn(2) == 0 {
 				s.Write(p, v)
 			} else {
 				dir, rel := randSplit(r, p)
 				s.WriteAt(dir, rel, v)
 			}
-			m.write(p, v)
+			m.set(p, v) // applied before the charge, fired after it
+			mid()
+			m.fire(p)
 		case k < 40: // read, by path or relative to a directory
 			p := randPath(r)
+			mid := midCharge(op, p, false)
 			var got string
 			var gotErr error
 			if r.Intn(2) == 0 {
@@ -425,6 +518,10 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 				got, gotErr = s.ReadAt(dir, rel)
 			}
 			want, wantErr := m.read(p)
+			mid()
+			if v, err := m.read(p); wantErr == nil && err == nil {
+				want = v
+			}
 			if got != want || !sameErr(gotErr, wantErr) {
 				fail(op, "Read(%q): store (%q, %v), model (%q, %v)", p, got, gotErr, want, wantErr)
 			}
@@ -435,15 +532,25 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			}
 		case k < 55: // directory
 			p := randPath(r)
+			mid := midCharge(op, p, true)
 			got, gotErr := s.Directory(p)
 			want, wantErr := m.directory(p)
+			mid()
+			if wantErr == nil && m.exists(p) {
+				want = m.children(p)
+			}
 			if !sameErr(gotErr, wantErr) || !equalStrings(got, want) {
 				fail(op, "Directory(%q): store (%v, %v), model (%v, %v)", p, got, gotErr, want, wantErr)
 			}
 		case k < 62: // rm
 			p := randPath(r)
+			mid := midCharge(op, p, false)
 			gotErr := s.Rm(p)
-			wantErr := m.rm(p)
+			wantErr := m.remove(p) // applied before the charge, fired after it
+			mid()
+			if wantErr == nil {
+				m.fire(p)
+			}
 			if !sameErr(gotErr, wantErr) {
 				fail(op, "Rm(%q): store %v, model %v", p, gotErr, wantErr)
 			}
@@ -488,6 +595,7 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			switch r.Intn(7) {
 			case 0, 1, 2: // txn read, of the whole path or relative to a directory
 				p := randPath(r)
+				mid := midCharge(op, p, false)
 				var got string
 				var gotErr error
 				if r.Intn(2) == 0 {
@@ -496,7 +604,12 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 					dir, rel := randSplit(r, p)
 					got, gotErr = o.tx.ReadAt(dir, rel)
 				}
+				_, buffered := o.rt.writes[p]
 				want, wantErr := o.rt.read(m, p)
+				mid()
+				if v, err := m.read(p); !buffered && wantErr == nil && err == nil {
+					want = v
+				}
 				if got != want || !sameErr(gotErr, wantErr) {
 					fail(op, "Tx.ReadAt(%q): store (%q, %v), model (%q, %v)", p, got, gotErr, want, wantErr)
 				}
@@ -524,6 +637,9 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 
 		if g := maxTreeGen(s.root); g > s.gen {
 			fail(op, "node generation %d exceeds store generation %d", g, s.gen)
+		}
+		if v := oldAboveCurrent(s.pl, s.root, true); v != "" {
+			fail(op, "%s", v)
 		}
 		if len(realEvents) != len(m.events) {
 			fail(op, "watch event count diverged: store %d, model %d (store %v, model %v)",

@@ -2,62 +2,58 @@ package xenstore
 
 import "sync/atomic"
 
-// Node and trie-level pooling for the mutation path.
+// Node and trie-level pooling for the mutation path, and the rule
+// that decides which objects a mutation may edit in place.
 //
-// Every Write/Rm/graft copies the spine of the immutable tree — that
-// is the price of O(1) snapshots — and before this pool existed, every
-// copy was a fresh heap allocation and every replaced spine became GC
-// work. The profile attributed ~60% of fig12a's allocations to exactly
-// those spine copies (node.clone, amtNode.withSlot/withInsert). The
-// pool closes the loop: the mutation path retires the objects it
-// replaces and draws replacements from a free list.
+// An object is current when the store's own pool drew it since the
+// last Store.Snapshot: its ptag is the pool's tag and its birth is the
+// pool's snapshot epoch. Nothing but the live tree can reach a current
+// object. A snapshot reaches only objects born before the epoch it
+// bumped; a graft installs nodes of a snapshot, or of another store,
+// which are old or foreign; a decoded tree is unpooled (ptag 0). So
+// every mutation (Write, Rm, Mkdir, the graft spine, a transaction
+// commit) edits current objects in place and copies only old or
+// foreign ones, the way Clojure's transients edit what they own. The
+// first write after a snapshot copies its spine once; the copies are
+// current, and later writes through them edit them in place. Every
+// ancestor of a current object is current too, since a current object
+// enters the tree only through its parent, which is made current on
+// the way.
 //
-// Recycling a node from an immutable, structurally-shared tree is only
-// sound if nothing can still reach the retired object. Three guards
-// make it COW-safe:
+// Objects a mutation detaches from the live tree — a removed subtree,
+// a trie level that outgrew or shrank out of its size bracket, a
+// replaced graft destination — retire to the pool, which recycles
+// them under three guards:
 //
 //  1. Provenance (ptag): a pool only recycles objects it allocated.
 //     Nodes that arrived by structural sharing from elsewhere —
 //     deserialized snapshots, grafts from another store — carry a
 //     foreign (or zero) tag and are never touched.
 //
-//  2. Snapshot epoch (birth): Store.Snapshot bumps the pool's snapshot
-//     epoch (see snapshot.go), and a retired object is recycled only
-//     if the epoch still equals the one recorded at its allocation.
-//     Any object whose lifetime overlapped a snapshot is left for the
-//     GC, because that snapshot (or a graft made from it) may reach it
-//     forever. This is also what keeps self-grafts sound: a subtree
-//     can only become doubly-referenced via a snapshot, and taking that
-//     snapshot permanently excludes its nodes from reuse.
+//  2. Snapshot epoch (birth): a retired object is recycled only if it
+//     is still current. Any object whose lifetime overlapped a
+//     snapshot is left for the GC, because that snapshot (or a graft
+//     made from it) may reach it forever.
 //
 //  3. Operation nesting (depth): charging the virtual clock can run
 //     scheduled events that re-enter the store (a watch callback
-//     writing mid-charge), while the outer operation still holds
-//     pointers into the pre-mutation tree (Store.Read keeps its
-//     resolved node across the charge). Retired objects therefore
-//     park in a pending list and are only recycled when the outermost
-//     operation exits.
+//     writing mid-charge) while the outer operation is still running.
+//     Retired objects therefore park in a pending list and are only
+//     recycled when the outermost operation exits. An operation that
+//     replies after its charge (Read, Directory, WriteUniqueName)
+//     takes what its reply needs from its node at op start, since a
+//     nested operation may edit that node in place and then remove it.
 //
 // Trie levels recycle by slot-capacity bracket (amtBrackets: 1, 2, 4,
 // 8, 16, 24, 32 slots), one free list per bracket. A level is
 // allocated with its bracket's capacity, keeps it for life (an in-place
-// insert grows it only within that capacity, tree.go), and is handed
+// insert or removal stays within its bracket, tree.go), and is handed
 // back only to a request in the same bracket, so a recycled level
 // never rebuilds its slot array and a small directory never keeps a
 // wide level's array.
 //
 // The free lists are bounded (poolMaxFree each) so a burst — one huge
 // Rm — cannot pin an arbitrary amount of memory.
-//
-// The pool also scopes a transaction commit's in-place edits (txn.go).
-// Between beginEdit and endEdit every object it hands out carries the
-// commit's edit tag, and owns reports exactly those objects: nothing
-// has published them yet, so the commit may mutate them instead of
-// copying them again for its next write, in the way Clojure's
-// transients work. endEdit untags them all before the commit publishes
-// its root, so no object reachable from a published root — a
-// snapshot's, or one grafted back from a snapshot — ever carries a tag
-// a later commit could match, however the tag counter wraps.
 
 const poolMaxFree = 8192
 
@@ -75,13 +71,6 @@ type pool struct {
 	pendA []*amtNode
 
 	depth int
-
-	// edit is the open commit's tag (0 outside a commit); lastEdit
-	// issues tags. ownN/ownA list the objects stamped with edit, for
-	// endEdit to untag.
-	edit, lastEdit uint32
-	ownN           []*node
-	ownA           []*amtNode
 }
 
 // poolTags hands out store-unique pool tags (stores can live on
@@ -103,59 +92,17 @@ func (p *pool) getNode() *node {
 		p.freeN[n-1] = nil
 		p.freeN = p.freeN[:n-1]
 		nd.birth = p.epoch
-		p.stampNode(nd)
 		return nd
 	}
-	nd := &node{ptag: p.tag, birth: p.epoch}
-	p.stampNode(nd)
-	return nd
+	return &node{ptag: p.tag, birth: p.epoch}
 }
 
-// stampNode tags nd as owned by the open commit, if there is one.
-func (p *pool) stampNode(nd *node) {
-	if p.edit != 0 {
-		nd.edit = p.edit
-		p.ownN = append(p.ownN, nd)
-	}
-}
-
-// stampAMT is stampNode for trie levels.
-func (p *pool) stampAMT(a *amtNode) {
-	if p.edit != 0 {
-		a.edit = p.edit
-		p.ownA = append(p.ownA, a)
-	}
-}
-
-// owns reports whether an object with edit tag edit was drawn by the
-// open commit and may be edited in place. Published objects carry 0.
-func (p *pool) owns(edit uint32) bool {
-	return edit != 0 && p != nil && edit == p.edit
-}
-
-// beginEdit opens a commit's in-place edit window under a fresh tag.
-// The counter skips 0, which marks objects no commit owns.
-func (p *pool) beginEdit() {
-	if p.lastEdit++; p.lastEdit == 0 {
-		p.lastEdit = 1
-	}
-	p.edit = p.lastEdit
-}
-
-// endEdit closes the window: every object the commit drew goes back
-// to untagged, so once its root is published nothing can edit it.
-func (p *pool) endEdit() {
-	for i, n := range p.ownN {
-		n.edit = 0
-		p.ownN[i] = nil
-	}
-	p.ownN = p.ownN[:0]
-	for i, a := range p.ownA {
-		a.edit = 0
-		p.ownA[i] = nil
-	}
-	p.ownA = p.ownA[:0]
-	p.edit = 0
+// current reports whether an object with provenance ptag and birth
+// was drawn from p since the last snapshot, so that only the live tree
+// reaches it and a mutation may edit it in place. A nil pool owns
+// nothing.
+func (p *pool) current(ptag uint32, birth uint64) bool {
+	return p != nil && ptag == p.tag && birth == p.epoch
 }
 
 // amtBrackets are the slot capacities trie levels are allocated with.
@@ -192,45 +139,35 @@ func (p *pool) getAMT(nslots int) *amtNode {
 		p.freeA[b] = free[:n-1]
 		a.slots = a.slots[:nslots]
 		a.birth = p.epoch
-		p.stampAMT(a)
 		return a
 	}
-	a := &amtNode{ptag: p.tag, birth: p.epoch, slots: make([]any, nslots, amtBrackets[b])}
-	p.stampAMT(a)
-	return a
+	return &amtNode{ptag: p.tag, birth: p.epoch, slots: make([]any, nslots, amtBrackets[b])}
 }
 
-// retireNode parks a replaced node for recycling. Foreign or unpooled
-// nodes are ignored.
-func (p *pool) retireNode(n *node) {
-	if p == nil || n == nil || n.ptag != p.tag {
-		return
-	}
-	p.pendN = append(p.pendN, n)
-}
-
-// retireAMT parks a replaced trie level.
+// retireAMT parks a trie level detached from the live tree for
+// recycling. Only a current level can be recycled, so any other is
+// ignored.
 func (p *pool) retireAMT(a *amtNode) {
-	if p == nil || a == nil || a.ptag != p.tag {
-		return
+	if a != nil && p.current(a.ptag, a.birth) {
+		p.pendA = append(p.pendA, a)
 	}
-	p.pendA = append(p.pendA, a)
 }
 
 // retireTree parks an entire removed subtree: the nodes and the trie
 // levels beneath them. Rm and GraftSnapshot displace whole subtrees;
 // without this walk their nodes would always be GC work even when no
-// snapshot can see them.
+// snapshot can see them. The walk stops at old or foreign objects:
+// nothing below one is current.
 func (p *pool) retireTree(n *node) {
-	if p == nil || n == nil {
+	if n == nil || !p.current(n.ptag, n.birth) {
 		return
 	}
 	p.retireAMTTree(n.kids)
-	p.retireNode(n)
+	p.pendN = append(p.pendN, n)
 }
 
 func (p *pool) retireAMTTree(a *amtNode) {
-	if a == nil {
+	if a == nil || !p.current(a.ptag, a.birth) {
 		return
 	}
 	for _, s := range a.slots {
@@ -245,7 +182,7 @@ func (p *pool) retireAMTTree(a *amtNode) {
 			}
 		}
 	}
-	p.retireAMT(a)
+	p.pendA = append(p.pendA, a)
 }
 
 // enter/exit bracket one public store operation. Nested operations
@@ -259,8 +196,8 @@ func (p *pool) exit() {
 	}
 }
 
-// flush recycles pending retirements whose lifetime did not overlap a
-// snapshot, and abandons the rest to the GC.
+// flush recycles pending retirements that are still current, and
+// abandons the rest to the GC.
 func (p *pool) flush() {
 	e := p.epoch
 	for i, n := range p.pendN {

@@ -1,6 +1,7 @@
 package xenstore
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 )
@@ -60,30 +61,47 @@ func TestPoolMixedBracketsAllocFree(t *testing.T) {
 	}
 }
 
-// TestOwnedInsertStaysInBracket: inside a commit's edit window an
-// insert edits a level in place while its slot array has room, and
-// copies a full level into the next bracket instead of regrowing its
-// array.
+// TestOwnedInsertStaysInBracket: a current level (drawn since the last
+// snapshot) is edited in place by an insert while its slot array has
+// room and by a removal while its remaining slots stay in its bracket.
+// A full level is copied into the next bracket instead of regrowing
+// its array, a removal that leaves the bracket copies into the smaller
+// one, and after a snapshot the same level is copied even with room.
 func TestOwnedInsertStaysInBracket(t *testing.T) {
 	p := newPool()
-	p.beginEdit()
-	defer p.endEdit()
 	a := p.getAMT(3)
 	a.bitmap = 0b111
 	child := &node{name: "c"}
 	if got := a.withInsert(p, 1<<3, child); got != a || len(a.slots) != 4 || cap(a.slots) != 4 {
-		t.Fatalf("insert into an owned level with room: same level %v, %d slots, capacity %d, want in place, 4, 4",
+		t.Fatalf("insert into a current level with room: same level %v, %d slots, capacity %d, want in place, 4, 4",
 			got == a, len(a.slots), cap(a.slots))
 	}
 	got := a.withInsert(p, 1<<4, child)
 	if got == a {
-		t.Fatal("insert into a full owned level edited it in place")
+		t.Fatal("insert into a full current level edited it in place")
 	}
 	if len(got.slots) != 5 || cap(got.slots) != 8 || got.bitmap != 0b11111 || got.slots[4] != child {
 		t.Fatalf("copy has %d slots, capacity %d, bitmap %b", len(got.slots), cap(got.slots), got.bitmap)
 	}
 	if len(a.slots) != 4 || cap(a.slots) != 4 {
 		t.Fatalf("full level regrew to %d slots, capacity %d", len(a.slots), cap(a.slots))
+	}
+	if r := got.withInsert(p, 1<<5, child); r != got || len(r.slots) != 6 {
+		t.Fatalf("insert into the current copy: same level %v, %d slots", r == got, len(r.slots))
+	}
+	if r := got.withRemove(p, 1<<5); r != got || len(r.slots) != 5 || cap(r.slots) != 8 || r.bitmap != 0b11111 {
+		t.Fatalf("removal staying in the 8-slot bracket: same level %v, %d slots, capacity %d",
+			r == got, len(r.slots), cap(r.slots))
+	}
+	if r := got.withRemove(p, 1<<4); r == got || len(r.slots) != 4 || cap(r.slots) != 4 || r.bitmap != 0b1111 {
+		t.Fatalf("removal leaving the 8-slot bracket: same level %v, %d slots, capacity %d",
+			r == got, len(r.slots), cap(r.slots))
+	}
+	b := p.getAMT(1)
+	b.bitmap = 1
+	p.epoch++ // a snapshot: b may now be reachable from it
+	if got := b.withInsert(p, 1<<1, child); got == b || b.bitmap != 1 || len(b.slots) != 1 {
+		t.Fatal("insert after a snapshot edited the level in place")
 	}
 }
 
@@ -148,5 +166,163 @@ func TestCommitWideDirectoryKeepsBrackets(t *testing.T) {
 		if v := bracketViolation(s.root); v != "" {
 			t.Fatalf("after removing %d children: %s", i+1, v)
 		}
+	}
+}
+
+// spineObjects returns the objects a mutation of path passes through:
+// each node from the root down and, between a node and its child, the
+// trie levels that lead to the child.
+func spineObjects(s *Store, path string) []any {
+	n := s.root
+	out := []any{n}
+	for it := hashSegments(path); ; {
+		seg, h, ok := it.next()
+		if !ok || n == nil {
+			return out
+		}
+		for a, shift := n.kids, uint(0); a != nil; shift += amtBits {
+			out = append(out, a)
+			bit := uint32(1) << ((h >> shift) & amtMask)
+			if a.bitmap&bit == 0 {
+				break
+			}
+			sub, ok := a.slots[a.slotIndex(bit)].(*amtNode)
+			if !ok {
+				break
+			}
+			a = sub
+		}
+		n = n.childByID(h, seg)
+		out = append(out, n)
+	}
+}
+
+// sameObjects reports the index of the first object that differs
+// between two spines, or -1.
+func sameObjects(a, b []any) int {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return len(a)
+	}
+	return -1
+}
+
+// deviceWrites are the 13 (path, value) writes of a vif device commit
+// for guest dom: xenbus.WriteDeviceEntries plus the frontend's event
+// channel.
+func deviceWrites(dom, mac string) [][2]string {
+	fe := "/local/domain/" + dom + "/device/vif/0"
+	be := "/local/domain/0/backend/vif/" + dom + "/0"
+	return [][2]string{
+		{fe + "/backend", be}, {fe + "/backend-id", "0"}, {fe + "/handle", "0"},
+		{fe + "/mac", mac}, {be + "/mac", mac}, {be + "/bridge", "xenbr0"},
+		{fe + "/state", "1"}, {be + "/frontend", fe}, {be + "/frontend-id", dom},
+		{be + "/handle", "0"}, {be + "/online", "1"}, {be + "/state", "1"},
+		{fe + "/event-channel", "17"},
+	}
+}
+
+// TestMutationsWithoutSnapshotCopyNothing: on a 1,000-guest store no
+// snapshot was ever taken of, every object is current, so overwriting
+// a leaf, removing and re-creating one, and a 13-write device commit
+// edit the tree in place. No spine object is replaced, nothing but the
+// removed leaf retires, and an overwrite allocates nothing.
+func TestMutationsWithoutSnapshotCopyNothing(t *testing.T) {
+	s := guestStore()
+	requirePendEmpty := func(what string) {
+		t.Helper()
+		if len(s.pl.pendN) != 0 || len(s.pl.pendA) != 0 {
+			t.Fatalf("%s retired %d nodes and %d trie levels, want none", what, len(s.pl.pendN), len(s.pl.pendA))
+		}
+	}
+
+	const leaf = "/local/domain/500/device/vif/0/state"
+	before := spineObjects(s, leaf)
+	s.pl.enter() // hold retirements in the pending lists
+	s.Write(leaf, "5")
+	if i := sameObjects(before, spineObjects(s, leaf)); i >= 0 {
+		t.Fatalf("overwrite replaced spine object %d", i)
+	}
+	requirePendEmpty("overwrite")
+	s.pl.exit()
+	if allocs := testing.AllocsPerRun(100, func() { s.Write(leaf, "6") }); allocs != 0 {
+		t.Fatalf("overwrite allocates %.1f objects, want 0", allocs)
+	}
+
+	const name = "/local/domain/500/name"
+	before = spineObjects(s, name)
+	removed, _ := s.resolve(name)
+	s.pl.enter()
+	if err := s.Rm(name); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.pl.pendN) != 1 || s.pl.pendN[0] != removed || len(s.pl.pendA) != 0 {
+		t.Fatalf("Rm retired %d nodes and %d trie levels, want the removed leaf alone", len(s.pl.pendN), len(s.pl.pendA))
+	}
+	s.pl.exit()
+	s.Write(name, "g500") // draws the recycled leaf back
+	if i := sameObjects(before, spineObjects(s, name)); i >= 0 {
+		t.Fatalf("Rm and re-create replaced spine object %d", i)
+	}
+
+	writes := deviceWrites("500", "00:16:3e:00:00:01")
+	commit := func() {
+		tx := s.TxnStart()
+		for _, w := range writes {
+			tx.Write(w[0], w[1])
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit() // creates the backend entries
+	spines := make([][]any, len(writes))
+	for i, w := range writes {
+		spines[i] = spineObjects(s, w[0])
+	}
+	s.pl.enter()
+	commit()
+	for i, w := range writes {
+		if j := sameObjects(spines[i], spineObjects(s, w[0])); j >= 0 {
+			t.Fatalf("device commit replaced object %d on the spine of %s", j, w[0])
+		}
+	}
+	requirePendEmpty("device commit")
+	s.pl.exit()
+}
+
+// TestSnapshotThenWritesCopySpineOnce: a snapshot makes every object
+// old. The first write after it copies each object on its spine once,
+// the second edits those copies in place, and the snapshot still
+// serializes to the bytes it had when taken.
+func TestSnapshotThenWritesCopySpineOnce(t *testing.T) {
+	const leaf = "/local/domain/500/device/vif/0/state"
+	s := guestStore()
+	sn := s.Snapshot()
+	blob := sn.Serialize()
+	before := spineObjects(s, leaf)
+	s.Write(leaf, "5")
+	first := spineObjects(s, leaf)
+	if len(first) != len(before) {
+		t.Fatalf("spine has %d objects after the write, %d before", len(first), len(before))
+	}
+	for i := range first {
+		if first[i] == before[i] {
+			t.Fatalf("first write after the snapshot kept spine object %d of %d", i, len(first))
+		}
+	}
+	s.Write(leaf, "6")
+	if i := sameObjects(first, spineObjects(s, leaf)); i >= 0 {
+		t.Fatalf("second write replaced spine object %d", i)
+	}
+	if !bytes.Equal(sn.Serialize(), blob) {
+		t.Fatal("writes after the snapshot changed its bytes")
+	}
+	if v, _ := snapRead(sn, leaf); v != "4" {
+		t.Fatalf("snapshot reads %q, want 4", v)
 	}
 }

@@ -9,8 +9,8 @@ import (
 
 // Snapshot is an immutable capture of the store at one published
 // version. Taking one is O(1) — a copy of the root pointer — because
-// the tree is never mutated in place (tree.go); the snapshot stays
-// frozen forever while the live store keeps moving.
+// no mutation edits a node that a snapshot can reach (tree.go); the
+// snapshot stays frozen forever while the live store keeps moving.
 //
 // Snapshots never charge the virtual clock: capturing one models a
 // pointer swap inside the daemon, and reading one models the consumer
@@ -25,7 +25,8 @@ type Snapshot struct {
 
 // Snapshot captures the current store state in O(1). It bumps the
 // pool's snapshot epoch: the snapshot may reach any object allocated
-// so far, so the pool recycles none of them (pool.go).
+// so far, so from now on mutations copy them instead of editing them
+// in place, and the pool recycles none of them (pool.go).
 func (s *Store) Snapshot() *Snapshot {
 	s.pl.epoch++
 	s.Count.Snapshots++
@@ -47,9 +48,10 @@ func (sn *Snapshot) Lookup(path string) Entry {
 
 // Lookup returns the entry at path in the live tree. Unlike
 // Snapshot().Lookup it takes no snapshot, so it leaves the pool's
-// snapshot epoch alone and every node it reaches stays recyclable; in
-// exchange the entry, and every entry reached from it, is valid only
-// until the store's next mutation. It charges no virtual time.
+// snapshot epoch alone and every node it reaches stays editable in
+// place and recyclable; in exchange the entry, and every entry reached
+// from it, is valid only until the store's next mutation. It charges
+// no virtual time.
 func (s *Store) Lookup(path string) Entry {
 	n, _ := resolveFrom(s.root, path)
 	return Entry{n}

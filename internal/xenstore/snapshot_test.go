@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"testing"
@@ -268,21 +267,21 @@ func commitVif(t *testing.T, s *Store, v string) {
 	}
 }
 
-// requireUntagged fails if any node or trie level reachable from n
-// still carries a commit's edit tag: a tagged published object is one
-// a later commit holding the same tag would edit in place.
-func requireUntagged(t *testing.T, n *node) {
+// requireNotCurrent fails if any node or trie level reachable from n
+// is current in p: a current object reachable from a snapshot is one a
+// later mutation would edit in place.
+func requireNotCurrent(t *testing.T, p *pool, n *node) {
 	t.Helper()
-	if n.edit != 0 {
-		t.Fatalf("published node %q carries edit tag %d", n.name, n.edit)
+	if p.current(n.ptag, n.birth) {
+		t.Fatalf("snapshot node %q is current", n.name)
 	}
 	var walk func(a *amtNode)
 	walk = func(a *amtNode) {
 		if a == nil {
 			return
 		}
-		if a.edit != 0 {
-			t.Fatalf("published trie level under %q carries edit tag %d", n.name, a.edit)
+		if p.current(a.ptag, a.birth) {
+			t.Fatalf("snapshot trie level under %q is current", n.name)
 		}
 		for _, sl := range a.slots {
 			if sub, ok := sl.(*amtNode); ok {
@@ -292,42 +291,48 @@ func requireUntagged(t *testing.T, n *node) {
 	}
 	walk(n.kids)
 	n.eachChild(func(c *node) bool {
-		requireUntagged(t, c)
+		requireNotCurrent(t, p, c)
 		return true
 	})
 }
 
-// TestCommitNeverEditsPublishedTree: commits edit only objects they
-// drew themselves. A snapshot taken after one commit serializes to the
-// same bytes after later commits rewrite its paths and add siblings
-// beside them — also when the edit-tag counter wraps and hands the
-// later commits the very tag the snapshot's nodes were built under.
+// TestCommitNeverEditsPublishedTree: mutations edit in place only
+// objects drawn since the last snapshot. Snapshots taken between
+// commits, plain writes and removals that rewrite their paths and add
+// siblings beside them each serialize to the bytes they had when
+// taken, and none of them reaches a current object.
 func TestCommitNeverEditsPublishedTree(t *testing.T) {
-	for _, wrap := range []bool{false, true} {
-		s, _ := newStore()
-		populateGuests(s, 3)
-		commitVif(t, s, "1")
-		if s.pl.lastEdit != 1 {
-			t.Fatalf("first commit ran under edit tag %d, want 1", s.pl.lastEdit)
+	s, _ := newStore()
+	populateGuests(s, 3)
+	type frozen struct {
+		sn   *Snapshot
+		blob []byte
+	}
+	var snaps []frozen
+	for i := 1; i <= 5; i++ {
+		v := strconv.Itoa(i)
+		commitVif(t, s, v)
+		s.Write("/local/domain/1/device/vif/0/state", "w"+v)
+		if i > 1 {
+			if err := s.Rm("/local/domain/0/backend/vif/1/0/x" + strconv.Itoa(i-1)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		sn := s.Snapshot()
-		blob := sn.Serialize()
-		if wrap {
-			s.pl.lastEdit = math.MaxUint32 // the next commit wraps to tag 1
+		for _, f := range snaps {
+			requireNotCurrent(t, s.pl, f.sn.root)
 		}
-		for i := 2; i <= 5; i++ {
-			commitVif(t, s, strconv.Itoa(i))
-			requireUntagged(t, s.root)
+		if i%2 == 1 {
+			sn := s.Snapshot()
+			snaps = append(snaps, frozen{sn, sn.Serialize()})
 		}
-		if wrap && s.pl.lastEdit != 4 {
-			t.Fatalf("edit tag after wrapping = %d, want 4 (0 is skipped)", s.pl.lastEdit)
+	}
+	for i, f := range snaps {
+		if !bytes.Equal(f.sn.Serialize(), f.blob) {
+			t.Fatalf("snapshot %d changed after later mutations", i)
 		}
-		if !bytes.Equal(sn.Serialize(), blob) {
-			t.Fatalf("wrap=%v: later commits changed a published snapshot", wrap)
-		}
-		if v, _ := s.Read("/local/domain/0/backend/vif/1/0/x5"); v != "5" {
-			t.Fatalf("wrap=%v: last commit lost: %q", wrap, v)
-		}
+	}
+	if v, _ := s.Read("/local/domain/0/backend/vif/1/0/x5"); v != "5" {
+		t.Fatalf("last commit lost: %q", v)
 	}
 }
 

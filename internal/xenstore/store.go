@@ -4,10 +4,10 @@
 // with values, per-node generation counters, prefix watches, and
 // transactions that fail and retry on conflict.
 //
-// The tree is immutable and structurally shared (see tree.go): every
-// mutation builds a new root by copying only the spine and publishes
-// it by replacing the store's root pointer. Store.Snapshot is therefore
-// an O(1) root capture, and snapshots stay frozen forever while the live
+// The tree is structurally shared (see tree.go): a mutation edits in
+// place what only the live tree can reach and copies what a snapshot
+// may hold, then publishes the root. Store.Snapshot is therefore an
+// O(1) root capture, and snapshots stay frozen forever while the live
 // tree keeps moving — the basis of the O(1) checkpoint/clone paths in
 // internal/migrate and internal/toolstack.
 //
@@ -29,9 +29,10 @@
 //
 // Hot-path structure (profile-guided; DESIGN.md §9): path segments are
 // hashed once while the path is being split (hashIter) and compared as
-// 64-bit ids from then on; spine copies recycle through the store's
-// pool (pool.go); operations bracket themselves with enter/exit so
-// recycling stays safe across the re-entrant clock charge.
+// 64-bit ids from then on; mutations edit current nodes in place and
+// recycle detached ones through the store's pool (pool.go); operations
+// bracket themselves with enter/exit so recycling stays safe across
+// the re-entrant clock charge.
 package xenstore
 
 import (
@@ -429,15 +430,11 @@ const (
 )
 
 // applyLeaf applies op to the final node of a spine rebuild. A value
-// write edits a node the open commit owns in place.
+// write edits a current node in place.
 func (s *Store) applyLeaf(n *node, op *leafOp) *node {
 	switch op.kind {
 	case leafValue:
-		c := n
-		if !s.pl.owns(n.edit) {
-			c = n.clone(s.pl)
-			s.pl.retireNode(n)
-		}
+		c := n.own(s.pl)
 		c.value = op.value
 		s.gen++
 		c.gen = s.gen
@@ -459,7 +456,7 @@ func (s *Store) applyLeaf(n *node, op *leafOp) *node {
 // visited, and whether any component was created. When op changes
 // nothing and nothing was created, the original n is returned
 // (pointer-equal), so no-op mutations publish nothing. So is a node
-// whose subtree the open commit edited in place: n already holds it.
+// whose subtree was edited in place: n already holds it.
 func (s *Store) applyWrite(n *node, it *hashIter, op *leafOp) (*node, int, bool) {
 	seg, h, ok := it.next()
 	if !ok {
@@ -526,7 +523,8 @@ func (s *Store) write(dir, rel, path, value string) {
 // — the behaviour of a store daemon that serializes the reply after
 // processing everything ahead of it. Whether the node exists is
 // decided at the START of the op (a node appearing mid-charge does not
-// turn an ErrNoEnt into a hit). The publish counter makes the common
+// turn an ErrNoEnt into a hit), and a node removed mid-charge replies
+// with its value at the start. The publish counter makes the common
 // case — nothing happened during the charge — free: the second resolve
 // runs only when something was actually published.
 func (s *Store) Read(path string) (string, error) {
@@ -548,17 +546,20 @@ func (s *Store) read(dir, rel, path string) (string, error) {
 	s.enter()
 	defer s.exit()
 	n, touched := s.resolveAt(dir, rel)
-	pubs := s.pubs
-	s.chargeOp(touched)
 	if n == nil {
+		s.chargeOp(touched)
 		return "", &noEntError{path, dir, rel}
 	}
+	// Take the value now: an event during the charge may edit n in
+	// place and then remove it.
+	v, pubs := n.value, s.pubs
+	s.chargeOp(touched)
 	if s.pubs != pubs {
 		if cur, _ := s.resolveAt(dir, rel); cur != nil {
 			return cur.value, nil
 		}
 	}
-	return n.value, nil
+	return v, nil
 }
 
 // Exists reports whether path resolves.
@@ -592,13 +593,8 @@ func (s *Store) Mkdir(path string) {
 func (s *Store) Directory(path string) ([]string, error) {
 	s.enter()
 	defer s.exit()
-	n, err := s.list(path)
-	if err != nil {
-		return nil, err
-	}
-	out := appendChildNames(n.kids, make([]string, 0, n.nkids))
-	sort.Strings(out)
-	return out, nil
+	names, _, err := s.list(path, true)
+	return names, err
 }
 
 // DirectoryLen is Directory returning only the number of children: it
@@ -609,30 +605,39 @@ func (s *Store) Directory(path string) ([]string, error) {
 func (s *Store) DirectoryLen(path string) (int, error) {
 	s.enter()
 	defer s.exit()
-	n, err := s.list(path)
-	if err != nil {
-		return 0, err
-	}
-	return n.nkids, nil
+	_, n, err := s.list(path, false)
+	return n, err
 }
 
-// list charges one directory listing of path and returns the listed
-// node. Like Read, the result reflects children as of the end of the
-// charge; the cost was fixed at op start.
-func (s *Store) list(path string) (*node, error) {
+// list charges one directory listing of path and replies with its
+// child count and, when names is set, its sorted child names. Like
+// Read, the reply reflects children as of the end of the charge, or
+// as of op start when the node was removed during it; the cost was
+// fixed at op start.
+func (s *Store) list(path string, names bool) ([]string, int, error) {
 	n, touched := s.resolve(path)
 	if n == nil {
 		s.chargeOp(touched)
-		return nil, &noEntError{path: path}
+		return nil, 0, &noEntError{path: path}
 	}
-	pubs := s.pubs
-	s.chargeOp(touched + n.nkids)
+	// Take the reply now: an event during the charge may edit n in
+	// place and then remove it.
+	count, pubs := n.nkids, s.pubs
+	var out []string
+	if names {
+		out = appendChildNames(n.kids, make([]string, 0, count))
+	}
+	s.chargeOp(touched + count)
 	if s.pubs != pubs {
 		if cur, _ := s.resolve(path); cur != nil {
-			n = cur
+			count = cur.nkids
+			if names {
+				out = appendChildNames(cur.kids, out[:0])
+			}
 		}
 	}
-	return n, nil
+	sort.Strings(out)
+	return out, count, nil
 }
 
 // appendChildNames collects a trie's entry names into buf.
@@ -678,7 +683,10 @@ func (s *Store) applyRm(n *node, it *hashIter, leaf string, leafH uint64) (newN,
 	if !ok {
 		return nil, nil, t + 1, false
 	}
-	return n.withChild(s.pl, newChild), rm, t + 1, true
+	if newChild != child {
+		n = n.withChild(s.pl, newChild)
+	}
+	return n, rm, t + 1, true
 }
 
 // Rm removes path and its subtree.
@@ -724,10 +732,11 @@ func (s *Store) WriteUniqueName(dir, key, name string) error {
 	n, _ := s.resolve(dir)
 	if n != nil {
 		// Compare first, counting the names up to and including the
-		// first duplicate, then charge those k comparisons. n is
-		// immutable, so the outcome cannot depend on what runs during
-		// the charge.
-		k, dup := 0, false
+		// first duplicate, then charge those k comparisons and the
+		// names registered at op start. Both are taken before any
+		// charge, so the outcome cannot depend on what runs during it
+		// (an event may edit n in place).
+		k, dup, nkids := 0, false, n.nkids
 		n.eachChild(func(child *node) bool {
 			k++
 			dup = child.value == name
@@ -735,14 +744,14 @@ func (s *Store) WriteUniqueName(dir, key, name string) error {
 		})
 		s.chargeScan(k)
 		if dup {
-			s.chargeOp(n.nkids)
+			s.chargeOp(nkids)
 			return fmt.Errorf("%w: name %q", ErrExists, name)
 		}
 		// The scan touches every registered name whether or not a
 		// duplicate turns up (§4.2): accepting a unique name costs the
 		// same full comparison pass, so the successful path charges the
 		// scan too.
-		s.chargeOp(n.nkids)
+		s.chargeOp(nkids)
 	}
 	s.WriteAt(dir, key, name)
 	return nil

@@ -2,26 +2,26 @@ package xenstore
 
 import "math/bits"
 
-// The store's state is an immutable, structurally-shared tree: nodes
-// are never modified after publication. Every mutation (write, rm,
-// mkdir, graft, transaction commit) builds a new root by copying
-// only the spine — the nodes on the path from the root to the change —
-// and publishes it by replacing the store's root pointer. Everything
-// hanging off the copied spine is shared with the previous version. A commit
-// copies each spine node once however many of its writes pass
-// through it: later writes edit the commit's own, not yet published
-// copies in place (pool.go's edit window).
+// The store's state is a structurally-shared tree. A mutation (write,
+// rm, mkdir, graft, transaction commit) edits in place every node and
+// trie level on its path that the store's pool drew since the last
+// snapshot, and copies the rest — old or foreign objects, which a
+// snapshot or another store may reach (pool.go's current rule). A
+// copy goes in place of its original in the parent, which is current
+// by then, so everything hanging off the spine stays shared with
+// whatever reached the original.
 //
-// That single invariant is what makes Store.Snapshot O(1): a snapshot
-// is just the current root pointer, and it stays internally consistent
-// forever because no mutation can reach the nodes it captured.
+// That is what keeps Store.Snapshot O(1): a snapshot is just the
+// current root pointer, and taking it bumps the pool's snapshot epoch,
+// so every object it captured is old from then on and no mutation can
+// edit it. The first write after a snapshot copies its spine once, and
+// later writes edit those copies in place.
 //
 // Each node's children live in a persistent hash-array-mapped trie
 // (HAMT) keyed by the child name's FNV-1a hash, 5 bits of hash per
 // level. Copying a directory on the spine therefore costs
 // O(log32 fanout) small arrays instead of O(fanout): /local/domain
-// with 8000 guests copies two ~32-slot arrays per write beneath it,
-// not an 8000-entry map.
+// with 8000 guests copies two ~32-slot arrays, not an 8000-entry map.
 //
 // Hot-path mechanics (profile-guided, see DESIGN.md §9):
 //
@@ -29,22 +29,23 @@ import "math/bits"
 //     once at creation; trie descent and spine copies compare and key
 //     on that integer and never re-hash the name string;
 //   - spine copies draw node and trie-level objects from the owning
-//     store's pool (pool.go) and retire the objects they replace, so
-//     steady-state mutation recycles its own garbage instead of
-//     feeding the GC. Retirement is COW-safe: anything a snapshot
-//     could have captured is never reused;
+//     store's pool (pool.go), and what a mutation detaches from the
+//     live tree retires to it, so steady-state churn recycles its own
+//     garbage instead of feeding the GC. Retirement is COW-safe:
+//     anything a snapshot could have captured is never reused;
 //   - a trie level's slot array has its size bracket's capacity
 //     (1, 2, 4, 8, 16, 24 or 32 slots) for life: it is recycled only
-//     within that bracket, and an in-place insert never grows it past
-//     its capacity;
+//     within that bracket, and an in-place insert or removal never
+//     moves it out of that bracket;
 //   - a node created under a store vocabulary word (internTab) takes
 //     the shared interned name, not a substring of the written path,
 //     so a live node does not keep its writer's whole path alive.
 //
 // The helpers below take an optional *pool; nil (deserialization,
-// tests) falls back to plain allocation and retires nothing.
+// tests) falls back to plain allocation, edits nothing in place and
+// retires nothing.
 
-// node is one immutable store node. The zero gen means "never
+// node is one store node. The zero gen means "never
 // explicitly modified" — freshly ensured intermediate directories keep
 // gen 0 exactly like the historical mutable implementation, which is
 // load-bearing for transaction-conflict semantics (a transaction that
@@ -62,25 +63,30 @@ type node struct {
 	// Pool provenance (see pool.go). ptag identifies the allocating
 	// store's pool (0 = unpooled: deserialized, foreign, or test
 	// construction); birth is that store's snapshot epoch at
-	// allocation. A node is recycled only by its own pool and only
-	// when no snapshot was taken during its lifetime. edit is the
-	// open commit's tag while that commit owns the node, 0 otherwise.
+	// allocation. Only its own pool edits or recycles a node, and only
+	// while no snapshot was taken during its lifetime.
 	ptag  uint32
-	edit  uint32
 	birth uint64
 }
 
-// clone returns a mutable copy of n drawn from p (plain allocation
-// when p is nil); callers fix it up and publish it inside a new tree
-// version. The original is never touched — and never retired here:
-// retirement is the caller's call, because clones also copy foreign
-// nodes (grafts) whose originals stay live.
+// clone returns a current copy of n drawn from p (plain allocation
+// when p is nil). The original is never touched and never retired: a
+// node is cloned because a snapshot or another store may reach it.
 func (n *node) clone(p *pool) *node {
 	c := p.getNode()
-	ptag, edit, birth := c.ptag, c.edit, c.birth
+	ptag, birth := c.ptag, c.birth
 	*c = *n
-	c.ptag, c.edit, c.birth = ptag, edit, birth
+	c.ptag, c.birth = ptag, birth
 	return c
+}
+
+// own returns n itself when p may edit it in place, and a copy to
+// edit otherwise.
+func (n *node) own(p *pool) *node {
+	if p.current(n.ptag, n.birth) {
+		return n
+	}
+	return n.clone(p)
 }
 
 // ---------------------------------------------------------------------------
@@ -100,12 +106,11 @@ const (
 
 // amtNode is one bitmap-compressed trie level. slots[i] is either a
 // *node (a direct entry) or a *amtNode (a deeper level); at
-// amtMaxShift, slots hold *amtCollision. ptag/edit/birth mirror
-// node's pool provenance.
+// amtMaxShift, slots hold *amtCollision. ptag/birth mirror node's pool
+// provenance.
 type amtNode struct {
 	bitmap uint32
 	ptag   uint32
-	edit   uint32
 	birth  uint64
 	slots  []any
 }
@@ -203,30 +208,26 @@ func amtGet(a *amtNode, h uint64, name string) *node {
 	return nil
 }
 
-// withSlot returns a copy of a with the packed slot at idx replaced,
-// retiring the original level to p. A level the open commit owns is
-// edited in place instead.
+// withSlot returns a with the packed slot at idx replaced: a itself
+// when it is current (pool.go), a copy otherwise.
 func (a *amtNode) withSlot(p *pool, idx int, s any) *amtNode {
-	if p.owns(a.edit) {
-		a.slots[idx] = s
-		return a
+	if !p.current(a.ptag, a.birth) {
+		c := p.getAMT(len(a.slots))
+		c.bitmap = a.bitmap
+		copy(c.slots, a.slots)
+		a = c
 	}
-	c := p.getAMT(len(a.slots))
-	c.bitmap = a.bitmap
-	copy(c.slots, a.slots)
-	c.slots[idx] = s
-	p.retireAMT(a)
-	return c
+	a.slots[idx] = s
+	return a
 }
 
-// withInsert returns a copy of a with a new bit set and slot inserted,
-// retiring the original level to p. A level the open commit owns is
-// edited in place instead while its slot array has room; a full one
-// is copied into the next bracket (pool.go), so no level's array ever
-// regrows outside the bracket it was allocated for.
+// withInsert returns a with a new bit set and slot inserted. A current
+// level is edited in place while its slot array has room; a full one
+// is copied into the next bracket (pool.go) and retired, so no level's
+// array ever regrows outside the bracket it was allocated for.
 func (a *amtNode) withInsert(p *pool, bit uint32, s any) *amtNode {
 	idx := a.slotIndex(bit)
-	if p.owns(a.edit) && len(a.slots) < cap(a.slots) {
+	if p.current(a.ptag, a.birth) && len(a.slots) < cap(a.slots) {
 		a.bitmap |= bit
 		a.slots = a.slots[:len(a.slots)+1]
 		copy(a.slots[idx+1:], a.slots[idx:])
@@ -242,15 +243,24 @@ func (a *amtNode) withInsert(p *pool, bit uint32, s any) *amtNode {
 	return c
 }
 
-// withRemove returns a copy of a with a bit cleared and its slot
-// dropped (nil when the level empties), retiring the original.
+// withRemove returns a with a bit cleared and its slot dropped (nil
+// when the level empties, retiring it). A current level is edited in
+// place while its remaining slots stay in its bracket; otherwise the
+// rest is copied into a level of their own bracket and a is retired.
 func (a *amtNode) withRemove(p *pool, bit uint32) *amtNode {
 	if a.bitmap == bit {
 		p.retireAMT(a)
 		return nil
 	}
-	idx := a.slotIndex(bit)
-	c := p.getAMT(len(a.slots) - 1)
+	idx, n := a.slotIndex(bit), len(a.slots)-1
+	if p.current(a.ptag, a.birth) && amtBracketOf[n] == amtBracketOf[len(a.slots)] {
+		a.bitmap &^= bit
+		copy(a.slots[idx:], a.slots[idx+1:])
+		a.slots[n] = nil
+		a.slots = a.slots[:n]
+		return a
+	}
+	c := p.getAMT(n)
 	c.bitmap = a.bitmap &^ bit
 	copy(c.slots, a.slots[:idx])
 	copy(c.slots[idx:], a.slots[idx+1:])
@@ -320,10 +330,9 @@ func amtBuild(kids, scratch []*node, shift uint) *amtNode {
 	return a
 }
 
-// amtSet returns a new trie with child present under its id (hsh),
-// reporting whether the entry is new (vs replaced). Replaced levels
-// are retired to p; the replaced entry node is not (the caller owns
-// that decision).
+// amtSet returns the trie with child present under its id (hsh),
+// reporting whether the entry is new (vs replaced). The replaced entry
+// node is not retired (the caller owns that decision).
 func amtSet(p *pool, a *amtNode, shift uint, child *node) (*amtNode, bool) {
 	h := child.hsh
 	if a == nil {
@@ -377,9 +386,9 @@ func amtSet(p *pool, a *amtNode, shift uint, child *node) (*amtNode, bool) {
 	}
 }
 
-// amtDel returns a new trie without the entry with id h named name,
-// and the removed entry (nil if absent). Emptied levels collapse to
-// nil; replaced levels are retired to p.
+// amtDel returns the trie without the entry with id h named name, and
+// the removed entry (nil if absent). Emptied levels collapse to nil
+// and retire to p.
 func amtDel(p *pool, a *amtNode, h uint64, shift uint, name string) (*amtNode, *node) {
 	if a == nil {
 		return nil, nil
@@ -460,17 +469,11 @@ func (n *node) childByID(h uint64, name string) *node {
 	return amtGet(n.kids, h, name)
 }
 
-// withChild returns a copy of n with child set (added or replaced),
-// counting an added child in nkids. The spine copy and any replaced
-// trie levels come from / retire to p; n itself is retired (every
-// caller replaces n with the copy in the published tree). A node the
-// open commit owns is edited in place instead.
+// withChild returns n with child set (added or replaced), counting an
+// added child in nkids: n itself when it is current, a copy drawn from
+// p otherwise.
 func (n *node) withChild(p *pool, child *node) *node {
-	c := n
-	if !p.owns(n.edit) {
-		c = n.clone(p)
-		p.retireNode(n)
-	}
+	c := n.own(p)
 	kids, added := amtSet(p, c.kids, 0, child)
 	c.kids = kids
 	if added {
@@ -479,9 +482,9 @@ func (n *node) withChild(p *pool, child *node) *node {
 	return c
 }
 
-// withoutChild returns a copy of n with the child with id h named name
-// removed, plus the removed child (nil, nil if absent). n is retired
-// on success.
+// withoutChild returns n with the child with id h named name removed
+// (n itself when it is current, a copy otherwise), plus the removed
+// child (nil, nil if absent).
 func (n *node) withoutChild(p *pool, name string, h uint64) (*node, *node) {
 	if n.kids == nil {
 		return nil, nil
@@ -490,10 +493,9 @@ func (n *node) withoutChild(p *pool, name string, h uint64) (*node, *node) {
 	if removed == nil {
 		return nil, nil
 	}
-	c := n.clone(p)
+	c := n.own(p)
 	c.kids = kids
 	c.nkids--
-	p.retireNode(n)
 	return c, removed
 }
 

@@ -43,18 +43,17 @@ type TxnID uint64
 // charge or watch fires. No watch callback and no clock event ever
 // sees a transaction half applied. The writes still charge and fire
 // one by one afterwards, in first-write order, each at the cost a
-// plain Write of that path would charge at that moment. Applying them
-// as one batch also makes the commit cheap: the pool's edit window
-// (pool.go) lets every write after the first edit the commit's own
-// spine copies in place, so a 13-write device-entry commit copies each
-// spine node once rather than once per write, and the pool recycles
-// once per commit rather than once per write. It resolves each
-// distinct directory of the write set once: the first write under it
-// walks from the root and leaves the directory node the commit's own
-// copy, and every later write under it is applied from that node
-// (applyWrites), charged the touches a walk from the root would make.
-// A device-entry commit resolves its frontend and backend directories
-// once each, and no write builds its path unless a watch matches it.
+// plain Write of that path would charge at that moment. The writes
+// edit current nodes in place like any mutation (pool.go), so a
+// 13-write device-entry commit copies nothing when no snapshot was
+// taken since the spine was last written, and copies each old spine
+// node once otherwise. The commit resolves each distinct directory of
+// the write set once: the first write under it walks from the root and
+// leaves the directory node current, and every later write under it is
+// applied from that node (applyWrites), charged the touches a walk
+// from the root would make. A device-entry commit resolves its
+// frontend and backend directories once each, and no write builds its
+// path unless a watch matches it.
 
 // readEnt records the generation a transaction observed for a path
 // (0 = absent). The read set preserves first-observed order. A path
@@ -82,7 +81,7 @@ type writeEnt struct {
 }
 
 // dirEnt is a directory a commit has resolved in its working root:
-// the commit's own spine copy of it, and the nodes from the root to it.
+// its current node, and the nodes from the root to it.
 type dirEnt struct {
 	dir     string
 	n       *node
@@ -296,8 +295,8 @@ func (tx *Tx) Commit() error {
 		return ErrAgain
 	}
 	// Apply the whole write set, in first-write order, to one working
-	// root inside the pool's edit window, and publish it once. Each
-	// write bumps generations exactly as a plain Write would.
+	// root, and publish it once. Each write bumps generations exactly
+	// as a plain Write would.
 	if len(t.writes) > 0 {
 		root := s.applyWrites(t)
 		s.publish(root)
@@ -314,16 +313,15 @@ func (tx *Tx) Commit() error {
 	return nil
 }
 
-// applyWrites applies t's write set to a working root inside the
-// pool's edit window and returns that root. It resolves each distinct
-// directory of the write set once: the first write under a directory
-// walks from the root, copying the spine, and leaves that directory's
-// node the commit's own copy, which every later write under it is
-// applied from. The node stays where it is, since the commit edits its
-// own copies in place, so the root above it needs no further edit.
-// Each write's touched count is what a walk from the root would visit.
+// applyWrites applies t's write set to a working root and returns that
+// root. It resolves each distinct directory of the write set once: the
+// first write under a directory walks from the root, copying any old
+// spine node, and leaves that directory's node current, which every
+// later write under it is applied from. The node stays where it is,
+// since later writes edit it in place, so the root above it needs no
+// further edit. Each write's touched count is what a walk from the
+// root would visit.
 func (s *Store) applyWrites(t *txn) *node {
-	s.pl.beginEdit()
 	root := s.root
 	for i := range t.writes {
 		w := &t.writes[i]
@@ -339,7 +337,6 @@ func (s *Store) applyWrites(t *txn) *node {
 		n, touched := resolveFrom(root, w.dir)
 		t.dirs = append(t.dirs, dirEnt{dir: w.dir, n: n, touched: touched})
 	}
-	s.pl.endEdit()
 	clear(t.dirs) // unpin the working nodes
 	t.dirs = t.dirs[:0]
 	return root
