@@ -1,7 +1,7 @@
 package apps
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"lightvm/internal/sim"
@@ -28,5 +28,19 @@ func (d *Daytime) Serve() string {
 	m := int(t / time.Minute)
 	t -= time.Duration(m) * time.Minute
 	s := int(t / time.Second)
-	return fmt.Sprintf("day %d, %02d:%02d:%02d UTC", days, h, m, s)
+	var buf [32]byte
+	out := append(buf[:0], "day "...)
+	out = strconv.AppendInt(out, int64(days), 10)
+	out = append(out, ", "...)
+	out = appendTwoDigits(out, h)
+	out = append(out, ':')
+	out = appendTwoDigits(out, m)
+	out = append(out, ':')
+	out = appendTwoDigits(out, s)
+	return string(append(out, " UTC"...))
+}
+
+// appendTwoDigits appends v, in [0, 100), zero-padded to two digits.
+func appendTwoDigits(b []byte, v int) []byte {
+	return append(b, byte('0'+v/10), byte('0'+v%10))
 }

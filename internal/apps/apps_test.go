@@ -118,15 +118,26 @@ func TestFirewallFirstMatchWins(t *testing.T) {
 }
 
 func TestDaytime(t *testing.T) {
-	clock := sim.NewClock()
-	d := &Daytime{Clock: clock}
-	clock.Sleep(25*time.Hour + 3*time.Minute + 4*time.Second)
-	got := d.Serve()
-	if got != "day 1, 01:03:04 UTC" {
-		t.Fatalf("daytime = %q", got)
-	}
-	if d.Served != 1 {
-		t.Fatalf("served = %d", d.Served)
+	const day = 24 * time.Hour
+	for i, c := range []struct {
+		at   time.Duration
+		want string
+	}{
+		{0, "day 0, 00:00:00 UTC"},
+		{59 * time.Second, "day 0, 00:00:59 UTC"},
+		{day + time.Hour + 2*time.Minute + 3*time.Second, "day 1, 01:02:03 UTC"},
+		{25*time.Hour + 3*time.Minute + 4*time.Second, "day 1, 01:03:04 UTC"},
+		{400 * day, "day 400, 00:00:00 UTC"},
+	} {
+		clock := sim.NewClock()
+		d := &Daytime{Clock: clock}
+		clock.Sleep(c.at)
+		if got := d.Serve(); got != c.want {
+			t.Errorf("case %d: daytime at %v = %q, want %q", i, c.at, got, c.want)
+		}
+		if d.Served != 1 {
+			t.Fatalf("served = %d", d.Served)
+		}
 	}
 }
 

@@ -89,9 +89,9 @@ func TestHostLifecycleAllocs(t *testing.T) {
 		mode   toolstack.Mode
 		budget float64
 	}{
-		{toolstack.ModeXL, 47},
-		{toolstack.ModeChaosXS, 37},
-		{toolstack.ModeChaosSplit, 42},
+		{toolstack.ModeXL, 43},
+		{toolstack.ModeChaosXS, 34},
+		{toolstack.ModeChaosSplit, 39},
 		{toolstack.ModeChaosNoXS, 9},
 		{toolstack.ModeLightVM, 11},
 	}
@@ -193,9 +193,9 @@ func TestHostLifecycleBytes(t *testing.T) {
 		mode  toolstack.Mode
 		bytes float64
 	}{
-		{toolstack.ModeXL, 2430},
-		{toolstack.ModeChaosXS, 2150},
-		{toolstack.ModeChaosSplit, 2280},
+		{toolstack.ModeXL, 2260},
+		{toolstack.ModeChaosXS, 2040},
+		{toolstack.ModeChaosSplit, 2170},
 	}
 	img := guest.Daytime()
 	names := make([]string, live+runs)

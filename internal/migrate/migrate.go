@@ -205,7 +205,7 @@ func suspend(e *toolstack.Env, vm *toolstack.VM) error {
 		domPath := xenbus.DomainPath(vm.Dom.ID)
 		e.Store.Write(domPath+"/control/shutdown", "suspend")
 		e.Clock.Sleep(costs.SuspendHandshakeXS)
-		_, _ = e.Store.Read(domPath + "/control/shutdown")
+		e.Store.ChargeReads(domPath, "control/shutdown", 1)
 		return e.HV.Suspend(vm.Dom.ID, "suspend")
 	}
 	return e.Noxs.RequestShutdown(vm.Dom.ID, "suspend")
@@ -402,7 +402,8 @@ func teardownSource(e *toolstack.Env, vm *toolstack.VM) error {
 				if dev.Kind == hv.DevVif {
 					_ = e.Bridge.DetachPort(int(vm.Dom.ID), i)
 				}
-				xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i)
+				be := xenbus.BackendPath(vm.Dom.ID, dev.Kind, i)
+				xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i, be)
 			}
 			_ = e.Store.Rm(xenbus.DomainPath(vm.Dom.ID))
 		} else {

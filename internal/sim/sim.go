@@ -211,6 +211,13 @@ func (c *Clock) NextDeadline() (Time, bool) {
 	return c.queue[0].at, true
 }
 
+// Quiet reports whether no queued event falls at or before t: an
+// advance to t would fire nothing, so a run of charges ending by t may
+// be made as one Sleep and end where the separate sleeps would.
+func (c *Clock) Quiet(t Time) bool {
+	return len(c.queue) == 0 || c.queue[0].at > t
+}
+
 // RNG is a small deterministic PRNG (xorshift64*), used wherever the
 // simulation needs jitter (e.g. fork/exec tail latency). We avoid
 // math/rand so that the dependency surface stays obvious and seeding

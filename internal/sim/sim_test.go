@@ -143,6 +143,26 @@ func TestNextDeadline(t *testing.T) {
 	}
 }
 
+// TestQuiet pins the quiet-window rule batched charges rely on: an
+// event due exactly at t is not quiet, one after t is.
+func TestQuiet(t *testing.T) {
+	c := NewClock()
+	at := Time(3 * time.Millisecond)
+	if !c.Quiet(at) {
+		t.Fatal("empty queue is not quiet")
+	}
+	c.Schedule(at, func() {})
+	if c.Quiet(at) {
+		t.Fatal("event exactly at t reported quiet")
+	}
+	if c.Quiet(at + 1) {
+		t.Fatal("event before t reported quiet")
+	}
+	if !c.Quiet(at - 1) {
+		t.Fatal("event after t reported not quiet")
+	}
+}
+
 func TestTimeArithmetic(t *testing.T) {
 	a := Time(time.Second)
 	b := a.Add(500 * time.Millisecond)

@@ -15,16 +15,18 @@ import (
 
 // StoreDeviceCreate performs the XenStore handshake for one device:
 // the toolstack's frontend and backend entries in one transaction,
-// then the wait for the backend (and its hotplug) to come up.
-func (e *Env) StoreDeviceCreate(dom hv.DomID, idx int, kind hv.DevKind, mac string) error {
+// then the wait for the backend (and its hotplug) to come up. It
+// returns the device's backend directory.
+func (e *Env) StoreDeviceCreate(dom hv.DomID, idx int, kind hv.DevKind, mac string) (string, error) {
 	req := xenbus.DeviceReq{Kind: kind, Dom: dom, Idx: idx, MAC: mac}
+	be := xenbus.BackendPath(dom, kind, idx)
 	if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-		xenbus.WriteDeviceEntries(tx, req)
+		xenbus.WriteDeviceEntries(tx, req, be)
 		return nil
 	}); err != nil {
-		return err
+		return be, err
 	}
-	return xenbus.WaitBackendReady(e.Store, e.Clock, dom, kind, idx)
+	return be, xenbus.WaitBackendReady(e.Store, e.Clock, dom, kind, idx, be)
 }
 
 // CreateDevices builds a guest's devices on its device path: the store
@@ -33,7 +35,7 @@ func (e *Env) StoreDeviceCreate(dom hv.DomID, idx int, kind hv.DevKind, mac stri
 func (e *Env) CreateDevices(dom hv.DomID, devs []guest.DeviceSpec, useStore bool) error {
 	if useStore {
 		for i, dev := range devs {
-			if err := e.StoreDeviceCreate(dom, i, dev.Kind, dev.MAC); err != nil {
+			if _, err := e.StoreDeviceCreate(dom, i, dev.Kind, dev.MAC); err != nil {
 				return err
 			}
 		}
@@ -53,10 +55,11 @@ func (e *Env) CreateDevices(dom hv.DomID, devs []guest.DeviceSpec, useStore bool
 // its registry entries on both ends.
 func (e *Env) RemoveStoreDevices(dom hv.DomID, devs []guest.DeviceSpec) {
 	for i, dev := range devs {
+		be := xenbus.BackendPath(dom, dev.Kind, i)
 		if b := e.backendFor(dev.Kind); b != nil {
-			b.Teardown(dom, i)
+			b.Teardown(dom, i, be)
 		}
-		xenbus.RemoveDeviceEntries(e.Store, dom, dev.Kind, i)
+		xenbus.RemoveDeviceEntries(e.Store, dom, dev.Kind, i, be)
 	}
 }
 

@@ -318,10 +318,7 @@ func (e *Env) BootGuest(vm *VM) error {
 		}
 		// Linux guests chatter with the store while booting.
 		if im.StoreOpsBoot > 0 {
-			domPath := xenbus.DomainPath(vm.Dom.ID)
-			for i := 0; i < im.StoreOpsBoot; i++ {
-				_, _ = e.Store.ReadAt(domPath, "name")
-			}
+			e.Store.ChargeReads(xenbus.DomainPath(vm.Dom.ID), "name", im.StoreOpsBoot)
 		}
 		e.Store.Connections++
 	} else {

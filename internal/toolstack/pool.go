@@ -325,7 +325,7 @@ func (p *Pool) prepare(f *Flavor, img *guest.Image) (*Shell, error) {
 	// sysctl device sits at its index in the flavor, after the rest.
 	for i, dev := range f.Devices {
 		if f.Store {
-			err = e.StoreDeviceCreate(dom.ID, i, dev.Kind, "")
+			_, err = e.StoreDeviceCreate(dom.ID, i, dev.Kind, "")
 		} else {
 			_, err = e.Noxs.CreateDevice(dom.ID, dev.Kind, i, "")
 		}

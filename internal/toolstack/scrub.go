@@ -119,8 +119,9 @@ func (e *Env) reapDomain(dom hv.DomID, useStore bool, name string, r *ScrubRepor
 					if aerr != nil {
 						continue
 					}
-					e.backendFor(kind).Teardown(dom, idx)
-					xenbus.RemoveDeviceEntries(e.Store, dom, kind, idx)
+					be := xenbus.BackendPath(dom, kind, idx)
+					e.backendFor(kind).Teardown(dom, idx, be)
+					xenbus.RemoveDeviceEntries(e.Store, dom, kind, idx, be)
 				}
 				_ = e.Store.Rm(dir)
 			}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lightvm/internal/guest"
+	"lightvm/internal/hv"
 	"lightvm/internal/sched"
 	"lightvm/internal/sim"
 	"lightvm/internal/trace"
@@ -34,6 +35,16 @@ func TestModeStrings(t *testing.T) {
 	}
 	if !ModeLightVM.UsesSplit() || ModeChaosNoXS.UsesSplit() {
 		t.Fatal("UsesSplit wrong")
+	}
+}
+
+// TestVMUUID pins xl's uuid text to fmt's "0000-%08d" form, including
+// an id wider than the padding.
+func TestVMUUID(t *testing.T) {
+	for _, id := range []hv.DomID{0, 7, 12345678, 123456789} {
+		if got, want := vmUUID(id), fmt.Sprintf("0000-%08d", id); got != want {
+			t.Errorf("vmUUID(%d) = %q, want %q", id, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package toolstack
 
 import (
-	"fmt"
 	"strconv"
 
 	"lightvm/internal/costs"
@@ -31,7 +30,8 @@ func (x *XL) Name() string { return ModeXL.String() }
 // xlStateReads approximates libxl's habit of re-reading domain and
 // device state from the store across its many sub-operations (JSON
 // config lock, device counters, console negotiation, ...). Each is a
-// full protocol round trip.
+// full protocol round trip whose reply xl does not use, so they are
+// charged with Store.ChargeReads.
 const xlStateReads = 200
 
 // Create implements the 9-step creation flow of Fig. 8's "standard
@@ -98,7 +98,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 				tx.WriteAt(domPath, "console/type", "xenconsoled")
 				tx.WriteAt(domPath, "control/platform-feature-multiprocessor-suspend", "1")
 				tx.WriteAt(domPath, "control/shutdown", "")
-				tx.WriteAt(vmPath, "uuid", fmt.Sprintf("0000-%08d", dom.ID))
+				tx.WriteAt(vmPath, "uuid", vmUUID(dom.ID))
 				tx.WriteAt(vmPath, "image/ostype", img.Kind.String())
 				tx.WriteAt(vmPath, "start_time", e.Clock.Now().String())
 				return nil
@@ -115,9 +115,7 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 			// listing cannot miss: the transaction above wrote under
 			// /local/domain.
 			_, _ = e.Store.DirectoryLen("/local/domain")
-			for i := 0; i < xlStateReads; i++ {
-				_, _ = e.Store.ReadAt(domPath, "name")
-			}
+			e.Store.ChargeReads(domPath, "name", xlStateReads)
 		})
 		if retErr != nil {
 			return
@@ -166,18 +164,31 @@ func (x *XL) Create(name string, img guest.Image) (*VM, error) {
 	return e.bootCreated(x, vm, bd, start)
 }
 
+// vmUUID is the uuid xl records for domain id: "0000-" and the id,
+// zero-padded to eight digits.
+func vmUUID(id hv.DomID) string {
+	var buf [32]byte
+	b := append(buf[:0], "0000-"...)
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(id), 10)
+	for i := len(d); i < 8; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
+
 // createDevices runs the Fig. 7a handshake for every device the image
 // wants, waiting for the backend (and its hotplug script) per device.
 func (x *XL) createDevices(vm *VM) error {
 	e := x.env
 	for i, dev := range vm.Image.Devices {
-		if err := e.StoreDeviceCreate(vm.Dom.ID, i, dev.Kind, dev.MAC); err != nil {
+		be, err := e.StoreDeviceCreate(vm.Dom.ID, i, dev.Kind, dev.MAC)
+		if err != nil {
 			return err
 		}
 		// libxl re-reads the device's backend nodes to verify.
-		be := xenbus.BackendPath(vm.Dom.ID, dev.Kind, i)
 		for _, k := range [...]string{"state", "event-channel", "grant-ref"} {
-			_, _ = e.Store.ReadAt(be, k)
+			e.Store.ChargeReads(be, k, 1)
 		}
 	}
 	return nil

@@ -22,7 +22,7 @@ func TestHandshakeStallRecoversViaReattach(t *testing.T) {
 	})
 	start := f.clock.Now()
 	f.createDevice(t, d.ID)
-	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0); err != nil {
+	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatalf("handshake did not recover via re-attach: %v", err)
 	}
 	if f.be.StallsInjected != 1 {
@@ -52,7 +52,7 @@ func TestHandshakeStallExhaustsToDeviceTimeout(t *testing.T) {
 		Kinds: []faults.Kind{faults.KindHandshakeStall},
 	})
 	f.createDevice(t, d.ID)
-	err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0)
+	err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0))
 	if err == nil {
 		t.Fatal("wait succeeded with every announcement dropped")
 	}
@@ -71,7 +71,7 @@ func TestConnectFrontendBadEntryIsTyped(t *testing.T) {
 	f := newFixture(t)
 	d := f.newDomain(t)
 	f.createDevice(t, d.ID)
-	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0); err != nil {
+	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
 	be := BackendPath(d.ID, hv.DevVif, 0)

@@ -67,13 +67,14 @@ func (hh *handshakeHost) create(dom hv.DomID, kind hv.DevKind, idx int) error {
 	if kind == hv.DevVif {
 		req.MAC = fmt.Sprintf("00:16:3e:00:%02x:%02x", dom>>8&0xff, dom&0xff)
 	}
+	be := BackendPath(dom, kind, idx)
 	if err := hh.s.Txn(8, func(tx *xenstore.Tx) error {
-		WriteDeviceEntries(tx, req)
+		WriteDeviceEntries(tx, req, be)
 		return nil
 	}); err != nil {
 		return err
 	}
-	return WaitBackendReady(hh.s, hh.clock, dom, kind, idx)
+	return WaitBackendReady(hh.s, hh.clock, dom, kind, idx, be)
 }
 
 // TestHandshakePinned pins the whole split-driver lifecycle of a vif,
@@ -112,8 +113,9 @@ func TestHandshakePinned(t *testing.T) {
 		}
 	}
 	for i, kind := range []hv.DevKind{hv.DevVif, hv.DevVbd, hv.DevConsole} {
-		hh.backs[kind].Teardown(d.ID, i)
-		RemoveDeviceEntries(hh.s, d.ID, kind, i)
+		be := BackendPath(d.ID, kind, i)
+		hh.backs[kind].Teardown(d.ID, i, be)
+		RemoveDeviceEntries(hh.s, d.ID, kind, i, be)
 	}
 	fmt.Fprintf(&out, "end %d\ncounters %+v\n", int64(hh.clock.Now()), hh.s.Count)
 
@@ -162,7 +164,8 @@ func BenchmarkDeviceHandshake(b *testing.B) {
 		if err := ConnectFrontend(hh.s, hh.h, d.ID, hv.DevVif, 0); err != nil {
 			b.Fatal(err)
 		}
-		hh.backs[hv.DevVif].Teardown(d.ID, 0)
-		RemoveDeviceEntries(hh.s, d.ID, hv.DevVif, 0)
+		be := BackendPath(d.ID, hv.DevVif, 0)
+		hh.backs[hv.DevVif].Teardown(d.ID, 0, be)
+		RemoveDeviceEntries(hh.s, d.ID, hv.DevVif, 0, be)
 	}
 }

@@ -13,6 +13,9 @@
 // Tx.ReadAt, Tx.WriteAt). They charge exactly what the full-path ops
 // charge, but build an entry's path only for a watch that matches it:
 // the netback watch on the backend root takes one per backend write.
+// The toolstack builds a device's backend directory once per create or
+// destroy and passes it to every step that uses it (WriteDeviceEntries,
+// WaitBackendReady, Backend.Teardown, RemoveDeviceEntries).
 package xenbus
 
 import (
@@ -241,10 +244,9 @@ func (b *Backend) setup(dir string) {
 }
 
 // Teardown closes down the backend half of a device (used on destroy
-// and migration).
-func (b *Backend) Teardown(dom hv.DomID, idx int) {
-	dir := BackendPath(dom, b.Kind, idx)
-	if portStr, err := b.Store.ReadAt(dir, "event-channel"); err == nil {
+// and migration); be is its BackendPath.
+func (b *Backend) Teardown(dom hv.DomID, idx int, be string) {
+	if portStr, err := b.Store.ReadAt(be, "event-channel"); err == nil {
 		if p, err := strconv.Atoi(portStr); err == nil {
 			_ = b.HV.ClosePort(hv.Port(p))
 		}
@@ -254,16 +256,16 @@ func (b *Backend) Teardown(dom hv.DomID, idx int) {
 			b.HotplugFailures++
 		}
 	}
-	_ = b.Store.Rm(dir)
+	_ = b.Store.Rm(be)
 }
 
 // WriteDeviceEntries performs the toolstack's half of step 1 of
 // Fig. 7a inside the caller's transaction: ~15 entries across the
 // frontend and backend directories ("the VM creation process alone can
-// require interaction with over 30 XenStore entries").
-func WriteDeviceEntries(tx *xenstore.Tx, req DeviceReq) {
+// require interaction with over 30 XenStore entries"). be is the
+// device's BackendPath.
+func WriteDeviceEntries(tx *xenstore.Tx, req DeviceReq, be string) {
 	fe := FrontendPath(req.Dom, req.Kind, req.Idx)
-	be := BackendPath(req.Dom, req.Kind, req.Idx)
 	tx.WriteAt(fe, "backend", be)
 	tx.WriteAt(fe, "backend-id", "0")
 	tx.WriteAt(fe, "handle", strconv.Itoa(req.Idx))
@@ -292,8 +294,8 @@ const handshakeAttempts = 3
 // toolstack re-attaches: it rewrites the state node to Initialising,
 // which re-fires the backend's watch and restarts setup. After
 // handshakeAttempts silent windows it degrades to ErrDeviceTimeout.
-func WaitBackendReady(s *xenstore.Store, clock *sim.Clock, dom hv.DomID, kind hv.DevKind, idx int) error {
-	be := BackendPath(dom, kind, idx)
+// be is the device's BackendPath.
+func WaitBackendReady(s *xenstore.Store, clock *sim.Clock, dom hv.DomID, kind hv.DevKind, idx int, be string) error {
 	for attempt := 0; attempt < handshakeAttempts; attempt++ {
 		deadline := clock.Now().Add(costs.DeviceHandshakeTimeout)
 		for {
@@ -357,9 +359,9 @@ func ConnectFrontend(s *xenstore.Store, h *hv.Hypervisor, dom hv.DomID, kind hv.
 // RemoveDeviceEntries deletes a device's store state (toolstack side
 // of destroy), including the running frontend's watch — without this
 // the store's watch list (and with it every write's matching cost)
-// would grow forever under churn.
-func RemoveDeviceEntries(s *xenstore.Store, dom hv.DomID, kind hv.DevKind, idx int) {
+// would grow forever under churn. be is the device's BackendPath.
+func RemoveDeviceEntries(s *xenstore.Store, dom hv.DomID, kind hv.DevKind, idx int, be string) {
 	_ = s.Rm(FrontendPath(dom, kind, idx))
-	_ = s.Rm(BackendPath(dom, kind, idx))
+	_ = s.Rm(be)
 	s.UnwatchByToken(FrontendWatchToken(dom, kind, idx))
 }

@@ -46,6 +46,17 @@ func BenchmarkRead(b *testing.B) {
 	}
 }
 
+// BenchmarkChargeReads charges xl's 200 state re-reads of one guest's
+// name on a store holding 1,000 guests.
+func BenchmarkChargeReads(b *testing.B) {
+	s := guestStore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.ChargeReads("/local/domain/500", "name", 200)
+	}
+}
+
 func BenchmarkDirectory(b *testing.B) {
 	s := benchStore(b)
 	b.ReportAllocs()

@@ -30,8 +30,10 @@ package xenstore
 // removes, or removes the op's own path. The model applies the store's
 // rule for a reply taken after the charge: whether the node exists is
 // decided at op start; the reply is taken at the end if the node still
-// exists, otherwise at start. After every step no current object (one
-// the store may edit in place, pool.go) may sit under an old one.
+// exists, otherwise at start. Charge-only reads (ChargeReads) run
+// with the same events and leave the model unchanged. After every step
+// no current object (one the store may edit in place, pool.go) may sit
+// under an old one.
 
 import (
 	"errors"
@@ -41,6 +43,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"lightvm/internal/costs"
 )
 
 // ---------------------------------------------------------------------------
@@ -506,7 +510,7 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			m.set(p, v) // applied before the charge, fired after it
 			mid()
 			m.fire(p)
-		case k < 40: // read, by path or relative to a directory
+		case k < 37: // read, by path or relative to a directory
 			p := randPath(r)
 			mid := midCharge(op, p, false)
 			var got string
@@ -524,6 +528,19 @@ func runModelSequence(t *testing.T, seed int64, ops int) {
 			}
 			if got != want || !sameErr(gotErr, wantErr) {
 				fail(op, "Read(%q): store (%q, %v), model (%q, %v)", p, got, gotErr, want, wantErr)
+			}
+		case k < 40: // charge-only reads: n round trips, no reply
+			p, n := randPath(r), 1+r.Intn(4)
+			mid := midCharge(op, p, false)
+			dir, rel := randSplit(r, p)
+			// A queued event's own ops count too, so the round trips
+			// are checked only when none is.
+			quiet, ops, lines := c.Pending() == 0, s.Count.Ops, s.Count.LogLines
+			s.ChargeReads(dir, rel, n)
+			mid()
+			if quiet && (s.Count.Ops-ops != uint64(n) || s.Count.LogLines-lines != uint64(n)*costs.XSLogFiles) {
+				fail(op, "ChargeReads(%q, %q, %d) charged %d round trips and %d log lines",
+					dir, rel, n, s.Count.Ops-ops, s.Count.LogLines-lines)
 			}
 		case k < 46: // exists
 			p := randPath(r)

@@ -32,7 +32,10 @@
 // 64-bit ids from then on; mutations edit current nodes in place and
 // recycle detached ones through the store's pool (pool.go); operations
 // bracket themselves with enter/exit so recycling stays safe across
-// the re-entrant clock charge.
+// the re-entrant clock charge. Reads whose reply nobody uses
+// (ChargeReads) charge a run of identical round trips with one clock
+// advance when no queued event falls inside it, updating the counters
+// and the access log by arithmetic.
 package xenstore
 
 import (
@@ -325,12 +328,7 @@ func (s *Store) chargeOp(nodesTouched int) {
 	s.Count.SoftIRQs += costs.XSRequestInterrupts
 	s.Count.Crossings += costs.XSRequestCrossings
 	s.Count.NodesTouched += uint64(nodesTouched)
-	d := costs.XSRequestInterrupts*costs.SoftIRQ +
-		costs.XSRequestCrossings*costs.DomainCrossing +
-		costs.XSProcess +
-		sim.Duration(nodesTouched)*costs.XSPerNodeTouch +
-		sim.Duration(s.Connections)*costs.XSPerConnection
-	d += s.variantExtra(costs.XSProcess + sim.Duration(nodesTouched)*costs.XSPerNodeTouch)
+	d := s.opCost(nodesTouched)
 	if s.Faults.Fire(faults.KindStoreStall) {
 		// The store daemon freezes (GC pause, log fsync, scheduling
 		// gap): the requesting client simply sees a slow reply.
@@ -339,6 +337,17 @@ func (s *Store) chargeOp(nodesTouched int) {
 	}
 	s.clock.Sleep(d)
 	s.logAccess()
+}
+
+// opCost is the clock charge of one round trip touching nodesTouched
+// nodes, before any injected stall and the access-log lines.
+func (s *Store) opCost(nodesTouched int) sim.Duration {
+	d := costs.XSRequestInterrupts*costs.SoftIRQ +
+		costs.XSRequestCrossings*costs.DomainCrossing +
+		costs.XSProcess +
+		sim.Duration(nodesTouched)*costs.XSPerNodeTouch +
+		sim.Duration(s.Connections)*costs.XSPerConnection
+	return d + s.variantExtra(costs.XSProcess+sim.Duration(nodesTouched)*costs.XSPerNodeTouch)
 }
 
 // logAccess appends one line to each of the 20 access logs and rotates
@@ -562,6 +571,82 @@ func (s *Store) read(dir, rel, path string) (string, error) {
 	return v, nil
 }
 
+// ChargeReads charges n reads of rel under dir exactly as n ReadAt
+// calls would — the same clock advances, counters, access-log lines
+// and rotations — and replies nothing: the round trips of a client
+// that re-reads state it does not use (libxl's state re-reads, a
+// booting guest's store chatter). The run of whole round trips that
+// ends strictly before the next queued event is charged in one clock
+// advance; the read an event falls in is charged on its own, so the
+// event fires at its deadline and the reads after it see what it did.
+// While store stalls can be injected every read is charged on its
+// own, so the stall stream draws its opportunities at the same
+// virtual times.
+func (s *Store) ChargeReads(dir, rel string, n int) {
+	dir, rel = splitAt(dir, rel)
+	s.enter()
+	defer s.exit()
+	stalls := s.Faults.Enabled(faults.KindStoreStall)
+	for n > 0 {
+		_, touched := s.resolveAt(dir, rel)
+		k := 0
+		if !stalls {
+			k = s.chargeReadRun(touched, n)
+		}
+		if k == 0 {
+			s.chargeOp(touched)
+			k = 1
+		}
+		n -= k
+	}
+}
+
+// chargeReadRun charges the longest run, of at most n read round trips
+// touching nodesTouched nodes each, that ends strictly before the next
+// queued event, in one clock advance, and returns its length: 0 when
+// the first of them would reach the event.
+func (s *Store) chargeReadRun(nodesTouched, n int) int {
+	per := s.opCost(nodesTouched)
+	k, rotate := n, false
+	if s.LoggingEnabled {
+		per += costs.XSLogFiles * costs.XSLogLine
+		// The run stops at the read that rotates the logs, so it
+		// charges at most one rotation pause, at its end.
+		if left := costs.XSLogRotateLines - s.logLines; left <= n {
+			k, rotate = left, true
+		}
+	}
+	now := s.clock.Now()
+	d := sim.Duration(k) * per
+	if rotate {
+		d += costs.XSLogRotateCost
+	}
+	if !s.clock.Quiet(now.Add(d)) {
+		// Keep the whole round trips that end before the deadline:
+		// fewer than k, and never the rotating one.
+		dl, _ := s.clock.NextDeadline()
+		k, rotate = min(int((dl.Sub(now)-1)/per), k-1), false
+		if k <= 0 {
+			return 0
+		}
+		d = sim.Duration(k) * per
+	}
+	s.Count.Ops += uint64(k)
+	s.Count.SoftIRQs += uint64(k) * costs.XSRequestInterrupts
+	s.Count.Crossings += uint64(k) * costs.XSRequestCrossings
+	s.Count.NodesTouched += uint64(k) * uint64(nodesTouched)
+	if s.LoggingEnabled {
+		s.logLines += k
+		s.Count.LogLines += uint64(k) * costs.XSLogFiles
+		if rotate {
+			s.logLines = 0
+			s.Count.LogRotations++
+		}
+	}
+	s.clock.Sleep(d)
+	return k
+}
+
 // Exists reports whether path resolves.
 func (s *Store) Exists(path string) bool {
 	s.enter()
@@ -764,7 +849,7 @@ func (s *Store) WriteUniqueName(dir, key, name string) error {
 // handler that sleeps pushes the rest of the scan back.
 func (s *Store) chargeScan(k int) {
 	d := costs.XSNameUniquenessPerGuest
-	if dl, ok := s.clock.NextDeadline(); !ok || dl > s.clock.Now().Add(sim.Duration(k)*d) {
+	if s.clock.Quiet(s.clock.Now().Add(sim.Duration(k) * d)) {
 		s.clock.Sleep(sim.Duration(k) * d)
 		return
 	}

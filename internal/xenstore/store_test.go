@@ -1,6 +1,7 @@
 package xenstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"lightvm/internal/costs"
+	"lightvm/internal/faults"
 	"lightvm/internal/sim"
 )
 
@@ -1060,4 +1062,130 @@ func TestMidChargeRepliesKeepStartState(t *testing.T) {
 			t.Fatalf("WriteUniqueName charged %v, want %v", got, want)
 		}
 	})
+}
+
+// TestChargeReadsMatchesReadAt runs twin stores through one scenario,
+// one charging n reads with ChargeReads and the other making n ReadAt
+// calls, and requires the same end time, counters, access-log state,
+// event trace and tree. Each case's setup runs on both twins before
+// the reads; its events record the time they fire and what they see.
+func TestChargeReadsMatchesReadAt(t *testing.T) {
+	const dir = "/local/domain/7"
+	type twin struct {
+		s   *Store
+		c   *sim.Clock
+		log []string
+	}
+	// note records an event: its time and the reads charged by then.
+	note := func(tw *twin, what string) {
+		tw.log = append(tw.log, fmt.Sprintf("%d ops=%d rotations=%d %s",
+			tw.c.Now(), tw.s.Count.Ops, tw.s.Count.LogRotations, what))
+	}
+	// oneRead is one logged read's charge of dir/name, measured on a
+	// scratch store shaped like the twins.
+	oneRead := func() sim.Duration {
+		s, c := newStore()
+		populateGuests(s, 20)
+		start := c.Now()
+		_, _ = s.ReadAt(dir, "name")
+		return c.Now().Sub(start)
+	}()
+	cases := []struct {
+		name  string
+		rel   string
+		n     int
+		setup func(tw *twin)
+		// reached, when set, checks that the run reached what the case
+		// is named for.
+		reached func(c Counters) bool
+	}{
+		{"empty queue", "name", 200, func(*twin) {}, nil},
+		{"write then remove mid-run", "name", 200, func(tw *twin) {
+			tw.c.After(37*oneRead+oneRead/3, func() {
+				tw.s.Write(dir+"/name", "mid")
+				note(tw, "wrote")
+				tw.c.After(oneRead/2, func() {
+					if err := tw.s.Rm(dir + "/name"); err != nil {
+						t.Errorf("mid-run Rm: %v", err)
+					}
+					note(tw, "removed")
+				})
+			})
+		}, nil},
+		{"events at run boundaries", "name", 200, func(tw *twin) {
+			// Due as the first read starts and as the 37th ends; the
+			// second makes every later read dearer and pushes it back.
+			tw.c.After(0, func() { note(tw, "at start") })
+			tw.c.After(37*oneRead, func() {
+				tw.s.Connections += 3
+				tw.c.Sleep(5 * time.Microsecond)
+				note(tw, "after read 37")
+			})
+		}, nil},
+		{"log rotation mid-run", "name", 3*costs.XSLogRotateLines + 10, func(tw *twin) {
+			tw.s.logLines = costs.XSLogRotateLines - 5
+			tw.c.After(costs.XSLogRotateCost/2, func() { note(tw, "in rotation") })
+		}, func(c Counters) bool { return c.LogRotations > 1 }},
+		{"logging off", "name", 200, func(tw *twin) {
+			tw.s.LoggingEnabled = false
+			tw.c.After(50*oneRead, func() { tw.s.Write(dir+"/name", "late") })
+		}, nil},
+		{"open connections", "name", 200, func(tw *twin) {
+			tw.s.Connections = 40
+			tw.c.After(90*oneRead, func() { tw.s.Connections-- })
+		}, nil},
+		{"cxenstored", "name", 200, func(tw *twin) {
+			tw.s.SetVariant(Cxenstored)
+			tw.s.Connections = 5
+		}, nil},
+		{"missing node", "absent", 100, func(tw *twin) {
+			tw.c.After(20*oneRead, func() { tw.s.Write(dir+"/absent", "now here") })
+		}, nil},
+		{"store stalls in a window", "name", 200, func(tw *twin) {
+			now := tw.c.Now()
+			tw.s.Faults = faults.New(tw.c, 3, faults.Plan{
+				Rate:   0.3,
+				Kinds:  []faults.Kind{faults.KindStoreStall},
+				Window: faults.Window{From: now.Add(40 * oneRead), To: now.Add(120 * oneRead)},
+			})
+		}, func(c Counters) bool { return c.Stalls > 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(batch bool) *twin {
+				s, c := newStore()
+				populateGuests(s, 20)
+				tw := &twin{s: s, c: c}
+				tc.setup(tw)
+				if batch {
+					s.ChargeReads(dir, tc.rel, tc.n)
+				} else {
+					for i := 0; i < tc.n; i++ {
+						_, _ = s.ReadAt(dir, tc.rel)
+					}
+				}
+				tw.log = append(tw.log, fmt.Sprintf("end %d", c.Now()))
+				return tw
+			}
+			got, want := run(true), run(false)
+			if got.c.Now() != want.c.Now() {
+				t.Fatalf("ChargeReads ends at %v, %d ReadAt calls at %v", got.c.Now(), tc.n, want.c.Now())
+			}
+			if got.s.Count != want.s.Count {
+				t.Fatalf("counters:\n got %+v\nwant %+v", got.s.Count, want.s.Count)
+			}
+			if got.s.logLines != want.s.logLines {
+				t.Fatalf("log lines %d, want %d", got.s.logLines, want.s.logLines)
+			}
+			if fmt.Sprint(got.log) != fmt.Sprint(want.log) {
+				t.Fatalf("event trace:\n got %v\nwant %v", got.log, want.log)
+			}
+			if !bytes.Equal(got.s.Snapshot().Serialize(), want.s.Snapshot().Serialize()) {
+				t.Fatal("trees differ")
+			}
+			if tc.reached != nil && !tc.reached(want.s.Count) {
+				t.Fatalf("the run did not reach what the case is named for: %+v", want.s.Count)
+			}
+		})
+	}
 }
