@@ -140,7 +140,6 @@ type ChurnReport struct {
 
 // Sharded is a cluster of host logical processes plus a controller.
 type Sharded struct {
-	cfg       ShardedConfig
 	eng       *sim.Engine
 	ctl       *shardCtl
 	agents    []*hostAgent
@@ -151,11 +150,10 @@ type Sharded struct {
 // poolState is the controller's per-pool bookkeeping.
 type poolState struct {
 	HostPool
-	firstHost int // global host index of the pool's first member
-	firstVM   uint32
-	nextVM    uint32   // next id to assign in the initial waves
-	heap      []uint64 // packed (count<<32 | gidx) min-heap, lazy entries
-	report    PoolChurn
+	firstVM uint32
+	nextVM  uint32   // next id to assign in the initial waves
+	heap    []uint64 // packed (count<<32 | gidx) min-heap, lazy entries
+	report  PoolChurn
 }
 
 // shardCtl is the controller logical process (shard 0). Everything in
@@ -270,7 +268,6 @@ func NewSharded(cfg ShardedConfig, pools []HostPool) (*Sharded, error) {
 		totalVMs += uint32(p.VMs)
 	}
 	sc := &Sharded{
-		cfg:       cfg,
 		heartbeat: cfg.Heartbeat,
 		deadAfter: cfg.DeadAfter,
 	}
@@ -313,7 +310,7 @@ func NewSharded(cfg ShardedConfig, pools []HostPool) (*Sharded, error) {
 	g := 0
 	vmBase := uint32(0)
 	for pi, p := range pools {
-		ps := &poolState{HostPool: p, firstHost: g, firstVM: vmBase, nextVM: vmBase}
+		ps := &poolState{HostPool: p, firstVM: vmBase, nextVM: vmBase}
 		ps.report.Name = p.Name
 		ps.report.Hosts = p.Hosts
 		ps.report.CreateMS.Values = make([]float64, 0, p.VMs)

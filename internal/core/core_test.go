@@ -92,8 +92,8 @@ func TestHostLifecycleAllocs(t *testing.T) {
 		{toolstack.ModeXL, 43},
 		{toolstack.ModeChaosXS, 34},
 		{toolstack.ModeChaosSplit, 39},
-		{toolstack.ModeChaosNoXS, 9},
-		{toolstack.ModeLightVM, 11},
+		{toolstack.ModeChaosNoXS, 7},
+		{toolstack.ModeLightVM, 9},
 	}
 	img := guest.Daytime()
 	names := make([]string, runs+1) // AllocsPerRun adds one warm-up run
@@ -135,11 +135,11 @@ func TestHostRetainedBytes(t *testing.T) {
 		mode           toolstack.Mode
 		bytes, objects float64
 	}{
-		{toolstack.ModeXL, 7110, 101},
-		{toolstack.ModeChaosXS, 4430, 58.5},
-		{toolstack.ModeChaosSplit, 4600, 60.5},
-		{toolstack.ModeChaosNoXS, 1240, 7.5},
-		{toolstack.ModeLightVM, 1240, 7.5},
+		{toolstack.ModeXL, 7080, 100},
+		{toolstack.ModeChaosXS, 4410, 58},
+		{toolstack.ModeChaosSplit, 4580, 60.5},
+		{toolstack.ModeChaosNoXS, 1170, 7},
+		{toolstack.ModeLightVM, 1180, 7.5},
 	}
 	img := guest.Daytime()
 	names := make([]string, guests)
@@ -193,9 +193,9 @@ func TestHostLifecycleBytes(t *testing.T) {
 		mode  toolstack.Mode
 		bytes float64
 	}{
-		{toolstack.ModeXL, 2260},
-		{toolstack.ModeChaosXS, 2040},
-		{toolstack.ModeChaosSplit, 2170},
+		{toolstack.ModeXL, 2240},
+		{toolstack.ModeChaosXS, 2010},
+		{toolstack.ModeChaosSplit, 2150},
 	}
 	img := guest.Daytime()
 	names := make([]string, live+runs)

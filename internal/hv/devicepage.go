@@ -28,17 +28,16 @@ func (k DevKind) String() string {
 	return fmt.Sprintf("dev(%d)", int(k))
 }
 
-// DevEntry is one device record in a domain's device page: exactly the
-// information the XenStore handshake would otherwise convey (Fig. 7b:
-// backend-id, event channel id, grant reference).
+// DevEntry is one device record in a domain's device page: the event
+// channel and grant reference the XenStore handshake would otherwise
+// convey (Fig. 7b). The backend is always Dom0, so no backend-id is
+// stored.
 type DevEntry struct {
 	Kind      DevKind
 	Index     int
-	BackendID DomID
 	Evtchn    Port
 	CtrlGrant GrantRef // grant for the device control page
 	MAC       string   // vif only
-	State     int      // xenbus-style state carried in the control page
 }
 
 // DevicePageSlots bounds entries per page (a 4 KiB page of records).
@@ -103,19 +102,20 @@ func (h *Hypervisor) DevicePageRemove(caller, id DomID, kind DevKind, index int)
 }
 
 // DevicePageMap is the guest-side hypercall pair: ask for the device
-// page address and map it read-only (Fig. 7b step 3). It returns a
-// snapshot of the entries.
-func (h *Hypervisor) DevicePageMap(id DomID) ([]DevEntry, error) {
+// page address and map it read-only (Fig. 7b step 3). It appends a
+// snapshot of the entries to dst and returns the extended slice, so a
+// caller with a stack buffer maps the page without a heap copy. The
+// result is a copy, not a view of the page: the hypercalls a caller
+// makes per entry advance the clock, and a queued event that runs
+// then may edit the page.
+func (h *Hypervisor) DevicePageMap(id DomID, dst []DevEntry) ([]DevEntry, error) {
 	d, err := h.Domain(id)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	h.Count.DevPageReads++
 	h.charge(costs.NoxsDevicePageMap)
 	if d.DevPage == nil {
-		return nil, nil
+		return dst, nil
 	}
-	out := make([]DevEntry, len(d.DevPage.Entries))
-	copy(out, d.DevPage.Entries)
-	return out, nil
+	return append(dst, d.DevPage.Entries...), nil
 }

@@ -18,8 +18,7 @@ type Handler func()
 type channel struct {
 	owner   DomID // allocating side
 	peer    DomID
-	handler Handler // receiver's upcall
-	bound   bool
+	handler Handler // receiver's upcall; nil until bound
 	pending uint64
 }
 
@@ -45,7 +44,6 @@ func (h *Hypervisor) BindPort(p Port, peer DomID, fn Handler) error {
 		return fmt.Errorf("hv: port %d reserved for domain %d, bind from %d", p, ch.peer, peer)
 	}
 	ch.handler = fn
-	ch.bound = true
 	h.charge(0)
 	return nil
 }
@@ -57,10 +55,9 @@ func (h *Hypervisor) Send(p Port) error {
 	if ch == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchPort, p)
 	}
-	h.Count.EvtchnSends++
 	h.charge(costs.SoftIRQ)
 	ch.pending++
-	if ch.bound && ch.handler != nil {
+	if ch.handler != nil {
 		ch.handler()
 	}
 	return nil
@@ -92,19 +89,17 @@ type GrantRef uint32
 
 // grant is a page shared by owner with a specific peer.
 type grant struct {
-	owner    DomID
-	peer     DomID
-	frame    uint64
-	readonly bool
-	mapped   bool
+	owner DomID
+	peer  DomID
+	frame uint64
 }
 
 // GrantAccess shares frame of owner's memory with peer.
-func (h *Hypervisor) GrantAccess(owner, peer DomID, frame uint64, readonly bool) (GrantRef, error) {
+func (h *Hypervisor) GrantAccess(owner, peer DomID, frame uint64) (GrantRef, error) {
 	if _, err := h.Domain(owner); err != nil {
 		return 0, err
 	}
-	r := h.grants.Put(grant{owner: owner, peer: peer, frame: frame, readonly: readonly})
+	r := h.grants.Put(grant{owner: owner, peer: peer, frame: frame})
 	h.charge(costs.GrantRefSetup)
 	return r, nil
 }
@@ -118,7 +113,6 @@ func (h *Hypervisor) MapGrant(r GrantRef, peer DomID) (uint64, error) {
 	if g.peer != peer {
 		return 0, fmt.Errorf("hv: grant %d not for domain %d", r, peer)
 	}
-	g.mapped = true
 	h.Count.GrantMaps++
 	h.charge(costs.GrantRefSetup)
 	return g.frame, nil

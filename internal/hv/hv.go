@@ -53,9 +53,9 @@ var (
 	ErrNotPrivileged = errors.New("hv: caller not privileged for this hypercall")
 )
 
-// VCPU is a virtual CPU bound to a physical core.
+// VCPU is a virtual CPU bound to a physical core. Its index is its
+// position in Domain.VCPUs.
 type VCPU struct {
-	ID   int
 	Core int // physical core this vCPU is pinned to
 }
 
@@ -94,12 +94,8 @@ type Config struct {
 
 // Counters aggregates hypervisor activity for tests and breakdowns.
 type Counters struct {
-	Hypercalls   uint64
-	EvtchnSends  uint64
-	GrantMaps    uint64
-	DomainsMade  uint64
-	DomainsGone  uint64
-	DevPageReads uint64
+	Hypercalls uint64
+	GrantMaps  uint64
 }
 
 // Hypervisor is the machine-wide monitor.
@@ -189,9 +185,8 @@ func (h *Hypervisor) CreateDomain(cfg Config) (*Domain, error) {
 		if len(cfg.Cores) > 0 {
 			core = cfg.Cores[i%len(cfg.Cores)]
 		}
-		d.VCPUs = append(d.VCPUs, VCPU{ID: i, Core: core})
+		d.VCPUs = append(d.VCPUs, VCPU{Core: core})
 	}
-	h.Count.DomainsMade++
 	h.charge(costs.HypervisorReserve)
 	return d, nil
 }
@@ -321,7 +316,6 @@ func (h *Hypervisor) DestroyDomain(id DomID) error {
 		}
 	}
 	h.domains.Del(id)
-	h.Count.DomainsGone++
 	// Teardown walks the page lists; charge proportional to memory.
 	mb := float64(d.MemBytes) / (1024 * 1024)
 	h.charge(sim.Duration(mb * float64(costs.MemReservePerMB) / 2))

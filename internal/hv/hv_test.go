@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"lightvm/internal/costs"
 	"lightvm/internal/mm"
 	"lightvm/internal/sim"
 )
@@ -38,6 +39,25 @@ func TestNewReservesDom0(t *testing.T) {
 func TestDomainSize(t *testing.T) {
 	if got := unsafe.Sizeof(Domain{}); got > 120 {
 		t.Fatalf("Domain is %d bytes, budget 120", got)
+	}
+}
+
+// TestTableEntrySizes pins the per-device records on 64-bit platforms:
+// a device-page entry at 40 bytes (a vif+sysctl page fills the 80-byte
+// size class), and the grant and event-channel table slots at 24 and
+// 32 bytes. Every guest carries at least two of each.
+func TestTableEntrySizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"DevEntry", unsafe.Sizeof(DevEntry{}), 40},
+		{"grant", unsafe.Sizeof(grant{}), 24},
+		{"channel", unsafe.Sizeof(channel{}), 32},
+	} {
+		if c.got > c.want {
+			t.Errorf("%s is %d bytes, budget %d", c.name, c.got, c.want)
+		}
 	}
 }
 
@@ -191,19 +211,41 @@ func TestBindPortWrongPeerRejected(t *testing.T) {
 	}
 }
 
-func TestSendUnboundPortNoHandler(t *testing.T) {
-	h := newHV()
+// TestSendUnboundRunsNoHandler: a send on a port nobody has bound, or
+// bound with a nil handler, charges the upcall and counts as pending
+// but runs nothing.
+func TestSendUnboundRunsNoHandler(t *testing.T) {
+	clock := sim.NewClock()
+	h := New(clock, 8*1024*mib)
 	d, _ := h.CreateDomain(Config{MaxMem: mib})
 	p, _ := h.AllocUnboundPort(0, d.ID)
-	if err := h.Send(p); err != nil { // event is queued, no upcall
+	send := func(wantPending uint64) {
+		t.Helper()
+		before, calls := clock.Now(), h.Count.Hypercalls
+		if err := h.Send(p); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := clock.Now().Sub(before), costs.Hypercall+costs.SoftIRQ; got != want {
+			t.Fatalf("send charged %v, want %v", got, want)
+		}
+		if h.Count.Hypercalls != calls+1 {
+			t.Fatalf("send made %d hypercalls", h.Count.Hypercalls-calls)
+		}
+		if got := h.PortPending(p); got != wantPending {
+			t.Fatalf("pending = %d, want %d", got, wantPending)
+		}
+	}
+	send(1)
+	if err := h.BindPort(p, d.ID, nil); err != nil {
 		t.Fatal(err)
 	}
+	send(2)
 }
 
 func TestGrantFlow(t *testing.T) {
 	h := newHV()
 	d, _ := h.CreateDomain(Config{MaxMem: mib})
-	r, err := h.GrantAccess(d.ID, 0, 0x1000, false)
+	r, err := h.GrantAccess(d.ID, 0, 0x1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +272,7 @@ func TestDestroyCleansChannelsAndGrants(t *testing.T) {
 	d, _ := h.CreateDomain(Config{MaxMem: mib})
 	_ = h.PopulatePhysmap(d.ID, mib)
 	p, _ := h.AllocUnboundPort(d.ID, 0)
-	r, _ := h.GrantAccess(d.ID, 0, 1, true)
+	r, _ := h.GrantAccess(d.ID, 0, 1)
 	if err := h.DestroyDomain(d.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -248,11 +290,11 @@ func TestDestroyCleansChannelsAndGrants(t *testing.T) {
 func TestDevicePage(t *testing.T) {
 	h := newHV()
 	d, _ := h.CreateDomain(Config{MaxMem: mib})
-	e := DevEntry{Kind: DevVif, Index: 0, BackendID: 0, Evtchn: 7, CtrlGrant: 9, MAC: "00:16:3e:00:00:01"}
+	e := DevEntry{Kind: DevVif, Index: 0, Evtchn: 7, CtrlGrant: 9, MAC: "00:16:3e:00:00:01"}
 	if err := h.DevicePageWrite(0, d.ID, e); err != nil {
 		t.Fatal(err)
 	}
-	got, err := h.DevicePageMap(d.ID)
+	got, err := h.DevicePageMap(d.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +304,7 @@ func TestDevicePage(t *testing.T) {
 	// Snapshot semantics: mutating the returned slice must not affect
 	// the page.
 	got[0].MAC = "mutated"
-	got2, _ := h.DevicePageMap(d.ID)
+	got2, _ := h.DevicePageMap(d.ID, nil)
 	if got2[0].MAC != e.MAC {
 		t.Fatal("DevicePageMap returned aliased storage")
 	}
@@ -271,6 +313,68 @@ func TestDevicePage(t *testing.T) {
 	}
 	if err := h.DevicePageRemove(0, d.ID, DevVif, 0); err == nil {
 		t.Fatal("double remove accepted")
+	}
+}
+
+// TestDevicePageMapAppendsSnapshot: the map appends after dst's own
+// elements, later page edits leave what it returned unchanged, and it
+// charges one NoxsDevicePageMap hypercall whether or not the page has
+// entries.
+func TestDevicePageMapAppendsSnapshot(t *testing.T) {
+	clock := sim.NewClock()
+	h := New(clock, 8*1024*mib)
+	d, _ := h.CreateDomain(Config{MaxMem: mib})
+	mapPage := func(dst []DevEntry) []DevEntry {
+		t.Helper()
+		before, calls := clock.Now(), h.Count.Hypercalls
+		got, err := h.DevicePageMap(d.ID, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spent, want := clock.Now().Sub(before), costs.Hypercall+costs.NoxsDevicePageMap; spent != want {
+			t.Fatalf("map charged %v, want %v", spent, want)
+		}
+		if h.Count.Hypercalls != calls+1 {
+			t.Fatalf("map made %d hypercalls", h.Count.Hypercalls-calls)
+		}
+		return got
+	}
+	if got := mapPage(nil); len(got) != 0 {
+		t.Fatalf("no page mapped as %+v", got)
+	}
+	vif := DevEntry{Kind: DevVif, Evtchn: 3, CtrlGrant: 4, MAC: "m"}
+	sysctl := DevEntry{Kind: DevSysctl, Evtchn: 5, CtrlGrant: 6}
+	for _, e := range []DevEntry{vif, sysctl} {
+		if err := h.DevicePageWrite(0, d.ID, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mark := DevEntry{Kind: DevConsole, Index: 9}
+	var buf [4]DevEntry
+	buf[0] = mark
+	got := mapPage(buf[:1])
+	want := []DevEntry{mark, vif, sysctl}
+	if len(got) != len(want) || &got[0] != &buf[0] {
+		t.Fatalf("map returned %+v, not appended to dst", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if err := h.DevicePageRemove(0, d.ID, DevVif, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.DevicePageWrite(0, d.ID, DevEntry{Kind: DevVbd, Evtchn: 7}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("after page edits, entry %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if got := mapPage(nil); len(got) != 2 || got[0] != sysctl || got[1].Kind != DevVbd {
+		t.Fatalf("edited page mapped as %+v", got)
 	}
 }
 
@@ -423,11 +527,11 @@ func TestDestroyReleasesPeerGrants(t *testing.T) {
 	h := newHV()
 	d, _ := h.CreateDomain(Config{MaxMem: mib})
 	// Classic backend shape: Dom0 grants its pages to the guest.
-	r, err := h.GrantAccess(0, d.ID, 42, false)
+	r, err := h.GrantAccess(0, d.ID, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	own, err := h.GrantAccess(d.ID, 0, 7, true)
+	own, err := h.GrantAccess(d.ID, 0, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +553,7 @@ func TestEndpointIntrospectionIsClockFree(t *testing.T) {
 	h := newHV()
 	d, _ := h.CreateDomain(Config{MaxMem: mib})
 	p, _ := h.AllocUnboundPort(0, d.ID)
-	g, _ := h.GrantAccess(0, d.ID, 1, false)
+	g, _ := h.GrantAccess(0, d.ID, 1)
 	before := h.Clock.Now()
 	var pe, ge []Endpoint
 	h.EachPort(func(ep Endpoint) { pe = append(pe, ep) })

@@ -21,7 +21,6 @@ type SharePool struct {
 // sharedRegion is one shared region; its pages are all held by its
 // own owner, so releasing it is one FreeOwner.
 type sharedRegion struct {
-	key   string
 	bytes uint64
 	refs  int
 	owner Owner
@@ -54,7 +53,7 @@ func (p *SharePool) Acquire(key string, bytes uint64) (uint64, error) {
 	if err := p.alloc.AllocBytes(bytes, p.nextOwner); err != nil {
 		return 0, err
 	}
-	p.pages[key] = &sharedRegion{key: key, bytes: bytes, refs: 1, owner: p.nextOwner}
+	p.pages[key] = &sharedRegion{bytes: bytes, refs: 1, owner: p.nextOwner}
 	p.nextOwner++
 	return bytes, nil
 }

@@ -39,7 +39,6 @@ type Counters struct {
 	DevicesCreated uint64
 	DevicesGone    uint64
 	Suspends       uint64
-	Poweroffs      uint64
 	// HotplugFailures counts vif teardowns whose hotplug step failed;
 	// the device itself is still destroyed.
 	HotplugFailures uint64
@@ -129,11 +128,11 @@ func (m *Module) CreateDevice(dom hv.DomID, kind hv.DevKind, idx int, mac string
 	if err != nil {
 		return hv.DevEntry{}, fmt.Errorf("noxs: create %v[%d] for dom %d: %w", kind, idx, dom, err)
 	}
-	ref, err := m.HV.GrantAccess(0, dom, 0xdead0000+uint64(port), false)
+	ref, err := m.HV.GrantAccess(0, dom, 0xdead0000+uint64(port))
 	if err != nil {
 		return hv.DevEntry{}, err
 	}
-	entry := hv.DevEntry{Kind: kind, Index: idx, BackendID: 0, Evtchn: port, CtrlGrant: ref, MAC: mac, State: 1}
+	entry := hv.DevEntry{Kind: kind, Index: idx, Evtchn: port, CtrlGrant: ref, MAC: mac}
 	if err := m.HV.DevicePageWrite(0, dom, entry); err != nil {
 		return hv.DevEntry{}, err
 	}
@@ -221,9 +220,12 @@ func (m *Module) DestroyAll(dom hv.DomID) {
 
 // ConnectGuest is the guest half (steps 3–4): map the device page,
 // bind every event channel, map every control grant. No store, no
-// watches — a handful of hypercalls.
+// watches — a handful of hypercalls. The page is read into a stack
+// buffer with room for a vif, a vbd, a console and the sysctl device;
+// a larger page is copied to the heap.
 func (m *Module) ConnectGuest(dom hv.DomID) error {
-	entries, err := m.HV.DevicePageMap(dom)
+	var buf [4]hv.DevEntry
+	entries, err := m.HV.DevicePageMap(dom, buf[:0])
 	if err != nil {
 		return err
 	}
@@ -281,8 +283,6 @@ func (m *Module) RequestShutdown(dom hv.DomID, reason string) error {
 	page.ShutdownReason = reason
 	if reason == "suspend" {
 		m.Count.Suspends++
-	} else {
-		m.Count.Poweroffs++
 	}
 	return m.HV.Send(port)
 }

@@ -41,7 +41,7 @@ func TestCreateDevicePublishesOnDevicePage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := h.DevicePageMap(d.ID)
+	entries, err := h.DevicePageMap(d.ID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +67,37 @@ func TestConnectGuestBindsEverything(t *testing.T) {
 	}
 	if h.Count.GrantMaps != 2 {
 		t.Fatalf("grant maps = %d, want 2", h.Count.GrantMaps)
+	}
+}
+
+// raceEnabled is set by race_test.go: the race detector's
+// instrumentation allocates on its own, so allocation budgets do not
+// hold under it.
+var raceEnabled bool
+
+// TestConnectGuestAllocs pins the guest half of the handshake at one
+// heap object for a vif+sysctl page: the sysctl upcall closure. The
+// device page is read into a stack buffer, and the vif's upcall
+// captures nothing.
+func TestConnectGuestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	m, h, _ := newModule()
+	d := newDom(t, h)
+	if _, err := m.CreateDevice(d.ID, hv.DevVif, 0, "00:16:3e:00:00:01"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.CreateDevice(d.ID, hv.DevSysctl, 0, ""); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := m.ConnectGuest(d.ID); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("ConnectGuest allocates %.1f objects, want 1", allocs)
 	}
 }
 
@@ -150,7 +181,7 @@ func TestDestroyDevice(t *testing.T) {
 	if err := m.DestroyDevice(d.ID, hv.DevVif, 0); err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := h.DevicePageMap(d.ID)
+	entries, _ := h.DevicePageMap(d.ID, nil)
 	if len(entries) != 0 {
 		t.Fatalf("device page not empty after destroy: %+v", entries)
 	}
@@ -169,7 +200,7 @@ func TestDestroyAll(t *testing.T) {
 	_, _ = m.CreateDevice(d.ID, hv.DevVbd, 0, "")
 	_, _ = m.CreateDevice(d.ID, hv.DevSysctl, 0, "")
 	m.DestroyAll(d.ID)
-	entries, _ := h.DevicePageMap(d.ID)
+	entries, _ := h.DevicePageMap(d.ID, nil)
 	if len(entries) != 0 {
 		t.Fatalf("DestroyAll left %d entries", len(entries))
 	}
@@ -262,7 +293,7 @@ func TestDestroyAllPageOrder(t *testing.T) {
 	if got := fmt.Sprint(hp.torn); got != "[1 0 2 3]" {
 		t.Fatalf("vifs torn down in order %s, want [1 0 2 3]", got)
 	}
-	if entries, _ := h.DevicePageMap(d.ID); len(entries) != 0 {
+	if entries, _ := h.DevicePageMap(d.ID, nil); len(entries) != 0 {
 		t.Fatalf("DestroyAll left %d entries", len(entries))
 	}
 	if m.Count.DevicesGone != 5 {

@@ -139,8 +139,7 @@ type Env struct {
 	// epoch is stale. Nil (the default) disables fencing entirely.
 	LeaseCheck LeaseChecker
 
-	vms    map[string]*VM
-	nextVM int
+	vms map[string]*VM
 
 	// leases holds this Dom0's placement-epoch claims (lease.go);
 	// staleRejected counts operations the fence turned away.

@@ -119,7 +119,7 @@ func TestFsckSeededViolations(t *testing.T) {
 			return []Violation{{"hv", "orphan-port", "0->999", "event channel endpoint is dead"}}
 		}},
 		{"orphan-grant", func(e *Env, _ *VM) []Violation {
-			if _, err := e.HV.GrantAccess(0, ghost, 7, false); err != nil {
+			if _, err := e.HV.GrantAccess(0, ghost, 7); err != nil {
 				t.Fatal(err)
 			}
 			return []Violation{{"hv", "orphan-grant", "0->999", "grant endpoint is dead"}}

@@ -30,7 +30,6 @@ import (
 
 // ScrubReport summarizes one recovery pass.
 type ScrubReport struct {
-	Mode     Mode
 	Journals int // intent records replayed (rolled forward or back)
 	Orphans  int // leaked domains reaped (hv + devices + memory)
 	Residue  int // stale registry litter removed (store paths, watches)
@@ -51,7 +50,7 @@ func (r *ScrubReport) Add(o ScrubReport) {
 // and is idempotent — a second pass finds nothing.
 func (e *Env) Scrub(mode Mode) ScrubReport {
 	start := e.Clock.Now()
-	r := ScrubReport{Mode: mode}
+	var r ScrubReport
 	us := mode.UsesStore()
 	e.RunDom0(func() {
 		for _, rec := range e.journalEntries(us) {

@@ -526,7 +526,7 @@ func TestCloneVM(t *testing.T) {
 		t.Fatalf("second clone (%v) not faster than first (%v)", c2.CreateTime, c1.CreateTime)
 	}
 	// Clones have their own devices.
-	entries, err := e.HV.DevicePageMap(c2.Dom.ID)
+	entries, err := e.HV.DevicePageMap(c2.Dom.ID, nil)
 	if err != nil || len(entries) != 2 { // vif + sysctl
 		t.Fatalf("clone devices = %v, %v", entries, err)
 	}

@@ -212,7 +212,7 @@ func (b *Backend) setup(dir string) {
 	}
 	// Control page shared with the frontend (device details that the
 	// XenStore no longer needs to carry once connected).
-	ref, err := b.HV.GrantAccess(0, hv.DomID(feDom), uint64(0xc0de0000+port), false)
+	ref, err := b.HV.GrantAccess(0, hv.DomID(feDom), uint64(0xc0de0000+port))
 	if err != nil {
 		return
 	}

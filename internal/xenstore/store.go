@@ -158,8 +158,7 @@ type Store struct {
 	mergeBufs [][][]*watch
 	fireDepth int
 
-	// Transactions: open set and recycled txn structs (txn.go).
-	openTxns []*txn
+	// Transactions: recycled txn structs (txn.go).
 	freeTxns []*txn
 	nextTxn  TxnID
 

@@ -575,7 +575,9 @@ func TestTxnHelperGivesUp(t *testing.T) {
 func TestTxnBodyErrorAborts(t *testing.T) {
 	s, _ := newStore()
 	sentinel := errors.New("boom")
+	var aborted *Tx
 	err := s.Txn(3, func(tx *Tx) error {
+		aborted = tx
 		tx.Write("/x", "1")
 		return sentinel
 	})
@@ -585,8 +587,11 @@ func TestTxnBodyErrorAborts(t *testing.T) {
 	if s.Exists("/x") {
 		t.Fatal("aborted txn leaked writes")
 	}
-	if len(s.openTxns) != 0 {
-		t.Fatal("txn table leak")
+	if len(s.freeTxns) != 1 {
+		t.Fatalf("aborted txn not recycled: %d free", len(s.freeTxns))
+	}
+	if err := aborted.Commit(); !errors.Is(err, ErrBadTxn) {
+		t.Fatalf("commit after abort: %v", err)
 	}
 }
 

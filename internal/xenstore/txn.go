@@ -134,12 +134,6 @@ func (s *Store) getTxn() *txn {
 // recycleTxn closes t (commit, abort, conflict) and returns it to the
 // free list with its sets emptied.
 func (s *Store) recycleTxn(t *txn) {
-	for i, x := range s.openTxns {
-		if x == t {
-			s.openTxns = append(s.openTxns[:i], s.openTxns[i+1:]...)
-			break
-		}
-	}
 	t.live = false
 	clear(t.reads) // unpin observed path strings
 	t.reads = t.reads[:0]
@@ -158,7 +152,6 @@ func (s *Store) TxnStart() *Tx {
 	t.startGen = s.gen
 	t.startPubs = s.pubs
 	t.live = true
-	s.openTxns = append(s.openTxns, t)
 	s.Count.TxnStarts++
 	s.chargeOp(1)
 	return &Tx{s: s, t: t, id: t.id}
