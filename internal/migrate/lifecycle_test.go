@@ -128,6 +128,17 @@ var lifecyclePaths = []lifecyclePath{
 		}
 		return ""
 	}},
+	// lease-fence drives the lease journal: the grant writes a record,
+	// and a scrub against a checker that rejects every epoch reaps the
+	// fenced copy and removes the record.
+	{name: "lease-fence", run: func(t *testing.T, _ *sim.Clock, src, _ *toolstack.Env, mode toolstack.Mode) string {
+		vm, _ := createVM(t, src, mode, "g")
+		src.GrantLease(vm.Name, 1, mode.UsesStore())
+		src.LeaseCheck = func(string, uint64) bool { return false }
+		r := src.Scrub(mode)
+		return fmt.Sprintf("journals=%d orphans=%d residue=%d stale=%d",
+			r.Journals, r.Orphans, r.Residue, src.StaleRejections())
+	}},
 	// fault-churn mixes every lifecycle step under the default fault
 	// plan, so the pin also covers the order of fault-stream draws on
 	// the retry and rollback paths.
@@ -218,6 +229,7 @@ var lifecyclePins = map[string]string{
 	"xl/save-restore":                 "675.862701ms src{ops=340 txn=5/5/0 fires=24 nodes=1968} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"xl/migrate":                      "153.564105ms src{ops=291 txn=3/3/0 fires=13 nodes=1628} dst{ops=48 txn=2/2/0 fires=11 nodes=333} fsck=0",
 	"xl/migrate-drop":                 "152.638657ms src{ops=287 txn=3/3/0 fires=11 nodes=1561} dst{ops=49 txn=2/2/0 fires=12 nodes=353} fsck=0",
+	"xl/lease-fence":                  "96.11141ms src{ops=307 txn=3/3/0 fires=14 nodes=1726} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0 journals=1 orphans=1 residue=0 stale=1",
 	"xl/fault-churn":                  "5.600531329s src{ops=2289 txn=38/26/12 fires=126 nodes=13613} dst{ops=167 txn=4/4/0 fires=25 nodes=1343} fsck=0 failed=[migrate] injected=740",
 	"chaos [XS]/create-destroy":       "14.24951ms src{ops=57 txn=2/2/0 fires=13 nodes=427} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"chaos [XS]/create-oom":           "2.9548ms src{ops=6 txn=0/0/0 fires=0 nodes=23} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
@@ -227,6 +239,7 @@ var lifecyclePins = map[string]string{
 	"chaos [XS]/save-restore":         "80.322301ms src{ops=106 txn=4/4/0 fires=24 nodes=769} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"chaos [XS]/migrate":              "72.523705ms src{ops=57 txn=2/2/0 fires=13 nodes=429} dst{ops=48 txn=2/2/0 fires=11 nodes=333} fsck=0",
 	"chaos [XS]/migrate-drop":         "44.056057ms src{ops=53 txn=2/2/0 fires=11 nodes=375} dst{ops=49 txn=2/2/0 fires=12 nodes=353} fsck=0",
+	"chaos [XS]/lease-fence":          "15.05841ms src{ops=73 txn=2/2/0 fires=14 nodes=506} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0 journals=1 orphans=1 residue=0 stale=1",
 	"chaos [XS]/fault-churn":          "1.749249569s src{ops=750 txn=24/20/4 fires=126 nodes=5973} dst{ops=174 txn=5/4/1 fires=25 nodes=1366} fsck=0 failed=[migrate] injected=290",
 	"chaos [XS+split]/create-destroy": "15.02411ms src{ops=63 txn=3/3/0 fires=13 nodes=453} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"chaos [XS+split]/create-oom":     "2.8777ms src{ops=5 txn=0/0/0 fires=0 nodes=22} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
@@ -236,6 +249,7 @@ var lifecyclePins = map[string]string{
 	"chaos [XS+split]/save-restore":   "81.096901ms src{ops=112 txn=5/5/0 fires=24 nodes=795} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"chaos [XS+split]/migrate":        "73.298305ms src{ops=63 txn=3/3/0 fires=13 nodes=455} dst{ops=48 txn=2/2/0 fires=11 nodes=333} fsck=0",
 	"chaos [XS+split]/migrate-drop":   "44.830057ms src{ops=59 txn=3/3/0 fires=11 nodes=400} dst{ops=49 txn=2/2/0 fires=12 nodes=353} fsck=0",
+	"chaos [XS+split]/lease-fence":    "15.83301ms src{ops=79 txn=3/3/0 fires=14 nodes=532} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0 journals=1 orphans=1 residue=0 stale=1",
 	"chaos [XS+split]/fault-churn":    "3.878679883s src{ops=2132 txn=90/63/27 fires=333 nodes=15001} dst{ops=95 txn=4/4/0 fires=23 nodes=687} fsck=10 failed=[migrate] injected=700",
 	"chaos [NoXS]/create-destroy":     "44.76951ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"chaos [NoXS]/create-oom":         "2.482ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
@@ -245,6 +259,7 @@ var lifecyclePins = map[string]string{
 	"chaos [NoXS]/save-restore":       "89.268301ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"chaos [NoXS]/migrate":            "81.700405ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"chaos [NoXS]/migrate-drop":       "90.860836ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
+	"chaos [NoXS]/lease-fence":        "44.28351ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0 journals=1 orphans=1 residue=0 stale=1",
 	"chaos [NoXS]/fault-churn":        "445.181946ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0 failed=[] injected=1",
 	"LightVM/create-destroy":          "45.07351ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"LightVM/create-oom":              "2.482ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
@@ -254,5 +269,6 @@ var lifecyclePins = map[string]string{
 	"LightVM/save-restore":            "89.572301ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"LightVM/migrate":                 "82.004405ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
 	"LightVM/migrate-drop":            "91.164836ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0",
+	"LightVM/lease-fence":             "44.58751ms src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0 journals=1 orphans=1 residue=0 stale=1",
 	"LightVM/fault-churn":             "1.014856922s src{ops=0 txn=0/0/0 fires=0 nodes=0} dst{ops=0 txn=0/0/0 fires=0 nodes=0} fsck=0 failed=[] injected=3",
 }
