@@ -21,7 +21,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"path"
 	"strconv"
 	"time"
 
@@ -402,8 +401,7 @@ func teardownSource(e *toolstack.Env, vm *toolstack.VM) error {
 				if dev.Kind == hv.DevVif {
 					_ = e.Bridge.DetachPort(int(vm.Dom.ID), i)
 				}
-				be := xenbus.BackendPath(vm.Dom.ID, dev.Kind, i)
-				xenbus.RemoveDeviceEntries(e.Store, vm.Dom.ID, dev.Kind, i, be)
+				xenbus.RemoveDeviceEntries(e.Store, xenbus.NewDevice(vm.Dom.ID, dev.Kind, i))
 			}
 			_ = e.Store.Rm(xenbus.DomainPath(vm.Dom.ID))
 		} else {
@@ -531,16 +529,15 @@ func Migrate(src, dst *toolstack.Env, vm *toolstack.VM) (*toolstack.VM, time.Dur
 // back.
 func rollback(src, dst *toolstack.Env, vm, newVM *toolstack.VM) {
 	dst.RunDom0(func() {
-		if newVM.Mode.UsesStore() {
-			dst.RemoveStoreDevices(newVM.Dom.ID, newVM.Image.Devices)
+		us := newVM.Mode.UsesStore()
+		dst.RemoveDevices(newVM.Dom.ID, newVM.Image.Devices, us)
+		if us {
 			// Also reap the per-domain backend parents, so the store is
 			// exactly as it was before the aborted pre-creation.
-			for i, dev := range newVM.Image.Devices {
-				_ = dst.Store.Rm(path.Dir(xenbus.BackendPath(newVM.Dom.ID, dev.Kind, i)))
+			for _, dev := range newVM.Image.Devices {
+				_ = dst.Store.Rm(xenbus.BackendDomainDir(newVM.Dom.ID, dev.Kind))
 			}
 			_ = dst.Store.Rm(xenbus.DomainPath(newVM.Dom.ID))
-		} else {
-			dst.Noxs.DestroyAll(newVM.Dom.ID)
 		}
 		_ = dst.HV.DestroyDomain(newVM.Dom.ID)
 	})

@@ -160,11 +160,7 @@ func (c *Chaos) Destroy(vm *VM) error {
 		if crashErr = e.crashPoint("chaos.destroy.begin"); crashErr != nil {
 			return
 		}
-		if us {
-			e.RemoveStoreDevices(vm.Dom.ID, vm.Image.Devices)
-		} else {
-			e.Noxs.DestroyAll(vm.Dom.ID)
-		}
+		e.RemoveDevices(vm.Dom.ID, vm.Image.Devices, us)
 		if crashErr = e.crashPoint("chaos.destroy.devices"); crashErr != nil {
 			return
 		}

@@ -124,27 +124,37 @@ func (e *Env) crashPoint(site string) error {
 	return fmt.Errorf("%w: %s", ErrToolstackCrash, site)
 }
 
-// journalSet records the step about to run for key. useStore selects
-// the xl/store journal versus the noxs module journal; the write is
-// charged like any other store op / ioctl.
+// journalSet records the step about to run for key, when crashes are
+// planned.
 func (e *Env) journalSet(useStore bool, key, op, step string, dom hv.DomID) {
-	if !e.crashEnabled() {
-		return
-	}
-	rec := journalRecord{Key: key, Op: op, Step: step, Dom: dom}
-	if useStore {
-		e.Store.WriteAt(journalRoot, key, rec.encode())
-	} else {
-		e.Noxs.JournalSet(key, rec.encode())
+	if e.crashEnabled() {
+		e.journalPut(useStore, journalRecord{Key: key, Op: op, Step: step, Dom: dom})
 	}
 }
 
 // journalClear removes key's record once the operation has fully
-// completed (or been rolled back in-line by a surviving toolstack).
+// completed (or been rolled back in-line by a surviving toolstack),
+// when crashes are planned.
 func (e *Env) journalClear(useStore bool, key string) {
-	if !e.crashEnabled() {
-		return
+	if e.crashEnabled() {
+		e.journalDel(useStore, key)
 	}
+}
+
+// journalPut writes rec under its key, whatever the crash plan:
+// useStore selects the xl/store journal versus the noxs module
+// journal, and the write is charged like any other store op / ioctl.
+func (e *Env) journalPut(useStore bool, rec journalRecord) {
+	if useStore {
+		e.Store.WriteAt(journalRoot, rec.Key, rec.encode())
+	} else {
+		e.Noxs.JournalSet(rec.Key, rec.encode())
+	}
+}
+
+// journalDel removes key's record, whatever the crash plan, from the
+// journal useStore selects.
+func (e *Env) journalDel(useStore bool, key string) {
 	if useStore {
 		_ = e.Store.Rm(journalRoot + "/" + key)
 	} else {

@@ -16,17 +16,16 @@ import (
 // StoreDeviceCreate performs the XenStore handshake for one device:
 // the toolstack's frontend and backend entries in one transaction,
 // then the wait for the backend (and its hotplug) to come up. It
-// returns the device's backend directory.
-func (e *Env) StoreDeviceCreate(dom hv.DomID, idx int, kind hv.DevKind, mac string) (string, error) {
-	req := xenbus.DeviceReq{Kind: kind, Dom: dom, Idx: idx, MAC: mac}
-	be := xenbus.BackendPath(dom, kind, idx)
+// returns the device.
+func (e *Env) StoreDeviceCreate(dom hv.DomID, idx int, kind hv.DevKind, mac string) (xenbus.Device, error) {
+	d := xenbus.NewDevice(dom, kind, idx)
 	if err := e.Store.Txn(8, func(tx *xenstore.Tx) error {
-		xenbus.WriteDeviceEntries(tx, req, be)
+		xenbus.WriteDeviceEntries(tx, d, mac)
 		return nil
 	}); err != nil {
-		return be, err
+		return d, err
 	}
-	return be, xenbus.WaitBackendReady(e.Store, e.Clock, dom, kind, idx, be)
+	return d, xenbus.WaitBackendReady(e.Store, e.Clock, d)
 }
 
 // CreateDevices builds a guest's devices on its device path: the store
@@ -50,17 +49,26 @@ func (e *Env) CreateDevices(dom hv.DomID, devs []guest.DeviceSpec, useStore bool
 	return err
 }
 
-// RemoveStoreDevices tears down a guest's store-path devices in index
-// order: each device's Dom0 backend (event channel, vif hotplug), then
-// its registry entries on both ends.
-func (e *Env) RemoveStoreDevices(dom hv.DomID, devs []guest.DeviceSpec) {
-	for i, dev := range devs {
-		be := xenbus.BackendPath(dom, dev.Kind, i)
-		if b := e.backendFor(dev.Kind); b != nil {
-			b.Teardown(dom, i, be)
-		}
-		xenbus.RemoveDeviceEntries(e.Store, dom, dev.Kind, i, be)
+// RemoveDevices tears down a guest's devices on its device path, the
+// inverse of CreateDevices: each store-path device in index order, or
+// the whole noxs device page.
+func (e *Env) RemoveDevices(dom hv.DomID, devs []guest.DeviceSpec, useStore bool) {
+	if !useStore {
+		e.Noxs.DestroyAll(dom)
+		return
 	}
+	for i, dev := range devs {
+		e.removeStoreDevice(xenbus.NewDevice(dom, dev.Kind, i))
+	}
+}
+
+// removeStoreDevice tears down one store-path device: its Dom0 backend
+// (event channel, vif hotplug), then its registry entries on both ends.
+func (e *Env) removeStoreDevice(d xenbus.Device) {
+	if b := e.backendFor(d.Kind); b != nil {
+		b.Teardown(d)
+	}
+	xenbus.RemoveDeviceEntries(e.Store, d)
 }
 
 // backendFor maps a device kind to its Dom0 backend, or nil for a kind

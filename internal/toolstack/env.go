@@ -309,21 +309,9 @@ func (e *Env) bootCreated(d Driver, vm *VM, bd Breakdown, start sim.Time) (*VM, 
 // (dilated by its neighbours), then idle-load registration.
 func (e *Env) BootGuest(vm *VM) error {
 	im := vm.Image
-	if vm.Mode.UsesStore() {
-		for i, dev := range im.Devices {
-			if err := xenbus.ConnectFrontend(e.Store, e.HV, vm.Dom.ID, dev.Kind, i); err != nil {
-				return fmt.Errorf("toolstack: boot %q: %w", vm.Name, err)
-			}
-		}
-		// Linux guests chatter with the store while booting.
-		if im.StoreOpsBoot > 0 {
-			e.Store.ChargeReads(xenbus.DomainPath(vm.Dom.ID), "name", im.StoreOpsBoot)
-		}
-		e.Store.Connections++
-	} else {
-		if err := e.Noxs.ConnectGuest(vm.Dom.ID); err != nil {
-			return fmt.Errorf("toolstack: boot %q: %w", vm.Name, err)
-		}
+	// Linux guests chatter with the store while booting.
+	if err := e.connectDevices(vm, im.StoreOpsBoot); err != nil {
+		return fmt.Errorf("toolstack: boot %q: %w", vm.Name, err)
 	}
 	e.Sched.RunWork(e.Clock, vm.Core, im.BootWork)
 	e.markRunning(vm)
@@ -336,6 +324,27 @@ func (e *Env) BootGuest(vm *VM) error {
 		VM: vm.Name, Image: im.Name, Kind: im.Kind.String(),
 		Core: vm.Core, Devices: len(im.Devices), Path: path, At: e.Clock.Now(),
 	})
+	return nil
+}
+
+// connectDevices is the guest side of the device handshake, at boot
+// and at resume. On the store path every frontend connects (Fig. 7a),
+// storeReads store reads are charged, and the guest's store connection
+// is counted after them; on noxs the guest maps its device page
+// (Fig. 7b).
+func (e *Env) connectDevices(vm *VM, storeReads int) error {
+	if !vm.Mode.UsesStore() {
+		return e.Noxs.ConnectGuest(vm.Dom.ID)
+	}
+	for i, dev := range vm.Image.Devices {
+		if err := xenbus.ConnectFrontend(e.Store, e.HV, xenbus.NewDevice(vm.Dom.ID, dev.Kind, i)); err != nil {
+			return err
+		}
+	}
+	if storeReads > 0 {
+		e.Store.ChargeReads(xenbus.DomainPath(vm.Dom.ID), "name", storeReads)
+	}
+	e.Store.Connections++
 	return nil
 }
 
@@ -394,18 +403,8 @@ func (e *Env) PopulateGuest(id hv.DomID, img guest.Image) error {
 // reconnect and idle load is re-registered, but no OS boot happens —
 // the guest resumes from its saved state.
 func (e *Env) BootResumed(vm *VM) error {
-	im := vm.Image
-	if vm.Mode.UsesStore() {
-		for i, dev := range im.Devices {
-			if err := xenbus.ConnectFrontend(e.Store, e.HV, vm.Dom.ID, dev.Kind, i); err != nil {
-				return fmt.Errorf("toolstack: resume %q: %w", vm.Name, err)
-			}
-		}
-		e.Store.Connections++
-	} else {
-		if err := e.Noxs.ConnectGuest(vm.Dom.ID); err != nil {
-			return fmt.Errorf("toolstack: resume %q: %w", vm.Name, err)
-		}
+	if err := e.connectDevices(vm, 0); err != nil {
+		return fmt.Errorf("toolstack: resume %q: %w", vm.Name, err)
 	}
 	e.markRunning(vm)
 	e.Console.Attach(vm.Dom.ID)

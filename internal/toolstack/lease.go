@@ -63,12 +63,7 @@ func (e *Env) GrantLease(name string, epoch uint64, useStore bool) {
 	if vm, ok := e.vms[name]; ok && vm.Dom != nil {
 		dom = vm.Dom.ID
 	}
-	rec := journalRecord{Key: leasePrefix + name, Op: journalOpLease, Step: "own", Dom: dom, Epoch: epoch}
-	if useStore {
-		e.Store.WriteAt(journalRoot, rec.Key, rec.encode())
-	} else {
-		e.Noxs.JournalSet(rec.Key, rec.encode())
-	}
+	e.journalPut(useStore, journalRecord{Key: leasePrefix + name, Op: journalOpLease, Step: "own", Dom: dom, Epoch: epoch})
 }
 
 // RevokeLease drops a lease and its journal record — a clean ownership
@@ -78,11 +73,7 @@ func (e *Env) RevokeLease(name string, useStore bool) {
 		return
 	}
 	delete(e.leases, name)
-	if useStore {
-		_ = e.Store.Rm(journalRoot + "/" + leasePrefix + name)
-	} else {
-		e.Noxs.JournalClear(leasePrefix + name)
-	}
+	e.journalDel(useStore, leasePrefix+name)
 }
 
 // LeaseEpoch reports the epoch this Dom0 holds for name, if any.
@@ -143,11 +134,7 @@ func (e *Env) scrubLease(rec journalRecord, useStore bool, r *ScrubReport) {
 		_ = e.reapDomain(rec.Dom, useStore, name, r)
 	}
 	delete(e.leases, name)
-	if useStore {
-		_ = e.Store.Rm(journalRoot + "/" + rec.Key)
-	} else {
-		e.Noxs.JournalClear(rec.Key)
-	}
+	e.journalDel(useStore, rec.Key)
 	r.Journals++
 	if e.Trace != nil {
 		e.Trace.Emit("toolstack", "fence-scrub", name, fmt.Sprintf("epoch=%d", rec.Epoch), 0)

@@ -214,11 +214,7 @@ func (p *Pool) crash() {
 // the pre-created domain.
 func (p *Pool) reap(s *Shell) {
 	e := p.env
-	if s.flavor.Store {
-		e.RemoveStoreDevices(s.Dom.ID, s.flavor.Devices)
-	} else {
-		e.Noxs.DestroyAll(s.Dom.ID)
-	}
+	e.RemoveDevices(s.Dom.ID, s.flavor.Devices, s.flavor.Store)
 	_ = e.HV.DestroyDomain(s.Dom.ID)
 }
 

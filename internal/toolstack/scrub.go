@@ -79,13 +79,9 @@ func (e *Env) replayJournal(rec journalRecord, useStore bool, r *ScrubReport) {
 		return
 	}
 	_ = e.reapDomain(rec.Dom, useStore, rec.Key, r)
-	// Clear directly (not via the gated journalClear): the record
-	// exists, whatever the injector's current plan says.
-	if useStore {
-		_ = e.Store.Rm(journalRoot + "/" + rec.Key)
-	} else {
-		e.Noxs.JournalClear(rec.Key)
-	}
+	// Clear ungated (not via journalClear): the record exists,
+	// whatever the injector's current plan says.
+	e.journalDel(useStore, rec.Key)
 	r.Journals++
 	if e.Trace != nil {
 		e.Trace.Emit("toolstack", "recover", rec.Key, "op="+rec.Op+" step="+rec.Step, 0)
@@ -107,20 +103,16 @@ func (e *Env) reapDomain(dom hv.DomID, useStore bool, name string, r *ScrubRepor
 	if dom != 0 {
 		if useStore {
 			for _, kind := range scrubKinds {
-				dir := xenbus.BackendDir(kind) + "/" + strconv.Itoa(int(dom))
+				dir := xenbus.BackendDomainDir(dom, kind)
 				idxs, err := e.Store.Directory(dir)
 				if err != nil {
 					continue
 				}
 				sort.Strings(idxs)
 				for _, is := range idxs {
-					idx, aerr := strconv.Atoi(is)
-					if aerr != nil {
-						continue
+					if idx, aerr := strconv.Atoi(is); aerr == nil {
+						e.removeStoreDevice(xenbus.NewDevice(dom, kind, idx))
 					}
-					be := xenbus.BackendPath(dom, kind, idx)
-					e.backendFor(kind).Teardown(dom, idx, be)
-					xenbus.RemoveDeviceEntries(e.Store, dom, kind, idx, be)
 				}
 				_ = e.Store.Rm(dir)
 			}

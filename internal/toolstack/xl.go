@@ -182,13 +182,13 @@ func vmUUID(id hv.DomID) string {
 func (x *XL) createDevices(vm *VM) error {
 	e := x.env
 	for i, dev := range vm.Image.Devices {
-		be, err := e.StoreDeviceCreate(vm.Dom.ID, i, dev.Kind, dev.MAC)
+		d, err := e.StoreDeviceCreate(vm.Dom.ID, i, dev.Kind, dev.MAC)
 		if err != nil {
 			return err
 		}
 		// libxl re-reads the device's backend nodes to verify.
 		for _, k := range [...]string{"state", "event-channel", "grant-ref"} {
-			e.Store.ChargeReads(be, k, 1)
+			e.Store.ChargeReads(d.Backend, k, 1)
 		}
 	}
 	return nil
@@ -213,7 +213,7 @@ func (x *XL) Destroy(vm *VM) error {
 		if crashErr = e.crashPoint("xl.destroy.begin"); crashErr != nil {
 			return
 		}
-		e.RemoveStoreDevices(vm.Dom.ID, vm.Image.Devices)
+		e.RemoveDevices(vm.Dom.ID, vm.Image.Devices, true)
 		if crashErr = e.crashPoint("xl.destroy.devices"); crashErr != nil {
 			return
 		}

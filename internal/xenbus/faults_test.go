@@ -22,7 +22,7 @@ func TestHandshakeStallRecoversViaReattach(t *testing.T) {
 	})
 	start := f.clock.Now()
 	f.createDevice(t, d.ID)
-	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
+	if err := WaitBackendReady(f.s, f.clock, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatalf("handshake did not recover via re-attach: %v", err)
 	}
 	if f.be.StallsInjected != 1 {
@@ -37,7 +37,7 @@ func TestHandshakeStallRecoversViaReattach(t *testing.T) {
 		t.Fatalf("recovered in %v, faster than the %v watch timeout", elapsed, costs.DeviceHandshakeTimeout)
 	}
 	// And the device must be fully usable afterwards.
-	if err := ConnectFrontend(f.s, f.h, d.ID, hv.DevVif, 0); err != nil {
+	if err := ConnectFrontend(f.s, f.h, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatalf("frontend connect after recovery: %v", err)
 	}
 }
@@ -52,7 +52,7 @@ func TestHandshakeStallExhaustsToDeviceTimeout(t *testing.T) {
 		Kinds: []faults.Kind{faults.KindHandshakeStall},
 	})
 	f.createDevice(t, d.ID)
-	err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0))
+	err := WaitBackendReady(f.s, f.clock, NewDevice(d.ID, hv.DevVif, 0))
 	if err == nil {
 		t.Fatal("wait succeeded with every announcement dropped")
 	}
@@ -71,12 +71,12 @@ func TestConnectFrontendBadEntryIsTyped(t *testing.T) {
 	f := newFixture(t)
 	d := f.newDomain(t)
 	f.createDevice(t, d.ID)
-	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
+	if err := WaitBackendReady(f.s, f.clock, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
 	be := BackendPath(d.ID, hv.DevVif, 0)
 	f.s.Write(be+"/event-channel", "not-a-number")
-	err := ConnectFrontend(f.s, f.h, d.ID, hv.DevVif, 0)
+	err := ConnectFrontend(f.s, f.h, NewDevice(d.ID, hv.DevVif, 0))
 	if !errors.Is(err, ErrBadEntry) {
 		t.Fatalf("error %v is not ErrBadEntry", err)
 	}
@@ -89,7 +89,7 @@ func TestConnectFrontendBackendGoneIsTyped(t *testing.T) {
 	// No WaitBackendReady and no backend nodes: connect must fail with
 	// the typed sentinel.
 	_ = f.s.Rm(BackendPath(d.ID, hv.DevVif, 0))
-	err := ConnectFrontend(f.s, f.h, d.ID, hv.DevVif, 0)
+	err := ConnectFrontend(f.s, f.h, NewDevice(d.ID, hv.DevVif, 0))
 	if !errors.Is(err, ErrBackendGone) {
 		t.Fatalf("error %v is not ErrBackendGone", err)
 	}

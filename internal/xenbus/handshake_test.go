@@ -41,10 +41,11 @@ func newHandshakeHost(t testing.TB, guests int) *handshakeHost {
 	hh.backs[hv.DevConsole] = NewBackend(hv.DevConsole, hh.h, hh.s, nil)
 	for i := 0; i < guests; i++ {
 		d := hh.domain(t)
-		if err := hh.create(d.ID, hv.DevVif, 0); err != nil {
+		dev := NewDevice(d.ID, hv.DevVif, 0)
+		if err := hh.create(dev); err != nil {
 			t.Fatal(err)
 		}
-		if err := ConnectFrontend(hh.s, hh.h, d.ID, hv.DevVif, 0); err != nil {
+		if err := ConnectFrontend(hh.s, hh.h, dev); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -62,19 +63,18 @@ func (hh *handshakeHost) domain(t testing.TB) *hv.Domain {
 
 // create is the toolstack half: the device entries in one transaction,
 // then the wait for the backend.
-func (hh *handshakeHost) create(dom hv.DomID, kind hv.DevKind, idx int) error {
-	req := DeviceReq{Kind: kind, Dom: dom, Idx: idx}
-	if kind == hv.DevVif {
-		req.MAC = fmt.Sprintf("00:16:3e:00:%02x:%02x", dom>>8&0xff, dom&0xff)
+func (hh *handshakeHost) create(d Device) error {
+	var mac string
+	if d.Kind == hv.DevVif {
+		mac = fmt.Sprintf("00:16:3e:00:%02x:%02x", d.Dom>>8&0xff, d.Dom&0xff)
 	}
-	be := BackendPath(dom, kind, idx)
 	if err := hh.s.Txn(8, func(tx *xenstore.Tx) error {
-		WriteDeviceEntries(tx, req, be)
+		WriteDeviceEntries(tx, d, mac)
 		return nil
 	}); err != nil {
 		return err
 	}
-	return WaitBackendReady(hh.s, hh.clock, dom, kind, idx, be)
+	return WaitBackendReady(hh.s, hh.clock, d)
 }
 
 // TestHandshakePinned pins the whole split-driver lifecycle of a vif,
@@ -98,13 +98,14 @@ func TestHandshakePinned(t *testing.T) {
 		hh.s.Watch(BackendDir(kind), "rec-"+KindName(kind), record)
 	}
 	for i, kind := range []hv.DevKind{hv.DevVif, hv.DevVbd, hv.DevConsole} {
-		if err := hh.create(d.ID, kind, i); err != nil {
+		dev := NewDevice(d.ID, kind, i)
+		if err := hh.create(dev); err != nil {
 			t.Fatalf("%s: %v", KindName(kind), err)
 		}
-		if err := ConnectFrontend(hh.s, hh.h, d.ID, kind, i); err != nil {
+		if err := ConnectFrontend(hh.s, hh.h, dev); err != nil {
 			t.Fatalf("%s: %v", KindName(kind), err)
 		}
-		for _, dir := range []string{FrontendPath(d.ID, kind, i), BackendPath(d.ID, kind, i)} {
+		for _, dir := range []string{dev.Frontend, dev.Backend} {
 			blob, err := hh.s.SerializeSubtree(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -113,9 +114,9 @@ func TestHandshakePinned(t *testing.T) {
 		}
 	}
 	for i, kind := range []hv.DevKind{hv.DevVif, hv.DevVbd, hv.DevConsole} {
-		be := BackendPath(d.ID, kind, i)
-		hh.backs[kind].Teardown(d.ID, i, be)
-		RemoveDeviceEntries(hh.s, d.ID, kind, i, be)
+		dev := NewDevice(d.ID, kind, i)
+		hh.backs[kind].Teardown(dev)
+		RemoveDeviceEntries(hh.s, dev)
 	}
 	fmt.Fprintf(&out, "end %d\ncounters %+v\n", int64(hh.clock.Now()), hh.s.Count)
 
@@ -158,14 +159,16 @@ func BenchmarkDeviceHandshake(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := hh.create(d.ID, hv.DevVif, 0); err != nil {
+		// Create, connect and destroy each name the device afresh, as
+		// the toolstack's create, boot and destroy do.
+		if err := hh.create(NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 			b.Fatal(err)
 		}
-		if err := ConnectFrontend(hh.s, hh.h, d.ID, hv.DevVif, 0); err != nil {
+		if err := ConnectFrontend(hh.s, hh.h, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 			b.Fatal(err)
 		}
-		be := BackendPath(d.ID, hv.DevVif, 0)
-		hh.backs[hv.DevVif].Teardown(d.ID, 0, be)
-		RemoveDeviceEntries(hh.s, d.ID, hv.DevVif, 0, be)
+		dev := NewDevice(d.ID, hv.DevVif, 0)
+		hh.backs[hv.DevVif].Teardown(dev)
+		RemoveDeviceEntries(hh.s, dev)
 	}
 }

@@ -7,15 +7,15 @@
 //
 // This is the baseline ("XenStore") device path that noxs replaces.
 //
-// Each operation builds its device's frontend and backend directories
-// once and reads and writes the entries under them through the
-// store's directory-relative ops (Store.ReadAt, Store.WriteAt,
-// Tx.ReadAt, Tx.WriteAt). They charge exactly what the full-path ops
-// charge, but build an entry's path only for a watch that matches it:
-// the netback watch on the backend root takes one per backend write.
-// The toolstack builds a device's backend directory once per create or
-// destroy and passes it to every step that uses it (WriteDeviceEntries,
-// WaitBackendReady, Backend.Teardown, RemoveDeviceEntries).
+// A Device names one device and carries its frontend and backend
+// directories, built once by NewDevice. Every lifecycle step takes it
+// by value (WriteDeviceEntries, WaitBackendReady, ConnectFrontend,
+// Backend.Teardown, RemoveDeviceEntries) and reads and writes the
+// entries under those directories through the store's
+// directory-relative ops (Store.ReadAt, Store.WriteAt, Tx.ReadAt,
+// Tx.WriteAt). They charge exactly what the full-path ops charge, but
+// build an entry's path only for a watch that matches it: the netback
+// watch on the backend root takes one per backend write.
 package xenbus
 
 import (
@@ -119,24 +119,48 @@ const backendRoot = "/local/domain/0/backend/"
 // its watch covers, with one "<dom>/<idx>" subdirectory per device.
 func BackendDir(kind hv.DevKind) string { return backendRoot + kindName(kind) }
 
+// BackendDomainDir returns the Dom0-side directory holding one guest's
+// devices of one kind, "/local/domain/0/backend/<kind>/<dom>".
+func BackendDomainDir(dom hv.DomID, kind hv.DevKind) string {
+	buf := make([]byte, 0, 48)
+	return string(appendBackendDomainDir(buf, dom, kind))
+}
+
 // BackendPath returns the Dom0-side store directory for a device.
 func BackendPath(dom hv.DomID, kind hv.DevKind, idx int) string {
 	buf := make([]byte, 0, 48)
-	buf = append(buf, backendRoot...)
-	buf = append(buf, kindName(kind)...)
-	buf = append(buf, '/')
-	buf = strconv.AppendInt(buf, int64(dom), 10)
+	buf = appendBackendDomainDir(buf, dom, kind)
 	buf = append(buf, '/')
 	buf = strconv.AppendInt(buf, int64(idx), 10)
 	return string(buf)
 }
 
-// DeviceReq describes a device the toolstack wants to create.
-type DeviceReq struct {
-	Kind hv.DevKind
-	Dom  hv.DomID
-	Idx  int
-	MAC  string // vif only
+func appendBackendDomainDir(buf []byte, dom hv.DomID, kind hv.DevKind) []byte {
+	buf = append(buf, backendRoot...)
+	buf = append(buf, kindName(kind)...)
+	buf = append(buf, '/')
+	return strconv.AppendInt(buf, int64(dom), 10)
+}
+
+// Device is one split-driver device: the guest it belongs to, its kind
+// and index, and its frontend and backend store directories. It is a
+// small value, passed by value through every lifecycle step.
+type Device struct {
+	Dom      hv.DomID
+	Kind     hv.DevKind
+	Idx      int
+	Frontend string // FrontendPath(Dom, Kind, Idx)
+	Backend  string // BackendPath(Dom, Kind, Idx)
+}
+
+// NewDevice names device idx of kind on guest dom and builds its two
+// directories.
+func NewDevice(dom hv.DomID, kind hv.DevKind, idx int) Device {
+	return Device{
+		Dom: dom, Kind: kind, Idx: idx,
+		Frontend: FrontendPath(dom, kind, idx),
+		Backend:  BackendPath(dom, kind, idx),
+	}
 }
 
 // Backend is a Dom0 backend driver (netback/blkback) for one device
@@ -243,41 +267,41 @@ func (b *Backend) setup(dir string) {
 	b.DevicesSetUp++
 }
 
-// Teardown closes down the backend half of a device (used on destroy
-// and migration); be is its BackendPath.
-func (b *Backend) Teardown(dom hv.DomID, idx int, be string) {
-	if portStr, err := b.Store.ReadAt(be, "event-channel"); err == nil {
+// Teardown closes down the backend half of d (used on destroy and
+// migration).
+func (b *Backend) Teardown(d Device) {
+	if portStr, err := b.Store.ReadAt(d.Backend, "event-channel"); err == nil {
 		if p, err := strconv.Atoi(portStr); err == nil {
 			_ = b.HV.ClosePort(hv.Port(p))
 		}
 	}
 	if b.Kind == hv.DevVif && b.Hotplug != nil {
-		if err := b.Hotplug.Teardown(int(dom), idx); err != nil {
+		if err := b.Hotplug.Teardown(int(d.Dom), d.Idx); err != nil {
 			b.HotplugFailures++
 		}
 	}
-	_ = b.Store.Rm(be)
+	_ = b.Store.Rm(d.Backend)
 }
 
 // WriteDeviceEntries performs the toolstack's half of step 1 of
-// Fig. 7a inside the caller's transaction: ~15 entries across the
-// frontend and backend directories ("the VM creation process alone can
-// require interaction with over 30 XenStore entries"). be is the
-// device's BackendPath.
-func WriteDeviceEntries(tx *xenstore.Tx, req DeviceReq, be string) {
-	fe := FrontendPath(req.Dom, req.Kind, req.Idx)
+// Fig. 7a for d inside the caller's transaction: ~15 entries across
+// the frontend and backend directories ("the VM creation process alone
+// can require interaction with over 30 XenStore entries"). mac is
+// written for a vif only.
+func WriteDeviceEntries(tx *xenstore.Tx, d Device, mac string) {
+	fe, be := d.Frontend, d.Backend
 	tx.WriteAt(fe, "backend", be)
 	tx.WriteAt(fe, "backend-id", "0")
-	tx.WriteAt(fe, "handle", strconv.Itoa(req.Idx))
-	if req.Kind == hv.DevVif {
-		tx.WriteAt(fe, "mac", req.MAC)
-		tx.WriteAt(be, "mac", req.MAC)
+	tx.WriteAt(fe, "handle", strconv.Itoa(d.Idx))
+	if d.Kind == hv.DevVif {
+		tx.WriteAt(fe, "mac", mac)
+		tx.WriteAt(be, "mac", mac)
 		tx.WriteAt(be, "bridge", "xenbr0")
 	}
 	tx.WriteAt(fe, "state", strconv.Itoa(StateInitialising))
 	tx.WriteAt(be, "frontend", fe)
-	tx.WriteAt(be, "frontend-id", strconv.Itoa(int(req.Dom)))
-	tx.WriteAt(be, "handle", strconv.Itoa(req.Idx))
+	tx.WriteAt(be, "frontend-id", strconv.Itoa(int(d.Dom)))
+	tx.WriteAt(be, "handle", strconv.Itoa(d.Idx))
 	tx.WriteAt(be, "online", "1")
 	tx.WriteAt(be, "state", strconv.Itoa(StateInitialising))
 }
@@ -294,8 +318,8 @@ const handshakeAttempts = 3
 // toolstack re-attaches: it rewrites the state node to Initialising,
 // which re-fires the backend's watch and restarts setup. After
 // handshakeAttempts silent windows it degrades to ErrDeviceTimeout.
-// be is the device's BackendPath.
-func WaitBackendReady(s *xenstore.Store, clock *sim.Clock, dom hv.DomID, kind hv.DevKind, idx int, be string) error {
+func WaitBackendReady(s *xenstore.Store, clock *sim.Clock, d Device) error {
+	be := d.Backend
 	for attempt := 0; attempt < handshakeAttempts; attempt++ {
 		deadline := clock.Now().Add(costs.DeviceHandshakeTimeout)
 		for {
@@ -316,22 +340,21 @@ func WaitBackendReady(s *xenstore.Store, clock *sim.Clock, dom hv.DomID, kind hv
 		}
 	}
 	return fmt.Errorf("%w: backend %s/%d for domain %d silent across %d attempts",
-		ErrDeviceTimeout, kindName(kind), idx, dom, handshakeAttempts)
+		ErrDeviceTimeout, kindName(d.Kind), d.Idx, d.Dom, handshakeAttempts)
 }
 
 // ConnectFrontend is the guest half (steps 3–4 of Fig. 7a), run when
 // the guest boots: read the backend's event channel and grant, bind
 // and map them, and flip both states to Connected.
-func ConnectFrontend(s *xenstore.Store, h *hv.Hypervisor, dom hv.DomID, kind hv.DevKind, idx int) error {
-	fe := FrontendPath(dom, kind, idx)
-	be := BackendPath(dom, kind, idx)
+func ConnectFrontend(s *xenstore.Store, h *hv.Hypervisor, d Device) error {
+	be := d.Backend
 	portStr, err := s.ReadAt(be, "event-channel")
 	if err != nil {
-		return fmt.Errorf("%w: frontend %s/%d dom %d: %v", ErrBackendGone, kindName(kind), idx, dom, err)
+		return fmt.Errorf("%w: frontend %s/%d dom %d: %v", ErrBackendGone, kindName(d.Kind), d.Idx, d.Dom, err)
 	}
 	refStr, err := s.ReadAt(be, "grant-ref")
 	if err != nil {
-		return fmt.Errorf("%w: frontend %s/%d dom %d: %v", ErrBackendGone, kindName(kind), idx, dom, err)
+		return fmt.Errorf("%w: frontend %s/%d dom %d: %v", ErrBackendGone, kindName(d.Kind), d.Idx, d.Dom, err)
 	}
 	port, err := strconv.Atoi(portStr)
 	if err != nil {
@@ -341,27 +364,27 @@ func ConnectFrontend(s *xenstore.Store, h *hv.Hypervisor, dom hv.DomID, kind hv.
 	if err != nil {
 		return fmt.Errorf("%w: bad grant-ref %q: %v", ErrBadEntry, refStr, err)
 	}
-	if err := h.BindPort(hv.Port(port), dom, func() {}); err != nil {
+	if err := h.BindPort(hv.Port(port), d.Dom, func() {}); err != nil {
 		return err
 	}
-	if _, err := h.MapGrant(hv.GrantRef(ref), dom); err != nil {
+	if _, err := h.MapGrant(hv.GrantRef(ref), d.Dom); err != nil {
 		return err
 	}
 	h.Clock.Sleep(costs.FrontendDeviceInit)
-	s.WriteAt(fe, "state", strconv.Itoa(StateConnected))
+	s.WriteAt(d.Frontend, "state", strconv.Itoa(StateConnected))
 	s.WriteAt(be, "state", strconv.Itoa(StateConnected))
 	// A running frontend keeps a watch on its backend directory — one
 	// of the per-guest costs that accumulate against the store.
-	s.Watch(be, FrontendWatchToken(dom, kind, idx), func(string, string) {})
+	s.Watch(be, FrontendWatchToken(d.Dom, d.Kind, d.Idx), func(string, string) {})
 	return nil
 }
 
-// RemoveDeviceEntries deletes a device's store state (toolstack side
-// of destroy), including the running frontend's watch — without this
-// the store's watch list (and with it every write's matching cost)
-// would grow forever under churn. be is the device's BackendPath.
-func RemoveDeviceEntries(s *xenstore.Store, dom hv.DomID, kind hv.DevKind, idx int, be string) {
-	_ = s.Rm(FrontendPath(dom, kind, idx))
-	_ = s.Rm(be)
-	s.UnwatchByToken(FrontendWatchToken(dom, kind, idx))
+// RemoveDeviceEntries deletes d's store state (toolstack side of
+// destroy), including the running frontend's watch — without this the
+// store's watch list (and with it every write's matching cost) would
+// grow forever under churn.
+func RemoveDeviceEntries(s *xenstore.Store, d Device) {
+	_ = s.Rm(d.Frontend)
+	_ = s.Rm(d.Backend)
+	s.UnwatchByToken(FrontendWatchToken(d.Dom, d.Kind, d.Idx))
 }

@@ -45,7 +45,7 @@ func (f *fixture) newDomain(t *testing.T) *hv.Domain {
 func (f *fixture) createDevice(t *testing.T, dom hv.DomID) {
 	t.Helper()
 	err := f.s.Txn(8, func(tx *xenstore.Tx) error {
-		WriteDeviceEntries(tx, DeviceReq{Kind: hv.DevVif, Dom: dom, Idx: 0, MAC: "00:16:3e:00:00:01"}, BackendPath(dom, hv.DevVif, 0))
+		WriteDeviceEntries(tx, NewDevice(dom, hv.DevVif, 0), "00:16:3e:00:00:01")
 		return nil
 	})
 	if err != nil {
@@ -60,7 +60,7 @@ func TestFullHandshake(t *testing.T) {
 
 	// Backend work is asynchronous; waiting advances the clock and
 	// lets it run.
-	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
+	if err := WaitBackendReady(f.s, f.clock, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if f.be.DevicesSetUp != 1 {
@@ -76,7 +76,7 @@ func TestFullHandshake(t *testing.T) {
 	}
 
 	// Guest boots: frontend connects.
-	if err := ConnectFrontend(f.s, f.h, d.ID, hv.DevVif, 0); err != nil {
+	if err := ConnectFrontend(f.s, f.h, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
 	fest, _ := f.s.Read(FrontendPath(d.ID, hv.DevVif, 0) + "/state")
@@ -97,10 +97,10 @@ func TestHandshakeLeavesFrontendWatch(t *testing.T) {
 	d := f.newDomain(t)
 	before := f.s.NumWatches()
 	f.createDevice(t, d.ID)
-	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
+	if err := WaitBackendReady(f.s, f.clock, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ConnectFrontend(f.s, f.h, d.ID, hv.DevVif, 0); err != nil {
+	if err := ConnectFrontend(f.s, f.h, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if f.s.NumWatches() != before+1 {
@@ -113,7 +113,7 @@ func TestConnectBeforeBackendReadyFails(t *testing.T) {
 	d := f.newDomain(t)
 	f.createDevice(t, d.ID)
 	// No wait: backend hasn't run, no event-channel node yet.
-	if err := ConnectFrontend(f.s, f.h, d.ID, hv.DevVif, 0); err == nil {
+	if err := ConnectFrontend(f.s, f.h, NewDevice(d.ID, hv.DevVif, 0)); err == nil {
 		t.Fatal("frontend connected before backend published details")
 	}
 }
@@ -125,7 +125,7 @@ func TestWaitBackendTimesOutWithoutBackend(t *testing.T) {
 	d, _ := h.CreateDomain(hv.Config{MaxMem: mib})
 	// No backend registered at all.
 	s.Write(BackendPath(d.ID, hv.DevVif, 0)+"/state", strconv.Itoa(StateInitialising))
-	if err := WaitBackendReady(s, clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err == nil {
+	if err := WaitBackendReady(s, clock, NewDevice(d.ID, hv.DevVif, 0)); err == nil {
 		t.Fatal("wait succeeded with no backend running")
 	}
 }
@@ -134,14 +134,14 @@ func TestTeardown(t *testing.T) {
 	f := newFixture(t)
 	d := f.newDomain(t)
 	f.createDevice(t, d.ID)
-	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
+	if err := WaitBackendReady(f.s, f.clock, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ConnectFrontend(f.s, f.h, d.ID, hv.DevVif, 0); err != nil {
+	if err := ConnectFrontend(f.s, f.h, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
-	f.be.Teardown(d.ID, 0, BackendPath(d.ID, hv.DevVif, 0))
-	RemoveDeviceEntries(f.s, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0))
+	f.be.Teardown(NewDevice(d.ID, hv.DevVif, 0))
+	RemoveDeviceEntries(f.s, NewDevice(d.ID, hv.DevVif, 0))
 	if f.s.Exists(BackendPath(d.ID, hv.DevVif, 0)) {
 		t.Fatal("backend dir survived teardown")
 	}
@@ -168,10 +168,10 @@ func TestMultipleDevicesSequential(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d := f.newDomain(t)
 		f.createDevice(t, d.ID)
-		if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
+		if err := WaitBackendReady(f.s, f.clock, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if err := ConnectFrontend(f.s, f.h, d.ID, hv.DevVif, 0); err != nil {
+		if err := ConnectFrontend(f.s, f.h, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,13 +231,13 @@ func TestHotplugAblation(t *testing.T) {
 		d, _ := h.CreateDomain(hv.Config{MaxMem: 8 * mib})
 		start := clock.Now()
 		err := s.Txn(8, func(tx *xenstore.Tx) error {
-			WriteDeviceEntries(tx, DeviceReq{Kind: hv.DevVif, Dom: d.ID, Idx: 0, MAC: "00:16:3e:00:00:02"}, BackendPath(d.ID, hv.DevVif, 0))
+			WriteDeviceEntries(tx, NewDevice(d.ID, hv.DevVif, 0), "00:16:3e:00:00:02")
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := WaitBackendReady(s, clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
+		if err := WaitBackendReady(s, clock, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 			t.Fatal(err)
 		}
 		return clock.Now().Sub(start)
@@ -275,7 +275,7 @@ func TestOverlappingCreationsConflictAndRecover(t *testing.T) {
 	if _, err := tx.ReadAt(BackendPath(d1.ID, hv.DevVif, 0), "state"); err != nil {
 		t.Fatal(err)
 	}
-	WriteDeviceEntries(tx, DeviceReq{Kind: hv.DevVif, Dom: d2.ID, Idx: 0, MAC: "00:16:3e:00:00:09"}, BackendPath(d2.ID, hv.DevVif, 0))
+	WriteDeviceEntries(tx, NewDevice(d2.ID, hv.DevVif, 0), "00:16:3e:00:00:09")
 
 	// Backend 1 completes while transaction 2 is open (advancing the
 	// clock runs its scheduled work, which writes under the observed
@@ -295,10 +295,10 @@ func TestOverlappingCreationsConflictAndRecover(t *testing.T) {
 	// The retry loop recovers: a fresh transaction goes through and
 	// the device completes its handshake.
 	f.createDevice(t, d2.ID)
-	if err := WaitBackendReady(f.s, f.clock, d2.ID, hv.DevVif, 0, BackendPath(d2.ID, hv.DevVif, 0)); err != nil {
+	if err := WaitBackendReady(f.s, f.clock, NewDevice(d2.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := ConnectFrontend(f.s, f.h, d2.ID, hv.DevVif, 0); err != nil {
+	if err := ConnectFrontend(f.s, f.h, NewDevice(d2.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -317,13 +317,13 @@ func TestTeardownCountsHotplugFailure(t *testing.T) {
 	f.be.Hotplug = hp
 	d := f.newDomain(t)
 	f.createDevice(t, d.ID)
-	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
+	if err := WaitBackendReady(f.s, f.clock, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if f.be.HotplugFailures != 0 {
 		t.Fatalf("%d hotplug failures after a clean setup", f.be.HotplugFailures)
 	}
-	f.be.Teardown(d.ID, 0, BackendPath(d.ID, hv.DevVif, 0))
+	f.be.Teardown(NewDevice(d.ID, hv.DevVif, 0))
 	if f.be.HotplugFailures != 1 {
 		t.Fatalf("HotplugFailures = %d after a failed teardown, want 1", f.be.HotplugFailures)
 	}
@@ -336,7 +336,7 @@ func TestVifNameMatchesBackendPort(t *testing.T) {
 	f := newFixture(t)
 	d := f.newDomain(t)
 	f.createDevice(t, d.ID)
-	if err := WaitBackendReady(f.s, f.clock, d.ID, hv.DevVif, 0, BackendPath(d.ID, hv.DevVif, 0)); err != nil {
+	if err := WaitBackendReady(f.s, f.clock, NewDevice(d.ID, hv.DevVif, 0)); err != nil {
 		t.Fatal(err)
 	}
 	// The backend attached the domain's vif 0, and only that.
