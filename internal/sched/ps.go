@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"sort"
 	"time"
 
 	"lightvm/internal/sim"
@@ -14,37 +13,32 @@ import (
 // firewall packet work in Fig. 16a), so completion times under
 // overload emerge from sharing rather than from a formula.
 type PS struct {
-	clock  *sim.Clock
-	cores  map[int]*psCore
-	nextID int
+	clock *sim.Clock
+	cores []*psCore // indexed by core number; nil for a core never used
 }
 
 type psCore struct {
-	jobs       map[int]*psJob
+	jobs       []*psJob // unfinished jobs in submission order
 	lastUpdate sim.Time
 	timerSeq   int // invalidates stale completion timers
 }
 
 type psJob struct {
-	id        int
 	remaining time.Duration
 	done      func(finished sim.Time)
 }
 
 // NewPS creates a processor-sharing queue on clock.
 func NewPS(clock *sim.Clock) *PS {
-	return &PS{clock: clock, cores: make(map[int]*psCore)}
+	return &PS{clock: clock}
 }
 
 // Submit queues work on core; done (optional) runs at completion with
-// the completion time. Job ids are per-queue, not global: hosts on
-// different shards submit concurrently, and a shared counter would be
-// both a data race and a cross-run nondeterminism.
+// the completion time.
 func (ps *PS) Submit(core int, work time.Duration, done func(sim.Time)) {
 	c := ps.core(core)
 	ps.catchUp(c)
-	ps.nextID++
-	c.jobs[ps.nextID] = &psJob{id: ps.nextID, remaining: work, done: done}
+	c.jobs = append(c.jobs, &psJob{remaining: work, done: done})
 	ps.rearm(core, c)
 }
 
@@ -58,18 +52,22 @@ func (ps *PS) Active(core int) int {
 // TotalActive reports unfinished jobs across all cores.
 func (ps *PS) TotalActive() int {
 	n := 0
-	for core, c := range ps.cores {
-		_ = core
-		ps.catchUp(c)
-		n += len(c.jobs)
+	for _, c := range ps.cores {
+		if c != nil {
+			ps.catchUp(c)
+			n += len(c.jobs)
+		}
 	}
 	return n
 }
 
 func (ps *PS) core(core int) *psCore {
-	c, ok := ps.cores[core]
-	if !ok {
-		c = &psCore{jobs: make(map[int]*psJob), lastUpdate: ps.clock.Now()}
+	for len(ps.cores) <= core {
+		ps.cores = append(ps.cores, nil)
+	}
+	c := ps.cores[core]
+	if c == nil {
+		c = &psCore{lastUpdate: ps.clock.Now()}
 		ps.cores[core] = c
 	}
 	return c
@@ -101,21 +99,21 @@ func (ps *PS) catchUp(c *psCore) {
 			return
 		}
 		// Advance to the completion point and retire finished jobs.
-		// Simultaneous finishers complete in submission (id) order, not
-		// map order — callbacks must fire identically on every run.
-		for _, j := range c.jobs {
-			j.remaining -= min
-		}
+		// Simultaneous finishers complete in submission order.
 		elapsed -= span
 		finishAt := now.Add(-sim.Duration(elapsed))
 		var finished []*psJob
-		for id, j := range c.jobs {
+		kept := c.jobs[:0]
+		for _, j := range c.jobs {
+			j.remaining -= min
 			if j.remaining <= 0 {
-				delete(c.jobs, id)
 				finished = append(finished, j)
+			} else {
+				kept = append(kept, j)
 			}
 		}
-		sort.Slice(finished, func(i, k int) bool { return finished[i].id < finished[k].id })
+		clear(c.jobs[len(kept):])
+		c.jobs = kept
 		for _, j := range finished {
 			if j.done != nil {
 				j.done(finishAt)
@@ -149,11 +147,15 @@ func (ps *PS) rearm(core int, c *psCore) {
 }
 
 // Drain runs the clock forward until every job on every core has
-// completed, returning the finish time.
+// completed, returning the finish time. Cores are caught up, and
+// re-armed, in core order.
 func (ps *PS) Drain() sim.Time {
 	for {
 		busy := false
 		for _, c := range ps.cores {
+			if c == nil {
+				continue
+			}
 			ps.catchUp(c)
 			if len(c.jobs) > 0 {
 				busy = true
@@ -167,7 +169,7 @@ func (ps *PS) Drain() sim.Time {
 		} else {
 			// No timer armed (all stale): re-arm every busy core.
 			for core, c := range ps.cores {
-				if len(c.jobs) > 0 {
+				if c != nil && len(c.jobs) > 0 {
 					ps.rearm(core, c)
 				}
 			}

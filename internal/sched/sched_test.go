@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -244,5 +246,45 @@ func TestPSConservation(t *testing.T) {
 	// Integer nanosecond arithmetic loses <1µs over a run like this.
 	if diff > sim.Time(time.Microsecond) {
 		t.Fatalf("makespan %v, want %v (±1µs)", last, want)
+	}
+}
+
+// TestPSTiedCoresCompleteInCoreOrder pins the walk order over cores.
+// Two cores each hold two jobs that finish together at 100ms, and both
+// cores' wake-ups are due then too, armed core 1 first. An event
+// queued ahead of them at 100ms catches every core up, through Drain or
+// through TotalActive, so all four completions fire from that one walk:
+// core 0's jobs, then core 1's, each core's in submission order. The
+// order must be the same on every replay.
+func TestPSTiedCoresCompleteInCoreOrder(t *testing.T) {
+	const at = 100 * time.Millisecond
+	for _, walk := range []string{"Drain", "TotalActive"} {
+		for replay := 0; replay < 100; replay++ {
+			clock := sim.NewClock()
+			ps := NewPS(clock)
+			var order []string
+			clock.After(at, func() {
+				if walk == "Drain" {
+					ps.Drain()
+				} else {
+					ps.TotalActive()
+				}
+			})
+			for _, core := range []int{1, 0} {
+				for job := 0; job < 2; job++ {
+					name := fmt.Sprintf("core%d/job%d", core, job)
+					ps.Submit(core, at/2, func(finish sim.Time) {
+						if finish != sim.Time(at) {
+							t.Errorf("%s finished at %v, want %v", name, finish, at)
+						}
+						order = append(order, name)
+					})
+				}
+			}
+			ps.Drain()
+			if got := strings.Join(order, " "); got != "core0/job0 core0/job1 core1/job0 core1/job1" {
+				t.Fatalf("%s walk, replay %d: completions fired as %s", walk, replay, got)
+			}
+		}
 	}
 }
