@@ -14,7 +14,7 @@ import (
 // overload emerge from sharing rather than from a formula.
 type PS struct {
 	clock *sim.Clock
-	cores []*psCore // indexed by core number; nil for a core never used
+	cores []*psCore // indexed by core number
 }
 
 type psCore struct {
@@ -53,24 +53,20 @@ func (ps *PS) Active(core int) int {
 func (ps *PS) TotalActive() int {
 	n := 0
 	for _, c := range ps.cores {
-		if c != nil {
-			ps.catchUp(c)
-			n += len(c.jobs)
-		}
+		ps.catchUp(c)
+		n += len(c.jobs)
 	}
 	return n
 }
 
+// core returns core's state, creating it and every lower-numbered core
+// not yet used. An unused core holds no jobs, and its lastUpdate is
+// set by the catchUp that precedes its first job.
 func (ps *PS) core(core int) *psCore {
 	for len(ps.cores) <= core {
-		ps.cores = append(ps.cores, nil)
+		ps.cores = append(ps.cores, &psCore{})
 	}
-	c := ps.cores[core]
-	if c == nil {
-		c = &psCore{lastUpdate: ps.clock.Now()}
-		ps.cores[core] = c
-	}
-	return c
+	return ps.cores[core]
 }
 
 // catchUp applies elapsed progress to every job on the core and fires
@@ -153,9 +149,6 @@ func (ps *PS) Drain() sim.Time {
 	for {
 		busy := false
 		for _, c := range ps.cores {
-			if c == nil {
-				continue
-			}
 			ps.catchUp(c)
 			if len(c.jobs) > 0 {
 				busy = true
@@ -169,7 +162,7 @@ func (ps *PS) Drain() sim.Time {
 		} else {
 			// No timer armed (all stale): re-arm every busy core.
 			for core, c := range ps.cores {
-				if c != nil && len(c.jobs) > 0 {
+				if len(c.jobs) > 0 {
 					ps.rearm(core, c)
 				}
 			}

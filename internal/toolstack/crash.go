@@ -29,10 +29,13 @@ import (
 //   - chaos[noxs]: the noxs module's journal table — surviving because
 //     it is Dom0 kernel memory (noxs.Module.JournalSet).
 //
-// Everything here is gated on the crash kind being planned
-// (Env.crashEnabled): fault-free runs and the pre-existing rate sweeps
-// write no journal, consult no decision stream, and charge zero extra
-// virtual time, so their figures stay byte-identical.
+// Crash points and lifecycle journal records are gated on the crash
+// kind being planned (Env.crashEnabled): fault-free runs and the
+// pre-existing rate sweeps write no journal, consult no decision
+// stream, and charge zero extra virtual time, so their figures stay
+// byte-identical. journalPut and journalDel, the journal's one
+// store-or-noxs switch, are ungated: leases (lease.go) and recovery
+// (scrub.go) write and remove records whatever the plan.
 
 // ErrToolstackCrash marks an operation aborted by an injected
 // toolstack crash. Unlike every other failure the toolstack does NOT

@@ -58,10 +58,6 @@ const (
 	StateClosed       = 6
 )
 
-// KindName maps device kinds to their store directory names ("vif",
-// "vbd", "console").
-func KindName(k hv.DevKind) string { return kindName(k) }
-
 // FrontendWatchToken is the token a running frontend registers its
 // backend-directory watch under; the scrubber unhooks dead guests'
 // watches by this token.
@@ -70,14 +66,15 @@ func FrontendWatchToken(dom hv.DomID, kind hv.DevKind, idx int) string {
 	buf = append(buf, "fe-"...)
 	buf = strconv.AppendInt(buf, int64(dom), 10)
 	buf = append(buf, '-')
-	buf = append(buf, kindName(kind)...)
+	buf = append(buf, KindName(kind)...)
 	buf = append(buf, '-')
 	buf = strconv.AppendInt(buf, int64(idx), 10)
 	return string(buf)
 }
 
-// kindName maps device kinds to their store directory names.
-func kindName(k hv.DevKind) string {
+// KindName maps device kinds to their store directory names ("vif",
+// "vbd", "console", "sysctl").
+func KindName(k hv.DevKind) string {
 	switch k {
 	case hv.DevVif:
 		return "vif"
@@ -105,7 +102,7 @@ func FrontendPath(dom hv.DomID, kind hv.DevKind, idx int) string {
 	buf = append(buf, "/local/domain/"...)
 	buf = strconv.AppendInt(buf, int64(dom), 10)
 	buf = append(buf, "/device/"...)
-	buf = append(buf, kindName(kind)...)
+	buf = append(buf, KindName(kind)...)
 	buf = append(buf, '/')
 	buf = strconv.AppendInt(buf, int64(idx), 10)
 	return string(buf)
@@ -117,29 +114,24 @@ const backendRoot = "/local/domain/0/backend/"
 // BackendDir returns the Dom0-side store directory of one device
 // kind's backend driver, "/local/domain/0/backend/<kind>": the root
 // its watch covers, with one "<dom>/<idx>" subdirectory per device.
-func BackendDir(kind hv.DevKind) string { return backendRoot + kindName(kind) }
+func BackendDir(kind hv.DevKind) string { return backendRoot + KindName(kind) }
 
 // BackendDomainDir returns the Dom0-side directory holding one guest's
 // devices of one kind, "/local/domain/0/backend/<kind>/<dom>".
 func BackendDomainDir(dom hv.DomID, kind hv.DevKind) string {
-	buf := make([]byte, 0, 48)
-	return string(appendBackendDomainDir(buf, dom, kind))
+	return BackendDir(kind) + "/" + strconv.Itoa(int(dom))
 }
 
 // BackendPath returns the Dom0-side store directory for a device.
 func BackendPath(dom hv.DomID, kind hv.DevKind, idx int) string {
 	buf := make([]byte, 0, 48)
-	buf = appendBackendDomainDir(buf, dom, kind)
+	buf = append(buf, backendRoot...)
+	buf = append(buf, KindName(kind)...)
+	buf = append(buf, '/')
+	buf = strconv.AppendInt(buf, int64(dom), 10)
 	buf = append(buf, '/')
 	buf = strconv.AppendInt(buf, int64(idx), 10)
 	return string(buf)
-}
-
-func appendBackendDomainDir(buf []byte, dom hv.DomID, kind hv.DevKind) []byte {
-	buf = append(buf, backendRoot...)
-	buf = append(buf, kindName(kind)...)
-	buf = append(buf, '/')
-	return strconv.AppendInt(buf, int64(dom), 10)
 }
 
 // Device is one split-driver device: the guest it belongs to, its kind
@@ -156,11 +148,7 @@ type Device struct {
 // NewDevice names device idx of kind on guest dom and builds its two
 // directories.
 func NewDevice(dom hv.DomID, kind hv.DevKind, idx int) Device {
-	return Device{
-		Dom: dom, Kind: kind, Idx: idx,
-		Frontend: FrontendPath(dom, kind, idx),
-		Backend:  BackendPath(dom, kind, idx),
-	}
+	return Device{dom, kind, idx, FrontendPath(dom, kind, idx), BackendPath(dom, kind, idx)}
 }
 
 // Backend is a Dom0 backend driver (netback/blkback) for one device
@@ -191,7 +179,7 @@ func NewBackend(kind hv.DevKind, h *hv.Hypervisor, s *xenstore.Store, hp devd.Ho
 	b := &Backend{Kind: kind, HV: h, Store: s, Clock: h.Clock, Hotplug: hp}
 	root := BackendDir(kind)
 	s.Mkdir(root)
-	s.Watch(root, "backend-"+kindName(kind), b.onWatch)
+	s.Watch(root, "backend-"+KindName(kind), b.onWatch)
 	return b
 }
 
@@ -319,11 +307,10 @@ const handshakeAttempts = 3
 // which re-fires the backend's watch and restarts setup. After
 // handshakeAttempts silent windows it degrades to ErrDeviceTimeout.
 func WaitBackendReady(s *xenstore.Store, clock *sim.Clock, d Device) error {
-	be := d.Backend
 	for attempt := 0; attempt < handshakeAttempts; attempt++ {
 		deadline := clock.Now().Add(costs.DeviceHandshakeTimeout)
 		for {
-			v, err := s.ReadAt(be, "state")
+			v, err := s.ReadAt(d.Backend, "state")
 			if err == nil {
 				if st, err := strconv.Atoi(v); err == nil && st >= StateInitWait {
 					return nil
@@ -336,25 +323,24 @@ func WaitBackendReady(s *xenstore.Store, clock *sim.Clock, d Device) error {
 		}
 		if attempt < handshakeAttempts-1 {
 			clock.Sleep(costs.DeviceReattach)
-			s.WriteAt(be, "state", strconv.Itoa(StateInitialising))
+			s.WriteAt(d.Backend, "state", strconv.Itoa(StateInitialising))
 		}
 	}
 	return fmt.Errorf("%w: backend %s/%d for domain %d silent across %d attempts",
-		ErrDeviceTimeout, kindName(d.Kind), d.Idx, d.Dom, handshakeAttempts)
+		ErrDeviceTimeout, KindName(d.Kind), d.Idx, d.Dom, handshakeAttempts)
 }
 
 // ConnectFrontend is the guest half (steps 3–4 of Fig. 7a), run when
 // the guest boots: read the backend's event channel and grant, bind
 // and map them, and flip both states to Connected.
 func ConnectFrontend(s *xenstore.Store, h *hv.Hypervisor, d Device) error {
-	be := d.Backend
-	portStr, err := s.ReadAt(be, "event-channel")
+	portStr, err := s.ReadAt(d.Backend, "event-channel")
 	if err != nil {
-		return fmt.Errorf("%w: frontend %s/%d dom %d: %v", ErrBackendGone, kindName(d.Kind), d.Idx, d.Dom, err)
+		return fmt.Errorf("%w: frontend %s/%d dom %d: %v", ErrBackendGone, KindName(d.Kind), d.Idx, d.Dom, err)
 	}
-	refStr, err := s.ReadAt(be, "grant-ref")
+	refStr, err := s.ReadAt(d.Backend, "grant-ref")
 	if err != nil {
-		return fmt.Errorf("%w: frontend %s/%d dom %d: %v", ErrBackendGone, kindName(d.Kind), d.Idx, d.Dom, err)
+		return fmt.Errorf("%w: frontend %s/%d dom %d: %v", ErrBackendGone, KindName(d.Kind), d.Idx, d.Dom, err)
 	}
 	port, err := strconv.Atoi(portStr)
 	if err != nil {
@@ -372,10 +358,10 @@ func ConnectFrontend(s *xenstore.Store, h *hv.Hypervisor, d Device) error {
 	}
 	h.Clock.Sleep(costs.FrontendDeviceInit)
 	s.WriteAt(d.Frontend, "state", strconv.Itoa(StateConnected))
-	s.WriteAt(be, "state", strconv.Itoa(StateConnected))
+	s.WriteAt(d.Backend, "state", strconv.Itoa(StateConnected))
 	// A running frontend keeps a watch on its backend directory — one
 	// of the per-guest costs that accumulate against the store.
-	s.Watch(be, FrontendWatchToken(d.Dom, d.Kind, d.Idx), func(string, string) {})
+	s.Watch(d.Backend, FrontendWatchToken(d.Dom, d.Kind, d.Idx), func(string, string) {})
 	return nil
 }
 
