@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"lightvm/internal/faults"
 	"lightvm/internal/metrics"
 )
 
@@ -43,6 +44,11 @@ var goldenFigures = []string{
 	// ext-dedup), the firewall fleet (fig16a) and the ukvm monitor
 	// (ext-ukvm) all run through the population sweep.
 	"fig14", "fig16a", "ext-ukvm", "ext-dedup",
+	// The multi-timeline figures outside the population sweep that
+	// nothing else pinned: each runs its independent cells (crash
+	// churn, per-mode throughput, padding points, arrival rates, the
+	// compute-service pair) through the cell harness.
+	"ext-churn", "ext-throughput", "fig02", "fig16b", "fig17", "fig18",
 }
 
 // goldenOverrides replaces goldenOptions for figures whose default
@@ -62,16 +68,19 @@ func goldenOpts(id string) Options {
 }
 
 // goldenDoc is the canonical JSON schema for one figure: everything
-// deterministic about a run (virtual time and the full table), nothing
-// wall-clock dependent.
+// deterministic about a run (virtual time, the full table, and the
+// serving summary and crash-site tally of the figures that report
+// them), nothing wall-clock dependent.
 type goldenDoc struct {
-	ID        string      `json:"id"`
-	Paper     string      `json:"paper"`
-	VirtualMS float64     `json:"virtual_ms"`
-	Title     string      `json:"title"`
-	Columns   []string    `json:"columns"`
-	Rows      [][]float64 `json:"rows"`
-	Notes     []string    `json:"notes"`
+	ID         string            `json:"id"`
+	Paper      string            `json:"paper"`
+	VirtualMS  float64           `json:"virtual_ms"`
+	Title      string            `json:"title"`
+	Columns    []string          `json:"columns"`
+	Rows       [][]float64       `json:"rows"`
+	Notes      []string          `json:"notes"`
+	Serving    *ServingSummary   `json:"serving,omitempty"`
+	CrashSites []faults.SiteStat `json:"crash_sites,omitempty"`
 }
 
 // renderGolden runs one figure and encodes its deterministic content.
@@ -98,13 +107,15 @@ func encodeGolden(t *testing.T, res Result) []byte {
 		t.Fatalf("%s: result table is %T, not *metrics.Table", res.ID, res.Table)
 	}
 	doc := goldenDoc{
-		ID:        res.ID,
-		Paper:     res.Paper,
-		VirtualMS: res.VirtualMS,
-		Title:     tab.Title,
-		Columns:   tab.Columns,
-		Rows:      tab.Rows,
-		Notes:     tab.Notes,
+		ID:         res.ID,
+		Paper:      res.Paper,
+		VirtualMS:  res.VirtualMS,
+		Title:      tab.Title,
+		Columns:    tab.Columns,
+		Rows:       tab.Rows,
+		Notes:      tab.Notes,
+		Serving:    res.Serving,
+		CrashSites: res.CrashSites,
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

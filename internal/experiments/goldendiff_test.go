@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"lightvm/internal/faults"
 )
 
 // The golden-diff helper: when a figure moves off its committed
@@ -76,7 +78,22 @@ func diffGoldenDocs(got, want []byte) []string {
 	if !equalStrings(g.Notes, w.Notes) {
 		add("notes: got %q, want %q", g.Notes, w.Notes)
 	}
+	if gs, ws := jsonString(g.Serving), jsonString(w.Serving); gs != ws {
+		add("serving: got %s, want %s", gs, ws)
+	}
+	if gs, ws := jsonString(g.CrashSites), jsonString(w.CrashSites); gs != ws {
+		add("crash_sites: got %s, want %s", gs, ws)
+	}
 	return diffs
+}
+
+// jsonString renders v compactly for a diff line (maps in key order).
+func jsonString(v any) string {
+	buf, err := json.Marshal(v)
+	if err != nil {
+		return fmt.Sprintf("<%v>", err)
+	}
+	return string(buf)
 }
 
 func equalStrings(a, b []string) bool {
@@ -140,10 +157,12 @@ func TestDiffGoldenDocsStructural(t *testing.T) {
 	got := goldenDoc{
 		ID: "figY", VirtualMS: 6, Columns: []string{"n", "b"},
 		Rows: [][]float64{{1, 2}, {2, 3}}, Notes: []string{"recalibrated"},
+		Serving:    &ServingSummary{Arrived: 10, Served: 9, Rejected: 1},
+		CrashSites: []faults.SiteStat{{Site: "chaos.create.devices", Kind: "toolstack-crash", Opportunities: 3, Injected: 1}},
 	}
 	diffs := diffGoldenDocs(mustGoldenJSON(t, got), mustGoldenJSON(t, want))
 	joined := strings.Join(diffs, "\n")
-	for _, frag := range []string{"id:", "virtual_ms:", "columns:", "row count:", "notes:"} {
+	for _, frag := range []string{"id:", "virtual_ms:", "columns:", "row count:", "notes:", "serving:", "crash_sites:"} {
 		if !strings.Contains(joined, frag) {
 			t.Fatalf("structural diff missing %q:\n%s", frag, joined)
 		}
