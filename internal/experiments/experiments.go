@@ -116,6 +116,7 @@ type Generator func(Options) (Result, error)
 
 // Result is a generated figure with its paper reference.
 type Result struct {
+	// ID is the id the generator is registered under (set by Run).
 	ID    string
 	Paper string // what the paper reports, for EXPERIMENTS.md
 	Table fmt.Stringer
@@ -173,5 +174,7 @@ func Run(id string, o Options) (Result, error) {
 	if !ok {
 		return Result{}, fmt.Errorf("experiments: unknown id %q (have %v)", id, IDs())
 	}
-	return g(o.normalize())
+	res, err := g(o.normalize())
+	res.ID = id
+	return res, err
 }

@@ -34,7 +34,6 @@ type churnCell struct {
 	orphans  int     // leaked domains reaped
 	scrubMS  float64 // mean virtual ms per recovery pass
 	crashes  int
-	virtMS   float64
 	sites    []faults.SiteStat
 }
 
@@ -54,24 +53,13 @@ type churnCell struct {
 // must end with zero Fsck violations after its final scrub — the
 // crash-consistency guarantee is enforced, not sampled.
 func extChurn(o Options) (Result, error) {
-	modes := []struct {
-		name string
-		mode toolstack.Mode
-	}{
-		{"xl", toolstack.ModeXL},
-		{"chaos", toolstack.ModeLightVM},
-	}
 	cycles := o.scaled(10000, 50)
-
-	cells := make([]churnCell, len(modes)*len(churnRates))
-	err := o.runSeries(len(cells), func(j int) error {
-		mi, ri := j/len(churnRates), j%len(churnRates)
-		cell, err := runCrashChurn(modes[mi].mode, churnRates[ri], o.Seed+uint64(j)*7919, cycles)
+	grid, virtMS, err := pairGrid(o, len(churnRates), func(m pairMode, ri int, seed uint64) (churnCell, float64, error) {
+		c, v, err := runCrashChurn(m.mode, churnRates[ri], seed, cycles)
 		if err != nil {
-			return fmt.Errorf("ext-churn %s rate %.2f: %w", modes[mi].name, churnRates[ri], err)
+			err = fmt.Errorf("ext-churn %s rate %.2f: %w", m.name, churnRates[ri], err)
 		}
-		cells[j] = cell
-		return nil
+		return c, v, err
 	})
 	if err != nil {
 		return Result{}, err
@@ -81,20 +69,16 @@ func extChurn(o Options) (Result, error) {
 		"rate",
 		"xl_p50_ms", "xl_p99_ms", "xl_residue", "xl_scrub_pass_ms",
 		"chaos_p50_ms", "chaos_p99_ms", "chaos_residue", "chaos_scrub_pass_ms")
-	virtMS := make([]float64, 0, len(cells))
-	siteAgg := map[string]*faults.SiteStat{}
 	for ri, rate := range churnRates {
-		xl := cells[0*len(churnRates)+ri]
-		ch := cells[1*len(churnRates)+ri]
+		xl, ch := grid[0][ri], grid[1][ri]
 		t.AddRow(rate,
 			xl.p50, xl.p99, float64(xl.residue), xl.scrubMS,
 			ch.p50, ch.p99, float64(ch.residue), ch.scrubMS)
-		virtMS = append(virtMS, xl.virtMS, ch.virtMS)
 	}
-	for mi, m := range modes {
+	siteAgg := map[string]*faults.SiteStat{}
+	for mi, m := range xlChaos {
 		crashes, orphans, residue := 0, 0, 0
-		for ri := range churnRates {
-			c := cells[mi*len(churnRates)+ri]
+		for _, c := range grid[mi] {
 			crashes += c.crashes
 			orphans += c.orphans
 			residue += c.residue
@@ -118,10 +102,9 @@ func extChurn(o Options) (Result, error) {
 	t.Note("scrub_pass_ms is the mean cost of one recovery pass: xl's whole-store scan grows with the litter, chaos replays a kernel journal in O(per-domain)")
 	t.Note("every cell verified: zero cross-layer Fsck violations after its final scrub")
 	return Result{
-		ID:         "ext-churn",
 		Paper:      "robustness extension: crash-consistent lifecycle under long-running churn (§4.2's residual-entry observation)",
 		Table:      t,
-		VirtualMS:  maxOf(virtMS),
+		VirtualMS:  virtMS,
 		CrashSites: flattenSiteAgg(siteAgg),
 	}, nil
 }
@@ -144,8 +127,9 @@ func flattenSiteAgg(m map[string]*faults.SiteStat) []faults.SiteStat {
 	return out
 }
 
-// runCrashChurn drives one (mode, rate) cell on a single host.
-func runCrashChurn(mode toolstack.Mode, rate float64, seed uint64, cycles int) (churnCell, error) {
+// runCrashChurn drives one (mode, rate) cell on a single host. It
+// returns the cell and its final virtual time (ms).
+func runCrashChurn(mode toolstack.Mode, rate float64, seed uint64, cycles int) (churnCell, float64, error) {
 	clock := sim.NewClock()
 	e := toolstack.NewEnv(clock, sched.Machine{Name: "churn-host", Cores: 4, Dom0Cores: 1, MemoryGB: 32})
 	var inj *faults.Injector
@@ -186,19 +170,19 @@ func runCrashChurn(mode toolstack.Mode, rate float64, seed uint64, cycles int) (
 			creates.AddDuration(vm.CreateTime + vm.BootTime)
 			if derr := drv.Destroy(vm); derr != nil {
 				if !errorsIsCrash(derr) {
-					return churnCell{}, derr
+					return churnCell{}, 0, derr
 				}
 				crashed()
 			}
 		case errorsIsCrash(err):
 			crashed()
 		default:
-			return churnCell{}, err
+			return churnCell{}, 0, err
 		}
 		if mode.UsesSplit() {
 			if rerr := e.Pool.Replenish(); rerr != nil {
 				if !errorsIsCrash(rerr) {
-					return churnCell{}, rerr
+					return churnCell{}, 0, rerr
 				}
 				crashed()
 			}
@@ -210,7 +194,7 @@ func runCrashChurn(mode toolstack.Mode, rate float64, seed uint64, cycles int) (
 	// Final recovery pass, then the enforced invariant audit.
 	scrub()
 	if v := toolstack.Fsck(e); len(v) > 0 {
-		return churnCell{}, fmt.Errorf("churn left %d violations after scrub (first: %s)", len(v), v[0])
+		return churnCell{}, 0, fmt.Errorf("churn left %d violations after scrub (first: %s)", len(v), v[0])
 	}
 
 	cell.p50 = creates.Percentile(50)
@@ -221,9 +205,8 @@ func runCrashChurn(mode toolstack.Mode, rate float64, seed uint64, cycles int) (
 	// shows — xl's pass is a whole-store scan whose cost tracks the
 	// litter, chaos's is one journal ioctl plus per-domain teardown.
 	cell.scrubMS = float64(scrubbed.Duration) / float64(time.Millisecond) / float64(passes)
-	cell.virtMS = float64(clock.Now().Milliseconds())
 	cell.sites = inj.SiteStats()
-	return cell, nil
+	return cell, clock.Now().Milliseconds(), nil
 }
 
 // errorsIsCrash matches the injected toolstack-crash sentinel.

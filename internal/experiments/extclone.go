@@ -26,25 +26,25 @@ func extClone(o Options) (Result, error) {
 	images := []guest.Image{guest.Daytime(), guest.Minipython(), guest.TinyxNoop(), guest.DebianMinimal()}
 	t := metrics.NewTable("Extension: cold boot vs SnowFlock-style clone",
 		"idx", "boot_ms", "clone_ms", "clone_xs_ms", "boot_mb", "clone_mb")
-	// Each guest class measures on its own host — run the four in
-	// parallel and emit rows in image order afterwards.
-	type cloneRow struct{ bootMS, cloneMS, cloneXSMS, bootMB, cloneMB, virtMS float64 }
+	// Each guest class measures on its own hosts — run the four as
+	// cells and emit rows in image order afterwards.
+	type cloneRow struct{ bootMS, cloneMS, cloneXSMS, bootMB, cloneMB float64 }
 	rows := make([]cloneRow, len(images))
-	err := o.runSeries(len(images), func(i int) error {
+	virtMS, err := o.cells(len(images), func(i int) (float64, error) {
 		img := images[i]
 		h, err := core.NewHost(sched.Machine{Name: "clone-host", Cores: 4, Dom0Cores: 1, MemoryGB: 64}, o.Seed)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		mode := toolstack.ModeChaosNoXS
 		parent, err := h.CreateVM(mode, "parent", img)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		memBase := h.MemoryUsedBytes()
 		boot, err := h.CreateVM(mode, "cold", img)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		bootMB := float64(h.MemoryUsedBytes()-memBase) / (1 << 20)
 		bootMS := float64(boot.CreateTime+boot.BootTime) / float64(time.Millisecond)
@@ -52,12 +52,12 @@ func extClone(o Options) (Result, error) {
 		// Warm the snapshot with one clone, then measure the marginal
 		// clone.
 		if _, err := h.CloneVM(parent, "warm"); err != nil {
-			return err
+			return 0, err
 		}
 		memBase = h.MemoryUsedBytes()
 		clone, err := h.CloneVM(parent, "fast")
 		if err != nil {
-			return err
+			return 0, err
 		}
 		cloneMB := float64(h.MemoryUsedBytes()-memBase) / (1 << 20)
 		cloneMS := float64(clone.CreateTime) / float64(time.Millisecond)
@@ -67,36 +67,30 @@ func extClone(o Options) (Result, error) {
 		// graft rather than a per-entry rewrite.
 		hxs, err := core.NewHost(sched.Machine{Name: "clone-host-xs", Cores: 4, Dom0Cores: 1, MemoryGB: 64}, o.Seed)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		parentXS, err := hxs.CreateVM(toolstack.ModeChaosXS, "parent", img)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if _, err := hxs.CloneVM(parentXS, "warm"); err != nil {
-			return err
+			return 0, err
 		}
 		cloneXS, err := hxs.CloneVM(parentXS, "fast")
 		if err != nil {
-			return err
+			return 0, err
 		}
 		cloneXSMS := float64(cloneXS.CreateTime) / float64(time.Millisecond)
 
-		virt := h.Clock.Now().Milliseconds()
-		if v := hxs.Clock.Now().Milliseconds(); v > virt {
-			virt = v
-		}
-		rows[i] = cloneRow{bootMS, cloneMS, cloneXSMS, bootMB, cloneMB, virt}
-		return nil
+		rows[i] = cloneRow{bootMS, cloneMS, cloneXSMS, bootMB, cloneMB}
+		return max(h.Clock.Now().Milliseconds(), hxs.Clock.Now().Milliseconds()), nil
 	})
 	if err != nil {
 		return Result{}, err
 	}
 	names := ""
-	virtMS := make([]float64, len(rows))
 	for i, r := range rows {
 		t.AddRow(float64(i), r.bootMS, r.cloneMS, r.cloneXSMS, r.bootMB, r.cloneMB)
-		virtMS[i] = r.virtMS
 		if i > 0 {
 			names += ", "
 		}
@@ -105,5 +99,5 @@ func extClone(o Options) (Result, error) {
 	t.Note("rows: %s", names)
 	t.Note("related work §8 (Potemkin): clones resume instead of booting and share COW memory; the win grows with guest weight")
 	t.Note("clone_xs_ms: store-backed clone whose registry arrives via an O(1) xenstore snapshot graft")
-	return Result{ID: "ext-clone", Paper: "§8: image cloning vs LightVM's general-purpose fast boots", Table: t, VirtualMS: maxOf(virtMS)}, nil
+	return Result{Paper: "§8: image cloning vs LightVM's general-purpose fast boots", Table: t, VirtualMS: virtMS}, nil
 }

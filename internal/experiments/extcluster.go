@@ -122,7 +122,6 @@ func extCluster(o Options) (Result, error) {
 	// run was pinned (Options.Shards) or swept.
 	t.Note("determinism: the schedule is a pure function of the seed; this table is byte-identical at every engine worker count")
 	return Result{
-		ID:        "ext-cluster",
 		Paper:     "scaling extension: §7.1 scheduler over 1,024 sharded hosts, 1.3M domains (no paper figure)",
 		Table:     t,
 		VirtualMS: first.MakespanMS,

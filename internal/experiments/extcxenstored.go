@@ -38,5 +38,5 @@ func extCxenstored(o Options) (Result, error) {
 		t.AddRow(r[0], r[1], r[2], r[2]/r[1])
 	}
 	t.Note("paper footnote 3: cxenstored shows 'much higher overheads' than the oxenstored results plotted in Figs. 5 and 9")
-	return Result{ID: "ext-cxenstored", Paper: "footnote 3: cxenstored much slower than oxenstored", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "footnote 3: cxenstored much slower than oxenstored", Table: t, VirtualMS: pop.virtMS}, nil
 }

@@ -46,5 +46,5 @@ func extDedup(o Options) (Result, error) {
 	}
 	t.Note("paper §9: 'LightVM does not use page sharing between VMs, assuming the worst-case scenario'; this measures the SnowFlock-style avenue it proposes")
 	t.Note("model: sharers map the image-resident pages plus half of their never-written heap")
-	return Result{ID: "ext-dedup", Paper: "§9 future work: dedup reduces the per-VM footprint", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "§9 future work: dedup reduces the per-VM footprint", Table: t, VirtualMS: pop.virtMS}, nil
 }

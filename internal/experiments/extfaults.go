@@ -32,7 +32,6 @@ type faultCell struct {
 	injected             uint64
 	recoveries           int
 	recoveryMS           float64
-	virtMS               float64
 }
 
 // extFaults — deterministic fault injection against both control
@@ -46,26 +45,13 @@ type faultCell struct {
 // fallback, cluster failover — and the table reports what that
 // recovery costs: creation and migration p50/p99 plus VM availability.
 func extFaults(o Options) (Result, error) {
-	modes := []struct {
-		name string
-		mode toolstack.Mode
-	}{
-		{"xl", toolstack.ModeXL},
-		{"chaos", toolstack.ModeLightVM},
-	}
 	n := o.scaled(40, 12)
-
-	cells := make([]faultCell, len(modes)*len(faultRates))
-	err := o.runSeries(len(cells), func(j int) error {
-		mi, ri := j/len(faultRates), j%len(faultRates)
-		// Seeds are derived per cell so every (mode, rate) owns an
-		// independent but reproducible timeline.
-		cell, err := runFaultChurn(modes[mi].mode, faultRates[ri], o.Seed+uint64(j)*7919, n)
+	grid, virtMS, err := pairGrid(o, len(faultRates), func(m pairMode, ri int, seed uint64) (faultCell, float64, error) {
+		c, v, err := runFaultChurn(m.mode, faultRates[ri], seed, n)
 		if err != nil {
-			return fmt.Errorf("ext-faults %s rate %.2f: %w", modes[mi].name, faultRates[ri], err)
+			err = fmt.Errorf("ext-faults %s rate %.2f: %w", m.name, faultRates[ri], err)
 		}
-		cells[j] = cell
-		return nil
+		return c, v, err
 	})
 	if err != nil {
 		return Result{}, err
@@ -75,21 +61,17 @@ func extFaults(o Options) (Result, error) {
 		"rate",
 		"xl_create_p50_ms", "xl_create_p99_ms", "xl_mig_p50_ms", "xl_mig_p99_ms", "xl_avail_pct",
 		"chaos_create_p50_ms", "chaos_create_p99_ms", "chaos_mig_p50_ms", "chaos_mig_p99_ms", "chaos_avail_pct")
-	virtMS := make([]float64, 0, len(cells))
 	for ri, rate := range faultRates {
-		xl := cells[0*len(faultRates)+ri]
-		ch := cells[1*len(faultRates)+ri]
+		xl, ch := grid[0][ri], grid[1][ri]
 		t.AddRow(rate,
 			xl.createP50, xl.createP99, xl.migP50, xl.migP99, xl.avail,
 			ch.createP50, ch.createP99, ch.migP50, ch.migP99, ch.avail)
-		virtMS = append(virtMS, xl.virtMS, ch.virtMS)
 	}
-	for mi, m := range modes {
+	for mi, m := range xlChaos {
 		var injected uint64
 		recoveries := 0
 		recoveryMS := 0.0
-		for ri := range faultRates {
-			c := cells[mi*len(faultRates)+ri]
+		for _, c := range grid[mi] {
 			injected += c.injected
 			recoveries += c.recoveries
 			recoveryMS += c.recoveryMS
@@ -104,10 +86,9 @@ func extFaults(o Options) (Result, error) {
 	t.Note("faults: store txn conflicts + stalls, lost xenbus handshakes, migration stream drops, pool-daemon crashes, host failures")
 	t.Note("recovery: txn backoff/retry, device re-attach, stream resume (chaos) or rollback (xl), cold-path fallback, §7.1 failover")
 	return Result{
-		ID:        "ext-faults",
 		Paper:     "robustness extension: control-plane recovery under injected faults (no paper figure)",
 		Table:     t,
-		VirtualMS: maxOf(virtMS),
+		VirtualMS: virtMS,
 	}, nil
 }
 
@@ -115,8 +96,9 @@ func extFaults(o Options) (Result, error) {
 // a create/migrate churn, with host failures and replacements along
 // the way. Availability counts every fault-caused outage against the
 // total operations attempted: failed creations, aborted migrations,
-// and VMs lost to a dead host (recovered or not, they were down).
-func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (faultCell, error) {
+// and VMs lost to a dead host (recovered or not, they were down). It
+// returns the cell and its final virtual time (ms).
+func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (faultCell, float64, error) {
 	clock := sim.NewClock()
 	cl := cluster.New(clock)
 	machine := sched.Machine{Name: "fault-host", Cores: 4, Dom0Cores: 1, MemoryGB: 32}
@@ -134,10 +116,10 @@ func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (fault
 		return nil
 	}
 	if err := addHost("h0", seed); err != nil {
-		return faultCell{}, err
+		return faultCell{}, 0, err
 	}
 	if err := addHost("h1", seed+1); err != nil {
-		return faultCell{}, err
+		return faultCell{}, 0, err
 	}
 	live := func() []string {
 		out := make([]string, 0, 2)
@@ -173,7 +155,7 @@ func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (fault
 		for _, hn := range live() {
 			if h, herr := cl.Host(hn); herr == nil {
 				if rerr := h.Replenish(); rerr != nil {
-					return faultCell{}, rerr
+					return faultCell{}, 0, rerr
 				}
 			}
 		}
@@ -208,7 +190,7 @@ func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (fault
 			if len(victims) > 1 {
 				lost, ferr := cl.FailHost(victims[0])
 				if ferr != nil {
-					return faultCell{}, ferr
+					return faultCell{}, 0, ferr
 				}
 				// Every lost VM was down regardless of recovery outcome.
 				totalOps += len(lost)
@@ -218,7 +200,7 @@ func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (fault
 				// names registered in the source store, so a survivor
 				// that once hosted a VM would reject its name).
 				if err := addHost(fmt.Sprintf("h%d", nextHost), seed+uint64(nextHost)); err != nil {
-					return faultCell{}, err
+					return faultCell{}, 0, err
 				}
 				nextHost++
 				d, _, foErr := cl.Failover(lost)
@@ -227,7 +209,7 @@ func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (fault
 				// A re-placement that a fault defeated leaves the rest of
 				// the lost VMs down; they are already counted as failed.
 				if foErr != nil && !isFaultErr(foErr) {
-					return faultCell{}, foErr
+					return faultCell{}, 0, foErr
 				}
 			}
 		}
@@ -240,13 +222,12 @@ func runFaultChurn(mode toolstack.Mode, rate float64, seed uint64, n int) (fault
 		migP99:     migs.Percentile(99),
 		avail:      100 * (1 - float64(failedOps)/float64(totalOps)),
 		recoveries: recoveries,
-		recoveryMS: float64(recoveryTotal) / float64(time.Millisecond),
-		virtMS:     float64(clock.Now().Milliseconds()),
+		recoveryMS: ms(recoveryTotal),
 	}
 	if inj != nil {
 		cell.injected = inj.TotalInjected()
 	}
-	return cell, nil
+	return cell, clock.Now().Milliseconds(), nil
 }
 
 // isFaultErr reports whether err is a typed fault-plane outcome: a

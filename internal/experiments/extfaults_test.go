@@ -104,7 +104,7 @@ func TestExtFaultsSurvivesFailoverFault(t *testing.T) {
 	}
 	toolstack.SetEnvTracking(true)
 	defer toolstack.SetEnvTracking(false)
-	cell, err := runFaultChurn(toolstack.ModeXL, faultRates[ri], seed+uint64(ri)*7919, 40)
+	cell, _, err := runFaultChurn(toolstack.ModeXL, faultRates[ri], Options{Seed: seed}.cellSeed(ri), 40)
 	if err != nil {
 		t.Fatalf("ext-faults seed %d xl rate %v: %v", seed, faultRates[ri], err)
 	}

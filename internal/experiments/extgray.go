@@ -49,7 +49,6 @@ type grayCell struct {
 	staleRejected          uint64
 	saturated              int
 	fsckViolations         int
-	virtMS                 float64
 }
 
 // extGray — gray-failure resilience (robustness extension; no paper
@@ -63,13 +62,6 @@ type grayCell struct {
 // hold at zero everywhere. Every cell ends with a cluster-wide lease
 // fsck plus a per-host toolstack fsck, both of which must be clean.
 func extGray(o Options) (Result, error) {
-	modes := []struct {
-		name string
-		mode toolstack.Mode
-	}{
-		{"xl", toolstack.ModeXL},
-		{"chaos", toolstack.ModeLightVM},
-	}
 	n := o.scaled(30, 10)
 
 	type point struct {
@@ -83,17 +75,13 @@ func extGray(o Options) (Result, error) {
 		}
 	}
 
-	cells := make([]grayCell, len(modes)*len(points))
-	err := o.runSeries(len(cells), func(j int) error {
-		mi, pi := j/len(points), j%len(points)
+	grid, virtMS, err := pairGrid(o, len(points), func(m pairMode, pi int, seed uint64) (grayCell, float64, error) {
 		p := points[pi]
-		cell, err := runGrayChurn(modes[mi].mode, p.detect, p.rate, o.Seed+uint64(j)*7919, n)
+		c, v, err := runGrayChurn(m.mode, p.detect, p.rate, seed, n)
 		if err != nil {
-			return fmt.Errorf("ext-gray %s detect %v rate %.2f: %w",
-				modes[mi].name, p.detect, p.rate, err)
+			err = fmt.Errorf("ext-gray %s detect %v rate %.2f: %w", m.name, p.detect, p.rate, err)
 		}
-		cells[j] = cell
-		return nil
+		return c, v, err
 	})
 	if err != nil {
 		return Result{}, err
@@ -103,19 +91,15 @@ func extGray(o Options) (Result, error) {
 		"detect_ms", "rate",
 		"xl_unavail_p50_ms", "xl_unavail_p99_ms", "xl_falsepos", "xl_double",
 		"chaos_unavail_p50_ms", "chaos_unavail_p99_ms", "chaos_falsepos", "chaos_double")
-	virtMS := make([]float64, 0, len(cells))
 	for pi, p := range points {
-		xl := cells[0*len(points)+pi]
-		ch := cells[1*len(points)+pi]
+		xl, ch := grid[0][pi], grid[1][pi]
 		t.AddRow(float64(p.detect)/float64(time.Millisecond), p.rate,
 			xl.unavailP50, xl.unavailP99, float64(xl.falsePositives), float64(xl.doubleStarts),
 			ch.unavailP50, ch.unavailP99, float64(ch.falsePositives), float64(ch.doubleStarts))
-		virtMS = append(virtMS, xl.virtMS, ch.virtMS)
 	}
-	for mi, m := range modes {
+	for mi, m := range xlChaos {
 		var agg grayCell
-		for pi := range points {
-			c := cells[mi*len(points)+pi]
+		for _, c := range grid[mi] {
 			agg.failovers += c.failovers
 			agg.deferred += c.deferred
 			agg.quarantined += c.quarantined
@@ -134,25 +118,25 @@ func extGray(o Options) (Result, error) {
 	t.Note("gray faults: slow hosts (cost dilation), flaps (silent outage + return), pairwise partitions")
 	t.Note("safety: zero double-starts and zero lease/toolstack fsck violations in every cell (enforced)")
 	return Result{
-		ID:        "ext-gray",
 		Paper:     "robustness extension: gray-failure detection, lease-fenced failover (no paper figure)",
 		Table:     t,
-		VirtualMS: maxOf(virtMS),
+		VirtualMS: virtMS,
 	}, nil
 }
 
 // runGrayChurn drives one (mode, detect, rate) cell: a four-host
 // cluster placing and migrating VMs while the gray plane degrades
 // hosts underneath the monitor. Heartbeat ticks run inside the
-// cluster operations and the idle gaps between them (Clock.Sleep).
-func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed uint64, n int) (grayCell, error) {
+// cluster operations and the idle gaps between them (Clock.Sleep). It
+// returns the cell and its final virtual time (ms).
+func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed uint64, n int) (grayCell, float64, error) {
 	clock := sim.NewClock()
 	cl := cluster.New(clock)
 	machine := sched.Machine{Name: "gray-host", Cores: 4, Dom0Cores: 1, MemoryGB: 32}
 	const hosts = 4
 	for i := 0; i < hosts; i++ {
 		if _, err := cl.AddHost(fmt.Sprintf("cell-%d", i), machine, seed+uint64(i)); err != nil {
-			return grayCell{}, err
+			return grayCell{}, 0, err
 		}
 	}
 	var inj *faults.Injector
@@ -187,10 +171,10 @@ func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed 
 			if _, _, rerr := cl.Place(mode, name, img); rerr == nil {
 				live++
 			} else if !isGrayBackpressure(rerr) {
-				return grayCell{}, rerr
+				return grayCell{}, 0, rerr
 			}
 		default:
-			return grayCell{}, err
+			return grayCell{}, 0, err
 		}
 		// Let heartbeats, detections and deferred-failover retries run
 		// between arrivals.
@@ -205,7 +189,7 @@ func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed 
 				if dst != src {
 					if _, merr := cl.Move(name, dst); merr != nil {
 						if !isGrayBackpressure(merr) {
-							return grayCell{}, merr
+							return grayCell{}, 0, merr
 						}
 						cell.saturated++
 					}
@@ -217,7 +201,7 @@ func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed 
 			victim := fmt.Sprintf("vm%03d", i-3)
 			if _, herr := cl.HostOf(victim); herr == nil {
 				if derr := cl.Destroy(victim); derr != nil && !isGrayBackpressure(derr) {
-					return grayCell{}, derr
+					return grayCell{}, 0, derr
 				}
 				live--
 			}
@@ -246,7 +230,7 @@ func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed 
 	cell.deferred = rep.Deferred
 	cell.quarantined = rep.Quarantined
 	cell.staleRejected = rep.StaleRejected
-	cell.virtMS = float64(clock.Now().Milliseconds())
+	virtMS := clock.Now().Milliseconds()
 
 	// Safety audit: cluster-wide lease invariants, then each host's
 	// cross-layer toolstack fsck.
@@ -254,14 +238,14 @@ func runGrayChurn(mode toolstack.Mode, detect time.Duration, rate float64, seed 
 	for _, hn := range cl.Hosts() {
 		h, err := cl.Host(hn)
 		if err != nil {
-			return grayCell{}, err
+			return grayCell{}, 0, err
 		}
 		cell.fsckViolations += len(toolstack.Fsck(h.Env))
 	}
 	if rate == 0 && cell.failovers != 0 {
-		return grayCell{}, fmt.Errorf("rate-0 cell saw %d failovers", cell.failovers)
+		return grayCell{}, 0, fmt.Errorf("rate-0 cell saw %d failovers", cell.failovers)
 	}
-	return cell, nil
+	return cell, virtMS, nil
 }
 
 // isGrayBackpressure classifies the typed refusals a degraded cluster

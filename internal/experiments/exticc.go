@@ -57,5 +57,5 @@ func extICC(o Options) (Result, error) {
 	}
 	t.Note("rows: %s", names)
 	t.Note("paper §8: ICC 70MB/500ms vs Tinyx ~10MB/~300ms; LightVM unikernels are far below both")
-	return Result{ID: "ext-icc", Paper: "§8: ICC guests are 7× larger and slower to boot than Tinyx", Table: t}, nil
+	return Result{Paper: "§8: ICC guests are 7× larger and slower to boot than Tinyx", Table: t}, nil
 }

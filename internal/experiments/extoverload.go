@@ -7,7 +7,6 @@ import (
 	"lightvm/internal/faults"
 	"lightvm/internal/guest"
 	"lightvm/internal/metrics"
-	"lightvm/internal/toolstack"
 	"lightvm/internal/traffic"
 )
 
@@ -77,10 +76,6 @@ func extOverload(o Options) (Result, error) {
 			}
 		}
 	}
-	jobs := len(cells) * hostsSim
-	stats := make([]*traffic.Stats, jobs)
-	virtMS := make([]float64, jobs)
-
 	// Per-mode timescales, all multiples of the measured per-request
 	// cost: the client deadline is 30 requests of backlog, the static
 	// admission wall 3 deadlines out.
@@ -94,15 +89,14 @@ func extOverload(o Options) (Result, error) {
 		return
 	}
 
-	err := o.runSeries(jobs, func(j int) error {
-		ci, host := j/hostsSim, j%hostsSim
+	merged, virtMS, err := o.fleet(len(cells), hostsSim, func(ci int) string {
+		c := cells[ci]
+		return fmt.Sprintf("ext-overload %s/x%.1f/storm%d/def%d", overloadModes[c.mi], overloadMults[c.li], c.si, c.di)
+	}, func(ci int, _, hseed uint64) traffic.Config {
 		c := cells[ci]
 		cap := caps[c.mi]
 		timeout := 30 * perReq(c.mi)
 		t1, t2 := bounds(c.mi, c.li)
-		base := o.Seed + uint64(ci)*7919
-		hseed := base + uint64(host)*104729 + 1
-
 		var plan faults.Plan
 		if c.si == 1 {
 			plan = faults.Plan{Rate: stormRate, Kinds: []faults.Kind{faults.KindRetryStorm}}
@@ -117,7 +111,7 @@ func extOverload(o Options) (Result, error) {
 				Brownout:      true,
 			}
 		}
-		st, h, err := traffic.Serve(traffic.Config{
+		return traffic.Config{
 			Mode: overloadModes[c.mi],
 			Seed: hseed,
 			Arrivals: traffic.NewPhased(hseed, []traffic.PhaseRate{
@@ -132,47 +126,24 @@ func extOverload(o Options) (Result, error) {
 			FaultPlan:    plan,
 			Defense:      def,
 			PhaseBounds:  []time.Duration{t1, t2},
-		})
-		if err != nil {
-			return fmt.Errorf("ext-overload %s/x%.1f/storm%d/def%d host %d: %w",
-				overloadModes[c.mi], overloadMults[c.li], c.si, c.di, host, err)
 		}
-		if v := toolstack.Fsck(h.Env); len(v) > 0 {
-			return fmt.Errorf("ext-overload %s/x%.1f/storm%d/def%d host %d: fsck: %v",
-				overloadModes[c.mi], overloadMults[c.li], c.si, c.di, host, v)
-		}
-		stats[j] = st
-		virtMS[j] = h.Clock.Now().Milliseconds()
-		return nil
 	})
 	if err != nil {
 		return Result{}, err
-	}
-
-	// Merge per-host stats per cell in fixed host order.
-	merged := make([]*traffic.Stats, len(cells))
-	for ci := range cells {
-		m := &traffic.Stats{Mode: overloadModes[cells[ci].mi]}
-		for host := 0; host < hostsSim; host++ {
-			m.Merge(stats[ci*hostsSim+host])
-		}
-		merged[ci] = m
 	}
 
 	t := metrics.NewTable("Extension: overload metastability — retry storms sustain collapse without defenses; AIMD + retry budgets + brownout recover",
 		"mode", "mult", "storm", "defense",
 		"pre_good_pct", "burst_good_pct", "post_good_pct", "post_pre_ratio",
 		"p99_ms", "reject_pct", "retries", "brownout_ms")
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	goodFrac := func(p traffic.PhaseStats) float64 {
 		if p.Fresh == 0 {
 			return 0
 		}
 		return float64(p.Good) / float64(p.Fresh)
 	}
-	type key struct{ mi, li, si, di int }
-	ratios := make(map[key]float64, len(cells))
-	p99s := make(map[key]time.Duration, len(cells))
+	ratios := make(map[cell]float64, len(cells))
+	p99s := make(map[cell]time.Duration, len(cells))
 	for ci, c := range cells {
 		m := merged[ci]
 		pre, burst, post := goodFrac(m.Phases[0]), goodFrac(m.Phases[1]), goodFrac(m.Phases[2])
@@ -180,9 +151,8 @@ func extOverload(o Options) (Result, error) {
 		if pre > 0 {
 			ratio = post / pre
 		}
-		k := key{c.mi, c.li, c.si, c.di}
-		ratios[k] = ratio
-		p99s[k] = m.Latency.P99()
+		ratios[c] = ratio
+		p99s[c] = m.Latency.P99()
 		t.AddRow(float64(c.mi), overloadMults[c.li], float64(c.si), float64(c.di),
 			100*pre, 100*burst, 100*post, ratio,
 			ms(m.Latency.P99()), 100*m.RejectRate(),
@@ -198,8 +168,8 @@ func extOverload(o Options) (Result, error) {
 			if mult < 2 {
 				continue
 			}
-			off := ratios[key{mi, li, 1, 0}]
-			on := ratios[key{mi, li, 1, 1}]
+			off := ratios[cell{mi, li, 1, 0}]
+			on := ratios[cell{mi, li, 1, 1}]
 			if off >= 0.5 {
 				return Result{}, fmt.Errorf(
 					"ext-overload: no metastable collapse at %s x%.0f storm-on defenses-off: post/pre goodput %.2f, want < 0.5",
@@ -210,7 +180,7 @@ func extOverload(o Options) (Result, error) {
 					"ext-overload: no recovery at %s x%.0f storm-on defenses-on: post/pre goodput %.2f, want >= 0.95",
 					overloadModes[mi], mult, on)
 			}
-			if p := p99s[key{mi, li, 1, 1}]; p > 2*timeout {
+			if p := p99s[cell{mi, li, 1, 1}]; p > 2*timeout {
 				return Result{}, fmt.Errorf(
 					"ext-overload: defended tail unbounded at %s x%.0f: p99 %v past 2x the %v deadline",
 					overloadModes[mi], mult, p, timeout)
@@ -226,10 +196,9 @@ func extOverload(o Options) (Result, error) {
 	t.Note("fleet sample: %d hosts/cell, %d fresh requests/host; deadline = 30x per-request cost, static admission wall 3 deadlines",
 		hostsSim, reqPerHost)
 	return Result{
-		ID:        "ext-overload",
 		Paper:     "extension: retry storms make control-plane overload metastable; adaptive admission + retry budgets eliminate it",
 		Table:     t,
-		VirtualMS: maxOf(virtMS),
+		VirtualMS: virtMS,
 		Serving:   summarizeServing(merged),
 	}, nil
 }

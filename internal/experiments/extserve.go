@@ -59,16 +59,12 @@ func extServe(o Options) (Result, error) {
 			}
 		}
 	}
-	jobs := len(cells) * hostsSim
-	stats := make([]*traffic.Stats, jobs)
-	virtMS := make([]float64, jobs)
-
-	err := o.runSeries(jobs, func(j int) error {
-		ci, host := j/hostsSim, j%hostsSim
+	merged, virtMS, err := o.fleet(len(cells), hostsSim, func(ci int) string {
+		c := cells[ci]
+		return fmt.Sprintf("ext-serve %s/%s/%.0f", serveModes[c.mi], servePatterns[c.pi], rates[c.ri])
+	}, func(ci int, base, hseed uint64) traffic.Config {
 		c := cells[ci]
 		perHost := rates[c.ri] / fleetHosts
-		base := o.Seed + uint64(ci)*7919
-		hseed := base + uint64(host)*104729 + 1
 		var arr traffic.Arrivals
 		switch servePatterns[c.pi] {
 		case "burst":
@@ -80,7 +76,7 @@ func extServe(o Options) (Result, error) {
 		default:
 			arr = traffic.NewPoisson(hseed, perHost)
 		}
-		st, h, err := traffic.Serve(traffic.Config{
+		return traffic.Config{
 			Mode:       serveModes[c.mi],
 			Seed:       hseed,
 			Arrivals:   arr,
@@ -90,38 +86,16 @@ func extServe(o Options) (Result, error) {
 			Scaler: toolstack.AutoscalerConfig{
 				Min: 4, Max: 64, Horizon: 100 * time.Millisecond,
 			},
-		})
-		if err != nil {
-			return fmt.Errorf("ext-serve %s/%s/%.0f host %d: %w",
-				serveModes[c.mi], servePatterns[c.pi], rates[c.ri], host, err)
 		}
-		if v := toolstack.Fsck(h.Env); len(v) > 0 {
-			return fmt.Errorf("ext-serve %s/%s host %d: fsck: %v",
-				serveModes[c.mi], servePatterns[c.pi], host, v)
-		}
-		stats[j] = st
-		virtMS[j] = h.Clock.Now().Milliseconds()
-		return nil
 	})
 	if err != nil {
 		return Result{}, err
-	}
-
-	// Merge the per-host histograms per cell, in fixed host order.
-	merged := make([]*traffic.Stats, len(cells))
-	for ci := range cells {
-		m := &traffic.Stats{Mode: serveModes[cells[ci].mi]}
-		for host := 0; host < hostsSim; host++ {
-			m.Merge(stats[ci*hostsSim+host])
-		}
-		merged[ci] = m
 	}
 
 	t := metrics.NewTable("Extension: open-loop serving — per-request unikernels vs warm pools vs containers vs processes",
 		"mode", "pattern", "fleet_krps",
 		"p50_ms", "p99_ms", "p999_ms",
 		"timeout_pct", "reject_pct", "warm_avg")
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	p99 := make(map[cell]time.Duration, len(cells))
 	for ci, c := range cells {
 		m := merged[ci]
@@ -173,10 +147,9 @@ func extServe(o Options) (Result, error) {
 		fleetHosts, hostsSim, reqPerHost)
 	t.Note("per-request guests are real Daytime unikernels (boot stripped to guest cores, app answers verified); destruction rides the control plane")
 	return Result{
-		ID:        "ext-serve",
 		Paper:     "extension: JIT unikernel serving beats containers at the tail; warm pools beat cold boots",
 		Table:     t,
-		VirtualMS: maxOf(virtMS),
+		VirtualMS: virtMS,
 		Serving:   summarizeServing(merged),
 	}, nil
 }

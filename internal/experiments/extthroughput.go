@@ -26,16 +26,16 @@ func extThroughput(o Options) (Result, error) {
 		"mode", "vms_per_sec", "latency_ms")
 	// One independent host per toolstack mode; collect each mode's
 	// numbers, then emit rows in legend order.
-	type modeRow struct{ vmsPerSec, latencyMS, virtMS float64 }
+	type modeRow struct{ vmsPerSec, latencyMS float64 }
 	rows := make([]modeRow, len(allModes))
-	err := o.runSeries(len(allModes), func(i int) error {
+	virtMS, err := o.cells(len(allModes), func(i int) (float64, error) {
 		mode := allModes[i]
 		h, err := core.NewHost(sched.Xeon4, o.Seed)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		if err := h.EnsureFlavor(img, mode); err != nil {
-			return err
+			return 0, err
 		}
 		start := h.Clock.Now()
 		var lastLatency float64
@@ -44,28 +44,26 @@ func extThroughput(o Options) (Result, error) {
 				// The daemon's replenish work counts against
 				// throughput even though it is off the latency path.
 				if err := h.Replenish(); err != nil {
-					return err
+					return 0, err
 				}
 			}
 			vm, err := h.CreateVM(mode, fmt.Sprintf("g%d", k), img)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			lastLatency = float64(vm.CreateTime+vm.BootTime) / 1e6
 		}
 		elapsed := h.Clock.Now().Sub(start).Seconds()
-		rows[i] = modeRow{float64(n) / elapsed, lastLatency, h.Clock.Now().Milliseconds()}
-		return nil
+		rows[i] = modeRow{float64(n) / elapsed, lastLatency}
+		return h.Clock.Now().Milliseconds(), nil
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	virtMS := make([]float64, len(rows))
 	for i, r := range rows {
 		t.AddRow(float64(i), r.vmsPerSec, r.latencyMS)
-		virtMS[i] = r.virtMS
 	}
 	t.Note("rows: 0=xl, 1=chaos[XS], 2=chaos[XS+split], 3=chaos[NoXS], 4=LightVM")
 	t.Note("split modes buy latency, not free throughput: shell preparation still costs Dom0 time between creations")
-	return Result{ID: "ext-throughput", Paper: "(derived) creation throughput behind Fig. 9's latency curves", Table: t, VirtualMS: maxOf(virtMS)}, nil
+	return Result{Paper: "(derived) creation throughput behind Fig. 9's latency curves", Table: t, VirtualMS: virtMS}, nil
 }

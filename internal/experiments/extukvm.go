@@ -33,5 +33,5 @@ func extUkvm(o Options) (Result, error) {
 	pop.addRows(t)
 	t.Note("§9: 'ukvm implements a specialized unikernel monitor on top of KVM ... to achieve 10 ms boot times'")
 	t.Note("both scale flat (no store); ukvm pays a per-boot monitor fork/exec that the split toolstack amortizes away")
-	return Result{ID: "ext-ukvm", Paper: "§9: ukvm ≈10ms boots; LightVM still faster via the prepare phase", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "§9: ukvm ≈10ms boots; LightVM still faster via the prepare phase", Table: t, VirtualMS: pop.virtMS}, nil
 }

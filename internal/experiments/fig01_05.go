@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"lightvm/internal/core"
@@ -30,7 +29,7 @@ func fig01(Options) (Result, error) {
 	}
 	t.Note("growth ≈ %.1f syscalls/year; x86 VM ABI surface ≈ %d interaction points",
 		syscalls.GrowthPerYear(), syscalls.X86ABISurface)
-	return Result{ID: "fig01", Paper: "~200 syscalls in 2002 growing to ~400 by 2018", Table: t}, nil
+	return Result{Paper: "~200 syscalls in 2002 growing to ~400 by 2018", Table: t}, nil
 }
 
 // fig02 — "Boot times grow linearly with VM image size": the same
@@ -45,40 +44,30 @@ func fig02(o Options) (Result, error) {
 		step = 1
 	}
 	// Each padding point boots on a fresh host with its own timeline,
-	// so the points sweep in parallel.
-	var mbs []int
-	for mb := 0; mb <= maxMB; mb += step {
-		mbs = append(mbs, mb)
-	}
-	type point struct{ imageMB, bootMS, virtMS float64 }
-	pts := make([]point, len(mbs))
-	err := o.runSeries(len(mbs), func(i int) error {
+	// so the points run as cells.
+	type point struct{ imageMB, bootMS float64 }
+	pts := make([]point, maxMB/step+1)
+	virt, err := o.cells(len(pts), func(i int) (float64, error) {
 		h, err := core.NewHost(sched.Xeon4, o.Seed)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		img := guest.Daytime().WithPadding(uint64(mbs[i]) << 20)
+		img := guest.Daytime().WithPadding(uint64(i*step) << 20)
 		vm, err := h.CreateVM(toolstack.ModeXL, "padded", img)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		pts[i] = point{
-			imageMB: float64(img.TotalSize()) / (1 << 20),
-			bootMS:  float64(vm.CreateTime+vm.BootTime) / float64(time.Millisecond),
-			virtMS:  h.Clock.Now().Milliseconds(),
-		}
-		return nil
+		pts[i] = point{float64(img.TotalSize()) / (1 << 20), ms(vm.CreateTime + vm.BootTime)}
+		return h.Clock.Now().Milliseconds(), nil
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	virt := 0.0
 	for _, p := range pts {
 		t.AddRow(p.imageMB, p.bootMS)
-		virt = math.Max(virt, p.virtMS)
 	}
 	t.Note("paper slope ≈ 1 ms/MB up to ~1 s at 1000 MB")
-	return Result{ID: "fig02", Paper: "boot time grows linearly with image size, ~1s at 1GB", Table: t, VirtualMS: virt}, nil
+	return Result{Paper: "boot time grows linearly with image size, ~1s at 1GB", Table: t, VirtualMS: virt}, nil
 }
 
 // fig04 — domain creation and boot times for Debian, Tinyx, the
@@ -129,21 +118,11 @@ func fig04(o Options) (Result, error) {
 	pop.addRows(t)
 	t.Note("paper @N=0: debian 500ms+1.5s, tinyx 360ms+180ms, unikernel 80ms+3ms, docker ~200ms, process 3.5ms")
 	t.Note("paper @N=1000 create: debian 42s, tinyx 10s, unikernel 700ms (our model reproduces ordering and growth, compressed magnitudes for the Linux guests; see EXPERIMENTS.md)")
-	return Result{ID: "fig04", Paper: "creation grows with N; VM size ordering debian≫tinyx≫unikernel", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "creation grows with N; VM size ordering debian≫tinyx≫unikernel", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // ms converts a duration to milliseconds.
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// maxOf returns the largest element of vs (0 when empty) — the
-// simulated makespan across a figure's parallel timelines.
-func maxOf(vs []float64) float64 {
-	out := 0.0
-	for _, v := range vs {
-		out = math.Max(out, v)
-	}
-	return out
-}
 
 // fig05 — breakdown of xl creation overhead by category vs number of
 // running guests (daytime unikernel).
@@ -168,7 +147,7 @@ func fig05(o Options) (Result, error) {
 	}
 	pop.addRows(t)
 	t.Note("paper: xenstore grows superlinearly, devices stay ~constant and dominate at low N; log-rotation spikes")
-	return Result{ID: "fig05", Paper: "XenStore interactions and device creation dominate; store cost grows with N", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "XenStore interactions and device creation dominate; store cost grows with N", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // tblGuests — the §3/§6 guest inventory (image size, runtime memory).
@@ -186,5 +165,5 @@ func tblGuests(Options) (Result, error) {
 	}
 	t.Note("rows: %s", names)
 	t.Note("paper: daytime 480KB/3.6MB, minipython ~1MB/8MB, tinyx ~10MB/30MB, debian 1.1GB/111MB")
-	return Result{ID: "tbl-guests", Paper: "guest image sizes and runtime footprints", Table: t}, nil
+	return Result{Paper: "guest image sizes and runtime footprints", Table: t}, nil
 }

@@ -85,7 +85,7 @@ func fig09(o Options) (Result, error) {
 	}
 	pop.addRows(t)
 	t.Note("paper: xl ~100ms→~1s; chaos[XS] 15→80ms; +split max ~25ms; noxs 8→15ms; LightVM 4→4.1ms")
-	return Result{ID: "fig09", Paper: "LightVM flat at ~4ms; xl grows toward 1s at 1000 guests", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "LightVM flat at ~4ms; xl grows toward 1s at 1000 guests", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // fig10 — LightVM (noop unikernel) vs Docker on the 64-core AMD
@@ -104,7 +104,7 @@ func fig10(o Options) (Result, error) {
 		t.Note("docker hit the memory wall at %d containers (-1 = beyond the wall); paper stops at ~3000", wall)
 	}
 	t.Note("paper: LightVM scales to 8000; Docker starts ~150ms and ramps toward 1s by 3000 with memory-spike steps")
-	return Result{ID: "fig10", Paper: "8000 LightVM guests; Docker collapses around 3000", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "8000 LightVM guests; Docker collapses around 3000", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // fig11 — boot times for unikernel and Tinyx guests (over LightVM)
@@ -121,5 +121,5 @@ func fig11(o Options) (Result, error) {
 		"n", "tinyx_ms", "docker_ms", "unikernel_ms")
 	pop.addRows(t)
 	t.Note("paper: tinyx tracks docker up to ~750 guests, then idle-guest background tasks dilate its boots; unikernel stays flat")
-	return Result{ID: "fig11", Paper: "Tinyx ≈ Docker to ~750 guests; unikernel flat and lowest", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "Tinyx ≈ Docker to ~750 guests; unikernel flat and lowest", Table: t, VirtualMS: pop.virtMS}, nil
 }

@@ -53,9 +53,9 @@ func batchMean(h *core.Host, rng *sim.RNG, i int, op func(vm *toolstack.VM) (tim
 }
 
 func fig12(o Options, which string) (Result, error) {
-	title := "Figure 12a: save times (daytime unikernel)"
+	title, paper := "Figure 12a: save times (daytime unikernel)", "LightVM save ≈30ms regardless of N; xl ≈128ms"
 	if which == "restore" {
-		title = "Figure 12b: restore times (daytime unikernel)"
+		title, paper = "Figure 12b: restore times (daytime unikernel)", "LightVM restore ≈20ms regardless of N; xl ≈550ms"
 	}
 	t := metrics.NewTable(title, "n", "xl_ms", "chaos_xs_ms", "lightvm_ms")
 	img := guest.Daytime()
@@ -92,13 +92,7 @@ func fig12(o Options, which string) (Result, error) {
 	}
 	pop.addRows(t)
 	t.Note("paper: LightVM saves ~30ms / restores ~20ms flat; xl ~128ms / ~550ms")
-	id := "fig12a"
-	paper := "LightVM save ≈30ms regardless of N; xl ≈128ms"
-	if which == "restore" {
-		id = "fig12b"
-		paper = "LightVM restore ≈20ms regardless of N; xl ≈550ms"
-	}
-	return Result{ID: id, Paper: paper, Table: t}, nil
+	return Result{Paper: paper, Table: t}, nil
 }
 
 func fig12a(o Options) (Result, error) { return fig12(o, "save") }
@@ -148,7 +142,7 @@ func fig13(o Options) (Result, error) {
 	}
 	pop.addRows(t)
 	t.Note("paper: LightVM ~60ms flat; chaos[XS] slightly faster at low N (noxs device destruction unoptimized); xl grows with N")
-	return Result{ID: "fig13", Paper: "LightVM migrates in ~60ms regardless of N", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "LightVM migrates in ~60ms regardless of N", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // memCurve grows a population on machine by the step setup returns
@@ -202,7 +196,7 @@ func fig14(o Options) (Result, error) {
 		"n", "debian_mb", "tinyx_mb", "docker_mb", "minipython_mb", "process_mb")
 	pop.addRows(t)
 	t.Note("paper @1000: debian ≈114GB, tinyx ≈27GB, docker ≈5GB, minipython close to docker")
-	return Result{ID: "fig14", Paper: "unikernel memory close to Docker; Tinyx +22GB at 1000; Debian ~114GB", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "unikernel memory close to Docker; Tinyx +22GB at 1000; Debian ~114GB", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // fig15 — CPU utilization vs number of guests for noop unikernel,
@@ -246,5 +240,5 @@ func fig15(o Options) (Result, error) {
 		"n", "debian_pct", "tinyx_pct", "unikernel_pct", "docker_pct")
 	pop.addRows(t)
 	t.Note("paper @1000: debian ≈25%%, tinyx ≈1%%, unikernel a fraction above docker (lowest)")
-	return Result{ID: "fig15", Paper: "Debian ~25% at 1000 guests; Tinyx ~1%; unikernel ≈ Docker", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "Debian ~25% at 1000 guests; Tinyx ~1%; unikernel ≈ Docker", Table: t, VirtualMS: pop.virtMS}, nil
 }

@@ -36,6 +36,16 @@ func fig16a(o Options) (Result, error) {
 	t := metrics.NewTable("Figure 16a: personal firewalls — total throughput and ping RTT",
 		"n", "throughput_gbps", "rtt_ms")
 	const cmaxGbps, kSat = 5.2, 300.0
+	// Every subscriber's flows reach the same server and face the same
+	// blocklisted source.
+	dst, err := apps.ParseIPv4("198.51.100.10")
+	if err != nil {
+		return Result{}, err
+	}
+	bad, err := apps.ParseIPv4("203.0.113.66")
+	if err != nil {
+		return Result{}, err
+	}
 	var fwDenied uint64
 	pop, err := o.sweep(o.scaled(1000, 50), curve{machine: sched.Xeon14, cols: 2, setup: func(h *core.Host) (step, error) {
 		if err := h.EnsureFlavor(guest.ClickOSFirewall(), toolstack.ModeLightVM); err != nil {
@@ -54,9 +64,10 @@ func fig16a(o Options) (Result, error) {
 			if err != nil {
 				return err
 			}
-			src, _ := apps.ParseIPv4(fmt.Sprintf("10.%d.%d.7", i/250, i%250))
-			dst, _ := apps.ParseIPv4("198.51.100.10")
-			bad, _ := apps.ParseIPv4("203.0.113.66")
+			src, err := apps.ParseIPv4(fmt.Sprintf("10.%d.%d.7", i/250, i%250))
+			if err != nil {
+				return err
+			}
 			if fw.Filter(src, dst, 443) != apps.Allow {
 				return fmt.Errorf("fig16a: subscriber flow denied")
 			}
@@ -80,7 +91,7 @@ func fig16a(o Options) (Result, error) {
 	pop.addRows(t)
 	t.Note("paper: linear to 2.5Gbps @250 clients; 6.5Mbps/user @500 (3.25G), 4Mbps/user @1000 (4.0G); RTT ~60ms @1000")
 	t.Note("rule engine exercised: %d blocklist packets denied across the fleet", fwDenied)
-	return Result{ID: "fig16a", Paper: "one machine can firewall a full LTE cell (3.3 Gbps max)", Table: t, VirtualMS: pop.virtMS}, nil
+	return Result{Paper: "one machine can firewall a full LTE cell (3.3 Gbps max)", Table: t, VirtualMS: pop.virtMS}, nil
 }
 
 // fig16b — just-in-time service instantiation: each client sends one
@@ -94,20 +105,18 @@ func fig16b(o Options) (Result, error) {
 		"percentile", "rtt_10ms", "rtt_25ms", "rtt_50ms", "rtt_100ms")
 	rates := []time.Duration{10 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond, 100 * time.Millisecond}
 	cdfs := make([][]metrics.CDFPoint, len(rates))
-	virtMS := make([]float64, len(rates))
-	// Each arrival rate replays on its own host/clock — run them as
-	// parallel series.
-	err := o.runSeries(len(rates), func(ri int) error {
+	// Each arrival rate replays on its own host/clock, as a cell.
+	virtMS, err := o.cells(len(rates), func(ri int) (float64, error) {
 		inter := rates[ri]
 		h, err := core.NewHost(sched.Xeon14, o.Seed+uint64(ri))
 		if err != nil {
-			return err
+			return 0, err
 		}
 		// High arrival rates keep the shell pool warm (the daemon gets
 		// scheduled often enough); at low rates the pool covers demand
 		// trivially. Either way LightVM boots the service VM.
 		if err := h.EnsureFlavor(guest.ClickOSFirewall(), toolstack.ModeLightVM); err != nil {
-			return err
+			return 0, err
 		}
 		drv := h.Driver(toolstack.ModeLightVM)
 		// The toolstack's Dom0 work serializes across requests, but
@@ -127,13 +136,13 @@ func fig16b(o Options) (Result, error) {
 				// there is no gap, the pool drains, and creations fall
 				// back to inline prepares.
 				if err := h.Replenish(); err != nil {
-					return err
+					return 0, err
 				}
 				h.Clock.AdvanceTo(reqArrive)
 			}
 			vm, err := drv.Create(fmt.Sprintf("jit%d-%d", ri, k), img)
 			if err != nil {
-				return err
+				return 0, err
 			}
 			// Ready once the (parallel) guest boot completes.
 			ready := h.Clock.Now().Add(bootWork)
@@ -159,12 +168,11 @@ func fig16b(o Options) (Result, error) {
 		}
 		for _, vm := range pending {
 			if err := drv.Destroy(vm); err != nil {
-				return err
+				return 0, err
 			}
 		}
 		cdfs[ri] = rtts.CDF()
-		virtMS[ri] = h.Clock.Now().Milliseconds()
-		return nil
+		return h.Clock.Now().Milliseconds(), nil
 	})
 	if err != nil {
 		return Result{}, err
@@ -182,7 +190,7 @@ func fig16b(o Options) (Result, error) {
 		t.AddRow(row[0], row[1], row[2], row[3], row[4])
 	}
 	t.Note("paper @25ms inter-arrival: median 13ms, p90 20ms; @10ms the bridge drops ARPs and some pings time out (long tail)")
-	return Result{ID: "fig16b", Paper: "JIT VM boots answer pings in ~13ms median; overload only at 10ms arrivals", Table: t, VirtualMS: maxOf(virtMS)}, nil
+	return Result{Paper: "JIT VM boots answer pings in ~13ms median; overload only at 10ms arrivals", Table: t, VirtualMS: virtMS}, nil
 }
 
 // fig16c — TLS termination throughput for bare-metal processes, Tinyx
@@ -226,5 +234,5 @@ func fig16c(o Options) (Result, error) {
 			tput(p, costLwip, 0.03))  // unikernel: lwip factor dominates
 	}
 	t.Note("paper: ~1400 req/s plateau for bare metal and Tinyx (1024-bit RSA), unikernel ~1/5 of that (lwip)")
-	return Result{ID: "fig16c", Paper: "Tinyx ≈ bare metal ≈1400 req/s; unikernel ~20% of that", Table: t}, nil
+	return Result{Paper: "Tinyx ≈ bare metal ≈1400 req/s; unikernel ~20% of that", Table: t}, nil
 }

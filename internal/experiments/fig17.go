@@ -30,8 +30,6 @@ type computeRun struct {
 	CompletionMS []float64
 	// Concurrent[k] is the number of live VMs when request k arrives.
 	Concurrent []int
-	// VirtMS is the run's final virtual time in milliseconds.
-	VirtMS float64
 }
 
 // jobExtraWork is the per-job worker-core overhead a store-connected
@@ -50,14 +48,15 @@ func jobExtraWork(mode toolstack.Mode, running int) time.Duration {
 	return bootStoreOps*perOp + costs.SuspendHandshakeXS
 }
 
-// runComputeService executes the fig17/fig18 workload for one mode.
-func runComputeService(mode toolstack.Mode, requests int, seed uint64) (*computeRun, error) {
+// runComputeService executes the fig17/fig18 workload for one mode
+// and returns the run and its final virtual time (ms).
+func runComputeService(mode toolstack.Mode, requests int, seed uint64) (*computeRun, float64, error) {
 	h, err := core.NewHost(sched.Xeon4, seed)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := h.EnsureFlavor(guest.Minipython(), mode); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	drv := h.Driver(mode)
 	ps := sched.NewPS(h.Clock)
@@ -70,10 +69,10 @@ func runComputeService(mode toolstack.Mode, requests int, seed uint64) (*compute
 	// approximation of e.
 	res, err := minipy.Run(minipy.ApproxEProgram, 0)
 	if err != nil {
-		return nil, fmt.Errorf("fig17: payload: %w", err)
+		return nil, 0, fmt.Errorf("fig17: payload: %w", err)
 	}
 	if v, ok := res.Globals["result"].(float64); !ok || math.Abs(v-math.E) > 1e-6 {
-		return nil, fmt.Errorf("fig17: payload returned %v, want e", res.Globals["result"])
+		return nil, 0, fmt.Errorf("fig17: payload returned %v, want e", res.Globals["result"])
 	}
 
 	interArrival := 250 * time.Millisecond
@@ -89,7 +88,7 @@ func runComputeService(mode toolstack.Mode, requests int, seed uint64) (*compute
 		// event queue).
 		for _, vm := range doneVMs {
 			if err := drv.Destroy(vm); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		doneVMs = doneVMs[:0]
@@ -97,12 +96,12 @@ func runComputeService(mode toolstack.Mode, requests int, seed uint64) (*compute
 
 		if mode.UsesSplit() {
 			if err := h.Replenish(); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
 		vm, err := drv.Create(fmt.Sprintf("job%d", k), guest.Minipython())
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		live++
 		work := costs.MinipyEApprox + jobExtraWork(mode, live)
@@ -116,34 +115,30 @@ func runComputeService(mode toolstack.Mode, requests int, seed uint64) (*compute
 	ps.Drain()
 	for _, vm := range doneVMs {
 		if err := drv.Destroy(vm); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
-	out.VirtMS = h.Clock.Now().Milliseconds()
-	return out, nil
+	return out, h.Clock.Now().Milliseconds(), nil
 }
 
 // computePair runs the fig17/fig18 workload for chaos[XS] and LightVM
-// on independent timelines, in parallel when the options allow it.
-func computePair(o Options, n int) (xs, lv *computeRun, err error) {
+// as cells, and returns both runs and the makespan.
+func computePair(o Options, n int) (xs, lv *computeRun, virtMS float64, err error) {
 	modes := []toolstack.Mode{toolstack.ModeChaosXS, toolstack.ModeLightVM}
 	runs := make([]*computeRun, len(modes))
-	err = o.runSeries(len(modes), func(i int) error {
-		r, err := runComputeService(modes[i], n, o.Seed)
+	virtMS, err = o.cells(len(modes), func(i int) (float64, error) {
+		r, v, err := runComputeService(modes[i], n, o.Seed)
 		runs[i] = r
-		return err
+		return v, err
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return runs[0], runs[1], nil
+	return runs[0], runs[1], virtMS, err
 }
 
 // fig17 — service time of the nth compute request on the overloaded
 // machine, chaos[XS] vs LightVM.
 func fig17(o Options) (Result, error) {
 	n := o.scaled(1000, 40)
-	xs, lv, err := computePair(o, n)
+	xs, lv, virtMS, err := computePair(o, n)
 	if err != nil {
 		return Result{}, err
 	}
@@ -153,14 +148,14 @@ func fig17(o Options) (Result, error) {
 		t.AddRow(float64(p), xs.CompletionMS[p-1]/1000, lv.CompletionMS[p-1]/1000)
 	}
 	t.Note("paper: noxs improves completion times ~5× when 100-200 VMs are backlogged; jobs take ~0.8s, arrivals every 250ms on 3 worker cores")
-	return Result{ID: "fig17", Paper: "LightVM completes requests ~5× faster under backlog", Table: t, VirtualMS: maxOf([]float64{xs.VirtMS, lv.VirtMS})}, nil
+	return Result{Paper: "LightVM completes requests ~5× faster under backlog", Table: t, VirtualMS: virtMS}, nil
 }
 
 // fig18 — number of concurrently running VMs over time for the same
 // workload.
 func fig18(o Options) (Result, error) {
 	n := o.scaled(1000, 40)
-	xs, lv, err := computePair(o, n)
+	xs, lv, virtMS, err := computePair(o, n)
 	if err != nil {
 		return Result{}, err
 	}
@@ -170,5 +165,5 @@ func fig18(o Options) (Result, error) {
 		t.AddRow(float64(p-1)*0.25, float64(xs.Concurrent[p-1]), float64(lv.Concurrent[p-1]))
 	}
 	t.Note("paper: chaos[XS] backlog climbs toward ~140 concurrent VMs; LightVM stays far lower")
-	return Result{ID: "fig18", Paper: "noxs keeps the VM backlog small under overload", Table: t, VirtualMS: maxOf([]float64{xs.VirtMS, lv.VirtMS})}, nil
+	return Result{Paper: "noxs keeps the VM backlog small under overload", Table: t, VirtualMS: virtMS}, nil
 }

@@ -12,9 +12,10 @@ import (
 // harness ran strictly sequentially. RunMany fans the figures out over
 // a bounded worker pool and still emits results in input order, so the
 // rendered output is byte-identical to a sequential run. The same pool
-// primitive (runSeries) parallelizes *within* multi-series figures:
-// fig09's five toolstacks, fig04's guest classes, fig13's migration
-// drivers and so on each own an isolated timeline, so their sweeps run
+// primitive (runSeries) parallelizes *within* multi-timeline figures
+// through Options.cells (cells.go), its only other caller: fig09's
+// five toolstacks, ext-faults' (mode, rate) pairs, ext-serve's sampled
+// hosts and so on each own an isolated timeline, so they run
 // concurrently without perturbing a single virtual-time result.
 
 // runSeries executes jobs 0..n-1 on up to o.workers() goroutines and

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"time"
-
-	"lightvm/internal/traffic"
-)
+import "lightvm/internal/traffic"
 
 // ServingSummary condenses a serving figure's aggregate traffic
 // outcome for the bench report: the tail quantiles and the rejection
@@ -34,7 +30,6 @@ func summarizeServing(cells []*traffic.Stats) *ServingSummary {
 	for _, c := range cells {
 		all.Merge(c)
 	}
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 	s := &ServingSummary{
 		Arrived:      all.Arrived,
 		Served:       all.Served,
@@ -49,20 +44,17 @@ func summarizeServing(cells []*traffic.Stats) *ServingSummary {
 		SheddingMS:   ms(all.SheddingTime),
 		StateChanges: all.StateChanges,
 	}
-	byReason := map[string]int{
-		traffic.RejectBacklog.String():  all.RejectedBacklog,
-		traffic.RejectCapacity.String(): all.RejectedCapacity,
-		traffic.RejectOverload.String(): all.RejectedOverload,
-		traffic.RejectQuota.String():    all.RejectedQuota,
-		traffic.RejectBudget.String():   all.RejectedBudget,
-	}
-	for k, v := range byReason {
-		if v == 0 {
-			delete(byReason, k)
+	// Indexed by traffic.RejectReason; only the reasons that shed work
+	// are reported.
+	byReason := [...]int{all.RejectedBacklog, all.RejectedCapacity, all.RejectedOverload, all.RejectedQuota, all.RejectedBudget}
+	for r, n := range byReason {
+		if n == 0 {
+			continue
 		}
-	}
-	if len(byReason) > 0 {
-		s.RejectedByReason = byReason
+		if s.RejectedByReason == nil {
+			s.RejectedByReason = map[string]int{}
+		}
+		s.RejectedByReason[traffic.RejectReason(r).String()] = n
 	}
 	return s
 }

@@ -13,8 +13,8 @@ import (
 // curve grows a guest population one instance at a time on a host of
 // its own and is read at the sampled counts. A figure says only what
 // a curve's host is, how it is set up and what adding instance i
-// means; sampling, the per-curve hosts, the parallel series pool, the
-// population wall and the makespan live here once.
+// means; sampling, the per-curve hosts, the population wall and the row
+// layout live here once; the curves run as cells (cells.go).
 
 // curve is one series of a population sweep.
 type curve struct {
@@ -52,7 +52,7 @@ type population struct {
 }
 
 // sweep grows every curve to n instances, each on its own host and
-// timeline, running the curves through runSeries.
+// timeline, running the curves as cells.
 func (o Options) sweep(n int, curves ...curve) (population, error) {
 	points := o.samplePoints(n)
 	offs := make([]int, len(curves)+1)
@@ -67,16 +67,16 @@ func (o Options) sweep(n int, curves ...curve) (population, error) {
 		pop.rows[k] = buf[k*width : (k+1)*width : (k+1)*width]
 		pop.rows[k][0] = float64(p)
 	}
-	virtMS := make([]float64, len(curves))
-	err := o.runSeries(len(curves), func(j int) error {
+	var err error
+	pop.virtMS, err = o.cells(len(curves), func(j int) (float64, error) {
 		c := curves[j]
 		h, err := core.NewHost(c.machine, o.Seed)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		add, err := c.setup(h)
 		if err != nil {
-			return err
+			return 0, err
 		}
 		lo, hi := offs[j], offs[j+1]
 		k := 0 // next sampled count's index
@@ -87,7 +87,7 @@ func (o Options) sweep(n int, curves ...curve) (population, error) {
 			}
 			if err := add(i, rec); err != nil {
 				if !c.wall {
-					return fmt.Errorf("instance %d: %w", i, err)
+					return 0, fmt.Errorf("instance %d: %w", i, err)
 				}
 				pop.walls[j] = i
 				for ; k < len(points); k++ {
@@ -101,13 +101,11 @@ func (o Options) sweep(n int, curves ...curve) (population, error) {
 				k++
 			}
 		}
-		virtMS[j] = h.Clock.Now().Milliseconds()
-		return nil
+		return h.Clock.Now().Milliseconds(), nil
 	})
 	if err != nil {
 		return population{}, err
 	}
-	pop.virtMS = maxOf(virtMS)
 	return pop, nil
 }
 
