@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -43,20 +42,6 @@ func TestPairGridLayout(t *testing.T) {
 		}
 		if virtMS != want {
 			t.Fatalf("parallel %d: makespan %v, want %v", par, virtMS, want)
-		}
-	}
-}
-
-// TestCellsLowestIndexedError: a failing cell fails the run with the
-// lowest-indexed error, whatever the worker count.
-func TestCellsLowestIndexedError(t *testing.T) {
-	errs := []error{nil, errors.New("cell 1"), nil, errors.New("cell 3")}
-	for _, par := range []int{1, 4} {
-		_, err := Options{Parallel: par}.cells(len(errs), func(i int) (float64, error) {
-			return float64(i), errs[i]
-		})
-		if err != errs[1] {
-			t.Fatalf("parallel %d: err = %v, want %v", par, err, errs[1])
 		}
 	}
 }
